@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-pipe bench-decode check-allocs experiments examples
+.PHONY: all build fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-pipe bench-decode bench-quick check-allocs experiments examples
 
 all: fmt-check build vet test
 
@@ -93,12 +93,20 @@ bench-pipe:
 bench-decode:
 	go test -run '^$$' -bench '^BenchmarkDecode$$' -benchmem -benchtime=1x ./internal/ais/
 
+# End-to-end benchmark smoke (cmd/bench, the BENCHMARK.json harness) on
+# a toy fleet, ~15 s: all four workloads against real cmd/serve
+# children, with the delivered-alerts correctness gate. Not a
+# measurement; `bash cmd/bench/run.sh` is.
+bench-quick:
+	go run ./cmd/bench -quick
+
 # Allocation-regression guard: the steady-state slide budget
-# (testing.AllocsPerRun gate in the tracker) and the zero-allocation
-# zero-copy scanners. Run without -race: the race runtime inflates
-# allocation counts and both tests skip themselves under it.
+# (testing.AllocsPerRun gate in the tracker), the zero-allocation
+# zero-copy scanners and the recognition query step over a warm 6 h
+# window. Run without -race: the race runtime inflates allocation counts
+# and the tests skip themselves under it.
 check-allocs:
-	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs' ./internal/tracker/ ./internal/ais/
+	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestRecognizerAdvanceAllocs' ./internal/tracker/ ./internal/ais/ ./internal/maritime/
 
 # Full row sets at the default scale (N=1000); see -list for ids.
 experiments:

@@ -11,11 +11,13 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/expbench"
+	"repro/internal/fleetsim"
 	"repro/internal/maritime"
 	"repro/internal/serve"
 )
@@ -171,6 +173,44 @@ func BenchmarkFig11aRecognition(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkRecognizerAdvance measures one recognition query step over a
+// warm window on a denser world than Figure 11's (140 areas, β = 5 min,
+// so every ME lives in ω/β = 12 or 72 overlapping windows): the whole
+// stream is replayed per iteration and the warm steps are timed.
+// Reported metrics: mean time and allocations per warm step.
+func BenchmarkRecognizerAdvance(b *testing.B) {
+	const slide = 5 * time.Minute
+	cfg := fleetsim.DefaultConfig()
+	cfg.Vessels, cfg.NumAreas, cfg.Duration = 400, 140, 9*time.Hour
+	wl := expbench.BuildWorkloadFrom(cfg)
+	slides, queries := expbench.MESlides(wl, slide)
+	for _, window := range []time.Duration{time.Hour, 6 * time.Hour} {
+		b.Run(fmt.Sprintf("window=%s", window), func(b *testing.B) {
+			warm := int(window / slide)
+			var busy time.Duration
+			var allocs uint64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				rec := maritime.NewRecognizer(maritime.Config{Window: window}, wl.Vessels, wl.Areas)
+				for k := 0; k < warm; k++ {
+					rec.Advance(queries[k], slides[k], nil)
+				}
+				runtime.ReadMemStats(&ms)
+				before, start := ms.Mallocs, time.Now()
+				for k := warm; k < len(slides); k++ {
+					rec.Advance(queries[k], slides[k], nil)
+				}
+				busy += time.Since(start)
+				runtime.ReadMemStats(&ms)
+				allocs += ms.Mallocs - before
+			}
+			steps := float64(b.N * (len(slides) - warm))
+			b.ReportMetric(float64(busy.Microseconds())/steps, "µs/step")
+			b.ReportMetric(float64(allocs)/steps, "allocs/step")
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
+	"time"
+
 	"repro/internal/obs"
 )
 
@@ -21,6 +24,14 @@ type pipelineMetrics struct {
 	fixes    *obs.Counter
 	critical *obs.Counter
 	trips    *obs.Counter
+
+	// Per-definition recognition time. The engines keep cumulative
+	// readings that only the pipeline goroutine may touch; after each
+	// slide it adds what every in-service recognizer spent since its
+	// previous reading (last, per recognizer and definition) to atomics a
+	// scrape can load at any time.
+	defNanos map[string]*atomic.Int64
+	defLast  [][]time.Duration
 }
 
 // RegisterMetrics wires the system's runtime metrics onto the registry:
@@ -85,7 +96,47 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_degraded_dropped_events_total",
 		"Durative movement events dropped while recognition ran instantaneous-only.", nil,
 		func() float64 { return float64(s.degradedDrops.Load()) })
+	if n := s.recognizerCount(); n > 0 {
+		defs := s.recAt(0).Engine().Stats().Definitions
+		s.metrics.defNanos = make(map[string]*atomic.Int64, len(defs))
+		s.metrics.defLast = make([][]time.Duration, n)
+		for i := range s.metrics.defLast {
+			s.metrics.defLast[i] = make([]time.Duration, len(defs))
+		}
+		for _, def := range defs {
+			if s.metrics.defNanos[def.Name] != nil {
+				continue // definitions sharing a name share a series
+			}
+			nanos := new(atomic.Int64)
+			s.metrics.defNanos[def.Name] = nanos
+			r.CounterFunc("maritime_recognition_definition_seconds_total",
+				"Time spent evaluating each RTEC definition (input fluent, derived event, fluent), summed over recognizers: which rule the recognition stage's time goes to.",
+				obs.Labels{"definition": def.Name},
+				func() float64 { return float64(nanos.Load()) / 1e9 })
+		}
+	}
 	s.tracker.RegisterMetrics(r)
+}
+
+// observeDefinitions adds each in-service recognizer's evaluation time
+// since its previous reading to the per-definition counters. A
+// recognizer that is down is skipped — an abandoned goroutine may still
+// be inside its engine — and one rebuilt by Heal reads from zero again.
+func (s *System) observeDefinitions() {
+	m := s.metrics
+	for i, last := range m.defLast {
+		if s.recDown(i) != partUp {
+			continue
+		}
+		for j, def := range s.recAt(i).Engine().Stats().Definitions {
+			spent := def.Time - last[j]
+			if spent < 0 {
+				spent = def.Time
+			}
+			m.defNanos[def.Name].Add(int64(spent))
+			last[j] = def.Time
+		}
+	}
 }
 
 // observe records one slide's outcome. Alerts count per CE so the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -233,5 +234,21 @@ func TestPipelineMetricsExport(t *testing.T) {
 	}
 	if reg.Histogram("maritime_slide_stage_seconds", "", obs.Labels{"stage": "tracking"}, nil).Count() != uint64(len(reports)) {
 		t.Error("tracking histogram observation count != slides")
+	}
+	// Which rule the recognition time goes to: one series per definition,
+	// together no more than the recognition stage they are part of.
+	var defSeconds float64
+	for _, def := range []string{"stopped", "lowSpeed", "illegalShipping", "dangerousShipping", "suspicious", "illegalFishing"} {
+		var v float64
+		series := `maritime_recognition_definition_seconds_total{definition="` + def + `"} `
+		if i := strings.Index(out, series); i < 0 {
+			t.Errorf("scrape missing %s", series)
+		} else if _, err := fmt.Sscan(out[i+len(series):], &v); err != nil || v <= 0 {
+			t.Errorf("%s= %v (%v), want > 0", series, v, err)
+		}
+		defSeconds += v
+	}
+	if stage := reg.Histogram("maritime_slide_stage_seconds", "", obs.Labels{"stage": "recognition"}, nil).Sum(); defSeconds > stage {
+		t.Errorf("definitions account for %.6fs, the recognition stage took %.6fs", defSeconds, stage)
 	}
 }

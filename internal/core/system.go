@@ -450,6 +450,7 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	rep.Health = s.Health()
 	if s.metrics != nil {
 		s.metrics.observe(rep)
+		s.observeDefinitions()
 	}
 	s.notifySinks(rep)
 	return rep

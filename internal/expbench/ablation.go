@@ -134,7 +134,7 @@ type AblationWindow struct {
 
 // RunAblationWindow measures both.
 func RunAblationWindow(wl *Workload) AblationWindow {
-	slides, queries := meSlides(wl)
+	slides, queries := MESlides(wl, time.Hour)
 	return AblationWindow{
 		Windowed: runFig11(wl, fig11Config{
 			window: 2 * time.Hour, procs: 1, mode: maritime.SpatialOnDemand,
@@ -165,7 +165,7 @@ type AblationGrid struct {
 
 // RunAblationGrid measures both over ω = 6 h.
 func RunAblationGrid(wl *Workload) AblationGrid {
-	slides, queries := meSlides(wl)
+	slides, queries := MESlides(wl, time.Hour)
 	run := func(disable bool) time.Duration {
 		rec := maritime.NewRecognizer(maritime.Config{
 			Window: 6 * time.Hour, DisableGridIndex: disable,

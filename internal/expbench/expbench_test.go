@@ -207,7 +207,7 @@ func TestFig11aShape(t *testing.T) {
 
 func TestFig11TwoProcessorsNotSlower(t *testing.T) {
 	wl := shortWL(t)
-	slides, queries := meSlides(wl)
+	slides, queries := MESlides(wl, time.Hour)
 	one := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 1}, slides, queries)
 	two := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 2}, slides, queries)
 	// Timing noise at CI scale: allow slack, but parallel recognition

@@ -26,11 +26,11 @@ type Fig11Row struct {
 	MeanStep  time.Duration // mean recognition time per query step
 }
 
-// meSlides precomputes the movement-event stream of the workload,
-// bucketed into β = 1 h slides — the input shared by every Figure 11
-// configuration.
-func meSlides(wl *Workload) (slides [][]rtec.Event, queries []time.Time) {
-	spec := stream.WindowSpec{Range: 2 * time.Hour, Slide: time.Hour}
+// MESlides precomputes the movement-event stream of the workload,
+// bucketed into slides of the given step β, with each slide's query
+// time. Every Figure 11 configuration shares the β = 1 h stream.
+func MESlides(wl *Workload, slide time.Duration) (slides [][]rtec.Event, queries []time.Time) {
+	spec := stream.WindowSpec{Range: 2 * slide, Slide: slide}
 	tr := tracker.New(tracker.DefaultParams(), spec)
 	batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), spec.Slide)
 	for {
@@ -124,7 +124,7 @@ func runFig11(wl *Workload, cfg fig11Config, slides [][]rtec.Event, queries []ti
 // β = 1 h, on one and two processors. The paper's shapes: time grows
 // with ω, and two processors are markedly faster than one.
 func Fig11a(wl *Workload) []Fig11Row {
-	slides, queries := meSlides(wl)
+	slides, queries := MESlides(wl, time.Hour)
 	var rows []Fig11Row
 	for _, procs := range []int{1, 2} {
 		for _, h := range []int{1, 2, 6, 9} {
@@ -143,7 +143,7 @@ func Fig11a(wl *Workload) []Fig11Row {
 // them instead of reasoning spatially. The paper's shape: despite the
 // larger input, recognition is substantially faster than Figure 11(a).
 func Fig11b(wl *Workload) []Fig11Row {
-	slides, queries := meSlides(wl)
+	slides, queries := MESlides(wl, time.Hour)
 	var rows []Fig11Row
 	for _, procs := range []int{1, 2} {
 		for _, h := range []int{1, 2, 6, 9} {

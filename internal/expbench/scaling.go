@@ -57,7 +57,7 @@ func ScalingSweep(sizes []int, hours int, seed int64) []ScalingRow {
 		}
 
 		// Recognition cost over the derived ME stream.
-		slidesME, queries := meSlides(wl)
+		slidesME, queries := MESlides(wl, time.Hour)
 		for _, mes := range slidesME {
 			row.MEs += len(mes)
 		}

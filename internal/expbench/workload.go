@@ -60,8 +60,14 @@ func BuildWorkload(vessels int, duration time.Duration, seed int64) *Workload {
 	cfg.Vessels = vessels
 	cfg.Duration = duration
 	cfg.Seed = seed
+	return BuildWorkloadFrom(cfg)
+}
+
+// BuildWorkloadFrom simulates the dataset of an arbitrary simulator
+// configuration (e.g. more areas of interest than the paper's 35).
+func BuildWorkloadFrom(cfg fleetsim.Config) *Workload {
 	sim := fleetsim.NewSimulator(cfg)
-	w := &Workload{Sim: sim, Fixes: sim.Run(), Start: cfg.Start, End: cfg.Start.Add(duration)}
+	w := &Workload{Sim: sim, Fixes: sim.Run(), Start: cfg.Start, End: cfg.Start.Add(cfg.Duration)}
 	w.Vessels, w.Areas, w.Ports = core.AdaptWorld(sim)
 	return w
 }
@@ -78,7 +84,7 @@ func BuildNoisyWorkload(vessels int, duration time.Duration, seed int64) *Worklo
 	cfg.Noise.OutlierProb = 0.03
 	cfg.Noise.OutlierMeters = 2500
 	sim := fleetsim.NewSimulator(cfg)
-	w := &Workload{Sim: sim, Fixes: sim.Run(), Start: cfg.Start, End: cfg.Start.Add(duration)}
+	w := &Workload{Sim: sim, Fixes: sim.Run(), Start: cfg.Start, End: cfg.Start.Add(cfg.Duration)}
 	w.Vessels, w.Areas, w.Ports = core.AdaptWorld(sim)
 	return w
 }

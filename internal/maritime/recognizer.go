@@ -76,13 +76,31 @@ type Recognizer struct {
 	facts   []SpatialFact
 	factIdx map[string]map[rtec.Timepoint][]string
 
+	// closeMemo memoises close/3 per position. The answer is a pure
+	// function of static world knowledge, yet every ME is asked for it in
+	// each of the ω/β overlapping windows it lives in: it is computed on
+	// the first ask and dropped after the first query step that no longer
+	// asks, i.e. once the ME has left the working memory.
+	closeMemo map[geo.Point]*closeEntry
+	step      uint64   // the current query step, stamped on memo reads
+	holders   []string // scratch for the entities a count ranges over
+
 	// seen dedupes user-facing alerts: with β < ω the same CE occurrence
-	// is re-derived by every overlapping window instantiation.
-	seen   map[Alert]bool
-	alerts []Alert
-	// restoredAlerts carries the alert count of a restored checkpoint, so
-	// CECount stays cumulative across a crash/restore cycle.
-	restoredAlerts int
+	// is re-derived by every overlapping window instantiation. An alert
+	// is forgotten once its time leaves the window, when its trigger can
+	// no longer be in the working memory.
+	seen map[Alert]bool
+	// alertCount is the number of alerts emitted so far, including those
+	// before a restored checkpoint was taken.
+	alertCount int
+}
+
+// closeEntry is the close/3 answer for one position: the IDs of the
+// close areas grouped by kind, in area-index order within a kind.
+type closeEntry struct {
+	ids  []string
+	off  [numKinds + 1]int // ids[off[k]:off[k+1]] are the areas of kind k
+	step uint64            // the last query step that read the entry
 }
 
 // SpatialFact states that a vessel was close to an area at the
@@ -102,11 +120,12 @@ type SpatialFact struct {
 func NewRecognizer(cfg Config, vessels []Vessel, areas []Area) *Recognizer {
 	cfg = cfg.withDefaults()
 	r := &Recognizer{
-		cfg:     cfg,
-		engine:  rtec.NewEngine(int64(cfg.Window / time.Second)),
-		vessels: make(map[string]Vessel, len(vessels)),
-		byID:    make(map[string]*Area, len(areas)),
-		seen:    make(map[Alert]bool),
+		cfg:       cfg,
+		engine:    rtec.NewEngine(int64(cfg.Window / time.Second)),
+		vessels:   make(map[string]Vessel, len(vessels)),
+		byID:      make(map[string]*Area, len(areas)),
+		closeMemo: make(map[geo.Point]*closeEntry),
+		seen:      make(map[Alert]bool),
 	}
 	for _, v := range vessels {
 		r.vessels[v.Entity()] = v
@@ -131,23 +150,16 @@ func NewRecognizer(cfg Config, vessels []Vessel, areas []Area) *Recognizer {
 // Engine exposes the underlying RTEC engine (for interval queries).
 func (r *Recognizer) Engine() *rtec.Engine { return r.engine }
 
-// closeAreas implements close/3: the areas within CloseMeters of p,
-// optionally filtered by kind (pass -1 for any kind).
-func (r *Recognizer) closeAreas(p geo.Point, kind AreaKind) []*Area {
+// closeAreas implements close/3: the areas within CloseMeters of p.
+func (r *Recognizer) closeAreas(p geo.Point) []*Area {
 	var out []*Area
 	if r.idx != nil {
 		for _, i := range r.idx.CloseTo(p, r.cfg.CloseMeters) {
-			a := r.idxList[i]
-			if kind < 0 || a.Kind == kind {
-				out = append(out, a)
-			}
+			out = append(out, r.idxList[i])
 		}
 		return out
 	}
 	for _, a := range r.areas {
-		if kind >= 0 && a.Kind != kind {
-			continue
-		}
 		if a.Poly.DistanceMeters(p) <= r.cfg.CloseMeters {
 			out = append(out, a)
 		}
@@ -155,24 +167,42 @@ func (r *Recognizer) closeAreas(p geo.Point, kind AreaKind) []*Area {
 	return out
 }
 
+// closeTo returns the memoised close/3 answer for p, resolving it on
+// the first ask.
+func (r *Recognizer) closeTo(p geo.Point) *closeEntry {
+	e := r.closeMemo[p]
+	if e == nil {
+		areas := r.closeAreas(p)
+		e = &closeEntry{ids: make([]string, 0, len(areas))}
+		for k := AreaKind(0); k < numKinds; k++ {
+			for _, a := range areas {
+				if a.Kind == k {
+					e.ids = append(e.ids, a.ID)
+				}
+			}
+			e.off[k+1] = len(e.ids)
+		}
+		r.closeMemo[p] = e
+	}
+	e.step = r.step
+	return e
+}
+
 // proximity resolves the areas of the given kind close to the vessel at
-// the event's position and time, honoring the configured mode.
+// the event's position and time, honoring the configured mode. The
+// result is shared and must not be modified.
 func (r *Recognizer) proximity(ev rtec.Event, kind AreaKind) []string {
 	if r.cfg.Mode == SpatialFacts {
 		var out []string
 		for _, id := range r.factIdx[ev.Entity][ev.Time] {
-			if a := r.byID[id]; a != nil && (kind < 0 || a.Kind == kind) {
+			if a := r.byID[id]; a != nil && a.Kind == kind {
 				out = append(out, id)
 			}
 		}
 		return out
 	}
-	areas := r.closeAreas(geo.Point{Lon: ev.Lon, Lat: ev.Lat}, kind)
-	out := make([]string, len(areas))
-	for i, a := range areas {
-		out[i] = a.ID
-	}
-	return out
+	e := r.closeTo(geo.Point{Lon: ev.Lon, Lat: ev.Lat})
+	return e.ids[e.off[kind]:e.off[kind+1]:e.off[kind+1]]
 }
 
 // vessel returns the static record for an entity; unknown vessels get a
@@ -187,71 +217,35 @@ func (r *Recognizer) vessel(entity string) Vessel {
 	return v
 }
 
-// lastPositionedEvent returns the latest window event among names for
-// the entity at or before t, to locate a vessel when a durative fluent
-// holds. ok is false when no such event exists in the window.
-func lastPositionedEvent(ctx *rtec.Ctx, entity string, t rtec.Timepoint, names ...string) (rtec.Event, bool) {
-	var best rtec.Event
-	found := false
-	for _, name := range names {
-		for _, ev := range ctx.EventsNamed(name) {
-			if ev.Entity != entity || ev.Time > t {
-				continue
-			}
-			if !found || ev.Time > best.Time {
-				best = ev
-				found = true
-			}
+// activeNear counts the vessels for which the durative input fluent
+// holds at t and whose episode began close to the area: each holder is
+// located by its latest startME at or before t.
+func (r *Recognizer) activeNear(ctx *rtec.Ctx, fluent, startME string, kind AreaKind, fishingOnly bool, areaID string, t rtec.Timepoint) int {
+	n := 0
+	r.holders = ctx.EntitiesHolding(r.holders[:0], fluent, rtec.True, t)
+	for _, entity := range r.holders {
+		if fishingOnly && !r.vessel(entity).Fishing {
+			continue
+		}
+		ev, ok := ctx.LastEvent(entity, t, startME)
+		if ok && slices.Contains(r.proximity(ev, kind), areaID) {
+			n++
 		}
 	}
-	return best, found
+	return n
 }
 
 // stoppedNear counts the vessels stopped close to the area at time t —
 // the paper's vesselsStoppedIn(Area) fluent.
 func (r *Recognizer) stoppedNear(ctx *rtec.Ctx, areaID string, t rtec.Timepoint) int {
-	n := 0
-	for _, entity := range ctx.EntitiesHolding("stopped", rtec.True, t) {
-		ev, ok := lastPositionedEvent(ctx, entity, t, MEStopStart)
-		if !ok {
-			continue
-		}
-		for _, id := range r.proximity(ev, KindWatch) {
-			if id == areaID {
-				n++
-				break
-			}
-		}
-	}
-	return n
+	return r.activeNear(ctx, "stopped", MEStopStart, KindWatch, false, areaID, t)
 }
 
 // fishingActivityNear counts fishing vessels whose stop or slow-motion
 // episode holds at t close to the forbidden-fishing area.
 func (r *Recognizer) fishingActivityNear(ctx *rtec.Ctx, areaID string, t rtec.Timepoint) int {
-	n := 0
-	for _, fluent := range [2]string{"stopped", "lowSpeed"} {
-		startME := MEStopStart
-		if fluent == "lowSpeed" {
-			startME = MESlowStart
-		}
-		for _, entity := range ctx.EntitiesHolding(fluent, rtec.True, t) {
-			if !r.vessel(entity).Fishing {
-				continue
-			}
-			ev, ok := lastPositionedEvent(ctx, entity, t, startME)
-			if !ok {
-				continue
-			}
-			for _, id := range r.proximity(ev, KindForbiddenFishing) {
-				if id == areaID {
-					n++
-					break
-				}
-			}
-		}
-	}
-	return n
+	return r.activeNear(ctx, "stopped", MEStopStart, KindForbiddenFishing, true, areaID, t) +
+		r.activeNear(ctx, "lowSpeed", MESlowStart, KindForbiddenFishing, true, areaID, t)
 }
 
 // install registers the input fluents and the four CE definitions.
@@ -394,11 +388,11 @@ type Snapshot struct {
 // events (and, in SpatialFacts mode, the accompanying proximity facts)
 // received since the previous step.
 func (r *Recognizer) Advance(q time.Time, events []rtec.Event, facts []SpatialFact) Snapshot {
+	windowStart := q.Add(-r.cfg.Window).Unix()
 	if r.cfg.Mode == SpatialFacts {
 		// Facts share the MEs' window semantics: retain those whose
 		// timestamps are still inside (q-ω, q], merge the new batch, and
 		// index the survivors.
-		windowStart := q.Add(-r.cfg.Window).Unix()
 		live := r.facts[:0]
 		for _, f := range r.facts {
 			if f.Time > windowStart {
@@ -421,7 +415,20 @@ func (r *Recognizer) Advance(q time.Time, events []rtec.Event, facts []SpatialFa
 			byTime[f.Time] = append(byTime[f.Time], f.AreaID)
 		}
 	}
+	r.step++
 	res := r.engine.Advance(q.Unix(), events)
+	// Every ME in the working memory was re-evaluated by this step, so an
+	// entry nobody read belongs to an ME that has left it.
+	for p, e := range r.closeMemo {
+		if e.step != r.step {
+			delete(r.closeMemo, p)
+		}
+	}
+	for a := range r.seen {
+		if a.Time.Unix() <= windowStart {
+			delete(r.seen, a)
+		}
+	}
 
 	snap := Snapshot{Query: q, Intervals: make(map[rtec.FluentKey]rtec.IntervalList)}
 	add := func(a Alert) {
@@ -446,11 +453,11 @@ func (r *Recognizer) Advance(q time.Time, events []rtec.Event, facts []SpatialFa
 		}
 	}
 	slices.SortStableFunc(snap.Alerts, CompareAlerts)
-	r.alerts = append(r.alerts, snap.Alerts...)
+	r.alertCount += len(snap.Alerts)
 	return snap
 }
 
 // CECount returns the total number of CE recognitions so far: derived
 // instantaneous occurrences plus durative interval starts, including
 // those recognized before a restored checkpoint was taken.
-func (r *Recognizer) CECount() int { return r.restoredAlerts + len(r.alerts) }
+func (r *Recognizer) CECount() int { return r.alertCount }

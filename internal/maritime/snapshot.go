@@ -50,6 +50,5 @@ func (r *Recognizer) RestoreSnapshot(snap RecognizerSnapshot) {
 	for _, a := range snap.Seen {
 		r.seen[a] = true
 	}
-	r.alerts = nil
-	r.restoredAlerts = snap.AlertCount
+	r.alertCount = snap.AlertCount
 }

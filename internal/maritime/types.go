@@ -31,6 +31,7 @@ const (
 	KindForbiddenFishing
 	KindShallow
 	KindWatch
+	numKinds
 )
 
 // String names the kind.

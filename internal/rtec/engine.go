@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 )
 
 // compareEventTime orders events chronologically; it is a concrete
-// comparator for slices.SortStableFunc so the per-query sorts of the
-// recognition hot path avoid reflection.
+// comparator for slices.SortStableFunc so the sorts of the recognition
+// hot path avoid reflection.
 func compareEventTime(a, b Event) int { return cmp.Compare(a.Time, b.Time) }
 
 // compareWeightedTime orders weighted points chronologically.
@@ -100,12 +101,23 @@ type InputFluent struct {
 	EndEvent   string
 }
 
+// DefinitionStat is the cumulative wall-clock evaluation time of one
+// registered definition: an input fluent, a derived event or a fluent.
+type DefinitionStat struct {
+	Name string
+	Time time.Duration
+}
+
 // Stats counts engine activity.
 type Stats struct {
 	EventsIn      int // events admitted into the working memory
 	EventsLate    int // events discarded for arriving after their window
 	QuerySteps    int // Advance calls
 	DerivedEvents int // instantaneous CE occurrences recognized
+	// Definitions says which rule the recognition time goes to, in
+	// evaluation order. It measures this process and is not engine state:
+	// Stats fills it, snapshots omit it.
+	Definitions []DefinitionStat
 }
 
 // Engine is one RTEC run-time: a working memory of events within the
@@ -117,13 +129,21 @@ type Stats struct {
 type Engine struct {
 	window Timepoint // ω in seconds
 
-	inputFluents []InputFluent
-	defs         []definition // simple and static fluents, in order
-	eventDefs    []EventDef
+	// The event description. Evaluation order is input fluents, then
+	// derived events, then fluent definitions, each in registration order.
+	inputFluents []definition
+	eventDefs    []definition
+	defs         []definition               // simple and static fluents
 	declared     map[string]map[string]bool // fluent → declared entities
+	// markers caches the built-in event names "start:<fluent>" and
+	// "end:<fluent>", so each is built once per fluent.
+	markers map[string][2]string
 
 	memory  []Event // working memory, kept sorted by time
 	pending []Event // events with occurrence time after the last query time
+	// Admission scratch: the step's admitted events and the buffer the
+	// merged memory is built in (it swaps with memory every step).
+	fresh, spare []Event
 
 	fluents map[FluentKey]IntervalList // all computed at the last query time
 	beliefs map[FluentKey][]ProbStep   // belief functions (probabilistic mode)
@@ -132,6 +152,10 @@ type Engine struct {
 	// theta > 0 enables probabilistic recognition of Boolean simple
 	// fluents: maximal intervals are the periods where belief ≥ theta.
 	theta float64
+
+	// ctx is the evaluation context, reused so the index keeps its
+	// storage from one query step to the next.
+	ctx Ctx
 
 	stats Stats
 }
@@ -142,10 +166,17 @@ func NewEngine(windowSeconds Timepoint) *Engine {
 	if windowSeconds <= 0 {
 		panic("rtec: window must be positive")
 	}
-	return &Engine{
+	e := &Engine{
 		window:  windowSeconds,
 		fluents: make(map[FluentKey]IntervalList),
+		markers: make(map[string][2]string),
 	}
+	e.ctx = Ctx{
+		engine:    e,
+		byName:    make(map[string]*eventList),
+		instances: make(map[fluentValue]*instanceTable),
+	}
+	return e
 }
 
 // SetProbabilistic enables Prob-EC evaluation of Boolean simple fluents
@@ -160,26 +191,52 @@ func (e *Engine) SetProbabilistic(theta float64) { e.theta = theta }
 // instance as of the last query time (probabilistic mode only).
 func (e *Engine) BeliefOf(key FluentKey) []ProbStep { return e.beliefs[key] }
 
-// DeclareInputFluent registers a durative input fluent.
-func (e *Engine) DeclareInputFluent(f InputFluent) { e.inputFluents = append(e.inputFluents, f) }
+// markerNames returns the built-in start/end event names of a fluent.
+func (e *Engine) markerNames(fluent string) [2]string {
+	m, ok := e.markers[fluent]
+	if !ok {
+		m = [2]string{"start:" + fluent, "end:" + fluent}
+		e.markers[fluent] = m
+	}
+	return m
+}
 
-// definition is one entry of the ordered fluent definition list:
-// either a simple fluent or a statically determined one.
+// definition is one entry of the event description — exactly one of the
+// four forms is set — with the wall-clock time spent evaluating it.
 type definition struct {
+	name   string
+	input  *InputFluent
+	event  *EventDef
 	simple *SimpleFluentDef
 	static *StaticFluentDef
+	spent  time.Duration
+}
+
+// DeclareInputFluent registers a durative input fluent.
+func (e *Engine) DeclareInputFluent(f InputFluent) {
+	e.inputFluents = append(e.inputFluents, definition{name: f.Name, input: &f})
 }
 
 // DefineSimpleFluent registers a simple fluent definition.
 func (e *Engine) DefineSimpleFluent(def SimpleFluentDef) {
-	e.defs = append(e.defs, definition{simple: &def})
+	e.defs = append(e.defs, definition{name: def.Name, simple: &def})
 }
 
 // DefineEvent registers a derived event definition.
-func (e *Engine) DefineEvent(def EventDef) { e.eventDefs = append(e.eventDefs, def) }
+func (e *Engine) DefineEvent(def EventDef) {
+	e.eventDefs = append(e.eventDefs, definition{name: def.Name, event: &def})
+}
 
 // Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	st := e.stats
+	for _, defs := range [3][]definition{e.inputFluents, e.eventDefs, e.defs} {
+		for i := range defs {
+			st.Definitions = append(st.Definitions, DefinitionStat{Name: defs[i].name, Time: defs[i].spent})
+		}
+	}
+	return st
+}
 
 // Result is the outcome of one query step.
 type Result struct {
@@ -204,6 +261,7 @@ func (e *Engine) Advance(q Timepoint, incoming []Event) Result {
 	// Admit pending events whose occurrence time is now within reach.
 	carry := e.pending
 	e.pending = nil
+	fresh := e.fresh[:0]
 	for _, batch := range [2][]Event{carry, incoming} {
 		for _, ev := range batch {
 			switch {
@@ -212,54 +270,54 @@ func (e *Engine) Advance(q Timepoint, incoming []Event) Result {
 			case ev.Time <= windowStart:
 				e.stats.EventsLate++
 			default:
-				e.memory = append(e.memory, ev)
+				fresh = append(fresh, ev)
 				e.stats.EventsIn++
 			}
 		}
 	}
-	// Forget events that fell out of the window.
-	live := e.memory[:0]
-	for _, ev := range e.memory {
-		if ev.Time > windowStart {
-			live = append(live, ev)
-		}
-	}
-	e.memory = live
-	slices.SortStableFunc(e.memory, compareEventTime)
+	slices.SortStableFunc(fresh, compareEventTime)
+	e.fresh = fresh
+	e.admit(windowStart, fresh)
 
-	ctx := &Ctx{
-		engine:      e,
-		Query:       q,
-		WindowStart: windowStart,
-		fluents:     make(map[FluentKey]IntervalList),
-		beliefs:     make(map[FluentKey][]ProbStep),
-		byName:      make(map[string][]Event),
-	}
+	ctx := &e.ctx
+	ctx.reset()
+	ctx.Query, ctx.WindowStart = q, windowStart
+	// The result maps are handed to the caller, so each step gets its own.
+	ctx.fluents = make(map[FluentKey]IntervalList, len(e.fluents))
+	ctx.beliefs = make(map[FluentKey][]ProbStep, len(e.beliefs))
 	for _, ev := range e.memory {
-		ctx.byName[ev.Name] = append(ctx.byName[ev.Name], ev)
+		ctx.list(ev.Name).add(ev)
 	}
 
+	mark := time.Now()
+	lap := func(d *definition) {
+		now := time.Now()
+		d.spent += now.Sub(mark)
+		mark = now
+	}
 	// 1. Input durative fluents from their start/end marker events.
-	for _, f := range e.inputFluents {
-		ctx.computeInputFluent(f)
+	for i := range e.inputFluents {
+		ctx.computeInputFluent(e.inputFluents[i].input)
+		lap(&e.inputFluents[i])
 	}
 	// 2. Definitions in registration order. Derived events from event
 	// definitions become visible to later definitions.
 	var derived []Event
-	for _, def := range e.eventDefs {
-		occ := ctx.evalEventDef(def)
+	for i := range e.eventDefs {
+		occ := ctx.evalEventDef(e.eventDefs[i].event)
 		derived = append(derived, occ...)
 		for _, ev := range occ {
-			ctx.byName[ev.Name] = append(ctx.byName[ev.Name], ev)
+			ctx.list(ev.Name).add(ev)
 		}
+		lap(&e.eventDefs[i])
 	}
-	for _, def := range e.defs {
-		switch {
-		case def.simple != nil:
-			ctx.evalSimpleFluent(*def.simple)
-		case def.static != nil:
+	for i := range e.defs {
+		if def := &e.defs[i]; def.simple != nil {
+			ctx.evalSimpleFluent(def.simple)
+		} else {
 			ctx.evalStaticFluent(def.static)
 		}
+		lap(&e.defs[i])
 	}
 
 	slices.SortStableFunc(derived, compareEventTime)
@@ -269,6 +327,26 @@ func (e *Engine) Advance(q Timepoint, incoming []Event) Result {
 	e.lastQ = q
 
 	return Result{Query: q, Derived: derived, Fluents: ctx.fluents}
+}
+
+// admit forgets the events at or before windowStart and merges the
+// step's admitted events (sorted by time) into the working memory.
+// Both sides are sorted, so forgetting drops a prefix and admission is
+// one merge; on equal timestamps retained events stay ahead of new
+// ones, as a stable sort of memory followed by fresh would leave them.
+func (e *Engine) admit(windowStart Timepoint, fresh []Event) {
+	old := e.memory
+	old = old[sort.Search(len(old), func(i int) bool { return old[i].Time > windowStart }):]
+	out := e.spare[:0]
+	for len(old) > 0 && len(fresh) > 0 {
+		if fresh[0].Time < old[0].Time {
+			out, fresh = append(out, fresh[0]), fresh[1:]
+		} else {
+			out, old = append(out, old[0]), old[1:]
+		}
+	}
+	out = append(append(out, old...), fresh...)
+	e.memory, e.spare = out, e.memory[:0]
 }
 
 // HoldsFor returns the maximal intervals of a fluent instance as of the
@@ -292,7 +370,9 @@ type Ctx struct {
 
 	fluents map[FluentKey]IntervalList
 	beliefs map[FluentKey][]ProbStep
-	byName  map[string][]Event
+	// The working-memory index (index.go).
+	byName    map[string]*eventList
+	instances map[fluentValue]*instanceTable
 }
 
 // HoldsAt reports whether a fluent instance (computed earlier in the
@@ -307,102 +387,76 @@ func (c *Ctx) IntervalsOf(fluent, entity, value string) IntervalList {
 	return c.fluents[FluentKey{Fluent: fluent, Entity: entity, Value: value}]
 }
 
-// EventsNamed returns the window occurrences of the named event in
-// chronological order, including derived and built-in start/end events
-// already produced.
-func (c *Ctx) EventsNamed(name string) []Event { return c.byName[name] }
-
-// EntitiesHolding returns the entities for which fluent=value holds at
-// t, in sorted order. It scans the computed instances of the fluent —
-// the helper behind aggregate conditions like vesselsStoppedIn.
-func (c *Ctx) EntitiesHolding(fluent, value string, t Timepoint) []string {
-	var out []string
-	for key, ivs := range c.fluents {
-		if key.Fluent == fluent && key.Value == value && ivs.HoldsAt(t) {
-			out = append(out, key.Entity)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SetComputedFluent installs externally computed maximal intervals for
 // a fluent instance (RTEC's statically determined fluents): later
 // definitions can consult it via HoldsAt. The intervals are clipped to
 // the current window.
 func (c *Ctx) SetComputedFluent(key FluentKey, ivs IntervalList) {
-	c.fluents[key] = Clip(Interval{Since: c.WindowStart, Until: Inf}, ivs)
-	c.emitStartEnd(key, c.fluents[key])
+	c.setFluent(key, Clip(Interval{Since: c.WindowStart, Until: Inf}, ivs))
 }
 
 // computeInputFluent converts paired start/end events into maximal
 // intervals per entity. An end without a preceding start yields an
 // interval open on the left at the window start (the episode began
 // before the working memory); a start without an end yields an ongoing
-// interval.
-func (c *Ctx) computeInputFluent(f InputFluent) {
-	type state struct {
-		open      bool
-		since     Timepoint
-		intervals []Interval
-	}
-	states := make(map[string]*state)
-	get := func(entity string) *state {
-		s := states[entity]
-		if s == nil {
-			s = &state{}
-			states[entity] = s
+// interval. It walks the two events' per-entity runs side by side, so
+// entities come out in sorted order and each entity's occurrences in
+// time order, a start ahead of an end at the same timepoint.
+func (c *Ctx) computeInputFluent(f *InputFluent) {
+	starts, sOrder := c.byName[f.StartEvent].entityOrder()
+	ends, eOrder := c.byName[f.EndEvent].entityOrder()
+	// One allocation holds every instance's intervals: each end event
+	// closes one, each entity leaves at most one open.
+	arena := make([]Interval, 0, len(sOrder)+len(eOrder))
+	for len(sOrder) > 0 || len(eOrder) > 0 {
+		var entity string
+		switch {
+		case len(eOrder) == 0:
+			entity = starts[sOrder[0]].Entity
+		case len(sOrder) == 0:
+			entity = ends[eOrder[0]].Entity
+		default:
+			entity = min(starts[sOrder[0]].Entity, ends[eOrder[0]].Entity)
 		}
-		return s
-	}
-	starts := c.byName[f.StartEvent]
-	ends := c.byName[f.EndEvent]
-	merged := make([]Event, 0, len(starts)+len(ends))
-	merged = append(merged, starts...)
-	merged = append(merged, ends...)
-	slices.SortStableFunc(merged, compareEventTime)
-
-	for _, ev := range merged {
-		s := get(ev.Entity)
-		if ev.Name == f.StartEvent {
-			if !s.open {
-				s.open = true
-				s.since = ev.Time
+		first := len(arena)
+		open, since := false, Timepoint(0)
+		for {
+			hasStart := len(sOrder) > 0 && starts[sOrder[0]].Entity == entity
+			hasEnd := len(eOrder) > 0 && ends[eOrder[0]].Entity == entity
+			if !hasStart && !hasEnd {
+				break
 			}
-			continue
+			if hasStart && (!hasEnd || starts[sOrder[0]].Time <= ends[eOrder[0]].Time) {
+				if !open {
+					open, since = true, starts[sOrder[0]].Time
+				}
+				sOrder = sOrder[1:]
+				continue
+			}
+			if !open {
+				since = c.WindowStart // began before the window
+			}
+			arena = append(arena, Interval{Since: since, Until: ends[eOrder[0]].Time})
+			open = false
+			eOrder = eOrder[1:]
 		}
-		// End event.
-		since := s.since
-		if !s.open {
-			since = c.WindowStart // began before the window
+		if open {
+			arena = append(arena, Interval{Since: since, Until: Inf})
 		}
-		s.intervals = append(s.intervals, Interval{Since: since, Until: ev.Time})
-		s.open = false
-	}
-	entities := make([]string, 0, len(states))
-	for entity := range states {
-		entities = append(entities, entity)
-	}
-	sort.Strings(entities)
-	for _, entity := range entities {
-		s := states[entity]
-		if s.open {
-			s.intervals = append(s.intervals, Interval{Since: s.since, Until: Inf})
-		}
-		key := FluentKey{Fluent: f.Name, Entity: entity, Value: True}
-		c.fluents[key] = Normalize(s.intervals)
-		// Synthesize the built-in start(F)/end(F) events so downstream
-		// rules trigger uniformly on "start:<fluent>"/"end:<fluent>"
-		// regardless of whether F is an input or a defined fluent.
-		c.emitStartEnd(key, c.fluents[key])
+		ivs := normalize(arena[first:])
+		arena = arena[:first+len(ivs)]
+		// setFluent also synthesizes the built-in start(F)/end(F) events, so
+		// downstream rules trigger uniformly on "start:<fluent>" and
+		// "end:<fluent>" whether F is an input or a defined fluent.
+		c.setFluent(FluentKey{Fluent: f.Name, Entity: entity, Value: True}, slices.Clip(ivs))
 	}
 }
 
 // evalEventDef evaluates a derived event definition over the window.
-func (c *Ctx) evalEventDef(def EventDef) []Event {
+func (c *Ctx) evalEventDef(def *EventDef) []Event {
 	var out []Event
 	for _, rule := range def.Rules {
-		for _, ev := range c.byName[rule.Event] {
+		for _, ev := range c.EventsNamed(rule.Event) {
 			for _, entity := range rule.Map(c, ev) {
 				out = append(out, Event{
 					Name: def.Name, Entity: entity, Time: ev.Time,
@@ -418,7 +472,7 @@ func (c *Ctx) evalEventDef(def EventDef) []Event {
 // evalSimpleFluent computes the maximal intervals of a simple fluent
 // for every entity and value, implementing holdsFor with the broken
 // semantics of the paper's rules (1) and (2).
-func (c *Ctx) evalSimpleFluent(def SimpleFluentDef) {
+func (c *Ctx) evalSimpleFluent(def *SimpleFluentDef) {
 	type points struct {
 		inits map[string][]WeightedPoint // value → initiation points
 		terms map[string][]WeightedPoint // value → termination points
@@ -437,7 +491,7 @@ func (c *Ctx) evalSimpleFluent(def SimpleFluentDef) {
 	}
 	for value, rules := range def.Init {
 		for _, rule := range rules {
-			for _, ev := range c.byName[rule.Event] {
+			for _, ev := range c.EventsNamed(rule.Event) {
 				for _, entity := range rule.Map(c, ev) {
 					if !c.engine.declaredOK(def.Name, entity) {
 						continue
@@ -450,7 +504,7 @@ func (c *Ctx) evalSimpleFluent(def SimpleFluentDef) {
 	}
 	for value, rules := range def.Term {
 		for _, rule := range rules {
-			for _, ev := range c.byName[rule.Event] {
+			for _, ev := range c.EventsNamed(rule.Event) {
 				for _, entity := range rule.Map(c, ev) {
 					if !c.engine.declaredOK(def.Name, entity) {
 						continue
@@ -477,8 +531,7 @@ func (c *Ctx) evalSimpleFluent(def SimpleFluentDef) {
 			steps := EvolveProbability(p.inits[True], p.terms[True], 0)
 			key := FluentKey{Fluent: def.Name, Entity: entity, Value: True}
 			c.beliefs[key] = steps
-			c.fluents[key] = ThresholdIntervals(steps, c.engine.theta)
-			c.emitStartEnd(key, c.fluents[key])
+			c.setFluent(key, ThresholdIntervals(steps, c.engine.theta))
 			continue
 		}
 		for value, inits := range p.inits {
@@ -503,9 +556,7 @@ func (c *Ctx) evalSimpleFluent(def SimpleFluentDef) {
 				}
 				ivs = append(ivs, Interval{Since: ts.Time, Until: until})
 			}
-			key := FluentKey{Fluent: def.Name, Entity: entity, Value: value}
-			c.fluents[key] = Normalize(ivs)
-			c.emitStartEnd(key, c.fluents[key])
+			c.setFluent(FluentKey{Fluent: def.Name, Entity: entity, Value: value}, Normalize(ivs))
 		}
 	}
 }
@@ -515,15 +566,15 @@ func (c *Ctx) evalSimpleFluent(def SimpleFluentDef) {
 // are "start:<fluent>" and "end:<fluent>"; only the True value emits
 // markers, matching the maritime definitions' usage.
 func (c *Ctx) emitStartEnd(key FluentKey, ivs IntervalList) {
-	if key.Value != True {
+	if key.Value != True || len(ivs) == 0 {
 		return
 	}
+	names := c.engine.markerNames(key.Fluent)
+	starts := c.list(names[0])
 	for _, iv := range ivs {
-		c.byName["start:"+key.Fluent] = append(c.byName["start:"+key.Fluent],
-			Event{Name: "start:" + key.Fluent, Entity: key.Entity, Time: iv.Since})
+		starts.add(Event{Name: names[0], Entity: key.Entity, Time: iv.Since})
 		if !iv.Open() {
-			c.byName["end:"+key.Fluent] = append(c.byName["end:"+key.Fluent],
-				Event{Name: "end:" + key.Fluent, Entity: key.Entity, Time: iv.Until})
+			c.list(names[1]).add(Event{Name: names[1], Entity: key.Entity, Time: iv.Until})
 		}
 	}
 }

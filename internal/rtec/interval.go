@@ -53,27 +53,27 @@ type IntervalList []Interval
 
 // Normalize sorts, merges overlapping or adjacent intervals, and drops
 // empty ones, returning a canonical maximal-interval list.
-func Normalize(ivs []Interval) IntervalList {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sorted := make([]Interval, 0, len(ivs))
+func Normalize(ivs []Interval) IntervalList { return normalize(slices.Clone(ivs)) }
+
+// normalize is Normalize reusing the storage of ivs.
+func normalize(ivs []Interval) IntervalList {
+	kept := ivs[:0]
 	for _, iv := range ivs {
 		if iv.Until > iv.Since { // drop empty/negative
-			sorted = append(sorted, iv)
+			kept = append(kept, iv)
 		}
 	}
-	if len(sorted) == 0 {
+	if len(kept) == 0 {
 		return nil
 	}
-	slices.SortFunc(sorted, func(a, b Interval) int {
+	slices.SortFunc(kept, func(a, b Interval) int {
 		if c := cmp.Compare(a.Since, b.Since); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Until, b.Until)
 	})
-	out := IntervalList{sorted[0]}
-	for _, iv := range sorted[1:] {
+	out := kept[:1]
+	for _, iv := range kept[1:] {
 		last := &out[len(out)-1]
 		if iv.Since <= last.Until { // overlap or adjacency in (a,b] terms
 			if iv.Until > last.Until {

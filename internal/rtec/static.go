@@ -36,7 +36,7 @@ type StaticFluentDef struct {
 // registration order, interleaved with simple fluents in one combined
 // definition order.
 func (e *Engine) DefineStaticFluent(def StaticFluentDef) {
-	e.defs = append(e.defs, definition{static: &def})
+	e.defs = append(e.defs, definition{name: def.Name, static: &def})
 }
 
 // Declare limits a previously registered simple fluent to the given
@@ -82,8 +82,6 @@ func (c *Ctx) evalStaticFluent(def *StaticFluentDef) {
 		if len(ivs) == 0 {
 			continue
 		}
-		key := FluentKey{Fluent: def.Name, Entity: entity, Value: True}
-		c.fluents[key] = ivs
-		c.emitStartEnd(key, ivs)
+		c.setFluent(FluentKey{Fluent: def.Name, Entity: entity, Value: True}, ivs)
 	}
 }
