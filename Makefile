@@ -64,11 +64,14 @@ serveload-smoke:
 
 # Cross-vessel analytics suite: fleetsim ground-truth precision/recall
 # for rendezvous and dark-rendezvous, index-vs-brute-force collision
-# screening, and cluster-vs-single-process pairwise byte equivalence
+# screening, the linear pair enumeration against its re-query
+# definition (proximity index and collision detector), the bounded cell
+# map, and cluster-vs-single-process pairwise byte equivalence
 # (including a mid-run manifest restore) — under the race detector.
 test-analytics:
 	go test -race -v -run 'TestPairwiseAnalyticsGroundTruth|TestAnalyticsDisabledByDefault' ./internal/core/
-	go test -race -v -run 'TestIndexMatchesBruteForce|TestEncountersInvariantToArrivalOrder' ./internal/collision/
+	go test -race -v -run 'TestPointIndexPairsMatchRequery|TestPointIndexCellsBoundedUnderDrift' ./internal/geo/
+	go test -race -v -run 'TestIndexMatchesBruteForce|TestEncountersInvariantToArrivalOrder|TestEncountersMatchRequeryOracle' ./internal/collision/
 	go test -race -v ./internal/analytics/
 	go test -race -v -run 'TestClusterPairwiseAnalyticsEquivalence|TestClusterManifestRestoreWithAnalytics' ./internal/cluster/
 
@@ -102,11 +105,12 @@ bench-quick:
 
 # Allocation-regression guard: the steady-state slide budget
 # (testing.AllocsPerRun gate in the tracker), the zero-allocation
-# zero-copy scanners and the recognition query step over a warm 6 h
-# window. Run without -race: the race runtime inflates allocation counts
-# and the tests skip themselves under it.
+# zero-copy scanners, the recognition query step over a warm 6 h window
+# and the pairwise screening slide of a warm analytics tier. Run without
+# -race: the race runtime inflates allocation counts and the tests skip
+# themselves under it.
 check-allocs:
-	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestRecognizerAdvanceAllocs' ./internal/tracker/ ./internal/ais/ ./internal/maritime/
+	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs' ./internal/tracker/ ./internal/ais/ ./internal/maritime/ ./internal/analytics/
 
 # Full row sets at the default scale (N=1000); see -list for ids.
 experiments:

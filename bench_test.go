@@ -16,10 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
+	"repro/internal/core"
 	"repro/internal/expbench"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
 	"repro/internal/serve"
+	"repro/internal/stream"
 )
 
 // Benchmarks share the CI-scale workloads; building them once keeps
@@ -176,6 +179,17 @@ func BenchmarkFig11aRecognition(b *testing.B) {
 	}
 }
 
+// timedAllocs runs f and returns its wall time and heap allocations.
+func timedAllocs(f func()) (time.Duration, uint64) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before, start := ms.Mallocs, time.Now()
+	f()
+	busy := time.Since(start)
+	runtime.ReadMemStats(&ms)
+	return busy, ms.Mallocs - before
+}
+
 // BenchmarkRecognizerAdvance measures one recognition query step over a
 // warm window on a denser world than Figure 11's (140 areas, β = 5 min,
 // so every ME lives in ω/β = 12 or 72 overlapping windows): the whole
@@ -192,24 +206,63 @@ func BenchmarkRecognizerAdvance(b *testing.B) {
 			warm := int(window / slide)
 			var busy time.Duration
 			var allocs uint64
-			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
 				rec := maritime.NewRecognizer(maritime.Config{Window: window}, wl.Vessels, wl.Areas)
 				for k := 0; k < warm; k++ {
 					rec.Advance(queries[k], slides[k], nil)
 				}
-				runtime.ReadMemStats(&ms)
-				before, start := ms.Mallocs, time.Now()
-				for k := warm; k < len(slides); k++ {
-					rec.Advance(queries[k], slides[k], nil)
-				}
-				busy += time.Since(start)
-				runtime.ReadMemStats(&ms)
-				allocs += ms.Mallocs - before
+				t, a := timedAllocs(func() {
+					for k := warm; k < len(slides); k++ {
+						rec.Advance(queries[k], slides[k], nil)
+					}
+				})
+				busy, allocs = busy+t, allocs+a
 			}
 			steps := float64(b.N * (len(slides) - warm))
 			b.ReportMetric(float64(busy.Microseconds())/steps, "µs/step")
 			b.ReportMetric(float64(allocs)/steps, "allocs/step")
+		})
+	}
+}
+
+// BenchmarkTierSlide measures one slide of the pairwise analytics tier
+// (rendezvous, dark-gap and CPA collision screening) on the paced
+// benchmark shape: N = 1500 with 30 + 30 scripted pairs, ω = 2 h,
+// β = 1 min. A stream opens with every vessel appearing at once and
+// staying live in the collision detector until its first fix goes
+// stale, so cold is the first fifteen stream minutes of a fresh tier —
+// some fifty times the candidate pairs of the steady state, the burst an
+// operator pays on every start — and steady is the second stream hour.
+// Reported metrics: mean time and allocations per slide.
+func BenchmarkTierSlide(b *testing.B) {
+	const cold, steady = 15, 60
+	cfg := fleetsim.DefaultConfig()
+	cfg.Vessels, cfg.RendezvousPairs, cfg.DarkPairs, cfg.Duration = 1500, 30, 30, 2*time.Hour
+	wl := expbench.BuildWorkloadFrom(cfg)
+	slides, queries := expbench.CriticalSlides(wl, stream.WindowSpec{Range: 2 * time.Hour, Slide: time.Minute})
+	ports := core.PortPolys(wl.Ports)
+	for _, phase := range []struct {
+		name     string
+		from, to int
+	}{{"cold", 0, cold}, {"steady", steady, len(slides)}} {
+		b.Run(phase.name, func(b *testing.B) {
+			var busy time.Duration
+			var allocs uint64
+			for i := 0; i < b.N; i++ {
+				tier := analytics.New(analytics.Config{EnableCollision: true}, ports)
+				for k := 0; k < phase.from; k++ {
+					tier.Slide(queries[k], slides[k])
+				}
+				t, a := timedAllocs(func() {
+					for k := phase.from; k < phase.to; k++ {
+						tier.Slide(queries[k], slides[k])
+					}
+				})
+				busy, allocs = busy+t, allocs+a
+			}
+			steps := float64(b.N * (phase.to - phase.from))
+			b.ReportMetric(float64(busy.Microseconds())/steps, "µs/slide")
+			b.ReportMetric(float64(allocs)/steps, "allocs/slide")
 		})
 	}
 }

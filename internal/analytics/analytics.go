@@ -155,10 +155,17 @@ type Tier struct {
 	closedGaps []gapRec
 	collActive map[pairKey]bool
 
-	// Scratch reused across slides.
-	idx  *geo.PointIndex
-	cand []int32
-	buf  []int32
+	// Scratch reused across slides; none of it is state, so snapshots
+	// never carry it.
+	idx     *geo.PointIndex
+	cand    []int32
+	buf     []int32
+	pts     []tracker.CriticalPoint
+	mmsis   []uint32
+	matched map[pairKey]bool
+	keys    []pairKey
+	current map[pairKey]bool // the next slide's collActive
+	cost    SlideCost
 
 	// Mirrors of the counters, scraped concurrently by health probes.
 	atomVessels      atomic.Int64
@@ -179,6 +186,29 @@ type Stats struct {
 	PairAlerts   int64 // pairwise alerts emitted
 }
 
+// The tier's pairwise screens, as indices into SlideCost and Screens.
+const (
+	ScreenRendezvous = iota
+	ScreenDark
+	ScreenCollision
+)
+
+// Screens names the screens, for metric labels.
+var Screens = [...]string{ScreenRendezvous: "rendezvous", ScreenDark: "dark", ScreenCollision: "collision"}
+
+// ScreenCost is what one pairwise screen did in one slide.
+type ScreenCost struct {
+	Time time.Duration
+	// Pairs is how many vessel (or gap) pairs the screen's proximity
+	// join handed to the pattern's own test.
+	Pairs int
+}
+
+// SlideCost breaks one Slide down by screen, indexed like Screens, for
+// the per-screen metrics. Unlike Stats it is plain data owned by the
+// sliding goroutine.
+type SlideCost [len(Screens)]ScreenCost
+
 // New builds the tier. ports are the port polygons used to suppress
 // in-harbor rendezvous pairs; nil disables the suppression.
 func New(cfg Config, ports []*geo.Polygon) *Tier {
@@ -189,6 +219,8 @@ func New(cfg Config, ports []*geo.Polygon) *Tier {
 		pairs:      make(map[pairKey]*pairState),
 		collActive: make(map[pairKey]bool),
 		idx:        geo.NewPointIndex(cfg.Rendezvous.DistanceMeters / 50_000),
+		matched:    make(map[pairKey]bool),
+		current:    make(map[pairKey]bool),
 	}
 	if cfg.EnableCollision {
 		t.det = collision.New(cfg.Collision)
@@ -209,6 +241,10 @@ func (t *Tier) Stats() Stats {
 	}
 }
 
+// LastSlideCost reports what each screen cost in the most recent Slide.
+// Call it from the goroutine that slides.
+func (t *Tier) LastSlideCost() SlideCost { return t.cost }
+
 // Slide ingests one slide's fresh critical points and returns the
 // pairwise alerts recognized at query time q, in canonical alert order.
 // The input slice is not modified.
@@ -216,11 +252,12 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 	// Normalize to the canonical (time, MMSI) order: the single-process
 	// path hands shard-merged points, the coordinator hands worker-
 	// concatenated ones; after this stable sort both are byte-identical.
-	pts := slices.Clone(fresh)
-	tracker.SortCriticalPoints(pts)
+	t.pts = append(t.pts[:0], fresh...)
+	tracker.SortCriticalPoints(t.pts)
+	t.cost = SlideCost{}
 
 	var alerts []maritime.Alert
-	for _, cp := range pts {
+	for _, cp := range t.pts {
 		v := t.vstates[cp.MMSI]
 		if v == nil {
 			v = &vstate{}
@@ -244,8 +281,10 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 					StartPos: v.gapStart, StartAt: v.gapStartAt,
 					EndPos: cp.Pos, EndAt: cp.Time,
 				}
-				alerts = append(alerts, t.linkGap(g)...)
+				start := time.Now()
+				alerts = t.linkGap(alerts, g)
 				t.closedGaps = append(t.closedGaps, g)
+				t.cost[ScreenDark].Time += time.Since(start)
 			}
 			v.dark = false
 		}
@@ -255,11 +294,18 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 	}
 
 	t.evictStale(q)
+	start := time.Now()
 	t.pruneGaps(q)
-	alerts = append(alerts, t.rendezvousScreen(q)...)
+	t.cost[ScreenDark].Time += time.Since(start)
+	start = time.Now()
+	alerts = t.rendezvousScreen(alerts, q)
+	t.cost[ScreenRendezvous].Time = time.Since(start)
 	if t.det != nil {
-		alerts = append(alerts, t.collisionScreen(q)...)
+		start = time.Now()
+		alerts = t.collisionScreen(alerts, q)
+		t.cost[ScreenCollision].Time = time.Since(start)
 		st := t.det.Stats()
+		t.cost[ScreenCollision].Pairs = st.PairsScreened
 		t.atomLateRejected.Store(int64(st.LateRejected))
 	}
 
@@ -315,14 +361,14 @@ func (t *Tier) pruneGaps(q time.Time) {
 // gaps: overlapping in time, each transit plausible at implied speed,
 // and end points converging. Called before g itself is stored, so every
 // unordered gap pair is examined exactly once, in the deterministic
-// order gaps close.
-func (t *Tier) linkGap(g gapRec) []maritime.Alert {
+// order gaps close. Alerts are appended to out.
+func (t *Tier) linkGap(out []maritime.Alert, g gapRec) []maritime.Alert {
 	p := t.cfg.Dark
-	var out []maritime.Alert
 	for _, h := range t.closedGaps {
 		if h.MMSI == g.MMSI {
 			continue
 		}
+		t.cost[ScreenDark].Pairs++
 		overlapStart := maxTime(g.StartAt, h.StartAt)
 		overlapEnd := minTime(g.EndAt, h.EndAt)
 		if overlapEnd.Sub(overlapStart) < p.MinOverlap {
@@ -360,53 +406,53 @@ func impliedKnots(g gapRec) float64 {
 
 // rendezvousScreen pairs loitering vessels through the proximity index
 // and advances each pair's streak; a pair that stays matched MinSlides
-// consecutive slides fires once per episode.
-func (t *Tier) rendezvousScreen(q time.Time) []maritime.Alert {
+// consecutive slides fires once per episode. Alerts are appended to out.
+func (t *Tier) rendezvousScreen(out []maritime.Alert, q time.Time) []maritime.Alert {
 	p := t.cfg.Rendezvous
 	// Collect loitering vessels in MMSI order and publish them into the
-	// shared proximity index.
-	mmsis := make([]uint32, 0, len(t.vstates))
+	// shared proximity index. A pair is suppressed when either member is
+	// near a port, so a vessel near a port can never match: it is left
+	// out here, once, instead of being paired with every neighbour on
+	// its quay and discarded pair by pair.
+	mmsis := t.mmsis[:0]
 	for mmsi, v := range t.vstates {
-		if v.slow && !v.dark && v.speedKn <= p.MaxSpeedKn {
+		if v.slow && !v.dark && v.speedKn <= p.MaxSpeedKn && !t.nearPort(v.pos, p.PortStandoffMeters) {
 			mmsis = append(mmsis, mmsi)
 		}
 	}
 	slices.Sort(mmsis)
+	t.mmsis = mmsis
 	t.idx.Reset()
 	for i, mmsi := range mmsis {
 		t.idx.Add(int32(i), t.vstates[mmsi].pos)
 	}
 
-	matched := make(map[pairKey]bool)
+	matched := t.matched
+	clear(matched)
 	for i, mmsi := range mmsis {
-		v := t.vstates[mmsi]
-		t.cand = t.idx.NearAppend(t.cand[:0], v.pos, p.DistanceMeters)
+		t.cand = t.idx.NearAppend(t.cand[:0], t.vstates[mmsi].pos, p.DistanceMeters)
 		for _, jj := range t.cand {
 			j := int(jj)
 			if j <= i {
 				continue // Haversine-exact query is symmetric: lower index owns the pair
 			}
-			other := mmsis[j]
-			if t.nearPort(v.pos, p.PortStandoffMeters) ||
-				t.nearPort(t.vstates[other].pos, p.PortStandoffMeters) {
-				continue
-			}
-			matched[pairKey{mmsi, other}] = true
+			matched[pairKey{mmsi, mmsis[j]}] = true
 		}
 	}
+	t.cost[ScreenRendezvous].Pairs = len(matched)
 
 	// Advance streaks: matched pairs accumulate, unmatched ones reset.
-	var out []maritime.Alert
 	for k := range t.pairs {
 		if !matched[k] {
 			delete(t.pairs, k)
 		}
 	}
-	keys := make([]pairKey, 0, len(matched))
+	keys := t.keys[:0]
 	for k := range matched {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, comparePairKeys)
+	t.keys = keys
 	for _, k := range keys {
 		ps := t.pairs[k]
 		if ps == nil {
@@ -436,12 +482,12 @@ func (t *Tier) nearPort(p geo.Point, standoff float64) bool {
 }
 
 // collisionScreen queries the CPA detector and alerts on pairs newly in
-// conflict; a pair re-alarms only after leaving conflict first.
-func (t *Tier) collisionScreen(q time.Time) []maritime.Alert {
-	encs := t.det.Encounters(q)
-	current := make(map[pairKey]bool, len(encs))
-	var out []maritime.Alert
-	for _, e := range encs {
+// conflict; a pair re-alarms only after leaving conflict first. Alerts
+// are appended to out.
+func (t *Tier) collisionScreen(out []maritime.Alert, q time.Time) []maritime.Alert {
+	current := t.current
+	clear(current)
+	for _, e := range t.det.Encounters(q) {
 		k := pairKey{e.A, e.B}
 		if current[k] {
 			continue
@@ -455,7 +501,7 @@ func (t *Tier) collisionScreen(q time.Time) []maritime.Alert {
 			})
 		}
 	}
-	t.collActive = current
+	t.collActive, t.current = current, t.collActive
 	return out
 }
 

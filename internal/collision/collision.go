@@ -17,9 +17,9 @@
 package collision
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/ais"
@@ -95,6 +95,9 @@ type Stats struct {
 	// Evicted counts vessels whose state was dropped after going silent
 	// beyond Stale.
 	Evicted int
+	// PairsScreened is how many candidate pairs the last Encounters call
+	// put through the CPA test.
+	PairsScreened int
 }
 
 // Detector tracks vessel kinematics and answers encounter queries.
@@ -104,11 +107,13 @@ type Detector struct {
 
 	lateRejected int
 	evicted      int
+	pairs        int // candidate pairs the last Encounters call tested
 
 	// Query scratch, reused across Encounters calls.
 	idx    *geo.PointIndex
+	mmsis  []uint32
 	states []planar
-	cand   []int32
+	out    []Encounter
 }
 
 type kinematics struct {
@@ -185,9 +190,10 @@ func (d *Detector) VesselCount() int { return len(d.vessels) }
 // Stats snapshots the detector's state accounting.
 func (d *Detector) Stats() Stats {
 	return Stats{
-		Vessels:      len(d.vessels),
-		LateRejected: d.lateRejected,
-		Evicted:      d.evicted,
+		Vessels:       len(d.vessels),
+		LateRejected:  d.lateRejected,
+		Evicted:       d.evicted,
+		PairsScreened: d.pairs,
 	}
 }
 
@@ -207,7 +213,8 @@ type planar struct {
 // function of the accepted observation history and now: vessels are
 // processed in MMSI order and pair candidates come from the shared
 // proximity index's deterministic scan, so arrival order, map layout
-// and prior queries never change the output.
+// and prior queries never change the output. The returned slice is the
+// detector's scratch: it is valid until the next Encounters call.
 func (d *Detector) Encounters(now time.Time) []Encounter {
 	p := d.params
 	// Evict vessels silent beyond Stale instead of skipping them: in a
@@ -224,13 +231,14 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 	// floating-point rounding after it are then arrival-order
 	// independent. Dead-reckon each vessel to the query time so
 	// projections start from a common instant.
-	mmsis := make([]uint32, 0, len(d.vessels))
+	mmsis := d.mmsis[:0]
 	for mmsi, k := range d.vessels {
 		if k.haveVel {
 			mmsis = append(mmsis, mmsi)
 		}
 	}
 	slices.Sort(mmsis)
+	d.mmsis = mmsis
 	var ref geo.Point
 	states := d.states[:0]
 	for i, mmsi := range mmsis {
@@ -253,10 +261,11 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 	d.states = states
 	// Two vessels can only meet within the horizon if they are currently
 	// within reach = 2·maxSpeed·horizon + threshold. Publish the
-	// dead-reckoned positions into the shared proximity index and pull
-	// each vessel's candidates from it — the same index machinery the
-	// area lookups and the rendezvous screen use, instead of a private
-	// spatial hash.
+	// dead-reckoned positions into the shared proximity index and take
+	// the candidate pairs from it — the same index machinery the area
+	// lookups and the rendezvous screen use, instead of a private
+	// spatial hash. Each pair arrives once, lower index first, in the
+	// order of querying every vessel in turn.
 	reach := 2*geo.KnotsToMetersPerSecond(p.MaxSpeedKnots)*p.Horizon.Seconds() + p.DistanceMeters
 	if d.idx == nil {
 		d.idx = geo.NewPointIndex(reach / 111_000)
@@ -266,57 +275,34 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 		d.idx.Add(int32(i), s.geo)
 	}
 
-	var out []Encounter
-	for i := range states {
-		s := &states[i]
-		d.cand = d.idx.CandidatesAppend(d.cand[:0], s.geo, reach)
-		for _, jj := range d.cand {
-			j := int(jj)
-			if j == i {
-				continue
-			}
-			if j < i {
-				// Canonically the pair is handled by the lower index's
-				// query. The per-row longitude pad makes the scan slightly
-				// asymmetric at the reach boundary, so re-handle the pair
-				// here only if j's own query could not see i.
-				if pairSeenFrom(d.idx, d.states, j, i, reach) {
-					continue
-				}
-			}
-			a, b := states[min(i, j)], states[max(i, j)]
-			if enc, ok := cpa(a, b, p); ok {
-				enc.A, enc.B = a.mmsi, b.mmsi
-				enc.Where = planarToGeo(ref, enc.Where.Lon, enc.Where.Lat)
-				out = append(out, enc)
-			}
+	out, pairs := d.out[:0], 0
+	d.idx.Pairs(reach, func(i, j int32) {
+		pairs++
+		a, b := &states[i], &states[j]
+		if enc, ok := closestApproach(a, b, &p); ok {
+			enc.A, enc.B = a.mmsi, b.mmsi
+			enc.Where = planarToGeo(ref, enc.Where.Lon, enc.Where.Lat)
+			out = append(out, enc)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TCPA != out[j].TCPA {
-			return out[i].TCPA < out[j].TCPA
-		}
-		return out[i].A < out[j].A
 	})
+	d.pairs = pairs
+	slices.SortFunc(out, func(x, y Encounter) int {
+		if c := cmp.Compare(x.TCPA, y.TCPA); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.A, y.A)
+	})
+	d.out = out
 	return out
 }
 
-// pairSeenFrom reports whether querying the index from states[from]
-// yields states[to] as a candidate.
-func pairSeenFrom(idx *geo.PointIndex, states []planar, from, to int, reach float64) bool {
-	for _, c := range idx.CandidatesAppend(nil, states[from].geo, reach) {
-		if int(c) == to {
-			return true
-		}
-	}
-	return false
-}
-
-// cpa computes the closest point of approach of two planar states. The
-// returned Encounter carries the CPA midpoint in plane coordinates in
-// Where (converted by the caller). ok is false when the pair never
-// comes within threshold inside the horizon.
-func cpa(a, b planar, p Params) (Encounter, bool) {
+// closestApproach computes the closest point of approach of two planar
+// states. The returned Encounter carries the CPA midpoint in plane
+// coordinates in Where (converted by the caller). ok is false when the
+// pair never comes within threshold inside the horizon. It runs once
+// per candidate pair, so it takes pointers: copying two states and the
+// parameters per call cost more than the arithmetic.
+func closestApproach(a, b *planar, p *Params) (Encounter, bool) {
 	if a.speedKn < p.MinSpeedKnots && b.speedKn < p.MinSpeedKnots {
 		return Encounter{}, false // both effectively moored or adrift
 	}

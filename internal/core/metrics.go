@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/obs"
 )
 
@@ -18,6 +19,7 @@ type pipelineMetrics struct {
 	reconstruction *obs.Histogram
 	loading        *obs.Histogram
 	recognition    *obs.Histogram
+	analytics      *obs.Histogram
 	total          *obs.Histogram
 
 	slides   *obs.Counter
@@ -32,6 +34,12 @@ type pipelineMetrics struct {
 	// scrape can load at any time.
 	defNanos map[string]*atomic.Int64
 	defLast  [][]time.Duration
+
+	// Per-screen cost of the pairwise analytics tier, indexed like
+	// analytics.Screens: the pipeline goroutine adds each slide's
+	// reading, a scrape loads the sums.
+	screenNanos [len(analytics.Screens)]atomic.Int64
+	screenPairs [len(analytics.Screens)]atomic.Int64
 }
 
 // RegisterMetrics wires the system's runtime metrics onto the registry:
@@ -52,6 +60,7 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 		reconstruction: stage("reconstruction"),
 		loading:        stage("loading"),
 		recognition:    stage("recognition"),
+		analytics:      stage("analytics"),
 		total:          stage("total"),
 		slides:         r.Counter("maritime_slides_total", "Window slides processed.", nil),
 		fixes:          r.Counter("maritime_fixes_total", "Position fixes entering the window.", nil),
@@ -115,6 +124,19 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 				func() float64 { return float64(nanos.Load()) / 1e9 })
 		}
 	}
+	if s.analytics != nil {
+		for i, screen := range analytics.Screens {
+			nanos, pairs := &s.metrics.screenNanos[i], &s.metrics.screenPairs[i]
+			r.CounterFunc("maritime_analytics_screen_seconds_total",
+				"Time spent in each pairwise screen of the analytics tier (rendezvous pairing, dark-gap linking, CPA collision screening): which screen the analytics stage's time goes to.",
+				obs.Labels{"screen": screen},
+				func() float64 { return float64(nanos.Load()) / 1e9 })
+			r.CounterFunc("maritime_analytics_candidate_pairs_total",
+				"Vessel (or gap) pairs each screen's proximity join handed to its pattern test; seconds per pair is the screen's unit cost.",
+				obs.Labels{"screen": screen},
+				func() float64 { return float64(pairs.Load()) })
+		}
+	}
 	s.tracker.RegisterMetrics(r)
 }
 
@@ -139,6 +161,15 @@ func (s *System) observeDefinitions() {
 	}
 }
 
+// observeScreens adds one slide's per-screen analytics cost to the
+// counters.
+func (m *pipelineMetrics) observeScreens(cost analytics.SlideCost) {
+	for i, c := range cost {
+		m.screenNanos[i].Add(int64(c.Time))
+		m.screenPairs[i].Add(int64(c.Pairs))
+	}
+}
+
 // observe records one slide's outcome. Alerts count per CE so the
 // export matches the per-pattern recognition-cost breakdown of the
 // maritime CER literature.
@@ -148,6 +179,7 @@ func (m *pipelineMetrics) observe(rep SlideReport) {
 	m.reconstruction.ObserveDuration(rep.Timings.Reconstruction)
 	m.loading.ObserveDuration(rep.Timings.Loading)
 	m.recognition.ObserveDuration(rep.Timings.Recognition)
+	m.analytics.ObserveDuration(rep.Timings.Analytics)
 	m.total.ObserveDuration(rep.Timings.Total())
 	m.slides.Inc()
 	m.fixes.Add(uint64(rep.FixesIn))

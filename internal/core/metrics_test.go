@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/fleetsim"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -20,6 +21,8 @@ import (
 // loudly if the counters ever regress to unsynchronized fields. The
 // hook wedges partition 0 so the run exercises the mutation paths —
 // trips, lost events and wedged flags — while scrapers hammer Health.
+// The analytics tier is armed so the same scrapes also race the
+// pipeline goroutine's per-slide adds into the per-screen counters.
 func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -38,7 +41,9 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	// four busy-loop scrapers can starve the healthy partition's
 	// goroutine for tens of milliseconds, and only the hook-blocked
 	// partition may trip the watchdog.
-	sys := NewSystem(wedgeableConfig(500*time.Millisecond), vessels, areas, ports)
+	cfg := wedgeableConfig(500 * time.Millisecond)
+	cfg.Analytics = &analytics.Config{EnableCollision: true}
+	sys := NewSystem(cfg, vessels, areas, ports)
 	reg := obs.NewRegistry()
 	sys.RegisterMetrics(reg)
 
@@ -79,6 +84,35 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	h := sys.Health()
 	if h.WatchdogTrips != 1 || h.WedgedPartitions != 1 {
 		t.Errorf("health after wedged run = %+v, want 1 trip / 1 wedged", h)
+	}
+
+	// Where the analytics stage's time goes: one series per screen,
+	// together no more than the stage they are part of.
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	scraped := func(series string) (v float64) {
+		if i := strings.Index(out, series+" "); i < 0 {
+			t.Errorf("scrape missing %s", series)
+		} else if _, err := fmt.Sscan(out[i+len(series)+1:], &v); err != nil {
+			t.Errorf("%s: %v", series, err)
+		}
+		return v
+	}
+	var screenSeconds, pairs float64
+	for _, screen := range analytics.Screens {
+		screenSeconds += scraped(`maritime_analytics_screen_seconds_total{screen="` + screen + `"}`)
+		pairs += scraped(`maritime_analytics_candidate_pairs_total{screen="` + screen + `"}`)
+	}
+	if pairs == 0 {
+		t.Error("a 100-vessel fleet gave the screens no candidate pair")
+	}
+	stage := reg.Histogram("maritime_slide_stage_seconds", "", obs.Labels{"stage": "analytics"}, nil)
+	if stage.Count() == 0 || screenSeconds <= 0 || screenSeconds > stage.Sum() {
+		t.Errorf("screens account for %.6fs, the analytics stage took %.6fs over %d slides",
+			screenSeconds, stage.Sum(), stage.Count())
 	}
 }
 
@@ -212,7 +246,7 @@ func TestPipelineMetricsExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, stage := range []string{"tracking", "staging", "reconstruction", "loading", "recognition", "total"} {
+	for _, stage := range []string{"tracking", "staging", "reconstruction", "loading", "recognition", "analytics", "total"} {
 		if !strings.Contains(out, `maritime_slide_stage_seconds_count{stage="`+stage+`"}`) {
 			t.Errorf("no %s stage histogram in scrape", stage)
 		}

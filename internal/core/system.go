@@ -451,6 +451,9 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	if s.metrics != nil {
 		s.metrics.observe(rep)
 		s.observeDefinitions()
+		if s.analytics != nil {
+			s.metrics.observeScreens(s.analytics.LastSlideCost())
+		}
 	}
 	s.notifySinks(rep)
 	return rep

@@ -26,11 +26,10 @@ type Fig11Row struct {
 	MeanStep  time.Duration // mean recognition time per query step
 }
 
-// MESlides precomputes the movement-event stream of the workload,
-// bucketed into slides of the given step β, with each slide's query
-// time. Every Figure 11 configuration shares the β = 1 h stream.
-func MESlides(wl *Workload, slide time.Duration) (slides [][]rtec.Event, queries []time.Time) {
-	spec := stream.WindowSpec{Range: 2 * slide, Slide: slide}
+// CriticalSlides precomputes the workload's critical-point stream under
+// the given window, one slice per slide with the slide's query time —
+// what recognition and the pairwise analytics tier consume.
+func CriticalSlides(wl *Workload, spec stream.WindowSpec) (slides [][]tracker.CriticalPoint, queries []time.Time) {
 	tr := tracker.New(tracker.DefaultParams(), spec)
 	batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), spec.Slide)
 	for {
@@ -38,9 +37,19 @@ func MESlides(wl *Workload, slide time.Duration) (slides [][]rtec.Event, queries
 		if !ok {
 			break
 		}
-		res := tr.Slide(b)
-		slides = append(slides, maritime.MEStream(res.Fresh))
+		slides = append(slides, tr.Slide(b).Fresh)
 		queries = append(queries, b.Query)
+	}
+	return slides, queries
+}
+
+// MESlides precomputes the movement-event stream of the workload,
+// bucketed into slides of the given step β, with each slide's query
+// time. Every Figure 11 configuration shares the β = 1 h stream.
+func MESlides(wl *Workload, slide time.Duration) (slides [][]rtec.Event, queries []time.Time) {
+	points, queries := CriticalSlides(wl, stream.WindowSpec{Range: 2 * slide, Slide: slide})
+	for _, fresh := range points {
+		slides = append(slides, maritime.MEStream(fresh))
 	}
 	return slides, queries
 }

@@ -14,6 +14,16 @@ import (
 // startUpstream serves the given lines to every connection.
 func startUpstream(t *testing.T, lines []string) string {
 	t.Helper()
+	return startGatedUpstream(t, lines, nil)
+}
+
+// startGatedUpstream is startUpstream holding every connection's lines
+// back until gate is closed (nil: no gate). A test whose plan resets
+// within the first few lines needs it: on loopback the proxy can accept,
+// relay and RST before the client's connect() has been observed to
+// complete, and Dial then fails with ECONNRESET instead of the read.
+func startGatedUpstream(t *testing.T, lines []string, gate <-chan struct{}) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +37,9 @@ func startUpstream(t *testing.T, lines []string) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				if gate != nil {
+					<-gate
+				}
 				for _, l := range lines {
 					if _, err := io.WriteString(c, l+"\n"); err != nil {
 						return
@@ -181,13 +194,15 @@ func TestProxyCorruptionIsSeededAndRecorded(t *testing.T) {
 
 func TestProxyResetTruncatesMidLine(t *testing.T) {
 	want := testLines(40)
+	dialed := make(chan struct{})
 	p := &Proxy{
-		Upstream: startUpstream(t, want),
+		Upstream: startGatedUpstream(t, want, dialed),
 		Plan:     Plan{ResetAfterLines: []int{10}, TruncateOnReset: true},
 		Logf:     t.Logf,
 	}
 	addr := startProxy(t, p)
 	conn, err := net.Dial("tcp", addr)
+	close(dialed)
 	if err != nil {
 		t.Fatal(err)
 	}

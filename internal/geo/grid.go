@@ -221,8 +221,39 @@ type PointIndex struct {
 	cellDeg float64
 	pts     []Point
 	ids     []int32
-	cells   map[pointCell][]int32 // values index pts/ids
+	at      []pointCell           // each point's cell
+	cells   map[pointCell][]int32 // values index pts/ids/at
+	// live lists the cells that received a point since the last Reset;
+	// idle lists the ones Reset emptied, which the next Reset drops
+	// unless a point came back. Reset therefore walks the cells of two
+	// slides, not every cell the index ever touched, and the map tracks
+	// where the fleet is instead of everywhere it has been.
+	live, idle []pointCell
+	// rowCos caches, direct-mapped by row, the clamped cosine of each
+	// row band's highest |latitude| (worstCaseLonPad's divisor): a row's
+	// longitude pad costs a division per query instead of a math.Cos. A
+	// zero cos marks an empty slot (the clamp keeps real ones ≥ minLonCos).
+	rowCos [rowCosSlots]struct {
+		row int32
+		cos float64
+	}
+	// Pairs scratch: every point's scan box, and the boxes' per-row
+	// column ranges back to back.
+	boxes   []scanBox
+	boxCols []int32
 }
+
+// scanBox is the cell range one point's scan covers: rows rowLo..rowHi
+// and, for row r, columns boxCols[cols+2(r-rowLo)] to the entry after it.
+type scanBox struct {
+	rowLo, rowHi int32
+	cols         int32
+}
+
+// rowCosSlots sizes the row-cosine cache: a power of two well above the
+// rows one fleet's latitude span covers at the analytics cell sizes, so
+// slots rarely collide; a collision only recomputes.
+const rowCosSlots = 1024
 
 type pointCell struct{ col, row int32 }
 
@@ -239,14 +270,22 @@ func NewPointIndex(cellDeg float64) *PointIndex {
 	}
 }
 
-// Reset empties the index for the next slide, retaining the allocated
-// cell slices for reuse.
+// Reset empties the index for the next slide. A cell keeps its member
+// slice across one empty slide so a stationary fleet rebuilds without
+// allocating; a cell nothing returned to is dropped.
 func (x *PointIndex) Reset() {
 	x.pts = x.pts[:0]
 	x.ids = x.ids[:0]
-	for k, members := range x.cells {
-		x.cells[k] = members[:0]
+	x.at = x.at[:0]
+	for _, c := range x.idle {
+		if len(x.cells[c]) == 0 {
+			delete(x.cells, c)
+		}
 	}
+	for _, c := range x.live {
+		x.cells[c] = x.cells[c][:0]
+	}
+	x.live, x.idle = x.idle[:0], x.live
 }
 
 // Add inserts a point under the caller's handle id.
@@ -255,18 +294,23 @@ func (x *PointIndex) Add(id int32, p Point) {
 	slot := int32(len(x.pts))
 	x.pts = append(x.pts, p)
 	x.ids = append(x.ids, id)
-	x.cells[c] = append(x.cells[c], slot)
+	x.at = append(x.at, c)
+	members := x.cells[c]
+	if len(members) == 0 {
+		x.live = append(x.live, c)
+	}
+	x.cells[c] = append(members, slot)
 }
 
 // Len returns the number of indexed points.
 func (x *PointIndex) Len() int { return len(x.pts) }
 
 func (x *PointIndex) cellAt(p Point) pointCell {
-	return pointCell{
-		col: int32(math.Floor(p.Lon / x.cellDeg)),
-		row: int32(math.Floor(p.Lat / x.cellDeg)),
-	}
+	return pointCell{col: x.colOf(p.Lon), row: x.rowOf(p.Lat)}
 }
+
+func (x *PointIndex) rowOf(lat float64) int32 { return int32(math.Floor(lat / x.cellDeg)) }
+func (x *PointIndex) colOf(lon float64) int32 { return int32(math.Floor(lon / x.cellDeg)) }
 
 // Near returns the ids of every point within radiusMeters of p
 // (Haversine-exact), in insertion order. The query point itself is
@@ -289,25 +333,87 @@ func (x *PointIndex) CandidatesAppend(buf []int32, p Point, radiusMeters float64
 	return x.scan(buf, p, radiusMeters, false)
 }
 
+// Pairs calls visit(a, b) once for every unordered pair of indexed
+// points of which one is among the other's CandidatesAppend at this
+// radius, a being the one added first. The per-row longitude pad makes
+// that relation slightly asymmetric at the radius boundary, so a pair
+// belongs to the earlier point's scan when that scan reaches the later
+// point, and to the later point's scan otherwise. Pairs come out by
+// owning point in insertion order, then in that point's scan order —
+// the order of querying every point in turn and skipping the pairs an
+// earlier query already reported, at the cost of the queries alone:
+// "does o's scan reach this cell" is a row-range check and one column
+// range lookup in o's box, which is exactly the membership scan computes.
+func (x *PointIndex) Pairs(radiusMeters float64, visit func(a, b int32)) {
+	radDeg := scanRadiusDeg(radiusMeters)
+	x.boxes, x.boxCols = x.boxes[:0], x.boxCols[:0]
+	for _, p := range x.pts {
+		b := scanBox{rowLo: x.rowOf(p.Lat - radDeg), rowHi: x.rowOf(p.Lat + radDeg), cols: int32(len(x.boxCols))}
+		x.boxes = append(x.boxes, b)
+		for row := b.rowLo; row <= b.rowHi; row++ {
+			lonSpan := x.rowLonSpan(radDeg, row)
+			x.boxCols = append(x.boxCols, x.colOf(p.Lon-lonSpan), x.colOf(p.Lon+lonSpan))
+		}
+	}
+	for s, b := range x.boxes {
+		s := int32(s)
+		for row := b.rowLo; row <= b.rowHi; row++ {
+			k := b.cols + 2*(row-b.rowLo)
+			for col := x.boxCols[k]; col <= x.boxCols[k+1]; col++ {
+				for _, o := range x.cells[pointCell{col: col, row: row}] {
+					if o > s {
+						visit(x.ids[s], x.ids[o])
+					} else if o < s && !x.reaches(o, x.at[s]) {
+						visit(x.ids[o], x.ids[s])
+					}
+				}
+			}
+		}
+	}
+}
+
+// reaches reports whether point from's scan box, as Pairs last built
+// it, covers cell c.
+func (x *PointIndex) reaches(from int32, c pointCell) bool {
+	b := x.boxes[from]
+	if c.row < b.rowLo || c.row > b.rowHi {
+		return false
+	}
+	k := b.cols + 2*(c.row-b.rowLo)
+	return x.boxCols[k] <= c.col && c.col <= x.boxCols[k+1]
+}
+
+// scanRadiusDeg is a query radius in degrees of latitude, inflated by
+// 1% so the scanned cell box strictly over-approximates the proximity
+// ring.
+func scanRadiusDeg(radiusMeters float64) float64 {
+	return radiusMeters / metersPerDegLat * 1.01
+}
+
+// rowLonSpan is the longitude half-width a query of radDeg scans in the
+// given row. The span a radius covers widens with the row's latitude;
+// pad with the row band's worst-case (highest-|lat|) edge, exactly like
+// the area index's region pad.
+func (x *PointIndex) rowLonSpan(radDeg float64, row int32) float64 {
+	e := &x.rowCos[uint32(row)%rowCosSlots]
+	if e.row != row || e.cos == 0 {
+		loLat := float64(row) * x.cellDeg
+		hiLat := loLat + x.cellDeg
+		maxAbsLat := math.Max(math.Abs(loLat), math.Abs(hiLat))
+		e.row, e.cos = row, math.Max(minLonCos, cosDeg(maxAbsLat))
+	}
+	return radDeg / e.cos
+}
+
 func (x *PointIndex) scan(buf []int32, p Point, radiusMeters float64, exact bool) []int32 {
 	if len(x.pts) == 0 {
 		return buf
 	}
-	// The radius in degrees of latitude, inflated by 1% so the scanned
-	// cell box strictly over-approximates the proximity ring.
-	radDeg := radiusMeters / metersPerDegLat * 1.01
-	rowLo := int32(math.Floor((p.Lat - radDeg) / x.cellDeg))
-	rowHi := int32(math.Floor((p.Lat + radDeg) / x.cellDeg))
+	radDeg := scanRadiusDeg(radiusMeters)
+	rowLo, rowHi := x.rowOf(p.Lat-radDeg), x.rowOf(p.Lat+radDeg)
 	for row := rowLo; row <= rowHi; row++ {
-		// The longitude span a radius covers widens with the row's
-		// latitude; pad with the row band's worst-case (highest-|lat|)
-		// edge, exactly like the area index's region pad.
-		loLat := float64(row) * x.cellDeg
-		hiLat := loLat + x.cellDeg
-		maxAbsLat := math.Max(math.Abs(loLat), math.Abs(hiLat))
-		lonSpan := worstCaseLonPad(radDeg, maxAbsLat)
-		colLo := int32(math.Floor((p.Lon - lonSpan) / x.cellDeg))
-		colHi := int32(math.Floor((p.Lon + lonSpan) / x.cellDeg))
+		lonSpan := x.rowLonSpan(radDeg, row)
+		colLo, colHi := x.colOf(p.Lon-lonSpan), x.colOf(p.Lon+lonSpan)
 		for col := colLo; col <= colHi; col++ {
 			for _, slot := range x.cells[pointCell{col: col, row: row}] {
 				if exact && Haversine(p, x.pts[slot]) > radiusMeters {

@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -264,6 +265,133 @@ func TestPointIndexResetReuse(t *testing.T) {
 	}
 	if got := idx.Near(p1, 100); got != nil {
 		t.Errorf("old point leaked into reused index: %v", got)
+	}
+}
+
+// pairsByRequery is the definition Pairs must reproduce, at its honest
+// cost: query every point in turn and, for each earlier point among
+// the candidates, re-run that point's own query to learn whether it
+// already reported the pair.
+func pairsByRequery(idx *PointIndex, pts []Point, radius float64) (pairs [][2]int32) {
+	sees := func(from, to int) bool {
+		for _, id := range idx.CandidatesAppend(nil, pts[from], radius) {
+			if int(id) == to {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range pts {
+		for _, id := range idx.CandidatesAppend(nil, pts[i], radius) {
+			j := int(id)
+			if j > i || j < i && !sees(j, i) {
+				pairs = append(pairs, [2]int32{int32(min(i, j)), int32(max(i, j))})
+			}
+		}
+	}
+	return pairs
+}
+
+// Pairs must report exactly the pairs of the query-and-re-query
+// definition, in its order, and its O(1) box test must equal membership
+// in CandidatesAppend for every ordered pair. The bands cover what
+// makes the scan asymmetric or awkward: rows straddling the equator,
+// |lat| > 60° where the longitude pad is wide and changes fast from row
+// to row, the floored cosine near the pole, points exactly on cell
+// edges, and radii both smaller and larger than a cell.
+func TestPointIndexPairsMatchRequery(t *testing.T) {
+	bands := []struct {
+		name             string
+		lon0, lat0       float64
+		lonSpan, latSpan float64
+	}{
+		{"mid-latitude", 23, 36, 3, 3},
+		{"equator", -1.5, -1.5, 3, 3},
+		{"north-60", 10, 61, 6, 8},
+		{"south-60", 170, -72, 6, 8},
+		{"polar-floor", 0, 86.5, 20, 3},
+	}
+	const cellDeg = 0.25
+	radii := []float64{3_000, 20_000, 27_800, 60_000, 140_000} // a cell is ≈ 27.8 km of latitude
+	for _, band := range bands {
+		rng := rand.New(rand.NewSource(11))
+		idx := NewPointIndex(cellDeg)
+		var pts []Point
+		for i := 0; i < 160; i++ {
+			p := Point{Lon: band.lon0 + rng.Float64()*band.lonSpan, Lat: band.lat0 + rng.Float64()*band.latSpan}
+			if i%4 == 0 { // on a cell corner
+				p.Lon = math.Round(p.Lon/cellDeg) * cellDeg
+				p.Lat = math.Round(p.Lat/cellDeg) * cellDeg
+			}
+			pts = append(pts, p)
+			idx.Add(int32(i), p)
+		}
+		oneWay := 0
+		for _, radius := range radii {
+			var got [][2]int32
+			idx.Pairs(radius, func(a, b int32) { got = append(got, [2]int32{a, b}) })
+			want := pairsByRequery(idx, pts, radius)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s r=%.0f: Pairs reported %d pairs, the re-query definition %d (or another order)",
+					band.name, radius, len(got), len(want))
+			}
+			for i := range pts {
+				member := make([]bool, len(pts))
+				for _, id := range idx.CandidatesAppend(nil, pts[i], radius) {
+					member[id] = true
+				}
+				for j := range pts {
+					if got := idx.reaches(int32(i), idx.at[j]); got != member[j] {
+						t.Fatalf("%s r=%.0f: box test %d → %d = %v, candidate membership = %v",
+							band.name, radius, i, j, got, member[j])
+					}
+					if member[j] && !idx.reaches(int32(j), idx.at[i]) {
+						oneWay++
+					}
+				}
+			}
+		}
+		if band.name == "north-60" && oneWay == 0 {
+			t.Errorf("%s: no one-way pair in the fixture; the asymmetry Pairs handles is untested", band.name)
+		}
+	}
+}
+
+// A fleet that drifts across the grid must not leave its wake in the
+// cell map: Reset drops a cell nothing returned to within a slide, so
+// the map stays the size of two slides' footprints, and dropping cells
+// never changes what a query returns or in which order.
+func TestPointIndexCellsBoundedUnderDrift(t *testing.T) {
+	const cellDeg, vessels, slides = 0.008, 200, 400
+	idx := NewPointIndex(cellDeg)
+	rng := rand.New(rand.NewSource(21))
+	pts := make([]Point, vessels)
+	for i := range pts {
+		pts[i] = Point{Lon: 23 + rng.Float64()*0.5, Lat: 37 + rng.Float64()*0.5}
+	}
+	peak := 0
+	for s := 0; s < slides; s++ {
+		idx.Reset()
+		fresh := NewPointIndex(cellDeg)
+		for i := range pts {
+			// Each vessel crosses about a cell per slide, north-east.
+			pts[i].Lon += cellDeg * (0.5 + rng.Float64())
+			pts[i].Lat += cellDeg * (0.5 + rng.Float64()) / 4
+			idx.Add(int32(i), pts[i])
+			fresh.Add(int32(i), pts[i])
+		}
+		peak = max(peak, len(idx.cells))
+		for i := 0; i < vessels; i += 7 {
+			got := idx.NearAppend(nil, pts[i], 2500)
+			want := fresh.NearAppend(nil, pts[i], 2500)
+			if !equalInt32(got, want) {
+				t.Fatalf("slide %d: reused index returned %v, a fresh one %v", s, got, want)
+			}
+		}
+	}
+	if peak > 2*vessels {
+		t.Errorf("cell map peaked at %d cells for %d drifting vessels over %d slides; want ≤ %d",
+			peak, vessels, slides, 2*vessels)
 	}
 }
 
