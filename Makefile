@@ -1,11 +1,17 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-pipe bench-decode bench-quick check-allocs experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-pipe bench-decode bench-quick check-allocs experiments examples
 
 all: fmt-check build vet test
 
 build:
 	go build ./...
+
+# Cross-compile only: keeps the non-Linux tailer fallback
+# (internal/alertlog/wake_other.go) from rotting.
+cross:
+	GOOS=darwin go build ./...
+	GOOS=windows go vet ./internal/alertlog/
 
 # CI gate: the tree must be gofmt-clean.
 fmt-check:
@@ -50,11 +56,19 @@ test-cluster:
 # subscriber failover, writer crash mid-segment (fault-injected), and
 # newest-segment corruption — exactly-once delivery (zero gap, zero
 # duplicate) and byte-identical history versus a never-killed control,
-# under the race detector. Includes the log/reader/tailer unit tests
-# and the replay-marker regressions in the serve hub.
+# under the race detector. Includes the log/reader unit tests, the
+# tailer's wake path (TestTailer*: kernel-notified delivery with the
+# timer out of reach, lost-wake-up stress, directory created late or
+# replaced, arm failure and deaf watch falling back to the ladder, no
+# goroutine or descriptor left behind), the one-write Append
+# (TestAppendBatchSpanningRotation, TestAppendShortWriteAccountsWholeFrames),
+# the reader's sealed-under-it rescan, and in the serve hub the
+# replay-marker and replay→ring hand-off regressions, the flush-on-drain
+# pump and the replica /healthz notify field.
 test-alertlog:
 	go test -race -v ./internal/alertlog/
-	go test -race -v -run 'TestSubscribeFrom|TestMarker|TestPublish|TestRing|TestRunLoad' ./internal/serve/
+	go test -race -v -run 'TestSubscribeFrom|TestMarker|TestPublish|TestRing|TestRunLoad|TestEventsFlushOnDrain|TestReplicaHealthz' ./internal/serve/
+	go test -race -v -run 'TestClusterEventsMarker' ./cmd/cluster/
 
 # Multi-replica serving smoke: the in-process load harness drives
 # subscribers round-robin across two replica gateways and asserts

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -59,70 +56,12 @@ func mux(coord *cluster.Coordinator, router *cluster.Router, hub *serve.Hub, reg
 		}
 		writeJSON(w, hub.Ring().Last(n))
 	})
-	m.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		serveEvents(w, r, hub)
-	})
+	// The envelope sequence is the SSE event id, so a reconnecting client
+	// resumes from Last-Event-ID and sees every alert exactly once —
+	// including across a coordinator restart, because a manifest restore
+	// continues the hub's sequence.
+	m.Handle("/events", serve.EventsHandler(hub, 0, 0, nil))
 	return m
-}
-
-// serveEvents streams merged alerts as Server-Sent Events. The envelope
-// sequence is the event id, so a reconnecting client resumes from
-// Last-Event-ID and sees every alert exactly once — including across a
-// coordinator restart, because a manifest restore continues the hub's
-// sequence.
-func serveEvents(w http.ResponseWriter, r *http.Request, hub *serve.Hub) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	filter, err := serve.ParseFilter(r.URL.Query())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var sub *serve.Subscriber
-	raw := r.Header.Get("Last-Event-ID")
-	if raw == "" {
-		raw = r.URL.Query().Get("after")
-	}
-	if raw != "" {
-		if after, err := strconv.ParseUint(raw, 10, 64); err == nil {
-			sub = hub.SubscribeFrom(filter, 256, after)
-		}
-	}
-	if sub == nil {
-		sub = hub.Subscribe(filter, 256)
-	}
-	defer sub.Close()
-	stop := context.AfterFunc(r.Context(), sub.Close)
-	defer stop()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		env, ok, timedOut := sub.NextTimeout(15 * time.Second)
-		switch {
-		case timedOut:
-			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
-				return
-			}
-		case !ok:
-			return
-		default:
-			data, err := json.Marshal(env)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: alert\ndata: %s\n\n", env.Seq, data); err != nil {
-				return
-			}
-		}
-		fl.Flush()
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

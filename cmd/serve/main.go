@@ -449,7 +449,7 @@ func runReplica(addr, logDir, name string, ring, subQueue int, verbose bool) {
 		Metrics:         reg,
 		Info: func() serve.ReplicaInfo {
 			st := tailer.Stats()
-			return serve.ReplicaInfo{Name: name, Applied: st.Applied, Lag: tailer.Lag(), Skipped: st.Skipped}
+			return serve.ReplicaInfo{Name: name, Applied: st.Applied, Lag: tailer.Lag(), Skipped: st.Skipped, Notify: st.Notify}
 		},
 	}
 	if verbose {
@@ -481,6 +481,6 @@ func runReplica(addr, logDir, name string, ring, subQueue int, verbose bool) {
 	_ = httpSrv.Shutdown(shutdownCtx)
 	st := hub.Totals()
 	ts := tailer.Stats()
-	log.Printf("replica done: applied seq %d (%d records, %d skipped), %d delivered, %d dropped",
-		ts.Applied, ts.Records, ts.Skipped, st.Delivered, st.Dropped)
+	log.Printf("replica done: applied seq %d (%d records, %d skipped; %d polls, woken %d by notify / %d by timer, %d watch errors), %d delivered, %d dropped",
+		ts.Applied, ts.Records, ts.Skipped, ts.Polls, ts.NotifyWakeups, ts.TimerWakeups, ts.WatchErrors, st.Delivered, st.Dropped)
 }

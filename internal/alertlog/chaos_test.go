@@ -140,7 +140,20 @@ func requireExactlyOnce(t *testing.T, who string, envs []serve.Envelope, total i
 // so that the very first connection (after = 0) also replays from the
 // log start — a fresh subscribe would begin at the replica hub's
 // current head and silently miss whatever its tailer already applied.
+//
+// A stall fails the test on the spot, so collect is for the test's own
+// goroutine only; anything else calls tryCollect.
 func collect(t *testing.T, r *chaosReplica, got *[]serve.Envelope, last *uint64, stop func() bool) {
+	t.Helper()
+	if !tryCollect(t, r, got, last, stop) {
+		t.FailNow()
+	}
+}
+
+// tryCollect is collect reporting a stall with t.Errorf and a false
+// return: safe off the test goroutine, where t.Fatalf would Goexit the
+// caller and leave the test blocked on its result forever.
+func tryCollect(t *testing.T, r *chaosReplica, got *[]serve.Envelope, last *uint64, stop func() bool) bool {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -159,8 +172,10 @@ func collect(t *testing.T, r *chaosReplica, got *[]serve.Envelope, last *uint64,
 	// Last-Event-ID is exactly what the test is proving.
 	_ = err
 	if ctx.Err() == context.DeadlineExceeded {
-		t.Fatalf("stream from %s stalled (got %d envelopes)", r.name, len(*got))
+		t.Errorf("stream from %s stalled (got %d envelopes)", r.name, len(*got))
+		return false
 	}
+	return true
 }
 
 // TestChaosReplicaKillAndFailover kills two replicas mid-stream under a
@@ -204,7 +219,9 @@ func TestChaosReplicaKillAndFailover(t *testing.T) {
 		var got []serve.Envelope
 		var last uint64
 		for len(got) < total {
-			collect(t, control, &got, &last, func() bool { return len(got) >= total })
+			if !tryCollect(t, control, &got, &last, func() bool { return len(got) >= total }) {
+				break // already reported; still hand over, or the test hangs on ctrlDone
+			}
 			time.Sleep(5 * time.Millisecond)
 		}
 		ctrlDone <- got

@@ -8,11 +8,14 @@
 // subscriber reconnecting to any replica with Last-Event-ID sees every
 // alert exactly once across replica kill/restart.
 //
-// Durability discipline: records are appended to the active segment and
-// fsynced per batch; rotation fsyncs the sealed segment, creates the
-// next one and fsyncs the directory (the WriteFileAtomic ordering,
-// applied to an append-only file). A crash mid-append leaves a torn or
-// checksum-failing final frame; Open truncates the file back to the
+// Durability discipline: records are appended to the active segment,
+// written per batch (one write for all the frames of an Append bound
+// for one segment, so a batch appears to tailers whole and raises one
+// directory event) and fsynced per batch; rotation fsyncs the sealed
+// segment, creates the next one and fsyncs the directory (the
+// WriteFileAtomic ordering, applied to an append-only file). A crash
+// mid-append leaves a torn or checksum-failing final frame; Open
+// truncates the file back to the
 // last valid frame and counts the loss instead of refusing to start.
 // Sequence numbers are contiguous within and across segments — a gap
 // can only be introduced by corruption loss beyond the checkpoint
@@ -22,6 +25,7 @@ package alertlog
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -71,7 +75,8 @@ type Stats struct {
 	FirstSeq uint64 `json:"first_seq"` // oldest retained record (0 = empty)
 	LastSeq  uint64 `json:"last_seq"`  // newest record (0 = empty)
 	Segments int    `json:"segments"`  // retained segment files
-	// ActiveBytes is the size of the active segment.
+	// ActiveBytes is the size of the active segment in whole frames (a
+	// failed write's torn tail, which recovery cuts, is not counted).
 	ActiveBytes int64 `json:"active_bytes"`
 	// Appended counts records written; SkippedDup counts idempotent
 	// re-appends discarded because their sequence was already durable
@@ -108,8 +113,15 @@ type Log struct {
 	lastSeq     uint64
 	segments    int
 	st          Stats
-	enc         bytes.Buffer // frame staging, reused per record
+	enc         bytes.Buffer   // frames of one Append bound for the active segment; flush writes them in one call
+	staged      []stagedRecord // one per frame in enc
 	metricsOnce sync.Once
+}
+
+// stagedRecord is one framed record waiting in Log.enc.
+type stagedRecord struct {
+	seq uint64
+	end int // offset in enc just past this record's frame
 }
 
 // Open opens (creating if needed) the log directory, recovers the
@@ -259,68 +271,94 @@ func (l *Log) wrap(f *os.File) io.Writer {
 // Append writes the envelopes' records durably, in order. Envelopes at
 // or below the newest durable sequence are skipped (idempotent
 // re-publish during post-restore replay); a sequence jump past
-// lastSeq+1 is allowed but counted as gap loss. The batch is fsynced
-// once at the end unless Options.NoSync.
+// lastSeq+1 is allowed but counted as gap loss. Every frame bound for
+// the active segment goes out in one write (two when the batch spans a
+// rotation), and the batch is fsynced once at the end unless
+// Options.NoSync.
 func (l *Log) Append(envs []serve.Envelope) error {
 	if len(envs) == 0 {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	wrote := false
+	appended := l.st.Appended
+	err := l.appendBatch(envs)
+	if err != nil {
+		l.st.AppendErrors++
+	}
+	if l.st.Appended > appended && !l.opt.NoSync && l.f != nil {
+		if serr := l.f.Sync(); serr != nil && err == nil {
+			l.st.AppendErrors++
+			err = fmt.Errorf("alertlog: fsync %s: %w", l.f.Name(), serr)
+		}
+	}
+	return err
+}
+
+// appendBatch stages and writes the batch, rotating (after flushing what
+// is staged for the full segment) where a record would start past the
+// rotation threshold. Callers hold l.mu.
+func (l *Log) appendBatch(envs []serve.Envelope) error {
+	last := l.lastSeq // newest sequence written or staged
 	for i := range envs {
 		e := &envs[i]
-		if e.Seq <= l.lastSeq {
+		if e.Seq <= last {
 			l.st.SkippedDup++
 			continue
 		}
-		if l.lastSeq != 0 && e.Seq > l.lastSeq+1 {
-			l.st.GapRecords += e.Seq - l.lastSeq - 1
+		if last != 0 && e.Seq > last+1 {
+			l.st.GapRecords += e.Seq - last - 1
 		}
-		if err := l.appendOne(e); err != nil {
-			l.st.AppendErrors++
-			if wrote && !l.opt.NoSync && l.f != nil {
-				l.f.Sync()
+		if l.f == nil || l.activeSize+int64(l.enc.Len()) >= l.opt.SegmentBytes {
+			if err := l.flush(); err != nil {
+				return err
 			}
-			return err
+			if err := l.rotate(e.Seq); err != nil {
+				return err
+			}
 		}
-		wrote = true
-	}
-	if wrote && !l.opt.NoSync {
-		if err := l.f.Sync(); err != nil {
-			l.st.AppendErrors++
-			return fmt.Errorf("alertlog: fsync %s: %w", l.f.Name(), err)
+		payload, err := json.Marshal(e)
+		if err == nil {
+			err = durable.WriteFrame(&l.enc, recordMagic, recordVersion, payload)
 		}
+		if err != nil {
+			// The records staged before it are good: they still go out.
+			return errors.Join(fmt.Errorf("alertlog: encoding record %d: %w", e.Seq, err), l.flush())
+		}
+		l.staged = append(l.staged, stagedRecord{seq: e.Seq, end: l.enc.Len()})
+		last = e.Seq
 	}
-	return nil
+	return l.flush()
 }
 
-// appendOne frames and writes one record, rotating first if the active
-// segment is full. Callers hold l.mu.
-func (l *Log) appendOne(e *serve.Envelope) error {
-	if l.f == nil || l.activeSize >= l.opt.SegmentBytes {
-		if err := l.rotate(e.Seq); err != nil {
-			return err
-		}
-	}
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("alertlog: encoding record %d: %w", e.Seq, err)
-	}
-	l.enc.Reset()
-	if err := durable.WriteFrame(&l.enc, recordMagic, recordVersion, payload); err != nil {
-		return err
+// flush writes the staged frames to the active segment in one call and
+// accounts the records whose frames landed whole. A short write leaves
+// what a crash at that byte leaves — whole frames followed by a torn
+// one — and is accounted the way recovery will see it. Callers hold
+// l.mu.
+func (l *Log) flush() error {
+	if len(l.staged) == 0 {
+		return nil
 	}
 	n, err := l.w.Write(l.enc.Bytes())
-	l.activeSize += int64(n)
+	whole := 0 // bytes of the frames that landed complete
+	for _, r := range l.staged {
+		if r.end > n {
+			break
+		}
+		if l.firstSeq == 0 {
+			l.firstSeq = r.seq
+		}
+		l.lastSeq = r.seq
+		l.st.Appended++
+		whole = r.end
+	}
+	l.activeSize += int64(whole)
+	l.enc.Reset()
+	l.staged = l.staged[:0]
 	if err != nil {
-		return fmt.Errorf("alertlog: appending record %d: %w", e.Seq, err)
+		return fmt.Errorf("alertlog: appending after record %d: %w", l.lastSeq, err)
 	}
-	if l.firstSeq == 0 {
-		l.firstSeq = e.Seq
-	}
-	l.lastSeq = e.Seq
-	l.st.Appended++
 	return nil
 }
 

@@ -1,9 +1,11 @@
 package alertlog
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -442,4 +444,168 @@ func segsAfter(t *testing.T, dir string, after uint64) []string {
 		}
 	}
 	return out
+}
+
+// TestReaderRescansSegmentSealedUnderIt pins the window between a
+// reader finding the active segment drained and its directory listing:
+// a writer that appends to that segment and rotates inside the window
+// used to make the reader step to the new segment past records it had
+// not read (counted in Skipped, lost to the replica's subscribers —
+// the TestChaosReplicaKillAndFailover flake).
+func TestReaderRescansSegmentSealedUnderIt(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 512, KeepSegments: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(testEnvs(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(dir, 0)
+	defer r.Close()
+	fired := false
+	r.beforeList = func() {
+		if fired {
+			return
+		}
+		fired = true
+		// Lands partly in the segment the reader just drained, partly
+		// in a new one.
+		if err := l.Append(testEnvs(2, 9)); err != nil {
+			t.Error(err)
+		}
+		if l.Stats().Segments < 2 {
+			t.Error("the append did not rotate; the test exercised nothing")
+		}
+	}
+	var got []serve.Envelope
+	for {
+		batch, err := r.Next(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			break
+		}
+		got = append(got, batch...)
+	}
+	if !fired {
+		t.Fatal("hook never ran")
+	}
+	requireContiguous(t, got, 1, 10)
+	if r.Skipped() != 0 {
+		t.Fatalf("reader skipped %d records of a log that lost none", r.Skipped())
+	}
+}
+
+// segmentBytes reads every segment of dir, keyed by file name.
+func segmentBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(segs))
+	for _, s := range segs {
+		b, err := os.ReadFile(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(s.path)] = string(b)
+	}
+	return out
+}
+
+// TestAppendBatchSpanningRotation: one Append whose frames cross the
+// rotation threshold lands in two segments with contiguous sequences,
+// and the segments are byte-identical to the same records appended one
+// at a time — the single write changes the syscall count, never the
+// log.
+func TestAppendBatchSpanningRotation(t *testing.T) {
+	opt := Options{SegmentBytes: 1 << 10, KeepSegments: 100}
+	batched, single := t.TempDir(), t.TempDir()
+	lb, err := Open(batched, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	ls, err := Open(single, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	if err := lb.Append(testEnvs(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.Append(testEnvs(4, 5)); err != nil { // crosses 1 KiB mid-batch
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 8; seq++ {
+		if err := ls.Append(testEnvs(seq, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(batched)
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("batched log has %d segments (%v), want 2", len(segs), err)
+	}
+	if segs[1].start <= 4 || segs[1].start > 8 {
+		t.Fatalf("second segment starts at %d, want inside the spanning batch (5..8)", segs[1].start)
+	}
+	requireContiguous(t, readAll(t, batched, 0), 1, 8)
+	if st := lb.Stats(); st.LastSeq != 8 || st.Appended != 8 || st.ActiveBytes != segs[1].size {
+		t.Fatalf("stats %+v, want LastSeq 8, Appended 8, ActiveBytes %d", st, segs[1].size)
+	}
+	if got, want := segmentBytes(t, batched), segmentBytes(t, single); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched segments differ from record-at-a-time segments:\n%d files vs %d", len(got), len(want))
+	}
+}
+
+// TestAppendShortWriteAccountsWholeFrames cuts the batch's single write
+// mid-frame: the log's accounting must equal the whole frames on disk —
+// what a crash at that byte leaves — and recovery truncates exactly the
+// torn one.
+func TestAppendShortWriteAccountsWholeFrames(t *testing.T) {
+	const budget = 2000
+	dir := t.TempDir()
+	l, err := Open(dir, Options{WrapWriter: func(w io.Writer) io.Writer {
+		return faults.NewCrashWriter(w, budget)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testEnvs(1, 20)); !errors.Is(err, faults.ErrInjectedCrash) {
+		t.Fatalf("Append error = %v, want the injected crash", err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v %v", segs, err)
+	}
+	valid, frames, _, last, scanErr := scanSegment(segs[0].path)
+	if scanErr == nil || segs[0].size != budget || valid >= budget {
+		t.Fatalf("disk holds %d bytes, %d in whole frames (scan: %v); want a torn frame at byte %d", segs[0].size, valid, scanErr, budget)
+	}
+	if frames == 0 || frames >= 20 {
+		t.Fatalf("%d whole frames landed, want some but not all of 20", frames)
+	}
+	st := l.Stats()
+	if st.LastSeq != last || st.Appended != uint64(frames) || st.ActiveBytes != valid || st.AppendErrors != 1 {
+		t.Fatalf("stats %+v, want LastSeq %d, Appended %d, ActiveBytes %d, AppendErrors 1", st, last, frames, valid)
+	}
+	// No Close: a crashed process does not seal its segment.
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("recovery refused to open: %v", err)
+	}
+	defer l2.Close()
+	st2 := l2.Stats()
+	if st2.Truncations != 1 || st2.TruncatedBytes != uint64(budget-valid) || st2.LastSeq != last {
+		t.Fatalf("recovery %+v, want one truncation of %d bytes back to seq %d", st2, budget-valid, last)
+	}
+	if err := l2.Append(testEnvs(1, 20)); err != nil {
+		t.Fatal(err)
+	}
+	requireContiguous(t, readAll(t, dir, 0), 1, 20)
 }

@@ -24,6 +24,14 @@ type Reader struct {
 	f        *os.File
 	offset   int64
 	segStart uint64
+	// sealed is set once a newer segment than the open one has been
+	// seen: the writer never appends to this file again, so whatever a
+	// scan finds from then on is final.
+	sealed bool
+	// beforeList, when set, runs between finding the open segment
+	// drained and listing the directory — the window tests need to put
+	// a writer in.
+	beforeList func()
 
 	skipped uint64 // records jumped over because retention pruned them
 }
@@ -59,18 +67,36 @@ func (r *Reader) Next(max int) ([]serve.Envelope, error) {
 		if err != nil {
 			return out, err
 		}
-		if scanErr != nil || n == 0 {
-			// Either a torn tail or a clean end of the current segment.
-			// If a newer segment exists this one is sealed: a torn tail
-			// here is permanent corruption, and a clean end means the
-			// reader should move on. Otherwise wait for the writer.
-			advanced, err := r.advance(scanErr != nil)
+		if scanErr == nil && n > 0 {
+			continue
+		}
+		// Either a torn tail or a clean end of the current segment.
+		if !r.sealed {
+			if r.beforeList != nil {
+				r.beforeList()
+			}
+			next, err := r.newer()
 			if err != nil {
 				return out, err
 			}
-			if !advanced {
-				return out, nil
+			if next == nil {
+				return out, nil // the active segment: wait for the writer
 			}
+			// A newer segment exists, so the writer is done with this
+			// one — but it may have appended to it and rotated between
+			// the scan above and the listing. Scan it once more; what it
+			// holds now is final.
+			r.sealed = true
+			continue
+		}
+		// Sealed and fully read: a torn tail here is permanent loss, a
+		// clean end means the reader moves on.
+		advanced, err := r.advance(scanErr != nil)
+		if err != nil {
+			return out, err
+		}
+		if !advanced {
+			return out, nil
 		}
 	}
 	return out, nil
@@ -108,6 +134,7 @@ func (r *Reader) open() (bool, error) {
 	r.f = f
 	r.offset = 0
 	r.segStart = pick.start
+	r.sealed = false
 	return true, nil
 }
 
@@ -156,25 +183,28 @@ func (r *Reader) scan(out *[]serve.Envelope, max int) (int, error, error) {
 	return n, nil, scanErr
 }
 
-// advance moves to the next segment when one exists. With torn true the
-// current segment's tail was invalid: if the segment is sealed (a newer
-// one exists) the tail is permanent loss and the reader steps over it;
-// if it is the active segment the writer is mid-append and the reader
-// waits.
-func (r *Reader) advance(torn bool) (bool, error) {
+// newer returns the first segment after the open one, nil when the open
+// one is still the newest.
+func (r *Reader) newer() (*segFile, error) {
 	segs, err := listSegments(r.dir)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	var nextSeg *segFile
 	for i := range segs {
 		if segs[i].start > r.segStart {
-			nextSeg = &segs[i]
-			break
+			return &segs[i], nil
 		}
 	}
-	if nextSeg == nil {
-		return false, nil // this is the active segment; wait for the writer
+	return nil, nil
+}
+
+// advance moves from a sealed, fully read segment to the next one. With
+// torn true the sealed segment's tail was invalid: that is permanent
+// loss and the reader steps over it, counting what it skipped.
+func (r *Reader) advance(torn bool) (bool, error) {
+	nextSeg, err := r.newer()
+	if err != nil || nextSeg == nil {
+		return false, err
 	}
 	if torn {
 		// Sealed segment with an invalid tail: everything up to the next
@@ -196,6 +226,7 @@ func (r *Reader) advance(torn bool) (bool, error) {
 	r.f = f
 	r.offset = 0
 	r.segStart = nextSeg.start
+	r.sealed = false
 	return true, nil
 }
 

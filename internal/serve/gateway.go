@@ -132,7 +132,7 @@ func (g *Gateway) Consume(rep core.SlideReport) {
 //	GET /metrics          Prometheus text exposition (when Options.Metrics is set)
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /events", g.handleEvents)
+	mux.HandleFunc("GET /events", EventsHandler(g.hub, g.opt.SubscriberQueue, g.opt.Heartbeat, g.logf))
 	mux.HandleFunc("GET /alerts", g.handleAlerts)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /report", g.handleReport)
@@ -146,16 +146,31 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// handleEvents is the SSE endpoint: one subscriber with a bounded
-// drop-oldest queue per connection, pumped by this handler goroutine.
-func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	pumpEvents(w, r, g.hub, g.opt.SubscriberQueue, g.opt.Heartbeat, g.logf)
+// EventsHandler returns the SSE endpoint every serving node mounts —
+// the writer gateway, the stateless replicas and the cluster
+// coordinator: one subscriber with a bounded drop-oldest queue of
+// queueCap envelopes per connection (≤ 0: 256), pumped by the handler
+// goroutine, with a comment heartbeat every heartbeat of idleness
+// (≤ 0: 15 s). logf receives connect/disconnect lines; nil silences
+// them.
+func EventsHandler(hub *Hub, queueCap int, heartbeat time.Duration, logf func(format string, args ...any)) http.HandlerFunc {
+	if heartbeat <= 0 {
+		heartbeat = 15 * time.Second
+	}
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		pumpEvents(w, r, hub, queueCap, heartbeat, logf)
+	}
 }
 
-// pumpEvents is the SSE pump shared by the writer gateway and the
-// stateless replicas: subscribe (resuming from Last-Event-ID when
-// present), stream envelopes with heartbeats, release the subscription
-// when the client goes away.
+// pumpEvents is the SSE pump: subscribe (resuming from Last-Event-ID
+// when present), stream envelopes with heartbeats, release the
+// subscription when the client goes away. Frames are flushed when the
+// subscriber's queue runs dry, not one by one: a replay preload or a
+// slide's burst leaves in as few writes as the buffer allows, and a
+// lone live envelope — queue empty behind it — still leaves at once.
 func pumpEvents(w http.ResponseWriter, r *http.Request, hub *Hub,
 	queueCap int, heartbeat time.Duration, logf func(string, ...any)) {
 	fl, ok := w.(http.Flusher)
@@ -200,6 +215,9 @@ func pumpEvents(w http.ResponseWriter, r *http.Request, hub *Hub,
 		default:
 			if writeEvent(w, env) != nil {
 				return
+			}
+			if sub.Pending() > 0 {
+				continue // more is queued: it rides in the same flush
 			}
 		}
 		fl.Flush()

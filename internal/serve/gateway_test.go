@@ -443,3 +443,115 @@ func TestSSEWireFormat(t *testing.T) {
 		t.Fatalf("frames missing: id=%v event=%v data=%v hb=%v", sawID, sawEvent, sawData, sawHeartbeat)
 	}
 }
+
+// flushRecorder is a ResponseWriter that counts Flush calls and records
+// how many whole SSE frames had been written at each one.
+type flushRecorder struct {
+	mu      sync.Mutex
+	header  http.Header
+	body    strings.Builder
+	flushes []int // frames ("\n\n"-terminated) in body at each Flush
+}
+
+func (f *flushRecorder) Header() http.Header { return f.header }
+func (f *flushRecorder) WriteHeader(int)     {}
+
+func (f *flushRecorder) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.body.Write(p)
+}
+
+func (f *flushRecorder) Flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushes = append(f.flushes, strings.Count(f.body.String(), "\n\n"))
+}
+
+func (f *flushRecorder) snapshot() (body string, flushes []int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.body.String(), append([]int(nil), f.flushes...)
+}
+
+// TestEventsFlushOnDrainNotPerEnvelope: the pump flushes when the
+// subscriber's queue runs dry — a 200-envelope replay preload costs a
+// constant number of flushes, a lone live envelope still leaves at
+// once — and the frames on the wire are what a per-envelope flush
+// wrote.
+func TestEventsFlushOnDrainNotPerEnvelope(t *testing.T) {
+	const preload = 200
+	hub := NewHub(1024)
+	var alerts []maritime.Alert
+	for i := 0; i < preload; i++ {
+		alerts = append(alerts, maritime.Alert{CE: maritime.CEIllegalShipping, AreaID: "a1", Time: t0, Vessel: uint32(100 + i)})
+	}
+	hub.Publish(t0, alerts)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := &flushRecorder{header: make(http.Header)}
+	req := httptest.NewRequest(http.MethodGet, "/events?after=0", nil).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		EventsHandler(hub, 256, time.Hour, nil)(rec, req)
+	}()
+	waitFor(t, func() bool {
+		_, fl := rec.snapshot()
+		return len(fl) > 0 && fl[len(fl)-1] == preload
+	})
+	_, fl := rec.snapshot()
+	if len(fl) > 3 {
+		t.Fatalf("%d flushes for a %d-envelope preload, want O(1): %v", len(fl), preload, fl)
+	}
+
+	// One live envelope into an idle stream: flushed on its own.
+	hub.Publish(t0.Add(time.Minute), []maritime.Alert{{CE: maritime.CEDangerousShipping, AreaID: "a2", Time: t0, Vessel: 7}})
+	waitFor(t, func() bool {
+		_, now := rec.snapshot()
+		return len(now) == len(fl)+1 && now[len(now)-1] == preload+1
+	})
+	cancel()
+	<-done
+
+	// Byte-identical framing: every frame is what writeEvent renders.
+	var want strings.Builder
+	for _, e := range hub.Ring().Last(0) {
+		if err := writeEvent(&want, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if body, _ := rec.snapshot(); body != want.String() {
+		t.Fatalf("SSE bytes changed with the flush policy:\n got %q\nwant %q", body[:min(len(body), 200)], want.String()[:200])
+	}
+}
+
+// TestReplicaHealthzReportsNotify: the replica's /healthz says whether
+// its tailer is being woken or is polling, beside the keys it always
+// had.
+func TestReplicaHealthzReportsNotify(t *testing.T) {
+	rp := NewReplica(NewHub(8), ReplicaOptions{Name: "r1", Info: func() ReplicaInfo {
+		return ReplicaInfo{Name: "r1", Applied: 7, Lag: 1, Notify: true}
+	}})
+	srv := httptest.NewServer(rp.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Replica map[string]any `json:"replica"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"name", "applied", "lag", "skipped", "notify"} {
+		if _, ok := got.Replica[key]; !ok {
+			t.Errorf("/healthz replica block lacks %q: %v", key, got.Replica)
+		}
+	}
+	if got.Replica["notify"] != true || got.Replica["applied"] != float64(7) {
+		t.Fatalf("/healthz replica block = %v", got.Replica)
+	}
+}

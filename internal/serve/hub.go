@@ -262,11 +262,18 @@ func (h *Hub) Subscribe(f Filter, queueCap int) *Subscriber {
 // The ring serves recent history; with a log attached, history past the
 // ring's retention is replayed from the log (bounded by the queue
 // capacity — older records would only be dropped-oldest out again).
-// Any range retained nowhere is announced with a MarkerReplayTruncated
-// envelope carrying the gap size, never silently skipped.
+// A ring that moved past the replay while it was being read sends the
+// subscribe back to the log for the range in between. Any range retained
+// nowhere is announced with a MarkerReplayTruncated envelope carrying
+// the gap size, never silently skipped.
 func (h *Hub) SubscribeFrom(f Filter, queueCap int, afterSeq uint64) *Subscriber {
 	return h.subscribe(f, queueCap, &afterSeq)
 }
+
+// replayCatchUps bounds how often a resuming subscribe goes back to the
+// log because the ring moved past the replay it had already read; past
+// it the range is announced with a marker instead.
+const replayCatchUps = 3
 
 func (h *Hub) subscribe(f Filter, queueCap int, afterSeq *uint64) *Subscriber {
 	if queueCap <= 0 {
@@ -274,80 +281,106 @@ func (h *Hub) subscribe(f Filter, queueCap int, afterSeq *uint64) *Subscriber {
 	}
 	s := &Subscriber{filter: f, cap: queueCap, hub: h, slot: -1}
 	s.cond = sync.NewCond(&s.mu)
+	if afterSeq == nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.nextID++
+		s.id = h.nextID
+		// A fresh subscriber starts at the current head sequence: a
+		// publish already in flight counts as "before" it.
+		s.lastSeq = h.seq
+		s.slot = h.match.add(s)
+		return s
+	}
+	after := *afterSeq
 
 	// Resuming: fetch the log replay before taking the registry lock —
-	// it reads segment files from disk. Overlap with the ring preload
-	// below is deduplicated by sequence in offer.
+	// it reads segment files from disk.
+	h.mu.Lock()
+	replay := h.replay
+	h.mu.Unlock()
 	var logEnvs []Envelope
-	var logFloor uint64 // first seq the log replay could still deliver
-	if afterSeq != nil {
-		h.mu.Lock()
-		replay := h.replay
-		h.mu.Unlock()
-		if replay != nil {
-			after := *afterSeq
-			// Replaying more than the queue holds is wasted work: the
-			// oldest records would immediately drop out again. Floor the
-			// cursor — reserving one slot for the truncation marker the
-			// floor itself produces, so the marker is never the entry the
-			// overflowing queue evicts — and announce the skipped prefix.
-			if room := uint64(queueCap - 1); replay.LastSeq() > room && after < replay.LastSeq()-room {
-				after = replay.LastSeq() - room
-			}
-			logFloor = after + 1
-			cursor := after
-			for {
-				batch, err := replay.ReadSince(cursor, 4096)
-				if err != nil || len(batch) == 0 {
-					break
-				}
-				logEnvs = append(logEnvs, batch...)
-				cursor = batch[len(batch)-1].Seq
-			}
-			if len(logEnvs) > 0 {
-				logFloor = logEnvs[0].Seq
-			}
+	have := after // everything up to it is replayed, floored away or before the cursor
+	if replay != nil {
+		// Replaying more than the queue holds is wasted work: the
+		// oldest records would immediately drop out again. Floor the
+		// cursor — reserving one slot for the truncation marker the
+		// floor itself produces, so the marker is never the entry the
+		// overflowing queue evicts — and announce the skipped prefix.
+		if tail, room := replay.LastSeq(), uint64(queueCap-1); tail > room && have < tail-room {
+			have = tail - room
 		}
+		logEnvs = readReplay(replay, have, nil)
 	}
 
-	h.mu.Lock()
+	// The ring keeps moving while the log is read: a burst larger than
+	// the ring (one tailer batch on a replica, one dense slide on the
+	// writer) leaves it starting past the replay's last record. The log
+	// is always at or ahead of the ring, so go back to it for the range
+	// in between, and register only once the two are contiguous.
+	var ringEnvs []Envelope
+	for try := 0; ; try++ {
+		if len(logEnvs) > 0 {
+			have = logEnvs[len(logEnvs)-1].Seq
+		}
+		h.mu.Lock()
+		ringEnvs = h.ring.Since(have)
+		if replay == nil || try == replayCatchUps || len(ringEnvs) == 0 || ringEnvs[0].Seq <= have+1 {
+			break
+		}
+		h.mu.Unlock()
+		n := len(logEnvs)
+		if logEnvs = readReplay(replay, have, logEnvs); len(logEnvs) == n {
+			replay = nil // the log cannot close the range either: announce it
+		}
+	}
 	defer h.mu.Unlock()
 	h.nextID++
 	s.id = h.nextID
-	// Seed the duplicate guard with the subscription point: a fresh
-	// subscriber starts at the current head sequence (a publish already
-	// in flight counts as "before" it), a resuming one at its cursor.
-	// Without this, an in-flight publish whose envelopes straddle the
-	// registration could deliver alerts from before the resume point.
-	s.lastSeq = h.seq
-	if afterSeq != nil {
-		after := *afterSeq
-		s.lastSeq = after
-		// The oldest sequence the preloads below can still deliver:
-		// from the log replay when it produced anything, else from the
-		// ring.
-		firstAvail := logFloor
-		if len(logEnvs) == 0 {
-			firstAvail = h.ring.FirstSeq()
+	// Seed the duplicate guard with the resume cursor. Without this, an
+	// in-flight publish whose envelopes straddle the registration could
+	// deliver alerts from before the resume point.
+	s.lastSeq = after
+
+	// Hand over replay then ring, announcing every range retained
+	// nowhere with its size — before the replay (pruned, trimmed or
+	// floored prefix), or between replay and ring (retries exhausted).
+	cursor := after
+	announce := func(upTo uint64) {
+		if upTo > cursor {
+			s.offer([]Envelope{{Seq: upTo, Marker: MarkerReplayTruncated, Missing: upTo - cursor}})
 		}
-		switch {
-		case h.seq <= after:
-			// Nothing new since the cursor; nothing to announce.
-		case firstAvail == 0:
-			// Everything after the cursor is gone (empty ring, no log).
-			s.offer([]Envelope{{Seq: h.seq, Marker: MarkerReplayTruncated, Missing: h.seq - after}})
-		case firstAvail > after+1:
-			// A prefix of the requested range is gone; announce exactly
-			// how much before delivering the surviving tail.
-			s.offer([]Envelope{{Seq: firstAvail - 1, Marker: MarkerReplayTruncated, Missing: firstAvail - 1 - after}})
-		}
-		if len(logEnvs) > 0 {
-			s.offer(logEnvs)
-		}
-		s.offer(h.ring.Since(after))
+	}
+	if len(logEnvs) > 0 {
+		announce(logEnvs[0].Seq - 1)
+		s.offer(logEnvs)
+		cursor = have
+	}
+	switch {
+	case len(ringEnvs) > 0:
+		announce(ringEnvs[0].Seq - 1)
+		s.offer(ringEnvs)
+	case h.ring.Len() == 0:
+		// Empty ring behind a head past the cursor (snapshot restore
+		// without history): everything in between is gone.
+		announce(h.seq)
 	}
 	s.slot = h.match.add(s)
 	return s
+}
+
+// readReplay appends every record after afterSeq the replay source can
+// deliver to dst; a failed read ends the replay where it stands (what
+// is missing is then announced by the caller).
+func readReplay(replay EnvelopeLog, afterSeq uint64, dst []Envelope) []Envelope {
+	for {
+		batch, err := replay.ReadSince(afterSeq, 4096)
+		if err != nil || len(batch) == 0 {
+			return dst
+		}
+		dst = append(dst, batch...)
+		afterSeq = batch[len(batch)-1].Seq
+	}
 }
 
 // remove detaches a closed subscriber, folding its counters into the
@@ -547,6 +580,13 @@ func (s *Subscriber) pop() (Envelope, bool) {
 		s.head = 0
 	}
 	return e, true
+}
+
+// Pending returns how many envelopes are queued for the consumer.
+func (s *Subscriber) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue) - s.head
 }
 
 // Stats snapshots the subscriber's accounting.

@@ -222,3 +222,93 @@ func TestPublishEnvelopesPreservesSeqs(t *testing.T) {
 	requireSeqs(t, drainSub(t, s), 43)
 	s.Close()
 }
+
+// hookLog is a memLog whose ReadSince runs a callback after computing
+// its result — the deterministic stand-in for "the tailer published a
+// burst between the subscribe's log read and its registry lock".
+type hookLog struct {
+	memLog
+	onRead func(result []Envelope)
+}
+
+func (l *hookLog) ReadSince(afterSeq uint64, max int) ([]Envelope, error) {
+	out, err := l.memLog.ReadSince(afterSeq, max)
+	if l.onRead != nil {
+		l.onRead(out)
+	}
+	return out, err
+}
+
+// TestSubscribeFromClosesReplayRingGap is the regression for the
+// replay→ring hand-off: a burst larger than the ring published after
+// the log replay was read but before the registry lock used to leave
+// the ring starting past the replay's last record, and the range in
+// between was neither delivered nor announced. The subscribe must go
+// back to the log for it.
+func TestSubscribeFromClosesReplayRingGap(t *testing.T) {
+	h := NewHub(4)
+	l := &hookLog{}
+	h.AttachLog(l)
+	publishSeqs(h, 10) // log 1..10, ring 7..10
+	fired := false
+	l.onRead = func(result []Envelope) {
+		if len(result) == 0 && !fired {
+			fired = true
+			publishSeqs(h, 10) // log 1..20, ring 17..20: 11..16 only in the log
+		}
+	}
+	s := h.SubscribeFrom(Filter{}, 64, 0)
+	got := drainSub(t, s)
+	want := make([]uint64, 20)
+	for i := range want {
+		want[i] = uint64(i + 1)
+	}
+	requireSeqs(t, got, want...)
+	for _, e := range got {
+		if e.Marker != "" {
+			t.Fatalf("marker %+v with the whole range in the log", e)
+		}
+	}
+	s.Close()
+}
+
+// TestSubscribeFromAnnouncesUnclosableGap: when every catch-up read is
+// overtaken by another burst the retries run out, and the range between
+// the replay and the ring is announced with a marker for exactly that
+// range — never skipped silently.
+func TestSubscribeFromAnnouncesUnclosableGap(t *testing.T) {
+	h := NewHub(4)
+	l := &hookLog{}
+	h.AttachLog(l)
+	publishSeqs(h, 10)
+	l.onRead = func(result []Envelope) {
+		if len(result) == 0 {
+			publishSeqs(h, 10) // every read that believes it caught up is overtaken
+		}
+	}
+	s := h.SubscribeFrom(Filter{}, 4096, 0)
+	got := drainSub(t, s)
+	next := uint64(1)
+	markers := 0
+	for _, e := range got {
+		if e.Marker != "" {
+			markers++
+			if e.Marker != MarkerReplayTruncated || e.Seq != next+e.Missing-1 || e.Missing == 0 {
+				t.Fatalf("marker %+v does not cover exactly the range from %d", e, next)
+			}
+			next = e.Seq + 1
+			continue
+		}
+		if e.Seq != next {
+			t.Fatalf("seq %d after %d: a range was skipped without a marker", e.Seq, next-1)
+		}
+		next++
+	}
+	if markers != 1 {
+		t.Fatalf("got %d markers, want exactly one for the unclosable range", markers)
+	}
+	if head := h.Ring().Last(1)[0].Seq; next != head+1 {
+		t.Fatalf("stream ended at %d, hub head is %d", next-1, head)
+	}
+	s.Close()
+}

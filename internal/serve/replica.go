@@ -20,6 +20,11 @@ type ReplicaInfo struct {
 	// Skipped counts sequences lost to pruning/corruption from this
 	// replica's point of view.
 	Skipped uint64 `json:"skipped"`
+	// Notify reports whether the tailer is woken by the kernel when the
+	// log directory changes (true) or is polling on its back-off ladder
+	// (false: directory missing, or no notification on this platform or
+	// filesystem).
+	Notify bool `json:"notify"`
 }
 
 // ReplicaOptions configures a Replica.
@@ -88,9 +93,7 @@ type replicaHealth struct {
 //	GET /metrics  Prometheus text exposition (when Options.Metrics is set)
 func (rp *Replica) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
-		pumpEvents(w, r, rp.hub, rp.opt.SubscriberQueue, rp.opt.Heartbeat, rp.logf)
-	})
+	mux.HandleFunc("GET /events", EventsHandler(rp.hub, rp.opt.SubscriberQueue, rp.opt.Heartbeat, rp.logf))
 	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, r *http.Request) {
 		n := 0
 		if raw := r.URL.Query().Get("n"); raw != "" {
