@@ -70,7 +70,7 @@ func main() {
 		degrade   = flag.Bool("degrade", false, "shed work under overload (defer archival → instantaneous-only recognition → shed stationary vessels); meaningful for live feeds")
 		degSlide  = flag.Duration("degrade-slide-high", 0, "per-slide cost above which the pipeline degrades (0 = 80% of -slide)")
 		degDepth  = flag.Int("degrade-depth-high", 0, "ingest-backlog depth above which the pipeline degrades (0 = 3/4 of -ingest-buffer)")
-		ingest    = flag.Int("ingest-buffer", 8192, "bounded ingest buffer for live feeds, in fixes (0 = unbuffered)")
+		ingest    = flag.Int("ingest-buffer", 8192, "ingest backlog bound for live feeds, in fixes; beyond it the oldest are dropped and counted (0 = lossless, one slide of read-ahead, backpressure to the feed)")
 		debug     = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address while the run lasts (empty = off)")
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory for crash-safe restart (empty = off)")
 		ckptEvery = flag.Int("checkpoint-every", 6, "slides between checkpoints")
@@ -90,10 +90,9 @@ func main() {
 	if *facts {
 		mode = maritime.SpatialFacts
 	}
-	// ingestBuf is assigned once the live ingest path is built (before
-	// the pipeline starts sliding); the degradation ladder reads its
-	// backlog.
-	var ingestBuf *stream.IngestBuffer
+	// stage is assigned once the ingest path is built (before the
+	// pipeline starts sliding); the degradation ladder reads its backlog.
+	var stage *stream.IngestStage
 	sysCfg := core.Config{
 		Window:          stream.WindowSpec{Range: *window, Slide: *slide},
 		Tracker:         tracker.DefaultParams(),
@@ -115,10 +114,10 @@ func main() {
 			spec.DepthHigh = *ingest * 3 / 4
 		}
 		spec.DepthFunc = func() int {
-			if ingestBuf == nil {
+			if stage == nil {
 				return 0
 			}
-			return ingestBuf.Pending()
+			return stage.Pending()
 		}
 		sysCfg.Degrade = spec
 	}
@@ -181,11 +180,14 @@ func main() {
 	var src stream.FixSource
 	var client *feed.ReconnectingClient
 	var resume *feed.ResumeFilter
+	// Files and simulations are read losslessly; only a live feed gets
+	// the drop-oldest backlog bound.
+	capacity := 0
 	switch {
 	case *live != "":
 		// The reconnecting client survives transport faults: it re-dials
 		// with backoff and resumes from the last fix it saw, and the
-		// bounded ingest buffer keeps a slow slide from exerting
+		// ingest stage's backlog bound keeps a slow slide from exerting
 		// backpressure onto the wire. A restored run seeds the very first
 		// connection with the checkpoint cursor, so the RESUME handshake
 		// skips everything already processed.
@@ -204,17 +206,10 @@ func main() {
 			client.RegisterMetrics(reg)
 		}
 		src = client
-		if *ingest > 0 {
-			ingestBuf = stream.NewIngestBuffer(client, *ingest)
-			defer ingestBuf.Close()
-			if reg != nil {
-				ingestBuf.RegisterMetrics(reg)
-			}
-			src = ingestBuf
-		}
-		sys.AddHealthSource(core.LiveHealthSource(client, ingestBuf))
-		// Graceful shutdown: closing the client ends Scan, the loop
-		// finishes its in-flight batch, and the final checkpoint runs.
+		capacity = *ingest
+		// Graceful shutdown: closing the client ends the stage's Scan,
+		// the loop finishes its in-flight batch, and the final checkpoint
+		// runs.
 		go func() {
 			<-ctx.Done()
 			client.Close()
@@ -265,6 +260,15 @@ func main() {
 	} else {
 		batcher = stream.NewBatcher(src, *slide)
 	}
+	// The ingest stage reads and decodes the source one slide ahead of
+	// the pipeline on its own goroutine.
+	stage = stream.NewIngestStage(batcher, capacity)
+	if reg != nil {
+		stage.RegisterMetrics(reg)
+	}
+	if client != nil {
+		sys.AddHealthSource(core.LiveHealthSource(client, stage))
+	}
 
 	saveCkpt := func(q time.Time, slides int) {
 		snap, err := sys.Snapshot()
@@ -282,11 +286,12 @@ func main() {
 	var recogTime time.Duration
 	var lastQuery, firstTraffic time.Time
 	for {
-		b, ok := batcher.Next()
+		b, ok := stage.Next()
 		if !ok || ctx.Err() != nil {
-			// On interrupt the batch in flight may have been truncated by
-			// the closing source; discard it so the final checkpoint sits
-			// on a complete-slide boundary and the cursor replays it whole.
+			// On interrupt the slides read ahead are discarded — the
+			// newest may have been truncated by the closing source — so
+			// the final checkpoint sits on a complete-slide boundary and
+			// the cursor replays them whole.
 			break
 		}
 		rep := sys.ProcessBatch(b)
@@ -304,9 +309,16 @@ func main() {
 		if mgr != nil && *ckptEvery > 0 && slides%*ckptEvery == 0 {
 			saveCkpt(rep.Query, baseSlides+slides)
 		}
+		stage.Recycle(b)
 	}
 	interrupted := ctx.Err() != nil
-	if err := src.Err(); err != nil {
+	// Stop the stage before reading the source's counters: its goroutine
+	// may be inside Scan, which a live client leaves once closed.
+	if client != nil {
+		client.Close()
+	}
+	stage.Close()
+	if err := stage.Err(); err != nil {
 		log.Fatal(err)
 	}
 	if mgr != nil {

@@ -88,7 +88,7 @@ func main() {
 		degrade   = flag.Bool("degrade", true, "shed work under overload (defer archival → instantaneous-only recognition → shed stationary vessels) and climb back when healthy")
 		degSlide  = flag.Duration("degrade-slide-high", 0, "per-slide cost above which the pipeline degrades (0 = 80% of -slide)")
 		degDepth  = flag.Int("degrade-depth-high", 0, "ingest-backlog depth above which the pipeline degrades (0 = 3/4 of -ingest-buffer)")
-		ingest    = flag.Int("ingest-buffer", 8192, "bounded ingest buffer, in fixes (0 = unbuffered)")
+		ingest    = flag.Int("ingest-buffer", 8192, "ingest backlog bound, in fixes; beyond it the oldest are dropped and counted (0 = lossless, one slide of read-ahead, backpressure to the feed)")
 		ring      = flag.Int("ring", 1024, "alert-history retention for replay and /alerts, in alerts")
 		subQueue  = flag.Int("sub-queue", 256, "per-subscriber queue bound, in alerts (drop-oldest)")
 		debug     = flag.String("debug-addr", "", "sidecar listener for /metrics and /debug/pprof (empty = off; /metrics is always on the main address)")
@@ -127,9 +127,9 @@ func main() {
 	sim := fleetsim.NewSimulator(cfg)
 	vesselsReg, areasReg, ports := core.AdaptWorld(sim)
 
-	// buf is assigned once the ingest path is built (before the pipeline
-	// starts sliding); the degradation ladder reads its backlog.
-	var buf *stream.IngestBuffer
+	// stage is assigned once the ingest path is built (before the
+	// pipeline starts sliding); the degradation ladder reads its backlog.
+	var stage *stream.IngestStage
 	sysCfg := core.Config{
 		Window:          stream.WindowSpec{Range: *window, Slide: *slide},
 		Tracker:         tracker.DefaultParams(),
@@ -151,10 +151,10 @@ func main() {
 			spec.DepthHigh = *ingest * 3 / 4
 		}
 		spec.DepthFunc = func() int {
-			if buf == nil {
+			if stage == nil {
 				return 0
 			}
-			return buf.Pending()
+			return stage.Pending()
 		}
 		sysCfg.Degrade = spec
 	}
@@ -172,7 +172,7 @@ func main() {
 	}
 
 	// One registry covers every tier: pipeline stage timings, hub
-	// fan-out, feed transport, ingest buffer, checkpointing and the Go
+	// fan-out, feed transport, ingest stage, checkpointing and the Go
 	// runtime all land in the same /metrics exposition.
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
@@ -260,7 +260,7 @@ func main() {
 	if feedAddr == "" {
 		// Self-contained mode: an in-process feed server replays the
 		// simulation over loopback, so the ingest path (reconnecting
-		// client, bounded buffer, health accounting) is the same either
+		// client, ingest stage, health accounting) is the same either
 		// way — including the RESUME handshake a restored run performs.
 		srv := &feed.Server{Fixes: sim.Run(), Speedup: *speedup, HandshakeWait: 2 * time.Second}
 		addrCh := make(chan net.Addr, 1)
@@ -283,16 +283,29 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer client.Close()
 	client.RegisterMetrics(reg)
-	var src stream.FixSource = client
-	if *ingest > 0 {
-		buf = stream.NewIngestBuffer(client, *ingest)
-		defer buf.Close()
-		buf.RegisterMetrics(reg)
-		src = buf
+	// The ingest stage reads and decodes the feed one slide ahead of the
+	// pipeline on its own goroutine. On a restored run it continues the
+	// checkpoint's slide grid.
+	var batcher *stream.Batcher
+	var cur feed.Cursor
+	baseSlides := 0
+	if restored != nil {
+		batcher = stream.NewBatcherFrom(client, *slide, restored.Query)
+		cur = restored.Cursor.Clone()
+		baseSlides = restored.Slides
+	} else {
+		batcher = stream.NewBatcher(client, *slide)
 	}
-	sys.AddHealthSource(core.LiveHealthSource(client, buf))
+	stage = stream.NewIngestStage(batcher, *ingest)
+	// The stage's goroutine may be inside client.Scan: close the client
+	// first, then wait for it.
+	defer func() {
+		client.Close()
+		stage.Close()
+	}()
+	stage.RegisterMetrics(reg)
+	sys.AddHealthSource(core.LiveHealthSource(client, stage))
 
 	if *debug != "" {
 		// The debug sidecar binds its own listener so pprof and metrics
@@ -313,8 +326,8 @@ func main() {
 		}
 	}()
 
-	// Graceful shutdown: closing the client ends Scan, the pipeline loop
-	// finishes its in-flight slide, checkpoints, and exits.
+	// Graceful shutdown: closing the client ends the stage's Scan, the
+	// pipeline loop finishes its in-flight slide, checkpoints, and exits.
 	go func() {
 		<-ctx.Done()
 		client.Close()
@@ -325,16 +338,6 @@ func main() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var batcher *stream.Batcher
-		var cur feed.Cursor
-		baseSlides := 0
-		if restored != nil {
-			batcher = stream.NewBatcherFrom(src, *slide, restored.Query)
-			cur = restored.Cursor.Clone()
-			baseSlides = restored.Slides
-		} else {
-			batcher = stream.NewBatcher(src, *slide)
-		}
 		// Checkpoints capture pipeline and hub together under Quiesce, so
 		// no slide is in flight and the two are mutually consistent.
 		saveCkpt := func(q time.Time, slides int) {
@@ -358,12 +361,12 @@ func main() {
 		var slides, alerts int
 		var last, firstTraffic time.Time
 		for {
-			b, ok := batcher.Next()
+			b, ok := stage.Next()
 			if !ok || ctx.Err() != nil {
-				// On interrupt the batch in flight may have been truncated
-				// by the closing client; discard it so the final checkpoint
-				// sits on a complete-slide boundary and the cursor replays
-				// it whole.
+				// On interrupt the slides read ahead are discarded — the
+				// newest may have been truncated by the closing client —
+				// so the final checkpoint sits on a complete-slide boundary
+				// and the cursor replays them whole.
 				break
 			}
 			rep := gw.Process(b)
@@ -380,8 +383,9 @@ func main() {
 			if mgr != nil && *ckptEvery > 0 && slides%*ckptEvery == 0 {
 				saveCkpt(rep.Query, baseSlides+slides)
 			}
+			stage.Recycle(b)
 		}
-		if err := src.Err(); err != nil {
+		if err := stage.Err(); err != nil {
 			log.Printf("feed: %v", err)
 		}
 		if mgr != nil {

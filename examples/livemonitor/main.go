@@ -138,19 +138,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer client.Close()
 	client.RegisterMetrics(reg)
-	buf := stream.NewIngestBuffer(client, 1<<14)
-	defer buf.Close()
-	buf.RegisterMetrics(reg)
-	sys.AddHealthSource(core.LiveHealthSource(client, buf))
+	// The ingest stage reads the feed a slide ahead of the pipeline and
+	// sheds the oldest fixes should the backlog pass 16 Ki.
+	stage := stream.NewIngestStage(stream.NewBatcher(client, window.Slide), 1<<14)
+	defer func() {
+		client.Close()
+		stage.Close()
+	}()
+	stage.RegisterMetrics(reg)
+	sys.AddHealthSource(core.LiveHealthSource(client, stage))
 
-	batcher := stream.NewBatcher(buf, window.Slide)
 	alertCount := 0
 	reported := make(map[[2]uint32]time.Time) // encounter pair → last report
 	var lastQ time.Time
 	for {
-		batch, ok := batcher.Next()
+		batch, ok := stage.Next()
 		if !ok {
 			break
 		}
@@ -172,8 +175,9 @@ func main() {
 			fmt.Printf("COLLISION  %d vs %d: CPA %.0f m in %s near %s\n",
 				e.A, e.B, e.DCPA, e.TCPA.Round(time.Second), e.Where)
 		}
+		stage.Recycle(batch)
 	}
-	if err := buf.Err(); err != nil {
+	if err := stage.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "client:", err)
 	}
 	if *viaSSE {

@@ -423,6 +423,7 @@ func (c *Coordinator) maxDepthLocked() int {
 // recognition, publish, and bind a manifest when this query is a fully
 // reported checkpoint cut.
 func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
+	start := time.Now()
 	rep := core.SlideReport{Query: q}
 	var fresh []tracker.CriticalPoint
 	ckptSeqs := make([]uint64, c.cfg.Workers)
@@ -472,6 +473,9 @@ func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 			slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
 		}
 	}
+	// The slide cost the cluster its slowest worker's slide plus this
+	// merge.
+	rep.Timings.Wall += time.Since(start)
 
 	c.lastMerged = q
 	c.slides++
@@ -569,6 +573,9 @@ func maxTimings(dst *core.Timings, src core.Timings) {
 	}
 	if src.Recognition > dst.Recognition {
 		dst.Recognition = src.Recognition
+	}
+	if src.Wall > dst.Wall {
+		dst.Wall = src.Wall
 	}
 }
 

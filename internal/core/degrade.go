@@ -9,10 +9,10 @@ import (
 )
 
 // Overload-graceful degradation. When the pipeline cannot keep up with
-// the stream — slides take longer than the slide period, or the ingest
-// buffer backs up — the system sheds work in priority order instead of
-// falling behind without bound, and climbs back to full fidelity once
-// the overload clears. The ladder (paper §5.2 discusses load-dependent
+// the stream — slides take longer than the slide period, or ingest
+// runs whole slides ahead — the system sheds work in priority order
+// instead of falling behind without bound, and climbs back to full
+// fidelity once the overload clears. The ladder (paper §5.2 discusses load-dependent
 // processing cost; the shedding order keeps the cheap safety-critical
 // outputs alive longest):
 //
@@ -40,12 +40,13 @@ const (
 // constants for what each rung sheds. The zero value of either trigger
 // disables it.
 type DegradeSpec struct {
-	// SlideHigh is the per-slide pipeline cost above which a slide votes
-	// to climb the ladder. Zero disables the latency trigger.
+	// SlideHigh is the per-slide wall time (Timings.Wall) above which a
+	// slide votes to climb the ladder. Zero disables the latency trigger.
 	SlideHigh time.Duration
 	// DepthHigh is the ingest-backlog depth above which a slide votes to
 	// climb; DepthFunc supplies the current depth (typically
-	// IngestBuffer.Pending). Zero / nil disables the backlog trigger.
+	// stream.IngestStage.Pending: fixes read while a finished slide still
+	// waits for the pipeline). Zero / nil disables the backlog trigger.
 	DepthHigh int
 	DepthFunc func() int
 	// EnterAfter and ExitAfter are the hysteresis: that many consecutive
@@ -132,12 +133,12 @@ func (s *System) DegradationLevel() int {
 	return s.degrader.Level()
 }
 
-// degradeStep runs the ladder once per slide with the slide's total
-// cost, and toggles the tracker-side shedding when the L3 boundary is
+// degradeStep runs the ladder once per slide with the slide's wall
+// time, and toggles the tracker-side shedding when the L3 boundary is
 // crossed.
-func (s *System) degradeStep(total time.Duration) {
+func (s *System) degradeStep(wall time.Duration) {
 	old := s.degrader.Level()
-	lvl := s.degrader.observe(total)
+	lvl := s.degrader.observe(wall)
 	if (lvl >= DegradeShedStationary) != (old >= DegradeShedStationary) {
 		s.tracker.SetShedStationary(lvl >= DegradeShedStationary)
 	}

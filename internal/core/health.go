@@ -34,7 +34,7 @@ type Health struct {
 	// the Data Scanner's cleaning counters with transport and
 	// degradation drops ("overflow", "watchdog").
 	DropsByCause map[string]int
-	// IngestOverflow is the bounded-buffer overflow count (also present
+	// IngestOverflow is the ingest stage's overflow count (also present
 	// in DropsByCause under "overflow").
 	IngestOverflow int
 	// WatchdogTrips counts slides where a pipeline stage exceeded its
@@ -207,10 +207,10 @@ func ScannerHealth(st ais.ScannerStats) Health {
 }
 
 // LiveHealthSource adapts the standard live ingest chain — a
-// reconnecting feed client and an optional bounded ingest buffer — into
-// a Health source for AddHealthSource, so every driver accounts losses
-// the same way.
-func LiveHealthSource(c *feed.ReconnectingClient, buf *stream.IngestBuffer) func() Health {
+// reconnecting feed client and, when the driver has one, the ingest
+// stage reading it — into a Health source for AddHealthSource, so every
+// driver accounts losses the same way.
+func LiveHealthSource(c *feed.ReconnectingClient, stage *stream.IngestStage) func() Health {
 	return func() Health {
 		h := ScannerHealth(c.Stats())
 		ns := c.NetStats()
@@ -220,8 +220,8 @@ func LiveHealthSource(c *feed.ReconnectingClient, buf *stream.IngestBuffer) func
 		h.DialFailures = ns.DialFailures
 		h.Disconnects = ns.Disconnects
 		h.ResumeDupes = ns.ResumeSkipped
-		if buf != nil {
-			if d := buf.Dropped(); d > 0 {
+		if stage != nil {
+			if d := stage.Dropped(); d > 0 {
 				h.IngestOverflow = d
 				if h.DropsByCause == nil {
 					h.DropsByCause = make(map[string]int, 1)
@@ -234,7 +234,7 @@ func LiveHealthSource(c *feed.ReconnectingClient, buf *stream.IngestBuffer) func
 }
 
 // AddHealthSource registers a callback contributing ingest-side
-// counters (feed client, ingest buffer) to the system's Health
+// counters (feed client, ingest stage) to the system's Health
 // snapshots; drivers wire their transport layer in through this.
 func (s *System) AddHealthSource(fn func() Health) {
 	s.healthSources = append(s.healthSources, fn)

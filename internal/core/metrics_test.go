@@ -22,7 +22,9 @@ import (
 // hook wedges partition 0 so the run exercises the mutation paths —
 // trips, lost events and wedged flags — while scrapers hammer Health.
 // The analytics tier is armed so the same scrapes also race the
-// pipeline goroutine's per-slide adds into the per-screen counters.
+// pipeline goroutine's per-slide adds into the per-screen and overlap
+// counters, and the stream arrives through an ingest stage on the same
+// registry so they race both sides' adds into its wait counters too.
 func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -70,13 +72,16 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 		}()
 	}
 
-	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute)
+	stage := stream.NewIngestStage(stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute), 0)
+	defer stage.Close()
+	stage.RegisterMetrics(reg)
 	for {
-		b, ok := batcher.Next()
+		b, ok := stage.Next()
 		if !ok {
 			break
 		}
 		sys.ProcessBatch(b)
+		stage.Recycle(b)
 	}
 	close(stop)
 	scrapers.Wait()
@@ -109,10 +114,20 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	if pairs == 0 {
 		t.Error("a 100-vessel fleet gave the screens no candidate pair")
 	}
-	stage := reg.Histogram("maritime_slide_stage_seconds", "", obs.Labels{"stage": "analytics"}, nil)
-	if stage.Count() == 0 || screenSeconds <= 0 || screenSeconds > stage.Sum() {
+	hist := reg.Histogram("maritime_slide_stage_seconds", "", obs.Labels{"stage": "analytics"}, nil)
+	if hist.Count() == 0 || screenSeconds <= 0 || screenSeconds > hist.Sum() {
 		t.Errorf("screens account for %.6fs, the analytics stage took %.6fs over %d slides",
-			screenSeconds, stage.Sum(), stage.Count())
+			screenSeconds, hist.Sum(), hist.Count())
+	}
+	// Which side waited: an in-memory source outruns the pipeline (which
+	// sat out a 500 ms watchdog on the wedged slide), so ingest did.
+	if w := scraped(`maritime_pipeline_wait_seconds_total{side="ingest"}`); w <= 0 {
+		t.Errorf("ingest side waited %.6fs behind a pipeline that stalled 500 ms", w)
+	}
+	scraped(`maritime_pipeline_wait_seconds_total{side="pipeline"}`)
+	// Both bands ran beside archival and analytics on every slide.
+	if v := scraped("\nmaritime_slide_overlap_seconds_total"); v <= 0 {
+		t.Errorf("overlap = %.6fs with recognition on its own goroutines", v)
 	}
 }
 

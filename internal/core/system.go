@@ -84,18 +84,24 @@ type Config struct {
 }
 
 // Timings breaks one slide's processing cost into the stages of the
-// paper's Figure 10 plus CE recognition.
+// paper's Figure 10 plus CE recognition. The stage fields are busy
+// times: recognition runs beside archival and analytics, so they can
+// add up to more than the slide took, and they leave out the self-heal
+// journaling between them. What the slide cost the pipeline is Wall.
 type Timings struct {
 	Tracking       time.Duration // window update + trajectory event detection
 	Staging        time.Duration // delta points into the staging area
 	Reconstruction time.Duration // trip segmentation
 	Loading        time.Duration // inserting trips into the store
-	Recognition    time.Duration // RTEC query step
+	Recognition    time.Duration // RTEC query step (routing and journaling included)
 	Analytics      time.Duration // cross-vessel pairwise screening
+	// Wall is the measured elapsed time of the slide, from the window
+	// update through the journal re-base (sinks excluded).
+	Wall time.Duration
 }
 
-// Total returns the summed stage costs.
-func (t Timings) Total() time.Duration {
+// busy returns the summed stage busy times.
+func (t Timings) busy() time.Duration {
 	return t.Tracking + t.Staging + t.Reconstruction + t.Loading + t.Recognition + t.Analytics
 }
 
@@ -370,6 +376,7 @@ func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 }
 
 func (s *System) processLocked(b stream.Batch) SlideReport {
+	start := time.Now()
 	rep := SlideReport{Query: b.Query, FixesIn: b.Len()}
 	level := DegradeNone
 	if s.degrader != nil {
@@ -380,28 +387,21 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	recovered := s.recovered
 	s.recovered = nil
 
-	t := time.Now()
 	res := s.tracker.Slide(b)
-	rep.Timings.Tracking = time.Since(t)
+	rep.Timings.Tracking = time.Since(start)
 	rep.CriticalPoints = len(res.Fresh)
 	if s.freshObs != nil {
 		s.freshObs(b.Query, res.Fresh)
 	}
 
-	if !s.cfg.DisableArchival {
-		// At DegradeDeferArchival and above, staging continues (nothing
-		// is lost) but reconstruction+loading are deferred to a healthier
-		// slide or the final drain.
-		doReconstruct := level < DegradeDeferArchival
-		if s.storeJ != nil {
-			s.journalStore(res.Delta, doReconstruct)
-		}
-		if s.storeDown.Load() == partUp {
-			s.runArchival(&rep, res.Delta, doReconstruct)
-		}
-	}
-
+	// The slide result has three consumers that share no state:
+	// recognition (fresh points, as movement events), archival (delta
+	// points) and analytics (fresh points). Recognition is started first;
+	// where it runs on goroutines of its own — under the watchdog, or
+	// partitioned — the other two run here beside it until the join.
+	var join func() ([]maritime.Alert, time.Duration)
 	if s.recognizer != nil || len(s.partitions) > 0 {
+		t := time.Now()
 		var events []rtec.Event
 		if s.recognizer != nil && s.cfg.WatchdogTimeout <= 0 && !s.selfHeal {
 			s.meScratch = maritime.MEStreamInto(s.meScratch[:0], res.Fresh)
@@ -416,25 +416,44 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 		if s.factGen != nil {
 			facts = s.factGen.Facts(events)
 		}
-		t = time.Now()
 		if s.recognizer != nil {
-			rep.Alerts = s.advanceSingle(b.Query, events, facts)
+			join = s.startSingle(b.Query, events, facts)
 		} else {
-			rep.Alerts = s.advancePartitions(b.Query, events, facts)
+			join = s.startPartitions(b.Query, events, facts)
 		}
 		rep.Timings.Recognition = time.Since(t)
 	}
-	if s.analytics != nil {
-		t = time.Now()
-		pair := s.analytics.Slide(b.Query, res.Fresh)
-		rep.Timings.Analytics = time.Since(t)
-		if len(pair) > 0 {
-			// Recognition alerts are already in canonical order; append
-			// the pairwise ones and stable re-sort so ties keep their
-			// emission order on both the single-process and cluster paths.
-			rep.Alerts = append(rep.Alerts, pair...)
-			slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
+
+	if !s.cfg.DisableArchival {
+		// At DegradeDeferArchival and above, staging continues (nothing
+		// is lost) but reconstruction+loading are deferred to a healthier
+		// slide or the final drain.
+		doReconstruct := level < DegradeDeferArchival
+		if s.storeJ != nil {
+			s.journalStore(res.Delta, doReconstruct)
 		}
+		if s.storeDown.Load() == partUp {
+			s.runArchival(&rep, res.Delta, doReconstruct)
+		}
+	}
+	var pair []maritime.Alert
+	if s.analytics != nil {
+		t := time.Now()
+		pair = s.analytics.Slide(b.Query, res.Fresh)
+		rep.Timings.Analytics = time.Since(t)
+	}
+
+	if join != nil {
+		alerts, ran := join()
+		rep.Alerts = alerts
+		rep.Timings.Recognition += ran
+	}
+	if len(pair) > 0 {
+		// Recognition alerts are already in canonical order; append
+		// the pairwise ones and stable re-sort so ties keep their
+		// emission order on both the single-process and cluster paths.
+		rep.Alerts = append(rep.Alerts, pair...)
+		slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
 	}
 	if len(recovered) > 0 {
 		merged := make([]maritime.Alert, 0, len(recovered)+len(rep.Alerts))
@@ -444,8 +463,9 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 		rep.Alerts = merged
 	}
 	s.rebaseJournals()
+	rep.Timings.Wall = time.Since(start)
 	if s.degrader != nil {
-		s.degradeStep(rep.Timings.Total())
+		s.degradeStep(rep.Timings.Wall)
 	}
 	rep.Health = s.Health()
 	if s.metrics != nil {
@@ -471,10 +491,10 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 			}
 		}()
 	}
+	t := time.Now()
 	if h := s.storeHook.Load(); h != nil {
 		(*h)()
 	}
-	t := time.Now()
 	s.store.Stage(delta)
 	rep.Timings.Staging = time.Since(t)
 	if !doReconstruct {
@@ -490,31 +510,40 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 	rep.TripsCompleted = len(trips)
 }
 
-// advanceSingle runs the lone recognizer, under the watchdog when one
-// is configured. With SelfHeal the slide's input is journaled first and
-// a panic inside Advance quarantines the recognizer instead of
-// crashing.
-func (s *System) advanceSingle(q time.Time, events []rtec.Event, facts []maritime.SpatialFact) []maritime.Alert {
+// startSingle begins the slide's recognition on the lone recognizer and
+// returns the join that yields its alerts and how long the recognizer
+// ran. Under the watchdog the recognizer works on a goroutine of its own
+// from here on, so whatever the caller does before the join runs beside
+// it; without one it runs in place, inside the join. With SelfHeal the
+// slide's input is journaled first and a panic inside Advance
+// quarantines the recognizer instead of crashing.
+func (s *System) startSingle(q time.Time, events []rtec.Event, facts []maritime.SpatialFact) func() ([]maritime.Alert, time.Duration) {
 	if s.recJ != nil {
 		s.journalRec(0, q, events, facts)
 	}
 	if s.singleDown.Load() != partUp {
 		s.watchdogLostEvents.Add(int64(len(events)))
-		return nil
+		return func() ([]maritime.Alert, time.Duration) { return nil, 0 }
 	}
 	// Heal may replace s.recognizer between slides; pin the object this
 	// slide runs against so an abandoned goroutine never reads the field
 	// concurrently with a repair.
 	rec := s.recognizer
 	if s.cfg.WatchdogTimeout <= 0 && !s.selfHeal {
-		return rec.Advance(q, events, facts).Alerts
+		return func() ([]maritime.Alert, time.Duration) {
+			t := time.Now()
+			alerts := rec.Advance(q, events, facts).Alerts
+			return alerts, time.Since(t)
+		}
 	}
 	type advResult struct {
 		snap maritime.Snapshot
 		qr   *supervise.Quarantine
+		ran  time.Duration
 	}
-	done := make(chan advResult, 1)
 	advance := func() (out advResult) {
+		t := time.Now()
+		defer func() { out.ran = time.Since(t) }()
 		if s.selfHeal {
 			defer func() {
 				if r := recover(); r != nil {
@@ -528,44 +557,44 @@ func (s *System) advanceSingle(q time.Time, events []rtec.Event, facts []maritim
 		}
 		return advResult{snap: rec.Advance(q, events, facts)}
 	}
+	deliver := func(r advResult) ([]maritime.Alert, time.Duration) {
+		if r.qr != nil {
+			s.quarantineSingle(partPanicked, *r.qr, len(events))
+			return nil, r.ran
+		}
+		return r.snap.Alerts, r.ran
+	}
 	if s.cfg.WatchdogTimeout <= 0 {
 		// Self-heal without a watchdog: run in place, recovering panics.
-		r := advance()
-		if r.qr != nil {
-			s.quarantineSingle(partPanicked, *r.qr, len(events))
-			return nil
-		}
-		return r.snap.Alerts
+		return func() ([]maritime.Alert, time.Duration) { return deliver(advance()) }
 	}
+	launched := time.Now()
+	done := make(chan advResult, 1)
 	go func() { done <- advance() }()
 	timer := time.NewTimer(s.cfg.WatchdogTimeout)
-	defer timer.Stop()
-	deliver := func(r advResult) []maritime.Alert {
-		if r.qr != nil {
-			s.quarantineSingle(partPanicked, *r.qr, len(events))
-			return nil
-		}
-		return r.snap.Alerts
-	}
-	select {
-	case r := <-done:
-		return deliver(r)
-	case <-timer.C:
-		// The result can race the deadline into the select; prefer a
-		// delivery that beat the deadline over declaring a wedge.
+	return func() ([]maritime.Alert, time.Duration) {
+		defer timer.Stop()
 		select {
 		case r := <-done:
 			return deliver(r)
-		default:
+		case <-timer.C:
+			// The result can race the deadline into the select — always,
+			// when archival and analytics outlasted the budget; prefer a
+			// delivery that beat the deadline over declaring a wedge.
+			select {
+			case r := <-done:
+				return deliver(r)
+			default:
+			}
+			// The recognizer overran the slide budget; abandon it (the
+			// goroutine may still be running against its private state, so
+			// it must never be advanced again) and keep the pipeline
+			// moving. With SelfHeal the quarantine is repairable: Heal
+			// rebuilds a fresh recognizer from the journal and re-admits it.
+			s.quarantineSingle(partStalled, stallQuarantine("recognizer"), len(events))
+			s.watchdogTrips.Add(1)
+			return nil, time.Since(launched)
 		}
-		// The recognizer overran the slide budget; abandon it (the
-		// goroutine may still be running against its private state, so it
-		// must never be advanced again) and keep the pipeline moving.
-		// With SelfHeal the quarantine is repairable: Heal rebuilds a
-		// fresh recognizer from the journal and re-admits it.
-		s.quarantineSingle(partStalled, stallQuarantine("recognizer"), len(events))
-		s.watchdogTrips.Add(1)
-		return nil
 	}
 }
 
@@ -576,11 +605,13 @@ func (s *System) advanceSingle(q time.Time, events []rtec.Event, facts []maritim
 // tears it down.
 var recognizerAdvanceHook atomic.Pointer[func(i int)]
 
-// advancePartitions fans the slide's events out to the recognizer of
-// the band each vessel is in and runs all bands in parallel (the MEs
-// are "forwarded to the appropriate processor according to vessel
-// location", paper §5.2).
-func (s *System) advancePartitions(q time.Time, events []rtec.Event, facts []maritime.SpatialFact) []maritime.Alert {
+// startPartitions fans the slide's events out to the recognizer of the
+// band each vessel is in and starts all bands in parallel (the MEs are
+// "forwarded to the appropriate processor according to vessel
+// location", paper §5.2). Whatever the caller does before calling the
+// returned join runs beside the bands; the join collects them under the
+// watchdog and yields the alerts and how long the slowest band ran.
+func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []maritime.SpatialFact) func() ([]maritime.Alert, time.Duration) {
 	n := len(s.partitions)
 	// The routing slots are system-owned scratch reused across slides. A
 	// down partition's slot is abandoned to its goroutine at quarantine
@@ -626,9 +657,11 @@ func (s *System) advancePartitions(q time.Time, events []rtec.Event, facts []mar
 		i    int
 		snap maritime.Snapshot
 		qr   *supervise.Quarantine
+		ran  time.Duration
 	}
 	results := make(chan partResult, n)
 	active := 0
+	launched := time.Now()
 	for i, p := range s.partitions {
 		s.launched[i] = false
 		s.completed[i] = false
@@ -642,73 +675,83 @@ func (s *System) advancePartitions(q time.Time, events []rtec.Event, facts []mar
 				defer func() {
 					if r := recover(); r != nil {
 						qr := newQuarantine(s.recTarget(i), r)
-						results <- partResult{i: i, qr: &qr}
+						results <- partResult{i: i, qr: &qr, ran: time.Since(launched)}
 					}
 				}()
 			}
 			if h := recognizerAdvanceHook.Load(); h != nil {
 				(*h)(i)
 			}
-			results <- partResult{i: i, snap: rec.Advance(q, evs, fs)}
+			snap := rec.Advance(q, evs, fs)
+			results <- partResult{i: i, snap: snap, ran: time.Since(launched)}
 		}(i, p.rec, s.evByPart[i], s.factByPart[i])
 	}
+	var timer *time.Timer
 	var timeout <-chan time.Time
 	if s.cfg.WatchdogTimeout > 0 {
-		timer := time.NewTimer(s.cfg.WatchdogTimeout)
-		defer timer.Stop()
+		timer = time.NewTimer(s.cfg.WatchdogTimeout)
 		timeout = timer.C
 	}
-	collect := func(r partResult) {
-		if r.qr != nil {
-			s.quarantinePartition(r.i, partPanicked, *r.qr)
-			return
+	return func() ([]maritime.Alert, time.Duration) {
+		if timer != nil {
+			defer timer.Stop()
 		}
-		s.snaps[r.i] = r.snap
-		s.completed[r.i] = true
-	}
-	for got := 0; got < active; {
-		select {
-		case r := <-results:
-			collect(r)
-			got++
-		case <-timeout:
-			// A result can race the deadline into the select: when the
-			// pipeline goroutine is scheduled late, both channels are
-			// ready and select picks either. Drain deliveries that beat
-			// the deadline before declaring anyone a straggler — a
-			// partition that answered in time is not wedged.
-			for draining := true; draining && got < active; {
-				select {
-				case r := <-results:
-					collect(r)
-					got++
-				default:
-					draining = false
+		var slowest time.Duration
+		collect := func(r partResult) {
+			slowest = max(slowest, r.ran)
+			if r.qr != nil {
+				s.quarantinePartition(r.i, partPanicked, *r.qr)
+				return
+			}
+			s.snaps[r.i] = r.snap
+			s.completed[r.i] = true
+		}
+		for got := 0; got < active; {
+			select {
+			case r := <-results:
+				collect(r)
+				got++
+			case <-timeout:
+				// A result can race the deadline into the select: when the
+				// pipeline goroutine is scheduled late — or archival and
+				// analytics outlasted the budget — both channels are ready
+				// and select picks either. Drain deliveries that beat the
+				// deadline before declaring anyone a straggler — a
+				// partition that answered in time is not wedged.
+				for draining := true; draining && got < active; {
+					select {
+					case r := <-results:
+						collect(r)
+						got++
+					default:
+						draining = false
+					}
 				}
-			}
-			if got == active {
-				break
-			}
-			// The slide budget is spent: flag every straggler as wedged
-			// and move on with the snapshots that did arrive. With
-			// SelfHeal the quarantine is repairable via Heal.
-			s.watchdogTrips.Add(1)
-			for i, p := range s.partitions {
-				if s.launched[i] && !s.completed[i] && p.down.Load() == partUp {
-					s.quarantinePartition(i, partStalled, stallQuarantine(s.recTarget(i)))
+				if got == active {
+					break
 				}
+				// The slide budget is spent: flag every straggler as
+				// wedged and move on with the snapshots that did arrive.
+				// With SelfHeal the quarantine is repairable via Heal.
+				s.watchdogTrips.Add(1)
+				slowest = time.Since(launched)
+				for i, p := range s.partitions {
+					if s.launched[i] && !s.completed[i] && p.down.Load() == partUp {
+						s.quarantinePartition(i, partStalled, stallQuarantine(s.recTarget(i)))
+					}
+				}
+				got = active
 			}
-			got = active
 		}
-	}
-	var alerts []maritime.Alert
-	for i := range s.snaps {
-		if s.completed[i] {
-			alerts = append(alerts, s.snaps[i].Alerts...)
+		var alerts []maritime.Alert
+		for i := range s.snaps {
+			if s.completed[i] {
+				alerts = append(alerts, s.snaps[i].Alerts...)
+			}
 		}
+		slices.SortStableFunc(alerts, maritime.CompareAlerts)
+		return alerts, slowest
 	}
-	slices.SortStableFunc(alerts, maritime.CompareAlerts)
-	return alerts
 }
 
 // partitionOf returns the index of the band owning longitude lon.

@@ -26,21 +26,18 @@ type fixKey struct {
 
 func keyOf(f ais.Fix) fixKey { return fixKey{mmsi: f.MMSI, sec: f.Time.Unix()} }
 
-// recordingSource captures every fix that flows through it.
-type recordingSource struct {
-	inner stream.FixSource
+// recordingStage captures every fix the ingest stage hands the
+// pipeline: what got past the client and the stage's drop policy.
+type recordingStage struct {
+	*stream.IngestStage
 	fixes []ais.Fix
 }
 
-func (r *recordingSource) Scan() bool {
-	if r.inner.Scan() {
-		r.fixes = append(r.fixes, r.inner.Fix())
-		return true
-	}
-	return false
+func (r *recordingStage) Next() (stream.Batch, bool) {
+	b, ok := r.IngestStage.Next()
+	r.fixes = append(r.fixes, b.Fixes...)
+	return b, ok
 }
-func (r *recordingSource) Fix() ais.Fix { return r.fixes[len(r.fixes)-1] }
-func (r *recordingSource) Err() error   { return r.inner.Err() }
 
 func chaosSystemConfig() core.Config {
 	return core.Config{
@@ -145,14 +142,14 @@ func TestChaosEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	buf := stream.NewIngestBuffer(client, len(fixes)+16)
-	defer buf.Close()
-	rec := &recordingSource{inner: buf}
+	stage := stream.NewIngestStage(stream.NewBatcher(client, 10*time.Minute), len(fixes)+16)
+	defer stage.Close()
+	rec := &recordingStage{IngestStage: stage}
 
 	sys := core.NewSystem(chaosSystemConfig(), vessels, areas, ports)
-	sys.AddHealthSource(core.LiveHealthSource(client, buf))
-	reports := sys.RunAll(stream.NewBatcher(rec, 10*time.Minute))
-	if err := rec.Err(); err != nil {
+	sys.AddHealthSource(core.LiveHealthSource(client, stage))
+	reports := sys.RunAll(rec)
+	if err := stage.Err(); err != nil {
 		t.Fatalf("chaos run ended with error: %v", err)
 	}
 	delivered := rec.fixes
@@ -214,13 +211,20 @@ func TestChaosEndToEnd(t *testing.T) {
 		destCount[k]--
 	}
 	// Truncated lines are the recoverable kind: the resume replays
-	// them, so their fixes must have arrived.
+	// them, so their fixes must have arrived — unless the replayed line
+	// was itself the one in 97 the plan corrupts (where the replay falls
+	// in that cadence depends on how far the client had read when the
+	// reset hit).
 	delivCount := make(map[fixKey]int, len(delivered))
 	for _, f := range delivered {
 		delivCount[keyOf(f)]++
 	}
+	replayDestroyed := make(map[fixKey]bool, len(destroyed))
+	for _, f := range destroyed {
+		replayDestroyed[keyOf(f)] = true
+	}
 	for _, f := range parseFeedLines(t, proxy.TruncatedLines()) {
-		if delivCount[keyOf(f)] == 0 {
+		if delivCount[keyOf(f)] == 0 && !replayDestroyed[keyOf(f)] {
 			t.Errorf("truncated fix MMSI %d at %v was not recovered by the resume", f.MMSI, f.Time)
 		}
 	}

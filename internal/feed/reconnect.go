@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ais"
@@ -93,18 +94,23 @@ type ReconnectingClient struct {
 	// only a truly hung peer trips it. Set before the first Scan.
 	DeadPeerTimeout time.Duration
 
-	mu      sync.Mutex // guards conn, closed, net (Close races Scan)
-	conn    net.Conn
-	closed  bool
+	mu   sync.Mutex // guards conn, net, acc, live (Close races Scan)
+	conn net.Conn
+	// closed is written under mu (Close hands conn over with it) and read
+	// without: Scan checks it once per fix.
+	closed  atomic.Bool
 	closeCh chan struct{}
 	net     NetStats
 
 	scanner *ais.Scanner
 	// acc folds the counters of finished connections; live is a
-	// snapshot of the active scanner's counters, refreshed after each
-	// scan step. Both are guarded by mu so Stats can be sampled from
-	// another goroutine (health probes) while Scan blocks on the wire —
-	// the scanner itself must never be read concurrently.
+	// snapshot of the active scanner's counters, refreshed whenever the
+	// scanner goes back to the connection for more bytes (connReader) —
+	// so it is current whenever Scan blocks on the wire, and at most one
+	// read buffer of lines behind while Scan is decoding. Both are
+	// guarded by mu so Stats can be sampled from another goroutine
+	// (health probes) while Scan runs — the scanner itself must never be
+	// read concurrently.
 	acc  ais.ScannerStats
 	live ais.ScannerStats
 	fix  ais.Fix
@@ -173,9 +179,6 @@ func (c *ReconnectingClient) Scan() bool {
 		}
 		if c.scanner.Scan() {
 			f := c.scanner.Fix()
-			c.mu.Lock()
-			c.live = c.scanner.Stats()
-			c.mu.Unlock()
 			if c.resumeSkip(f) {
 				c.count(func(n *NetStats) { n.ResumeSkipped++ })
 				continue
@@ -227,7 +230,7 @@ func (c *ReconnectingClient) connect(reconnected bool) bool {
 		conn, err := c.dial()
 		if err == nil {
 			c.mu.Lock()
-			if c.closed {
+			if c.closed.Load() {
 				c.mu.Unlock()
 				conn.Close()
 				return false
@@ -238,11 +241,7 @@ func (c *ReconnectingClient) connect(reconnected bool) bool {
 				c.backoff = c.policy.InitialBackoff
 				c.consecFail = 0
 			}
-			var rd io.Reader = conn
-			if c.DeadPeerTimeout > 0 {
-				rd = &timeoutReader{conn: conn, timeout: c.DeadPeerTimeout}
-			}
-			c.scanner = ais.NewScanner(rd)
+			c.scanner = ais.NewScanner(&connReader{c: c, conn: conn, timeout: c.DeadPeerTimeout})
 			if reconnected {
 				c.count(func(n *NetStats) { n.Reconnects++ })
 			}
@@ -281,17 +280,29 @@ func (c *ReconnectingClient) connect(reconnected bool) bool {
 	}
 }
 
-// timeoutReader arms a read deadline before every Read, so a peer that
-// stops sending (data or heartbeats) surfaces as a timeout error
-// instead of blocking the scanner forever.
-type timeoutReader struct {
+// connReader is what the scanner reads the connection through. The
+// scanner only reads when its buffer holds no complete line, so each
+// Read is one buffer refill: it publishes the scanner's counters (one
+// lock per refill instead of one per fix, and current whenever the read
+// blocks) and, with a DeadPeerTimeout, arms the read deadline, so a
+// peer that stops sending (data or heartbeats) surfaces as a timeout
+// error instead of blocking the scanner forever.
+type connReader struct {
+	c       *ReconnectingClient
 	conn    net.Conn
 	timeout time.Duration
 }
 
-func (r *timeoutReader) Read(p []byte) (int, error) {
-	if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
-		return 0, err
+func (r *connReader) Read(p []byte) (int, error) {
+	c := r.c
+	st := c.scanner.Stats() // Read runs inside c.scanner.Scan
+	c.mu.Lock()
+	c.live = st
+	c.mu.Unlock()
+	if r.timeout > 0 {
+		if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
+			return 0, err
+		}
 	}
 	return r.conn.Read(p)
 }
@@ -391,11 +402,11 @@ func (c *ReconnectingClient) count(fn func(*NetStats)) {
 // sleep returns false promptly.
 func (c *ReconnectingClient) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
+	c.closed.Store(true)
 	close(c.closeCh)
 	conn := c.conn
 	c.conn = nil
@@ -406,11 +417,7 @@ func (c *ReconnectingClient) Close() error {
 	return nil
 }
 
-func (c *ReconnectingClient) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
+func (c *ReconnectingClient) isClosed() bool { return c.closed.Load() }
 
 // dropConn closes and forgets the current connection without marking
 // the client closed.

@@ -242,10 +242,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		keys := make([]string, 0, len(f.samples))
-		// Samples are read under the registry lock only for map shape;
-		// values are atomics or pull funcs, safe without it.
+		// Samples are read under the registry lock only for map shape
+		// (its length included: a first-use Counter call inserts
+		// concurrently); values are atomics or pull funcs, safe without it.
 		r.mu.RLock()
+		keys := make([]string, 0, len(f.samples))
 		for k := range f.samples {
 			keys = append(keys, k)
 		}

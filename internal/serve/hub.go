@@ -3,7 +3,7 @@
 // consumers can subscribe to, plus snapshot queries over the tracker,
 // the moving-object store and the pipeline's health. The heart is a
 // fan-out hub with one bounded drop-oldest queue per subscriber (the
-// stream.IngestBuffer policy applied per consumer), so one slow client
+// ingest stage's overflow policy applied per consumer), so one slow client
 // can never stall recognition or other subscribers; every drop is
 // counted and surfaced through /healthz.
 //

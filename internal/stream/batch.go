@@ -71,12 +71,18 @@ func (b Batch) Len() int {
 // Slide intervals with no traffic yield empty batches so that window
 // cadence (and gap detection) is preserved.
 type Batcher struct {
-	src     FixSource
-	slide   time.Duration
+	src   FixSource
+	slide time.Duration
+	// pending is a fix already read that belongs to a slide not yet
+	// open; it is valid while spilled is set.
 	pending ais.Fix
+	spilled bool
+	// started is set once the first query time is fixed: at
+	// construction by NewBatcherFrom, by the first fix otherwise.
 	started bool
 	done    bool
-	query   time.Time
+	query   time.Time // the query time closing the next slide to open
+	open    time.Time // the query time closing the slide being filled
 }
 
 // NewBatcher wraps src with the given slide step. It panics if slide is
@@ -94,106 +100,98 @@ func NewBatcher(src FixSource, slide time.Duration) *Batcher {
 // grid: slides between Q and the first replayed fix still yield empty
 // batches (preserving gap detection), where a plain NewBatcher would
 // re-align to the first fix and silently skip them. start must lie on
-// the original run's slide grid.
+// the original run's slide grid. The source is not read until the first
+// batch is asked for.
 func NewBatcherFrom(src FixSource, slide time.Duration, start time.Time) *Batcher {
 	if slide <= 0 {
 		panic("stream: NewBatcherFrom with non-positive slide")
 	}
-	b := &Batcher{src: src, slide: slide}
+	return &Batcher{src: src, slide: slide, query: start.Add(slide), started: true}
+}
+
+// begin opens the next slide and returns its query time, or false at
+// end of stream. Its fixes are then drawn one by one with more.
+func (b *Batcher) begin() (time.Time, bool) {
+	if b.done {
+		return time.Time{}, false
+	}
+	if !b.spilled {
+		// Only before the first slide: every later slide opens on the
+		// fix that closed its predecessor.
+		if !b.src.Scan() {
+			b.done = true
+			return time.Time{}, false
+		}
+		b.pending, b.spilled = b.src.Fix(), true
+		if !b.started {
+			// Align the first query time to the slide grid so runs with
+			// the same data but different β remain comparable.
+			b.query = b.pending.Time.Truncate(b.slide).Add(b.slide)
+			b.started = true
+		}
+	}
+	b.open = b.query
+	b.query = b.query.Add(b.slide)
+	return b.open, true
+}
+
+// more returns the next fix of the slide begin opened, or false once
+// the slide is complete: the source ended, or the fix just read belongs
+// to a later slide (it is kept for that slide; the slides in between
+// come out empty). Input is assumed to be in non-decreasing timestamp
+// order between batches; a late fix older than the slide's start is
+// still delivered in it (delayed arrival, handled downstream by the
+// window semantics).
+func (b *Batcher) more() (ais.Fix, bool) {
+	if b.spilled {
+		if b.pending.Time.After(b.open) {
+			return ais.Fix{}, false
+		}
+		b.spilled = false
+		return b.pending, true
+	}
 	if !b.src.Scan() {
 		b.done = true
-		return b
+		return ais.Fix{}, false
 	}
-	b.pending = b.src.Fix()
-	b.query = start.Add(slide)
-	b.started = true
-	return b
+	f := b.src.Fix()
+	if f.Time.After(b.open) {
+		b.pending, b.spilled = f, true
+		return ais.Fix{}, false
+	}
+	return f, true
 }
 
 // Next returns the next batch and true, or a zero batch and false at
 // end of stream. Fixes are assigned to batches by timestamp: a batch
-// with query time Q contains fixes with t in (Q-β, Q]. Input is assumed
-// to be in non-decreasing timestamp order between batches; a late fix
-// older than the current batch start is still delivered in the current
-// batch (delayed arrival, handled downstream by the window semantics).
+// with query time Q contains fixes with t in (Q-β, Q].
 func (b *Batcher) Next() (Batch, bool) {
-	if b.done {
+	q, ok := b.begin()
+	if !ok {
 		return Batch{}, false
 	}
-	var out Batch
-	if !b.started {
-		if !b.src.Scan() {
-			b.done = true
-			return Batch{}, false
-		}
-		first := b.src.Fix()
-		// Align the first query time to the slide grid so runs with the
-		// same data but different β remain comparable.
-		b.query = first.Time.Truncate(b.slide).Add(b.slide)
-		b.pending = first
-		b.started = true
+	out := Batch{Query: q}
+	for f, ok := b.more(); ok; f, ok = b.more() {
+		out.Fixes = append(out.Fixes, f)
 	}
-	out.Query = b.query
-	if !b.pending.Time.After(b.query) {
-		out.Fixes = append(out.Fixes, b.pending)
-		for b.src.Scan() {
-			f := b.src.Fix()
-			if f.Time.After(b.query) {
-				b.pending = f
-				b.query = b.query.Add(b.slide)
-				return out, true
-			}
-			out.Fixes = append(out.Fixes, f)
-		}
-		b.done = true
-		return out, true
-	}
-	// The pending fix belongs to a later slide: emit an empty batch.
-	b.query = b.query.Add(b.slide)
 	return out, true
 }
 
 // NextInto is the columnar, allocation-free variant of Next: the next
 // slide's fixes are appended into fb (reset first, capacity retained
 // across slides) and the returned batch references fb via Cols. The
-// batching algorithm — grid alignment, pending spill, empty slides — is
-// identical to Next; only the storage form differs. The returned batch
-// is valid until the next NextInto call recycles fb.
+// batching algorithm is Next's; only the storage form differs. The
+// returned batch is valid until the next NextInto call recycles fb.
 func (b *Batcher) NextInto(fb *ais.FixBatch) (Batch, bool) {
-	if b.done {
+	q, ok := b.begin()
+	if !ok {
 		return Batch{}, false
 	}
 	fb.Reset()
-	var out Batch
-	if !b.started {
-		if !b.src.Scan() {
-			b.done = true
-			return Batch{}, false
-		}
-		first := b.src.Fix()
-		b.query = first.Time.Truncate(b.slide).Add(b.slide)
-		b.pending = first
-		b.started = true
+	for f, ok := b.more(); ok; f, ok = b.more() {
+		fb.Append(f)
 	}
-	out.Query = b.query
-	out.Cols = fb
-	if !b.pending.Time.After(b.query) {
-		fb.Append(b.pending)
-		for b.src.Scan() {
-			f := b.src.Fix()
-			if f.Time.After(b.query) {
-				b.pending = f
-				b.query = b.query.Add(b.slide)
-				return out, true
-			}
-			fb.Append(f)
-		}
-		b.done = true
-		return out, true
-	}
-	// The pending fix belongs to a later slide: emit an empty batch.
-	b.query = b.query.Add(b.slide)
-	return out, true
+	return Batch{Cols: fb, Query: q}, true
 }
 
 // CountBatcher groups a fix source into fixed-size chunks of n fixes,

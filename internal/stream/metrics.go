@@ -2,17 +2,23 @@ package stream
 
 import "repro/internal/obs"
 
-// RegisterMetrics exports the buffer's occupancy and overflow counters.
-// Depth and drops are sampled at scrape time under the buffer's lock,
-// so the gauge reflects the instant the scrape happened rather than a
-// stale copy.
-func (b *IngestBuffer) RegisterMetrics(r *obs.Registry) {
+// RegisterMetrics exports the stage's backlog and overflow counters and
+// which side of the hand-over waits for the other. Depth and drops are
+// sampled at scrape time under the stage's lock, so the gauge reflects
+// the instant the scrape happened rather than a stale copy; the wait
+// counters are added to once per slide by the goroutine that waited.
+func (s *IngestStage) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("maritime_ingest_pending",
-		"Fixes buffered between the feed and the pipeline, awaiting consumption.",
-		nil, func() float64 { return float64(b.Pending()) })
+		"Fixes read while an older finished slide still waits for the pipeline.",
+		nil, func() float64 { return float64(s.Pending()) })
 	r.CounterFunc("maritime_ingest_dropped_total",
-		"Fixes discarded by ingest-buffer overflow (consumer fell behind).",
-		nil, func() float64 { return float64(b.Dropped()) })
+		"Fixes discarded by ingest overflow (the pipeline fell more than the capacity behind).",
+		nil, func() float64 { return float64(s.Dropped()) })
 	r.Gauge("maritime_ingest_capacity",
-		"Ingest buffer capacity in fixes.", nil).Set(float64(b.cap))
+		"Ingest backlog bound in fixes (0 = lossless: one slide of read-ahead, then backpressure).", nil).Set(float64(s.capacity))
+	const waitHelp = "Time one side of the ingest hand-over spent blocked on the other: side=ingest is a finished slide waiting to be taken (the pipeline is the bottleneck), side=pipeline is the pipeline waiting for a slide (feed and decode are)."
+	r.CounterFunc("maritime_pipeline_wait_seconds_total", waitHelp,
+		obs.Labels{"side": "ingest"}, func() float64 { return float64(s.ingestWait.Load()) / 1e9 })
+	r.CounterFunc("maritime_pipeline_wait_seconds_total", waitHelp,
+		obs.Labels{"side": "pipeline"}, func() float64 { return float64(s.pipelineWait.Load()) / 1e9 })
 }
