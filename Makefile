@@ -120,12 +120,13 @@ bench-quick:
 # Allocation-regression guard: the steady-state slide budget
 # (testing.AllocsPerRun gate in the tracker), the zero-allocation
 # zero-copy scanners, the warm ingest stage's recycled slide arrays, the
-# recognition query step over a warm 6 h window and the pairwise
-# screening slide of a warm analytics tier. Run without -race: the race
-# runtime inflates allocation counts and the tests skip themselves under
-# it.
+# recognition query step over a warm 6 h window, the pairwise screening
+# slide of a warm analytics tier and the store fork behind every
+# self-heal re-base (bytes independent of the points staged). Run
+# without -race: the race runtime inflates allocation counts and the
+# tests skip themselves under it.
 check-allocs:
-	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/
+	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs|TestForkAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/ ./internal/mod/
 
 # Full row sets at the default scale (N=1000); see -list for ids.
 experiments:

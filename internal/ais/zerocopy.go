@@ -47,17 +47,35 @@ var dearmorTable = func() (t [256]byte) {
 	return
 }()
 
+// hexTable maps a hexadecimal digit to its value, with 0xFF marking
+// every other byte.
+var hexTable = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
+	}
+	for i := byte(0); i < 10; i++ {
+		t['0'+i] = i
+	}
+	for i := byte(0); i < 6; i++ {
+		t['a'+i], t['A'+i] = 10+i, 10+i
+	}
+	return
+}()
+
 // payloadUint extracts an unsigned MSB-first bit field [start,
 // start+width) from an armored payload, without dearmoring it into a
-// buffer. The payload must already be validated (all characters in the
-// alphabet, field within the bit length).
+// buffer: the six-bit groups covering the field (at most six, for the
+// 30-bit MMSI) are gathered into one word, shifted and masked. The
+// payload must already be validated (all characters in the alphabet,
+// field within the bit length).
 func payloadUint(payload []byte, start, width int) uint64 {
+	end := start + width
+	last := (end - 1) / 6
 	var v uint64
-	for i := start; i < start+width; i++ {
-		c := dearmorTable[payload[i/6]]
-		v = v<<1 | uint64((c>>(5-i%6))&1)
+	for _, c := range payload[start/6 : last+1] {
+		v = v<<6 | uint64(dearmorTable[c])
 	}
-	return v
+	return v >> uint((last+1)*6-end) & (1<<uint(width) - 1)
 }
 
 // payloadInt extracts a signed two's-complement field.
@@ -96,8 +114,8 @@ func (s *Scanner) consumeNMEABytes(prefix, sentence []byte) (Fix, bool) {
 		return Fix{}, false
 	}
 	body := sentence[1:star]
-	wantSum, err := strconv.ParseUint(unsafeString(sentence[star+1:star+3]), 16, 8)
-	if err != nil {
+	hi, lo := hexTable[sentence[star+1]], hexTable[sentence[star+2]]
+	if hi == 0xFF || lo == 0xFF {
 		s.stats.Malformed++ // unparsable checksum
 		return Fix{}, false
 	}
@@ -105,7 +123,7 @@ func (s *Scanner) consumeNMEABytes(prefix, sentence []byte) (Fix, bool) {
 	for _, c := range body {
 		sum ^= c
 	}
-	if sum != byte(wantSum) {
+	if sum != hi<<4|lo {
 		s.stats.BadChecksum++
 		return Fix{}, false
 	}

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -67,10 +67,12 @@ type storeSlide struct {
 	reconstruct bool
 }
 
-// storeJournal is the MOD store's repair journal: its framed snapshot
-// plus the delta batches staged since.
+// storeJournal is the MOD store's repair journal: a fork of the store
+// (mod.MOD.Fork: shared points and trips, nothing encoded) plus the
+// delta batches staged since. The base is never staged into; a repair
+// forks it again.
 type storeJournal struct {
-	base   []byte
+	base   *mod.MOD
 	slides []storeSlide
 }
 
@@ -95,7 +97,7 @@ func (s *System) initSelfHeal(vessels []maritime.Vessel, areas []maritime.Area, 
 		}
 	}
 	if !s.cfg.DisableArchival {
-		s.storeJ = &storeJournal{base: s.storeBytes()}
+		s.storeJ = &storeJournal{base: s.store.Fork()}
 	}
 }
 
@@ -124,17 +126,6 @@ func (s *System) recTarget(i int) string {
 	return fmt.Sprintf("recognizer/%d", i)
 }
 
-// storeBytes frames the store's snapshot; an encoding failure (never
-// seen in practice — the writer is a buffer) yields nil, which restore
-// treats as an empty store.
-func (s *System) storeBytes() []byte {
-	var buf bytes.Buffer
-	if err := s.store.SaveSnapshot(&buf); err != nil {
-		return nil
-	}
-	return buf.Bytes()
-}
-
 // newQuarantine captures a recovered panic into a quarantine record.
 func newQuarantine(target string, v any) supervise.Quarantine {
 	return supervise.Quarantine{
@@ -152,15 +143,14 @@ func stallQuarantine(target string) supervise.Quarantine {
 }
 
 // journalRec appends one input slide to recognizer i's journal,
-// discarding (and accounting) the oldest slide at the cap.
+// evicting (and accounting) exactly the oldest slide at the cap.
 func (s *System) journalRec(i int, q time.Time, events []rtec.Event, facts []maritime.SpatialFact) {
 	j := &s.recJ[i]
 	if s.recDown(i) == partFailed {
 		return
 	}
 	if len(j.slides) >= s.journalCap {
-		j.slides = append(j.slides[:0], j.slides[1:]...)
-		j.slides = j.slides[:len(j.slides)-1]
+		j.slides = slices.Delete(j.slides, 0, 1)
 		if j.downFrom > 0 {
 			j.downFrom--
 		}
@@ -173,15 +163,15 @@ func (s *System) journalRec(i int, q time.Time, events []rtec.Event, facts []mar
 	})
 }
 
-// journalStore appends one archival input slide to the store journal.
+// journalStore appends one archival input slide to the store journal,
+// evicting (and accounting) exactly the oldest slide at the cap.
 func (s *System) journalStore(delta []tracker.CriticalPoint, reconstruct bool) {
 	j := s.storeJ
 	if s.storeDown.Load() == partFailed {
 		return
 	}
 	if len(j.slides) >= s.journalCap {
-		j.slides = append(j.slides[:0], j.slides[1:]...)
-		j.slides = j.slides[:len(j.slides)-1]
+		j.slides = slices.Delete(j.slides, 0, 1)
 		s.journalGaps.Add(1)
 	}
 	j.slides = append(j.slides, storeSlide{
@@ -244,6 +234,7 @@ func (s *System) rebaseJournals() {
 	if !s.selfHeal {
 		return
 	}
+	t := time.Now()
 	for i := range s.recJ {
 		j := &s.recJ[i]
 		if j.downFrom >= 0 || s.recDown(i) != partUp || len(j.slides) < s.journalEvery {
@@ -252,19 +243,18 @@ func (s *System) rebaseJournals() {
 		j.base = s.recAt(i).Snapshot()
 		j.slides = j.slides[:0]
 	}
+	mid := time.Now()
+	s.rebaseRecNanos.Add(int64(mid.Sub(t)))
 	if s.storeJ != nil && s.storeDown.Load() == partUp && len(s.storeJ.slides) >= s.journalEvery {
 		s.rebaseStore()
+		s.rebaseStoreNanos.Add(int64(time.Since(mid)))
 	}
 }
 
-// rebaseStore swaps the store journal's base for a fresh snapshot; on a
-// (theoretical) encoding failure the old base and slides are kept.
+// rebaseStore swaps the store journal's base for a fork of the store as
+// it is now.
 func (s *System) rebaseStore() {
-	var buf bytes.Buffer
-	if err := s.store.SaveSnapshot(&buf); err != nil {
-		return
-	}
-	s.storeJ.base = buf.Bytes()
+	s.storeJ.base = s.store.Fork()
 	s.storeJ.slides = s.storeJ.slides[:0]
 }
 
@@ -411,9 +401,10 @@ func (s *System) healRecognizer(i int) (err error) {
 	return nil
 }
 
-// healStore rebuilds the MOD store from its journal base and replays
-// the staged deltas, reproducing the same reconstruction boundaries the
-// live path used.
+// healStore rebuilds the MOD store from a fork of its journal base and
+// replays the staged deltas, reproducing the same reconstruction
+// boundaries the live path used. The base itself stays untouched, so a
+// replay that panics can be retried.
 func (s *System) healStore() (err error) {
 	if d := s.storeDown.Load(); d != partStalled && d != partPanicked {
 		return errors.New("core: store is not quarantined")
@@ -423,12 +414,7 @@ func (s *System) healStore() (err error) {
 			err = fmt.Errorf("core: replaying store panicked: %v", r)
 		}
 	}()
-	st := mod.New(s.ports)
-	if len(s.storeJ.base) > 0 {
-		if err := st.RestoreSnapshot(bytes.NewReader(s.storeJ.base)); err != nil {
-			return fmt.Errorf("core: restoring store journal base: %w", err)
-		}
-	}
+	st := s.storeJ.base.Fork()
 	for _, sl := range s.storeJ.slides {
 		st.Stage(sl.delta)
 		if sl.reconstruct {
@@ -438,6 +424,7 @@ func (s *System) healStore() (err error) {
 	s.store = st
 	s.storeDown.Store(partUp)
 	s.storeInfo = supervise.Quarantine{}
+	s.noteStaged()
 	s.rebaseStore()
 	s.restores.Add(1)
 	return nil

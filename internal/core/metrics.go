@@ -100,6 +100,18 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_journal_gap_slides_total",
 		"Self-heal journal slides discarded by the retention cap (lost to replay, accounted in Health.ReplayGapSlides).", nil,
 		func() float64 { return float64(s.journalGaps.Load()) })
+	r.GaugeFunc("maritime_mod_staged_points",
+		"Critical points in the store's staging area, not yet part of a reconstructed trip (the paper's Table 4 \"remaining in staging\"), as of the last archival step.", nil,
+		func() float64 { return float64(s.stagedPoints.Load()) })
+	r.CounterFunc("maritime_mod_reconstruct_scanned_points_total",
+		"Staged points trip reconstruction has examined. Healthy archival scans what was staged since the previous slide; a rate near maritime_mod_staged_points per slide means it is rescanning the staging area.", nil,
+		func() float64 { return float64(s.scannedPoints.Load()) })
+	for target, nanos := range map[string]*atomic.Int64{"store": &s.rebaseStoreNanos, "recognizer": &s.rebaseRecNanos} {
+		r.CounterFunc("maritime_selfheal_rebase_seconds_total",
+			"Pipeline-goroutine time spent re-basing self-heal journals (forking the store, snapshotting recognizers), once per journal cadence.",
+			obs.Labels{"target": target},
+			func() float64 { return float64(nanos.Load()) / 1e9 })
+	}
 	r.GaugeFunc("maritime_degradation_level",
 		"Current rung of the overload degradation ladder (0 = full pipeline).", nil,
 		func() float64 { return float64(s.DegradationLevel()) })

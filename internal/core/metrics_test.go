@@ -98,14 +98,7 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	scraped := func(series string) (v float64) {
-		if i := strings.Index(out, series+" "); i < 0 {
-			t.Errorf("scrape missing %s", series)
-		} else if _, err := fmt.Sscan(out[i+len(series)+1:], &v); err != nil {
-			t.Errorf("%s: %v", series, err)
-		}
-		return v
-	}
+	scraped := func(series string) float64 { return scrapedValue(t, out, series) }
 	var screenSeconds, pairs float64
 	for _, screen := range analytics.Screens {
 		screenSeconds += scraped(`maritime_analytics_screen_seconds_total{screen="` + screen + `"}`)
@@ -129,6 +122,19 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	if v := scraped("\nmaritime_slide_overlap_seconds_total"); v <= 0 {
 		t.Errorf("overlap = %.6fs with recognition on its own goroutines", v)
 	}
+}
+
+// scrapedValue reads one series' value out of a text exposition; series
+// is matched as written, so lead it with "\n" when it is a suffix of
+// another series' name.
+func scrapedValue(t *testing.T, out, series string) (v float64) {
+	t.Helper()
+	if i := strings.Index(out, series+" "); i < 0 {
+		t.Errorf("scrape missing %s", series)
+	} else if _, err := fmt.Sscan(out[i+len(series)+1:], &v); err != nil {
+		t.Errorf("%s: %v", series, err)
+	}
+	return v
 }
 
 // TestPartitionOfBoundaries pins the band-ownership rule: bounds are

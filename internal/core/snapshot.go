@@ -150,6 +150,7 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 		p.info = supervise.Quarantine{}
 	}
 	s.recovered = nil
+	s.noteStaged()
 	// Lenient on both sides: a snapshot without analytics state resets
 	// the tier, and analytics state restored into a system without the
 	// tier is ignored — checkpoints stay portable across the tier being
@@ -164,7 +165,7 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 			s.recJ[i] = recJournal{base: s.recAt(i).Snapshot(), downFrom: -1}
 		}
 		if s.storeJ != nil {
-			*s.storeJ = storeJournal{base: s.storeBytes()}
+			*s.storeJ = storeJournal{base: s.store.Fork()}
 		}
 	}
 	return nil

@@ -199,6 +199,15 @@ type System struct {
 	degradedDrops   atomic.Int64
 	storeHook       atomic.Pointer[func()]
 
+	// Archival and re-base accounting, written by the pipeline goroutine
+	// and loaded by scrapes: points awaiting a trip as of the last
+	// archival step, points Reconstruct has examined, and time spent
+	// re-basing the store's and the recognizers' journals.
+	stagedPoints     atomic.Int64
+	scannedPoints    atomic.Int64
+	rebaseStoreNanos atomic.Int64
+	rebaseRecNanos   atomic.Int64
+
 	// Overload degradation ladder (Config.Degrade); see degrade.go.
 	degrader *degrader
 
@@ -497,11 +506,14 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 	}
 	s.store.Stage(delta)
 	rep.Timings.Staging = time.Since(t)
+	defer s.noteStaged()
 	if !doReconstruct {
 		return
 	}
 	t = time.Now()
+	scanned := s.store.ScannedPoints()
 	trips := s.store.Reconstruct()
+	s.scannedPoints.Add(int64(s.store.ScannedPoints() - scanned))
 	rep.Timings.Reconstruction = time.Since(t)
 
 	t = time.Now()
@@ -509,6 +521,9 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 	rep.Timings.Loading = time.Since(t)
 	rep.TripsCompleted = len(trips)
 }
+
+// noteStaged publishes the store's staged-point count for scrapes.
+func (s *System) noteStaged() { s.stagedPoints.Store(int64(s.store.StagedCount())) }
 
 // startSingle begins the slide's recognition on the lone recognizer and
 // returns the join that yields its alerts and how long the recognizer

@@ -10,6 +10,8 @@ package mod
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,11 +89,26 @@ type MOD struct {
 	ports []PortArea
 
 	// staging holds per-vessel delta critical points not yet assigned to
-	// a completed trip, in time order (the paper's staging table).
+	// a completed trip, in time order (the paper's staging table). A
+	// staged point is never modified: a vessel's slice only grows by
+	// append or is replaced by a fresh copy of its unassigned tail, which
+	// is what lets Fork share the points. staged is their running count.
 	staging map[uint32][]tracker.CriticalPoint
+	staged  int
 	// origin tracks the port the vessel departed from, once known.
 	origin map[uint32]string
 
+	// unscanned maps every vessel staged into since the last Reconstruct
+	// to the index of its first staged point that no Reconstruct has
+	// examined yet. It is derived state, not part of a snapshot: a scan
+	// from index 0 finds the same trips (the retained anchor re-yields a
+	// one-point segment and the same origin), only slower. scanned counts
+	// the points examined over the store's lifetime.
+	unscanned map[uint32]int
+	scanned   int
+
+	// trips and byVessel only grow by append, and a loaded trip is never
+	// modified.
 	trips    []*Trip
 	byVessel map[uint32][]*Trip
 }
@@ -103,35 +120,68 @@ const minTripDistance = 2000.0 // meters
 // New returns an empty store segmenting against the given ports.
 func New(ports []PortArea) *MOD {
 	return &MOD{
-		ports:    ports,
-		staging:  make(map[uint32][]tracker.CriticalPoint),
-		origin:   make(map[uint32]string),
-		byVessel: make(map[uint32][]*Trip),
+		ports:     ports,
+		staging:   make(map[uint32][]tracker.CriticalPoint),
+		origin:    make(map[uint32]string),
+		unscanned: make(map[uint32]int),
+		byVessel:  make(map[uint32][]*Trip),
 	}
+}
+
+// Fork returns an independent store over the same ports holding m's
+// current contents, in time proportional to the number of vessels, not
+// points: the maps are cloned and every slice is shared as a prefix
+// whose capacity is clamped to its length. Staged points and loaded
+// trips are never modified, the fork's first append to a slice moves it
+// to an array of its own, and m's appends land past the fork's length —
+// so neither store ever writes memory the other can read.
+func (m *MOD) Fork() *MOD {
+	f := &MOD{
+		ports:     m.ports,
+		staging:   maps.Clone(m.staging),
+		staged:    m.staged,
+		origin:    maps.Clone(m.origin),
+		unscanned: maps.Clone(m.unscanned),
+		scanned:   m.scanned,
+		trips:     slices.Clip(m.trips),
+		byVessel:  maps.Clone(m.byVessel),
+	}
+	for mmsi, pts := range f.staging {
+		f.staging[mmsi] = slices.Clip(pts)
+	}
+	for mmsi, trips := range f.byVessel {
+		f.byVessel[mmsi] = slices.Clip(trips)
+	}
+	return f
 }
 
 // Stage appends a batch of expired critical points to the staging area.
 // Points must arrive in per-vessel time order, which the tracker's delta
 // stream guarantees.
 func (m *MOD) Stage(points []tracker.CriticalPoint) {
-	for _, cp := range points {
-		m.staging[cp.MMSI] = append(m.staging[cp.MMSI], cp)
+	for i := range points {
+		mmsi := points[i].MMSI
+		pts := m.staging[mmsi]
+		if _, ok := m.unscanned[mmsi]; !ok {
+			m.unscanned[mmsi] = len(pts)
+		}
+		m.staging[mmsi] = append(pts, points[i])
 	}
+	m.staged += len(points)
 }
 
 // StagedCount returns the number of critical points awaiting assignment
 // to a trajectory.
-func (m *MOD) StagedCount() int {
-	n := 0
-	for _, pts := range m.staging {
-		n += len(pts)
-	}
-	return n
-}
+func (m *MOD) StagedCount() int { return m.staged }
+
+// ScannedPoints returns how many staged points Reconstruct has examined
+// over the store's lifetime. It grows by what was staged since the
+// previous Reconstruct, not by what is staged.
+func (m *MOD) ScannedPoints() int { return m.scanned }
 
 // portOfStop returns the port containing a long-term-stop critical
 // point, or "".
-func (m *MOD) portOfStop(cp tracker.CriticalPoint) string {
+func (m *MOD) portOfStop(cp *tracker.CriticalPoint) string {
 	if cp.Type != tracker.EventStopStart && cp.Type != tracker.EventStopEnd {
 		return ""
 	}
@@ -143,25 +193,32 @@ func (m *MOD) portOfStop(cp tracker.CriticalPoint) string {
 	return ""
 }
 
-// Reconstruct processes the staging area: it scans each vessel's staged
-// points for long-term stops located inside port polygons and closes a
-// trip whenever a new destination port is identified (paper §3.2). The
-// completed trips are returned for a subsequent Load; points that do
-// not yet belong to a completed trip remain staged ("open-ended
-// trips").
+// Reconstruct processes the staging area: it scans the points staged
+// since the previous call for long-term stops located inside port
+// polygons and closes a trip whenever a new destination port is
+// identified (paper §3.2). The completed trips are returned for a
+// subsequent Load, ordered by vessel and then time; points that do not
+// yet belong to a completed trip remain staged ("open-ended trips").
+//
+// Only vessels staged into since the previous call are visited, each
+// from its first unexamined point: everything before that is the
+// retained anchor of the open segment followed by points already found
+// not to close it.
 func (m *MOD) Reconstruct() []*Trip {
 	var completed []*Trip
-	mmsis := make([]uint32, 0, len(m.staging))
-	for mmsi := range m.staging {
+	mmsis := make([]uint32, 0, len(m.unscanned))
+	for mmsi := range m.unscanned {
 		mmsis = append(mmsis, mmsi)
 	}
-	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
+	slices.Sort(mmsis)
 
 	for _, mmsi := range mmsis {
 		pts := m.staging[mmsi]
+		from := m.unscanned[mmsi]
+		m.scanned += len(pts) - from
 		cursor := 0 // start of the segment being assembled
-		for i, cp := range pts {
-			port := m.portOfStop(cp)
+		for i := from; i < len(pts); i++ {
+			port := m.portOfStop(&pts[i])
 			if port == "" {
 				continue
 			}
@@ -172,7 +229,7 @@ func (m *MOD) Reconstruct() []*Trip {
 				Dest:   port,
 				Points: append([]tracker.CriticalPoint(nil), segment...),
 				Start:  segment[0].Time,
-				End:    cp.Time,
+				End:    pts[i].Time,
 			}
 			if len(trip.Points) >= 2 && trip.DistanceMeters() >= minTripDistance {
 				completed = append(completed, trip)
@@ -184,10 +241,12 @@ func (m *MOD) Reconstruct() []*Trip {
 			cursor = i
 		}
 		if cursor > 0 {
-			// Keep only the unassigned tail staged.
+			// Keep only the unassigned tail staged, in an array of its own.
 			m.staging[mmsi] = append(pts[:0:0], pts[cursor:]...)
+			m.staged -= cursor
 		}
 	}
+	clear(m.unscanned)
 	return completed
 }
 

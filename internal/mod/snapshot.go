@@ -89,6 +89,14 @@ func (m *MOD) RestoreSnapshot(r io.Reader) error {
 		trips = append(trips, &t)
 		byVessel[t.MMSI] = append(byVessel[t.MMSI], &t)
 	}
+	// The scan position is not serialized: every staged vessel is
+	// examined from its first point by the next Reconstruct.
+	m.unscanned = make(map[uint32]int, len(staging))
+	m.staged = 0
+	for mmsi, pts := range staging {
+		m.unscanned[mmsi] = 0
+		m.staged += len(pts)
+	}
 	m.staging = staging
 	m.origin = origin
 	m.trips = trips
