@@ -40,6 +40,9 @@ type pipelineMetrics struct {
 	// scrape can load at any time.
 	defNanos map[string]*atomic.Int64
 	defLast  [][]time.Duration
+	// memoryEvents is the events the in-service recognizers' working
+	// memories held after the last slide, set alongside the definitions.
+	memoryEvents atomic.Int64
 
 	// Per-screen cost of the pairwise analytics tier, indexed like
 	// analytics.Screens: the pipeline goroutine adds each slide's
@@ -144,6 +147,9 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 				obs.Labels{"definition": def.Name},
 				func() float64 { return float64(nanos.Load()) / 1e9 })
 		}
+		r.GaugeFunc("maritime_recognition_working_memory_events",
+			"Events in the RTEC working memories of the in-service recognizers after the last slide: the window every query step ranges over, so definition seconds can be read per event.", nil,
+			func() float64 { return float64(s.metrics.memoryEvents.Load()) })
 	}
 	if s.analytics != nil {
 		for i, screen := range analytics.Screens {
@@ -162,16 +168,20 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 }
 
 // observeDefinitions adds each in-service recognizer's evaluation time
-// since its previous reading to the per-definition counters. A
-// recognizer that is down is skipped — an abandoned goroutine may still
-// be inside its engine — and one rebuilt by Heal reads from zero again.
+// since its previous reading to the per-definition counters and sets the
+// working-memory gauge to their summed sizes. A recognizer that is down
+// is skipped — an abandoned goroutine may still be inside its engine —
+// and one rebuilt by Heal reads from zero again.
 func (s *System) observeDefinitions() {
 	m := s.metrics
+	events := 0
 	for i, last := range m.defLast {
 		if s.recDown(i) != partUp {
 			continue
 		}
-		for j, def := range s.recAt(i).Engine().Stats().Definitions {
+		engine := s.recAt(i).Engine()
+		events += engine.WorkingMemorySize()
+		for j, def := range engine.Stats().Definitions {
 			spent := def.Time - last[j]
 			if spent < 0 {
 				spent = def.Time
@@ -180,6 +190,7 @@ func (s *System) observeDefinitions() {
 			last[j] = def.Time
 		}
 	}
+	m.memoryEvents.Store(int64(events))
 }
 
 // observeScreens adds one slide's per-screen analytics cost to the

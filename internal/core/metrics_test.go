@@ -122,6 +122,17 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	if v := scraped("\nmaritime_slide_overlap_seconds_total"); v <= 0 {
 		t.Errorf("overlap = %.6fs with recognition on its own goroutines", v)
 	}
+	// The window a step ranges over: the in-service band's working
+	// memory — the wedged band is out of service and not counted.
+	held := 0
+	for i := range sys.partitions {
+		if sys.recDown(i) == partUp {
+			held += sys.recAt(i).Engine().WorkingMemorySize()
+		}
+	}
+	if v := scraped("\nmaritime_recognition_working_memory_events"); v != float64(held) || held == 0 {
+		t.Errorf("working-memory gauge = %v, the in-service recognizers hold %d events", v, held)
+	}
 }
 
 // scrapedValue reads one series' value out of a text exposition; series

@@ -1,6 +1,8 @@
 package expbench
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -208,12 +210,26 @@ func TestFig11aShape(t *testing.T) {
 func TestFig11TwoProcessorsNotSlower(t *testing.T) {
 	wl := shortWL(t)
 	slides, queries := MESlides(wl, time.Hour)
-	one := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 1}, slides, queries)
-	two := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 2}, slides, queries)
-	// Timing noise at CI scale: allow slack, but parallel recognition
-	// must not be systematically slower than sequential.
-	if two.MeanStep > one.MeanStep*3/2 {
-		t.Errorf("2 processors (%v) much slower than 1 (%v)", two.MeanStep, one.MeanStep)
+	// Timing noise at CI scale: one run's mean is seven sub-millisecond
+	// steps, which a collection landing in one of them doubles, and on a
+	// shared two-core box a busy neighbour slows the two-goroutine side
+	// most. So the collector is held off while timing, the sides
+	// alternate, each keeps its best of three runs, and there is slack —
+	// parallel recognition must not be systematically slower than
+	// sequential.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var best [3]time.Duration // by processor count
+	for i := 0; i < 3; i++ {
+		for _, procs := range []int{1, 2} {
+			row := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: procs}, slides, queries)
+			if i == 0 || row.MeanStep < best[procs] {
+				best[procs] = row.MeanStep
+			}
+		}
+	}
+	if one, two := best[1], best[2]; two > one*3/2 {
+		t.Errorf("2 processors (%v) much slower than 1 (%v)", two, one)
 	}
 }
 

@@ -113,6 +113,24 @@ func (o *naiveRecognizer) activeNear(ctx *rtec.Ctx, fluent, startME string, kind
 	return n
 }
 
+// activeNearScan is the per-firing holder scan the count fluents
+// replaced: every vessel holding the fluent at t (fishing vessels only,
+// if asked), located by its latest start ME at or before t, counts when
+// that start was close to the area.
+func (r *Recognizer) activeNearScan(ctx *rtec.Ctx, fluent, startME string, kind AreaKind, fishingOnly bool, areaID string, t rtec.Timepoint) int {
+	n := 0
+	for entity, v := range r.vessels {
+		if !ctx.HoldsAt(fluent, entity, rtec.True, t) || fishingOnly && !v.Fishing {
+			continue
+		}
+		ev, ok := lastPositionedEvent(ctx, entity, t, startME)
+		if ok && slices.Contains(r.proximity(ev, kind), areaID) {
+			n++
+		}
+	}
+	return n
+}
+
 func (o *naiveRecognizer) install() {
 	o.engine.DeclareInputFluent(rtec.InputFluent{Name: "stopped", StartEvent: MEStopStart, EndEvent: MEStopEnd})
 	o.engine.DeclareInputFluent(rtec.InputFluent{Name: "lowSpeed", StartEvent: MESlowStart, EndEvent: MESlowEnd})
@@ -206,7 +224,9 @@ func (o *naiveRecognizer) install() {
 func (o *naiveRecognizer) advance(q time.Time, events []rtec.Event, facts []SpatialFact) Snapshot {
 	for _, f := range facts {
 		at := SpatialFact{Vessel: f.Vessel, Time: f.Time}
-		o.facts[at] = append(o.facts[at], f.AreaID)
+		if !slices.Contains(o.facts[at], f.AreaID) {
+			o.facts[at] = append(o.facts[at], f.AreaID)
+		}
 	}
 	res := o.engine.Advance(q.Unix(), events)
 	snap := Snapshot{Query: q, Intervals: make(map[rtec.FluentKey]rtec.IntervalList)}
@@ -383,5 +403,123 @@ func TestRecognizerStateStaysBounded(t *testing.T) {
 	}
 	if got := len(rec.Snapshot().Seen); got > maxSeen {
 		t.Fatalf("snapshot carries %d alerts, window peak is %d", got, maxSeen)
+	}
+}
+
+// countEvents draws one slide of durative-ME boundaries on a coarse time
+// grid: starts and ends of stopped and lowSpeed in any order (ends
+// before any start, starts whose episode already ended, episodes still
+// open), late arrivals up to the window edge, and now and then a second
+// start of the same vessel at the same time but another spot.
+func countEvents(rng *rand.Rand, q time.Time, slide, window time.Duration, vessels []Vessel, spots []geo.Point) []rtec.Event {
+	names := []string{MEStopStart, MEStopStart, MEStopEnd, MESlowStart, MESlowStart, MESlowEnd, MESlowMotion}
+	var out []rtec.Event
+	for i := 5 + rng.Intn(20); i > 0; i-- {
+		delay := time.Duration(rng.Int63n(int64(2 * slide)))
+		if rng.Intn(6) == 0 {
+			delay = window - slide + time.Duration(rng.Int63n(int64(2*slide)))
+		}
+		p := spots[rng.Intn(len(spots))]
+		ev := rtec.Event{
+			Name:   names[rng.Intn(len(names))],
+			Entity: vessels[rng.Intn(len(vessels))].Entity(),
+			Time:   q.Add(-delay).Truncate(5 * time.Minute).Unix(),
+			Lon:    p.Lon, Lat: p.Lat,
+		}
+		out = append(out, ev)
+		if (ev.Name == MEStopStart || ev.Name == MESlowStart) && rng.Intn(3) == 0 {
+			p = spots[rng.Intn(len(spots))]
+			ev.Lon, ev.Lat = p.Lon, p.Lat
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestCountFluentsMatchHolderScan holds the count fluents to the holder
+// scan they replaced: a probe definition asks both counts, and the scan,
+// for every area at every start and end ME of the window, at and a
+// moment after it (a superset of what the rules ask), at every query
+// step, in both spatial modes, crisp and probabilistic, across a
+// snapshot/restore at a random step. Four streams are fixed; a fifth is
+// new to every run.
+func TestCountFluentsMatchHolderScan(t *testing.T) {
+	const window, slide = 90 * time.Minute, 10 * time.Minute
+	vessels, areas, spots := oracleWorld()
+	seeds := []int64{1, 2, 3, 4, time.Now().UnixNano()}
+	for _, cfg := range []Config{
+		{Window: window, SuspiciousMin: 2},
+		{Window: window, SuspiciousMin: 2, Mode: SpatialFacts},
+		{Window: window, SuspiciousMin: 2, ProbThreshold: 0.5},
+		{Window: window, SuspiciousMin: 2, Mode: SpatialFacts, ProbThreshold: 0.5},
+	} {
+		type ask struct {
+			seed, q, t int64
+			area       string
+		}
+		asked := make(map[ask]bool)
+		counted, seed := 0, int64(0)
+		probed := func() *Recognizer {
+			r := NewRecognizer(cfg, vessels, areas)
+			probe := func(ctx *rtec.Ctx, ev rtec.Event) []string {
+				for _, a := range areas {
+					for _, at := range []rtec.Timepoint{ev.Time, ev.Time + 1} {
+						var got, want int
+						switch k := (ask{seed, ctx.Query, at, a.ID}); {
+						case asked[k]:
+							continue
+						case a.Kind == KindWatch:
+							asked[k] = true
+							got = r.stoppedNear(ctx, a.ID, at)
+							want = r.activeNearScan(ctx, "stopped", MEStopStart, KindWatch, false, a.ID, at)
+						case a.Kind == KindForbiddenFishing:
+							asked[k] = true
+							got = r.fishingActivityNear(ctx, a.ID, at)
+							want = r.activeNearScan(ctx, "stopped", MEStopStart, KindForbiddenFishing, true, a.ID, at) +
+								r.activeNearScan(ctx, "lowSpeed", MESlowStart, KindForbiddenFishing, true, a.ID, at)
+						default:
+							continue
+						}
+						if got != want {
+							t.Fatalf("%+v seed %d q %d: count at %s, %d = %d, holder scan says %d", cfg, seed, ctx.Query, a.ID, at, got, want)
+						}
+						if got > 0 {
+							counted++
+						}
+					}
+				}
+				return nil
+			}
+			var rules []rtec.TriggerRule
+			for _, name := range []string{MEStopStart, MEStopEnd, MESlowStart, MESlowEnd} {
+				rules = append(rules, rtec.TriggerRule{Event: name, Map: probe})
+			}
+			r.engine.DefineEvent(rtec.EventDef{Name: "countProbe", Rules: rules})
+			return r
+		}
+		for _, seed = range seeds {
+			rng := rand.New(rand.NewSource(seed))
+			rec := probed()
+			gen := NewFactGenerator(areas, 3000)
+			restoreAt := 3 + rng.Intn(20)
+			for k := 1; k <= 25; k++ {
+				q := t0.Add(time.Duration(k) * slide)
+				events := countEvents(rng, q, slide, window, vessels, spots)
+				var facts []SpatialFact
+				if cfg.Mode == SpatialFacts {
+					facts = slices.Clone(gen.Facts(events))
+				}
+				if k == restoreAt {
+					snap := rec.Snapshot()
+					rec = probed()
+					rec.RestoreSnapshot(snap)
+				}
+				rec.Advance(q, events, facts)
+			}
+		}
+		t.Logf("%+v: %d asks, %d counted a vessel", cfg, len(asked), counted)
+		if counted < len(asked)/10 {
+			t.Errorf("%+v: %d of %d asks counted a vessel: the streams exercise little", cfg, counted, len(asked))
+		}
 	}
 }

@@ -82,8 +82,10 @@ type Recognizer struct {
 	// the first ask and dropped after the first query step that no longer
 	// asks, i.e. once the ME has left the working memory.
 	closeMemo map[geo.Point]*closeEntry
-	step      uint64   // the current query step, stamped on memo reads
-	holders   []string // scratch for the entities a count ranges over
+	step      uint64 // the current query step, stamped on memo reads
+
+	// stopped and fishing are the step's count fluents (count.go).
+	stopped, fishing countFluent
 
 	// seen dedupes user-facing alerts: with β < ω the same CE occurrence
 	// is re-derived by every overlapping window instantiation. An alert
@@ -215,37 +217,6 @@ func (r *Recognizer) vessel(entity string) Vessel {
 		return Vessel{MMSI: uint32(mmsi)}
 	}
 	return v
-}
-
-// activeNear counts the vessels for which the durative input fluent
-// holds at t and whose episode began close to the area: each holder is
-// located by its latest startME at or before t.
-func (r *Recognizer) activeNear(ctx *rtec.Ctx, fluent, startME string, kind AreaKind, fishingOnly bool, areaID string, t rtec.Timepoint) int {
-	n := 0
-	r.holders = ctx.EntitiesHolding(r.holders[:0], fluent, rtec.True, t)
-	for _, entity := range r.holders {
-		if fishingOnly && !r.vessel(entity).Fishing {
-			continue
-		}
-		ev, ok := ctx.LastEvent(entity, t, startME)
-		if ok && slices.Contains(r.proximity(ev, kind), areaID) {
-			n++
-		}
-	}
-	return n
-}
-
-// stoppedNear counts the vessels stopped close to the area at time t —
-// the paper's vesselsStoppedIn(Area) fluent.
-func (r *Recognizer) stoppedNear(ctx *rtec.Ctx, areaID string, t rtec.Timepoint) int {
-	return r.activeNear(ctx, "stopped", MEStopStart, KindWatch, false, areaID, t)
-}
-
-// fishingActivityNear counts fishing vessels whose stop or slow-motion
-// episode holds at t close to the forbidden-fishing area.
-func (r *Recognizer) fishingActivityNear(ctx *rtec.Ctx, areaID string, t rtec.Timepoint) int {
-	return r.activeNear(ctx, "stopped", MEStopStart, KindForbiddenFishing, true, areaID, t) +
-		r.activeNear(ctx, "lowSpeed", MESlowStart, KindForbiddenFishing, true, areaID, t)
 }
 
 // install registers the input fluents and the four CE definitions.
@@ -392,27 +363,26 @@ func (r *Recognizer) Advance(q time.Time, events []rtec.Event, facts []SpatialFa
 	if r.cfg.Mode == SpatialFacts {
 		// Facts share the MEs' window semantics: retain those whose
 		// timestamps are still inside (q-ω, q], merge the new batch, and
-		// index the survivors.
-		live := r.facts[:0]
-		for _, f := range r.facts {
-			if f.Time > windowStart {
-				live = append(live, f)
-			}
-		}
-		r.facts = live
-		for _, f := range facts {
-			if f.Time > windowStart {
-				r.facts = append(r.facts, f)
-			}
-		}
+		// index the survivors — each (vessel, time, area) once, however
+		// many slides delivered it.
+		retained := r.facts
+		r.facts = r.facts[:0]
 		r.factIdx = make(map[string]map[rtec.Timepoint][]string)
-		for _, f := range r.facts {
-			byTime := r.factIdx[f.Vessel]
-			if byTime == nil {
-				byTime = make(map[rtec.Timepoint][]string)
-				r.factIdx[f.Vessel] = byTime
+		for _, batch := range [2][]SpatialFact{retained, facts} {
+			for _, f := range batch {
+				if f.Time <= windowStart {
+					continue
+				}
+				byTime := r.factIdx[f.Vessel]
+				if byTime == nil {
+					byTime = make(map[rtec.Timepoint][]string)
+					r.factIdx[f.Vessel] = byTime
+				}
+				if !slices.Contains(byTime[f.Time], f.AreaID) {
+					byTime[f.Time] = append(byTime[f.Time], f.AreaID)
+					r.facts = append(r.facts, f)
+				}
 			}
-			byTime[f.Time] = append(byTime[f.Time], f.AreaID)
 		}
 	}
 	r.step++

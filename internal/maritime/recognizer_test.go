@@ -2,6 +2,7 @@ package maritime
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -421,5 +422,29 @@ func TestCrispModeIgnoresConfidences(t *testing.T) {
 	key := rtec.FluentKey{Fluent: CEIllegalFishing, Entity: "fish-1", Value: rtec.True}
 	if got := snap.Intervals[key]; len(got) != 1 {
 		t.Errorf("crisp recognition suppressed a low-confidence CE: %v", got)
+	}
+}
+
+// TestSpatialFactDeliveredTwiceIndexedOnce: a fact a later slide delivers
+// again is the same fact. The gap near the protected area is one
+// illegalShipping occurrence in every window that holds it, however many
+// slides carried its fact, and the recognizer retains the fact once.
+func TestSpatialFactDeliveredTwiceIndexedOnce(t *testing.T) {
+	gap := []rtec.Event{ev(MEGap, 2, 30*time.Minute, 24.0, 37.0)}
+	facts := slices.Clone(NewFactGenerator(testAreas(), 3000).Facts(gap))
+	if len(facts) != 1 {
+		t.Fatalf("facts = %v, want the one for prot-1", facts)
+	}
+	r := newTestRecognizer(SpatialFacts)
+	events := gap
+	for k, q := range []time.Duration{time.Hour, 70 * time.Minute, 80 * time.Minute} {
+		snap := r.Advance(t0.Add(q), events, facts)
+		events = nil
+		if snap.Recognized != 1 {
+			t.Errorf("slide %d: Recognized = %d, want 1", k, snap.Recognized)
+		}
+	}
+	if got := r.Snapshot().Facts; !slices.Equal(got, facts) {
+		t.Errorf("retained facts = %v, want %v", got, facts)
 	}
 }

@@ -135,15 +135,14 @@ type Engine struct {
 	eventDefs    []definition
 	defs         []definition               // simple and static fluents
 	declared     map[string]map[string]bool // fluent → declared entities
-	// markers caches the built-in event names "start:<fluent>" and
-	// "end:<fluent>", so each is built once per fluent.
-	markers map[string][2]string
 
-	memory  []Event // working memory, kept sorted by time
-	pending []Event // events with occurrence time after the last query time
-	// Admission scratch: the step's admitted events and the buffer the
-	// merged memory is built in (it swaps with memory every step).
-	fresh, spare []Event
+	memory  timeline // working memory, kept sorted by time
+	pending []Event  // events with occurrence time after the last query time
+	fresh   []Event  // admission scratch: the step's admitted events
+
+	// The event index (index.go): per name, the working memory's
+	// occurrences, updated by each step's expiry and admission.
+	lists map[string]*eventList
 
 	fluents map[FluentKey]IntervalList // all computed at the last query time
 	beliefs map[FluentKey][]ProbStep   // belief functions (probabilistic mode)
@@ -169,11 +168,11 @@ func NewEngine(windowSeconds Timepoint) *Engine {
 	e := &Engine{
 		window:  windowSeconds,
 		fluents: make(map[FluentKey]IntervalList),
-		markers: make(map[string][2]string),
+		lists:   make(map[string]*eventList),
 	}
 	e.ctx = Ctx{
 		engine:    e,
-		byName:    make(map[string]*eventList),
+		byName:    make(map[string]*stepList),
 		instances: make(map[fluentValue]*instanceTable),
 	}
 	return e
@@ -190,16 +189,6 @@ func (e *Engine) SetProbabilistic(theta float64) { e.theta = theta }
 // BeliefOf returns the belief step function of a Boolean simple fluent
 // instance as of the last query time (probabilistic mode only).
 func (e *Engine) BeliefOf(key FluentKey) []ProbStep { return e.beliefs[key] }
-
-// markerNames returns the built-in start/end event names of a fluent.
-func (e *Engine) markerNames(fluent string) [2]string {
-	m, ok := e.markers[fluent]
-	if !ok {
-		m = [2]string{"start:" + fluent, "end:" + fluent}
-		e.markers[fluent] = m
-	}
-	return m
-}
 
 // definition is one entry of the event description — exactly one of the
 // four forms is set — with the wall-clock time spent evaluating it.
@@ -285,9 +274,6 @@ func (e *Engine) Advance(q Timepoint, incoming []Event) Result {
 	// The result maps are handed to the caller, so each step gets its own.
 	ctx.fluents = make(map[FluentKey]IntervalList, len(e.fluents))
 	ctx.beliefs = make(map[FluentKey][]ProbStep, len(e.beliefs))
-	for _, ev := range e.memory {
-		ctx.list(ev.Name).add(ev)
-	}
 
 	mark := time.Now()
 	lap := func(d *definition) {
@@ -330,23 +316,17 @@ func (e *Engine) Advance(q Timepoint, incoming []Event) Result {
 }
 
 // admit forgets the events at or before windowStart and merges the
-// step's admitted events (sorted by time) into the working memory.
-// Both sides are sorted, so forgetting drops a prefix and admission is
-// one merge; on equal timestamps retained events stay ahead of new
-// ones, as a stable sort of memory followed by fresh would leave them.
+// step's admitted events (sorted by time) into the working memory and
+// the event index. Both sides are sorted, so forgetting drops a prefix
+// and admission is one merge; on equal timestamps retained events stay
+// ahead of new ones, as a stable sort of memory followed by fresh would
+// leave them.
 func (e *Engine) admit(windowStart Timepoint, fresh []Event) {
-	old := e.memory
-	old = old[sort.Search(len(old), func(i int) bool { return old[i].Time > windowStart }):]
-	out := e.spare[:0]
-	for len(old) > 0 && len(fresh) > 0 {
-		if fresh[0].Time < old[0].Time {
-			out, fresh = append(out, fresh[0]), fresh[1:]
-		} else {
-			out, old = append(out, old[0]), old[1:]
-		}
-	}
-	out = append(append(out, old...), fresh...)
-	e.memory, e.spare = out, e.memory[:0]
+	old := e.memory.events()
+	expired := sort.Search(len(old), func(i int) bool { return old[i].Time > windowStart })
+	e.reindex(old[:expired], fresh)
+	e.memory.expire(expired)
+	e.memory.merge(fresh)
 }
 
 // HoldsFor returns the maximal intervals of a fluent instance as of the
@@ -358,7 +338,7 @@ func (e *Engine) HoldsFor(key FluentKey) IntervalList { return e.fluents[key] }
 func (e *Engine) HoldsAt(key FluentKey, t Timepoint) bool { return e.fluents[key].HoldsAt(t) }
 
 // WorkingMemorySize returns the number of events currently retained.
-func (e *Engine) WorkingMemorySize() int { return len(e.memory) }
+func (e *Engine) WorkingMemorySize() int { return len(e.memory.events()) }
 
 // Ctx is the evaluation context passed to rules: it exposes holdsAt
 // queries over already-computed fluents, the event window, and the
@@ -370,8 +350,8 @@ type Ctx struct {
 
 	fluents map[FluentKey]IntervalList
 	beliefs map[FluentKey][]ProbStep
-	// The working-memory index (index.go).
-	byName    map[string]*eventList
+	// The step index (index.go).
+	byName    map[string]*stepList
 	instances map[fluentValue]*instanceTable
 }
 
@@ -399,56 +379,56 @@ func (c *Ctx) SetComputedFluent(key FluentKey, ivs IntervalList) {
 // intervals per entity. An end without a preceding start yields an
 // interval open on the left at the window start (the episode began
 // before the working memory); a start without an end yields an ongoing
-// interval. It walks the two events' per-entity runs side by side, so
+// interval. It walks the two events' entity runs side by side, so
 // entities come out in sorted order and each entity's occurrences in
 // time order, a start ahead of an end at the same timepoint.
 func (c *Ctx) computeInputFluent(f *InputFluent) {
-	starts, sOrder := c.byName[f.StartEvent].entityOrder()
-	ends, eOrder := c.byName[f.EndEvent].entityOrder()
+	starts := c.engine.lists[f.StartEvent].entityRuns()
+	ends := c.engine.lists[f.EndEvent].entityRuns()
 	// One allocation holds every instance's intervals: each end event
 	// closes one, each entity leaves at most one open.
-	arena := make([]Interval, 0, len(sOrder)+len(eOrder))
-	for len(sOrder) > 0 || len(eOrder) > 0 {
+	arena := make([]Interval, 0, len(starts)+len(c.engine.lists[f.EndEvent].all()))
+	tab := c.table(f.Name, True)
+	for len(starts) > 0 || len(ends) > 0 {
 		var entity string
 		switch {
-		case len(eOrder) == 0:
-			entity = starts[sOrder[0]].Entity
-		case len(sOrder) == 0:
-			entity = ends[eOrder[0]].Entity
+		case len(ends) == 0:
+			entity = starts[0].entity
+		case len(starts) == 0:
+			entity = ends[0].entity
 		default:
-			entity = min(starts[sOrder[0]].Entity, ends[eOrder[0]].Entity)
+			entity = min(starts[0].entity, ends[0].entity)
+		}
+		var s, e []Event
+		if len(starts) > 0 && starts[0].entity == entity {
+			s, starts = starts[0].events(), starts[1:]
+		}
+		if len(ends) > 0 && ends[0].entity == entity {
+			e, ends = ends[0].events(), ends[1:]
 		}
 		first := len(arena)
 		open, since := false, Timepoint(0)
-		for {
-			hasStart := len(sOrder) > 0 && starts[sOrder[0]].Entity == entity
-			hasEnd := len(eOrder) > 0 && ends[eOrder[0]].Entity == entity
-			if !hasStart && !hasEnd {
-				break
-			}
-			if hasStart && (!hasEnd || starts[sOrder[0]].Time <= ends[eOrder[0]].Time) {
+		for len(s) > 0 || len(e) > 0 {
+			if len(s) > 0 && (len(e) == 0 || s[0].Time <= e[0].Time) {
 				if !open {
-					open, since = true, starts[sOrder[0]].Time
+					open, since = true, s[0].Time
 				}
-				sOrder = sOrder[1:]
+				s = s[1:]
 				continue
 			}
 			if !open {
 				since = c.WindowStart // began before the window
 			}
-			arena = append(arena, Interval{Since: since, Until: ends[eOrder[0]].Time})
-			open = false
-			eOrder = eOrder[1:]
+			arena = append(arena, Interval{Since: since, Until: e[0].Time})
+			open, e = false, e[1:]
 		}
 		if open {
 			arena = append(arena, Interval{Since: since, Until: Inf})
 		}
-		ivs := normalize(arena[first:])
+		ivs := slices.Clip(normalize(arena[first:]))
 		arena = arena[:first+len(ivs)]
-		// setFluent also synthesizes the built-in start(F)/end(F) events, so
-		// downstream rules trigger uniformly on "start:<fluent>" and
-		// "end:<fluent>" whether F is an input or a defined fluent.
-		c.setFluent(FluentKey{Fluent: f.Name, Entity: entity, Value: True}, slices.Clip(ivs))
+		c.fluents[FluentKey{Fluent: f.Name, Entity: entity, Value: True}] = ivs
+		tab.set(entity, ivs)
 	}
 }
 
@@ -557,24 +537,6 @@ func (c *Ctx) evalSimpleFluent(def *SimpleFluentDef) {
 				ivs = append(ivs, Interval{Since: ts.Time, Until: until})
 			}
 			c.setFluent(FluentKey{Fluent: def.Name, Entity: entity, Value: value}, Normalize(ivs))
-		}
-	}
-}
-
-// emitStartEnd synthesizes the built-in start(F=V)/end(F=V) events of a
-// computed fluent so later definitions can trigger on them. Event names
-// are "start:<fluent>" and "end:<fluent>"; only the True value emits
-// markers, matching the maritime definitions' usage.
-func (c *Ctx) emitStartEnd(key FluentKey, ivs IntervalList) {
-	if key.Value != True || len(ivs) == 0 {
-		return
-	}
-	names := c.engine.markerNames(key.Fluent)
-	starts := c.list(names[0])
-	for _, iv := range ivs {
-		starts.add(Event{Name: names[0], Entity: key.Entity, Time: iv.Since})
-		if !iv.Open() {
-			c.list(names[1]).add(Event{Name: names[1], Entity: key.Entity, Time: iv.Until})
 		}
 	}
 }

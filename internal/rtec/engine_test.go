@@ -144,7 +144,7 @@ func TestFluentTriggeredByStartOfInputFluent(t *testing.T) {
 	e := NewEngine(1000)
 	e.DeclareInputFluent(InputFluent{Name: "stopped", StartEvent: "stopStart", EndEvent: "stopEnd"})
 	count := func(ctx *Ctx, t Timepoint) int {
-		return len(ctx.EntitiesHolding(nil, "stopped", True, t))
+		return len(naiveEntitiesHolding(ctx, "stopped", True, t))
 	}
 	e.DefineSimpleFluent(SimpleFluentDef{
 		Name: "suspicious",

@@ -1,103 +1,197 @@
 package rtec
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"strings"
 )
 
-// The indexed working memory of one query step. Two structures answer
-// the questions rules ask of the window without scanning it: an
-// eventList per event name (chronological occurrences plus, built on
-// first use, the per-entity time-ordered runs behind LastEvent) and an
-// instance table per fluent=value (the computed instances in entity
-// order behind EntitiesHolding). The engine keeps their storage across
-// query steps; a name or fluent that stays empty for a whole step is
-// dropped, so both are bounded by the working memory.
+// The indexed working memory. The event index persists across query
+// steps: per event name, the name's occurrences in the working memory in
+// chronological order and — for the names someone asked them of — each
+// entity's run of them. A step updates it by what the step changed: the
+// admitted batch is merged in after the occurrences already held at
+// equal timestamps (admit's tie rule) and the expired prefix of the
+// working memory leaves the front of the lists it reaches, so every list
+// is always the working memory filtered by name (and entity). The step
+// index is rebuilt every step: the occurrences the step itself produces
+// (derived events; the built-in start/end events, built from the
+// instance tables when a rule asks for them) and per fluent=value the
+// computed instances in entity order. A name, run or table that stays
+// empty is dropped, so both are bounded by the working memory.
 
-// eventList holds the window occurrences of one event name.
-type eventList struct {
-	evs []Event
-	// unsorted is set when an append broke chronological order (the
-	// start/end markers of a fluent are produced entity by entity);
-	// events restores the order before anyone reads the list.
-	unsorted bool
-	// order lists the positions of evs by (Entity, position): the
-	// occurrences of one entity are contiguous and chronological.
-	order   []int32
-	indexed bool
+// timeline is a chronological event sequence that loses a prefix and
+// gains a batch every query step. Expiry only advances the start; an
+// append that finds the buffer full slides the live events back to its
+// start (or moves them to a buffer twice their size), so a steady window
+// reuses one buffer.
+type timeline struct {
+	buf []Event
+	lo  int
 }
 
-func (l *eventList) add(ev Event) {
+func (l *timeline) events() []Event { return l.buf[l.lo:] }
+
+// expire drops the first n events.
+func (l *timeline) expire(n int) {
+	clear(l.buf[l.lo : l.lo+n])
+	l.lo += n
+}
+
+// merge inserts a chronological batch, each event after those already
+// held at its timestamp. It merges from the back, so a batch that
+// arrives in order costs its own length.
+func (l *timeline) merge(batch []Event) {
+	held, m := len(l.buf)-l.lo, len(batch)
+	if len(l.buf)+m > cap(l.buf) {
+		buf := l.buf[:0]
+		if held+m > cap(buf) {
+			buf = make([]Event, 0, 2*(held+m))
+		}
+		buf = append(buf, l.buf[l.lo:]...)
+		clear(l.buf[len(buf):])
+		l.buf, l.lo = buf, 0
+	}
+	l.buf = l.buf[:len(l.buf)+m]
+	evs := l.events()
+	for i, k := held-1, held+m-1; m > 0; k-- {
+		if i >= 0 && evs[i].Time > batch[m-1].Time {
+			evs[k], i = evs[i], i-1
+		} else {
+			evs[k], m = batch[m-1], m-1
+		}
+	}
+}
+
+// eventList is the working-memory occurrences of one event name.
+type eventList struct {
+	timeline
+	// runs holds each entity's occurrences, kept from the first time
+	// someone asks for them (nil until then); order lists the runs in
+	// entity order. vacated marks a run emptied by expiry, still in order
+	// until the step's expiry is done.
+	runs    map[string]*entityRun
+	order   []*entityRun
+	vacated bool
+}
+
+// entityRun is one entity's occurrences of a name.
+type entityRun struct {
+	entity string
+	timeline
+}
+
+// all returns the occurrences, chronological (none for a nil list).
+func (l *eventList) all() []Event {
+	if l == nil {
+		return nil
+	}
+	return l.events()
+}
+
+// run returns the entity's run, creating an empty one in entity order.
+func (l *eventList) run(entity string) *entityRun {
+	r := l.runs[entity]
+	if r == nil {
+		r = &entityRun{entity: entity}
+		l.runs[entity] = r
+		i := sort.Search(len(l.order), func(i int) bool { return l.order[i].entity >= entity })
+		l.order = slices.Insert(l.order, i, r)
+	}
+	return r
+}
+
+// entityRuns returns the runs in entity order, building them from the
+// list on the first ask.
+func (l *eventList) entityRuns() []*entityRun {
+	if l == nil {
+		return nil
+	}
+	if l.runs == nil {
+		l.runs = make(map[string]*entityRun)
+		evs := l.events()
+		for i := range evs {
+			l.run(evs[i].Entity).merge(evs[i : i+1])
+		}
+	}
+	return l.order
+}
+
+// reindex applies one step's change of the working memory to the event
+// index: the admitted batch, in chronological order, is merged into the
+// lists and runs, then the expired prefix leaves their front. Admitted
+// events are all later than expired ones, so the prefix stays in front,
+// and a list or run that gains while it loses is kept, storage and all.
+func (e *Engine) reindex(expired, fresh []Event) {
+	for i := range fresh {
+		l := e.lists[fresh[i].Name]
+		if l == nil {
+			l = &eventList{}
+			e.lists[fresh[i].Name] = l
+		}
+		l.merge(fresh[i : i+1])
+		if l.runs != nil {
+			l.run(fresh[i].Entity).merge(fresh[i : i+1])
+		}
+	}
+	for i := range expired {
+		ev := &expired[i]
+		l := e.lists[ev.Name]
+		if l.expire(1); len(l.events()) == 0 {
+			delete(e.lists, ev.Name)
+			continue
+		}
+		if r := l.runs[ev.Entity]; r != nil {
+			if r.expire(1); len(r.events()) == 0 {
+				delete(l.runs, ev.Entity)
+				l.vacated = true
+			}
+		}
+	}
+	for _, l := range e.lists {
+		if l.vacated {
+			l.order = slices.DeleteFunc(l.order, func(r *entityRun) bool { return len(r.events()) == 0 })
+			l.vacated = false
+		}
+	}
+}
+
+// stepList holds the occurrences of one name produced during a query
+// step — derived events, built-in start/end events — after the working
+// memory's occurrences of that name.
+type stepList struct {
+	evs []Event
+	// unsorted is set when an append broke chronological order; events
+	// restores the order before anyone reads the list.
+	unsorted bool
+	// opened is set once the step has put the working memory's
+	// occurrences in; built is the version of the instance table a
+	// built-in list was built from.
+	opened bool
+	built  int
+}
+
+// restart empties the list for a new step or a rebuild.
+func (l *stepList) restart() {
+	clear(l.evs)
+	l.evs, l.unsorted, l.opened = l.evs[:0], false, false
+}
+
+func (l *stepList) add(ev Event) {
 	if n := len(l.evs); n > 0 && ev.Time < l.evs[n-1].Time {
 		l.unsorted = true
 	}
 	l.evs = append(l.evs, ev)
-	l.indexed = false
 }
 
 // events returns the occurrences in chronological order; occurrences
 // sharing a timepoint stay in the order they were added.
-func (l *eventList) events() []Event {
-	if l == nil {
-		return nil
-	}
+func (l *stepList) events() []Event {
 	if l.unsorted {
 		slices.SortStableFunc(l.evs, compareEventTime)
 		l.unsorted = false
 	}
 	return l.evs
-}
-
-// entityOrder returns the chronological occurrences and their
-// positions grouped by entity, (re)building the grouping when
-// occurrences were added since it was last built.
-func (l *eventList) entityOrder() ([]Event, []int32) {
-	if l == nil {
-		return nil, nil
-	}
-	evs := l.events()
-	if !l.indexed {
-		l.order = l.order[:0]
-		for i := range evs {
-			l.order = append(l.order, int32(i))
-		}
-		slices.SortFunc(l.order, func(a, b int32) int {
-			if c := strings.Compare(evs[a].Entity, evs[b].Entity); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		l.indexed = true
-	}
-	return evs, l.order
-}
-
-// lastAtOrBefore returns the entity's latest occurrence at or before
-// t; among occurrences sharing that timepoint, the first added.
-func (l *eventList) lastAtOrBefore(entity string, t Timepoint) (Event, bool) {
-	evs, order := l.entityOrder()
-	// The first position past the entity's occurrences up to t.
-	hi := sort.Search(len(order), func(i int) bool {
-		ev := &evs[order[i]]
-		if c := strings.Compare(ev.Entity, entity); c != 0 {
-			return c > 0
-		}
-		return ev.Time > t
-	})
-	if hi == 0 || evs[order[hi-1]].Entity != entity {
-		return Event{}, false
-	}
-	best := &evs[order[hi-1]]
-	for i := hi - 2; i >= 0; i-- {
-		ev := &evs[order[i]]
-		if ev.Time != best.Time || ev.Entity != entity {
-			break
-		}
-		best = ev
-	}
-	return *best, true
 }
 
 // fluentValue names one instance table.
@@ -110,11 +204,15 @@ type instance struct {
 }
 
 // instanceTable lists the computed instances of one fluent=value in
-// entity order.
-type instanceTable struct{ rows []instance }
+// entity order; version counts the step's updates.
+type instanceTable struct {
+	rows    []instance
+	version int
+}
 
 // set records the entity's intervals, replacing an earlier entry.
 func (t *instanceTable) set(entity string, ivs IntervalList) {
+	t.version++
 	n := len(t.rows)
 	if n == 0 || t.rows[n-1].entity < entity {
 		t.rows = append(t.rows, instance{entity, ivs})
@@ -128,40 +226,84 @@ func (t *instanceTable) set(entity string, ivs IntervalList) {
 	t.rows = slices.Insert(t.rows, i, instance{entity, ivs})
 }
 
-// list returns the event list of name, creating it when absent.
-func (c *Ctx) list(name string) *eventList {
+// list returns the step list of name, creating it — behind the working
+// memory's occurrences of the name — when absent.
+func (c *Ctx) list(name string) *stepList {
 	l := c.byName[name]
 	if l == nil {
-		l = &eventList{}
+		l = &stepList{}
 		c.byName[name] = l
+	}
+	if !l.opened {
+		l.opened = true
+		l.evs = append(l.evs, c.engine.lists[name].all()...)
 	}
 	return l
 }
 
-// setFluent records the maximal intervals of a computed fluent instance
-// in the result, in its instance table and as built-in start/end
-// events.
-func (c *Ctx) setFluent(key FluentKey, ivs IntervalList) {
-	c.fluents[key] = ivs
-	fv := fluentValue{key.Fluent, key.Value}
-	t := c.instances[fv]
+// table returns the instance table of fluent=value, creating it when
+// absent.
+func (c *Ctx) table(fluent, value string) *instanceTable {
+	t := c.instances[fluentValue{fluent, value}]
 	if t == nil {
 		t = &instanceTable{}
-		c.instances[fv] = t
+		c.instances[fluentValue{fluent, value}] = t
 	}
-	t.set(key.Entity, ivs)
-	c.emitStartEnd(key, ivs)
+	return t
 }
 
-// reset empties the index for the next query step, keeping the storage
-// of every list and table that was in use and dropping the rest.
+// setFluent records the maximal intervals of a computed fluent instance
+// in the result and in its instance table.
+func (c *Ctx) setFluent(key FluentKey, ivs IntervalList) {
+	c.fluents[key] = ivs
+	c.table(key.Fluent, key.Value).set(key.Entity, ivs)
+}
+
+// markers returns the built-in start(F=true) or end(F=true) events of a
+// computed fluent, (re)building them from its instance table when the
+// table changed since they were last built. A fluent's instances are
+// disjoint maximal intervals set in entity order, so co-timed markers
+// come out in entity order.
+func (c *Ctx) markers(name, fluent string, end bool) []Event {
+	version := 0
+	tab := c.instances[fluentValue{fluent, True}]
+	if tab != nil {
+		version = tab.version
+	}
+	l := c.byName[name]
+	if l != nil && l.opened && l.built == version {
+		return l.events()
+	}
+	if l != nil {
+		l.restart()
+	}
+	l = c.list(name)
+	l.built = version
+	if tab == nil {
+		return l.events()
+	}
+	for _, row := range tab.rows {
+		for _, iv := range row.ivs {
+			switch {
+			case !end:
+				l.add(Event{Name: name, Entity: row.entity, Time: iv.Since})
+			case !iv.Open():
+				l.add(Event{Name: name, Entity: row.entity, Time: iv.Until})
+			}
+		}
+	}
+	return l.events()
+}
+
+// reset empties the step index for the next query step, keeping the
+// storage of every list and table that was in use and dropping the rest.
 func (c *Ctx) reset() {
 	for name, l := range c.byName {
 		if len(l.evs) == 0 {
 			delete(c.byName, name)
 			continue
 		}
-		l.evs, l.unsorted, l.indexed = l.evs[:0], false, false
+		l.restart()
 	}
 	for fv, t := range c.instances {
 		if len(t.rows) == 0 {
@@ -169,44 +311,34 @@ func (c *Ctx) reset() {
 			continue
 		}
 		clear(t.rows) // release the previous step's interval lists
-		t.rows = t.rows[:0]
+		t.rows, t.version = t.rows[:0], 0
 	}
 }
 
 // EventsNamed returns the window occurrences of the named event in
-// chronological order, including derived and built-in start/end events
-// already produced. The slice is owned by the engine and valid for the
-// current query step.
-func (c *Ctx) EventsNamed(name string) []Event { return c.byName[name].events() }
-
-// LastEvent returns the entity's latest window occurrence of any of the
-// named events at or before t — how a rule locates a vessel while a
-// durative fluent holds. Among occurrences sharing the latest timepoint
-// the first name wins, then the first occurrence in the working memory.
-// ok is false when the window has no such occurrence.
-func (c *Ctx) LastEvent(entity string, t Timepoint, names ...string) (ev Event, ok bool) {
-	for _, name := range names {
-		l := c.byName[name]
-		if l == nil {
-			continue
-		}
-		if cand, found := l.lastAtOrBefore(entity, t); found && (!ok || cand.Time > ev.Time) {
-			ev, ok = cand, true
-		}
+// chronological order, including derived events and the built-in
+// "start:<fluent>" and "end:<fluent>" events of the fluents computed so
+// far. The slice is owned by the engine and valid for the current query
+// step.
+func (c *Ctx) EventsNamed(name string) []Event {
+	if fluent, ok := strings.CutPrefix(name, "start:"); ok {
+		return c.markers(name, fluent, false)
 	}
-	return ev, ok
+	if fluent, ok := strings.CutPrefix(name, "end:"); ok {
+		return c.markers(name, fluent, true)
+	}
+	if l := c.byName[name]; l != nil && l.opened {
+		return l.events()
+	}
+	return c.engine.lists[name].all()
 }
 
-// EntitiesHolding appends to dst the entities for which fluent=value
-// holds at t, in sorted order, and returns the extended slice — the
-// helper behind aggregate conditions like vesselsStoppedIn.
-func (c *Ctx) EntitiesHolding(dst []string, fluent, value string, t Timepoint) []string {
-	if tab := c.instances[fluentValue{fluent, value}]; tab != nil {
-		for i := range tab.rows {
-			if tab.rows[i].ivs.HoldsAt(t) {
-				dst = append(dst, tab.rows[i].entity)
-			}
-		}
+// EntityRuns calls visit once per entity with working-memory occurrences
+// of the named event, in entity order, with that entity's occurrences in
+// chronological order (co-timed ones in working-memory order). run is
+// owned by the engine and valid for the current query step.
+func (c *Ctx) EntityRuns(name string, visit func(entity string, run []Event)) {
+	for _, r := range c.engine.lists[name].entityRuns() {
+		visit(r.entity, r.events())
 	}
-	return dst
 }

@@ -7,29 +7,82 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 )
 
-// The linear scans the indexed working memory replaced, kept as the
-// differential oracle: the latest-event scan over EventsNamed, the
-// map-walking EntitiesHolding, the sort-everything working memory and
-// the map-and-merge input-fluent pairing.
+// The structures the persistent working-memory index replaced, kept as
+// the differential oracle: the per-step index rebuilt from the working
+// memory (occurrences filtered by name, grouped by entity, built-in
+// events synthesized for every computed instance), the map-walking
+// EntitiesHolding, the sort-everything working memory and the
+// map-and-merge input-fluent pairing.
 
-// naiveLastEvent scans every window occurrence of the names.
-func naiveLastEvent(c *Ctx, entity string, t Timepoint, names ...string) (Event, bool) {
-	var best Event
-	found := false
-	for _, name := range names {
-		for _, ev := range c.EventsNamed(name) {
-			if ev.Entity != entity || ev.Time > t {
-				continue
-			}
-			if !found || ev.Time > best.Time {
-				best = ev
-				found = true
+// memoryLists filters the working memory by name.
+func memoryLists(memory []Event) map[string][]Event {
+	out := make(map[string][]Event)
+	for _, ev := range memory {
+		out[ev.Name] = append(out[ev.Name], ev)
+	}
+	return out
+}
+
+// visitedRun is one visit of EntityRuns.
+type visitedRun struct {
+	Entity string
+	Run    []Event
+}
+
+// memoryRuns groups one name's occurrences by entity, in entity order.
+func memoryRuns(list []Event) []visitedRun {
+	var out []visitedRun
+	for _, ev := range list {
+		i := sort.Search(len(out), func(i int) bool { return out[i].Entity >= ev.Entity })
+		if i == len(out) || out[i].Entity != ev.Entity {
+			out = slices.Insert(out, i, visitedRun{Entity: ev.Entity})
+		}
+		out[i].Run = append(out[i].Run, ev)
+	}
+	return out
+}
+
+// indexedRuns collects what EntityRuns visits.
+func indexedRuns(c *Ctx, name string) []visitedRun {
+	var out []visitedRun
+	c.EntityRuns(name, func(entity string, run []Event) {
+		out = append(out, visitedRun{entity, run})
+	})
+	return out
+}
+
+func sameRuns(a, b []visitedRun) bool {
+	return slices.EqualFunc(a, b, func(x, y visitedRun) bool { return x.Entity == y.Entity && slices.Equal(x.Run, y.Run) })
+}
+
+// synthesizedMarkers is what the per-step index held under a built-in
+// name: the working memory's occurrences of the name, then the start (or
+// end) event of every computed fluent=true interval, instance by
+// instance in entity order, stable-sorted by time.
+func synthesizedMarkers(lists map[string][]Event, fluents map[FluentKey]IntervalList, name, fluent string, end bool) []Event {
+	out := slices.Clone(lists[name])
+	var keys []FluentKey
+	for key := range fluents {
+		if key.Fluent == fluent && key.Value == True {
+			keys = append(keys, key)
+		}
+	}
+	slices.SortFunc(keys, compareFluentKey)
+	for _, key := range keys {
+		for _, iv := range fluents[key] {
+			switch {
+			case !end:
+				out = append(out, Event{Name: name, Entity: key.Entity, Time: iv.Since})
+			case !iv.Open():
+				out = append(out, Event{Name: name, Entity: key.Entity, Time: iv.Until})
 			}
 		}
 	}
-	return best, found
+	slices.SortStableFunc(out, compareEventTime)
+	return out
 }
 
 // naiveEntitiesHolding walks the whole fluent map and sorts.
@@ -143,54 +196,111 @@ func oracleStream(rng *rand.Rand, q, step Timepoint, serial *int) []Event {
 	return out
 }
 
+// TestIndexMatchesNaiveScans holds the persistent index to the per-step
+// one it replaced, rebuilt from the working memory: inside every rule
+// firing, EventsNamed and EntityRuns of every input name and the
+// built-in events of an input fluent and of simple fluents computed
+// before, during and after the asking definition; after every step the
+// index itself (no list, run or name more or less than the memory
+// holds), the working memory and the input-fluent intervals — through
+// late-in-window arrivals, equal timestamps and a snapshot/restore at a
+// random step. Forty streams are fixed; one more is new to every run.
 func TestIndexMatchesNaiveScans(t *testing.T) {
 	const step, window = 100, 250
 	stopped := InputFluent{Name: "stopped", StartEvent: "stopStart", EndEvent: "stopEnd"}
-	for seed := int64(0); seed < 40; seed++ {
+	markers := [][3]string{
+		{"start:stopped", "stopped"}, {"end:stopped", "stopped", "end"},
+		{"start:busy", "busy"}, {"end:busy", "busy", "end"}, {"start:absent", "absent"},
+	}
+	for i := int64(0); i <= 40; i++ {
+		seed := i
+		if i == 40 {
+			seed = time.Now().UnixNano()
+		}
 		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine(window)
-		e.DeclareInputFluent(stopped)
-		// Every trigger compares each indexed query with its scan, over
-		// input, derived and built-in event lists alike.
+		fired := 0
+		// Every trigger compares what the index answers with the rebuilt
+		// index, over input, derived and built-in event lists alike.
+		var lists map[string][]Event // the step's working memory by name
+		runs := make(map[string][]visitedRun)
 		probe := func(ctx *Ctx, ev Event) []string {
-			for i := 0; i < 6; i++ {
-				entity := fmt.Sprintf("v%d", i)
-				for _, names := range [][]string{
-					{"stopStart"}, {"stopStart", "stopEnd"}, {"stopEnd", "stopStart"},
-					{"ping", "echo"}, {"start:stopped", "end:stopped"}, {"absent"},
-				} {
-					for _, at := range []Timepoint{ev.Time - 1, ev.Time, ev.Time + 1} {
-						got, gok := ctx.LastEvent(entity, at, names...)
-						want, wok := naiveLastEvent(ctx, entity, at, names...)
-						if got != want || gok != wok {
-							t.Errorf("seed %d q %d: LastEvent(%s, %d, %v) = %v %v, scan says %v %v",
-								seed, ctx.Query, entity, at, names, got, gok, want, wok)
-						}
-					}
+			if fired++; lists == nil {
+				lists = memoryLists(ctx.engine.memory.events())
+				clear(runs)
+				for name, list := range lists {
+					runs[name] = memoryRuns(list)
 				}
 			}
-			got := ctx.EntitiesHolding(nil, "stopped", True, ev.Time+1)
-			if want := naiveEntitiesHolding(ctx, "stopped", True, ev.Time+1); !slices.Equal(got, want) {
-				t.Errorf("seed %d q %d: EntitiesHolding at %d = %v, map walk says %v",
-					seed, ctx.Query, ev.Time+1, got, want)
+			for _, name := range []string{"stopStart", "stopEnd", "ping", "ping2", "absent"} {
+				if got, want := ctx.EventsNamed(name), lists[name]; !slices.Equal(got, want) {
+					t.Errorf("seed %d q %d: EventsNamed(%s) = %v, memory holds %v", seed, ctx.Query, name, got, want)
+				}
+				if got, want := indexedRuns(ctx, name), runs[name]; !sameRuns(got, want) {
+					t.Errorf("seed %d q %d: EntityRuns(%s) = %v, memory holds %v", seed, ctx.Query, name, got, want)
+				}
 			}
-			return got
+			for _, m := range markers {
+				got, want := ctx.EventsNamed(m[0]), synthesizedMarkers(lists, ctx.fluents, m[0], m[1], m[2] == "end")
+				if !slices.Equal(got, want) {
+					t.Errorf("seed %d q %d: EventsNamed(%s) = %v, synthesized %v", seed, ctx.Query, m[0], got, want)
+				}
+			}
+			return []string{ev.Entity}
 		}
-		e.DefineEvent(EventDef{Name: "echo", Rules: []TriggerRule{{Event: "ping", Map: probe}}})
-		e.DefineEvent(EventDef{Name: "echo2", Rules: []TriggerRule{{Event: "echo", Map: probe}}})
-		e.DefineSimpleFluent(SimpleFluentDef{
-			Name: "busy",
-			Init: map[string][]TriggerRule{True: {{Event: "start:stopped", Map: probe}}},
-			Term: map[string][]TriggerRule{True: {{Event: "ping2", Map: probe}}},
-		})
-
+		build := func() *Engine {
+			e := NewEngine(window)
+			e.DeclareInputFluent(stopped)
+			e.DefineEvent(EventDef{Name: "echo", Rules: []TriggerRule{{Event: "ping", Map: probe}}})
+			e.DefineEvent(EventDef{Name: "echo2", Rules: []TriggerRule{{Event: "echo", Map: probe}}})
+			e.DefineSimpleFluent(SimpleFluentDef{
+				Name: "busy",
+				Init: map[string][]TriggerRule{True: {{Event: "start:stopped", Map: probe}}},
+				Term: map[string][]TriggerRule{True: {{Event: "ping2", Map: probe}}},
+			})
+			// idle reads busy's built-in events, and also fires on ping2, so
+			// the probe looks at them after busy changed, whatever they hold.
+			e.DefineSimpleFluent(SimpleFluentDef{
+				Name: "idle",
+				Init: map[string][]TriggerRule{True: {{Event: "end:busy", Map: probe}}},
+				Term: map[string][]TriggerRule{True: {{Event: "start:busy", Map: probe}, {Event: "ping2", Map: probe}}},
+			})
+			return e
+		}
+		e := build()
 		model, serial := naiveMemory{window: window}, 0
+		restoreAt := Timepoint(1+rng.Intn(11)) * step
 		for q := Timepoint(step); q <= 12*step; q += step {
+			if q == restoreAt {
+				snap := e.Snapshot()
+				e = build()
+				e.Restore(snap)
+			}
 			in := oracleStream(rng, q, step, &serial)
+			lists = nil
 			res := e.Advance(q, in)
 			model.advance(q, in)
-			if !reflect.DeepEqual(e.memory, model.memory) && len(e.memory)+len(model.memory) > 0 {
-				t.Fatalf("seed %d q %d: working memory diverged\n got %v\nwant %v", seed, q, e.memory, model.memory)
+			if memory := e.memory.events(); !slices.Equal(memory, model.memory) {
+				t.Fatalf("seed %d q %d: working memory diverged\n got %v\nwant %v", seed, q, memory, model.memory)
+			}
+			byName := memoryLists(model.memory)
+			if len(e.lists) != len(byName) {
+				t.Fatalf("seed %d q %d: index holds %d names, memory %d", seed, q, len(e.lists), len(byName))
+			}
+			for name, want := range byName {
+				l := e.lists[name]
+				if l == nil || !slices.Equal(l.events(), want) {
+					t.Fatalf("seed %d q %d: index list %s diverged from memory's %v", seed, q, name, want)
+				}
+				if l.runs == nil {
+					continue
+				}
+				var got []visitedRun
+				for _, r := range l.entityRuns() {
+					got = append(got, visitedRun{r.entity, r.events()})
+				}
+				if want := memoryRuns(want); len(l.runs) != len(want) || !sameRuns(got, want) {
+					t.Fatalf("seed %d q %d: runs of %s = %v (%d indexed), memory holds %v", seed, q, name, got, len(l.runs), want)
+				}
 			}
 			for key, want := range naiveInputFluent(model.memory, stopped, q-window) {
 				if got, ok := res.Fluents[key]; !ok || !reflect.DeepEqual(got, want) {
@@ -202,6 +312,9 @@ func TestIndexMatchesNaiveScans(t *testing.T) {
 					t.Fatalf("seed %d q %d: derived events out of order: %v", seed, q, res.Derived)
 				}
 			}
+		}
+		if fired == 0 {
+			t.Fatalf("seed %d: no rule fired", seed)
 		}
 	}
 }
@@ -273,5 +386,40 @@ func TestStatsDefinitions(t *testing.T) {
 	}
 	if defs := e.Snapshot().Stats.Definitions; defs != nil {
 		t.Errorf("snapshot carries wall-clock timings: %v", defs)
+	}
+}
+
+// TestEventsNamedMergesDerivedWithInput pins EventsNamed for a name that
+// arrives as input and is also derived: one chronological list, input
+// occurrences ahead of derived ones at equal times — and only the input
+// ones in a step that derives none, though the step index still holds
+// the list's storage from the step before.
+func TestEventsNamedMergesDerivedWithInput(t *testing.T) {
+	e := NewEngine(1000)
+	e.DefineEvent(EventDef{Name: "echo", Rules: []TriggerRule{{
+		Event: "ping", Map: func(_ *Ctx, ev Event) []string { return []string{"d"} },
+	}}})
+	var seen []Event
+	e.DefineEvent(EventDef{Name: "look", Rules: []TriggerRule{{
+		Event: "tick",
+		Map: func(ctx *Ctx, _ Event) []string {
+			seen = slices.Clone(ctx.EventsNamed("echo"))
+			return nil
+		},
+	}}})
+	e.Advance(100, []Event{
+		{Name: "echo", Entity: "a", Time: 20}, {Name: "ping", Entity: "p", Time: 20},
+		{Name: "ping", Entity: "p", Time: 10}, {Name: "tick", Entity: "t", Time: 30},
+	})
+	want := []Event{
+		{Name: "echo", Entity: "d", Time: 10}, {Name: "echo", Entity: "a", Time: 20}, {Name: "echo", Entity: "d", Time: 20},
+	}
+	if !slices.Equal(seen, want) {
+		t.Errorf("step 1: EventsNamed(echo) = %v, want %v", seen, want)
+	}
+	e.Advance(1050, []Event{{Name: "echo", Entity: "b", Time: 1040}, {Name: "tick", Entity: "t", Time: 1045}})
+	want = []Event{{Name: "echo", Entity: "b", Time: 1040}}
+	if !slices.Equal(seen, want) {
+		t.Errorf("step 2, nothing derived: EventsNamed(echo) = %v, want %v", seen, want)
 	}
 }

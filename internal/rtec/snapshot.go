@@ -53,7 +53,7 @@ func compareFluentKey(a, b FluentKey) int {
 // concurrently with Advance.
 func (e *Engine) Snapshot() EngineSnapshot {
 	snap := EngineSnapshot{
-		Memory:  slices.Clone(e.memory),
+		Memory:  slices.Clone(e.memory.events()),
 		Pending: slices.Clone(e.pending),
 		LastQ:   e.lastQ,
 		Stats:   e.stats,
@@ -74,7 +74,11 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // it did on the original engine before restoring. It must not run
 // concurrently with Advance.
 func (e *Engine) Restore(snap EngineSnapshot) {
-	e.memory = slices.Clone(snap.Memory)
+	// The event index is derived from the working memory: rebuild it as
+	// if the whole memory had just been admitted.
+	e.memory = timeline{buf: slices.Clone(snap.Memory)}
+	clear(e.lists)
+	e.reindex(nil, e.memory.events())
 	e.pending = slices.Clone(snap.Pending)
 	e.fluents = make(map[FluentKey]IntervalList, len(snap.Fluents))
 	for _, fs := range snap.Fluents {
