@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-pipe bench-decode bench-quick check-allocs experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-decode bench-quick check-allocs experiments examples
 
 all: fmt-check build vet test
 
@@ -90,7 +90,7 @@ test-analytics:
 	go test -race -v -run 'TestClusterPairwiseAnalyticsEquivalence|TestClusterManifestRestoreWithAnalytics' ./internal/cluster/
 
 # One testing.B benchmark per table/figure of the paper's evaluation.
-bench: bench-serve bench-pipe
+bench: bench-serve
 	go test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
 # Serving-tier benchmarks, written as a JSON artifact with the pre-fix
@@ -98,15 +98,10 @@ bench: bench-serve bench-pipe
 bench-serve:
 	go run ./cmd/benchserve -out BENCH_serve.json
 
-# Pipeline benchmarks: sharded tracking-tier throughput/allocations per
-# shard count plus full-pipeline per-stage latency percentiles, written
-# as a JSON artifact with the pre-sharding serial baseline embedded.
-bench-pipe:
-	go run ./cmd/benchpipe -out BENCH_pipeline.json
-
-# Decode micro-benchmarks: zero-copy vs legacy scanner over NMEA and
-# CSV, one iteration each — a smoke run that proves the benchmarks
-# still compile and execute, not a measurement.
+# Decode micro-benchmarks: the zero-copy scanner vs the string decoder
+# kept in internal/ais/legacy_test.go, over NMEA and CSV, one iteration
+# each — a smoke run that proves the benchmarks still compile and
+# execute, not a measurement.
 bench-decode:
 	go test -run '^$$' -bench '^BenchmarkDecode$$' -benchmem -benchtime=1x ./internal/ais/
 

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -81,22 +79,62 @@ func (s ScannerStats) Add(o ScannerStats) ScannerStats {
 //	<unix-seconds> !AIVDM,...        timestamped NMEA, as archived feeds store it
 //	<mmsi>,<lon>,<lat>,<unix-seconds> plain CSV, the shape of the paper's dataset
 //
-// Lines starting with '#' and blank lines are skipped.
+// Lines starting with '#' and blank lines are skipped. A line of 1 MiB or
+// more is counted Malformed and skipped; the scan resumes at the next
+// newline.
 type Scanner struct {
 	r       *bufio.Scanner
+	lines   lineSplitter
 	asm     *Assembler
 	stats   ScannerStats
 	err     error
 	fix     Fix
 	voyages map[uint32]StaticVoyage
-	legacy  bool
 }
 
-// NewScanner wraps the reader. Lines may be up to 1 MiB long.
+// maxLineBytes bounds the scanner's read buffer; see lineSplitter.
+const maxLineBytes = 1 << 20
+
+// NewScanner wraps the reader.
 func NewScanner(r io.Reader) *Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &Scanner{r: sc, asm: NewAssembler(), voyages: make(map[uint32]StaticVoyage)}
+	s := &Scanner{r: bufio.NewScanner(r), asm: NewAssembler(), voyages: make(map[uint32]StaticVoyage)}
+	s.r.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	s.r.Split(s.lines.split)
+	return s
+}
+
+// lineSplitter is bufio.ScanLines for lines shorter than maxLineBytes. A
+// longer line would end bufio.Scanner with ErrTooLong and lose the rest
+// of the feed; instead its bytes are discarded up to the next newline
+// (or the end of input) and it comes out as one empty token with
+// tooLong set, which Scan counts as one Malformed line.
+type lineSplitter struct {
+	skipping bool // inside an over-long line, discarding up to its newline
+	tooLong  bool // the last token stands for a discarded over-long line
+}
+
+// discarded is the token of an over-long line: empty but non-nil, since
+// a nil token makes bufio.Scanner read on instead of returning.
+var discarded = []byte{}
+
+func (l *lineSplitter) split(data []byte, atEOF bool) (int, []byte, error) {
+	if l.skipping {
+		end := len(data)
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			end = i + 1
+		} else if !atEOF {
+			return end, nil, nil
+		}
+		l.skipping, l.tooLong = false, true
+		return end, discarded, nil
+	}
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	if advance == 0 && token == nil && err == nil && len(data) >= maxLineBytes {
+		// The buffer is full at its limit and holds no newline.
+		l.skipping = true
+		return len(data), nil, nil
+	}
+	return advance, token, err
 }
 
 // Voyages returns the latest static/voyage report collected per vessel.
@@ -105,33 +143,18 @@ func NewScanner(r io.Reader) *Scanner {
 // surfaced for display and comparison only.
 func (s *Scanner) Voyages() map[uint32]StaticVoyage { return s.voyages }
 
-// SetLegacyDecode forces the allocating string-based decode path for
-// every line instead of the zero-copy fast path. The two paths produce
-// identical fixes and identical ScannerStats on every input; the
-// differential fuzz test uses this switch to hold the legacy decoder up
-// as the oracle.
-func (s *Scanner) SetLegacyDecode(on bool) { s.legacy = on }
-
 // Scan advances to the next cleaned fix. It returns false at end of
 // input or on a read error (see Err); decoding errors only increment
 // the drop counters.
 //
-// The default path decodes each line zero-copy out of the read buffer
-// (see zerocopy.go); a warm scanner emits fixes without allocating.
+// Each line is decoded zero-copy out of the read buffer (see
+// zerocopy.go); a warm scanner emits fixes without allocating.
 func (s *Scanner) Scan() bool {
 	for s.r.Scan() {
 		s.stats.Lines++
-		if s.legacy {
-			line := strings.TrimSpace(s.r.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				s.stats.Blank++
-				continue
-			}
-			if fix, ok := s.consume(line); ok {
-				s.fix = fix
-				s.stats.Fixes++
-				return true
-			}
+		if s.lines.tooLong {
+			s.lines.tooLong = false
+			s.stats.Malformed++
 			continue
 		}
 		line := bytes.TrimSpace(s.r.Bytes())
@@ -157,92 +180,6 @@ func (s *Scanner) Err() error { return s.err }
 
 // Stats returns a snapshot of the drop counters.
 func (s *Scanner) Stats() ScannerStats { return s.stats }
-
-// consume handles one non-empty line.
-func (s *Scanner) consume(line string) (Fix, bool) {
-	if i := strings.IndexByte(line, '!'); i >= 0 {
-		return s.consumeNMEA(line[:i], line[i:])
-	}
-	return s.consumeCSV(line)
-}
-
-// consumeNMEA parses "<ts> !AIVDM..." lines.
-func (s *Scanner) consumeNMEA(prefix, sentence string) (Fix, bool) {
-	ts, err := strconv.ParseInt(strings.TrimSpace(prefix), 10, 64)
-	if err != nil {
-		s.stats.Malformed++
-		return Fix{}, false
-	}
-	sent, err := ParseSentence(sentence)
-	if err != nil {
-		switch {
-		case isErr(err, ErrBadChecksum):
-			s.stats.BadChecksum++
-		case isErr(err, ErrNotAIVDM):
-			s.stats.Unsupported++
-		default:
-			s.stats.Malformed++
-		}
-		return Fix{}, false
-	}
-	msg, err := s.asm.Push(sent)
-	if err != nil {
-		switch {
-		case isErr(err, ErrUnsupportedType):
-			s.stats.Unsupported++
-		case isErr(err, ErrFragmentLost):
-			s.stats.FragmentLoss++
-		default:
-			s.stats.Malformed++
-		}
-		return Fix{}, false
-	}
-	switch report := msg.(type) {
-	case nil:
-		s.stats.Fragments++
-		return Fix{}, false // awaiting more fragments
-	case *StaticVoyage:
-		s.stats.VoyageReports++
-		s.voyages[report.MMSI] = *report
-		return Fix{}, false
-	case *PositionReport:
-		if !report.HasPosition() {
-			s.stats.NoPosition++
-			return Fix{}, false
-		}
-		return Fix{
-			MMSI: report.MMSI,
-			Pos:  geo.Point{Lon: report.Lon, Lat: report.Lat},
-			Time: time.Unix(ts, 0).UTC(),
-		}, true
-	default:
-		s.stats.Malformed++
-		return Fix{}, false
-	}
-}
-
-// consumeCSV parses "mmsi,lon,lat,unix-seconds" lines.
-func (s *Scanner) consumeCSV(line string) (Fix, bool) {
-	parts := strings.Split(line, ",")
-	if len(parts) != 4 {
-		s.stats.Malformed++
-		return Fix{}, false
-	}
-	mmsi, err1 := strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 32)
-	lon, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	lat, err3 := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-	ts, err4 := strconv.ParseInt(strings.TrimSpace(parts[3]), 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-		s.stats.Malformed++
-		return Fix{}, false
-	}
-	p := geo.Point{Lon: lon, Lat: lat}
-	if !p.Valid() {
-		s.stats.NoPosition++
-		return Fix{}, false
-	}
-	return Fix{MMSI: uint32(mmsi), Pos: p, Time: time.Unix(ts, 0).UTC()}, true
-}
 
 // isErr unwraps with errors.Is semantics; a tiny indirection to keep the
 // switch above readable.

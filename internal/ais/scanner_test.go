@@ -113,6 +113,39 @@ func TestScannerSentinelPositionDropped(t *testing.T) {
 	}
 }
 
+// TestScannerSkipsOverLongLine: a line past the read buffer's limit is one
+// Malformed line, and the scan resumes at the next newline instead of
+// ending the feed with bufio.ErrTooLong.
+func TestScannerSkipsOverLongLine(t *testing.T) {
+	const fixA, fixB = "237000001,23.5,37.5,1243814400\n", "237000002,23.6,37.6,1243814460\n"
+	long := strings.Repeat("9", 2<<20)
+	for _, tc := range []struct {
+		name                   string
+		input                  string
+		fixes, lines, longOnes int
+	}{
+		{"between fixes", fixA + long + "\n" + fixB, 2, 3, 1},
+		{"two in a row", fixA + long + "\r\n" + long + "\n" + fixB, 2, 4, 2},
+		{"at end of input", fixA + fixB + long, 2, 3, 1},
+	} {
+		sc := NewScanner(strings.NewReader(tc.input))
+		var got []uint32
+		for sc.Scan() {
+			got = append(got, sc.Fix().MMSI)
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		st := sc.Stats()
+		if len(got) != tc.fixes || got[0] != 237000001 || got[len(got)-1] != 237000002 {
+			t.Errorf("%s: fixes %v", tc.name, got)
+		}
+		if st.Lines != tc.lines || st.Malformed != tc.longOnes || !st.Reconciles() {
+			t.Errorf("%s: stats %+v, want Lines=%d Malformed=%d reconciling", tc.name, st, tc.lines, tc.longOnes)
+		}
+	}
+}
+
 func TestWriteFixCSVRoundTrip(t *testing.T) {
 	f := Fix{MMSI: 237000009, Pos: geo.Point{Lon: 24.123456, Lat: 38.654321}, Time: time.Unix(1243814400, 0).UTC()}
 	var sb strings.Builder

@@ -9,19 +9,19 @@ import (
 	"repro/internal/geo"
 )
 
-// Zero-copy decode fast path. The Scanner's hot loop reads lines as
-// byte slices straight out of the bufio.Scanner's buffer and decodes
-// single-fragment position reports by extracting the three payload
-// fields a Fix needs — MMSI, longitude, latitude — directly from the
-// 6-bit armored characters, with no intermediate string, bitBuffer or
-// PositionReport allocation. The legacy string path (ParseSentence →
-// Assembler → decodePositionReport) is retained verbatim: multi-sentence
-// groups and type 5 voyage reports fall back to it, and the differential
-// fuzz test uses it as the oracle (SetLegacyDecode).
+// Zero-copy decode. The Scanner's hot loop reads lines as byte slices
+// straight out of the bufio.Scanner's buffer and decodes single-fragment
+// position reports by extracting the three payload fields a Fix needs —
+// MMSI, longitude, latitude — directly from the 6-bit armored
+// characters, with no intermediate string, bitBuffer or PositionReport
+// allocation. Multi-sentence groups and type 5 voyage reports take the
+// allocating path (ParseSentence → Assembler → decodePositionReport)
+// through pushLegacy.
 //
-// Every validation step below mirrors the legacy path's checks in the
+// Every validation step below mirrors the string decoder's checks in the
 // same order, so each input line lands on exactly the same ScannerStats
-// counter and yields exactly the same Fix (or none) as the oracle.
+// counter and yields exactly the same Fix (or none) as the string
+// decoder in legacy_test.go, the differential oracle.
 
 // unsafeString views a byte slice as a string for the strconv parsers,
 // which do not retain their argument. The slice must not be mutated

@@ -80,11 +80,10 @@ func TestZeroCopyDifferential(t *testing.T) {
 	input := differentialCorpus(t)
 	fast := NewScanner(strings.NewReader(input))
 	oracle := NewScanner(strings.NewReader(input))
-	oracle.SetLegacyDecode(true)
 
 	var n int
 	for fast.Scan() {
-		if !oracle.Scan() {
+		if !oracle.scanLegacy() {
 			t.Fatalf("fix %d: legacy oracle ended early", n)
 		}
 		if got, want := fast.Fix(), oracle.Fix(); got != want {
@@ -92,7 +91,7 @@ func TestZeroCopyDifferential(t *testing.T) {
 		}
 		n++
 	}
-	if oracle.Scan() {
+	if oracle.scanLegacy() {
 		t.Fatalf("legacy oracle emitted an extra fix: %+v", oracle.Fix())
 	}
 	if n == 0 {
@@ -145,8 +144,8 @@ func TestZeroCopyScanAllocs(t *testing.T) {
 		}
 	})
 	// One scanner construction costs a handful of allocations (bufio
-	// buffer, assembler, voyage map); the 4000 decoded lines must add
-	// nothing on top.
+	// buffer, split-function closure, assembler, voyage map); the 4000
+	// decoded lines must add nothing on top.
 	const maxAllocs = 10
 	if allocs > maxAllocs {
 		t.Errorf("scan pass allocated %.0f times for 4000 fixes, want <= %d (scanner setup only)", allocs, maxAllocs)
@@ -160,9 +159,12 @@ func benchDecode(b *testing.B, input string, fixes int, legacy bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := NewScanner(strings.NewReader(input))
-		sc.SetLegacyDecode(legacy)
+		scan := sc.Scan
+		if legacy {
+			scan = sc.scanLegacy
+		}
 		n := 0
-		for sc.Scan() {
+		for scan() {
 			n++
 		}
 		if n != fixes {

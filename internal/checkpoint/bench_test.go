@@ -11,7 +11,7 @@ import (
 
 // BenchmarkCheckpointSave measures the full checkpoint cost — snapshot
 // capture plus atomic durable write — against a pipeline loaded with
-// the 400-vessel bench workload (the benchpipe scale), the number
+// the 400-vessel bench workload (BenchmarkShardedSlide's scale), the number
 // EXPERIMENTS.md reports as per-slide overhead.
 func BenchmarkCheckpointSave(b *testing.B) {
 	cfg := fleetsim.DefaultConfig()

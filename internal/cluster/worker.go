@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/ais"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/feed"
@@ -78,12 +77,10 @@ type Worker struct {
 	cursor feed.Cursor
 	slides int
 
-	// Steady-state scratch: the columnar batch arena the slice feed is
-	// decoded into, and the uplink frames re-filled every slide so the
-	// per-slide encode allocates nothing on the worker side.
-	cols ais.FixBatch
-	out  SlideOutput
-	msg  Message
+	// Steady-state scratch: the uplink frames re-filled every slide so
+	// the per-slide encode allocates nothing on the worker side.
+	out SlideOutput
+	msg Message
 }
 
 // NewWorker builds the worker and, when a checkpoint directory is
@@ -170,17 +167,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.base != nil {
 		client.SeedCursor(w.cursor)
 	}
-	defer client.Close()
-	w.sys.AddHealthSource(core.LiveHealthSource(client, nil))
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			client.Close()
-		case <-stop:
-		}
-	}()
 
 	var batcher *stream.Batcher
 	switch {
@@ -195,21 +181,37 @@ func (w *Worker) Run(ctx context.Context) error {
 	default:
 		batcher = stream.NewBatcher(client, w.cfg.System.Window.Slide)
 	}
+	// The lossless ingest stage decodes slide k+1 while slide k is
+	// processed. Its goroutine may be inside client.Scan: close the
+	// client first, then wait for it.
+	stage := stream.NewIngestStage(batcher, 0)
+	defer func() {
+		client.Close()
+		stage.Close()
+	}()
+	w.sys.AddHealthSource(core.LiveHealthSource(client, stage))
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-ctx.Done():
+			client.Close()
+		case <-stop:
+		}
+	}()
 
 	slideSec := int64(w.cfg.System.Window.Slide / time.Second)
 	var lastQ time.Time
 	for {
-		// Columnar slide admission: the slice feed decodes straight into
-		// the worker's reusable batch arena.
-		b, ok := batcher.NextInto(&w.cols)
+		b, ok := stage.Next()
 		if !ok {
 			break
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		for i := 0; i < w.cols.Len(); i++ {
-			w.cursor.Note(w.cols.At(i))
+		for _, f := range b.Fixes {
+			w.cursor.Note(f)
 		}
 		w.fresh = w.fresh[:0]
 		rep := w.sys.ProcessBatch(b)
@@ -240,8 +242,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := uplink.send(&w.msg); err != nil {
 			return err
 		}
+		stage.Recycle(b)
 	}
-	if err := client.Err(); err != nil {
+	if err := stage.Err(); err != nil {
 		return fmt.Errorf("cluster: worker %d slice feed: %w", w.cfg.ID, err)
 	}
 	if ctx.Err() != nil {

@@ -19,7 +19,7 @@ import (
 // goroutine — archival, then recognition with nothing beside it, then
 // analytics — merged the way processLocked merges them.
 func serialSlide(s *System, b stream.Batch) SlideReport {
-	rep := SlideReport{Query: b.Query, FixesIn: b.Len()}
+	rep := SlideReport{Query: b.Query, FixesIn: len(b.Fixes)}
 	res := s.tracker.Slide(b)
 	rep.CriticalPoints = len(res.Fresh)
 	if s.storeJ != nil {

@@ -386,7 +386,7 @@ func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 
 func (s *System) processLocked(b stream.Batch) SlideReport {
 	start := time.Now()
-	rep := SlideReport{Query: b.Query, FixesIn: b.Len()}
+	rep := SlideReport{Query: b.Query, FixesIn: len(b.Fixes)}
 	level := DegradeNone
 	if s.degrader != nil {
 		level = s.degrader.Level()

@@ -68,8 +68,8 @@ func BearingCached(a, b Point, ta, tb LatTrig) float64 {
 // angle identities instead of two more trig calls, and the final fold
 // into [0, 360) is a conditional add instead of math.Mod. The result
 // agrees with Bearing to within a few ULPs — every consumer (the
-// tracker, both row and columnar) resolves headings through this one
-// function, so the tracker's equivalence goldens are unaffected.
+// tracker) resolves headings through this one function, so the
+// tracker's equivalence goldens are unaffected.
 // dt must be positive; the caller has already rejected non-advancing
 // timestamps.
 func VelocityDistBetween(a, b Point, dt time.Duration, ta, tb LatTrig) (Velocity, float64) {

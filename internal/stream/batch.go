@@ -48,21 +48,9 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // (Query-β, Query]: the paper simulates streaming "by consuming this
 // positional data little by little, reading small chunks periodically
 // according to window specifications" (§5).
-// A batch carries its fixes in exactly one of two forms: the
-// row-oriented Fixes slice, or the columnar Cols arena filled by
-// Batcher.NextInto. Consumers check Cols first; Len abstracts over both.
 type Batch struct {
 	Fixes []ais.Fix
-	Cols  *ais.FixBatch // columnar form; nil on the row path
-	Query time.Time     // the query time Q_i closing this slide interval
-}
-
-// Len returns the number of fixes in the batch, whichever form it is in.
-func (b Batch) Len() int {
-	if b.Cols != nil {
-		return b.Cols.Len()
-	}
-	return len(b.Fixes)
+	Query time.Time // the query time Q_i closing this slide interval
 }
 
 // Batcher groups a timestamped fix source into consecutive slide
@@ -175,23 +163,6 @@ func (b *Batcher) Next() (Batch, bool) {
 		out.Fixes = append(out.Fixes, f)
 	}
 	return out, true
-}
-
-// NextInto is the columnar, allocation-free variant of Next: the next
-// slide's fixes are appended into fb (reset first, capacity retained
-// across slides) and the returned batch references fb via Cols. The
-// batching algorithm is Next's; only the storage form differs. The
-// returned batch is valid until the next NextInto call recycles fb.
-func (b *Batcher) NextInto(fb *ais.FixBatch) (Batch, bool) {
-	q, ok := b.begin()
-	if !ok {
-		return Batch{}, false
-	}
-	fb.Reset()
-	for f, ok := b.more(); ok; f, ok = b.more() {
-		fb.Append(f)
-	}
-	return Batch{Cols: fb, Query: q}, true
 }
 
 // CountBatcher groups a fix source into fixed-size chunks of n fixes,

@@ -1,17 +1,17 @@
 package tracker
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
-	"repro/internal/ais"
 	"repro/internal/fleetsim"
 	"repro/internal/stream"
 )
 
-// benchWorkload is the benchmark fleet: the same shape as the BENCH
-// artifact's baseline workload (seed 42, 400 vessels, 2 h, 5 min slides).
-func benchWorkload(b *testing.B) (rows []stream.Batch, cols []stream.Batch, fixes int) {
+// benchWorkload is the benchmark fleet: seed 42, 400 vessels, 2 h, 5 min
+// slides.
+func benchWorkload(b *testing.B) (batches []stream.Batch, fixes int) {
 	b.Helper()
 	cfg := fleetsim.DefaultConfig()
 	cfg.Seed = 42
@@ -24,14 +24,9 @@ func benchWorkload(b *testing.B) (rows []stream.Batch, cols []stream.Batch, fixe
 		if !ok {
 			break
 		}
-		rows = append(rows, bt)
-		fb := &ais.FixBatch{}
-		for _, f := range bt.Fixes {
-			fb.Append(f)
-		}
-		cols = append(cols, stream.Batch{Cols: fb, Query: bt.Query})
+		batches = append(batches, bt)
 	}
-	return rows, cols, len(all)
+	return batches, len(all)
 }
 
 func benchSlide(b *testing.B, batches []stream.Batch, fixes, shards int) {
@@ -50,24 +45,23 @@ func benchSlide(b *testing.B, batches []stream.Batch, fixes, shards int) {
 	b.ReportMetric(float64(b.N*fixes)/b.Elapsed().Seconds(), "fixes/s")
 }
 
-// BenchmarkShardedSlide replays the baseline workload through the
-// tracking tier, row-oriented versus columnar, at 1 and 4 shards.
+// BenchmarkShardedSlide replays the workload through a cold tracking
+// tier at 1, 2 and 4 shards.
 func BenchmarkShardedSlide(b *testing.B) {
-	rows, cols, fixes := benchWorkload(b)
-	b.Run("row-1shard", func(b *testing.B) { benchSlide(b, rows, fixes, 1) })
-	b.Run("columnar-1shard", func(b *testing.B) { benchSlide(b, cols, fixes, 1) })
-	b.Run("row-4shard", func(b *testing.B) { benchSlide(b, rows, fixes, 4) })
-	b.Run("columnar-4shard", func(b *testing.B) { benchSlide(b, cols, fixes, 4) })
+	batches, fixes := benchWorkload(b)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(strconv.Itoa(shards)+"shard", func(b *testing.B) { benchSlide(b, batches, fixes, shards) })
+	}
 }
 
-// shiftBatches advances every columnar batch (and its query time) by d,
+// shiftBatches advances every batch (its fixes and its query time) by d,
 // in place, so the same workload can be replayed against a warm tracker
 // as the next stretch of stream time.
 func shiftBatches(batches []stream.Batch, d time.Duration) {
 	for i := range batches {
 		batches[i].Query = batches[i].Query.Add(d)
-		for j, ns := range batches[i].Cols.TimeNS {
-			batches[i].Cols.TimeNS[j] = ns + int64(d)
+		for j := range batches[i].Fixes {
+			batches[i].Fixes[j].Time = batches[i].Fixes[j].Time.Add(d)
 		}
 	}
 }
@@ -80,22 +74,65 @@ func shiftBatches(batches []stream.Batch, d time.Duration) {
 // excluded, which is exactly what distinguishes this row from
 // BenchmarkShardedSlide.
 func BenchmarkSteadySlide(b *testing.B) {
-	_, cols, fixes := benchWorkload(b)
+	batches, fixes := benchWorkload(b)
 	span := 2 * time.Hour
 	tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, 1)
 	defer tr.Close()
 	// Warm up: one full pass populates the fleet and fills the window.
-	for _, bt := range cols {
+	for _, bt := range batches {
 		tr.Slide(bt)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shiftBatches(cols, span)
-		for _, bt := range cols {
+		shiftBatches(batches, span)
+		for _, bt := range batches {
 			tr.Slide(bt)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fixes), "ns/fix")
 	b.ReportMetric(float64(b.N*fixes)/b.Elapsed().Seconds(), "fixes/s")
+}
+
+// TestSteadyStateSlideAllocs is the allocation-free steady state gate:
+// after the tracking tier has warmed (vessel map populated, scratch
+// slices at their high-water marks, synopsis windows full), a slide must
+// run allocation-free up to a small amortized constant — synopsis ring
+// growth and stop-run reallocation are amortized, nothing is allocated
+// per fix or per slide. Two shards is what production runs on a 2-core
+// box (DefaultShards).
+func TestSteadyStateSlideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime inflates allocation counts")
+	}
+	batches := simBatches(t, 150, 3)
+	// Drop the far-future drain batch; it evicts every vessel, which is
+	// not a steady state.
+	batches = batches[:len(batches)-1]
+	warm := len(batches) - 12 // leave 12 slides (one full window) to measure
+	if warm < 1 {
+		t.Fatalf("run too short: %d slides", len(batches))
+	}
+	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
+	for _, shards := range []int{1, 2} {
+		tier := NewSharded(DefaultParams(), window, shards)
+		for _, b := range batches[:warm] {
+			tier.Slide(b)
+		}
+		idx := warm
+		const runs = 10 // AllocsPerRun adds one warm-up call
+		allocs := testing.AllocsPerRun(runs, func() {
+			tier.Slide(batches[idx])
+			idx++
+		})
+		tier.Close()
+		if idx != warm+runs+1 {
+			t.Fatalf("shards=%d: measured %d slides, want %d", shards, idx-warm, runs+1)
+		}
+		const maxAllocs = 10
+		if allocs > maxAllocs {
+			t.Errorf("shards=%d: steady-state slide allocates %.1f times, want <= %d", shards, allocs, maxAllocs)
+		}
+		t.Logf("shards=%d: %.1f allocs per steady-state slide", shards, allocs)
+	}
 }

@@ -151,23 +151,7 @@ func (s *Sharded) slideHealed(b stream.Batch) SlideResult {
 	n := len(s.shards)
 	s.slideSeq++
 
-	// The journal stores row-form fixes (they must outlive the batch
-	// arena, which the caller recycles next slide), so a columnar batch
-	// is materialized to rows once here. b is a value copy; the caller's
-	// batch is untouched.
-	if b.Cols != nil {
-		s.rowScratch = b.Cols.AppendRows(s.rowScratch[:0])
-		b.Fixes = s.rowScratch
-		b.Cols = nil
-	}
-
-	for i := range s.byShard {
-		s.byShard[i] = s.byShard[i][:0]
-	}
-	for i, f := range b.Fixes {
-		sh := ShardOf(f.MMSI, n)
-		s.byShard[sh] = append(s.byShard[sh], idxFix{fix: f, idx: int32(i)})
-	}
+	s.route(b)
 	// Journal every shard — quarantined ones too, so repair replays the
 	// fixes their live run is dropping.
 	for i := 0; i < n; i++ {

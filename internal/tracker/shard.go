@@ -54,22 +54,15 @@ type Sharded struct {
 	shards []*Tracker
 	pool   *shardPool
 
-	// Slide-scoped scratch, reused across slides. Columnar batches are
-	// routed as per-shard index lists into the shared FixBatch (colIdx)
-	// instead of copying fixes; done is the fan-in channel, allocated
-	// once since the non-healing slide drains it completely.
+	// Slide-scoped scratch, reused across slides; done is the fan-in
+	// channel, allocated once since the non-healing slide drains it
+	// completely.
 	byShard [][]idxFix
-	colIdx  [][]int32
 	outs    []shardOut
 	heads   []int
 	fresh   []CriticalPoint
 	delta   []CriticalPoint
 	done    chan int
-
-	// adaptive, when non-nil, is the tier's compression tuner (see
-	// adaptive.go): it observes raw batches before fan-out and re-tunes
-	// the per-vessel-class threshold multipliers between slides.
-	adaptive *AdaptiveState
 
 	metrics *shardMetrics
 
@@ -77,7 +70,6 @@ type Sharded struct {
 	// heal.go. skip marks shards excluded from the current slide's merge
 	// because they are quarantined or failed.
 	heal         []shardHeal
-	rowScratch   []ais.Fix // columnar→row staging for the journal
 	skip         []bool
 	journalEvery int
 	journalCap   int
@@ -124,12 +116,8 @@ type shardOut struct {
 // worker needs so that workers never reference the Sharded tier itself
 // (which lets an abandoned tier be finalized and its pool reclaimed).
 type shardJob struct {
-	tr    *Tracker
-	fixes []idxFix
-	// Columnar form: when cols is non-nil the job's fixes live in the
-	// shared batch arena and colIdx lists this shard's batch indices.
-	cols    *ais.FixBatch
-	colIdx  []int32
+	tr      *Tracker
+	fixes   []idxFix
 	q       time.Time
 	out     *shardOut
 	done    chan<- int
@@ -206,14 +194,8 @@ func runShard(j shardJob) {
 		(*j.hook)(j.i, j.slide, j.attempt)
 	}
 	j.tr.beginSlide()
-	if j.cols != nil {
-		for _, idx := range j.colIdx {
-			j.tr.ingestColsIndexed(j.cols, idx)
-		}
-	} else {
-		for _, xf := range j.fixes {
-			j.tr.ingestIndexed(xf.fix, xf.idx)
-		}
+	for _, xf := range j.fixes {
+		j.tr.ingestIndexed(xf.fix, xf.idx)
 	}
 	gapStart, delta := j.tr.finishSlide(j.q)
 	*j.out = shardOut{gapStart: gapStart, delta: delta, dur: time.Since(start)}
@@ -235,7 +217,6 @@ func NewSharded(params Params, window stream.WindowSpec, shards int) *Sharded {
 	s := &Sharded{
 		shards:  make([]*Tracker, shards),
 		byShard: make([][]idxFix, shards),
-		colIdx:  make([][]int32, shards),
 		outs:    make([]shardOut, shards),
 		heads:   make([]int, shards),
 		done:    make(chan int, shards),
@@ -282,14 +263,12 @@ func (s *Sharded) shardFor(mmsi uint32) *Tracker {
 	return s.shards[ShardOf(mmsi, len(s.shards))]
 }
 
-// wireShared points a shard at the tier-wide accounting atomics and the
-// compression tuner (nil unless EnableAdaptive was called).
+// wireShared points a shard at the tier-wide accounting atomics.
 func (s *Sharded) wireShared(tr *Tracker) {
 	tr.lateAcc = &s.lateAcc
 	tr.lateDrop = &s.lateDrop
 	tr.shedCnt = &s.shedCnt
 	tr.shed = &s.shedOn
-	tr.adaptive = s.adaptive
 }
 
 // SetShedStationary toggles overload shedding: while on, fixes from
@@ -312,13 +291,6 @@ func (s *Sharded) ShedFixes() int64 { return s.shedCnt.Load() }
 // The returned Fresh and Delta slices are tier-owned scratch, valid
 // until the next Slide.
 func (s *Sharded) Slide(b stream.Batch) SlideResult {
-	if s.adaptive != nil {
-		// Observe raw fixes and (periodically) re-tune the per-class
-		// multipliers before fan-out: the coordinator runs serially here,
-		// and the job-channel sends below publish the updated multipliers
-		// to the pool workers.
-		s.adaptive.observe(b)
-	}
 	if s.heal != nil {
 		return s.slideHealed(b)
 	}
@@ -327,46 +299,18 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 		tr := s.shards[0]
 		start := time.Now()
 		tr.beginSlide()
-		if b.Cols != nil {
-			cols := b.Cols
-			for i := range cols.MMSI {
-				tr.ingest(cols.MMSI[i], cols.Lon[i], cols.Lat[i], cols.TimeNS[i])
-			}
-		} else {
-			for _, f := range b.Fixes {
-				tr.ingestFix(f)
-			}
+		for _, f := range b.Fixes {
+			tr.ingestFix(f)
 		}
 		_, delta := tr.finishSlide(b.Query)
 		if s.metrics != nil {
 			s.metrics.shardDur[0].ObserveDuration(time.Since(start))
-			s.metrics.shardFixes[0].Add(uint64(b.Len()))
+			s.metrics.shardFixes[0].Add(uint64(len(b.Fixes)))
 		}
 		return SlideResult{Query: b.Query, Fresh: tr.fresh, Delta: delta}
 	}
 
-	// Route the batch: each fix goes to the shard owning its vessel,
-	// tagged with its batch index. Columnar batches route as index lists
-	// into the shared arena — no fix is copied. The routing buffers are
-	// reused across slides.
-	if b.Cols != nil {
-		cols := b.Cols
-		for i := range s.colIdx {
-			s.colIdx[i] = s.colIdx[i][:0]
-		}
-		for i, mmsi := range cols.MMSI {
-			sh := ShardOf(mmsi, n)
-			s.colIdx[sh] = append(s.colIdx[sh], int32(i))
-		}
-	} else {
-		for i := range s.byShard {
-			s.byShard[i] = s.byShard[i][:0]
-		}
-		for i, f := range b.Fixes {
-			sh := ShardOf(f.MMSI, n)
-			s.byShard[sh] = append(s.byShard[sh], idxFix{fix: f, idx: int32(i)})
-		}
-	}
+	s.route(b)
 
 	// Fan out: shards 1..n-1 to the pool, shard 0 on this goroutine. The
 	// fan-in channel is tier-owned; every slide drains it completely.
@@ -375,27 +319,15 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 		pending = s.metrics.mergeQueue
 	}
 	for i := 1; i < n; i++ {
-		j := shardJob{
-			tr: s.shards[i], q: b.Query,
+		s.pool.jobs <- shardJob{
+			tr: s.shards[i], fixes: s.byShard[i], q: b.Query,
 			out: &s.outs[i], done: s.done, i: i, pending: pending,
 		}
-		if b.Cols != nil {
-			j.cols, j.colIdx = b.Cols, s.colIdx[i]
-		} else {
-			j.fixes = s.byShard[i]
-		}
-		s.pool.jobs <- j
 	}
-	j0 := shardJob{
-		tr: s.shards[0], q: b.Query,
+	runShard(shardJob{
+		tr: s.shards[0], fixes: s.byShard[0], q: b.Query,
 		out: &s.outs[0], done: nil, i: 0, pending: pending,
-	}
-	if b.Cols != nil {
-		j0.cols, j0.colIdx = b.Cols, s.colIdx[0]
-	} else {
-		j0.fixes = s.byShard[0]
-	}
-	runShard(j0)
+	})
 	for got := 1; got < n; got++ {
 		<-s.done
 	}
@@ -405,15 +337,25 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 	if s.metrics != nil {
 		for i := range s.outs {
 			s.metrics.shardDur[i].ObserveDuration(s.outs[i].dur)
-			if b.Cols != nil {
-				s.metrics.shardFixes[i].Add(uint64(len(s.colIdx[i])))
-			} else {
-				s.metrics.shardFixes[i].Add(uint64(len(s.byShard[i])))
-			}
+			s.metrics.shardFixes[i].Add(uint64(len(s.byShard[i])))
 		}
 		s.metrics.mergeDur.ObserveDuration(time.Since(mergeStart))
 	}
 	return SlideResult{Query: b.Query, Fresh: s.fresh, Delta: s.delta}
+}
+
+// route splits the batch into the per-shard routing buffers (reused
+// across slides): each fix goes to the shard owning its vessel, tagged
+// with its batch index.
+func (s *Sharded) route(b stream.Batch) {
+	n := len(s.shards)
+	for i := range s.byShard {
+		s.byShard[i] = s.byShard[i][:0]
+	}
+	for i, f := range b.Fixes {
+		sh := ShardOf(f.MMSI, n)
+		s.byShard[sh] = append(s.byShard[sh], idxFix{fix: f, idx: int32(i)})
+	}
 }
 
 // merge recombines the per-shard slide outputs into the exact serial

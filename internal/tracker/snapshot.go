@@ -54,8 +54,9 @@ type Snapshot struct {
 	Stats   Stats
 }
 
-// snapshotVessel captures one vessel's state, converting the columnar
-// in-memory layout back to the stable row-oriented wire format. Slices
+// snapshotVessel captures one vessel's state, converting the in-memory
+// layout (nanosecond clocks, runFix members) to the stable wire format
+// of ais.Fix values. Slices
 // are copied so the snapshot stays valid while the tracker keeps
 // sliding.
 func snapshotVessel(mmsi uint32, st *vesselState) VesselSnapshot {
@@ -139,7 +140,6 @@ func restoreVessel(vs VesselSnapshot) *vesselState {
 		recentTurns: slices.Clone(vs.RecentTurns),
 		odometerM:   vs.OdometerM,
 		departureM:  vs.DepartureM,
-		mult:        1,
 	}
 	if vs.HaveLast {
 		st.lastPos = vs.Last.Pos

@@ -19,13 +19,8 @@ import (
 // per incoming tuple; long-lasting events cost O(m) over the m most
 // recent positions (paper §3.1).
 //
-// The ingest path is columnar: fixes arrive as scalar (MMSI, lon, lat,
-// UnixNano) tuples — read straight out of an ais.FixBatch's parallel
-// arrays or adapted from row-oriented ais.Fix values — and all internal
-// clocks are int64 nanoseconds. Emitted critical points carry time.Time
-// values rebuilt with time.Unix(0, ns).UTC(), which is structurally
-// identical to the times the row path carried, so the two ingest forms
-// produce byte-identical output.
+// All internal clocks are int64 nanoseconds; emitted critical points
+// carry time.Time values rebuilt with time.Unix(0, ns).UTC().
 type Tracker struct {
 	params  Params
 	window  stream.WindowSpec
@@ -56,11 +51,6 @@ type Tracker struct {
 	// boundary against which accepted fixes are classified as late.
 	lastQueryNS int64
 	haveLastQ   bool
-
-	// adaptive, when non-nil, supplies per-vessel-class threshold
-	// multipliers (see adaptive.go). Nil keeps the default fixed
-	// thresholds on a branch-free path.
-	adaptive *AdaptiveState
 
 	// Tier-shared accounting, wired by NewSharded (nil on a standalone
 	// tracker, and nil while a journal replay rebuilds a shard so the
@@ -139,10 +129,6 @@ type vesselState struct {
 	odometerM  float64
 	departureM float64
 
-	// mult is the adaptive threshold multiplier resolved at the last
-	// ingest (1 when adaptive compression is off).
-	mult float64
-
 	synopsis   stream.TimeBuffer[CriticalPoint]
 	lastSeenNS int64
 	haveSeen   bool
@@ -208,17 +194,8 @@ type SlideResult struct {
 // sharded tier uses the scratch-backed internal phases instead.
 func (tr *Tracker) Slide(b stream.Batch) SlideResult {
 	tr.beginSlide()
-	if b.Cols != nil {
-		cols := b.Cols
-		for i := range cols.MMSI {
-			tr.curIdx = int32(i)
-			tr.ingest(cols.MMSI[i], cols.Lon[i], cols.Lat[i], cols.TimeNS[i])
-		}
-	} else {
-		for i, f := range b.Fixes {
-			tr.curIdx = int32(i)
-			tr.ingestFix(f)
-		}
+	for i, f := range b.Fixes {
+		tr.ingestIndexed(f, int32(i))
 	}
 	_, delta := tr.finishSlide(b.Query)
 
@@ -239,23 +216,16 @@ func (tr *Tracker) beginSlide() {
 	tr.curIdx = gapSentinel
 }
 
-// ingestFix processes one row-oriented fix.
+// ingestFix processes one fix.
 func (tr *Tracker) ingestFix(f ais.Fix) {
 	tr.ingest(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
 }
 
-// ingestIndexed processes one row fix tagged with its global batch
-// index, the sharded tier's row-path ingest entry point.
+// ingestIndexed processes one fix tagged with its global batch index,
+// the key the sharded merge restores emission order by.
 func (tr *Tracker) ingestIndexed(f ais.Fix, idx int32) {
 	tr.curIdx = idx
 	tr.ingestFix(f)
-}
-
-// ingestColsIndexed processes fix i of a columnar batch tagged with its
-// global batch index.
-func (tr *Tracker) ingestColsIndexed(cols *ais.FixBatch, i int32) {
-	tr.curIdx = i
-	tr.ingest(cols.MMSI[i], cols.Lon[i], cols.Lat[i], cols.TimeNS[i])
 }
 
 // finishSlide runs the per-slide phases that follow ingestion: the
@@ -324,16 +294,7 @@ func (tr *Tracker) noteLateAccepted(tns int64) {
 	}
 }
 
-// stopRadiusFor resolves the effective stop radius for a vessel outside
-// the ingest path (gap sweep, run closure).
-func (tr *Tracker) stopRadiusFor(st *vesselState) float64 {
-	if tr.adaptive != nil {
-		return tr.params.StopRadiusMeters * st.mult
-	}
-	return tr.params.StopRadiusMeters
-}
-
-// ingest processes one fix given as scalar column values.
+// ingest processes one fix given as scalar values.
 func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	tr.stats.FixesIn++
 	st := tr.vessels[mmsi]
@@ -344,7 +305,7 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 		// first dozen fixes.
 		m := tr.params.M
 		st = &vesselState{
-			mmsi: mmsi, mult: 1,
+			mmsi:        mmsi,
 			recent:      make([]velEntry, 0, m),
 			recentTurns: make([]float64, 0, m),
 			stopRun:     make([]runFix, 0, 2*m),
@@ -378,25 +339,13 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	dt := time.Duration(tns - st.lastTNS)
 	trig := geo.LatTrigOf(pos)
 
-	// Adaptive compression (opt-in): scale the emission thresholds by
-	// the vessel-class multiplier. With adaptive off the defaults pass
-	// through untouched.
-	turnThr, speedFrac, stopRadius := p.TurnThresholdDeg, p.SpeedChangeFrac, p.StopRadiusMeters
-	if tr.adaptive != nil {
-		m := tr.adaptive.multFor(st.vPrev.SpeedKnots, st.haveV)
-		st.mult = m
-		turnThr *= m
-		speedFrac = min(speedFrac*m, 1)
-		stopRadius *= m
-	}
-
 	// Overload shedding (degradation ladder L3): while the pipeline is
 	// shedding, positions of long-stopped vessels only advance the
 	// vessel clock — no event detection, no synopsis growth. A fix that
 	// leaves the stop circle (or a communication gap) re-enters the full
 	// path so departures are still caught.
 	if st.stopped && tr.shed != nil && tr.shed.Load() &&
-		dt < p.GapPeriod && geo.HaversineCached(st.lastPos, pos, st.lastTrig, trig) <= stopRadius {
+		dt < p.GapPeriod && geo.HaversineCached(st.lastPos, pos, st.lastTrig, trig) <= p.StopRadiusMeters {
 		tr.stats.Shed++
 		if tr.shedCnt != nil {
 			tr.shedCnt.Add(1)
@@ -409,7 +358,7 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	// at a slide boundary while the vessel was silent).
 	if dt >= p.GapPeriod || st.gapOpen {
 		if !st.gapOpen {
-			tr.closeRuns(st, st.lastTNS, stopRadius)
+			tr.closeRuns(st, st.lastTNS)
 			tr.emit(st, CriticalPoint{
 				MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS), Type: EventGapStart,
 			})
@@ -471,11 +420,11 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	// emitted there — retaining the corner keeps reconstruction tight.
 	if st.haveV && moving && st.vPrev.SpeedKnots > p.VMinKnots {
 		delta := geo.SignedHeadingDelta(st.vPrev.HeadingDeg, vNow.HeadingDeg)
-		if math.Abs(delta) > turnThr {
+		if math.Abs(delta) > p.TurnThresholdDeg {
 			tr.emit(st, CriticalPoint{
 				MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS), Type: EventTurn,
 				SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
-				Confidence: marginConfidence(math.Abs(delta), turnThr),
+				Confidence: marginConfidence(math.Abs(delta), p.TurnThresholdDeg),
 			})
 			st.recentTurns = st.recentTurns[:0]
 		} else {
@@ -493,11 +442,11 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 			for _, d := range st.recentTurns {
 				cum += d
 			}
-			if math.Abs(cum) > turnThr {
+			if math.Abs(cum) > p.TurnThresholdDeg {
 				tr.emit(st, CriticalPoint{
 					MMSI: mmsi, Pos: pos, Time: nsTime(tns), Type: EventSmoothTurn,
 					SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
-					Confidence: marginConfidence(math.Abs(cum), turnThr),
+					Confidence: marginConfidence(math.Abs(cum), p.TurnThresholdDeg),
 				})
 				st.recentTurns = st.recentTurns[:0]
 			}
@@ -511,16 +460,16 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	if st.haveV && !st.stopped && (moving || st.vPrev.SpeedKnots > p.VMinKnots) {
 		denom := max(vNow.SpeedKnots, 0.1)
 		rel := math.Abs(vNow.SpeedKnots-st.vPrev.SpeedKnots) / denom
-		if rel > speedFrac {
+		if rel > p.SpeedChangeFrac {
 			tr.emit(st, CriticalPoint{
 				MMSI: mmsi, Pos: pos, Time: nsTime(tns), Type: EventSpeedChange,
 				SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
-				Confidence: marginConfidence(rel, speedFrac),
+				Confidence: marginConfidence(rel, p.SpeedChangeFrac),
 			})
 		}
 	}
 
-	tr.updateStopRun(st, pos, tns, vNow, moving, stopRadius)
+	tr.updateStopRun(st, pos, tns, vNow, moving)
 	tr.updateSlowRun(st, pos, tns, vNow, moving)
 
 	// The odometer hop is the same great-circle distance the velocity
@@ -641,17 +590,17 @@ func (st *vesselState) stopWithin(radius float64) bool {
 // updateStopRun maintains the long-term stop state machine: at least m
 // consecutive low-speed positions within radius r of their centroid
 // (paper Figure 3(c)).
-func (tr *Tracker) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow geo.Velocity, moving bool, radius float64) {
+func (tr *Tracker) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow geo.Velocity, moving bool) {
 	p := &tr.params
 	if !moving {
 		st.pushStopAgg(pos, len(st.stopRun) == 0)
 		st.stopRun = append(st.stopRun, runFix{pos: pos, tns: tns})
 		// Shrink from the front until the run fits in radius r.
-		for len(st.stopRun) > 1 && !st.stopWithin(radius) {
+		for len(st.stopRun) > 1 && !st.stopWithin(p.StopRadiusMeters) {
 			if st.stopped {
 				// The vessel drifted out of the stop circle: close the
 				// episode and start a fresh run at the current position.
-				tr.endStop(st, tns, radius)
+				tr.endStop(st, tns)
 				st.stopRun = append(st.stopRun[:0], runFix{pos: pos, tns: tns})
 				st.pushStopAgg(pos, true)
 				return
@@ -667,13 +616,13 @@ func (tr *Tracker) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow
 			c := st.stopCentroid()
 			tr.emit(st, CriticalPoint{
 				MMSI: st.mmsi, Pos: c, Time: nsTime(st.stopRun[0].tns), Type: EventStopStart,
-				Confidence: stopConfidenceAt(st.stopRun, c, radius),
+				Confidence: stopConfidenceAt(st.stopRun, c, p.StopRadiusMeters),
 			})
 		}
 		return
 	}
 	if st.stopped {
-		tr.endStop(st, tns, radius)
+		tr.endStop(st, tns)
 	} else if len(st.stopRun) != 0 {
 		// Skip the aggregate reset for cruising vessels whose run is
 		// already empty — the common case on every moving fix.
@@ -684,13 +633,13 @@ func (tr *Tracker) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow
 
 // endStop emits the StopEnd point: the collapsed representation is the
 // centroid of the episode with its total duration.
-func (tr *Tracker) endStop(st *vesselState, endNS int64, radius float64) {
+func (tr *Tracker) endStop(st *vesselState, endNS int64) {
 	run := st.stopRun
 	c := st.stopCentroid()
 	cp := CriticalPoint{
 		MMSI: st.mmsi, Pos: c, Time: nsTime(endNS), Type: EventStopEnd,
 		Duration:   time.Duration(endNS - run[0].tns),
-		Confidence: stopConfidenceAt(run, c, radius),
+		Confidence: stopConfidenceAt(run, c, tr.params.StopRadiusMeters),
 	}
 	tr.emit(st, cp)
 	st.stopped = false
@@ -733,9 +682,9 @@ func (tr *Tracker) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow
 
 // closeRuns ends any open durative episodes at the vessel's last fix
 // (endNS), used when a communication gap interrupts them.
-func (tr *Tracker) closeRuns(st *vesselState, endNS int64, radius float64) {
+func (tr *Tracker) closeRuns(st *vesselState, endNS int64) {
 	if st.stopped {
-		tr.endStop(st, endNS, radius)
+		tr.endStop(st, endNS)
 	}
 	if st.slow {
 		tr.emit(st, CriticalPoint{
@@ -759,7 +708,7 @@ func (tr *Tracker) detectGaps(q time.Time) {
 	slices.Sort(tr.gapScan)
 	for _, mmsi := range tr.gapScan {
 		st := tr.vessels[mmsi]
-		tr.closeRuns(st, st.lastTNS, tr.stopRadiusFor(st))
+		tr.closeRuns(st, st.lastTNS)
 		tr.emit(st, CriticalPoint{
 			MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS), Type: EventGapStart,
 		})
