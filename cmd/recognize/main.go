@@ -61,7 +61,6 @@ func main() {
 		areas     = flag.Int("areas", 35, "areas of interest")
 		window    = flag.Duration("window", time.Hour, "window range ω")
 		slide     = flag.Duration("slide", 10*time.Minute, "window slide β")
-		facts     = flag.Bool("spatial-facts", false, "use precomputed spatial facts (Fig. 11(b) mode)")
 		procs     = flag.Int("procs", 1, "partition CE recognition across this many parallel recognizers")
 		shards    = flag.Int("shards", 0, "mobility-tracker shards (0 = one per CPU, 1 = serial)")
 		quiet     = flag.Bool("quiet", false, "suppress per-alert output")
@@ -86,17 +85,13 @@ func main() {
 	sim := fleetsim.NewSimulator(cfg)
 	vesselsReg, areasReg, ports := core.AdaptWorld(sim)
 
-	mode := maritime.SpatialOnDemand
-	if *facts {
-		mode = maritime.SpatialFacts
-	}
 	// stage is assigned once the ingest path is built (before the
 	// pipeline starts sliding); the degradation ladder reads its backlog.
 	var stage *stream.IngestStage
 	sysCfg := core.Config{
 		Window:          stream.WindowSpec{Range: *window, Slide: *slide},
 		Tracker:         tracker.DefaultParams(),
-		Recognition:     maritime.Config{Window: *window, Mode: mode},
+		Recognition:     maritime.Config{Window: *window},
 		Processors:      *procs,
 		TrackerShards:   *shards,
 		WatchdogTimeout: *watchdog,

@@ -112,7 +112,6 @@ type workerState struct {
 type Coordinator struct {
 	cfg       CoordinatorConfig
 	rec       *maritime.Recognizer
-	factGen   *maritime.FactGenerator
 	analytics *analytics.Tier
 
 	mu         sync.Mutex
@@ -142,19 +141,17 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Slide <= 0 {
 		return nil, errors.New("cluster: coordinator needs a positive slide")
 	}
+	if cfg.Recognition.Mode != maritime.SpatialOnDemand {
+		// Without a fact generator that mode would silently recognize
+		// nothing spatial.
+		panic("cluster: the coordinator recognizes with maritime.SpatialOnDemand only")
+	}
 	c := &Coordinator{
 		cfg:  cfg,
 		rec:  maritime.NewRecognizer(cfg.Recognition, cfg.Vessels, cfg.Areas),
 		done: make(chan struct{}),
 	}
 	c.stats.DropsByCause = make(map[string]int)
-	if cfg.Recognition.Mode == maritime.SpatialFacts {
-		closeM := cfg.Recognition.CloseMeters
-		if closeM <= 0 {
-			closeM = 3000
-		}
-		c.factGen = maritime.NewFactGenerator(cfg.Areas, closeM)
-	}
 	if cfg.Analytics != nil {
 		c.analytics = analytics.New(*cfg.Analytics, core.PortPolys(cfg.Ports))
 	}
@@ -454,12 +451,8 @@ func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 	rep.CriticalPoints = len(fresh)
 
 	events := maritime.MEStream(fresh)
-	var facts []maritime.SpatialFact
-	if c.factGen != nil {
-		facts = c.factGen.Facts(events)
-	}
 	t := time.Now()
-	rep.Alerts = c.rec.Advance(q, events, facts).Alerts
+	rep.Alerts = c.rec.Advance(q, events, nil).Alerts
 	rep.Timings.Recognition = time.Since(t)
 	slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
 	if c.analytics != nil {

@@ -577,3 +577,19 @@ func TestClusterManifestRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestNewCoordinatorPanicsOnSpatialFacts pins that the merge tier
+// refuses the precomputed-spatial-facts mode, which it has no fact
+// generator for.
+func TestNewCoordinatorPanicsOnSpatialFacts(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewCoordinator accepted maritime.SpatialFacts")
+		}
+	}()
+	NewCoordinator(CoordinatorConfig{
+		Slide:       testSlide,
+		WindowRange: time.Hour,
+		Recognition: maritime.Config{Window: time.Hour, Mode: maritime.SpatialFacts},
+	})
+}

@@ -156,11 +156,10 @@ var durativeDemarcations = map[string]bool{
 }
 
 // filterInstantaneous drops the durative demarcations from the ME
-// stream, counting each drop. It allocates a fresh slice — the result
-// is handed to recognition goroutines that may outlive the slide, so it
-// must not be reused scratch.
+// stream, counting each drop. It filters in place: the stream is the
+// slide's scratch, which routing copies into the bands' slots.
 func (s *System) filterInstantaneous(events []rtec.Event) []rtec.Event {
-	out := make([]rtec.Event, 0, len(events))
+	out := events[:0]
 	for _, ev := range events {
 		if durativeDemarcations[ev.Name] {
 			s.degradedDrops.Add(1)

@@ -28,11 +28,7 @@ func serialSlide(s *System, b stream.Batch) SlideReport {
 	s.runArchival(&rep, res.Delta, true)
 	events := maritime.MEStream(res.Fresh)
 	// Joined at once: nothing runs beside the recognizers.
-	if s.recognizer != nil {
-		rep.Alerts, _ = s.startSingle(b.Query, events, nil)()
-	} else {
-		rep.Alerts, _ = s.startPartitions(b.Query, events, nil)()
-	}
+	rep.Alerts, _ = s.startPartitions(b.Query, events)()
 	if s.analytics != nil {
 		if pair := s.analytics.Slide(b.Query, res.Fresh); len(pair) > 0 {
 			rep.Alerts = append(rep.Alerts, pair...)

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -24,7 +22,8 @@ import (
 // restoring its last known-good snapshot and replaying the journal.
 // Tracker shards implement this inside the tracker package (their
 // journals are routed fixes); this file implements it for the
-// recognizers and the store.
+// recognizers and the store. All three keep their journals in
+// supervise.Journal, so they share one retention rule.
 //
 // Alerts a recognizer would have produced while quarantined are
 // reconstructed by the replay and delivered with the next slide's
@@ -44,7 +43,6 @@ const (
 type recSlide struct {
 	q      time.Time
 	events []rtec.Event
-	facts  []maritime.SpatialFact
 }
 
 // recJournal is one recognizer's repair journal: the snapshot the next
@@ -53,8 +51,7 @@ type recSlide struct {
 // (-1 while healthy); a replay reports the alerts of slides from that
 // point on as recovered.
 type recJournal struct {
-	base     maritime.RecognizerSnapshot
-	slides   []recSlide
+	supervise.Journal[maritime.RecognizerSnapshot, recSlide]
 	downFrom int
 }
 
@@ -71,129 +68,101 @@ type storeSlide struct {
 // (mod.MOD.Fork: shared points and trips, nothing encoded) plus the
 // delta batches staged since. The base is never staged into; a repair
 // forks it again.
-type storeJournal struct {
-	base   *mod.MOD
-	slides []storeSlide
-}
+type storeJournal = supervise.Journal[*mod.MOD, storeSlide]
 
 // initSelfHeal arms the supervision layer: the tracker's own shard
 // journals, and one journal per recognizer plus one for the store.
-func (s *System) initSelfHeal(vessels []maritime.Vessel, areas []maritime.Area, ports []mod.PortArea) {
+func (s *System) initSelfHeal(vessels []maritime.Vessel, ports []mod.PortArea) {
 	s.selfHeal = true
-	s.vessels, s.areas, s.ports = vessels, areas, ports
-	s.journalEvery = s.cfg.JournalSlides
-	if s.journalEvery <= 0 {
-		s.journalEvery = tracker.DefaultJournalSlides
-	}
-	s.journalCap = s.journalEvery * 8
+	s.vessels, s.ports = vessels, ports
 	s.tracker.EnableSelfHeal(s.journalEvery)
 	if s.cfg.WatchdogTimeout > 0 {
 		s.tracker.SetSlideTimeout(s.cfg.WatchdogTimeout)
 	}
-	if n := s.recognizerCount(); n > 0 {
-		s.recJ = make([]recJournal, n)
-		for i := range s.recJ {
-			s.recJ[i] = recJournal{base: s.recAt(i).Snapshot(), downFrom: -1}
+	s.resetJournals()
+}
+
+// resetJournals starts every recognizer's and the store's journal over
+// from their current state.
+func (s *System) resetJournals() {
+	s.recJ = make([]recJournal, len(s.partitions))
+	for i := range s.recJ {
+		s.recJ[i] = recJournal{
+			Journal:  supervise.NewJournal[maritime.RecognizerSnapshot, recSlide](s.recAt(i).Snapshot(), s.journalEvery),
+			downFrom: -1,
 		}
 	}
 	if !s.cfg.DisableArchival {
-		s.storeJ = &storeJournal{base: s.store.Fork()}
+		j := supervise.NewJournal[*mod.MOD, storeSlide](s.store.Fork(), s.journalEvery)
+		s.storeJ = &j
 	}
 }
 
-// recAt returns recognizer i (the single recognizer for index 0 of an
-// unpartitioned system).
-func (s *System) recAt(i int) *maritime.Recognizer {
-	if s.recognizer != nil {
-		return s.recognizer
-	}
-	return s.partitions[i].rec
-}
+// recAt returns recognizer i.
+func (s *System) recAt(i int) *maritime.Recognizer { return s.partitions[i].rec }
 
 // recDown returns recognizer i's down-state.
-func (s *System) recDown(i int) int32 {
-	if s.recognizer != nil {
-		return s.singleDown.Load()
-	}
-	return s.partitions[i].down.Load()
-}
+func (s *System) recDown(i int) int32 { return s.partitions[i].down.Load() }
 
-// recTarget names recognizer i in the supervisor's namespace.
+// recTarget names recognizer i in the supervisor's namespace: a lone
+// band is "recognizer", one of several "recognizer/<i>".
 func (s *System) recTarget(i int) string {
-	if s.recognizer != nil {
+	if len(s.partitions) == 1 {
 		return "recognizer"
 	}
 	return fmt.Sprintf("recognizer/%d", i)
 }
 
-// newQuarantine captures a recovered panic into a quarantine record.
-func newQuarantine(target string, v any) supervise.Quarantine {
-	return supervise.Quarantine{
-		Target: target,
-		Cause:  "panic",
-		Value:  fmt.Sprint(v),
-		Stack:  string(debug.Stack()),
-		Since:  time.Now(),
+// recIndex resolves a supervisor target name to its recognizer.
+func (s *System) recIndex(target string) (int, bool) {
+	for i := range s.partitions {
+		if s.recTarget(i) == target {
+			return i, true
+		}
 	}
+	return 0, false
 }
 
-// stallQuarantine captures a watchdog trip into a quarantine record.
-func stallQuarantine(target string) supervise.Quarantine {
-	return supervise.Quarantine{Target: target, Cause: "stall", Since: time.Now()}
-}
-
-// journalRec appends one input slide to recognizer i's journal,
-// evicting (and accounting) exactly the oldest slide at the cap.
-func (s *System) journalRec(i int, q time.Time, events []rtec.Event, facts []maritime.SpatialFact) {
-	j := &s.recJ[i]
+// journalRec appends one input slide to recognizer i's journal. A
+// slide the retention cap evicts is a replay gap; if its live output
+// was lost to the quarantine, its events are now lost for good.
+func (s *System) journalRec(i int, q time.Time, events []rtec.Event) {
 	if s.recDown(i) == partFailed {
 		return
 	}
-	if len(j.slides) >= s.journalCap {
-		j.slides = slices.Delete(j.slides, 0, 1)
-		if j.downFrom > 0 {
-			j.downFrom--
-		}
-		s.journalGaps.Add(1)
+	j := &s.recJ[i]
+	old, evicted := j.Append(recSlide{q: q, events: append([]rtec.Event(nil), events...)})
+	if !evicted {
+		return
 	}
-	j.slides = append(j.slides, recSlide{
-		q:      q,
-		events: append([]rtec.Event(nil), events...),
-		facts:  append([]maritime.SpatialFact(nil), facts...),
-	})
+	s.journalGaps.Add(1)
+	switch {
+	case j.downFrom > 0:
+		j.downFrom--
+	case j.downFrom == 0:
+		s.watchdogLostEvents.Add(int64(len(old.events)))
+	}
 }
 
-// journalStore appends one archival input slide to the store journal,
-// evicting (and accounting) exactly the oldest slide at the cap.
+// journalStore appends one archival input slide to the store journal;
+// a slide the retention cap evicts is a replay gap.
 func (s *System) journalStore(delta []tracker.CriticalPoint, reconstruct bool) {
-	j := s.storeJ
 	if s.storeDown.Load() == partFailed {
 		return
 	}
-	if len(j.slides) >= s.journalCap {
-		j.slides = slices.Delete(j.slides, 0, 1)
-		s.journalGaps.Add(1)
-	}
-	j.slides = append(j.slides, storeSlide{
+	if _, evicted := s.storeJ.Append(storeSlide{
 		delta:       append([]tracker.CriticalPoint(nil), delta...),
 		reconstruct: reconstruct,
-	})
-}
-
-// markRecDown records that recognizer i's current slide (already
-// journaled) and everything after it will be missing from live output.
-func (s *System) markRecDown(i int) {
-	if s.recJ == nil {
-		return
-	}
-	if j := &s.recJ[i]; j.downFrom < 0 {
-		j.downFrom = len(j.slides) - 1
+	}); evicted {
+		s.journalGaps.Add(1)
 	}
 }
 
 // quarantinePartition takes recognition partition i out of service: its
-// routed events are accounted as lost, its scratch slot is abandoned to
-// whatever goroutine may still hold it, and its journal is marked.
+// scratch slot is abandoned to whatever goroutine may still hold it and
+// its journal is marked. Without SelfHeal the slide's routed events are
+// lost; with it they are journaled, and count as lost only once no
+// replay can recover them (journalRec, Abandon).
 func (s *System) quarantinePartition(i int, state int32, info supervise.Quarantine) {
 	p := s.partitions[i]
 	p.down.Store(state)
@@ -201,24 +170,17 @@ func (s *System) quarantinePartition(i int, state int32, info supervise.Quaranti
 	if state == partPanicked {
 		s.panicsRecovered.Add(1)
 	}
-	s.watchdogLostEvents.Add(int64(len(s.evByPart[i])))
+	if !s.selfHeal {
+		s.watchdogLostEvents.Add(int64(len(s.evByPart[i])))
+	}
 	// The abandoned goroutine may still hold this slide's backing
 	// arrays; never append into them again.
 	s.evByPart[i] = nil
-	s.factByPart[i] = nil
-	s.markRecDown(i)
-}
-
-// quarantineSingle is quarantinePartition for the unpartitioned
-// recognizer.
-func (s *System) quarantineSingle(state int32, info supervise.Quarantine, lostEvents int) {
-	s.singleDown.Store(state)
-	s.singleInfo = info
-	if state == partPanicked {
-		s.panicsRecovered.Add(1)
+	// This slide (already journaled) and every one after it are missing
+	// from live output until a replay recovers them.
+	if s.recJ != nil && s.recJ[i].downFrom < 0 {
+		s.recJ[i].downFrom = len(s.recJ[i].Slides) - 1
 	}
-	s.watchdogLostEvents.Add(int64(lostEvents))
-	s.markRecDown(0)
 }
 
 // quarantineStore takes the archival path out of service.
@@ -236,26 +198,16 @@ func (s *System) rebaseJournals() {
 	}
 	t := time.Now()
 	for i := range s.recJ {
-		j := &s.recJ[i]
-		if j.downFrom >= 0 || s.recDown(i) != partUp || len(j.slides) < s.journalEvery {
-			continue
+		if j := &s.recJ[i]; j.downFrom < 0 && s.recDown(i) == partUp && j.Due() {
+			j.Rebase(s.recAt(i).Snapshot())
 		}
-		j.base = s.recAt(i).Snapshot()
-		j.slides = j.slides[:0]
 	}
 	mid := time.Now()
 	s.rebaseRecNanos.Add(int64(mid.Sub(t)))
-	if s.storeJ != nil && s.storeDown.Load() == partUp && len(s.storeJ.slides) >= s.journalEvery {
-		s.rebaseStore()
+	if s.storeJ != nil && s.storeDown.Load() == partUp && s.storeJ.Due() {
+		s.storeJ.Rebase(s.store.Fork())
 		s.rebaseStoreNanos.Add(int64(time.Since(mid)))
 	}
-}
-
-// rebaseStore swaps the store journal's base for a fork of the store as
-// it is now.
-func (s *System) rebaseStore() {
-	s.storeJ.base = s.store.Fork()
-	s.storeJ.slides = s.storeJ.slides[:0]
 }
 
 // Quarantined lists every target currently quarantined and repairable
@@ -265,9 +217,6 @@ func (s *System) Quarantined() []supervise.Quarantine {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	out := s.tracker.Quarantined()
-	if d := s.singleDown.Load(); d == partStalled || d == partPanicked {
-		out = append(out, s.singleInfo)
-	}
 	for _, p := range s.partitions {
 		if d := p.down.Load(); d == partStalled || d == partPanicked {
 			out = append(out, p.info)
@@ -281,9 +230,9 @@ func (s *System) Quarantined() []supervise.Quarantine {
 
 // Heal repairs one quarantined target by restore-then-replay and
 // re-admits it. Targets use the supervise namespace: "tracker/N",
-// "recognizer", "recognizer/N", "store". The repair runs under the
-// pipeline lock, so it must not be called from an AlertSink (use
-// OnSlideEnd, which fires outside the lock).
+// "recognizer" (one band) or "recognizer/N" (several), "store". The
+// repair runs under the pipeline lock, so it must not be called from an
+// AlertSink (use OnSlideEnd, which fires outside the lock).
 func (s *System) Heal(target string) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -297,19 +246,11 @@ func (s *System) Heal(target string) error {
 			return fmt.Errorf("core: bad heal target %q", target)
 		}
 		return s.tracker.RepairShard(i)
-	case target == "recognizer":
-		if s.recognizer == nil {
-			return errors.New("core: system has no unpartitioned recognizer")
-		}
-		return s.healRecognizer(0)
-	case strings.HasPrefix(target, "recognizer/"):
-		i, err := strconv.Atoi(target[len("recognizer/"):])
-		if err != nil || i < 0 || i >= len(s.partitions) {
-			return fmt.Errorf("core: bad heal target %q", target)
-		}
-		return s.healRecognizer(i)
 	case target == "store":
 		return s.healStore()
+	}
+	if i, ok := s.recIndex(target); ok {
+		return s.healRecognizer(i)
 	}
 	return fmt.Errorf("core: unknown heal target %q", target)
 }
@@ -326,30 +267,26 @@ func (s *System) Abandon(target string) {
 		if i, err := strconv.Atoi(target[len("tracker/"):]); err == nil {
 			s.tracker.AbandonShard(i)
 		}
-	case target == "recognizer":
-		if s.singleDown.Load() != partUp {
-			s.singleDown.Store(partFailed)
-			s.freeRecJournal(0)
-		}
-	case strings.HasPrefix(target, "recognizer/"):
-		i, err := strconv.Atoi(target[len("recognizer/"):])
-		if err == nil && i >= 0 && i < len(s.partitions) && s.partitions[i].down.Load() != partUp {
-			s.partitions[i].down.Store(partFailed)
-			s.freeRecJournal(i)
-		}
 	case target == "store":
 		if s.storeDown.Load() != partUp {
 			s.storeDown.Store(partFailed)
 			if s.storeJ != nil {
-				s.storeJ.slides = nil
+				s.storeJ.Slides = nil
 			}
 		}
-	}
-}
-
-func (s *System) freeRecJournal(i int) {
-	if s.recJ != nil {
-		s.recJ[i].slides = nil
+	default:
+		if i, ok := s.recIndex(target); ok && s.recDown(i) != partUp {
+			s.partitions[i].down.Store(partFailed)
+			if s.recJ != nil {
+				// Free the journal: what it held since the quarantine can
+				// no longer be recovered.
+				j := &s.recJ[i]
+				for _, sl := range j.Slides[max(j.downFrom, 0):] {
+					s.watchdogLostEvents.Add(int64(len(sl.events)))
+				}
+				j.Slides, j.downFrom = nil, -1
+			}
+		}
 	}
 }
 
@@ -363,38 +300,28 @@ func (s *System) healRecognizer(i int) (err error) {
 		return fmt.Errorf("core: %s is not quarantined", s.recTarget(i))
 	}
 	j := &s.recJ[i]
-	areas := s.areas
-	if s.recognizer == nil {
-		areas = s.partitions[i].areas
-	}
+	p := s.partitions[i]
 	var recovered []maritime.Alert
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: replaying %s panicked: %v", s.recTarget(i), r)
 		}
 	}()
-	rec := maritime.NewRecognizer(s.cfg.Recognition, s.vessels, areas)
-	rec.RestoreSnapshot(j.base)
-	for k := range j.slides {
-		sl := &j.slides[k]
-		snap := rec.Advance(sl.q, sl.events, sl.facts)
+	rec := maritime.NewRecognizer(s.cfg.Recognition, s.vessels, p.areas)
+	rec.RestoreSnapshot(j.Base)
+	for k := range j.Slides {
+		sl := &j.Slides[k]
+		snap := rec.Advance(sl.q, sl.events, nil)
 		if j.downFrom >= 0 && k >= j.downFrom {
 			recovered = append(recovered, snap.Alerts...)
 		}
 	}
 	// Re-admit. The old recognizer object is simply leaked: a stalled
 	// goroutine may still be running against it.
-	if s.recognizer != nil {
-		s.recognizer = rec
-		s.singleDown.Store(partUp)
-		s.singleInfo = supervise.Quarantine{}
-	} else {
-		s.partitions[i].rec = rec
-		s.partitions[i].down.Store(partUp)
-		s.partitions[i].info = supervise.Quarantine{}
-	}
-	j.base = rec.Snapshot()
-	j.slides = j.slides[:0]
+	p.rec = rec
+	p.down.Store(partUp)
+	p.info = supervise.Quarantine{}
+	j.Rebase(rec.Snapshot())
 	j.downFrom = -1
 	s.recovered = append(s.recovered, recovered...)
 	s.restores.Add(1)
@@ -414,8 +341,8 @@ func (s *System) healStore() (err error) {
 			err = fmt.Errorf("core: replaying store panicked: %v", r)
 		}
 	}()
-	st := s.storeJ.base.Fork()
-	for _, sl := range s.storeJ.slides {
+	st := s.storeJ.Base.Fork()
+	for _, sl := range s.storeJ.Slides {
 		st.Stage(sl.delta)
 		if sl.reconstruct {
 			st.Load(st.Reconstruct())
@@ -425,7 +352,7 @@ func (s *System) healStore() (err error) {
 	s.storeDown.Store(partUp)
 	s.storeInfo = supervise.Quarantine{}
 	s.noteStaged()
-	s.rebaseStore()
+	s.storeJ.Rebase(s.store.Fork())
 	s.restores.Add(1)
 	return nil
 }
@@ -441,8 +368,8 @@ func (s *System) OnSlideEnd(fn func(SlideReport)) {
 }
 
 // SetRecognizerFaultHook installs fn at the start of every recognition
-// step, with the partition index (-1 for the single recognizer). Chaos
-// tests inject panics and stalls through it; nil uninstalls.
+// step, with the band index (-1 when there is one band). Chaos tests
+// inject panics and stalls through it; nil uninstalls.
 func SetRecognizerFaultHook(fn func(partition int)) {
 	if fn == nil {
 		recognizerAdvanceHook.Store(nil)

@@ -1,0 +1,99 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/maritime"
+	"repro/internal/tracker"
+)
+
+// TestSelfHealLostEventsCountOnlyUnrecoverable panics one of two bands
+// and then heals it, or gives up on it. Under SelfHeal the band's
+// events are journaled while it is down, so they are lost only once no
+// replay can bring them back: a healed run reports no watchdog drops
+// (and the alerts of the run nothing happened to), an abandoned one
+// exactly the events of the slides journaled since the quarantine.
+func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
+	cfg := defaultSystemConfig()
+	cfg.Processors = 2
+	cfg.SelfHeal = true
+	batches, vessels, areas, sim := slideBatches(t, simConfig(150, 5), cfg.Window.Slide)
+	_, _, ports := AdaptWorld(sim)
+	const panicSlide, repairSlide = 8, 10
+
+	golden := NewSystem(cfg, vessels, areas, ports)
+	defer golden.Close()
+	var goldenReports []SlideReport
+	for _, b := range batches {
+		goldenReports = append(goldenReports, golden.ProcessBatch(b))
+	}
+
+	for _, heal := range []bool{true, false} {
+		name := "abandon"
+		if heal {
+			name = "heal"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys := NewSystem(cfg, vessels, areas, ports)
+			defer sys.Close()
+			// Band 0's share of each slide's movement events, counted from
+			// the fresh points independently of routing and journals.
+			slide := 0
+			band0 := make([]int, len(batches))
+			sys.SetFreshObserver(func(_ time.Time, fresh []tracker.CriticalPoint) {
+				for _, ev := range maritime.MEStream(fresh) {
+					if sys.partitionOf(ev.Lon) == 0 {
+						band0[slide]++
+					}
+				}
+			})
+			SetRecognizerFaultHook(func(partition int) {
+				if partition == 0 && slide == panicSlide {
+					panic("injected recognizer fault")
+				}
+			})
+			defer SetRecognizerFaultHook(nil)
+
+			var reports []SlideReport
+			for i, b := range batches {
+				slide = i
+				reports = append(reports, sys.ProcessBatch(b))
+				if i != repairSlide {
+					continue
+				}
+				if lost := sys.Health().DropsByCause["watchdog"]; lost != 0 {
+					t.Fatalf("%d events counted lost while still journaled for a heal", lost)
+				}
+				if heal {
+					if err := sys.Heal("recognizer/0"); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				sys.Abandon("recognizer/0")
+				want := 0
+				for k := panicSlide; k <= repairSlide; k++ {
+					want += band0[k]
+				}
+				if want == 0 {
+					t.Fatal("band 0 saw no events while quarantined; the test is vacuous")
+				}
+				if lost := sys.Health().DropsByCause["watchdog"]; lost != want {
+					t.Fatalf("abandon counted %d events lost, the quarantine journaled %d", lost, want)
+				}
+			}
+			if !heal {
+				return
+			}
+			h := sys.Health()
+			if lost := h.DropsByCause["watchdog"]; lost != 0 || h.TotalDropped() != 0 {
+				t.Errorf("healed run reports drops %v", h.DropsByCause)
+			}
+			if want, got := alertKeys(goldenReports), alertKeys(reports); !reflect.DeepEqual(want, got) {
+				t.Errorf("healed run gave %d alerts, the undisturbed run %d", len(got), len(want))
+			}
+		})
+	}
+}

@@ -33,7 +33,6 @@ func TestSelfHealStorePanicAtEverySlide(t *testing.T) {
 	for _, recognition := range []bool{false, true} {
 		cfg := shortWindowConfig()
 		cfg.SelfHeal = true
-		cfg.JournalSlides = cadence
 		cfg.DisableRecognition = !recognition
 		if recognition {
 			cfg.WatchdogTimeout = 30 * time.Second
@@ -45,9 +44,9 @@ func TestSelfHealStorePanicAtEverySlide(t *testing.T) {
 		for panicSlide := cadence; panicSlide < 3*cadence+2; panicSlide++ {
 			for _, healAfter := range []int{1, cadence + 1} {
 				t.Run(fmt.Sprintf("recognition=%v/panic@%d/heal+%d", recognition, panicSlide, healAfter), func(t *testing.T) {
-					golden := NewSystem(cfg, vessels, areas, ports)
+					golden := newSystem(cfg, cadence, vessels, areas, ports)
 					defer golden.Close()
-					sys := NewSystem(cfg, vessels, areas, ports)
+					sys := newSystem(cfg, cadence, vessels, areas, ports)
 					defer sys.Close()
 					slide := 0
 					sys.SetStoreFaultHook(func() {
@@ -88,7 +87,6 @@ func TestSelfHealStorePanicAtEverySlide(t *testing.T) {
 func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 	cfg := shortWindowConfig()
 	cfg.SelfHeal = true
-	cfg.JournalSlides = 1
 	const capSlides, panicSlide, evicted = 8, 5, 5
 	healSlide := panicSlide + capSlides - 1 + evicted
 	batches, vessels, areas, sim := slideBatches(t, simConfig(120, 6), cfg.Window.Slide)
@@ -99,16 +97,11 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 
 	// A system that never re-bases journals every slide it was given:
 	// slide i's input is entry i of its journals.
-	allCfg := cfg
-	allCfg.JournalSlides = len(batches) + 1
-	all := NewSystem(allCfg, vessels, areas, ports)
+	all := newSystem(cfg, len(batches)+1, vessels, areas, ports)
 	defer all.Close()
 
-	sys := NewSystem(cfg, vessels, areas, ports)
+	sys := newSystem(cfg, 1, vessels, areas, ports)
 	defer sys.Close()
-	if sys.journalCap != capSlides {
-		t.Fatalf("journal cap = %d, want %d", sys.journalCap, capSlides)
-	}
 	slide := 0
 	SetRecognizerFaultHook(func(int) {
 		if slide == panicSlide {
@@ -130,12 +123,12 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 		t.Errorf("ReplayGapSlides = %d, want %d (%d evicted from each of two journals)", got, 2*evicted, evicted)
 	}
 	survivors := healSlide + 1 - capSlides
-	wantRec, wantStore := all.recJ[0].slides[survivors:], all.storeJ.slides[survivors:]
-	if !reflect.DeepEqual(sys.recJ[0].slides, wantRec) {
-		t.Errorf("recognizer journal holds %d slides, not the newest %d in order", len(sys.recJ[0].slides), capSlides)
+	wantRec, wantStore := all.recJ[0].Slides[survivors:], all.storeJ.Slides[survivors:]
+	if !reflect.DeepEqual(sys.recJ[0].Slides, wantRec) {
+		t.Errorf("recognizer journal holds %d slides, not the newest %d in order", len(sys.recJ[0].Slides), capSlides)
 	}
-	if !reflect.DeepEqual(sys.storeJ.slides, wantStore) {
-		t.Errorf("store journal holds %d slides, not the newest %d in order", len(sys.storeJ.slides), capSlides)
+	if !reflect.DeepEqual(sys.storeJ.Slides, wantStore) {
+		t.Errorf("store journal holds %d slides, not the newest %d in order", len(sys.storeJ.Slides), capSlides)
 	}
 	if sys.recJ[0].downFrom != 0 {
 		t.Errorf("downFrom = %d, want 0: every surviving slide's output was lost", sys.recJ[0].downFrom)
@@ -143,12 +136,12 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 
 	// What a replay of exactly the survivors yields.
 	rec := maritime.NewRecognizer(cfg.Recognition, vessels, areas)
-	rec.RestoreSnapshot(sys.recJ[0].base)
+	rec.RestoreSnapshot(sys.recJ[0].Base)
 	var wantRecovered []maritime.Alert
 	for _, sl := range wantRec {
-		wantRecovered = append(wantRecovered, rec.Advance(sl.q, sl.events, sl.facts).Alerts...)
+		wantRecovered = append(wantRecovered, rec.Advance(sl.q, sl.events, nil).Alerts...)
 	}
-	st := sys.storeJ.base.Fork()
+	st := sys.storeJ.Base.Fork()
 	for _, sl := range wantStore {
 		st.Stage(sl.delta)
 		st.Load(st.Reconstruct())
@@ -185,10 +178,9 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 func TestArchivalMetricsUnderConcurrentScrape(t *testing.T) {
 	cfg := shortWindowConfig()
 	cfg.SelfHeal = true
-	cfg.JournalSlides = 2
 	batches, vessels, areas, sim := slideBatches(t, simConfig(120, 6), cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
-	sys := NewSystem(cfg, vessels, areas, ports)
+	sys := newSystem(cfg, 2, vessels, areas, ports)
 	defer sys.Close()
 	reg := obs.NewRegistry()
 	sys.RegisterMetrics(reg)

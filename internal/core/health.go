@@ -301,9 +301,6 @@ func (s *System) wedgedCount() int {
 			n++
 		}
 	}
-	if s.singleDown.Load() != partUp {
-		n++
-	}
 	return n
 }
 
@@ -319,7 +316,6 @@ func (s *System) downCounts() (quar, failed int) {
 			failed++
 		}
 	}
-	tally(s.singleDown.Load())
 	for _, p := range s.partitions {
 		tally(p.down.Load())
 	}

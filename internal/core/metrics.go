@@ -129,7 +129,7 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_degraded_dropped_events_total",
 		"Durative movement events dropped while recognition ran instantaneous-only.", nil,
 		func() float64 { return float64(s.degradedDrops.Load()) })
-	if n := s.recognizerCount(); n > 0 {
+	if n := len(s.partitions); n > 0 {
 		defs := s.recAt(0).Engine().Stats().Definitions
 		s.metrics.defNanos = make(map[string]*atomic.Int64, len(defs))
 		s.metrics.defLast = make([][]time.Duration, n)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/maritime"
 )
 
 // runPipeline replays a seeded fleet through a full pipeline with the
@@ -65,39 +63,5 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 			t.Error("equivalence vacuous: no alerts recognized in the run")
 		}
 		sys.Close()
-	}
-}
-
-// TestShardedSpatialFactsEquivalence repeats the invariance check in
-// precomputed spatial-facts mode, which additionally exercises the fact
-// generator's parallel fan-out path wired up by NewSystem.
-func TestShardedSpatialFactsEquivalence(t *testing.T) {
-	run := func(shards int) []SlideReport {
-		cfg := defaultSystemConfig()
-		cfg.TrackerShards = shards
-		cfg.Recognition.Mode = maritime.SpatialFacts
-		sys, _, reports := buildSystem(t, simConfig(100, 3), cfg)
-		sys.Close()
-		return reports
-	}
-	serial := run(1)
-	sharded := run(4)
-	if len(serial) != len(sharded) {
-		t.Fatalf("slide count %d != %d", len(serial), len(sharded))
-	}
-	var alerts int
-	for i := range serial {
-		if len(serial[i].Alerts) != len(sharded[i].Alerts) {
-			t.Fatalf("slide %d: alert count %d != %d", i, len(serial[i].Alerts), len(sharded[i].Alerts))
-		}
-		for j := range serial[i].Alerts {
-			if serial[i].Alerts[j] != sharded[i].Alerts[j] {
-				t.Fatalf("slide %d: alert %d differs", i, j)
-			}
-		}
-		alerts += len(serial[i].Alerts)
-	}
-	if alerts == 0 {
-		t.Error("equivalence vacuous: no alerts in spatial-facts mode")
 	}
 }

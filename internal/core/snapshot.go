@@ -42,8 +42,8 @@ var (
 )
 
 // Snapshot is the serialized dynamic state of a System. Recognizers
-// holds one entry per recognizer in partition order (a single entry for
-// an unpartitioned system, none with recognition disabled); Store is the
+// holds one entry per recognizer in band order (a single entry for a
+// one-band system, none with recognition disabled); Store is the
 // MOD's own framed snapshot, kept opaque so its format versioning stays
 // with the mod package.
 type Snapshot struct {
@@ -56,15 +56,6 @@ type Snapshot struct {
 	Analytics *analytics.Snapshot
 }
 
-// recognizerCount is the structural recognizer layout Snapshot/Restore
-// must agree on.
-func (s *System) recognizerCount() int {
-	if s.recognizer != nil {
-		return 1
-	}
-	return len(s.partitions)
-}
-
 // Snapshot captures the system's complete dynamic state. It must not
 // run concurrently with ProcessBatch. It fails with ErrWedged when the
 // watchdog has abandoned a recognizer, because an abandoned goroutine
@@ -72,21 +63,13 @@ func (s *System) recognizerCount() int {
 func (s *System) Snapshot() (Snapshot, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.singleDown.Load() != partUp || s.storeDown.Load() != partUp {
+	if quar, failed := s.downCounts(); quar+failed > 0 {
 		return Snapshot{}, ErrWedged
-	}
-	for _, p := range s.partitions {
-		if p.down.Load() != partUp {
-			return Snapshot{}, ErrWedged
-		}
 	}
 	if ts := s.tracker.FaultStats(); ts.Quarantined > 0 || ts.Failed > 0 {
 		return Snapshot{}, ErrWedged
 	}
 	snap := Snapshot{Tracker: s.tracker.Snapshot()}
-	if s.recognizer != nil {
-		snap.Recognizers = []maritime.RecognizerSnapshot{s.recognizer.Snapshot()}
-	}
 	for _, p := range s.partitions {
 		snap.Recognizers = append(snap.Recognizers, p.rec.Snapshot())
 	}
@@ -106,16 +89,16 @@ func (s *System) Snapshot() (Snapshot, error) {
 // snapshot was taken from, except for TrackerShards, which may differ
 // freely (the tracker encoding is shard-count-independent). A topology
 // mismatch or a corrupt embedded store snapshot fails with a typed
-// error before any state is replaced — except that a store failure
-// after the tracker restored leaves the tracker restored; callers treat
-// a failed restore as fatal and fall back to an older checkpoint or a
+// error before any state is replaced. The store restores first, so a
+// tracker failure after it leaves the store restored; callers treat a
+// failed restore as fatal and fall back to an older checkpoint or a
 // cold start. It must not run concurrently with ProcessBatch.
 func (s *System) RestoreSnapshot(snap Snapshot) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if len(snap.Recognizers) != s.recognizerCount() {
+	if len(snap.Recognizers) != len(s.partitions) {
 		return fmt.Errorf("%w: snapshot has %d recognizers, system has %d",
-			ErrTopologyMismatch, len(snap.Recognizers), s.recognizerCount())
+			ErrTopologyMismatch, len(snap.Recognizers), len(s.partitions))
 	}
 	// A restore supersedes any quarantine or failure: down targets are
 	// replaced outright (a wedged goroutine may still be touching the
@@ -129,26 +112,16 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 	if err := s.tracker.RestoreSnapshot(snap.Tracker); err != nil {
 		return err
 	}
-	if s.recognizer != nil {
-		if s.selfHeal && s.singleDown.Load() != partUp {
-			s.recognizer = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, s.areas)
-		}
-		s.recognizer.RestoreSnapshot(snap.Recognizers[0])
-	}
 	for i, p := range s.partitions {
 		if s.selfHeal && p.down.Load() != partUp {
 			p.rec = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, p.areas)
 		}
 		p.rec.RestoreSnapshot(snap.Recognizers[i])
-	}
-	s.storeDown.Store(partUp)
-	s.storeInfo = supervise.Quarantine{}
-	s.singleDown.Store(partUp)
-	s.singleInfo = supervise.Quarantine{}
-	for _, p := range s.partitions {
 		p.down.Store(partUp)
 		p.info = supervise.Quarantine{}
 	}
+	s.storeDown.Store(partUp)
+	s.storeInfo = supervise.Quarantine{}
 	s.recovered = nil
 	s.noteStaged()
 	// Lenient on both sides: a snapshot without analytics state resets
@@ -161,12 +134,7 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 	// Journals must describe the restored state, not the one it
 	// replaced.
 	if s.selfHeal {
-		for i := range s.recJ {
-			s.recJ[i] = recJournal{base: s.recAt(i).Snapshot(), downFrom: -1}
-		}
-		if s.storeJ != nil {
-			*s.storeJ = storeJournal{base: s.store.Fork()}
-		}
+		s.resetJournals()
 	}
 	return nil
 }

@@ -34,12 +34,14 @@ type Config struct {
 	// Tracker holds the mobility tracking parameters (paper Table 3).
 	Tracker tracker.Params
 	// Recognition configures the CE module; its Window defaults to the
-	// system window range.
+	// system window range. Its Mode must be maritime.SpatialOnDemand:
+	// the pipeline generates no precomputed spatial facts (that mode is
+	// an experiment, see internal/expbench).
 	Recognition maritime.Config
 	// Processors splits CE recognition geographically across this many
 	// parallel recognizers (the paper's §5.2 distributed setting: "One
 	// may further distribute CE recognition by dividing further the
-	// monitored area"). 0 or 1 runs a single recognizer.
+	// monitored area"). 0 or 1 runs one band holding every area.
 	Processors int
 	// TrackerShards splits mobility tracking across this many vessel
 	// shards driven concurrently per slide (trajectory detection is
@@ -66,11 +68,6 @@ type Config struct {
 	// target by restore-then-replay. Watchdog-wedged recognizers become
 	// repairable instead of terminally abandoned.
 	SelfHeal bool
-	// JournalSlides is the re-base cadence of the self-heal journals
-	// (default tracker.DefaultJournalSlides). Larger values keep more
-	// replayable history per target at more memory; the retention cap is
-	// eight cadences.
-	JournalSlides int
 	// Degrade configures the overload degradation ladder (see
 	// DegradeSpec); nil disables it.
 	Degrade *DegradeSpec
@@ -120,33 +117,25 @@ type SlideReport struct {
 
 // System is the assembled pipeline.
 type System struct {
-	cfg        Config
-	tracker    *tracker.Sharded
-	recognizer *maritime.Recognizer
-	factGen    *maritime.FactGenerator
-	store      *mod.MOD
-	analytics  *analytics.Tier
+	cfg       Config
+	tracker   *tracker.Sharded
+	store     *mod.MOD
+	analytics *analytics.Tier
 
-	// Partitioned recognition (Processors > 1): one recognizer per
-	// longitude band, fed the events of vessels inside its band.
+	// CE recognition: one recognizer per longitude band (Processors of
+	// them, or a single band over the whole region), fed the events of
+	// vessels inside its band. Empty when recognition is disabled.
 	partitions []*partition
-	// areaOwner maps area ID → owning partition index; built once with
-	// the partitions so the per-slide fact routing needs no map rebuild.
-	areaOwner map[string]int
 
-	// Per-slide scratch for advancePartitions, reused across slides so
-	// the partitioned fan-out does not allocate per slide. (The alerts
-	// slice is NOT scratch: sinks and the gateway retain it.)
-	evByPart   [][]rtec.Event
-	factByPart [][]maritime.SpatialFact
-	launched   []bool
-	completed  []bool
-	snaps      []maritime.Snapshot
+	// Per-slide scratch for startPartitions, reused across slides so the
+	// fan-out does not allocate per slide. (The alerts slice is NOT
+	// scratch: sinks and the gateway retain it.)
+	evByPart  [][]rtec.Event
+	completed []bool
+	snaps     []maritime.Snapshot
 
-	// meScratch backs the slide's movement-event stream on the plain
-	// single-recognizer path (no watchdog, no self-heal). With a
-	// watchdog an abandoned Advance goroutine may still hold the slice,
-	// so those paths allocate per slide instead of reusing it.
+	// meScratch backs the slide's movement-event stream. Only routing
+	// reads it: recognizers get the events through their evByPart slot.
 	meScratch []rtec.Event
 
 	// Registered alert consumers, notified after every slide.
@@ -170,21 +159,14 @@ type System struct {
 	healthSources      []func() Health
 	watchdogTrips      atomic.Int64
 	watchdogLostEvents atomic.Int64
-	// singleDown is the unpartitioned recognizer's down-state (partUp /
-	// partStalled / partPanicked / partFailed); singleInfo describes the
-	// quarantine while it is down.
-	singleDown atomic.Int32
-	singleInfo supervise.Quarantine
 
 	// Self-healing supervision (Config.SelfHeal); see heal.go. The
 	// static world knowledge is retained so repairs can build fresh
 	// recognizers/stores; journals keep each target's recent input
-	// slides for restore-then-replay.
+	// slides for restore-then-replay, re-based every journalEvery slides.
 	selfHeal     bool
 	journalEvery int
-	journalCap   int
 	vessels      []maritime.Vessel
-	areas        []maritime.Area
 	ports        []mod.PortArea
 	recJ         []recJournal
 	storeJ       *storeJournal
@@ -219,7 +201,7 @@ type System struct {
 	onSlideEnd []func(SlideReport)
 }
 
-// partition is one geographic slice of the monitored region.
+// partition is one longitude band of the monitored region.
 type partition struct {
 	rec   *maritime.Recognizer
 	areas []maritime.Area
@@ -235,8 +217,20 @@ type partition struct {
 }
 
 // NewSystem wires the pipeline over the given static knowledge. vessels
-// and areas feed CE recognition; ports feed trip segmentation.
+// and areas feed CE recognition; ports feed trip segmentation. It panics
+// when cfg.Recognition.Mode is not maritime.SpatialOnDemand.
 func NewSystem(cfg Config, vessels []maritime.Vessel, areas []maritime.Area, ports []mod.PortArea) *System {
+	return newSystem(cfg, tracker.DefaultJournalSlides, vessels, areas, ports)
+}
+
+// newSystem is NewSystem with the self-heal journals' re-base cadence
+// given, so tests can re-base (and hit the retention cap) sooner.
+func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []maritime.Area, ports []mod.PortArea) *System {
+	if cfg.Recognition.Mode != maritime.SpatialOnDemand {
+		// Without a fact generator that mode would silently recognize
+		// nothing spatial.
+		panic("core: the pipeline recognizes with maritime.SpatialOnDemand only")
+	}
 	if cfg.Recognition.Window <= 0 {
 		cfg.Recognition.Window = cfg.Window.Range
 	}
@@ -245,24 +239,13 @@ func NewSystem(cfg Config, vessels []maritime.Vessel, areas []maritime.Area, por
 		shards = tracker.DefaultShards()
 	}
 	s := &System{
-		cfg:     cfg,
-		tracker: tracker.NewSharded(cfg.Tracker, cfg.Window, shards),
-		store:   mod.New(ports),
+		cfg:          cfg,
+		tracker:      tracker.NewSharded(cfg.Tracker, cfg.Window, shards),
+		store:        mod.New(ports),
+		journalEvery: journalEvery,
 	}
 	if !cfg.DisableRecognition {
-		if cfg.Processors > 1 {
-			s.buildPartitions(vessels, areas)
-		}
-		if len(s.partitions) == 0 {
-			// Either a single-processor run, or nothing to partition on
-			// (no areas): fall back to one recognizer rather than silently
-			// dropping recognition.
-			s.recognizer = maritime.NewRecognizer(cfg.Recognition, vessels, areas)
-		}
-		if cfg.Recognition.Mode == maritime.SpatialFacts {
-			s.factGen = maritime.NewFactGenerator(areas, closeMetersOf(cfg.Recognition))
-			s.factGen.SetParallelism(s.tracker.Shards())
-		}
+		s.buildPartitions(vessels, areas)
 	}
 	if cfg.Analytics != nil && !cfg.DisableRecognition {
 		s.analytics = analytics.New(*cfg.Analytics, PortPolys(ports))
@@ -271,7 +254,7 @@ func NewSystem(cfg Config, vessels []maritime.Vessel, areas []maritime.Area, por
 		s.degrader = newDegrader(*cfg.Degrade)
 	}
 	if cfg.SelfHeal {
-		s.initSelfHeal(vessels, areas, ports)
+		s.initSelfHeal(vessels, ports)
 	}
 	return s
 }
@@ -281,60 +264,46 @@ func NewSystem(cfg Config, vessels []maritime.Vessel, areas []maritime.Area, por
 func (s *System) Close() { s.tracker.Close() }
 
 // buildPartitions splits the areas into Processors longitude bands of
-// roughly equal area count and builds one recognizer per band.
+// roughly equal area count and builds one recognizer per band. With one
+// processor, or no areas to split, it builds a single band over
+// (−∞, +∞) holding every area in the order given.
 func (s *System) buildPartitions(vessels []maritime.Vessel, areas []maritime.Area) {
-	n := s.cfg.Processors
-	sorted := append([]maritime.Area(nil), areas...)
-	slices.SortFunc(sorted, func(a, b maritime.Area) int {
-		return cmp.Compare(a.Poly.Centroid().Lon, b.Poly.Centroid().Lon)
-	})
-	per := (len(sorted) + n - 1) / n
-	if per < 1 {
-		per = 1
-	}
 	lo := math.Inf(-1)
-	for i := 0; i < len(sorted); i += per {
-		hi := i + per
-		if hi > len(sorted) {
-			hi = len(sorted)
-		}
-		band := sorted[i:hi]
-		upper := math.Inf(1)
-		if hi < len(sorted) {
-			// Split halfway between adjacent band centroids.
-			upper = (band[len(band)-1].Poly.Centroid().Lon +
-				sorted[hi].Poly.Centroid().Lon) / 2
-		}
+	add := func(band []maritime.Area, hi float64) {
 		s.partitions = append(s.partitions, &partition{
 			rec:   maritime.NewRecognizer(s.cfg.Recognition, vessels, band),
 			areas: band,
 			loLon: lo,
-			hiLon: upper,
+			hiLon: hi,
 		})
-		lo = upper
+		lo = hi
 	}
-	// Area ownership and the per-slide fan-out scratch are fixed for the
-	// system's lifetime; build them once here instead of per slide.
-	s.areaOwner = make(map[string]int)
-	for i, p := range s.partitions {
-		for _, a := range p.areas {
-			s.areaOwner[a.ID] = i
+	if n := s.cfg.Processors; n <= 1 || len(areas) == 0 {
+		add(areas, math.Inf(1))
+	} else {
+		sorted := append([]maritime.Area(nil), areas...)
+		slices.SortFunc(sorted, func(a, b maritime.Area) int {
+			return cmp.Compare(a.Poly.Centroid().Lon, b.Poly.Centroid().Lon)
+		})
+		per := (len(sorted) + n - 1) / n
+		for i := 0; i < len(sorted); i += per {
+			hi := min(i+per, len(sorted))
+			band := sorted[i:hi]
+			upper := math.Inf(1)
+			if hi < len(sorted) {
+				// Split halfway between adjacent band centroids.
+				upper = (band[len(band)-1].Poly.Centroid().Lon +
+					sorted[hi].Poly.Centroid().Lon) / 2
+			}
+			add(band, upper)
 		}
 	}
+	// The per-slide fan-out scratch is fixed for the system's lifetime;
+	// build it once here instead of per slide.
 	np := len(s.partitions)
 	s.evByPart = make([][]rtec.Event, np)
-	s.factByPart = make([][]maritime.SpatialFact, np)
-	s.launched = make([]bool, np)
 	s.completed = make([]bool, np)
 	s.snaps = make([]maritime.Snapshot, np)
-}
-
-// closeMetersOf resolves the effective close/3 threshold.
-func closeMetersOf(cfg maritime.Config) float64 {
-	if cfg.CloseMeters > 0 {
-		return cfg.CloseMeters
-	}
-	return 3000
 }
 
 // SetFreshObserver installs a tap receiving each slide's fresh critical
@@ -350,8 +319,15 @@ func (s *System) SetFreshObserver(fn func(q time.Time, fresh []tracker.CriticalP
 // Tracker exposes the trajectory detection component.
 func (s *System) Tracker() *tracker.Sharded { return s.tracker }
 
-// Recognizer exposes the CE recognition component (nil when disabled).
-func (s *System) Recognizer() *maritime.Recognizer { return s.recognizer }
+// Recognizer exposes the CE recognition component: the recognizer of
+// the single band, or nil when recognition is disabled or split across
+// several bands.
+func (s *System) Recognizer() *maritime.Recognizer {
+	if len(s.partitions) != 1 {
+		return nil
+	}
+	return s.partitions[0].rec
+}
 
 // Store exposes the moving-object store.
 func (s *System) Store() *mod.MOD { return s.store }
@@ -407,29 +383,17 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	// recognition (fresh points, as movement events), archival (delta
 	// points) and analytics (fresh points). Recognition is started first;
 	// where it runs on goroutines of its own — under the watchdog, or
-	// partitioned — the other two run here beside it until the join.
+	// across several bands — the other two run here beside it until the
+	// join.
 	var join func() ([]maritime.Alert, time.Duration)
-	if s.recognizer != nil || len(s.partitions) > 0 {
+	if len(s.partitions) > 0 {
 		t := time.Now()
-		var events []rtec.Event
-		if s.recognizer != nil && s.cfg.WatchdogTimeout <= 0 && !s.selfHeal {
-			s.meScratch = maritime.MEStreamInto(s.meScratch[:0], res.Fresh)
-			events = s.meScratch
-		} else {
-			events = maritime.MEStream(res.Fresh)
-		}
+		s.meScratch = maritime.MEStreamInto(s.meScratch[:0], res.Fresh)
+		events := s.meScratch
 		if level >= DegradeInstantaneousOnly {
 			events = s.filterInstantaneous(events)
 		}
-		var facts []maritime.SpatialFact
-		if s.factGen != nil {
-			facts = s.factGen.Facts(events)
-		}
-		if s.recognizer != nil {
-			join = s.startSingle(b.Query, events, facts)
-		} else {
-			join = s.startPartitions(b.Query, events, facts)
-		}
+		join = s.startPartitions(b.Query, events)
 		rep.Timings.Recognition = time.Since(t)
 	}
 
@@ -496,7 +460,7 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 	if s.selfHeal {
 		defer func() {
 			if r := recover(); r != nil {
-				s.quarantineStore(newQuarantine("store", r))
+				s.quarantineStore(supervise.Panicked("store", r))
 			}
 		}()
 	}
@@ -525,108 +489,24 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 // noteStaged publishes the store's staged-point count for scrapes.
 func (s *System) noteStaged() { s.stagedPoints.Store(int64(s.store.StagedCount())) }
 
-// startSingle begins the slide's recognition on the lone recognizer and
-// returns the join that yields its alerts and how long the recognizer
-// ran. Under the watchdog the recognizer works on a goroutine of its own
-// from here on, so whatever the caller does before the join runs beside
-// it; without one it runs in place, inside the join. With SelfHeal the
-// slide's input is journaled first and a panic inside Advance
-// quarantines the recognizer instead of crashing.
-func (s *System) startSingle(q time.Time, events []rtec.Event, facts []maritime.SpatialFact) func() ([]maritime.Alert, time.Duration) {
-	if s.recJ != nil {
-		s.journalRec(0, q, events, facts)
-	}
-	if s.singleDown.Load() != partUp {
-		s.watchdogLostEvents.Add(int64(len(events)))
-		return func() ([]maritime.Alert, time.Duration) { return nil, 0 }
-	}
-	// Heal may replace s.recognizer between slides; pin the object this
-	// slide runs against so an abandoned goroutine never reads the field
-	// concurrently with a repair.
-	rec := s.recognizer
-	if s.cfg.WatchdogTimeout <= 0 && !s.selfHeal {
-		return func() ([]maritime.Alert, time.Duration) {
-			t := time.Now()
-			alerts := rec.Advance(q, events, facts).Alerts
-			return alerts, time.Since(t)
-		}
-	}
-	type advResult struct {
-		snap maritime.Snapshot
-		qr   *supervise.Quarantine
-		ran  time.Duration
-	}
-	advance := func() (out advResult) {
-		t := time.Now()
-		defer func() { out.ran = time.Since(t) }()
-		if s.selfHeal {
-			defer func() {
-				if r := recover(); r != nil {
-					qr := newQuarantine("recognizer", r)
-					out = advResult{qr: &qr}
-				}
-			}()
-		}
-		if h := recognizerAdvanceHook.Load(); h != nil {
-			(*h)(-1)
-		}
-		return advResult{snap: rec.Advance(q, events, facts)}
-	}
-	deliver := func(r advResult) ([]maritime.Alert, time.Duration) {
-		if r.qr != nil {
-			s.quarantineSingle(partPanicked, *r.qr, len(events))
-			return nil, r.ran
-		}
-		return r.snap.Alerts, r.ran
-	}
-	if s.cfg.WatchdogTimeout <= 0 {
-		// Self-heal without a watchdog: run in place, recovering panics.
-		return func() ([]maritime.Alert, time.Duration) { return deliver(advance()) }
-	}
-	launched := time.Now()
-	done := make(chan advResult, 1)
-	go func() { done <- advance() }()
-	timer := time.NewTimer(s.cfg.WatchdogTimeout)
-	return func() ([]maritime.Alert, time.Duration) {
-		defer timer.Stop()
-		select {
-		case r := <-done:
-			return deliver(r)
-		case <-timer.C:
-			// The result can race the deadline into the select — always,
-			// when archival and analytics outlasted the budget; prefer a
-			// delivery that beat the deadline over declaring a wedge.
-			select {
-			case r := <-done:
-				return deliver(r)
-			default:
-			}
-			// The recognizer overran the slide budget; abandon it (the
-			// goroutine may still be running against its private state, so
-			// it must never be advanced again) and keep the pipeline
-			// moving. With SelfHeal the quarantine is repairable: Heal
-			// rebuilds a fresh recognizer from the journal and re-admits it.
-			s.quarantineSingle(partStalled, stallQuarantine("recognizer"), len(events))
-			s.watchdogTrips.Add(1)
-			return nil, time.Since(launched)
-		}
-	}
-}
-
-// recognizerAdvanceHook is called at the start of every recognition
-// goroutine with the partition index (-1 for the single recognizer);
+// recognizerAdvanceHook is called at the start of every band's
+// recognition step with the band index (-1 when there is one band);
 // tests install a blocking hook to simulate a wedged recognizer. It is
 // atomic because abandoned goroutines may still read it while a test
 // tears it down.
 var recognizerAdvanceHook atomic.Pointer[func(i int)]
 
 // startPartitions fans the slide's events out to the recognizer of the
-// band each vessel is in and starts all bands in parallel (the MEs are
-// "forwarded to the appropriate processor according to vessel
-// location", paper §5.2). Whatever the caller does before calling the
-// returned join runs beside the bands; the join collects them under the
-// watchdog and yields the alerts and how long the slowest band ran.
-func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []maritime.SpatialFact) func() ([]maritime.Alert, time.Duration) {
+// band each vessel is in and starts the bands (the MEs are "forwarded
+// to the appropriate processor according to vessel location", paper
+// §5.2). Whatever the caller does before calling the returned join runs
+// beside the bands; the join collects them under the watchdog and
+// yields the alerts and how long the slowest band ran. Bands run on
+// goroutines of their own, except a lone band without a watchdog: there
+// is nothing to run it beside or to abandon it for, so it runs in place,
+// inside the join. With SelfHeal the slide's input is journaled first
+// and a panic inside Advance quarantines the band instead of crashing.
+func (s *System) startPartitions(q time.Time, events []rtec.Event) func() ([]maritime.Alert, time.Duration) {
 	n := len(s.partitions)
 	// The routing slots are system-owned scratch reused across slides. A
 	// down partition's slot is abandoned to its goroutine at quarantine
@@ -634,13 +514,13 @@ func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []marit
 	// still holds an old slice sees a stable array.
 	for i := range s.evByPart {
 		s.evByPart[i] = s.evByPart[i][:0]
-		s.factByPart[i] = s.factByPart[i][:0]
 	}
 	for _, ev := range events {
 		i := s.partitionOf(ev.Lon)
-		if s.partitions[i].down.Load() != partUp {
-			s.watchdogLostEvents.Add(1)
-			if !s.selfHeal {
+		if d := s.partitions[i].down.Load(); d != partUp {
+			if !s.selfHeal || d == partFailed {
+				// No journal will replay it: the event is lost.
+				s.watchdogLostEvents.Add(1)
 				continue
 			}
 			// The journal still needs the event: a Heal replay delivers
@@ -648,26 +528,18 @@ func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []marit
 		}
 		s.evByPart[i] = append(s.evByPart[i], ev)
 	}
-	for _, f := range facts {
-		if i, ok := s.areaOwner[f.AreaID]; ok {
-			if s.partitions[i].down.Load() != partUp && !s.selfHeal {
-				continue
-			}
-			s.factByPart[i] = append(s.factByPart[i], f)
-		}
-	}
 	if s.recJ != nil {
 		for i := range s.partitions {
-			s.journalRec(i, q, s.evByPart[i], s.factByPart[i])
+			s.journalRec(i, q, s.evByPart[i])
 		}
 	}
 	// Fan out to the live partitions. Results come back over a buffered
 	// channel rather than shared slots so that a goroutine abandoned by
 	// the watchdog can still complete without racing a later slide; the
-	// channel itself is per-slide for the same reason. Each goroutine
-	// takes its event/fact slices by value at launch so later slides may
-	// reslice the scratch slots freely. With SelfHeal a panicking
-	// goroutine reports a quarantine record instead of crashing.
+	// channel itself is per-slide for the same reason. Each band takes
+	// its event slice by value at launch so later slides may reslice the
+	// scratch slots freely. With SelfHeal a panicking band reports a
+	// quarantine record instead of crashing.
 	type partResult struct {
 		i    int
 		snap maritime.Snapshot
@@ -675,31 +547,41 @@ func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []marit
 		ran  time.Duration
 	}
 	results := make(chan partResult, n)
+	advance := func(i int, rec *maritime.Recognizer, evs []rtec.Event) {
+		t := time.Now()
+		if s.selfHeal {
+			defer func() {
+				if r := recover(); r != nil {
+					qr := supervise.Panicked(s.recTarget(i), r)
+					results <- partResult{i: i, qr: &qr, ran: time.Since(t)}
+				}
+			}()
+		}
+		if h := recognizerAdvanceHook.Load(); h != nil {
+			hi := i
+			if n == 1 {
+				hi = -1
+			}
+			(*h)(hi)
+		}
+		snap := rec.Advance(q, evs, nil)
+		results <- partResult{i: i, snap: snap, ran: time.Since(t)}
+	}
+	var inPlace func()
 	active := 0
 	launched := time.Now()
 	for i, p := range s.partitions {
-		s.launched[i] = false
 		s.completed[i] = false
 		if p.down.Load() != partUp {
 			continue
 		}
-		s.launched[i] = true
 		active++
-		go func(i int, rec *maritime.Recognizer, evs []rtec.Event, fs []maritime.SpatialFact) {
-			if s.selfHeal {
-				defer func() {
-					if r := recover(); r != nil {
-						qr := newQuarantine(s.recTarget(i), r)
-						results <- partResult{i: i, qr: &qr, ran: time.Since(launched)}
-					}
-				}()
-			}
-			if h := recognizerAdvanceHook.Load(); h != nil {
-				(*h)(i)
-			}
-			snap := rec.Advance(q, evs, fs)
-			results <- partResult{i: i, snap: snap, ran: time.Since(launched)}
-		}(i, p.rec, s.evByPart[i], s.factByPart[i])
+		rec, evs := p.rec, s.evByPart[i]
+		if n == 1 && s.cfg.WatchdogTimeout <= 0 {
+			inPlace = func() { advance(i, rec, evs) }
+			continue
+		}
+		go advance(i, rec, evs)
 	}
 	var timer *time.Timer
 	var timeout <-chan time.Time
@@ -710,6 +592,9 @@ func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []marit
 	return func() ([]maritime.Alert, time.Duration) {
 		if timer != nil {
 			defer timer.Stop()
+		}
+		if inPlace != nil {
+			inPlace()
 		}
 		var slowest time.Duration
 		collect := func(r partResult) {
@@ -745,14 +630,16 @@ func (s *System) startPartitions(q time.Time, events []rtec.Event, facts []marit
 				if got == active {
 					break
 				}
-				// The slide budget is spent: flag every straggler as
-				// wedged and move on with the snapshots that did arrive.
-				// With SelfHeal the quarantine is repairable via Heal.
+				// The slide budget is spent: flag every straggler — still
+				// up (a band down at launch stays down: Heal waits for
+				// runMu) yet not completed — as wedged and move on with
+				// the snapshots that did arrive. With SelfHeal the
+				// quarantine is repairable via Heal.
 				s.watchdogTrips.Add(1)
 				slowest = time.Since(launched)
 				for i, p := range s.partitions {
-					if s.launched[i] && !s.completed[i] && p.down.Load() == partUp {
-						s.quarantinePartition(i, partStalled, stallQuarantine(s.recTarget(i)))
+					if !s.completed[i] && p.down.Load() == partUp {
+						s.quarantinePartition(i, partStalled, supervise.Stalled(s.recTarget(i)))
 					}
 				}
 				got = active
@@ -826,9 +713,6 @@ func (s *System) RunAll(batches interface{ Next() (stream.Batch, bool) }) []Slid
 // for an area as of the last slide, or nil when recognition is off.
 func (s *System) RecognizerIntervals(ce, areaID string) rtec.IntervalList {
 	key := rtec.FluentKey{Fluent: ce, Entity: areaID, Value: rtec.True}
-	if s.recognizer != nil {
-		return s.recognizer.Engine().HoldsFor(key)
-	}
 	for _, p := range s.partitions {
 		if ivs := p.rec.Engine().HoldsFor(key); ivs != nil {
 			return ivs

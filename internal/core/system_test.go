@@ -214,17 +214,18 @@ func TestDisableFlags(t *testing.T) {
 	}
 }
 
-func TestSpatialFactsModeEndToEnd(t *testing.T) {
-	sysCfg := defaultSystemConfig()
-	sysCfg.Recognition.Mode = maritime.SpatialFacts
-	_, _, reports := buildSystem(t, simConfig(120, 5), sysCfg)
-	var alerts int
-	for _, r := range reports {
-		alerts += len(r.Alerts)
-	}
-	if alerts == 0 {
-		t.Error("no alerts in spatial-facts mode")
-	}
+// TestNewSystemPanicsOnSpatialFacts pins that the pipeline refuses the
+// precomputed-spatial-facts mode: it generates no facts, so that mode
+// would silently recognize nothing spatial.
+func TestNewSystemPanicsOnSpatialFacts(t *testing.T) {
+	cfg := defaultSystemConfig()
+	cfg.Recognition.Mode = maritime.SpatialFacts
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSystem accepted maritime.SpatialFacts")
+		}
+	}()
+	NewSystem(cfg, nil, nil, nil)
 }
 
 func TestPartitionedRecognition(t *testing.T) {

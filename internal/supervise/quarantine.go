@@ -11,6 +11,7 @@ package supervise
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 )
 
@@ -18,9 +19,9 @@ import (
 // is, why it was taken out, and what the failure looked like.
 type Quarantine struct {
 	// Target names the partition in the supervisor's namespace:
-	// "tracker/3" for a tracker shard, "recognizer/1" for a recognition
-	// partition, "recognizer" for the unpartitioned recognizer, "store"
-	// for the MOD archival store.
+	// "tracker/3" for a tracker shard, "recognizer" for the recognizer
+	// of a one-band system and "recognizer/1" for one of several bands,
+	// "store" for the MOD archival store.
 	Target string
 	// Cause is "panic" for a recovered panic, "stall" for a watchdog
 	// timeout.
@@ -32,6 +33,17 @@ type Quarantine struct {
 	Stack string
 	// Since is when the partition was quarantined.
 	Since time.Time
+}
+
+// Panicked records a panic recovered from target, with the stack of
+// the recovering goroutine; call it from the deferred recover.
+func Panicked(target string, v any) Quarantine {
+	return Quarantine{Target: target, Cause: "panic", Value: fmt.Sprint(v), Stack: string(debug.Stack()), Since: time.Now()}
+}
+
+// Stalled records a watchdog timeout of target.
+func Stalled(target string) Quarantine {
+	return Quarantine{Target: target, Cause: "stall", Since: time.Now()}
 }
 
 // String renders the quarantine record for logs and health output.

@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"time"
 
@@ -22,12 +21,13 @@ import (
 // FaultStats.DroppedFixes) until a supervisor calls RepairShard, which
 // replays the journal into a fresh tracker and re-admits it.
 //
-// The journal is re-based every journalEvery healthy slides so replay
-// cost stays bounded. While a shard is quarantined the journal keeps
-// growing up to journalCap slides; beyond that the oldest slides are
-// discarded and counted as replay gaps (FaultStats.GapSlides): repair
-// then restores a state missing those slides' fixes — degraded but
-// deterministic, the same accounting contract checkpoint replay uses.
+// The journal (supervise.Journal) is re-based every cadence of healthy
+// slides so replay cost stays bounded. While a shard is quarantined the
+// journal keeps growing up to the shared retention cap; beyond that the
+// oldest slides are discarded and counted as replay gaps
+// (FaultStats.GapSlides): repair then restores a state missing those
+// slides' fixes — degraded but deterministic, the same accounting
+// contract checkpoint replay uses.
 
 // DefaultJournalSlides is the re-base cadence used when EnableSelfHeal
 // is given a non-positive value.
@@ -40,16 +40,18 @@ type shardSlide struct {
 	fixes []idxFix
 }
 
+// shardBase is the state a shard's replay starts from.
+type shardBase struct {
+	vessels []VesselSnapshot
+	stats   Stats
+}
+
 // shardHeal is the per-shard repair state.
 type shardHeal struct {
 	quarantined bool
 	failed      bool // supervisor gave up; out of service until restart/restore
 	info        supervise.Quarantine
-
-	baseVessels []VesselSnapshot
-	baseStats   Stats
-	slides      []shardSlide
-	gapped      int // journal slides discarded by the cap since the base
+	journal     supervise.Journal[shardBase, shardSlide]
 }
 
 // EnableSelfHeal turns on panic isolation, journaling, and repair for
@@ -63,14 +65,13 @@ func (s *Sharded) EnableSelfHeal(journalEvery int) {
 	if journalEvery <= 0 {
 		journalEvery = DefaultJournalSlides
 	}
-	s.journalEvery = journalEvery
-	s.journalCap = journalEvery * 8
 	s.heal = make([]shardHeal, len(s.shards))
 	s.skip = make([]bool, len(s.shards))
 	// All shards run pooled so the caller is free to watchdog them, and
 	// all shards index emissions so the merge path is uniform.
 	for i := range s.shards {
 		s.shards[i].indexing = true
+		s.heal[i].journal = supervise.NewJournal[shardBase, shardSlide](shardBase{}, journalEvery)
 		s.rebase(i)
 	}
 	if s.pool == nil {
@@ -80,9 +81,6 @@ func (s *Sharded) EnableSelfHeal(journalEvery int) {
 		s.pool.addWorker()
 	}
 }
-
-// SelfHealing reports whether EnableSelfHeal was called.
-func (s *Sharded) SelfHealing() bool { return s.heal != nil }
 
 // SetSlideTimeout arms the per-slide stall watchdog: a shard that has
 // not finished its slide within d is quarantined and its pool worker
@@ -224,11 +222,7 @@ collect:
 			continue
 		}
 		s.stalls.Add(1)
-		s.quarantineShard(i, supervise.Quarantine{
-			Target: fmt.Sprintf("tracker/%d", i),
-			Cause:  "stall",
-			Since:  time.Now(),
-		})
+		s.quarantineShard(i, supervise.Stalled(fmt.Sprintf("tracker/%d", i)))
 		s.pool.addWorker()
 	}
 
@@ -267,28 +261,25 @@ collect:
 
 	// Re-base healthy journals so replay cost stays bounded.
 	for i := 0; i < n; i++ {
-		if !s.outOfService(i) && len(s.heal[i].slides) >= s.journalEvery {
+		if !s.outOfService(i) && s.heal[i].journal.Due() {
 			s.rebase(i)
 		}
 	}
 	return SlideResult{Query: b.Query, Fresh: s.fresh, Delta: s.delta}
 }
 
-// journalAppend records one shard's routed fixes for the current slide,
-// discarding the oldest journal slide when the cap is hit (counted as a
-// replay gap — only reachable while the shard is quarantined, since
-// healthy journals re-base well below the cap).
+// journalAppend records one shard's routed fixes for the current slide;
+// a slide evicted by the retention cap is counted as a replay gap (only
+// reachable while the shard is quarantined, since healthy journals
+// re-base well below the cap).
 func (s *Sharded) journalAppend(i int, q time.Time) {
 	h := &s.heal[i]
 	if h.failed {
 		return
 	}
-	if len(h.slides) >= s.journalCap {
-		h.slides = slices.Delete(h.slides, 0, 1)
-		h.gapped++
+	if _, evicted := h.journal.Append(shardSlide{q: q, fixes: slices.Clone(s.byShard[i])}); evicted {
 		s.gapSlides.Add(1)
 	}
-	h.slides = append(h.slides, shardSlide{q: q, fixes: slices.Clone(s.byShard[i])})
 }
 
 // quarantineShard takes a shard out of service: its fixes for this
@@ -307,15 +298,13 @@ func (s *Sharded) quarantineShard(i int, q supervise.Quarantine) {
 // rebase captures the shard's current state as the journal base and
 // clears the journaled slides.
 func (s *Sharded) rebase(i int) {
-	h := &s.heal[i]
+	j := &s.heal[i].journal
 	tr := s.shards[i]
-	h.baseVessels = h.baseVessels[:0]
+	base := shardBase{vessels: j.Base.vessels[:0], stats: tr.Stats()}
 	for mmsi, st := range tr.vessels {
-		h.baseVessels = append(h.baseVessels, snapshotVessel(mmsi, st))
+		base.vessels = append(base.vessels, snapshotVessel(mmsi, st))
 	}
-	h.baseStats = tr.Stats()
-	h.slides = h.slides[:0]
-	h.gapped = 0
+	j.Rebase(base)
 }
 
 // replayShard rebuilds a shard from its journal base and replays every
@@ -326,26 +315,20 @@ func (s *Sharded) rebase(i int) {
 func (s *Sharded) replayShard(i int, hook *func(shard, slide, attempt int), rerunCurrent bool) (tr *Tracker, out shardOut, qr *supervise.Quarantine) {
 	defer func() {
 		if r := recover(); r != nil {
-			tr, out = nil, shardOut{}
-			qr = &supervise.Quarantine{
-				Target: fmt.Sprintf("tracker/%d", i),
-				Cause:  "panic",
-				Value:  fmt.Sprint(r),
-				Stack:  string(debug.Stack()),
-				Since:  time.Now(),
-			}
+			q := supervise.Panicked(fmt.Sprintf("tracker/%d", i), r)
+			tr, out, qr = nil, shardOut{}, &q
 		}
 	}()
-	h := &s.heal[i]
+	j := &s.heal[i].journal
 	tr = New(s.shards[0].params, s.shards[0].window)
 	tr.indexing = true
-	tr.stats = cloneStats(h.baseStats)
-	for _, vs := range h.baseVessels {
+	tr.stats = cloneStats(j.Base.stats)
+	for _, vs := range j.Base.vessels {
 		tr.vessels[vs.MMSI] = restoreVessel(vs)
 	}
-	last := len(h.slides) - 1
-	for k := range h.slides {
-		sl := &h.slides[k]
+	last := len(j.Slides) - 1
+	for k := range j.Slides {
+		sl := &j.Slides[k]
 		start := time.Now()
 		if rerunCurrent && k == last && hook != nil {
 			(*hook)(i, s.slideSeq, 1)
@@ -410,9 +393,7 @@ func (s *Sharded) AbandonShard(i int) {
 	h.failed = true
 	s.quarCount.Add(-1)
 	s.failedCount.Add(1)
-	h.slides = nil
-	h.baseVessels = nil
-	h.gapped = 0
+	h.journal.Base, h.journal.Slides = shardBase{}, nil
 }
 
 // resetHeal re-admits every shard ahead of a snapshot restore,
@@ -436,8 +417,7 @@ func (s *Sharded) resetHeal() {
 		}
 		h.quarantined, h.failed = false, false
 		h.info = supervise.Quarantine{}
-		h.slides = nil
-		h.gapped = 0
+		h.journal.Slides = nil
 	}
 }
 

@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"sync"
@@ -69,13 +68,11 @@ type Sharded struct {
 	// Self-healing state (nil unless EnableSelfHeal was called); see
 	// heal.go. skip marks shards excluded from the current slide's merge
 	// because they are quarantined or failed.
-	heal         []shardHeal
-	skip         []bool
-	journalEvery int
-	journalCap   int
-	slideSeq     int
-	timeout      time.Duration
-	faultHook    atomic.Pointer[func(shard, slide, attempt int)]
+	heal      []shardHeal
+	skip      []bool
+	slideSeq  int
+	timeout   time.Duration
+	faultHook atomic.Pointer[func(shard, slide, attempt int)]
 
 	// Fault counters, atomics so Health and metric scrapes may read
 	// them from other goroutines mid-slide.
@@ -176,13 +173,8 @@ func runShard(j shardJob) {
 	if j.recoverable {
 		defer func() {
 			if r := recover(); r != nil {
-				j.out.panic = &supervise.Quarantine{
-					Target: fmt.Sprintf("tracker/%d", j.i),
-					Cause:  "panic",
-					Value:  fmt.Sprint(r),
-					Stack:  string(debug.Stack()),
-					Since:  time.Now(),
-				}
+				q := supervise.Panicked(fmt.Sprintf("tracker/%d", j.i), r)
+				j.out.panic = &q
 				if j.done != nil {
 					j.done <- j.i
 				}
