@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-serve bench-decode bench-quick check-allocs experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-quick check-allocs experiments examples
 
 all: fmt-check build vet test
 
@@ -32,9 +32,11 @@ test-race:
 
 # Crash-injection equivalence suite: kill-and-restore at arbitrary
 # slides and mid-checkpoint-write, byte-identical output and
-# exactly-once delivery through the gateway, under the race detector.
+# exactly-once delivery through the gateway, and the snapshot store's
+# corruption matrix, under the race detector.
 test-recovery:
 	go test -race -v -run 'TestKillRestore|TestGatewayExactlyOnce|TestReplayGap|TestSigterm' ./internal/checkpoint/
+	go test -race -v -run 'TestStore' ./internal/durable/
 
 # Panic/stall-injection supervision suite: shard kills, recognizer and
 # store panics, watchdog stalls, supervisor restore-then-replay, and the
@@ -46,11 +48,11 @@ test-chaos:
 
 # Distributed-cluster equivalence suite: byte-identical output across
 # 1-process / cluster(1) / cluster(3), kill-one-worker exactly-once
-# restore, whole-cluster manifest restore, and the stalled-worker
-# degradation path — all over real loopback TCP, under the race
-# detector.
+# restore, whole-cluster manifest restore, a restored worker's
+# replay-gap report, and the stalled-worker degradation path — all
+# over real loopback TCP, under the race detector.
 test-cluster:
-	go test -race -v -run 'TestCluster' ./internal/cluster/
+	go test -race -v -run 'TestCluster|TestWorker' ./internal/cluster/
 
 # Durable alert-log chaos suite: replica kills mid-stream with
 # subscriber failover, writer crash mid-segment (fault-injected), and
@@ -90,13 +92,8 @@ test-analytics:
 	go test -race -v -run 'TestClusterPairwiseAnalyticsEquivalence|TestClusterManifestRestoreWithAnalytics' ./internal/cluster/
 
 # One testing.B benchmark per table/figure of the paper's evaluation.
-bench: bench-serve
+bench:
 	go test -bench=. -benchmem -benchtime=1x -run '^$$' .
-
-# Serving-tier benchmarks, written as a JSON artifact with the pre-fix
-# fan-out baseline embedded for comparison.
-bench-serve:
-	go run ./cmd/benchserve -out BENCH_serve.json
 
 # Decode micro-benchmarks: the zero-copy scanner vs the string decoder
 # kept in internal/ais/legacy_test.go, over NMEA and CSV, one iteration

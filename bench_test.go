@@ -330,7 +330,8 @@ func BenchmarkAblationNoGridIndex(b *testing.B) {
 
 // BenchmarkHubFanout measures the alert gateway's fan-out hub
 // (internal/serve): one Publish of a slide's worth of alerts against
-// 1, 100, and 10k live subscribers, each drained by its own goroutine.
+// 1, 100, and 10k live subscribers, each drained by its own goroutine,
+// and against 1000 subscribers with per-vessel filters.
 // Publish is non-blocking by construction — a subscriber that falls
 // behind drops from its own bounded queue — so the per-op cost is the
 // pipeline-side price of serving that many clients. Reported metrics:
@@ -346,13 +347,29 @@ func BenchmarkHubFanout(b *testing.B) {
 			Vessel: uint32(237000101 + i),
 		}
 	}
-	for _, subs := range []int{1, 100, 10000} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+	// The filtered case gives each subscriber one vessel out of 40, so a
+	// publish reaches only the subscribers of its alerts' vessels.
+	const mmsiSpread = 40
+	for _, tc := range []struct {
+		name     string
+		subs     int
+		filtered bool
+	}{
+		{"subs=1", 1, false},
+		{"subs=100", 100, false},
+		{"subs=10000", 10000, false},
+		{"filtered/subs=1000", 1000, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			hub := serve.NewHub(1024)
 			var wg sync.WaitGroup
-			sl := make([]*serve.Subscriber, subs)
+			sl := make([]*serve.Subscriber, tc.subs)
 			for i := range sl {
-				sl[i] = hub.Subscribe(serve.Filter{}, 256)
+				f := serve.Filter{}
+				if tc.filtered {
+					f.MMSI = map[uint32]struct{}{uint32(237000101 + i%mmsiSpread): {}}
+				}
+				sl[i] = hub.Subscribe(f, 256)
 				wg.Add(1)
 				go func(s *serve.Subscriber) {
 					defer wg.Done()

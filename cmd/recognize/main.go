@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -72,7 +71,7 @@ func main() {
 		ingest    = flag.Int("ingest-buffer", 8192, "ingest backlog bound for live feeds, in fixes; beyond it the oldest are dropped and counted (0 = lossless, one slide of read-ahead, backpressure to the feed)")
 		debug     = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address while the run lasts (empty = off)")
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory for crash-safe restart (empty = off)")
-		ckptEvery = flag.Int("checkpoint-every", 6, "slides between checkpoints")
+		ckptEvery = flag.Int("checkpoint-every", 6, "checkpoint every N slides on the slide grid: at each query time that is a multiple of N × -slide, the same cut a cluster worker makes (plus a final checkpoint at the end)")
 		pairwise  = flag.Bool("pairwise", false, "run the cross-vessel analytics tier (rendezvous, dark gap linking, collision screening)")
 	)
 	flag.Parse()
@@ -146,27 +145,20 @@ func main() {
 	// Crash safety: restore the newest valid checkpoint before touching
 	// the stream, then replay from its cursor below. Invalid files are
 	// skipped (reported, never fatal); none at all is a cold start.
-	var mgr *checkpoint.Manager
-	var restored *checkpoint.State
+	runCfg := checkpoint.RunConfig{System: sys, Every: *ckptEvery, Slide: *slide, Logf: log.Printf}
 	if *ckptDir != "" {
-		var err error
-		mgr, err = checkpoint.NewManager(checkpoint.Options{Dir: *ckptDir})
+		mgr, err := checkpoint.NewManager(checkpoint.Options{Dir: *ckptDir})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if reg != nil {
 			mgr.RegisterMetrics(reg)
 		}
-		restored, err = mgr.RestoreNewest()
-		if err != nil {
-			log.Printf("checkpoint: skipped invalid files: %v", err)
-		}
-		if restored != nil {
-			if err := sys.RestoreSnapshot(restored.System); err != nil {
-				log.Fatalf("checkpoint: restore: %v", err)
-			}
-			log.Printf("restored checkpoint: %d slides, query %s", restored.Slides, restored.Query.Format(time.RFC3339))
-		}
+		runCfg.Checkpoints = mgr
+	}
+	run, err := checkpoint.Restore(runCfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -174,7 +166,6 @@ func main() {
 
 	var src stream.FixSource
 	var client *feed.ReconnectingClient
-	var resume *feed.ResumeFilter
 	// Files and simulations are read losslessly; only a live feed gets
 	// the drop-oldest backlog bound.
 	capacity := 0
@@ -186,29 +177,16 @@ func main() {
 		// backpressure onto the wire. A restored run seeds the very first
 		// connection with the checkpoint cursor, so the RESUME handshake
 		// skips everything already processed.
-		var err error
-		if restored != nil {
-			client, err = feed.DialReconnectingFrom(*live, feed.DefaultRetryPolicy(), restored.Cursor)
-		} else {
-			client, err = feed.DialReconnecting(*live, feed.DefaultRetryPolicy())
-		}
+		client, err = feed.DialReconnectingFrom(*live, feed.DefaultRetryPolicy(), run.Cursor())
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer client.Close()
 		log.Printf("consuming live feed at %s", *live)
 		if reg != nil {
 			client.RegisterMetrics(reg)
 		}
 		src = client
 		capacity = *ingest
-		// Graceful shutdown: closing the client ends the stage's Scan,
-		// the loop finishes its in-flight batch, and the final checkpoint
-		// runs.
-		go func() {
-			<-ctx.Done()
-			client.Close()
-		}()
 	case *in == "":
 		src = stream.NewSliceSource(sim.Run())
 	default:
@@ -219,12 +197,6 @@ func main() {
 		defer f.Close()
 		src = ais.NewScanner(bufio.NewReaderSize(f, 1<<20))
 	}
-	if restored != nil && client == nil {
-		// Offline replay: the file or simulation starts at the beginning;
-		// the resume filter discards the prefix the cursor covers.
-		resume = feed.NewResumeFilter(src, restored.Cursor)
-		src = resume
-	}
 
 	// Alert formatting goes through the shared sink instead of a
 	// driver-local printing loop.
@@ -232,112 +204,31 @@ func main() {
 		sys.AddAlertSink(core.NewWriterSink(os.Stdout, ""))
 	}
 
-	// A checkpoint older than the feed's replayable horizon resumes with
-	// a partial replay; the gap is surfaced through Health, not silently
-	// closed. Atomic because /healthz and /metrics scrape concurrently.
-	var replayGap atomic.Int64
-	if restored != nil {
-		sys.AddHealthSource(func() core.Health {
-			return core.Health{ReplayGapSlides: int(replayGap.Load())}
-		})
-	}
-
-	var batcher *stream.Batcher
-	var cur feed.Cursor
-	baseSlides := 0
-	if restored != nil {
-		// Continue on the original slide grid: slides between the
-		// checkpoint and the first replayed fix still run (empty), so gap
-		// detection behaves as in the uninterrupted run.
-		batcher = stream.NewBatcherFrom(src, *slide, restored.Query)
-		cur = restored.Cursor.Clone()
-		baseSlides = restored.Slides
-	} else {
-		batcher = stream.NewBatcher(src, *slide)
-	}
-	// The ingest stage reads and decodes the source one slide ahead of
-	// the pipeline on its own goroutine.
-	stage = stream.NewIngestStage(batcher, capacity)
+	// An offline replay starts the file or simulation at the beginning;
+	// a restored run's resume filter discards the prefix the cursor
+	// covers.
+	stage = run.Ingest(src, client, capacity)
 	if reg != nil {
 		stage.RegisterMetrics(reg)
 	}
-	if client != nil {
-		sys.AddHealthSource(core.LiveHealthSource(client, stage))
-	}
 
-	saveCkpt := func(q time.Time, slides int) {
-		snap, err := sys.Snapshot()
-		if err != nil {
-			log.Printf("checkpoint: %v", err)
-			return
-		}
-		st := &checkpoint.State{Query: q, System: snap, Cursor: cur.Clone(), Slides: slides}
-		if err := mgr.Save(st); err != nil {
-			log.Printf("checkpoint: %v", err)
-		}
-	}
-
-	var totalAlerts, slides int
+	var totalAlerts int
 	var recogTime time.Duration
-	var lastQuery, firstTraffic time.Time
-	for {
-		b, ok := stage.Next()
-		if !ok || ctx.Err() != nil {
-			// On interrupt the slides read ahead are discarded — the
-			// newest may have been truncated by the closing source — so
-			// the final checkpoint sits on a complete-slide boundary and
-			// the cursor replays them whole.
-			break
-		}
-		rep := sys.ProcessBatch(b)
-		for _, f := range b.Fixes {
-			cur.Note(f)
-		}
-		slides++
-		recogTime += rep.Timings.Recognition
-		totalAlerts += len(rep.Alerts)
-		lastQuery = rep.Query
-		if restored != nil && firstTraffic.IsZero() && len(b.Fixes) > 0 {
-			firstTraffic = b.Query
-			replayGap.Store(int64(checkpoint.ReplayGapSlides(restored.Query, firstTraffic, *slide)))
-		}
-		if mgr != nil && *ckptEvery > 0 && slides%*ckptEvery == 0 {
-			saveCkpt(rep.Query, baseSlides+slides)
-		}
-		stage.Recycle(b)
-	}
-	interrupted := ctx.Err() != nil
-	// Stop the stage before reading the source's counters: its goroutine
-	// may be inside Scan, which a live client leaves once closed.
-	if client != nil {
-		client.Close()
-	}
-	stage.Close()
-	if err := stage.Err(); err != nil {
+	res, err := run.Slides(ctx, checkpoint.Loop{
+		Process: func(b stream.Batch) error {
+			rep := sys.ProcessBatch(b)
+			recogTime += rep.Timings.Recognition
+			totalAlerts += len(rep.Alerts)
+			return nil
+		},
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if mgr != nil {
-		// Final checkpoint before Drain: Drain finalizes trips a resumed
-		// run would otherwise re-derive differently, so the durable state
-		// must predate it.
-		if !lastQuery.IsZero() {
-			saveCkpt(lastQuery, baseSlides+slides)
-		}
-		skipped := 0
-		if resume != nil {
-			skipped = resume.Skipped()
-		} else if client != nil {
-			skipped = client.NetStats().ResumeSkipped
-		}
-		mgr.NoteReplaySkipped(skipped)
-		if restored != nil {
-			log.Printf("resumed: replay discarded %d already-processed fixes", skipped)
-		}
-	}
-	if interrupted {
+	if res.Interrupted {
 		// Interrupted runs intend to resume: leave the pipeline state as
 		// checkpointed, do not finalize trips.
-		log.Printf("interrupted after %d slides; state checkpointed, rerun to resume", baseSlides+slides)
+		log.Printf("interrupted after %d slides; state checkpointed, rerun to resume", res.Total)
 		return
 	}
 	sys.Drain(time.Now())
@@ -346,18 +237,11 @@ func main() {
 	log.Printf("tracked %d fixes → %d critical points (compression %.1f%%)",
 		st.FixesIn, st.Critical, st.CompressionRatio()*100)
 	log.Printf("recognized %d complex events over %d slides (mean recognition %s/slide)",
-		totalAlerts, slides, recogTime/time.Duration(max(1, slides)))
+		totalAlerts, res.Slides, recogTime/time.Duration(max(1, res.Slides)))
 	t4 := sys.Store().Table4Stats()
 	log.Printf("archived %d trips (%d points; %d still staged)",
 		t4.Trips, t4.PointsInTrajectories, t4.PointsInStaging)
-	if *live != "" || *watchdog > 0 || restored != nil || *selfHeal {
+	if *live != "" || *watchdog > 0 || run.Restored() != nil || *selfHeal {
 		log.Printf("health: %s", sys.Health())
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -94,7 +93,7 @@ func main() {
 		debug     = flag.String("debug-addr", "", "sidecar listener for /metrics and /debug/pprof (empty = off; /metrics is always on the main address)")
 		verbose   = flag.Bool("v", false, "log subscriber connects/disconnects")
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory for crash-safe restart (empty = off)")
-		ckptEvery = flag.Int("checkpoint-every", 6, "slides between checkpoints")
+		ckptEvery = flag.Int("checkpoint-every", 6, "checkpoint every N slides on the slide grid: at each query time that is a multiple of N × -slide, the same cut a cluster worker makes (plus a final checkpoint at the end)")
 		pairwise  = flag.Bool("pairwise", true, "run the cross-vessel analytics tier (rendezvous, dark gap linking, collision screening)")
 
 		logDir      = flag.String("alert-log", "", "durable alert-log directory (empty = off); the writer appends, replicas tail")
@@ -180,32 +179,25 @@ func main() {
 
 	// Crash safety: restore pipeline and hub state before the gateway
 	// starts serving or the pipeline touches the stream.
-	var mgr *checkpoint.Manager
-	var restored *checkpoint.State
+	runCfg := checkpoint.RunConfig{System: sys, Every: *ckptEvery, Slide: *slide, Logf: log.Printf}
 	if *ckptDir != "" {
-		var err error
-		mgr, err = checkpoint.NewManager(checkpoint.Options{Dir: *ckptDir})
+		mgr, err := checkpoint.NewManager(checkpoint.Options{Dir: *ckptDir})
 		if err != nil {
 			log.Fatal(err)
 		}
 		mgr.RegisterMetrics(reg)
-		restored, err = mgr.RestoreNewest()
-		if err != nil {
-			log.Printf("checkpoint: skipped invalid files: %v", err)
-		}
-		if restored != nil {
-			if err := sys.RestoreSnapshot(restored.System); err != nil {
-				log.Fatalf("checkpoint: restore: %v", err)
-			}
-			log.Printf("restored checkpoint: %d slides, query %s", restored.Slides, restored.Query.Format(time.RFC3339))
-		}
+		runCfg.Checkpoints = mgr
 	}
+	run, err := checkpoint.Restore(runCfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	restored := run.Restored()
 
 	// The durable alert log opens (and recovers any torn tail) before the
 	// hub exists, so the sequence floor below sees the post-recovery tail.
 	var alog *alertlog.Log
 	if *logDir != "" {
-		var err error
 		alog, err = alertlog.Open(*logDir, alertlog.Options{SegmentBytes: *logSegBytes, KeepSegments: *logKeep})
 		if err != nil {
 			log.Fatalf("alert-log: %v", err)
@@ -243,13 +235,6 @@ func main() {
 		gw.Hub().AttachLog(alog)
 	}
 
-	var replayGap atomic.Int64
-	if restored != nil {
-		sys.AddHealthSource(func() core.Health {
-			return core.Health{ReplayGapSlides: int(replayGap.Load())}
-		})
-	}
-
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if sup != nil {
@@ -273,39 +258,17 @@ func main() {
 		log.Printf("internal feed on %s (%gx)", feedAddr, *speedup)
 	}
 
-	var client *feed.ReconnectingClient
-	var err error
-	if restored != nil {
-		client, err = feed.DialReconnectingFrom(feedAddr, feed.DefaultRetryPolicy(), restored.Cursor)
-	} else {
-		client, err = feed.DialReconnecting(feedAddr, feed.DefaultRetryPolicy())
-	}
+	// A restored run's first connection resumes at the checkpoint cursor.
+	client, err := feed.DialReconnectingFrom(feedAddr, feed.DefaultRetryPolicy(), run.Cursor())
 	if err != nil {
 		log.Fatal(err)
 	}
 	client.RegisterMetrics(reg)
 	// The ingest stage reads and decodes the feed one slide ahead of the
-	// pipeline on its own goroutine. On a restored run it continues the
+	// pipeline on its own goroutine; a restored run continues the
 	// checkpoint's slide grid.
-	var batcher *stream.Batcher
-	var cur feed.Cursor
-	baseSlides := 0
-	if restored != nil {
-		batcher = stream.NewBatcherFrom(client, *slide, restored.Query)
-		cur = restored.Cursor.Clone()
-		baseSlides = restored.Slides
-	} else {
-		batcher = stream.NewBatcher(client, *slide)
-	}
-	stage = stream.NewIngestStage(batcher, *ingest)
-	// The stage's goroutine may be inside client.Scan: close the client
-	// first, then wait for it.
-	defer func() {
-		client.Close()
-		stage.Close()
-	}()
+	stage = run.Ingest(client, client, *ingest)
 	stage.RegisterMetrics(reg)
-	sys.AddHealthSource(core.LiveHealthSource(client, stage))
 
 	if *debug != "" {
 		// The debug sidecar binds its own listener so pprof and metrics
@@ -326,88 +289,46 @@ func main() {
 		}
 	}()
 
-	// Graceful shutdown: closing the client ends the stage's Scan, the
-	// pipeline loop finishes its in-flight slide, checkpoints, and exits.
-	go func() {
-		<-ctx.Done()
-		client.Close()
-	}()
-
 	// The pipeline loop: one goroutine drives recognition; alerts reach
-	// subscribers through the hub without ever blocking this loop.
+	// subscribers through the hub without ever blocking this loop. On
+	// SIGINT/SIGTERM it finishes its in-flight slide, checkpoints, and
+	// exits.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Checkpoints capture pipeline and hub together under Quiesce, so
-		// no slide is in flight and the two are mutually consistent.
-		saveCkpt := func(q time.Time, slides int) {
-			var st *checkpoint.State
-			gw.Quiesce(func() {
-				snap, err := sys.Snapshot()
-				if err != nil {
-					log.Printf("checkpoint: %v", err)
-					return
-				}
-				hub := gw.Hub().Snapshot()
-				st = &checkpoint.State{Query: q, System: snap, Cursor: cur.Clone(), Hub: &hub, Slides: slides}
-			})
-			if st == nil {
-				return
-			}
-			if err := mgr.Save(st); err != nil {
-				log.Printf("checkpoint: %v", err)
-			}
-		}
-		var slides, alerts int
-		var last, firstTraffic time.Time
-		for {
-			b, ok := stage.Next()
-			if !ok || ctx.Err() != nil {
-				// On interrupt the slides read ahead are discarded — the
-				// newest may have been truncated by the closing client —
-				// so the final checkpoint sits on a complete-slide boundary
-				// and the cursor replays them whole.
-				break
-			}
-			rep := gw.Process(b)
-			for _, f := range b.Fixes {
-				cur.Note(f)
-			}
-			slides++
-			alerts += len(rep.Alerts)
-			last = rep.Query
-			if restored != nil && firstTraffic.IsZero() && len(b.Fixes) > 0 {
-				firstTraffic = b.Query
-				replayGap.Store(int64(checkpoint.ReplayGapSlides(restored.Query, firstTraffic, *slide)))
-			}
-			if mgr != nil && *ckptEvery > 0 && slides%*ckptEvery == 0 {
-				saveCkpt(rep.Query, baseSlides+slides)
-			}
-			stage.Recycle(b)
-		}
-		if err := stage.Err(); err != nil {
+		alerts := 0
+		res, err := run.Slides(ctx, checkpoint.Loop{
+			Process: func(b stream.Batch) error {
+				alerts += len(gw.Process(b).Alerts)
+				return nil
+			},
+			// Checkpoints capture pipeline and hub together under Quiesce,
+			// so no slide is in flight and the two are mutually consistent.
+			Capture: func(st *checkpoint.State) (err error) {
+				gw.Quiesce(func() {
+					if st.System, err = sys.Snapshot(); err == nil {
+						hub := gw.Hub().Snapshot()
+						st.Hub = &hub
+					}
+				})
+				return err
+			},
+		})
+		if err != nil {
 			log.Printf("feed: %v", err)
 		}
-		if mgr != nil {
-			// The final checkpoint precedes Drain: drained trips are
-			// final, a resumed run must not re-finalize them.
-			if !last.IsZero() {
-				saveCkpt(last, baseSlides+slides)
-			}
-			mgr.NoteReplaySkipped(client.NetStats().ResumeSkipped)
-		}
-		if ctx.Err() != nil {
+		if res.Interrupted {
 			// Interrupted: state is checkpointed for resumption; skip
 			// Drain so trips stay replayable.
-			log.Printf("interrupted after %d slides; state checkpointed, restart to resume", baseSlides+slides)
+			log.Printf("interrupted after %d slides; state checkpointed, restart to resume", res.Total)
 			return
 		}
-		if !last.IsZero() {
-			gw.Drain(last)
+		if !res.Last.IsZero() {
+			gw.Drain(res.Last)
 		}
 		gw.StreamEnded()
 		log.Printf("stream ended after %d slides, %d alerts published; still serving snapshots (Ctrl-C to quit)",
-			slides, alerts)
+			res.Slides, alerts)
 		log.Printf("health: %s", sys.Health())
 	}()
 

@@ -8,44 +8,21 @@
 //	serve -vessels 300 -speedup 0 &            # a gateway under load
 //	serveload -url http://127.0.0.1:8080 -subs 5000 -duration 15s
 //
-// Spread subscribers round-robin over the writer plus its replicas,
-// and record the run in the benchmark artifact:
+// Spread subscribers round-robin over the writer plus its replicas:
 //
 //	serveload -urls http://127.0.0.1:8080,http://127.0.0.1:8081 \
-//	    -subs 5000 -duration 15s -out BENCH_serve.json
-//
-// With -out, the run lands as a `ServeLoad/replicas=N,subs=M` row
-// under the artifact's "serveload" key, merged in place so the rows
-// benchserve wrote survive.
+//	    -subs 5000 -duration 15s
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
 	"repro/internal/serve"
 )
-
-// serveLoadRow is one recorded load run in the artifact.
-type serveLoadRow struct {
-	Name        string  `json:"name"`
-	Replicas    int     `json:"replicas"`
-	Subscribers int     `json:"subscribers"`
-	DurationS   float64 `json:"duration_s"`
-	Events      uint64  `json:"events"`
-	RateEvS     float64 `json:"rate_ev_s"`
-	Errors      int     `json:"errors"`
-	P50Us       int64   `json:"p50_us"`
-	P95Us       int64   `json:"p95_us"`
-	P99Us       int64   `json:"p99_us"`
-	MaxUs       int64   `json:"max_us"`
-}
 
 func main() {
 	log.SetFlags(0)
@@ -57,7 +34,6 @@ func main() {
 		subs     = flag.Int("subs", 1000, "concurrent SSE subscribers")
 		duration = flag.Duration("duration", 15*time.Second, "run length")
 		query    = flag.String("filter", "", "raw filter query for /events, e.g. mmsi=237000101 or ce=illegalShipping")
-		out      = flag.String("out", "", "merge the run into this benchmark artifact (e.g. BENCH_serve.json)")
 	)
 	flag.Parse()
 
@@ -85,68 +61,4 @@ func main() {
 	for i, n := range rep.PerReplica {
 		log.Printf("  %s: %d events", targets[i], n)
 	}
-
-	if *out != "" {
-		if err := mergeArtifact(*out, rep); err != nil {
-			log.Fatalf("recording run: %v", err)
-		}
-		log.Printf("recorded run in %s", *out)
-	}
-}
-
-// mergeArtifact loads the benchmark artifact, replaces (or appends) the
-// row named for this replica/subscriber combination under its
-// "serveload" key, and writes the document back without disturbing any
-// other key.
-func mergeArtifact(path string, rep serve.LoadReport) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
-	var rows []serveLoadRow
-	if raw, ok := doc["serveload"]; ok {
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			return fmt.Errorf("parsing serveload rows in %s: %w", path, err)
-		}
-	}
-	row := serveLoadRow{
-		Name:        fmt.Sprintf("ServeLoad/replicas=%d,subs=%d", rep.Replicas, rep.Subscribers),
-		Replicas:    rep.Replicas,
-		Subscribers: rep.Subscribers,
-		DurationS:   rep.Elapsed.Seconds(),
-		Events:      rep.Events,
-		RateEvS:     rep.Rate(),
-		Errors:      rep.Errors,
-		P50Us:       rep.P50.Microseconds(),
-		P95Us:       rep.P95.Microseconds(),
-		P99Us:       rep.P99.Microseconds(),
-		MaxUs:       rep.Max.Microseconds(),
-	}
-	replaced := false
-	for i := range rows {
-		if rows[i].Name == row.Name {
-			rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		rows = append(rows, row)
-	}
-	enc, err := json.Marshal(rows)
-	if err != nil {
-		return err
-	}
-	doc["serveload"] = enc
-
-	final, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(final, '\n'), 0o644)
 }

@@ -56,7 +56,7 @@ func main() {
 		shards    = flag.Int("shards", 1, "mobility-tracker shards within this worker (0 = one per CPU)")
 		gridStart = flag.String("grid-start", "", "slide-grid origin (RFC 3339, required for >1 worker; e.g. the stream's first slide boundary)")
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory for crash-safe restart (empty = off)")
-		ckptEvery = flag.Int("checkpoint-every", 6, "slides between checkpoints (grid-absolute, same cadence cluster-wide)")
+		ckptEvery = flag.Int("checkpoint-every", 6, "checkpoint every N slides on the slide grid: at each query time that is a multiple of N × the slide, the same cut on every worker and in serve/recognize")
 		pinSeq    = flag.Uint64("pin-seq", 0, "restore exactly this checkpoint sequence (from a cluster manifest restore)")
 		deadPeer  = flag.Duration("dead-peer", 10*time.Second, "declare the router dead after this much read silence (0 = never)")
 		debug     = flag.String("debug-addr", "", "sidecar listener for /metrics and /debug/pprof (empty = off)")

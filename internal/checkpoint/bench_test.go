@@ -58,9 +58,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	mgr.mu.Lock()
-	size := mgr.lastSize
-	mgr.mu.Unlock()
+	_, size := mgr.store.LastSave()
 	b.ReportMetric(float64(size), "payload-bytes")
 	b.ReportMetric(float64(slideTime.Nanoseconds())/float64(slides), "slide-ns")
 }

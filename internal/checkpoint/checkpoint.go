@@ -4,13 +4,13 @@
 // surveillance process killed at any instant restarts with no
 // observable difference in its output stream.
 //
-// Each checkpoint is one file: a durable frame (magic, version, CRC)
-// around a gob-encoded State, written atomically (temp file, fsync,
-// rename, directory fsync) so a crash mid-write leaves the previous
-// checkpoint untouched. The manager keeps the last K checkpoints;
-// restore walks them newest-first and falls back past any truncated,
-// corrupt, or future-version file — every rejection is a typed
-// durable error, never a panic or a half-restored pipeline.
+// Each checkpoint is one file of a durable.Store: a durable frame
+// (magic, version, CRC) around a gob-encoded State, written atomically
+// (temp file, fsync, rename, directory fsync) so a crash mid-write
+// leaves the previous checkpoint untouched. The store keeps the last K
+// checkpoints; restore walks them newest-first and falls back past any
+// truncated, corrupt, or future-version file — every rejection is a
+// typed durable error, never a panic or a half-restored pipeline.
 //
 // The restore → replay contract: State.Cursor covers exactly the fixes
 // the pipeline had processed when the checkpoint was taken. On restart
@@ -19,19 +19,15 @@
 // (feed.DialReconnectingFrom live, feed.ResumeFilter offline); the
 // RESUME handshake plus per-vessel same-second dedupe discard
 // everything already processed, so each fix is applied exactly once
-// across the crash.
+// across the crash. Run is that lifecycle, shared by every driver.
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -41,17 +37,9 @@ import (
 	"repro/internal/serve"
 )
 
-const (
-	// fileMagic tags a pipeline checkpoint file; fileVersion is the
-	// current payload format (gob of State).
-	fileMagic   = "MARCKPT"
-	fileVersion = 1
-	// filePrefix/fileSuffix shape checkpoint file names:
-	// checkpoint-<seq>.ckpt with a fixed-width sequence number so
-	// lexicographic and numeric order agree.
-	filePrefix = "checkpoint-"
-	fileSuffix = ".ckpt"
-)
+// fileSpec names checkpoint files: checkpoint-<seq>.ckpt, one durable
+// frame of gob(State) each.
+var fileSpec = durable.FileSpec{Prefix: "checkpoint-", Suffix: ".ckpt", Magic: "MARCKPT", Version: 1}
 
 // State is everything a restart needs, captured atomically between two
 // window slides.
@@ -71,40 +59,15 @@ type State struct {
 	Slides int
 }
 
-// Options configures a Manager.
-type Options struct {
-	// Dir is the checkpoint directory, created if missing.
-	Dir string
-	// Keep is how many checkpoints to retain (≤ 0: 3). Older ones are
-	// pruned after each successful save.
-	Keep int
-	// WrapWriter, when set, wraps the frame writer inside the atomic
-	// write protocol — the crash-injection hook: a writer that fails
-	// mid-stream aborts the protocol exactly like a process death, and
-	// the previous checkpoint must survive. Production leaves it nil.
-	WrapWriter func(io.Writer) io.Writer
-	// RetryAttempts is how many extra write attempts a failed save gets
-	// before it is declared failed — transient filesystem errors
-	// (ENOSPC while logs rotate, EIO on flaky storage) routinely clear
-	// within milliseconds, and each attempt restarts the atomic protocol
-	// on a fresh temp file so a partial write never leaks into a retry.
-	// 0 uses the default (2); negative disables retrying. Encoding
-	// errors are never retried — they are deterministic.
-	RetryAttempts int
-	// RetryBackoff is the wait before the first retry, doubling per
-	// attempt (default 25ms).
-	RetryBackoff time.Duration
-}
+// Options configures a Manager: the directory, keep-last-K retention,
+// the crash-injection hook and the transient-write retry policy.
+type Options = durable.StoreOptions
 
 // Manager owns one checkpoint directory: periodic saves with pruning,
-// and newest-valid restore with fallback.
+// and newest-valid restore with fallback. It is the gob-typed face of a
+// durable.Store.
 type Manager struct {
-	opt Options
-
-	mu       sync.Mutex
-	seq      uint64
-	lastSize int64
-	lastSave time.Time
+	store *durable.Store
 
 	metrics *managerMetrics
 }
@@ -112,58 +75,11 @@ type Manager struct {
 // NewManager opens (creating if needed) the checkpoint directory and
 // positions the sequence counter after the newest existing checkpoint.
 func NewManager(opt Options) (*Manager, error) {
-	if opt.Dir == "" {
-		return nil, errors.New("checkpoint: Options.Dir is required")
-	}
-	if opt.Keep <= 0 {
-		opt.Keep = 3
-	}
-	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating %s: %w", opt.Dir, err)
-	}
-	m := &Manager{opt: opt}
-	files, err := m.list()
+	store, err := durable.OpenStore(fileSpec, opt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(files) > 0 {
-		m.seq = files[len(files)-1].seq
-	}
-	return m, nil
-}
-
-// ckptFile is one discovered checkpoint file.
-type ckptFile struct {
-	seq  uint64
-	path string
-}
-
-// list returns the directory's checkpoint files in ascending sequence
-// order.
-func (m *Manager) list() ([]ckptFile, error) {
-	entries, err := os.ReadDir(m.opt.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading %s: %w", m.opt.Dir, err)
-	}
-	var out []ckptFile
-	for _, e := range entries {
-		name := e.Name()
-		var seq uint64
-		if _, err := fmt.Sscanf(name, filePrefix+"%d"+fileSuffix, &seq); err != nil {
-			continue
-		}
-		if name != fileName(seq) {
-			continue
-		}
-		out = append(out, ckptFile{seq: seq, path: filepath.Join(m.opt.Dir, name)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, nil
-}
-
-// fileName renders the canonical name of sequence seq.
-func fileName(seq uint64) string {
-	return fmt.Sprintf("%s%012d%s", filePrefix, seq, fileSuffix)
+	return &Manager{store: store}, nil
 }
 
 // Save persists one checkpoint atomically and prunes beyond Keep. On
@@ -171,92 +87,34 @@ func fileName(seq uint64) string {
 // still holds the previous checkpoints, untouched.
 func (m *Manager) Save(st *State) error {
 	start := time.Now()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		m.countFailure()
-		return fmt.Errorf("checkpoint: encoding state: %w", err)
-	}
-
-	m.mu.Lock()
-	seq := m.seq + 1
-	m.mu.Unlock()
-	path := filepath.Join(m.opt.Dir, fileName(seq))
-	attempts := 1 + m.retryAttempts()
-	backoff := m.opt.RetryBackoff
-	if backoff <= 0 {
-		backoff = 25 * time.Millisecond
-	}
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-			if m.metrics != nil {
-				m.metrics.retries.Inc()
-			}
-		}
-		err = durable.WriteFileAtomic(path, func(w io.Writer) error {
-			if m.opt.WrapWriter != nil {
-				w = m.opt.WrapWriter(w)
-			}
-			return durable.WriteFrame(w, fileMagic, fileVersion, payload.Bytes())
-		})
-		if err == nil {
-			break
-		}
-	}
+	err := m.store.Save(func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
 	if err != nil {
-		// Only an exhausted save counts as a failure; recovered retries
-		// are reported separately.
-		m.countFailure()
-		return fmt.Errorf("checkpoint: writing %s: %w", path, err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-
-	m.mu.Lock()
-	m.seq = seq
-	m.lastSize = int64(payload.Len())
-	m.lastSave = time.Now()
-	m.mu.Unlock()
 	if m.metrics != nil {
-		m.metrics.saves.Inc()
 		m.metrics.saveDur.ObserveDuration(time.Since(start))
 	}
-	return m.prune()
+	return nil
 }
 
-// prune removes checkpoints beyond the newest Keep.
-func (m *Manager) prune() error {
-	files, err := m.list()
-	if err != nil {
-		return err
+// decode unpacks one checkpoint payload.
+func decode(payload []byte) (*State, error) {
+	var st State
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
+		return nil, fmt.Errorf("checkpoint: decoding state: %w", err)
 	}
-	for len(files) > m.opt.Keep {
-		if err := os.Remove(files[0].path); err != nil {
-			return fmt.Errorf("checkpoint: pruning %s: %w", files[0].path, err)
-		}
-		files = files[1:]
-	}
-	return nil
+	return &st, nil
 }
 
 // Load reads and verifies one checkpoint file. Truncated, corrupt,
 // wrong-magic, and future-version files fail with the corresponding
 // typed durable error.
 func Load(path string) (*State, error) {
-	f, err := os.Open(path)
+	payload, err := fileSpec.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: opening %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	defer f.Close()
-	payload, _, err := durable.ReadFrame(f, fileMagic, fileVersion)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
-	}
-	var st State
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("checkpoint: decoding %s: %w", path, err)
-	}
-	return &st, nil
+	return decode(payload)
 }
 
 // RestoreNewest loads the newest valid checkpoint, walking past
@@ -265,33 +123,19 @@ func Load(path string) (*State, error) {
 // be restored — err is nil when the directory held none at all, and
 // carries the rejection reasons when every candidate was invalid.
 func (m *Manager) RestoreNewest() (*State, error) {
-	files, err := m.list()
-	if err != nil {
-		return nil, err
-	}
-	var failures []error
-	for i := len(files) - 1; i >= 0; i-- {
-		st, err := Load(files[i].path)
-		if err != nil {
-			failures = append(failures, err)
-			if m.metrics != nil {
-				m.metrics.rejected.Inc()
-			}
-			continue
-		}
-		if m.metrics != nil {
-			m.metrics.restores.Inc()
-		}
-		return st, errors.Join(failures...)
-	}
-	return nil, errors.Join(failures...)
+	var st *State
+	_, err := m.store.Restore(func(_ uint64, payload []byte) (err error) {
+		st, err = decode(payload)
+		return err
+	})
+	return st, err
 }
 
 // PathFor returns the canonical path of checkpoint sequence seq inside
 // dir. A cluster manifest references worker checkpoints by sequence
 // number; the coordinator resolves them through this.
 func PathFor(dir string, seq uint64) string {
-	return filepath.Join(dir, fileName(seq))
+	return filepath.Join(dir, fileSpec.Name(seq))
 }
 
 // LoadAt loads the checkpoint with exactly the given sequence number —
@@ -299,36 +143,19 @@ func PathFor(dir string, seq uint64) string {
 // its manifest generation recorded, so the whole cluster restores one
 // coherent cut even when some workers have newer checkpoints.
 func (m *Manager) LoadAt(seq uint64) (*State, error) {
-	return Load(PathFor(m.opt.Dir, seq))
+	payload, err := m.store.Load(seq)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return decode(payload)
 }
 
 // Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.opt.Dir }
+func (m *Manager) Dir() string { return m.store.Dir }
 
 // LastSeq returns the sequence number of the newest saved checkpoint
 // (0 before any save).
-func (m *Manager) LastSeq() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seq
-}
-
-// retryAttempts resolves the effective extra-attempt budget.
-func (m *Manager) retryAttempts() int {
-	if m.opt.RetryAttempts < 0 {
-		return 0
-	}
-	if m.opt.RetryAttempts == 0 {
-		return 2
-	}
-	return m.opt.RetryAttempts
-}
-
-func (m *Manager) countFailure() {
-	if m.metrics != nil {
-		m.metrics.failures.Inc()
-	}
-}
+func (m *Manager) LastSeq() uint64 { return m.store.Seq() }
 
 // NoteReplaySkipped feeds the replay-dedupe counter: how many
 // already-processed fixes the resume path discarded after a restore.
@@ -356,14 +183,10 @@ func ReplayGapSlides(checkpointQuery, firstQuery time.Time, slide time.Duration)
 	return gap
 }
 
-// managerMetrics is the checkpoint observability wiring.
+// managerMetrics is the checkpoint observability wiring the store's
+// own counters do not cover.
 type managerMetrics struct {
 	saveDur       *obs.Histogram
-	saves         *obs.Counter
-	failures      *obs.Counter
-	retries       *obs.Counter
-	restores      *obs.Counter
-	rejected      *obs.Counter
 	replaySkipped *obs.Counter
 }
 
@@ -375,34 +198,40 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	m.metrics = &managerMetrics{
 		saveDur: r.Histogram("maritime_checkpoint_seconds",
 			"Time to serialize and atomically persist one pipeline checkpoint.", nil, nil),
-		saves: r.Counter("maritime_checkpoint_saves_total",
-			"Checkpoints successfully written.", nil),
-		failures: r.Counter("maritime_checkpoint_failures_total",
-			"Checkpoint saves that failed after exhausting their retries (the previous checkpoint survives).", nil),
-		retries: r.Counter("maritime_checkpoint_retries_total",
-			"Write attempts retried after a transient failure (ENOSPC, EIO); not counted as failures when a retry succeeds.", nil),
-		restores: r.Counter("maritime_checkpoint_restores_total",
-			"Successful restores from a checkpoint at startup.", nil),
-		rejected: r.Counter("maritime_checkpoint_rejected_total",
-			"Checkpoint files rejected at restore (truncated, corrupt, or future-version).", nil),
 		replaySkipped: r.Counter("maritime_checkpoint_replay_skipped_total",
 			"Already-processed fixes discarded during post-restore replay.", nil),
 	}
+	counter := func(name, help string, get func(durable.StoreStats) uint64) {
+		r.CounterFunc(name, help, nil, func() float64 { return float64(get(m.store.Stats())) })
+	}
+	counter("maritime_checkpoint_saves_total",
+		"Checkpoints successfully written.",
+		func(s durable.StoreStats) uint64 { return s.Saves })
+	counter("maritime_checkpoint_failures_total",
+		"Checkpoint saves that failed after exhausting their retries (the previous checkpoint survives).",
+		func(s durable.StoreStats) uint64 { return s.Failures })
+	counter("maritime_checkpoint_retries_total",
+		"Write attempts retried after a transient failure (ENOSPC, EIO); not counted as failures when a retry succeeds.",
+		func(s durable.StoreStats) uint64 { return s.Retries })
+	counter("maritime_checkpoint_restores_total",
+		"Successful restores from a checkpoint at startup.",
+		func(s durable.StoreStats) uint64 { return s.Restores })
+	counter("maritime_checkpoint_rejected_total",
+		"Checkpoint files rejected at restore (truncated, corrupt, or future-version).",
+		func(s durable.StoreStats) uint64 { return s.Rejected })
 	r.GaugeFunc("maritime_checkpoint_size_bytes",
 		"Payload size of the newest checkpoint.", nil,
 		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(m.lastSize)
+			_, size := m.store.LastSave()
+			return float64(size)
 		})
 	r.GaugeFunc("maritime_checkpoint_age_seconds",
 		"Age of the newest checkpoint; rises between saves.", nil,
 		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			if m.lastSave.IsZero() {
+			last, _ := m.store.LastSave()
+			if last.IsZero() {
 				return 0
 			}
-			return time.Since(m.lastSave).Seconds()
+			return time.Since(last).Seconds()
 		})
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -79,11 +78,10 @@ func TestEmptyDirIsColdStart(t *testing.T) {
 // newestPath returns the path of the newest checkpoint file on disk.
 func newestPath(t *testing.T, m *Manager) string {
 	t.Helper()
-	files, err := m.list()
-	if err != nil || len(files) == 0 {
-		t.Fatalf("listing checkpoints: files=%d err=%v", len(files), err)
+	if m.LastSeq() == 0 {
+		t.Fatal("no checkpoint saved")
 	}
-	return files[len(files)-1].path
+	return PathFor(m.Dir(), m.LastSeq())
 }
 
 func TestRestoreFallsBackPastCorruptNewest(t *testing.T) {
@@ -114,63 +112,12 @@ func TestRestoreFallsBackPastCorruptNewest(t *testing.T) {
 	}
 }
 
-func TestRestoreFallsBackPastTruncatedNewest(t *testing.T) {
-	m := newTestManager(t, Options{})
-	mustSave(t, m, testState(1))
-	mustSave(t, m, testState(2))
-
-	path := newestPath(t, m)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := m.RestoreNewest()
-	if st == nil || st.Slides != 1 {
-		t.Fatalf("RestoreNewest = (%+v, %v), want fallback to Slides=1", st, err)
-	}
-	if !errors.Is(err, durable.ErrTruncated) {
-		t.Errorf("err = %v, want ErrTruncated joined in", err)
-	}
-}
-
-func TestRestoreFallsBackPastFutureVersion(t *testing.T) {
-	m := newTestManager(t, Options{})
-	mustSave(t, m, testState(1))
-	mustSave(t, m, testState(2))
-
-	path := newestPath(t, m)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[durable.MagicLen] = 0x7f // version byte far beyond fileVersion
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := m.RestoreNewest()
-	if st == nil || st.Slides != 1 {
-		t.Fatalf("RestoreNewest = (%+v, %v), want fallback to Slides=1", st, err)
-	}
-	if !errors.Is(err, durable.ErrFutureVersion) {
-		t.Errorf("err = %v, want ErrFutureVersion joined in", err)
-	}
-}
-
 func TestAllInvalidIsColdStartWithReasons(t *testing.T) {
 	m := newTestManager(t, Options{})
 	mustSave(t, m, testState(1))
 	mustSave(t, m, testState(2))
-	files, err := m.list()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if err := os.WriteFile(f.path, []byte("definitely not a checkpoint frame"), 0o644); err != nil {
+	for seq := uint64(1); seq <= m.LastSeq(); seq++ {
+		if err := os.WriteFile(PathFor(m.Dir(), seq), []byte("definitely not a checkpoint frame"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,29 +131,6 @@ func TestAllInvalidIsColdStartWithReasons(t *testing.T) {
 	}
 }
 
-func TestPruneKeepsLastK(t *testing.T) {
-	m := newTestManager(t, Options{Keep: 2})
-	for i := 1; i <= 5; i++ {
-		mustSave(t, m, testState(i))
-	}
-	files, err := m.list()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("dir holds %d checkpoints after pruning, want 2", len(files))
-	}
-	st, err := m.RestoreNewest()
-	if err != nil || st == nil || st.Slides != 5 {
-		t.Fatalf("RestoreNewest after pruning = (%+v, %v), want Slides=5", st, err)
-	}
-	// The oldest survivor must be the 4th save, not an arbitrary pair.
-	old, err := Load(files[0].path)
-	if err != nil || old.Slides != 4 {
-		t.Fatalf("oldest survivor = (%+v, %v), want Slides=4", old, err)
-	}
-}
-
 func TestCrashMidWriteLeavesPreviousIntact(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, Options{Dir: dir})
@@ -214,12 +138,12 @@ func TestCrashMidWriteLeavesPreviousIntact(t *testing.T) {
 
 	// Arm the crash: the next save dies after 10 bytes, inside the frame
 	// header of the temp file.
-	m.opt.WrapWriter = func(w io.Writer) io.Writer { return faults.NewCrashWriter(w, 10) }
+	m.store.WrapWriter = func(w io.Writer) io.Writer { return faults.NewCrashWriter(w, 10) }
 	err := m.Save(testState(2))
 	if !errors.Is(err, faults.ErrInjectedCrash) {
 		t.Fatalf("Save with crash writer: err = %v, want ErrInjectedCrash", err)
 	}
-	m.opt.WrapWriter = nil
+	m.store.WrapWriter = nil
 
 	// No temp litter, and the previous checkpoint restores cleanly.
 	entries, readErr := os.ReadDir(dir)
@@ -227,7 +151,7 @@ func TestCrashMidWriteLeavesPreviousIntact(t *testing.T) {
 		t.Fatal(readErr)
 	}
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), fileSuffix) {
+		if !strings.HasSuffix(e.Name(), fileSpec.Suffix) {
 			t.Errorf("crashed save left stray file %q in checkpoint dir", e.Name())
 		}
 	}
@@ -253,7 +177,7 @@ func TestSaveRetriesTransientWriteFailure(t *testing.T) {
 	// stand-in); the third writes through. Each retry restarts the
 	// atomic protocol, so WrapWriter is called once per attempt.
 	attempts := 0
-	m.opt.WrapWriter = func(w io.Writer) io.Writer {
+	m.store.WrapWriter = func(w io.Writer) io.Writer {
 		attempts++
 		if attempts <= 2 {
 			return faults.NewCrashWriter(w, 10)
@@ -285,7 +209,7 @@ func TestSaveRetriesTransientWriteFailure(t *testing.T) {
 	// A persistent fault exhausts the budget (1 + RetryAttempts writes)
 	// and only then counts one failure.
 	attempts = 0
-	m.opt.WrapWriter = func(w io.Writer) io.Writer {
+	m.store.WrapWriter = func(w io.Writer) io.Writer {
 		attempts++
 		return faults.NewCrashWriter(w, 10)
 	}
@@ -305,7 +229,7 @@ func TestSaveRetriesTransientWriteFailure(t *testing.T) {
 func TestSaveRetryDisabled(t *testing.T) {
 	m := newTestManager(t, Options{RetryAttempts: -1})
 	attempts := 0
-	m.opt.WrapWriter = func(w io.Writer) io.Writer {
+	m.store.WrapWriter = func(w io.Writer) io.Writer {
 		attempts++
 		return faults.NewCrashWriter(w, 10)
 	}
@@ -334,20 +258,5 @@ func TestNewManagerContinuesSequence(t *testing.T) {
 	st, err := m2.RestoreNewest()
 	if err != nil || st == nil || st.Slides != 3 {
 		t.Fatalf("RestoreNewest = (%+v, %v), want Slides=3", st, err)
-	}
-}
-
-func TestForeignFilesIgnored(t *testing.T) {
-	dir := t.TempDir()
-	m := newTestManager(t, Options{Dir: dir})
-	mustSave(t, m, testState(1))
-	for _, name := range []string{"README", "checkpoint-abc.ckpt", "checkpoint-9.tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := m.RestoreNewest()
-	if err != nil || st == nil || st.Slides != 1 {
-		t.Fatalf("RestoreNewest with foreign files = (%+v, %v), want Slides=1 and no error", st, err)
 	}
 }

@@ -263,12 +263,12 @@ func TestKillRestoreMidCheckpointWrite(t *testing.T) {
 	// One more slide's worth of state tries to checkpoint and crashes
 	// mid-write at varying depths into the file.
 	for _, limit := range []int64{0, 5, 21, 100} {
-		mgr.opt.WrapWriter = func(w io.Writer) io.Writer { return faults.NewCrashWriter(w, limit) }
+		mgr.store.WrapWriter = func(w io.Writer) io.Writer { return faults.NewCrashWriter(w, limit) }
 		if err := mgr.Save(testState(99)); err == nil {
 			t.Fatalf("Save with %d-byte crash limit unexpectedly succeeded", limit)
 		}
 	}
-	mgr.opt.WrapWriter = nil
+	mgr.store.WrapWriter = nil
 
 	st, resumed, resFinal := resumeRun(t, sim, fixes, mgr, 3)
 	if st.Slides != 9 {
@@ -339,7 +339,7 @@ func TestSigtermMidReplayDiscardsPartialReplayWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), fileSuffix) {
+		if !strings.HasSuffix(e.Name(), fileSpec.Suffix) {
 			t.Errorf("aborted replay left stray file %q", e.Name())
 		}
 	}

@@ -1,0 +1,292 @@
+package checkpoint
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/feed"
+	"repro/internal/stream"
+)
+
+// RunConfig is what one process life of a checkpointing driver needs
+// to restore, batch and checkpoint its pipeline.
+type RunConfig struct {
+	// System is the pipeline the run restores into and checkpoints.
+	System *core.System
+	// Checkpoints is the checkpoint directory; nil runs without
+	// checkpointing (and always cold).
+	Checkpoints *Manager
+	// PinSeq, when nonzero, restores exactly that checkpoint sequence
+	// instead of the newest valid one, and fails if it does not load.
+	PinSeq uint64
+	// Every is the checkpoint cadence in slides (≤ 0: only the final
+	// checkpoint). It is grid-absolute: a slide is checkpointed when
+	// (Query / Slide) mod Every == 0, so every process on the same slide
+	// grid — each cluster worker, or a restarted driver — cuts at the
+	// same query times.
+	Every int
+	// Slide is the window slide β.
+	Slide time.Duration
+	// GridStart pins a cold start's slide grid origin (zero: the first
+	// fix). A restored run always continues the checkpoint's grid.
+	GridStart time.Time
+	// Logf receives lifecycle messages; nil silences them.
+	Logf func(format string, args ...any)
+}
+
+// Run is one process life of the restore → replay → checkpoint
+// lifecycle shared by cmd/serve, cmd/recognize and the cluster worker:
+// Restore puts the newest (or pinned) checkpoint into the system,
+// Ingest builds the batcher on the restored grid and the ingest stage,
+// and Slides drives the slide loop — noting every processed fix in the
+// resume cursor, checkpointing on the cadence and once at the end.
+type Run struct {
+	cfg      RunConfig
+	restored *State
+	cur      feed.Cursor
+	slides   int // including the restored checkpoint's
+
+	stage  *stream.IngestStage
+	client *feed.ReconnectingClient
+	resume *feed.ResumeFilter
+
+	replayGap atomic.Int64
+}
+
+// Restore starts a run: with checkpointing on it loads the pinned
+// checkpoint, or the newest valid one (invalid files are logged and
+// skipped; none at all is a cold start), restores it into the system
+// and registers the replay-gap health source. Call it before anything
+// reads the system.
+func Restore(cfg RunConfig) (*Run, error) {
+	r := &Run{cfg: cfg}
+	mgr := cfg.Checkpoints
+	if mgr == nil {
+		return r, nil
+	}
+	var st *State
+	var err error
+	if cfg.PinSeq != 0 {
+		if st, err = mgr.LoadAt(cfg.PinSeq); err != nil {
+			return nil, fmt.Errorf("checkpoint: pinned restore: %w", err)
+		}
+	} else if st, err = mgr.RestoreNewest(); err != nil {
+		r.logf("checkpoint: skipped invalid files: %v", err)
+	}
+	if st == nil {
+		return r, nil
+	}
+	if err := cfg.System.RestoreSnapshot(st.System); err != nil {
+		return nil, fmt.Errorf("checkpoint: restore: %w", err)
+	}
+	r.restored = st
+	r.cur = st.Cursor.Clone()
+	r.slides = st.Slides
+	r.logf("restored checkpoint: %d slides, query %s", st.Slides, st.Query.Format(time.RFC3339))
+	// A checkpoint older than the feed's replayable horizon resumes with
+	// a partial replay; the gap is surfaced through Health, not silently
+	// closed. Atomic because /healthz and /metrics scrape concurrently.
+	cfg.System.AddHealthSource(func() core.Health {
+		return core.Health{ReplayGapSlides: int(r.replayGap.Load())}
+	})
+	return r, nil
+}
+
+// Restored returns the restored checkpoint (nil on a cold start).
+func (r *Run) Restored() *State { return r.restored }
+
+// Cursor returns a copy of the resume cursor: the restored one before
+// the loop runs (dial the feed with it), the processed one after.
+func (r *Run) Cursor() feed.Cursor { return r.cur.Clone() }
+
+// Ingest builds the ingest path over src: the batcher on the restored
+// checkpoint's grid (or GridStart, or the first fix), the ingest stage
+// with the given backlog capacity (0: lossless), and the health source
+// of a live client. client is src when the source is a live feed —
+// dialled or seeded with Cursor — and nil otherwise; a restored run
+// reading no client replays from the beginning through a ResumeFilter
+// that discards what the cursor covers. Call it before anything scrapes
+// Health, then Slides.
+func (r *Run) Ingest(src stream.FixSource, client *feed.ReconnectingClient, capacity int) *stream.IngestStage {
+	if r.restored != nil && client == nil {
+		r.resume = feed.NewResumeFilter(src, r.restored.Cursor)
+		src = r.resume
+	}
+	var batcher *stream.Batcher
+	switch {
+	case r.restored != nil:
+		// Continue on the original slide grid: slides between the
+		// checkpoint and the first replayed fix still run (empty), so gap
+		// detection behaves as in the uninterrupted run.
+		batcher = stream.NewBatcherFrom(src, r.cfg.Slide, r.restored.Query)
+	case !r.cfg.GridStart.IsZero():
+		batcher = stream.NewBatcherFrom(src, r.cfg.Slide, r.cfg.GridStart)
+	default:
+		batcher = stream.NewBatcher(src, r.cfg.Slide)
+	}
+	// The stage reads and decodes the source one slide ahead of the
+	// pipeline on its own goroutine.
+	r.stage = stream.NewIngestStage(batcher, capacity)
+	r.client = client
+	if client != nil {
+		r.cfg.System.AddHealthSource(core.LiveHealthSource(client, r.stage))
+	}
+	return r.stage
+}
+
+// Loop is what differs between the drivers' slide loops.
+type Loop struct {
+	// Process runs one slide through the pipeline; an error aborts the
+	// run at once, with no final checkpoint.
+	Process func(stream.Batch) error
+	// Capture fills st.System (and st.Hub) with the pipeline's state as
+	// of st.Query; the loop has set Query, Cursor and Slides. Nil
+	// snapshots System. The gateway captures under Quiesce, together with
+	// its hub.
+	Capture func(st *State) error
+	// Committed, when set, runs after each slide's cadence checkpoint
+	// with the sequence it was saved under (0: none this slide); an error
+	// aborts like Process's. The cluster worker ships the slide upstream
+	// here.
+	Committed func(b stream.Batch, seq uint64) error
+	// NoFinalCheckpoint skips the checkpoint at the end. The cluster
+	// worker sets it: its coordinator binds manifests only to cadence
+	// checkpoints, and a cancelled worker must look killed — resuming
+	// from its last cadence checkpoint and re-sending the slides since.
+	NoFinalCheckpoint bool
+}
+
+// Result is how one run's slide loop ended.
+type Result struct {
+	// Slides is how many slides this process life ran; Total adds the
+	// restored checkpoint's.
+	Slides, Total int
+	// Last is the query time of the last slide (zero: none ran).
+	Last time.Time
+	// Interrupted reports that ctx was cancelled: the slides read ahead
+	// were discarded, and the driver should skip Drain so trips stay
+	// replayable.
+	Interrupted bool
+}
+
+// Slides drives the slide loop until the source ends or ctx is
+// cancelled. A cancelled ctx closes the live client and discards the
+// slides read ahead — the newest may have been truncated by the
+// closing source — so the final checkpoint sits on a complete-slide
+// boundary and the cursor replays them whole. The final checkpoint
+// (unless already taken at the last slide) precedes the driver's
+// Drain: drained trips are final, and a resumed run must not
+// re-finalize them. Slides closes the client, then the stage, and
+// returns the source's error, if any, after that checkpoint.
+func (r *Run) Slides(ctx context.Context, l Loop) (Result, error) {
+	mgr := r.cfg.Checkpoints
+	stop := make(chan struct{})
+	defer close(stop)
+	if r.client != nil {
+		go func() {
+			select {
+			case <-ctx.Done():
+				r.client.Close()
+			case <-stop:
+			}
+		}()
+	}
+	closeIngest := func() {
+		// The stage's goroutine may be inside client.Scan: close the
+		// client first, then wait for it.
+		if r.client != nil {
+			r.client.Close()
+		}
+		r.stage.Close()
+	}
+
+	var res Result
+	var firstTraffic time.Time
+	var savedLast bool
+	for {
+		b, ok := r.stage.Next()
+		if !ok || ctx.Err() != nil {
+			break
+		}
+		if err := l.Process(b); err != nil {
+			closeIngest()
+			return res, err
+		}
+		for _, f := range b.Fixes {
+			r.cur.Note(f)
+		}
+		res.Slides++
+		r.slides++
+		res.Last = b.Query
+		if r.restored != nil && firstTraffic.IsZero() && len(b.Fixes) > 0 {
+			firstTraffic = b.Query
+			r.replayGap.Store(int64(ReplayGapSlides(r.restored.Query, firstTraffic, r.cfg.Slide)))
+		}
+		savedLast = r.due(b.Query) && r.save(l, b.Query)
+		var seq uint64
+		if savedLast {
+			seq = mgr.LastSeq()
+		}
+		if l.Committed != nil {
+			if err := l.Committed(b, seq); err != nil {
+				closeIngest()
+				return res, err
+			}
+		}
+		r.stage.Recycle(b)
+	}
+	res.Interrupted = ctx.Err() != nil
+	res.Total = r.slides
+	closeIngest()
+	if mgr != nil && !l.NoFinalCheckpoint && !res.Last.IsZero() && !savedLast {
+		r.save(l, res.Last)
+	}
+	if mgr != nil {
+		skipped := 0
+		if r.resume != nil {
+			skipped = r.resume.Skipped()
+		} else if r.client != nil {
+			skipped = r.client.NetStats().ResumeSkipped
+		}
+		mgr.NoteReplaySkipped(skipped)
+		if r.restored != nil {
+			r.logf("resumed: replay discarded %d already-processed fixes", skipped)
+		}
+	}
+	return res, r.stage.Err()
+}
+
+// due applies the grid-absolute cadence to the slide at q.
+func (r *Run) due(q time.Time) bool {
+	return r.cfg.Checkpoints != nil && r.cfg.Every > 0 && r.cfg.Slide > 0 &&
+		(q.UnixNano()/int64(r.cfg.Slide))%int64(r.cfg.Every) == 0
+}
+
+// save checkpoints the pipeline as of q; a failure is logged and the
+// previous checkpoint survives.
+func (r *Run) save(l Loop, q time.Time) bool {
+	st := &State{Query: q, Cursor: r.cur.Clone(), Slides: r.slides}
+	var err error
+	if l.Capture != nil {
+		err = l.Capture(st)
+	} else {
+		st.System, err = r.cfg.System.Snapshot()
+	}
+	if err == nil {
+		err = r.cfg.Checkpoints.Save(st)
+	}
+	if err != nil {
+		r.logf("checkpoint at %s: %v", q.Format(time.RFC3339), err)
+		return false
+	}
+	return true
+}
+
+func (r *Run) logf(format string, args ...any) {
+	if r.cfg.Logf != nil {
+		r.cfg.Logf(format, args...)
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/feed"
 	"repro/internal/maritime"
 	"repro/internal/mod"
@@ -633,6 +634,22 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 				}
 				return time.Since(last).Seconds()
 			})
+		for _, s := range []struct {
+			name, help string
+			get        func(durable.StoreStats) uint64
+		}{
+			{"maritime_cluster_manifest_retries_total",
+				"Manifest write attempts retried after a transient failure (ENOSPC, EIO).",
+				func(s durable.StoreStats) uint64 { return s.Retries }},
+			{"maritime_cluster_manifest_failures_total",
+				"Manifest saves that failed after exhausting their retries (the previous generation survives).",
+				func(s durable.StoreStats) uint64 { return s.Failures }},
+			{"maritime_cluster_manifest_rejected_total",
+				"Manifest generations skipped at restore (unreadable file, width mismatch, or a worker checkpoint that does not load).",
+				func(s durable.StoreStats) uint64 { return s.Rejected }},
+		} {
+			r.CounterFunc(s.name, s.help, nil, func() float64 { return float64(s.get(c.cfg.Manifests.Stats())) })
+		}
 	}
 	for i := range c.workers {
 		i := i

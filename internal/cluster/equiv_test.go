@@ -363,7 +363,7 @@ func runCluster(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix, o cluste
 			t.Fatal("killed worker did not exit")
 		}
 		w2 := mkWorker(o.killWorker)
-		if w2.base == nil {
+		if w2.run.Restored() == nil {
 			t.Fatalf("restarted worker %d found no checkpoint to restore", o.killWorker)
 		}
 		start(w2, ctx, nil)

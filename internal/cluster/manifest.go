@@ -3,13 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/analytics"
@@ -20,12 +15,9 @@ import (
 	"repro/internal/serve"
 )
 
-const (
-	manifestMagic   = "MARMANI"
-	manifestVersion = 1
-	manifestPrefix  = "manifest-"
-	manifestSuffix  = ".mft"
-)
+// manifestSpec names manifest files: manifest-<seq>.mft, one durable
+// frame of gob(Manifest) each.
+var manifestSpec = durable.FileSpec{Prefix: "manifest-", Suffix: ".mft", Magic: "MARMANI", Version: 1}
 
 // Manifest binds one atomic cluster snapshot: the checkpoint sequence
 // number of every worker at a common query time, the merged resume
@@ -57,104 +49,29 @@ type Manifest struct {
 	Analytics *analytics.Snapshot
 }
 
-// ManifestStore owns one manifest directory, mirroring the checkpoint
-// manager's contract: atomic durable-framed saves, keep-last-K
-// pruning, and newest-valid restore with fallback.
+// ManifestStore owns one manifest directory: a manifest is a
+// checkpoint whose payload names other checkpoints, so it is the same
+// durable.Store as the checkpoint manager's — atomic framed saves with
+// transient-write retry, keep-last-K pruning, and newest-valid restore
+// with fallback.
 type ManifestStore struct {
-	dir  string
-	keep int
-
-	mu       sync.Mutex
-	seq      uint64
-	lastSave time.Time
+	store *durable.Store
 }
 
 // NewManifestStore opens (creating if needed) the manifest directory.
 // keep ≤ 0 retains 3.
 func NewManifestStore(dir string, keep int) (*ManifestStore, error) {
-	if dir == "" {
-		return nil, errors.New("cluster: manifest dir is required")
-	}
-	if keep <= 0 {
-		keep = 3
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: creating %s: %w", dir, err)
-	}
-	s := &ManifestStore{dir: dir, keep: keep}
-	files, err := s.list()
+	store, err := durable.OpenStore(manifestSpec, durable.StoreOptions{Dir: dir, Keep: keep})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: manifests: %w", err)
 	}
-	if len(files) > 0 {
-		s.seq = files[len(files)-1].seq
-	}
-	return s, nil
-}
-
-type manifestFile struct {
-	seq  uint64
-	path string
-}
-
-func (s *ManifestStore) list() ([]manifestFile, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading %s: %w", s.dir, err)
-	}
-	var out []manifestFile
-	for _, e := range entries {
-		name := e.Name()
-		var seq uint64
-		if _, err := fmt.Sscanf(name, manifestPrefix+"%d"+manifestSuffix, &seq); err != nil {
-			continue
-		}
-		if name != manifestName(seq) {
-			continue
-		}
-		out = append(out, manifestFile{seq: seq, path: filepath.Join(s.dir, name)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, nil
-}
-
-func manifestName(seq uint64) string {
-	return fmt.Sprintf("%s%012d%s", manifestPrefix, seq, manifestSuffix)
+	return &ManifestStore{store: store}, nil
 }
 
 // Save persists one manifest atomically and prunes beyond keep.
 func (s *ManifestStore) Save(m *Manifest) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
-		return fmt.Errorf("cluster: encoding manifest: %w", err)
-	}
-	s.mu.Lock()
-	seq := s.seq + 1
-	s.mu.Unlock()
-	path := filepath.Join(s.dir, manifestName(seq))
-	err := durable.WriteFileAtomic(path, func(w io.Writer) error {
-		return durable.WriteFrame(w, manifestMagic, manifestVersion, payload.Bytes())
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: writing %s: %w", path, err)
-	}
-	s.mu.Lock()
-	s.seq = seq
-	s.lastSave = time.Now()
-	s.mu.Unlock()
-	return s.prune()
-}
-
-func (s *ManifestStore) prune() error {
-	files, err := s.list()
-	if err != nil {
-		return err
-	}
-	for len(files) > s.keep {
-		if err := os.Remove(files[0].path); err != nil {
-			return fmt.Errorf("cluster: pruning %s: %w", files[0].path, err)
-		}
-		files = files[1:]
+	if err := s.store.Save(func(w io.Writer) error { return gob.NewEncoder(w).Encode(m) }); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
@@ -162,36 +79,34 @@ func (s *ManifestStore) prune() error {
 // LastSave returns when the newest manifest was written (zero before
 // any save this session).
 func (s *ManifestStore) LastSave() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSave
+	last, _ := s.store.LastSave()
+	return last
 }
 
 // Seq returns the newest manifest sequence (0 before any).
-func (s *ManifestStore) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
+func (s *ManifestStore) Seq() uint64 { return s.store.Seq() }
+
+// Stats returns the store's save/retry/failure and restore/rejection
+// counters.
+func (s *ManifestStore) Stats() durable.StoreStats { return s.store.Stats() }
+
+func decodeManifest(payload []byte) (*Manifest, error) {
+	var m Manifest
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+		return nil, fmt.Errorf("cluster: decoding manifest: %w", err)
+	}
+	return &m, nil
 }
 
 // LoadManifest reads and verifies one manifest file; truncated,
 // corrupt, wrong-magic and future-version files fail with the
 // corresponding typed durable error.
 func LoadManifest(path string) (*Manifest, error) {
-	f, err := os.Open(path)
+	payload, err := manifestSpec.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: opening %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	defer f.Close()
-	payload, _, err := durable.ReadFrame(f, manifestMagic, manifestVersion)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
-	}
-	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("cluster: decoding %s: %w", path, err)
-	}
-	return &m, nil
+	return decodeManifest(payload)
 }
 
 // RestoreCluster finds the newest manifest whose entire generation is
@@ -204,37 +119,24 @@ func LoadManifest(path string) (*Manifest, error) {
 // start); when every candidate was rejected, the joined rejection
 // reasons come back with the nil manifest.
 func RestoreCluster(s *ManifestStore, workerDirs []string) (*Manifest, error) {
-	files, err := s.list()
-	if err != nil {
-		return nil, err
-	}
-	var failures []error
-	for i := len(files) - 1; i >= 0; i-- {
-		m, err := LoadManifest(files[i].path)
+	var out *Manifest
+	_, err := s.store.Restore(func(_ uint64, payload []byte) error {
+		m, err := decodeManifest(payload)
 		if err != nil {
-			failures = append(failures, err)
-			continue
+			return err
 		}
 		if m.Workers != len(workerDirs) || len(m.WorkerSeqs) != m.Workers {
-			failures = append(failures, fmt.Errorf(
-				"cluster: %s: manifest for %d workers, cluster has %d",
-				files[i].path, m.Workers, len(workerDirs)))
-			continue
+			return fmt.Errorf("cluster: manifest for %d workers, cluster has %d", m.Workers, len(workerDirs))
 		}
-		ok := true
 		for w, seq := range m.WorkerSeqs {
 			if _, err := checkpoint.Load(checkpoint.PathFor(workerDirs[w], seq)); err != nil {
-				failures = append(failures, fmt.Errorf(
-					"cluster: generation %d: worker %d: %w", m.Slides, w, err))
-				ok = false
-				break
+				return fmt.Errorf("cluster: generation %d: worker %d: %w", m.Slides, w, err)
 			}
 		}
-		if ok {
-			return m, errors.Join(failures...)
-		}
-	}
-	return nil, errors.Join(failures...)
+		out = m
+		return nil
+	})
+	return out, err
 }
 
 // mergeCursors folds per-worker checkpoint cursors into the cluster

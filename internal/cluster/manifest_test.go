@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"io"
 	"os"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/faults"
 	"repro/internal/feed"
 )
 
@@ -81,11 +83,10 @@ func TestRestoreClusterPicksNewestGeneration(t *testing.T) {
 // A corrupt newest manifest falls back to the previous generation.
 func TestRestoreClusterFallsBackPastCorruptManifest(t *testing.T) {
 	store, dirs := seedGenerations(t, 3)
-	files, err := store.list()
-	if err != nil || len(files) != 2 {
-		t.Fatalf("want 2 manifests, got %d (err=%v)", len(files), err)
+	if store.Seq() != 2 {
+		t.Fatalf("want 2 manifests, got %d", store.Seq())
 	}
-	corrupt(t, files[1].path)
+	corrupt(t, store.store.Path(2))
 	m, err := RestoreCluster(store, dirs)
 	if m == nil || m.Slides != 4 {
 		t.Fatalf("want fallback to generation 1 (4 slides), got %+v (err=%v)", m, err)
@@ -151,5 +152,34 @@ func TestRestoreClusterRejectsWidthMismatch(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("want width-mismatch rejections, got nil")
+	}
+}
+
+// A transient write failure (the ENOSPC/EIO stand-in) is retried, so
+// the manifest generation still lands on disk and restores.
+func TestManifestSaveRetriesTransientWriteFailure(t *testing.T) {
+	store, dirs := seedGenerations(t, 2)
+	attempts := 0
+	store.store.RetryBackoff = time.Millisecond
+	store.store.WrapWriter = func(w io.Writer) io.Writer {
+		attempts++
+		if attempts == 1 {
+			return faults.NewCrashWriter(w, 10)
+		}
+		return w
+	}
+	m := &Manifest{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), Workers: 2, WorkerSeqs: []uint64{2, 2}, Slides: 12}
+	if err := store.Save(m); err != nil {
+		t.Fatalf("Save with one transient failure: %v", err)
+	}
+	if _, err := LoadManifest(store.store.Path(3)); err != nil {
+		t.Fatalf("manifest-…3.mft does not load: %v", err)
+	}
+	got, err := RestoreCluster(store, dirs)
+	if err != nil || got == nil || got.Slides != 12 {
+		t.Fatalf("RestoreCluster = (%+v, %v), want the retried generation (12 slides)", got, err)
+	}
+	if st := store.Stats(); st.Retries != 1 || st.Failures != 0 {
+		t.Errorf("Stats = %+v, want 1 retry and no failure", st)
 	}
 }

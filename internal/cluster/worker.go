@@ -68,14 +68,11 @@ type WorkerConfig struct {
 // router and worker restarts), runs tracking and archival, checkpoints
 // autonomously, and ships every slide's output to the coordinator.
 type Worker struct {
-	cfg  WorkerConfig
-	sys  *core.System
-	mgr  *checkpoint.Manager
-	base *checkpoint.State // restored checkpoint, nil on cold start
+	cfg WorkerConfig
+	sys *core.System
+	run *checkpoint.Run
 
-	fresh  []tracker.CriticalPoint // current slide's copied critical points
-	cursor feed.Cursor
-	slides int
+	fresh []tracker.CriticalPoint // current slide's copied critical points
 
 	// Steady-state scratch: the uplink frames re-filled every slide so
 	// the per-slide encode allocates nothing on the worker side.
@@ -101,44 +98,36 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		w.fresh = append(w.fresh[:0], fresh...)
 	})
 
+	runCfg := checkpoint.RunConfig{
+		System:    w.sys,
+		Every:     cfg.CheckpointEvery,
+		Slide:     cfg.System.Window.Slide,
+		GridStart: cfg.GridStart,
+		Logf:      w.logf,
+	}
 	if cfg.CheckpointDir != "" {
 		mgr, err := checkpoint.NewManager(checkpoint.Options{Dir: cfg.CheckpointDir})
 		if err != nil {
 			return nil, err
 		}
-		w.mgr = mgr
-		var st *checkpoint.State
-		if cfg.PinSeq != 0 {
-			if st, err = mgr.LoadAt(cfg.PinSeq); err != nil {
-				return nil, fmt.Errorf("cluster: worker %d pinned restore: %w", cfg.ID, err)
-			}
-		} else if st, err = mgr.RestoreNewest(); err != nil && st == nil {
-			w.logf("worker %d: no restorable checkpoint: %v", cfg.ID, err)
-		}
-		if st != nil {
-			if err := w.sys.RestoreSnapshot(st.System); err != nil {
-				return nil, fmt.Errorf("cluster: worker %d restore: %w", cfg.ID, err)
-			}
-			w.base = st
-			w.cursor = st.Cursor.Clone()
-			w.slides = st.Slides
-			w.logf("worker %d: restored checkpoint at %s (%d slides)",
-				cfg.ID, st.Query.Format(time.RFC3339), st.Slides)
-		}
+		runCfg.Checkpoints = mgr
+		runCfg.PinSeq = cfg.PinSeq
 	}
+	run, err := checkpoint.Restore(runCfg)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker %d: %w", cfg.ID, err)
+	}
+	w.run = run
 	return w, nil
 }
 
 // System exposes the worker's pipeline (tests inspect its stores).
 func (w *Worker) System() *core.System { return w.sys }
 
-// Checkpoints exposes the worker's checkpoint manager (nil when
-// checkpointing is off).
-func (w *Worker) Checkpoints() *checkpoint.Manager { return w.mgr }
-
 // Run consumes the slice feed to its end, shipping every slide upstream,
 // and closes with Drain + EOS. A cancelled ctx stops the worker without
-// an EOS — exactly what a killed worker looks like to the coordinator.
+// an EOS or a final checkpoint — exactly what a killed worker looks
+// like to the coordinator.
 func (w *Worker) Run(ctx context.Context) error {
 	defer w.sys.Close()
 	conn, uplink, err := dialCoordinator(w.cfg.Coordinator, w.cfg.DialTimeout)
@@ -147,9 +136,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	defer conn.Close()
 
-	hello := &Hello{Worker: w.cfg.ID, Workers: w.cfg.Workers, Slides: w.slides, Restarted: w.base != nil}
-	if w.base != nil {
-		hello.Query = w.base.Query
+	base := w.run.Restored()
+	hello := &Hello{Worker: w.cfg.ID, Workers: w.cfg.Workers, Restarted: base != nil}
+	if base != nil {
+		hello.Query, hello.Slides = base.Query, base.Slides
 	}
 	if err := uplink.send(&Message{Kind: KindHello, Hello: hello}); err != nil {
 		return err
@@ -164,94 +154,46 @@ func (w *Worker) Run(ctx context.Context) error {
 	}, retry)
 	client.DeadPeerTimeout = w.cfg.DeadPeerAfter
 	client.Logf = w.cfg.Logf
-	if w.base != nil {
-		client.SeedCursor(w.cursor)
-	}
-
-	var batcher *stream.Batcher
-	switch {
-	case w.base != nil:
-		// Continue on the restored grid; slides between the checkpoint
-		// and the first replayed fix still run (empty).
-		batcher = stream.NewBatcherFrom(client, w.cfg.System.Window.Slide, w.base.Query)
-	case !w.cfg.GridStart.IsZero():
-		// The shared grid origin: a slice whose first fix comes late (or
-		// exactly on a grid point) still batches on the cluster's grid.
-		batcher = stream.NewBatcherFrom(client, w.cfg.System.Window.Slide, w.cfg.GridStart)
-	default:
-		batcher = stream.NewBatcher(client, w.cfg.System.Window.Slide)
-	}
+	client.SeedCursor(w.run.Cursor())
 	// The lossless ingest stage decodes slide k+1 while slide k is
-	// processed. Its goroutine may be inside client.Scan: close the
-	// client first, then wait for it.
-	stage := stream.NewIngestStage(batcher, 0)
-	defer func() {
-		client.Close()
-		stage.Close()
-	}()
-	w.sys.AddHealthSource(core.LiveHealthSource(client, stage))
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			client.Close()
-		case <-stop:
-		}
-	}()
+	// processed, on the cluster's shared grid (GridStart) or the
+	// restored checkpoint's.
+	w.run.Ingest(client, client, 0)
 
-	slideSec := int64(w.cfg.System.Window.Slide / time.Second)
-	var lastQ time.Time
-	for {
-		b, ok := stage.Next()
-		if !ok {
-			break
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		for _, f := range b.Fixes {
-			w.cursor.Note(f)
-		}
-		w.fresh = w.fresh[:0]
-		rep := w.sys.ProcessBatch(b)
-		w.slides++
-		lastQ = b.Query
-
-		w.out = SlideOutput{
-			Worker:         w.cfg.ID,
-			Query:          b.Query,
-			FixesIn:        rep.FixesIn,
-			TripsCompleted: rep.TripsCompleted,
-			Fresh:          w.fresh,
-			Timings:        rep.Timings,
-			Health:         rep.Health,
-		}
-		if w.mgr != nil && w.cfg.CheckpointEvery > 0 && slideSec > 0 &&
-			(b.Query.Unix()/slideSec)%int64(w.cfg.CheckpointEvery) == 0 {
-			if err := w.saveCheckpoint(b.Query); err != nil {
-				// The previous checkpoint survives; keep streaming.
-				w.logf("worker %d: checkpoint at %s failed: %v", w.cfg.ID, b.Query.Format(time.RFC3339), err)
-			} else {
-				w.out.CkptSeq = w.mgr.LastSeq()
-				cur := w.cursor.Clone()
+	res, err := w.run.Slides(ctx, checkpoint.Loop{
+		Process: func(b stream.Batch) error {
+			w.fresh = w.fresh[:0]
+			rep := w.sys.ProcessBatch(b)
+			w.out = SlideOutput{
+				Worker:         w.cfg.ID,
+				Query:          b.Query,
+				FixesIn:        rep.FixesIn,
+				TripsCompleted: rep.TripsCompleted,
+				Fresh:          w.fresh,
+				Timings:        rep.Timings,
+				Health:         rep.Health,
+			}
+			return nil
+		},
+		Committed: func(b stream.Batch, seq uint64) error {
+			if seq != 0 {
+				w.out.CkptSeq = seq
+				cur := w.run.Cursor()
 				w.out.CkptCursor = &cur
 			}
-		}
-		w.msg = Message{Kind: KindSlide, Slide: &w.out}
-		if err := uplink.send(&w.msg); err != nil {
-			return err
-		}
-		stage.Recycle(b)
+			w.msg = Message{Kind: KindSlide, Slide: &w.out}
+			return uplink.send(&w.msg)
+		},
+		NoFinalCheckpoint: true,
+	})
+	if err != nil && !res.Interrupted {
+		return fmt.Errorf("cluster: worker %d: %w", w.cfg.ID, err)
 	}
-	if err := stage.Err(); err != nil {
-		return fmt.Errorf("cluster: worker %d slice feed: %w", w.cfg.ID, err)
-	}
-	if ctx.Err() != nil {
+	if res.Interrupted {
 		return ctx.Err()
 	}
-	if !lastQ.IsZero() {
-		w.sys.Drain(lastQ)
+	if !res.Last.IsZero() {
+		w.sys.Drain(res.Last)
 	}
 	t4 := w.sys.Store().Table4Stats()
 	tr := w.sys.Tracker().Stats()
@@ -267,22 +209,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	return uplink.send(&Message{Kind: KindEOS, EOS: &EOS{Worker: w.cfg.ID, Final: final}})
 }
 
-// saveCheckpoint persists the worker's state as of query time q.
-func (w *Worker) saveCheckpoint(q time.Time) error {
-	snap, err := w.sys.Snapshot()
-	if err != nil {
-		return err
-	}
-	return w.mgr.Save(&checkpoint.State{
-		Query:  q,
-		System: snap,
-		Cursor: w.cursor.Clone(),
-		Slides: w.slides,
-	})
-}
-
 func (w *Worker) logf(format string, args ...any) {
 	if w.cfg.Logf != nil {
-		w.cfg.Logf(format, args...)
+		w.cfg.Logf("worker %d: "+format, append([]any{w.cfg.ID}, args...)...)
 	}
 }

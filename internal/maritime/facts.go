@@ -1,8 +1,6 @@
 package maritime
 
 import (
-	"sync"
-
 	"repro/internal/geo"
 	"repro/internal/rtec"
 )
@@ -27,16 +25,7 @@ type FactGenerator struct {
 	seen map[SpatialFact]bool
 	out  []SpatialFact
 	cand []int32
-
-	// Parallel fan-out (SetParallelism): chunk workers append candidate
-	// facts into per-chunk buffers; the dedupe pass stays serial.
-	par    int
-	chunks [][]SpatialFact
 }
-
-// factParallelMin is the event-slice size below which the parallel
-// fan-out is not worth the goroutine handoff.
-const factParallelMin = 512
 
 // NewFactGenerator builds a generator over the given areas with the
 // given close/3 threshold in meters.
@@ -50,17 +39,6 @@ func NewFactGenerator(areas []Area, closeMeters float64) *FactGenerator {
 	}
 	g.idx = geo.NewAreaIndex(polys, closeMeters, 0.25)
 	return g
-}
-
-// SetParallelism fans the proximity probes of large event slices out
-// across n goroutines (1 or less keeps the serial path). The output is
-// identical to the serial path: candidate chunks are concatenated in
-// event order before the order-preserving dedupe.
-func (g *FactGenerator) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.par = n
 }
 
 // Facts returns the spatial facts accompanying the given movement
@@ -80,12 +58,8 @@ func (g *FactGenerator) Facts(events []rtec.Event) []SpatialFact {
 	if len(g.seen) > 0 {
 		clear(g.seen)
 	}
-	if g.par > 1 && len(events) >= factParallelMin {
-		g.factsParallel(events)
-	} else {
-		for _, ev := range events {
-			g.out = g.appendFacts(g.out, ev, &g.cand)
-		}
+	for _, ev := range events {
+		g.out = g.appendFacts(g.out, ev)
 	}
 	g.dedupe()
 	if len(g.out) == 0 {
@@ -95,12 +69,11 @@ func (g *FactGenerator) Facts(events []rtec.Event) []SpatialFact {
 }
 
 // appendFacts probes the area index for one event and appends one
-// (possibly duplicate) fact per close area. cand is the reusable
-// candidate buffer of the calling goroutine.
-func (g *FactGenerator) appendFacts(dst []SpatialFact, ev rtec.Event, cand *[]int32) []SpatialFact {
+// (possibly duplicate) fact per close area.
+func (g *FactGenerator) appendFacts(dst []SpatialFact, ev rtec.Event) []SpatialFact {
 	p := geo.Point{Lon: ev.Lon, Lat: ev.Lat}
-	*cand = g.idx.CloseToAppend((*cand)[:0], p, g.closeMeters)
-	for _, i := range *cand {
+	g.cand = g.idx.CloseToAppend(g.cand[:0], p, g.closeMeters)
+	for _, i := range g.cand {
 		dst = append(dst, SpatialFact{
 			Vessel: ev.Entity,
 			AreaID: g.areas[i].ID,
@@ -108,44 +81,6 @@ func (g *FactGenerator) appendFacts(dst []SpatialFact, ev rtec.Event, cand *[]in
 		})
 	}
 	return dst
-}
-
-// factsParallel splits the events into contiguous chunks, probes each
-// chunk on its own goroutine, then concatenates the chunk outputs in
-// event order into g.out. Probing dominates (polygon distance tests);
-// the index is read-only, so workers share it freely.
-func (g *FactGenerator) factsParallel(events []rtec.Event) {
-	n := g.par
-	if len(g.chunks) < n {
-		g.chunks = append(g.chunks, make([][]SpatialFact, n-len(g.chunks))...)
-	}
-	per := (len(events) + n - 1) / n
-	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		lo := c * per
-		if lo >= len(events) {
-			g.chunks[c] = g.chunks[c][:0]
-			continue
-		}
-		hi := lo + per
-		if hi > len(events) {
-			hi = len(events)
-		}
-		wg.Add(1)
-		go func(c int, part []rtec.Event) {
-			defer wg.Done()
-			buf := g.chunks[c][:0]
-			var cand []int32
-			for _, ev := range part {
-				buf = g.appendFacts(buf, ev, &cand)
-			}
-			g.chunks[c] = buf
-		}(c, events[lo:hi])
-	}
-	wg.Wait()
-	for c := 0; c < n; c++ {
-		g.out = append(g.out, g.chunks[c]...)
-	}
 }
 
 // dedupe removes duplicate facts from g.out in place, preserving first
