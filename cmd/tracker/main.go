@@ -56,7 +56,7 @@ func main() {
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	tr := tracker.New(params, spec)
+	tr := tracker.NewSharded(params, spec, 1)
 
 	scanner := ais.NewScanner(r)
 	batcher := stream.NewBatcher(scanner, *slide)

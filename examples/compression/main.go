@@ -66,7 +66,7 @@ func main() {
 	for _, deg := range []float64{5, 10, 15, 20} {
 		params := tracker.DefaultParams()
 		params.TurnThresholdDeg = deg
-		tr := tracker.New(params, stream.WindowSpec{Range: 24 * time.Hour, Slide: time.Hour})
+		tr := tracker.NewSharded(params, stream.WindowSpec{Range: 24 * time.Hour, Slide: time.Hour}, 1)
 
 		var points []tracker.CriticalPoint
 		batcher := stream.NewBatcher(stream.NewSliceSource(fixes), time.Hour)

@@ -78,9 +78,9 @@ func main() {
 	fixes = append(fixes, trawl(237002002, east, start.Add(22*time.Minute), 40)...)
 
 	// Trajectory detection: the trawl shows up as a lowSpeed episode.
-	tr := tracker.New(tracker.DefaultParams(), stream.WindowSpec{
+	tr := tracker.NewSharded(tracker.DefaultParams(), stream.WindowSpec{
 		Range: 2 * time.Hour, Slide: 10 * time.Minute,
-	})
+	}, 1)
 	rec := maritime.NewRecognizer(maritime.Config{Window: 2 * time.Hour},
 		vessels, areas)
 

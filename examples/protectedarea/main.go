@@ -58,9 +58,9 @@ func main() {
 	emit(3, 25, false)  // creeping over the shoal
 	emit(13, 20, false) // back to cruise
 
-	tr := tracker.New(tracker.DefaultParams(), stream.WindowSpec{
+	tr := tracker.NewSharded(tracker.DefaultParams(), stream.WindowSpec{
 		Range: 3 * time.Hour, Slide: 5 * time.Minute,
-	})
+	}, 1)
 	rec := maritime.NewRecognizer(maritime.Config{Window: 3 * time.Hour},
 		vessels, areas)
 

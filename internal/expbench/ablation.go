@@ -47,7 +47,7 @@ func RunAblationOutlier(sized *Workload) AblationOutlier {
 		params := tracker.DefaultParams()
 		params.DisableOutlierFilter = disable
 		window := stream.WindowSpec{Range: 6 * time.Hour, Slide: time.Hour}
-		tr := tracker.New(params, window)
+		tr := tracker.NewSharded(params, window, 1)
 		var points []tracker.CriticalPoint
 		batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), window.Slide)
 		for {

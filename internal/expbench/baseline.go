@@ -32,7 +32,7 @@ type BaselineRow struct {
 func BaselineSimplify(wl *Workload) []BaselineRow {
 	// Online critical points.
 	window := stream.WindowSpec{Range: 6 * time.Hour, Slide: time.Hour}
-	tr := tracker.New(tracker.DefaultParams(), window)
+	tr := tracker.NewSharded(tracker.DefaultParams(), window, 1)
 	var points []tracker.CriticalPoint
 	start := time.Now()
 	batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), window.Slide)

@@ -34,7 +34,7 @@ type DelayRow struct {
 func DelayExperiment(wl *Workload, maxDelay time.Duration, fraction float64) []DelayRow {
 	// Movement events of the whole run, produced in order.
 	spec := stream.WindowSpec{Range: 2 * time.Hour, Slide: time.Hour}
-	tr := tracker.New(tracker.DefaultParams(), spec)
+	tr := tracker.NewSharded(tracker.DefaultParams(), spec, 1)
 	batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), spec.Slide)
 	var all []rtec.Event
 	var queries []time.Time

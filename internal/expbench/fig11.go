@@ -3,6 +3,7 @@ package expbench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,14 +31,15 @@ type Fig11Row struct {
 // the given window, one slice per slide with the slide's query time —
 // what recognition and the pairwise analytics tier consume.
 func CriticalSlides(wl *Workload, spec stream.WindowSpec) (slides [][]tracker.CriticalPoint, queries []time.Time) {
-	tr := tracker.New(tracker.DefaultParams(), spec)
+	tr := tracker.NewSharded(tracker.DefaultParams(), spec, 1)
 	batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), spec.Slide)
 	for {
 		b, ok := batcher.Next()
 		if !ok {
 			break
 		}
-		slides = append(slides, tr.Slide(b).Fresh)
+		// Slide's result is scratch, valid until the next slide.
+		slides = append(slides, slices.Clone(tr.Slide(b).Fresh))
 		queries = append(queries, b.Query)
 	}
 	return slides, queries

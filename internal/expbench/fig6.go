@@ -26,7 +26,7 @@ type Fig6Row struct {
 // trackingCostPerSlide replays the workload through a fresh tracker and
 // measures pure tracking time per slide.
 func trackingCostPerSlide(wl *Workload, window stream.WindowSpec) Fig6Row {
-	tr := tracker.New(tracker.DefaultParams(), window)
+	tr := tracker.NewSharded(tracker.DefaultParams(), window, 1)
 	batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), window.Slide)
 	row := Fig6Row{Window: window.Range, Slide: window.Slide}
 	var total time.Duration

@@ -42,7 +42,7 @@ func Fig7(wl *Workload, rates []int, maxReps, minSlides int) []Fig7Row {
 		}
 		fixes := Replicate(wl.Fixes, reps)
 
-		tr := tracker.New(tracker.DefaultParams(), window)
+		tr := tracker.NewSharded(tracker.DefaultParams(), window, 1)
 		cb := stream.NewCountBatcher(stream.NewSliceSource(fixes), chunk, window.Slide, wl.Start)
 		row := Fig7Row{Rate: rate, ChunkLen: chunk}
 		var total time.Duration

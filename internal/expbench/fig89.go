@@ -33,7 +33,7 @@ func Fig89(wl *Workload) []Fig89Row {
 	for _, deg := range []float64{5, 10, 15, 20} {
 		params := tracker.DefaultParams()
 		params.TurnThresholdDeg = deg
-		tr := tracker.New(params, window)
+		tr := tracker.NewSharded(params, window, 1)
 
 		var points []tracker.CriticalPoint
 		batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), window.Slide)

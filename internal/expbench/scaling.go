@@ -38,7 +38,7 @@ func ScalingSweep(sizes []int, hours int, seed int64) []ScalingRow {
 
 		// Tracking cost.
 		spec := stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute}
-		tr := tracker.New(tracker.DefaultParams(), spec)
+		tr := tracker.NewSharded(tracker.DefaultParams(), spec, 1)
 		batcher := stream.NewBatcher(stream.NewSliceSource(wl.Fixes), spec.Slide)
 		var total time.Duration
 		slides := 0

@@ -118,7 +118,7 @@ func TestForecastAccuracyAgainstSimulator(t *testing.T) {
 
 	params := tracker.DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute}
-	tr := tracker.New(params, window)
+	tr := tracker.NewSharded(params, window, 1)
 	f := New(params)
 
 	// Feed the first three hours.

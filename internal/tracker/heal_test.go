@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestSelfHealPanicEquivalence(t *testing.T) {
 	params := DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 
-	serial := New(params, window)
+	serial := NewSharded(params, window, 1)
 	sharded := NewSharded(params, window, 4)
 	defer sharded.Close()
 	sharded.EnableSelfHeal(6)
@@ -66,7 +67,7 @@ func TestSelfHealStallQuarantineRepair(t *testing.T) {
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 	const stallShard, stallSlide = 2, 8
 
-	serial := New(params, window)
+	serial := NewSharded(params, window, 1)
 	sharded := NewSharded(params, window, 4)
 	defer sharded.Close()
 	sharded.EnableSelfHeal(6)
@@ -263,5 +264,56 @@ func TestShedStationary(t *testing.T) {
 	}})
 	if shed := sharded.ShedFixes(); shed != 2 {
 		t.Errorf("shedding off must stop counting, got %d", shed)
+	}
+}
+
+// TestSelfHealReplaySheds re-runs a panicked slide while overload
+// shedding is on: the replay must shed exactly the fixes the live slide
+// would have, so the repaired shard's state and counters equal those of
+// a tier that never panicked.
+func TestSelfHealReplaySheds(t *testing.T) {
+	params := DefaultParams()
+	window := stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute}
+	const stopped = uint32(300)
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	base := geo.Point{Lon: 23.0, Lat: 37.0}
+	var dock []ais.Fix
+	for k := 0; k < 3*params.M; k++ {
+		dock = append(dock, ais.Fix{MMSI: stopped, Pos: base, Time: t0.Add(time.Duration(k) * time.Minute)})
+	}
+	next := t0.Add(time.Duration(3*params.M) * time.Minute)
+	slides := []stream.Batch{
+		{Query: next, Fixes: dock},
+		{Query: next.Add(10 * time.Minute), Fixes: []ais.Fix{
+			{MMSI: stopped, Pos: base, Time: next.Add(1 * time.Minute)},
+			{MMSI: stopped, Pos: base, Time: next.Add(2 * time.Minute)},
+		}},
+	}
+
+	run := func(faulty bool) *Sharded {
+		s := NewSharded(params, window, 2)
+		t.Cleanup(s.Close)
+		s.EnableSelfHeal(4)
+		if faulty {
+			s.SetFaultHook(func(shard, slide, attempt int) {
+				if shard == ShardOf(stopped, 2) && slide == 2 && attempt == 0 {
+					panic("injected shard fault")
+				}
+			})
+		}
+		s.Slide(slides[0])
+		s.SetShedStationary(true)
+		s.Slide(slides[1])
+		return s
+	}
+	want, got := run(false), run(true)
+	if fs := got.FaultStats(); fs.Retries != 1 || fs.Quarantined != 0 {
+		t.Fatalf("expected one lossless retry, got %+v", fs)
+	}
+	if ws, gs := want.Stats(), got.Stats(); ws.Shed != 2 || gs.Shed != ws.Shed || gs.FixesIn != ws.FixesIn {
+		t.Errorf("shed counters after the retry: got %+v, want %+v (Shed 2)", gs, ws)
+	}
+	if !reflect.DeepEqual(want.Snapshot(), got.Snapshot()) {
+		t.Error("replayed shard state differs from the never-panicked tier's")
 	}
 }

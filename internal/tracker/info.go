@@ -1,7 +1,6 @@
 package tracker
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -31,7 +30,7 @@ type VesselInfo struct {
 }
 
 // infoOf builds the public summary from live state.
-func (tr *Tracker) infoOf(mmsi uint32, st *vesselState) VesselInfo {
+func infoOf(mmsi uint32, st *vesselState) VesselInfo {
 	info := VesselInfo{
 		MMSI:            mmsi,
 		OdometerM:       st.odometerM,
@@ -55,32 +54,4 @@ func (tr *Tracker) infoOf(mmsi uint32, st *vesselState) VesselInfo {
 		info.HeadingDeg = st.vPrev.HeadingDeg
 	}
 	return info
-}
-
-// Info returns the summary of one vessel; ok is false for vessels
-// without live state.
-func (tr *Tracker) Info(mmsi uint32) (VesselInfo, bool) {
-	st := tr.vessels[mmsi]
-	if st == nil {
-		return VesselInfo{}, false
-	}
-	return tr.infoOf(mmsi, st), true
-}
-
-// Infos returns the summary of every tracked vessel, ordered by MMSI.
-func (tr *Tracker) Infos() []VesselInfo {
-	out := make([]VesselInfo, 0, len(tr.vessels))
-	for mmsi, st := range tr.vessels {
-		out = append(out, tr.infoOf(mmsi, st))
-	}
-	slices.SortFunc(out, func(a, b VesselInfo) int {
-		switch {
-		case a.MMSI < b.MMSI:
-			return -1
-		case a.MMSI > b.MMSI:
-			return 1
-		}
-		return 0
-	})
-	return out
 }

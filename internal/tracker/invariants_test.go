@@ -22,7 +22,7 @@ func simFixes(tb testing.TB) []ais.Fix {
 // collect runs the tracker over the fixes with the given window and
 // returns all fresh critical points.
 func collect(fixes []ais.Fix, window stream.WindowSpec) []CriticalPoint {
-	tr := New(DefaultParams(), window)
+	tr := NewSharded(DefaultParams(), window, 1)
 	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), window.Slide)
 	var out []CriticalPoint
 	for {
@@ -150,7 +150,7 @@ func TestInvariantSlideGranularityIndependence(t *testing.T) {
 func TestInvariantDeltaConservation(t *testing.T) {
 	fixes := simFixes(t)
 	window := stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute}
-	tr := New(DefaultParams(), window)
+	tr := NewSharded(DefaultParams(), window, 1)
 	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), window.Slide)
 	fresh := make(map[string]int)
 	delta := make(map[string]int)

@@ -127,7 +127,7 @@ func BenchmarkTrackerIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr := New(DefaultParams(), stream.WindowSpec{Range: 24 * time.Hour, Slide: time.Hour})
+		tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: 24 * time.Hour, Slide: time.Hour}, 1)
 		b.StartTimer()
 		tr.Slide(stream.Batch{Fixes: fixes, Query: fixes[len(fixes)-1].Time})
 	}

@@ -1,27 +1,21 @@
 package tracker
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ais"
 	"repro/internal/geo"
 	"repro/internal/stream"
 )
 
-// Tracker is the online mobility tracker: it consumes the positional
-// stream slide by slide, maintains per-vessel motion state entirely in
-// main memory without index support (paper §2), and emits annotated
-// critical points. Detection of instantaneous events and gaps is O(1)
-// per incoming tuple; long-lasting events cost O(m) over the m most
-// recent positions (paper §3.1).
-//
-// All internal clocks are int64 nanoseconds; emitted critical points
-// carry time.Time values rebuilt with time.Unix(0, ns).UTC().
-type Tracker struct {
+// shard is one partition of the tracking tier: the per-vessel motion
+// state of the vessels hashed to it and the single-threaded state
+// machine that advances them (see Sharded). Internal clocks are int64
+// nanoseconds; emitted critical points carry time.Time values rebuilt
+// with time.Unix(0, ns).UTC().
+type shard struct {
 	params  Params
 	window  stream.WindowSpec
 	vessels map[uint32]*vesselState
@@ -38,11 +32,11 @@ type Tracker struct {
 	gapScan   []uint32
 	evictScan []uint32
 
-	// Emission indexing, enabled only when the tracker runs as one
-	// shard of a Sharded tier: freshIdx records, parallel to fresh, the
-	// batch index of the fix that triggered each emission, so the
-	// sharded merge can restore global batch order exactly. curIdx is
-	// the index of the fix being ingested (gapSentinel outside ingest).
+	// Emission indexing, on when the tier has more than one shard:
+	// freshIdx records, parallel to fresh, the batch index of the fix
+	// that triggered each emission, so the merge can restore global
+	// batch order exactly. curIdx is the index of the fix being ingested
+	// (gapSentinel outside ingest).
 	indexing bool
 	curIdx   int32
 	freshIdx []int32
@@ -52,14 +46,18 @@ type Tracker struct {
 	lastQueryNS int64
 	haveLastQ   bool
 
-	// Tier-shared accounting, wired by NewSharded (nil on a standalone
-	// tracker, and nil while a journal replay rebuilds a shard so the
-	// replay does not double-count). Atomics because core.Health and
-	// metric scrapes read them from other goroutines mid-slide.
+	// shedding is the tier's overload-shedding switch as of the current
+	// slide (see Sharded.SetShedStationary); journaled with the slide so
+	// a replay sheds what the live run shed.
+	shedding bool
+
+	// Tier-shared accounting, wired by the tier (nil while a journal
+	// replay rebuilds a shard, so the replay does not double-count).
+	// Atomics because core.Health and metric scrapes read them from other
+	// goroutines mid-slide.
 	lateAcc  *atomic.Int64
 	lateDrop *atomic.Int64
 	shedCnt  *atomic.Int64
-	shed     *atomic.Bool
 }
 
 // gapSentinel tags emissions not attributable to a fix: the slide-time
@@ -144,36 +142,6 @@ func (st *vesselState) setLast(pos geo.Point, tns int64, trig geo.LatTrig) {
 	st.haveSeen = true
 }
 
-// New returns a tracker with the given parameters and window. It panics
-// on invalid configuration, which is a programming error.
-func New(params Params, window stream.WindowSpec) *Tracker {
-	if err := params.Validate(); err != nil {
-		panic(fmt.Sprintf("tracker: %v", err))
-	}
-	if err := window.Validate(); err != nil {
-		panic(fmt.Sprintf("tracker: %v", err))
-	}
-	return &Tracker{
-		params:  params,
-		window:  window,
-		vessels: make(map[uint32]*vesselState),
-		stats:   Stats{ByType: make(map[EventType]int)},
-	}
-}
-
-// Params returns the tracker's parameters.
-func (tr *Tracker) Params() Params { return tr.params }
-
-// Stats returns a snapshot of the counters.
-func (tr *Tracker) Stats() Stats {
-	s := tr.stats
-	s.ByType = make(map[EventType]int, len(tr.stats.ByType))
-	for k, v := range tr.stats.ByType {
-		s.ByType[k] = v
-	}
-	return s
-}
-
 // SlideResult is the output of one window slide.
 type SlideResult struct {
 	// Query is the query time Q_i closing this slide.
@@ -187,54 +155,24 @@ type SlideResult struct {
 	Delta []CriticalPoint
 }
 
-// Slide processes one batch: it updates the window with fresh
-// positions, detects trajectory events, performs slide-time gap
-// detection, and evicts expired critical points and stale vessels.
-// The returned slices are copies the caller may retain freely; the
-// sharded tier uses the scratch-backed internal phases instead.
-func (tr *Tracker) Slide(b stream.Batch) SlideResult {
-	tr.beginSlide()
-	for i, f := range b.Fixes {
-		tr.ingestIndexed(f, int32(i))
-	}
-	_, delta := tr.finishSlide(b.Query)
-
-	out := SlideResult{Query: b.Query}
-	if len(tr.fresh) > 0 {
-		out.Fresh = append([]CriticalPoint(nil), tr.fresh...)
-	}
-	if len(delta) > 0 {
-		out.Delta = append([]CriticalPoint(nil), delta...)
-	}
-	return out
-}
-
-// beginSlide resets the slide-scoped scratch.
-func (tr *Tracker) beginSlide() {
+// slide advances the shard through one slide: it ingests the fixes
+// routed to it (in.idx, when the tier indexes emissions, holds each
+// fix's index in the whole batch), then runs the slide-time gap sweep
+// and window eviction. It returns the offset into fresh where the
+// gap-sweep emissions start (they are ordered by MMSI, while
+// fresh[:gapStart] is ordered by triggering fix) and the expired delta
+// points. Both fresh and delta are shard-owned scratch, valid until the
+// next slide.
+func (tr *shard) slide(in shardIn, q time.Time) (gapStart int, delta []CriticalPoint) {
 	tr.fresh = tr.fresh[:0]
 	tr.freshIdx = tr.freshIdx[:0]
-	tr.curIdx = gapSentinel
-}
-
-// ingestFix processes one fix.
-func (tr *Tracker) ingestFix(f ais.Fix) {
-	tr.ingest(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
-}
-
-// ingestIndexed processes one fix tagged with its global batch index,
-// the key the sharded merge restores emission order by.
-func (tr *Tracker) ingestIndexed(f ais.Fix, idx int32) {
-	tr.curIdx = idx
-	tr.ingestFix(f)
-}
-
-// finishSlide runs the per-slide phases that follow ingestion: the
-// slide-time gap sweep and window eviction. It returns the offset into
-// fresh where the gap-sweep emissions start (they are ordered by MMSI,
-// while fresh[:gapStart] is ordered by triggering fix) and the expired
-// delta points. Both fresh and delta are tracker-owned scratch, valid
-// until the next slide.
-func (tr *Tracker) finishSlide(q time.Time) (gapStart int, delta []CriticalPoint) {
+	tr.shedding = in.shed
+	for k, f := range in.fixes {
+		if in.idx != nil {
+			tr.curIdx = in.idx[k]
+		}
+		tr.ingest(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
+	}
 	tr.curIdx = gapSentinel
 	gapStart = len(tr.fresh)
 	tr.collectSweeps(q)
@@ -252,7 +190,7 @@ func (tr *Tracker) finishSlide(q time.Time) (gapStart int, delta []CriticalPoint
 // vessel's last-fix time, so a vessel whose clock is inside the window
 // range cannot gain expired points from the sweep, and one whose clock
 // is outside it is already a full-eviction candidate.
-func (tr *Tracker) collectSweeps(q time.Time) {
+func (tr *shard) collectSweeps(q time.Time) {
 	qns := q.UnixNano()
 	gapNS := int64(tr.params.GapPeriod)
 	cutoff := q.Add(-tr.window.Range)
@@ -272,7 +210,7 @@ func (tr *Tracker) collectSweeps(q time.Time) {
 }
 
 // emit records a critical point.
-func (tr *Tracker) emit(st *vesselState, cp CriticalPoint) {
+func (tr *shard) emit(st *vesselState, cp CriticalPoint) {
 	tr.stats.Critical++
 	tr.stats.ByType[cp.Type]++
 	tr.fresh = append(tr.fresh, cp)
@@ -285,7 +223,7 @@ func (tr *Tracker) emit(st *vesselState, cp CriticalPoint) {
 // noteLateAccepted counts an admitted fix whose timestamp precedes the
 // last query time: it belongs to an already-closed slide but still
 // advances its vessel's clock, so it is processed rather than dropped.
-func (tr *Tracker) noteLateAccepted(tns int64) {
+func (tr *shard) noteLateAccepted(tns int64) {
 	if tr.haveLastQ && tns < tr.lastQueryNS {
 		tr.stats.LateAccepted++
 		if tr.lateAcc != nil {
@@ -295,7 +233,7 @@ func (tr *Tracker) noteLateAccepted(tns int64) {
 }
 
 // ingest processes one fix given as scalar values.
-func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
+func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	tr.stats.FixesIn++
 	st := tr.vessels[mmsi]
 	if st == nil {
@@ -344,7 +282,7 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	// vessel clock — no event detection, no synopsis growth. A fix that
 	// leaves the stop circle (or a communication gap) re-enters the full
 	// path so departures are still caught.
-	if st.stopped && tr.shed != nil && tr.shed.Load() &&
+	if st.stopped && tr.shedding &&
 		dt < p.GapPeriod && geo.HaversineCached(st.lastPos, pos, st.lastTrig, trig) <= p.StopRadiusMeters {
 		tr.stats.Shed++
 		if tr.shedCnt != nil {
@@ -590,7 +528,7 @@ func (st *vesselState) stopWithin(radius float64) bool {
 // updateStopRun maintains the long-term stop state machine: at least m
 // consecutive low-speed positions within radius r of their centroid
 // (paper Figure 3(c)).
-func (tr *Tracker) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow geo.Velocity, moving bool) {
+func (tr *shard) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow geo.Velocity, moving bool) {
 	p := &tr.params
 	if !moving {
 		st.pushStopAgg(pos, len(st.stopRun) == 0)
@@ -633,7 +571,7 @@ func (tr *Tracker) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow
 
 // endStop emits the StopEnd point: the collapsed representation is the
 // centroid of the episode with its total duration.
-func (tr *Tracker) endStop(st *vesselState, endNS int64) {
+func (tr *shard) endStop(st *vesselState, endNS int64) {
 	run := st.stopRun
 	c := st.stopCentroid()
 	cp := CriticalPoint{
@@ -652,7 +590,7 @@ func (tr *Tracker) endStop(st *vesselState, endNS int64) {
 // updateSlowRun maintains the slow-motion state machine: at least m
 // consecutive positions at low but nonzero speed, usually spread along a
 // path (paper Figure 3(d)).
-func (tr *Tracker) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow geo.Velocity, moving bool) {
+func (tr *shard) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow geo.Velocity, moving bool) {
 	p := &tr.params
 	slowNow := moving && vNow.SpeedKnots <= p.VSlowKnots
 	if slowNow {
@@ -682,7 +620,7 @@ func (tr *Tracker) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow
 
 // closeRuns ends any open durative episodes at the vessel's last fix
 // (endNS), used when a communication gap interrupts them.
-func (tr *Tracker) closeRuns(st *vesselState, endNS int64) {
+func (tr *shard) closeRuns(st *vesselState, endNS int64) {
 	if st.stopped {
 		tr.endStop(st, endNS)
 	}
@@ -704,7 +642,7 @@ func (tr *Tracker) closeRuns(st *vesselState, endNS int64) {
 // collectSweeps; they are swept in ascending MMSI order so the emission
 // order is deterministic — the sharded tier merges per-shard gap
 // emissions back into exactly this order.
-func (tr *Tracker) detectGaps(q time.Time) {
+func (tr *shard) detectGaps(q time.Time) {
 	slices.Sort(tr.gapScan)
 	for _, mmsi := range tr.gapScan {
 		st := tr.vessels[mmsi]
@@ -766,7 +704,7 @@ func compareDeltaKey(a, b deltaSortKey) int {
 // valid until the next slide. Only the candidates collectSweeps gathered
 // are visited; vessels whose oldest retained point is still inside the
 // window were already settled by its head peek.
-func (tr *Tracker) evict(q time.Time) []CriticalPoint {
+func (tr *shard) evict(q time.Time) []CriticalPoint {
 	cutoff := q.Add(-tr.window.Range)
 	cutoffNS := cutoff.UnixNano()
 	tr.delta = tr.delta[:0]
@@ -810,37 +748,6 @@ func (tr *Tracker) evict(q time.Time) []CriticalPoint {
 		tr.deltaOut = append(tr.deltaOut, tr.delta[k.idx])
 	}
 	return tr.deltaOut
-}
-
-// Odometer returns a vessel's traveled distance in meters: the total
-// over its tracked history and the distance since it last departed
-// (since its last long-term stop ended). Across communication gaps the
-// straight-line chord is counted, as the course in between is unknown.
-// ok is false for vessels without live state.
-func (tr *Tracker) Odometer(mmsi uint32) (totalM, sinceDepartureM float64, ok bool) {
-	st := tr.vessels[mmsi]
-	if st == nil {
-		return 0, 0, false
-	}
-	return st.odometerM, st.departureM, true
-}
-
-// VesselCount returns the number of vessels with live state.
-func (tr *Tracker) VesselCount() int { return len(tr.vessels) }
-
-// Synopsis returns the critical points currently retained in the window
-// for the given vessel, oldest first.
-func (tr *Tracker) Synopsis(mmsi uint32) []CriticalPoint {
-	st := tr.vessels[mmsi]
-	if st == nil {
-		return nil
-	}
-	out := make([]CriticalPoint, 0, st.synopsis.Len())
-	st.synopsis.Each(func(_ time.Time, cp CriticalPoint) bool {
-		out = append(out, cp)
-		return true
-	})
-	return out
 }
 
 // stopConfidenceAt grades a long-term stop by how tightly the run packs

@@ -44,9 +44,9 @@ func dwellAt(fixes []ais.Fix, n int, dt time.Duration) []ais.Fix {
 
 // runAll feeds all fixes as slide batches and returns every fresh
 // critical point plus the tracker for further inspection.
-func runAll(t *testing.T, fixes []ais.Fix, params Params, window stream.WindowSpec) ([]CriticalPoint, *Tracker) {
+func runAll(t *testing.T, fixes []ais.Fix, params Params, window stream.WindowSpec) ([]CriticalPoint, *Sharded) {
 	t.Helper()
-	tr := New(params, window)
+	tr := NewSharded(params, window, 1)
 	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), window.Slide)
 	var out []CriticalPoint
 	for {
@@ -211,15 +211,14 @@ func TestGapDetectedAtSlideBoundaryWhileSilent(t *testing.T) {
 	// emit a gap start without any resuming fix.
 	origin := geo.Point{Lon: 24, Lat: 37.5}
 	fixes := legFrom(nil, origin, 90, 12, 5, 30*time.Second)
-	tr := New(DefaultParams(), defaultWindow())
+	tr := NewSharded(DefaultParams(), defaultWindow(), 1)
 	res := tr.Slide(stream.Batch{Fixes: fixes, Query: t0.Add(5 * time.Minute)})
 	if countType(res.Fresh, EventGapStart) != 0 {
 		t.Fatal("premature gap")
 	}
 	// Empty slides pass; gap period is 10 minutes.
-	res = tr.Slide(stream.Batch{Query: t0.Add(10 * time.Minute)})
-	res2 := tr.Slide(stream.Batch{Query: t0.Add(15 * time.Minute)})
-	total := countType(res.Fresh, EventGapStart) + countType(res2.Fresh, EventGapStart)
+	total := countType(tr.Slide(stream.Batch{Query: t0.Add(10 * time.Minute)}).Fresh, EventGapStart)
+	total += countType(tr.Slide(stream.Batch{Query: t0.Add(15 * time.Minute)}).Fresh, EventGapStart)
 	if total != 1 {
 		t.Errorf("gap starts across silent slides = %d, want 1", total)
 	}
@@ -276,7 +275,7 @@ func TestOutlierRunResync(t *testing.T) {
 	// Vessel suddenly speeds to 40 knots on a reversed course.
 	fixes = legFrom(fixes, origin, 270, 40, 15, 30*time.Second)
 	_, tr := runAll(t, fixes, DefaultParams(), defaultWindow())
-	st := tr.vessels[mmsi]
+	st := tr.vessel(mmsi)
 	if st == nil {
 		t.Fatal("vessel state evicted unexpectedly")
 	}
@@ -302,7 +301,7 @@ func TestEvictionProducesDelta(t *testing.T) {
 	origin := geo.Point{Lon: 24, Lat: 37.5}
 	window := stream.WindowSpec{Range: 10 * time.Minute, Slide: 5 * time.Minute}
 	fixes := legFrom(nil, origin, 90, 12, 10, 30*time.Second) // 5 minutes of cruise
-	tr := New(DefaultParams(), window)
+	tr := NewSharded(DefaultParams(), window, 1)
 	res := tr.Slide(stream.Batch{Fixes: fixes, Query: t0.Add(5 * time.Minute)})
 	if len(res.Fresh) == 0 {
 		t.Fatal("no fresh points")
@@ -333,7 +332,7 @@ func TestSynopsisAccessor(t *testing.T) {
 	origin := geo.Point{Lon: 24, Lat: 37.5}
 	fixes := legFrom(nil, origin, 90, 12, 10, 30*time.Second)
 	fixes = legFrom(fixes, origin, 150, 12, 10, 30*time.Second)
-	tr := New(DefaultParams(), defaultWindow())
+	tr := NewSharded(DefaultParams(), defaultWindow(), 1)
 	tr.Slide(stream.Batch{Fixes: fixes, Query: t0.Add(10 * time.Minute)})
 	syn := tr.Synopsis(mmsi)
 	if len(syn) < 2 {
@@ -350,7 +349,7 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 			t.Error("no panic for invalid params")
 		}
 	}()
-	New(Params{}, defaultWindow())
+	NewSharded(Params{}, defaultWindow(), 1)
 }
 
 func TestParamsValidate(t *testing.T) {
