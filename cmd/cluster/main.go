@@ -46,6 +46,8 @@ import (
 	"repro/internal/maritime"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/stream"
+	"repro/internal/tracker"
 )
 
 func main() {
@@ -124,21 +126,23 @@ func main() {
 	hub := serve.NewHub(*ring)
 	hub.RegisterMetrics(reg)
 	coordCfg := cluster.CoordinatorConfig{
-		Workers:     *workers,
-		Slide:       *slide,
-		WindowRange: *window,
-		Recognition: maritime.Config{Window: *window},
-		Vessels:     vesselsReg,
-		Areas:       areasReg,
-		QueueCap:    *queueCap,
-		Hub:         hub,
-		Manifests:   store,
-		Restore:     restored,
-		Logf:        log.Printf,
+		Workers: *workers,
+		System: core.Config{
+			Window:      stream.WindowSpec{Range: *window, Slide: *slide},
+			Tracker:     tracker.DefaultParams(),
+			Recognition: maritime.Config{Window: *window},
+		},
+		Vessels:   vesselsReg,
+		Areas:     areasReg,
+		Ports:     ports,
+		QueueCap:  *queueCap,
+		Hub:       hub,
+		Manifests: store,
+		Restore:   restored,
+		Logf:      log.Printf,
 	}
 	if *pairwise {
-		coordCfg.Analytics = &analytics.Config{EnableCollision: true}
-		coordCfg.Ports = ports
+		coordCfg.System.Analytics = &analytics.Config{EnableCollision: true}
 	}
 	coord, err := cluster.NewCoordinator(coordCfg)
 	if err != nil {

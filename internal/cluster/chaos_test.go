@@ -50,16 +50,19 @@ func TestClusterStalledWorkerDegradesGracefully(t *testing.T) {
 	go proxy.ListenAndServe(ctx, "127.0.0.1:0", addrCh)
 	proxyAddr := <-addrCh
 
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:     workers,
-		Slide:       testSlide,
-		WindowRange: time.Hour,
+	sysCfg := core.Config{
+		Window:      stream.WindowSpec{Range: time.Hour, Slide: testSlide},
+		Tracker:     tracker.DefaultParams(),
 		Recognition: maritime.Config{Window: time.Hour},
-		Vessels:     vessels,
-		Areas:       areas,
-		QueueCap:    2, // overflow quickly so the forced-merge path runs
-		Hub:         serve.NewHub(1 << 12),
-		Logf:        t.Logf,
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Workers:  workers,
+		System:   sysCfg,
+		Vessels:  vessels,
+		Areas:    areas,
+		QueueCap: 2, // overflow quickly so the forced-merge path runs
+		Hub:      serve.NewHub(1 << 12),
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -77,15 +80,11 @@ func TestClusterStalledWorkerDegradesGracefully(t *testing.T) {
 			Workers:     workers,
 			Router:      routerAddr,
 			Coordinator: coordAddr.String(),
-			System: core.Config{
-				Window:      stream.WindowSpec{Range: time.Hour, Slide: testSlide},
-				Tracker:     tracker.DefaultParams(),
-				Recognition: maritime.Config{Window: time.Hour},
-			},
-			Vessels:   vessels,
-			Areas:     areas,
-			Ports:     ports,
-			GridStart: gridStart,
+			System:      sysCfg,
+			Vessels:     vessels,
+			Areas:       areas,
+			Ports:       ports,
+			GridStart:   gridStart,
 		})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/feed"
@@ -26,16 +24,20 @@ type CoordinatorConfig struct {
 	// Workers is the cluster width; a Hello with a different width is
 	// rejected.
 	Workers int
-	// Slide is the cluster's slide step (must match the workers').
-	Slide time.Duration
-	// WindowRange is the window range ω; it defaults the recognizer's
-	// working-memory window when Recognition.Window is zero.
-	WindowRange time.Duration
-	// Recognition configures the merged CE recognition; Vessels/Areas
-	// are the same static world the workers carry.
-	Recognition maritime.Config
-	Vessels     []maritime.Vessel
-	Areas       []maritime.Area
+	// System configures the coordinator's pipeline, the same core.System
+	// a single process runs, fed the merged slides: its window's slide is
+	// the cluster's slide step (must match the workers'), and its
+	// recognition, band, watchdog, self-heal and analytics settings apply
+	// to the merged stream. Archival is forced off — the workers archive
+	// their slices — and its tracker never runs: the merged critical
+	// points arrive already detected.
+	System core.Config
+	// Static world knowledge, identical across the cluster: Vessels and
+	// Areas feed recognition, Ports the analytics tier's in-harbor
+	// rendezvous suppression.
+	Vessels []maritime.Vessel
+	Areas   []maritime.Area
+	Ports   []mod.PortArea
 	// QueueCap bounds each worker's pending slide queue (default 64).
 	// When the queue of any worker exceeds it — one peer stalled while
 	// the rest stream on — the oldest pending slide is force-merged
@@ -47,17 +49,10 @@ type CoordinatorConfig struct {
 	// Manifests, when set, records a cluster manifest every time a
 	// checkpoint query time has been fully reported and merged.
 	Manifests *ManifestStore
-	// Restore seeds the coordinator from a cluster manifest: recognizer
-	// working memory, hub state, and the merge frontier. The workers
-	// must be restored to the same generation (Worker.PinSeq).
+	// Restore seeds the coordinator from a cluster manifest: the system
+	// snapshot, hub state, and the merge frontier. The workers must be
+	// restored to the same generation (Worker.PinSeq).
 	Restore *Manifest
-	// Analytics arms the cross-vessel analytics tier over the merged
-	// critical-point stream, the same tier a single-process system runs
-	// — workers disable recognition, so pairwise events exist only here,
-	// byte-identical with the single-process run. Ports feed its
-	// in-harbor rendezvous suppression.
-	Analytics *analytics.Config
-	Ports     []mod.PortArea
 	// Logf receives lifecycle messages; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -105,15 +100,16 @@ type workerState struct {
 }
 
 // Coordinator accepts worker uplinks, k-way-merges their slide outputs
-// deterministically under the (time, MMSI) contract, runs CE
-// recognition over the merged event stream, publishes alerts, and
-// binds worker checkpoints into cluster manifests. One lock serializes
-// merge + recognition + publication, so the alert stream is totally
-// ordered no matter which connection's message completed a barrier.
+// deterministically under the (time, MMSI) contract, feeds each merged
+// slide to its core.System (CE recognition and the analytics tier),
+// publishes alerts, and binds worker checkpoints into cluster
+// manifests. One lock serializes merge + recognition + publication, so
+// the alert stream is totally ordered no matter which connection's
+// message completed a barrier; the system's own run lock is taken
+// inside it.
 type Coordinator struct {
-	cfg       CoordinatorConfig
-	rec       *maritime.Recognizer
-	analytics *analytics.Tier
+	cfg CoordinatorConfig
+	sys *core.System
 
 	mu         sync.Mutex
 	workers    []*workerState
@@ -136,26 +132,17 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.Recognition.Window <= 0 {
-		cfg.Recognition.Window = cfg.WindowRange
-	}
-	if cfg.Slide <= 0 {
+	if cfg.System.Window.Slide <= 0 {
 		return nil, errors.New("cluster: coordinator needs a positive slide")
 	}
-	if cfg.Recognition.Mode != maritime.SpatialOnDemand {
-		// Without a fact generator that mode would silently recognize
-		// nothing spatial.
-		panic("cluster: the coordinator recognizes with maritime.SpatialOnDemand only")
-	}
+	sysCfg := cfg.System
+	sysCfg.DisableArchival = true
 	c := &Coordinator{
 		cfg:  cfg,
-		rec:  maritime.NewRecognizer(cfg.Recognition, cfg.Vessels, cfg.Areas),
+		sys:  core.NewSystem(sysCfg, cfg.Vessels, cfg.Areas, cfg.Ports),
 		done: make(chan struct{}),
 	}
 	c.stats.DropsByCause = make(map[string]int)
-	if cfg.Analytics != nil {
-		c.analytics = analytics.New(*cfg.Analytics, core.PortPolys(cfg.Ports))
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		c.workers = append(c.workers, &workerState{pending: make(map[time.Time]*SlideOutput)})
 	}
@@ -164,16 +151,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: manifest for %d workers, coordinator has %d",
 				cfg.Restore.Workers, cfg.Workers)
 		}
-		c.rec.RestoreSnapshot(cfg.Restore.Recognizer)
+		if cfg.Restore.System == nil {
+			return nil, errNoSystemSnapshot
+		}
+		if err := c.sys.RestoreSnapshot(*cfg.Restore.System); err != nil {
+			return nil, fmt.Errorf("cluster: restoring the coordinator: %w", err)
+		}
 		c.lastMerged = cfg.Restore.Query
 		c.slides = cfg.Restore.Slides
 		if cfg.Hub != nil && cfg.Restore.Hub != nil {
 			cfg.Hub.Restore(*cfg.Restore.Hub)
-		}
-		if c.analytics != nil {
-			// Lenient like core: a manifest from before the tier existed
-			// restores it empty.
-			c.analytics.Restore(cfg.Restore.Analytics)
 		}
 		c.logf("coordinator: restored manifest at %s (%d slides)",
 			cfg.Restore.Query.Format(time.RFC3339), cfg.Restore.Slides)
@@ -217,14 +204,18 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	return out
 }
 
-// Health folds the workers' reported health into a cluster view: a
-// worker that is unreachable (never connected, or dropped before its
-// EOS) or stalled behind a forced merge counts as quarantined, which
-// degrades the cluster's /healthz state.
+// Health folds the workers' reported health into the coordinator
+// system's: a worker that is unreachable (never connected, or dropped
+// before its EOS) or stalled behind a forced merge counts as
+// quarantined, which degrades the cluster's /healthz state.
 func (c *Coordinator) Health() core.Health {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var h core.Health
+	return c.healthLocked()
+}
+
+func (c *Coordinator) healthLocked() core.Health {
+	h := c.sys.Health()
 	for _, ws := range c.workers {
 		h = h.Merge(ws.health)
 		if ws.eos {
@@ -417,13 +408,14 @@ func (c *Coordinator) maxDepthLocked() int {
 // mergeOneLocked merges the slide at query q: concatenate the workers'
 // fresh critical points in worker order, stable-sort by (time, MMSI) —
 // per-vessel order is preserved and vessels live in exactly one slice,
-// so the merged stream is identical for every worker count — then run
-// recognition, publish, and bind a manifest when this query is a fully
-// reported checkpoint cut.
+// so the merged stream is identical for every worker count — then feed
+// it to the system as the slide's tracker output, publish, and bind a
+// manifest when this query is a fully reported checkpoint cut.
 func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 	start := time.Now()
-	rep := core.SlideReport{Query: q}
 	var fresh []tracker.CriticalPoint
+	var fixesIn, trips int
+	var timings core.Timings // the slowest worker's, stage by stage
 	ckptSeqs := make([]uint64, c.cfg.Workers)
 	ckptCurs := make([]*feed.Cursor, c.cfg.Workers)
 	ckptFull := true
@@ -437,10 +429,10 @@ func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 			continue
 		}
 		delete(ws.pending, q)
-		rep.FixesIn += s.FixesIn
-		rep.TripsCompleted += s.TripsCompleted
+		fixesIn += s.FixesIn
+		trips += s.TripsCompleted
 		fresh = append(fresh, s.Fresh...)
-		maxTimings(&rep.Timings, s.Timings)
+		maxTimings(&timings, s.Timings)
 		if s.CkptSeq == 0 {
 			ckptFull = false
 		} else {
@@ -449,27 +441,14 @@ func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 		}
 	}
 	tracker.SortCriticalPoints(fresh)
-	rep.CriticalPoints = len(fresh)
 
-	events := maritime.MEStream(fresh)
-	t := time.Now()
-	rep.Alerts = c.rec.Advance(q, events, nil).Alerts
-	rep.Timings.Recognition = time.Since(t)
-	slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
-	if c.analytics != nil {
-		t = time.Now()
-		pair := c.analytics.Slide(q, fresh)
-		rep.Timings.Analytics = time.Since(t)
-		if len(pair) > 0 {
-			// Same append-then-stable-resort the single-process path uses,
-			// so tie order matches byte for byte.
-			rep.Alerts = append(rep.Alerts, pair...)
-			slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
-		}
-	}
+	rep := c.sys.ProcessSlide(tracker.SlideResult{Query: q, Fresh: fresh})
+	rep.FixesIn, rep.TripsCompleted = fixesIn, trips
 	// The slide cost the cluster its slowest worker's slide plus this
 	// merge.
-	rep.Timings.Wall += time.Since(start)
+	timings.Recognition, timings.Analytics = rep.Timings.Recognition, rep.Timings.Analytics
+	timings.Wall += time.Since(start)
+	rep.Timings = timings
 
 	c.lastMerged = q
 	c.slides++
@@ -485,7 +464,7 @@ func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 	if c.metrics != nil {
 		c.metrics.observe(rep)
 	}
-	rep.Health = c.healthForReportLocked()
+	rep.Health = c.healthLocked()
 	for _, s := range c.sinks {
 		s.Consume(rep)
 	}
@@ -495,38 +474,26 @@ func (c *Coordinator) mergeOneLocked(q time.Time, forced bool) {
 	}
 }
 
-// healthForReportLocked mirrors Health() without re-taking the lock.
-func (c *Coordinator) healthForReportLocked() core.Health {
-	var h core.Health
-	for _, ws := range c.workers {
-		h = h.Merge(ws.health)
-		if ws.eos {
-			continue
-		}
-		if !ws.connected || ws.maxKnown.Before(c.lastMerged) && ws.forcedSkips > 0 {
-			h.Quarantined++
-		}
-	}
-	h.Restores += c.restartsLocked()
-	return h
-}
-
 // writeManifestLocked binds the fully reported checkpoint cut at q.
 func (c *Coordinator) writeManifestLocked(q time.Time, seqs []uint64, curs []*feed.Cursor) {
+	snap, err := c.sys.Snapshot()
+	if err != nil {
+		// A recognizer out of service (core.ErrWedged): the previous
+		// generation stands until the system is whole again.
+		c.logf("coordinator: manifest at %s skipped: %v", q.Format(time.RFC3339), err)
+		return
+	}
 	m := &Manifest{
 		Query:      q,
 		Workers:    c.cfg.Workers,
 		WorkerSeqs: seqs,
 		Cursor:     mergeCursors(curs),
-		Recognizer: c.rec.Snapshot(),
+		System:     &snap,
 		Slides:     c.slides,
 	}
 	if c.cfg.Hub != nil {
-		snap := c.cfg.Hub.Snapshot()
-		m.Hub = &snap
-	}
-	if c.analytics != nil {
-		m.Analytics = c.analytics.Snapshot()
+		hub := c.cfg.Hub.Snapshot()
+		m.Hub = &hub
 	}
 	if err := c.cfg.Manifests.Save(m); err != nil {
 		// The previous manifest generation survives; the cluster just
@@ -552,25 +519,14 @@ func (c *Coordinator) maybeFinishLocked() {
 	close(c.done)
 }
 
+// maxTimings keeps the slowest worker's tracking and archival times
+// (workers run no recognition or analytics).
 func maxTimings(dst *core.Timings, src core.Timings) {
-	if src.Tracking > dst.Tracking {
-		dst.Tracking = src.Tracking
-	}
-	if src.Staging > dst.Staging {
-		dst.Staging = src.Staging
-	}
-	if src.Reconstruction > dst.Reconstruction {
-		dst.Reconstruction = src.Reconstruction
-	}
-	if src.Loading > dst.Loading {
-		dst.Loading = src.Loading
-	}
-	if src.Recognition > dst.Recognition {
-		dst.Recognition = src.Recognition
-	}
-	if src.Wall > dst.Wall {
-		dst.Wall = src.Wall
-	}
+	dst.Tracking = max(dst.Tracking, src.Tracking)
+	dst.Staging = max(dst.Staging, src.Staging)
+	dst.Reconstruction = max(dst.Reconstruction, src.Reconstruction)
+	dst.Loading = max(dst.Loading, src.Loading)
+	dst.Wall = max(dst.Wall, src.Wall)
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -679,7 +635,7 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 				if ws.eos || newest.IsZero() || ws.maxKnown.IsZero() {
 					return 0
 				}
-				return float64(newest.Sub(ws.maxKnown) / c.cfg.Slide)
+				return float64(newest.Sub(ws.maxKnown) / c.cfg.System.Window.Slide)
 			})
 		r.GaugeFunc("maritime_cluster_merge_queue_depth",
 			"Received-but-unmerged slides queued for this worker.", labels,

@@ -113,14 +113,16 @@ func renderClusterFinal(f ClusterFinal) string {
 }
 
 // referenceRun processes the whole stream in one process, recognition
-// on — the ground truth the cluster must reproduce.
-func referenceRun(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix) ([]string, string) {
+// on over the given number of longitude bands — the ground truth the
+// cluster must reproduce.
+func referenceRun(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix, processors int) ([]string, string) {
 	t.Helper()
 	vessels, areas, ports := core.AdaptWorld(sim)
 	sys := core.NewSystem(core.Config{
 		Window:        stream.WindowSpec{Range: time.Hour, Slide: testSlide},
 		Tracker:       tracker.DefaultParams(),
 		Recognition:   maritime.Config{Window: time.Hour},
+		Processors:    processors,
 		TrackerShards: 3,
 	}, vessels, areas, ports)
 	defer sys.Close()
@@ -170,10 +172,11 @@ func (s *reportSink) rendered() []string {
 
 // clusterOpts parameterizes one cluster run.
 type clusterOpts struct {
-	workers   int
-	queueCap  int // 0: large (1024) so equivalence runs never force a merge
-	hub       *serve.Hub
-	analytics bool // enable the coordinator's pairwise analytics tier
+	workers    int
+	queueCap   int // 0: large (1024) so equivalence runs never force a merge
+	hub        *serve.Hub
+	analytics  bool // enable the coordinator's pairwise analytics tier
+	processors int  // the coordinator's recognition bands (core.Config.Processors)
 
 	ckptDirs  []string // per-worker; enables checkpointing when set
 	ckptEvery int
@@ -222,22 +225,26 @@ func runCluster(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix, o cluste
 	if queueCap == 0 {
 		queueCap = 1024
 	}
-	coordCfg := CoordinatorConfig{
-		Workers:     o.workers,
-		Slide:       testSlide,
-		WindowRange: time.Hour,
+	sysCfg := core.Config{
+		Window:      stream.WindowSpec{Range: time.Hour, Slide: testSlide},
+		Tracker:     tracker.DefaultParams(),
 		Recognition: maritime.Config{Window: time.Hour},
-		Vessels:     vessels,
-		Areas:       areas,
-		QueueCap:    queueCap,
-		Hub:         o.hub,
-		Manifests:   o.manifests,
-		Restore:     o.restore,
-		Logf:        t.Logf,
+		Processors:  o.processors,
+	}
+	coordCfg := CoordinatorConfig{
+		Workers:   o.workers,
+		System:    sysCfg,
+		Vessels:   vessels,
+		Areas:     areas,
+		Ports:     ports,
+		QueueCap:  queueCap,
+		Hub:       o.hub,
+		Manifests: o.manifests,
+		Restore:   o.restore,
+		Logf:      t.Logf,
 	}
 	if o.analytics {
-		coordCfg.Analytics = &analytics.Config{EnableCollision: true}
-		coordCfg.Ports = ports
+		coordCfg.System.Analytics = &analytics.Config{EnableCollision: true}
 	}
 	coord, err := NewCoordinator(coordCfg)
 	if err != nil {
@@ -256,15 +263,11 @@ func runCluster(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix, o cluste
 			Workers:     o.workers,
 			Router:      addrs[i].String(),
 			Coordinator: coordAddr.String(),
-			System: core.Config{
-				Window:      stream.WindowSpec{Range: time.Hour, Slide: testSlide},
-				Tracker:     tracker.DefaultParams(),
-				Recognition: maritime.Config{Window: time.Hour},
-			},
-			Vessels:   vessels,
-			Areas:     areas,
-			Ports:     ports,
-			GridStart: gridStart,
+			System:      sysCfg,
+			Vessels:     vessels,
+			Areas:       areas,
+			Ports:       ports,
+			GridStart:   gridStart,
 		}
 		if len(o.ckptDirs) == o.workers && o.ckptDirs[i] != "" {
 			cfg.CheckpointDir = o.ckptDirs[i]
@@ -422,15 +425,21 @@ func drainEnvelopes(sub *serve.Subscriber) []serve.Envelope {
 
 // TestClusterMatchesSingleProcess is the golden equivalence check: one
 // process, a 1-worker cluster and a 3-worker cluster must all produce
-// the same per-slide output and final archival digest.
+// the same per-slide output and final archival digest — also with
+// recognition split into two longitude bands on both sides, which the
+// coordinator runs through core's band fan-out.
 func TestClusterMatchesSingleProcess(t *testing.T) {
 	sim, raw := testFleet(t, 120, 4)
 	fixes := canonFixes(t, raw)
-	refSlides, refFinal := referenceRun(t, sim, fixes)
 
-	for _, workers := range []int{1, 3} {
-		res := runCluster(t, sim, fixes, clusterOpts{workers: workers})
-		label := fmt.Sprintf("cluster(%d)", workers)
+	for _, tc := range []struct{ workers, processors int }{{1, 1}, {3, 1}, {3, 2}} {
+		refSlides, refFinal := referenceRun(t, sim, fixes, tc.processors)
+		workers := tc.workers
+		res := runCluster(t, sim, fixes, clusterOpts{workers: workers, processors: tc.processors})
+		label := fmt.Sprintf("cluster(%d) processors=%d", workers, tc.processors)
+		if banded := res.coord.sys.Recognizer() == nil; banded != (tc.processors > 1) {
+			t.Fatalf("%s: coordinator banded=%v", label, banded)
+		}
 		compareSlides(t, label, refSlides, res.slides)
 		if got := renderClusterFinal(res.final); got != refFinal {
 			t.Errorf("%s final digest diverged:\n  want %s\n  got  %s", label, refFinal, got)
@@ -454,7 +463,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 func TestClusterKillWorkerRestore(t *testing.T) {
 	sim, raw := testFleet(t, 120, 4)
 	fixes := canonFixes(t, raw)
-	refSlides, refFinal := referenceRun(t, sim, fixes)
+	refSlides, refFinal := referenceRun(t, sim, fixes, 1)
 
 	cleanHub := serve.NewHub(1 << 15)
 	cleanSub := cleanHub.Subscribe(serve.Filter{}, 1<<15)
@@ -508,13 +517,13 @@ func TestClusterKillWorkerRestore(t *testing.T) {
 
 // TestClusterManifestRestore tears the whole cluster down mid-run and
 // restores every tier from the newest cluster manifest: workers pinned
-// to the manifest's checkpoint generation, the coordinator's recognizer
+// to the manifest's checkpoint generation, the coordinator's system
 // and hub state reloaded, and the combined output identical to an
 // uninterrupted run.
 func TestClusterManifestRestore(t *testing.T) {
 	sim, raw := testFleet(t, 120, 4)
 	fixes := canonFixes(t, raw)
-	refSlides, refFinal := referenceRun(t, sim, fixes)
+	refSlides, refFinal := referenceRun(t, sim, fixes, 1)
 
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	manifestDir := t.TempDir()
@@ -576,20 +585,4 @@ func TestClusterManifestRestore(t *testing.T) {
 			t.Fatalf("restored hub sequence diverged at %d: want %d, got %d", i, want, e.Seq)
 		}
 	}
-}
-
-// TestNewCoordinatorPanicsOnSpatialFacts pins that the merge tier
-// refuses the precomputed-spatial-facts mode, which it has no fact
-// generator for.
-func TestNewCoordinatorPanicsOnSpatialFacts(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewCoordinator accepted maritime.SpatialFacts")
-		}
-	}()
-	NewCoordinator(CoordinatorConfig{
-		Slide:       testSlide,
-		WindowRange: time.Hour,
-		Recognition: maritime.Config{Window: time.Hour, Mode: maritime.SpatialFacts},
-	})
 }

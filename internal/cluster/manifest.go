@@ -3,15 +3,15 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/feed"
-	"repro/internal/maritime"
 	"repro/internal/serve"
 )
 
@@ -21,8 +21,8 @@ var manifestSpec = durable.FileSpec{Prefix: "manifest-", Suffix: ".mft", Magic: 
 
 // Manifest binds one atomic cluster snapshot: the checkpoint sequence
 // number of every worker at a common query time, the merged resume
-// cursor the router would honor, and the coordinator's own state
-// (recognizer working memory, alert hub sequence/history). Restoring
+// cursor the router would honor, and the coordinator's own state (its
+// system snapshot, alert hub sequence/history). Restoring
 // every worker to its recorded sequence and the coordinator to the
 // recorded snapshots puts the whole cluster on one coherent cut — no
 // worker ahead of or behind the merge frontier.
@@ -38,15 +38,16 @@ type Manifest struct {
 	// the workers' cursor seconds, SeenAtSec the union of their
 	// per-vessel counts at that second (vessel slices are disjoint).
 	Cursor feed.Cursor
-	// Recognizer is the coordinator's CE working memory as of Query.
-	Recognizer maritime.RecognizerSnapshot
+	// System is the coordinator system's snapshot as of Query — the
+	// format serve and worker checkpoints carry: recognizer working
+	// memories and the analytics tier's state. Nil only in a manifest
+	// written before the coordinator ran a core.System, which restore
+	// skips.
+	System *core.Snapshot
 	// Hub is the alert gateway's sequence/history; nil without one.
 	Hub *serve.HubSnapshot
 	// Slides is how many slides the coordinator had merged.
 	Slides int
-	// Analytics is the cross-vessel tier's state as of Query; nil when
-	// the tier is off or the manifest predates it.
-	Analytics *analytics.Snapshot
 }
 
 // ManifestStore owns one manifest directory: a manifest is a
@@ -90,6 +91,11 @@ func (s *ManifestStore) Seq() uint64 { return s.store.Seq() }
 // counters.
 func (s *ManifestStore) Stats() durable.StoreStats { return s.store.Stats() }
 
+// errNoSystemSnapshot rejects a manifest from before the coordinator
+// ran a core.System: restoring it would start recognition from an empty
+// working memory mid-stream.
+var errNoSystemSnapshot = errors.New("cluster: manifest predates the coordinator system snapshot")
+
 func decodeManifest(payload []byte) (*Manifest, error) {
 	var m Manifest
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
@@ -110,8 +116,8 @@ func LoadManifest(path string) (*Manifest, error) {
 }
 
 // RestoreCluster finds the newest manifest whose entire generation is
-// restorable: the manifest itself loads, it matches the cluster width,
-// and EVERY worker's recorded checkpoint sequence loads from that
+// restorable: the manifest itself loads, it carries a coordinator
+// system snapshot, it matches the cluster width, and EVERY worker's recorded checkpoint sequence loads from that
 // worker's directory. A generation with any unreadable member is
 // skipped whole — the cluster never restores a mixed cut where one
 // worker is on a different generation than the rest. Returns nil with
@@ -124,6 +130,9 @@ func RestoreCluster(s *ManifestStore, workerDirs []string) (*Manifest, error) {
 		m, err := decodeManifest(payload)
 		if err != nil {
 			return err
+		}
+		if m.System == nil {
+			return errNoSystemSnapshot
 		}
 		if m.Workers != len(workerDirs) || len(m.WorkerSeqs) != m.Workers {
 			return fmt.Errorf("cluster: manifest for %d workers, cluster has %d", m.Workers, len(workerDirs))

@@ -1,15 +1,35 @@
 package cluster
 
 import (
+	"encoding/gob"
+	"errors"
 	"io"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/feed"
+	"repro/internal/maritime"
+	"repro/internal/obs"
+	"repro/internal/serve"
+	"repro/internal/stream"
+	"repro/internal/tracker"
 )
+
+// coordinatorSystem is a coordinator's pipeline configuration over an
+// empty world, enough to build one and snapshot it.
+func coordinatorSystem() core.Config {
+	return core.Config{
+		Window:      stream.WindowSpec{Range: time.Hour, Slide: testSlide},
+		Tracker:     tracker.DefaultParams(),
+		Recognition: maritime.Config{Window: time.Hour},
+	}
+}
 
 // seedGenerations writes two complete cluster generations — every
 // worker checkpointed at seq 1 and 2, one manifest binding each — and
@@ -39,6 +59,14 @@ func seedGenerations(t *testing.T, workers int) (*ManifestStore, []string) {
 	if err != nil {
 		t.Fatalf("manifest store: %v", err)
 	}
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: workers, System: coordinatorSystem()})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	snap, err := coord.sys.Snapshot()
+	if err != nil {
+		t.Fatalf("coordinator snapshot: %v", err)
+	}
 	for gen := 1; gen <= 2; gen++ {
 		seqs := make([]uint64, workers)
 		for w := range seqs {
@@ -48,6 +76,7 @@ func seedGenerations(t *testing.T, workers int) (*ManifestStore, []string) {
 			Query:      base.Add(time.Duration(gen) * 40 * time.Minute),
 			Workers:    workers,
 			WorkerSeqs: seqs,
+			System:     &snap,
 			Slides:     gen * 4,
 		}
 		if err := store.Save(m); err != nil {
@@ -168,7 +197,7 @@ func TestManifestSaveRetriesTransientWriteFailure(t *testing.T) {
 		}
 		return w
 	}
-	m := &Manifest{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), Workers: 2, WorkerSeqs: []uint64{2, 2}, Slides: 12}
+	m := &Manifest{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), Workers: 2, WorkerSeqs: []uint64{2, 2}, System: &core.Snapshot{Store: []byte{0}}, Slides: 12}
 	if err := store.Save(m); err != nil {
 		t.Fatalf("Save with one transient failure: %v", err)
 	}
@@ -181,5 +210,81 @@ func TestManifestSaveRetriesTransientWriteFailure(t *testing.T) {
 	}
 	if st := store.Stats(); st.Retries != 1 || st.Failures != 0 {
 		t.Errorf("Stats = %+v, want 1 retry and no failure", st)
+	}
+}
+
+// legacyManifest is the manifest layout from before the coordinator ran
+// a core.System: the recognizer's working memory and the analytics
+// tier's state in fields of their own, no system snapshot.
+type legacyManifest struct {
+	Query      time.Time
+	Workers    int
+	WorkerSeqs []uint64
+	Cursor     feed.Cursor
+	Recognizer maritime.RecognizerSnapshot
+	Hub        *serve.HubSnapshot
+	Slides     int
+	Analytics  *analytics.Snapshot
+}
+
+// A manifest in the older layout is skipped with a reason and counted
+// as rejected — restoring it would resume recognition from an empty
+// working memory mid-stream. Behind it the newest current generation
+// restores; alone, it is a cold start. The coordinator refuses it too.
+func TestRestoreClusterSkipsManifestWithoutSystemSnapshot(t *testing.T) {
+	store, dirs := seedGenerations(t, 3)
+	legacy := legacyManifest{
+		Query:      time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC),
+		Workers:    3,
+		WorkerSeqs: []uint64{2, 2, 2},
+		Hub:        &serve.HubSnapshot{Seq: 40},
+		Slides:     12,
+		Analytics:  &analytics.Snapshot{},
+	}
+	if err := store.store.Save(func(w io.Writer) error { return gob.NewEncoder(w).Encode(legacy) }); err != nil {
+		t.Fatalf("saving the older-layout manifest: %v", err)
+	}
+	old, err := LoadManifest(store.store.Path(3))
+	if err != nil {
+		t.Fatalf("the older-layout manifest does not decode: %v", err)
+	}
+	if old.System != nil || old.Slides != 12 {
+		t.Fatalf("decoded %+v, want 12 slides and no system snapshot", old)
+	}
+
+	m, err := RestoreCluster(store, dirs)
+	if m == nil || m.Slides != 8 || m.System == nil {
+		t.Fatalf("want the newest current generation (8 slides), got %+v (err=%v)", m, err)
+	}
+	if !errors.Is(err, errNoSystemSnapshot) {
+		t.Errorf("skip reason %v, want %v", err, errNoSystemSnapshot)
+	}
+	reg := obs.NewRegistry()
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: 3, System: coordinatorSystem(), Manifests: store})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	coord.RegisterMetrics(reg)
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "maritime_cluster_manifest_rejected_total 1\n") {
+		t.Errorf("the skipped manifest is not counted:\n%s", text.String())
+	}
+
+	if _, err := NewCoordinator(CoordinatorConfig{Workers: 3, System: coordinatorSystem(), Restore: old}); !errors.Is(err, errNoSystemSnapshot) {
+		t.Errorf("NewCoordinator restored the older-layout manifest: err=%v", err)
+	}
+
+	alone, err := NewManifestStore(t.TempDir(), 3)
+	if err != nil {
+		t.Fatalf("manifest store: %v", err)
+	}
+	if err := alone.store.Save(func(w io.Writer) error { return gob.NewEncoder(w).Encode(legacy) }); err != nil {
+		t.Fatalf("saving the older-layout manifest: %v", err)
+	}
+	if m, err := RestoreCluster(alone, dirs); m != nil || !errors.Is(err, errNoSystemSnapshot) {
+		t.Errorf("older-layout manifest alone: got %+v / %v, want a cold start with the skip reason", m, err)
 	}
 }

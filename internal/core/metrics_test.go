@@ -28,9 +28,21 @@ import (
 func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
+	// Band 1 holds its step open until archival has begun and then for
+	// a moment beside it, so the slide's stages overlap even when the
+	// scrapers leave the pipeline a single core: without it the band's
+	// goroutine may only be scheduled once the caller blocks in the join.
+	archiving := make(chan struct{}, 1)
 	hook := func(i int) {
-		if i == 0 {
+		switch i {
+		case 0:
 			<-release
+		case 1:
+			select {
+			case <-archiving:
+			case <-time.After(100 * time.Millisecond):
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	recognizerAdvanceHook.Store(&hook)
@@ -46,6 +58,13 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	cfg := wedgeableConfig(500 * time.Millisecond)
 	cfg.Analytics = &analytics.Config{EnableCollision: true}
 	sys := NewSystem(cfg, vessels, areas, ports)
+	sys.SetStoreFaultHook(func() {
+		select {
+		case archiving <- struct{}{}:
+		default:
+		}
+		time.Sleep(2 * time.Millisecond)
+	})
 	reg := obs.NewRegistry()
 	sys.RegisterMetrics(reg)
 

@@ -351,7 +351,31 @@ func PortPolys(ports []mod.PortArea) []*geo.Polygon {
 // OnSlideEnd callbacks run after the slide, outside the lock.
 func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 	s.runMu.Lock()
-	rep := s.processLocked(b)
+	start := time.Now()
+	res := s.tracker.Slide(b)
+	rep := SlideReport{FixesIn: len(b.Fixes)}
+	rep.Timings.Tracking = time.Since(start)
+	if s.freshObs != nil {
+		s.freshObs(b.Query, res.Fresh)
+	}
+	return s.endSlide(s.processLocked(start, rep, res))
+}
+
+// ProcessSlide runs the stages after trajectory detection — CE
+// recognition, archival of the delta points and the analytics tier —
+// over one slide's critical points, as if the system's own tracker had
+// produced them. A cluster coordinator feeds it the merged slides of its
+// workers. The report's FixesIn and Tracking time are zero: no fix went
+// through this system's tracker. It is serialized with the other
+// state-mutating entry points like ProcessBatch.
+func (s *System) ProcessSlide(res tracker.SlideResult) SlideReport {
+	s.runMu.Lock()
+	return s.endSlide(s.processLocked(time.Now(), SlideReport{}, res))
+}
+
+// endSlide releases runMu, taken by the caller, and runs the OnSlideEnd
+// callbacks outside it.
+func (s *System) endSlide(rep SlideReport) SlideReport {
 	cbs := s.onSlideEnd
 	s.runMu.Unlock()
 	for _, fn := range cbs {
@@ -360,9 +384,11 @@ func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 	return rep
 }
 
-func (s *System) processLocked(b stream.Batch) SlideReport {
-	start := time.Now()
-	rep := SlideReport{Query: b.Query, FixesIn: len(b.Fixes)}
+// processLocked is one slide from the tracker seam on, completing
+// rep (FixesIn and Tracking filled in by the caller); start is when the
+// slide began, for its Wall time.
+func (s *System) processLocked(start time.Time, rep SlideReport, res tracker.SlideResult) SlideReport {
+	rep.Query, rep.CriticalPoints = res.Query, len(res.Fresh)
 	level := DegradeNone
 	if s.degrader != nil {
 		level = s.degrader.Level()
@@ -371,13 +397,6 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	// delivered with this one.
 	recovered := s.recovered
 	s.recovered = nil
-
-	res := s.tracker.Slide(b)
-	rep.Timings.Tracking = time.Since(start)
-	rep.CriticalPoints = len(res.Fresh)
-	if s.freshObs != nil {
-		s.freshObs(b.Query, res.Fresh)
-	}
 
 	// The slide result has three consumers that share no state:
 	// recognition (fresh points, as movement events), archival (delta
@@ -393,7 +412,7 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 		if level >= DegradeInstantaneousOnly {
 			events = s.filterInstantaneous(events)
 		}
-		join = s.startPartitions(b.Query, events)
+		join = s.startPartitions(res.Query, events)
 		rep.Timings.Recognition = time.Since(t)
 	}
 
@@ -412,7 +431,7 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	var pair []maritime.Alert
 	if s.analytics != nil {
 		t := time.Now()
-		pair = s.analytics.Slide(b.Query, res.Fresh)
+		pair = s.analytics.Slide(res.Query, res.Fresh)
 		rep.Timings.Analytics = time.Since(t)
 	}
 
@@ -424,7 +443,7 @@ func (s *System) processLocked(b stream.Batch) SlideReport {
 	if len(pair) > 0 {
 		// Recognition alerts are already in canonical order; append
 		// the pairwise ones and stable re-sort so ties keep their
-		// emission order on both the single-process and cluster paths.
+		// emission order.
 		rep.Alerts = append(rep.Alerts, pair...)
 		slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
 	}
