@@ -110,7 +110,8 @@ bench-quick:
 	go run ./cmd/bench -quick
 
 # Allocation-regression guard: the steady-state slide budget
-# (testing.AllocsPerRun gate in the tracker), the zero-allocation
+# (testing.AllocsPerRun gate in the tracker, self-heal re-bases
+# included, and a warm tracker re-base at zero), the zero-allocation
 # zero-copy scanners, the warm ingest stage's recycled slide arrays, the
 # recognition query step over a warm 6 h window, the pairwise screening
 # slide of a warm analytics tier and the store fork behind every

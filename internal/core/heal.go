@@ -131,7 +131,7 @@ func (s *System) journalRec(i int, q time.Time, events []rtec.Event) {
 		return
 	}
 	j := &s.recJ[i]
-	old, evicted := j.Append(recSlide{q: q, events: append([]rtec.Event(nil), events...)})
+	old, evicted := j.Append(recSlide{q: q, events: append(j.Spare().events[:0], events...)})
 	if !evicted {
 		return
 	}
@@ -151,7 +151,7 @@ func (s *System) journalStore(delta []tracker.CriticalPoint, reconstruct bool) {
 		return
 	}
 	if _, evicted := s.storeJ.Append(storeSlide{
-		delta:       append([]tracker.CriticalPoint(nil), delta...),
+		delta:       append(s.storeJ.Spare().delta[:0], delta...),
 		reconstruct: reconstruct,
 	}); evicted {
 		s.journalGaps.Add(1)

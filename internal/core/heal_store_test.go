@@ -173,8 +173,8 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 // other goroutines while the pipeline goroutine stages, reconstructs and
 // re-bases, then reads the archival series: the staged gauge is the
 // store's count, the scan counter is what reconstruction examined —
-// every point once, not the staging area once per slide — and both
-// re-base counters moved.
+// every point once, not the staging area once per slide — and the
+// store, recognizer and tracker re-base counters all moved.
 func TestArchivalMetricsUnderConcurrentScrape(t *testing.T) {
 	cfg := shortWindowConfig()
 	cfg.SelfHeal = true
@@ -227,7 +227,7 @@ func TestArchivalMetricsUnderConcurrentScrape(t *testing.T) {
 	if scanned == 0 || 3*scanned > float64(fullScans) {
 		t.Errorf("reconstruction examined %v points; rescanning the staging area every slide would examine %d", scanned, fullScans)
 	}
-	for _, target := range []string{"store", "recognizer"} {
+	for _, target := range []string{"store", "recognizer", "tracker"} {
 		if v := scraped(`maritime_selfheal_rebase_seconds_total{target="` + target + `"}`); v <= 0 {
 			t.Errorf("re-base seconds for %s = %v after %d slides at a cadence of 2", target, v, len(batches))
 		}

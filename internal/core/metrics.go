@@ -109,11 +109,15 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_mod_reconstruct_scanned_points_total",
 		"Staged points trip reconstruction has examined. Healthy archival scans what was staged since the previous slide; a rate near maritime_mod_staged_points per slide means it is rescanning the staging area.", nil,
 		func() float64 { return float64(s.scannedPoints.Load()) })
-	for target, nanos := range map[string]*atomic.Int64{"store": &s.rebaseStoreNanos, "recognizer": &s.rebaseRecNanos} {
+	for target, spent := range map[string]func() time.Duration{
+		"store":      func() time.Duration { return time.Duration(s.rebaseStoreNanos.Load()) },
+		"recognizer": func() time.Duration { return time.Duration(s.rebaseRecNanos.Load()) },
+		"tracker":    s.tracker.RebaseTime,
+	} {
 		r.CounterFunc("maritime_selfheal_rebase_seconds_total",
-			"Pipeline-goroutine time spent re-basing self-heal journals (forking the store, snapshotting recognizers), once per journal cadence.",
+			"Pipeline-goroutine time spent re-basing self-heal journals (forking the store, snapshotting recognizers, copying tracker shards), once per journal cadence.",
 			obs.Labels{"target": target},
-			func() float64 { return float64(nanos.Load()) / 1e9 })
+			func() float64 { return spent().Seconds() })
 	}
 	r.GaugeFunc("maritime_degradation_level",
 		"Current rung of the overload degradation ladder (0 = full pipeline).", nil,

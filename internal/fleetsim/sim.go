@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/ais"
@@ -101,13 +102,24 @@ type Simulator struct {
 	cfg         Config
 	world       *World
 	fleet       []VesselSpec
-	itins       []*itinerary
-	truth       []TruthEvent
 	loiterSpots []geo.Point
+
+	// itins holds every vessel's scripted itinerary. The scripted pairs'
+	// are built with the fleet (they share one RNG stream with their
+	// specs); the base fleet's are built by the first Run, ScriptedPos
+	// or Truth, since a program that only needs the world and the fleet
+	// (a live-feed consumer such as cmd/serve -feed) never replays them. truth is complete once
+	// built: base episodes in fleet order, then the pairs'.
+	itins     []*itinerary
+	built     sync.Once
+	truth     []TruthEvent
+	pairTruth []TruthEvent
 }
 
-// NewSimulator builds the world, the fleet, and every vessel's scripted
-// itinerary, deterministically from cfg.Seed.
+// NewSimulator builds the world, the fleet and the scripted pairs'
+// itineraries, deterministically from cfg.Seed. Each base vessel's
+// itinerary is drawn from its own RNG, so building those later (see
+// Simulator.itins) yields the same ones.
 func NewSimulator(cfg Config) *Simulator {
 	if cfg.Vessels <= 0 {
 		cfg.Vessels = 1
@@ -128,14 +140,27 @@ func NewSimulator(cfg Config) *Simulator {
 		s.world.randomOffshorePoint(rng),
 		s.world.randomOffshorePoint(rng),
 	}
+	s.buildPairs()
+	return s
+}
+
+// buildItineraries builds the base fleet's itineraries, once.
+func (s *Simulator) buildItineraries() {
+	s.built.Do(s.buildBase)
+}
+
+// buildBase scripts every base vessel (the first cfg.Vessels specs;
+// the scripted pairs follow them) from its own RNG and completes the
+// ground truth.
+func (s *Simulator) buildBase() {
 	loiterSpots := s.loiterSpots
 	protected := s.world.AreasOfKind(AreaProtected)
 	forbidden := s.world.AreasOfKind(AreaForbiddenFishing)
 	shallow := s.world.AreasOfKind(AreaShallow)
 
 	var loiterIdx int
-	for i := range s.fleet {
-		vrng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))
+	for i := range s.fleet[:s.cfg.Vessels] {
+		vrng := rand.New(rand.NewSource(s.cfg.Seed + 1000 + int64(i)))
 		spec := &s.fleet[i]
 		switch spec.Behavior {
 		case BehaviorDocked:
@@ -158,8 +183,7 @@ func NewSimulator(cfg Config) *Simulator {
 			s.itins[i] = s.buildShoalRunner(vrng, spec, shallow)
 		}
 	}
-	s.buildPairs()
-	return s
+	s.truth = append(s.truth, s.pairTruth...)
 }
 
 // buildPairs appends the scripted pairwise-analytics actors — the
@@ -223,7 +247,7 @@ func (s *Simulator) buildRendezvousPair(rng *rand.Rand, ia, ib int, spot geo.Poi
 	}
 	part(ia, ba, bearing+30)
 	part(ib, bb, bearing+210)
-	s.truth = append(s.truth, TruthEvent{
+	s.pairTruth = append(s.pairTruth, TruthEvent{
 		Kind: TruthRendezvous,
 		MMSI: s.fleet[ia].MMSI, MMSI2: s.fleet[ib].MMSI,
 		Near: spot, Start: meet, End: leave,
@@ -289,7 +313,7 @@ func (s *Simulator) buildDarkPair(rng *rand.Rand, ia, ib int, spot geo.Point) {
 	if toB.Before(to) {
 		to = toB
 	}
-	s.truth = append(s.truth, TruthEvent{
+	s.pairTruth = append(s.pairTruth, TruthEvent{
 		Kind: TruthDarkRendezvous,
 		MMSI: s.fleet[ia].MMSI, MMSI2: s.fleet[ib].MMSI,
 		Near: spot, Start: from, End: to,
@@ -303,7 +327,10 @@ func (s *Simulator) World() *World { return s.world }
 func (s *Simulator) Fleet() []VesselSpec { return s.fleet }
 
 // Truth returns the scripted ground-truth episodes.
-func (s *Simulator) Truth() []TruthEvent { return s.truth }
+func (s *Simulator) Truth() []TruthEvent {
+	s.buildItineraries()
+	return s.truth
+}
 
 // LoiterSpots returns the rendezvous points of the scripted loitering
 // groups. Marine authorities monitoring for suspicious activity would
@@ -314,6 +341,7 @@ func (s *Simulator) LoiterSpots() []geo.Point { return s.loiterSpots }
 // time t — the ground truth that reported fixes jitter around. ok is
 // false for unknown vessels.
 func (s *Simulator) ScriptedPos(mmsi uint32, t time.Time) (geo.Point, bool) {
+	s.buildItineraries()
 	i := int(mmsi) - int(mmsiBase)
 	if i < 0 || i >= len(s.itins) || s.itins[i] == nil {
 		return geo.Point{}, false
@@ -585,6 +613,7 @@ func (s *Simulator) buildShoalRunner(rng *rand.Rand, spec *VesselSpec, shallow [
 // fix, occasional outliers, dropped reports, and spontaneous gaps on
 // top of scripted silences.
 func (s *Simulator) Run() []ais.Fix {
+	s.buildItineraries()
 	var out []ais.Fix
 	horizon := s.horizon()
 	for i := range s.fleet {

@@ -193,6 +193,7 @@ func TestItineraryPosMonotoneTime(t *testing.T) {
 	sim := NewSimulator(cfg)
 	// Scripted positions must be continuous: successive samples 10 s
 	// apart can be at most ~150 m apart at 30 knots.
+	sim.buildItineraries()
 	it := sim.itins[0]
 	prev := it.pos(cfg.Start)
 	for dt := 10 * time.Second; dt < cfg.Duration; dt += 10 * time.Second {

@@ -311,6 +311,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 			"reconstruction": rep.Timings.Reconstruction.Microseconds(),
 			"loading":        rep.Timings.Loading.Microseconds(),
 			"recognition":    rep.Timings.Recognition.Microseconds(),
+			"analytics":      rep.Timings.Analytics.Microseconds(),
 			"total":          rep.Timings.Wall.Microseconds(),
 		},
 		Health: rep.Health,

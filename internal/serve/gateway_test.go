@@ -332,6 +332,11 @@ func TestGatewaySnapshots(t *testing.T) {
 	if rep.Query.IsZero() {
 		t.Fatal("/report has no query time")
 	}
+	for _, stage := range []string{"tracking", "staging", "reconstruction", "loading", "recognition", "analytics", "total"} {
+		if _, ok := rep.TimingsMicros[stage]; !ok {
+			t.Errorf("/report timings_us has no %q: %v", stage, rep.TimingsMicros)
+		}
+	}
 
 	var hz HealthzPayload
 	if code := getJSON("/healthz", &hz); code != 200 {

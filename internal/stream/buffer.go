@@ -93,6 +93,15 @@ func (b *TimeBuffer[T]) Each(fn func(t time.Time, v T) bool) {
 	}
 }
 
+// AppendValues appends every live item's value to dst, oldest first,
+// and returns the extended slice.
+func (b *TimeBuffer[T]) AppendValues(dst []T) []T {
+	for i := b.head; i < len(b.items); i++ {
+		dst = append(dst, b.items[i].v)
+	}
+	return dst
+}
+
 // Reset discards all items.
 func (b *TimeBuffer[T]) Reset() {
 	b.items = b.items[:0]

@@ -37,6 +37,20 @@ func (j *Journal[B, S]) Append(s S) (evicted S, ok bool) {
 	return evicted, ok
 }
 
+// Spare returns the slide a re-base dropped from the slot the next
+// Append fills, or the zero S when that slot has never held one. That
+// slide is no longer part of the journal, so its buffers may be reused
+// for the copy about to be appended: a journal keeping copies of its
+// input then stops allocating once each slot has held its largest
+// slide. Every self-heal journal recycles its slides' buffers this way.
+func (j *Journal[B, S]) Spare() S {
+	if n := len(j.Slides); n < cap(j.Slides) {
+		return j.Slides[:n+1][n]
+	}
+	var zero S
+	return zero
+}
+
 // Due reports whether a full cadence of slides has accumulated since
 // the base.
 func (j *Journal[B, S]) Due() bool { return len(j.Slides) >= j.every }

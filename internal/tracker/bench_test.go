@@ -94,17 +94,52 @@ func BenchmarkSteadySlide(b *testing.B) {
 	b.ReportMetric(float64(b.N*fixes)/b.Elapsed().Seconds(), "fixes/s")
 }
 
+// BenchmarkSelfHealSlide is BenchmarkSteadySlide at two shards, the
+// tier as cmd/serve runs it on a 2-core box, with self-heal off and on
+// (journal, cadence re-bases, watchdog): the per-fix cost of self-heal
+// is the difference between the two rows.
+func BenchmarkSelfHealSlide(b *testing.B) {
+	batches, fixes := benchWorkload(b)
+	span := 2 * time.Hour
+	for _, heal := range []bool{false, true} {
+		name := "off"
+		if heal {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, 2)
+			defer tr.Close()
+			if heal {
+				tr.EnableSelfHeal(DefaultJournalSlides)
+				tr.SetSlideTimeout(time.Minute)
+			}
+			for _, bt := range batches {
+				tr.Slide(bt)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shiftBatches(batches, span)
+				for _, bt := range batches {
+					tr.Slide(bt)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fixes), "ns/fix")
+		})
+	}
+}
+
 // TestSteadyStateSlideAllocs is the allocation-free steady state gate:
 // after the tracking tier has warmed (vessel map populated, scratch
 // slices at their high-water marks, synopsis windows full), a slide must
 // run allocation-free up to a small amortized constant — synopsis ring
 // growth and stop-run reallocation are amortized, nothing is allocated
 // per fix or per slide. Two shards is what production runs on a 2-core
-// box (DefaultShards). Each shard count is gated plain and as cmd/serve
-// runs it: self-heal on under the watchdog, every shard pooled and its
-// input journaled. The journal's re-base snapshots every vessel once per
-// cadence, so the gate sets a cadence longer than the run; what the
-// healed slide may add is the journal's copy of each shard's input.
+// box (DefaultShards). Each shard count is gated plain, with self-heal
+// on, and as cmd/serve runs it: self-heal under the watchdog, every
+// shard pooled. Self-heal re-bases every second slide, so the measured
+// slides include re-bases, which refill the journal's buffers in place,
+// and journal appends, which copy into recycled slide buffers.
 func TestSteadyStateSlideAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts")
@@ -116,10 +151,12 @@ func TestSteadyStateSlideAllocs(t *testing.T) {
 	warm := len(batches) - 12 // leave 12 slides (one full window) to measure
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 	for _, shards := range []int{1, 2} {
-		for _, watchdog := range []bool{false, true} {
+		for _, mode := range []string{"plain", "self-heal", "watchdog"} {
 			tier := NewSharded(DefaultParams(), window, shards)
-			if watchdog {
-				tier.EnableSelfHeal(len(batches))
+			if mode != "plain" {
+				tier.EnableSelfHeal(2)
+			}
+			if mode == "watchdog" {
 				tier.SetSlideTimeout(time.Minute)
 			}
 			for _, b := range batches[:warm] {
@@ -131,15 +168,25 @@ func TestSteadyStateSlideAllocs(t *testing.T) {
 				tier.Slide(batches[idx])
 				idx++
 			})
-			tier.Close()
 			if idx != warm+runs+1 {
-				t.Fatalf("shards=%d watchdog=%v: measured %d slides, want %d", shards, watchdog, idx-warm, runs+1)
+				t.Fatalf("shards=%d %s: measured %d slides, want %d", shards, mode, idx-warm, runs+1)
 			}
 			const maxAllocs = 10
 			if allocs > maxAllocs {
-				t.Errorf("shards=%d watchdog=%v: steady-state slide allocates %.1f times, want <= %d", shards, watchdog, allocs, maxAllocs)
+				t.Errorf("shards=%d %s: steady-state slide allocates %.1f times, want <= %d", shards, mode, allocs, maxAllocs)
 			}
-			t.Logf("shards=%d watchdog=%v: %.1f allocs per steady-state slide", shards, watchdog, allocs)
+			t.Logf("shards=%d %s: %.1f allocs per steady-state slide", shards, mode, allocs)
+			if mode != "plain" {
+				// A warm re-base refills buffers already sized for the state.
+				if a := testing.AllocsPerRun(runs, func() {
+					for i := range tier.shards {
+						tier.rebase(i)
+					}
+				}); a != 0 {
+					t.Errorf("shards=%d %s: a warm re-base allocates %.1f times, want 0", shards, mode, a)
+				}
+			}
+			tier.Close()
 		}
 	}
 }

@@ -2,7 +2,6 @@ package tracker
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/supervise"
@@ -32,16 +31,91 @@ import (
 const DefaultJournalSlides = 8
 
 // shardSlide is one journaled slide of one shard: the query time and a
-// copy of its routed input.
+// copy of its routed input, in a buffer recycled from the slide that
+// last held the journal slot (supervise.Journal.Spare).
 type shardSlide struct {
 	q  time.Time
 	in shardIn
 }
 
-// shardBase is the state a shard's replay starts from.
+// shardBase is the state a shard's replay starts from, kept in buffers
+// the journal owns: every re-base truncates them and refills them in
+// place from the live shard, and a replay copies out of them. A warm
+// re-base therefore allocates nothing, the base holds exactly the
+// shard's current state (not each vessel's largest-ever capacity), and
+// a replay that panics leaves it intact for the next attempt. Each
+// vessel's slices follow the previous vessel's in the shared buffers.
 type shardBase struct {
-	vessels []VesselSnapshot
-	stats   Stats
+	vessels  []baseVessel
+	recent   []velEntry
+	turns    []float64
+	runs     []runFix // each vessel's stop run, then its slow run
+	synopsis []CriticalPoint
+	stats    Stats
+
+	lastQueryNS int64
+	haveLastQ   bool
+}
+
+// baseVessel is one vessel of a shard base: its scalar state and the
+// lengths of its slices in the base's buffers.
+type baseVessel struct {
+	vesselCore
+	recent, turns, stop, slow, synopsis int32
+}
+
+// capture refills the base from the live shard.
+func (b *shardBase) capture(tr *shard) {
+	b.vessels, b.recent, b.turns = b.vessels[:0], b.recent[:0], b.turns[:0]
+	b.runs, b.synopsis = b.runs[:0], b.synopsis[:0]
+	for _, st := range tr.vessels {
+		b.vessels = append(b.vessels, baseVessel{
+			vesselCore: st.vesselCore,
+			recent:     int32(len(st.recent)),
+			turns:      int32(len(st.recentTurns)),
+			stop:       int32(len(st.stopRun)),
+			slow:       int32(len(st.slowRun)),
+			synopsis:   int32(st.synopsis.Len()),
+		})
+		b.recent = append(b.recent, st.recent...)
+		b.turns = append(b.turns, st.recentTurns...)
+		b.runs = append(append(b.runs, st.stopRun...), st.slowRun...)
+		b.synopsis = st.synopsis.AppendValues(b.synopsis)
+	}
+	copyStats(&b.stats, tr.stats)
+	b.lastQueryNS, b.haveLastQ = tr.lastQueryNS, tr.haveLastQ
+}
+
+// restore fills an empty shard with deep copies of the base's state.
+// The vessels' slices get the capacities ingest gives a new vessel.
+func (b *shardBase) restore(tr *shard) {
+	m := tr.params.M
+	recent, turns, runs, synopsis := b.recent, b.turns, b.runs, b.synopsis
+	for i := range b.vessels {
+		bv := &b.vessels[i]
+		st := &vesselState{
+			vesselCore:  bv.vesselCore,
+			recent:      take(&recent, bv.recent, m),
+			recentTurns: take(&turns, bv.turns, m),
+			stopRun:     take(&runs, bv.stop, 2*m),
+			slowRun:     take(&runs, bv.slow, 2*m),
+		}
+		for _, cp := range synopsis[:bv.synopsis] {
+			st.synopsis.Append(cp.Time, cp)
+		}
+		synopsis = synopsis[bv.synopsis:]
+		tr.vessels[bv.mmsi] = st
+	}
+	copyStats(&tr.stats, b.stats)
+	tr.lastQueryNS, tr.haveLastQ = b.lastQueryNS, b.haveLastQ
+}
+
+// take copies the first n elements of *buf into a new slice of at
+// least capacity c and advances *buf past them.
+func take[T any](buf *[]T, n int32, c int) []T {
+	out := append(make([]T, 0, max(int(n), c)), (*buf)[:n]...)
+	*buf = (*buf)[n:]
+	return out
 }
 
 // shardHeal is the per-shard repair state.
@@ -141,7 +215,7 @@ func (s *Sharded) journalAppend(i int, q time.Time) {
 		return
 	}
 	in := s.in[i]
-	in.fixes, in.idx = slices.Clone(in.fixes), slices.Clone(in.idx)
+	in.recs = append(h.journal.Spare().in.recs[:0], in.recs...)
 	if _, evicted := h.journal.Append(shardSlide{q: q, in: in}); evicted {
 		s.gapSlides.Add(1)
 	}
@@ -156,30 +230,37 @@ func (s *Sharded) quarantineShard(i int, q supervise.Quarantine) {
 	h.info = q
 	s.quarCount.Add(1)
 	s.skip[i] = true
-	s.dropped.Add(int64(len(s.in[i].fixes)))
+	s.dropped.Add(int64(len(s.in[i].recs)))
 	s.in[i] = shardIn{}
 }
 
 // rebaseDue re-bases every healthy journal holding a full cadence, so
-// replay cost stays bounded.
+// replay cost stays bounded, and accounts the time spent.
 func (s *Sharded) rebaseDue() {
+	var start time.Time
 	for i := range s.shards {
 		if !s.outOfService(i) && s.heal[i].journal.Due() {
+			if start.IsZero() {
+				start = time.Now()
+			}
 			s.rebase(i)
 		}
 	}
+	if !start.IsZero() {
+		s.rebaseNanos.Add(int64(time.Since(start)))
+	}
 }
 
-// rebase captures the shard's current state as the journal base and
-// clears the journaled slides.
+// RebaseTime returns the total time cadence re-bases of the shard
+// journals have taken. Safe to call from any goroutine.
+func (s *Sharded) RebaseTime() time.Duration { return time.Duration(s.rebaseNanos.Load()) }
+
+// rebase captures the shard's current state as the journal base, in
+// place, and clears the journaled slides.
 func (s *Sharded) rebase(i int) {
 	j := &s.heal[i].journal
-	tr := s.shards[i]
-	base := shardBase{vessels: j.Base.vessels[:0], stats: cloneStats(tr.stats)}
-	for mmsi, st := range tr.vessels {
-		base.vessels = append(base.vessels, snapshotVessel(mmsi, st))
-	}
-	j.Rebase(base)
+	j.Base.capture(s.shards[i])
+	j.Rebase(j.Base)
 }
 
 // replayShard rebuilds a shard from its journal base and replays every
@@ -196,10 +277,7 @@ func (s *Sharded) replayShard(i int, hook *func(shard, slide, attempt int), reru
 	}()
 	j := &s.heal[i].journal
 	tr = s.newShard()
-	tr.stats = cloneStats(j.Base.stats)
-	for _, vs := range j.Base.vessels {
-		tr.vessels[vs.MMSI] = restoreVessel(vs)
-	}
+	j.Base.restore(tr)
 	last := len(j.Slides) - 1
 	for k := range j.Slides {
 		sl := &j.Slides[k]
@@ -289,13 +367,16 @@ func (s *Sharded) resetHeal() {
 	}
 }
 
-// cloneStats deep-copies a Stats value (the ByType map is shared
-// otherwise).
-func cloneStats(in Stats) Stats {
-	out := in
-	out.ByType = make(map[EventType]int, len(in.ByType))
-	for k, v := range in.ByType {
-		out.ByType[k] = v
+// copyStats copies src into dst, reusing dst's ByType map.
+func copyStats(dst *Stats, src Stats) {
+	byType := dst.ByType
+	if byType == nil {
+		byType = make(map[EventType]int, len(src.ByType))
 	}
-	return out
+	clear(byType)
+	for k, v := range src.ByType {
+		byType[k] = v
+	}
+	*dst = src
+	dst.ByType = byType
 }

@@ -1,7 +1,9 @@
 package tracker
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -316,4 +318,95 @@ func TestSelfHealReplaySheds(t *testing.T) {
 	if !reflect.DeepEqual(want.Snapshot(), got.Snapshot()) {
 		t.Error("replayed shard state differs from the never-panicked tier's")
 	}
+}
+
+// TestJournalMatchesLiveShard checks the self-heal journal against the
+// live shards after every slide: each shard rebuilt from its journal
+// base plus the journaled slides must hold exactly the live shard's
+// vessel state and counters. The re-base cadence is short (3), so most
+// checks replay across a recycled base and recycled slide buffers; the
+// window is short enough that silent vessels are evicted; one shard
+// panics every seventh slide, so the journal also rebuilds the shards
+// it later checks. Each shard is rebuilt twice, with the first rebuild
+// scribbled over in between, which catches a rebuild that aliases the
+// base instead of copying out of it.
+func TestJournalMatchesLiveShard(t *testing.T) {
+	batches := simBatches(t, 50, 3)
+	batches = batches[:len(batches)-1] // the drain slide evicts everything at once
+	window := stream.WindowSpec{Range: 20 * time.Minute, Slide: 5 * time.Minute}
+	for _, shards := range []int{1, 2, 4} {
+		for _, watchdog := range []bool{false, true} {
+			tier := NewSharded(DefaultParams(), window, shards)
+			tier.EnableSelfHeal(3)
+			if watchdog {
+				tier.SetSlideTimeout(time.Minute)
+			}
+			tier.SetFaultHook(func(shard, slide, attempt int) {
+				if slide%7 == 0 && shard == slide%shards && attempt == 0 {
+					panic("injected shard fault")
+				}
+			})
+			evicted := false
+			prev := map[uint32]bool{}
+			for k, b := range batches {
+				tier.Slide(b)
+				cur := map[uint32]bool{}
+				for i, live := range tier.shards {
+					want := shardState(live)
+					for _, vs := range want.Vessels {
+						cur[vs.MMSI] = true
+					}
+					for attempt := 0; attempt < 2; attempt++ {
+						rebuilt, _, qr := tier.replayShard(i, nil, false)
+						if qr != nil {
+							t.Fatalf("shards=%d watchdog=%v slide %d: replay of shard %d panicked: %s", shards, watchdog, k, i, qr.Value)
+						}
+						if got := shardState(rebuilt); !reflect.DeepEqual(got, want) {
+							t.Fatalf("shards=%d watchdog=%v slide %d: shard %d rebuilt from its journal (attempt %d) differs from the live shard", shards, watchdog, k, i, attempt)
+						}
+						if rebuilt.lastQueryNS != live.lastQueryNS || rebuilt.haveLastQ != live.haveLastQ {
+							t.Fatalf("shards=%d watchdog=%v slide %d: shard %d rebuilt with query clock %d/%v, live %d/%v",
+								shards, watchdog, k, i, rebuilt.lastQueryNS, rebuilt.haveLastQ, live.lastQueryNS, live.haveLastQ)
+						}
+						scribble(rebuilt)
+					}
+				}
+				for mmsi := range prev {
+					evicted = evicted || !cur[mmsi]
+				}
+				prev = cur
+			}
+			st, fs := tier.Stats(), tier.FaultStats()
+			tier.Close()
+			if st.ByType[EventStopStart] == 0 || st.ByType[EventGapStart] == 0 || st.ByType[EventSlowStart] == 0 || !evicted {
+				t.Fatalf("shards=%d watchdog=%v: the fleet must stop, go slow, go silent and be evicted: %+v evicted=%v", shards, watchdog, st.ByType, evicted)
+			}
+			if fs.Retries == 0 || fs.Quarantined != 0 {
+				t.Fatalf("shards=%d watchdog=%v: want lossless in-slide retries, got %+v", shards, watchdog, fs)
+			}
+		}
+	}
+}
+
+// shardState is one shard's vessel state and counters in Snapshot form.
+func shardState(tr *shard) Snapshot {
+	snap := Snapshot{Stats: tr.stats}
+	for mmsi, st := range tr.vessels {
+		snap.Vessels = append(snap.Vessels, snapshotVessel(mmsi, st))
+	}
+	slices.SortFunc(snap.Vessels, func(a, b VesselSnapshot) int { return cmp.Compare(a.MMSI, b.MMSI) })
+	return snap
+}
+
+// scribble overwrites every slice element and counter of a shard, so a
+// later rebuild that shares memory with this one shows the damage.
+func scribble(tr *shard) {
+	for _, st := range tr.vessels {
+		clear(st.recent)
+		clear(st.recentTurns)
+		clear(st.stopRun)
+		clear(st.slowRun)
+		st.synopsis.Reset()
+	}
+	clear(tr.stats.ByType)
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ais"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/supervise"
@@ -95,6 +94,7 @@ type Sharded struct {
 	failedCount atomic.Int64
 	dropped     atomic.Int64
 	gapSlides   atomic.Int64
+	rebaseNanos atomic.Int64
 
 	// Tier-wide ingest accounting shared by all shards (see shard).
 	lateAcc  atomic.Int64
@@ -105,13 +105,23 @@ type Sharded struct {
 	closeOnce sync.Once
 }
 
-// shardIn is one shard's routed input for a slide: its fixes, each
-// fix's index in the whole batch when the tier indexes emissions, and
+// shardIn is one shard's routed input for a slide: its fixes and
 // whether overload shedding is on for the slide.
 type shardIn struct {
-	fixes []ais.Fix
-	idx   []int32
-	shed  bool
+	recs []fixRec
+	shed bool
+}
+
+// fixRec is one routed fix in the form a shard ingests and its journal
+// keeps: the scalars ingest reads and the fix's index in the whole
+// batch (which the merge orders emissions by). It is pointer-free and
+// 32 bytes, so copying a slide into the journal is a memmove the
+// collector never scans.
+type fixRec struct {
+	mmsi     uint32
+	idx      int32
+	lon, lat float64
+	ns       int64
 }
 
 // shardOut is one shard's slide outcome.
@@ -308,7 +318,7 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 	n := len(s.shards)
 	s.slideSeq++
 	watchdog := s.heal != nil && s.timeout > 0
-	s.route(b, watchdog)
+	s.route(b)
 	var hook *func(shard, slide, attempt int)
 	if s.heal != nil {
 		hook = s.faultHook.Load()
@@ -332,7 +342,7 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 		s.completed[i] = false
 		s.skip[i] = s.outOfService(i)
 		if s.skip[i] {
-			s.dropped.Add(int64(len(s.in[i].fixes)))
+			s.dropped.Add(int64(len(s.in[i].recs)))
 			continue
 		}
 		if i >= firstPooled {
@@ -386,7 +396,7 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 		for i := range s.shards {
 			if !s.skip[i] {
 				m.shardDur[i].ObserveDuration(s.outs[i].dur)
-				m.shardFixes[i].Add(uint64(len(s.in[i].fixes)))
+				m.shardFixes[i].Add(uint64(len(s.in[i].recs)))
 			}
 		}
 		m.mergeDur.ObserveDuration(time.Since(mergeStart))
@@ -455,31 +465,22 @@ func (s *Sharded) collect(inFlight int, watchdog bool) {
 }
 
 // route splits the batch into the per-shard input buffers (reused
-// across slides): each fix goes to the shard owning its vessel, tagged
-// with its batch index when there is more than one shard. A lone shard
-// reads the batch in place unless the watchdog is armed: a shard it
-// abandons may still read its input after the caller has recycled the
-// batch, so that input is copied.
-func (s *Sharded) route(b stream.Batch, watchdog bool) {
+// across slides): each fix goes, as a fixRec tagged with its batch
+// index, to the shard owning its vessel. Every shard reads its own
+// copy, never the caller's batch, so a shard the watchdog abandons
+// cannot read a batch the caller has recycled.
+func (s *Sharded) route(b stream.Batch) {
 	n := len(s.shards)
 	shed := s.shedOn.Load()
-	if n == 1 && !watchdog {
-		s.in[0] = shardIn{fixes: b.Fixes, shed: shed}
-		return
-	}
 	for i := range s.in {
-		s.in[i].fixes = s.in[i].fixes[:0]
-		s.in[i].idx = s.in[i].idx[:0]
+		s.in[i].recs = s.in[i].recs[:0]
 		s.in[i].shed = shed
-	}
-	if n == 1 {
-		s.in[0].fixes = append(s.in[0].fixes, b.Fixes...)
-		return
 	}
 	for i, f := range b.Fixes {
 		sh := ShardOf(f.MMSI, n)
-		s.in[sh].fixes = append(s.in[sh].fixes, f)
-		s.in[sh].idx = append(s.in[sh].idx, int32(i))
+		s.in[sh].recs = append(s.in[sh].recs, fixRec{
+			mmsi: f.MMSI, idx: int32(i), lon: f.Pos.Lon, lat: f.Pos.Lat, ns: f.Time.UnixNano(),
+		})
 	}
 }
 
@@ -646,12 +647,7 @@ func (s *Sharded) Synopsis(mmsi uint32) []CriticalPoint {
 	if st == nil {
 		return nil
 	}
-	out := make([]CriticalPoint, 0, st.synopsis.Len())
-	st.synopsis.Each(func(_ time.Time, cp CriticalPoint) bool {
-		out = append(out, cp)
-		return true
-	})
-	return out
+	return st.synopsis.AppendValues(make([]CriticalPoint, 0, st.synopsis.Len()))
 }
 
 // Info returns the summary of one vessel; ok is false for vessels

@@ -88,11 +88,7 @@ func snapshotVessel(mmsi uint32, st *vesselState) VesselSnapshot {
 	vs.StopRun = runToFixes(mmsi, st.stopRun)
 	vs.SlowRun = runToFixes(mmsi, st.slowRun)
 	if n := st.synopsis.Len(); n > 0 {
-		vs.Synopsis = make([]CriticalPoint, 0, n)
-		st.synopsis.Each(func(_ time.Time, cp CriticalPoint) bool {
-			vs.Synopsis = append(vs.Synopsis, cp)
-			return true
-		})
+		vs.Synopsis = st.synopsis.AppendValues(make([]CriticalPoint, 0, n))
 	}
 	return vs
 }
@@ -127,19 +123,21 @@ func fixesToRun(fs []ais.Fix) []runFix {
 // restored state is bit-identical to the live one it mirrors.
 func restoreVessel(vs VesselSnapshot) *vesselState {
 	st := &vesselState{
-		mmsi:        vs.MMSI,
-		haveLast:    vs.HaveLast,
-		vPrev:       vs.VPrev,
-		haveV:       vs.HaveV,
-		outlierRun:  vs.OutlierRun,
-		gapOpen:     vs.GapOpen,
+		vesselCore: vesselCore{
+			mmsi:       vs.MMSI,
+			haveLast:   vs.HaveLast,
+			vPrev:      vs.VPrev,
+			haveV:      vs.HaveV,
+			outlierRun: vs.OutlierRun,
+			gapOpen:    vs.GapOpen,
+			stopped:    vs.Stopped,
+			slow:       vs.Slow,
+			odometerM:  vs.OdometerM,
+			departureM: vs.DepartureM,
+		},
 		stopRun:     fixesToRun(vs.StopRun),
-		stopped:     vs.Stopped,
 		slowRun:     fixesToRun(vs.SlowRun),
-		slow:        vs.Slow,
 		recentTurns: slices.Clone(vs.RecentTurns),
-		odometerM:   vs.OdometerM,
-		departureM:  vs.DepartureM,
 	}
 	if vs.HaveLast {
 		st.lastPos = vs.Last.Pos

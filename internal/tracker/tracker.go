@@ -86,8 +86,26 @@ type runFix struct {
 	tns int64
 }
 
-// vesselState is the per-vessel in-memory motion state.
+// vesselState is the per-vessel in-memory motion state: the scalar
+// core plus the windows and runs the detectors fold over.
 type vesselState struct {
+	vesselCore
+
+	recent      []velEntry // up to M latest velocity vectors (mean course)
+	recentTurns []float64  // signed heading deltas of the last m steps
+
+	// Long-term stop run: consecutive low-speed fixes (its aggregates
+	// live in the core).
+	stopRun []runFix
+	// Slow-motion run: consecutive slow (but moving) fixes.
+	slowRun []runFix
+
+	synopsis stream.TimeBuffer[CriticalPoint]
+}
+
+// vesselCore is the pointer-free part of a vessel's state, which a
+// self-heal re-base copies whole (see shardBase).
+type vesselCore struct {
 	mmsi     uint32
 	haveLast bool
 	lastPos  geo.Point
@@ -97,15 +115,12 @@ type vesselState struct {
 	vPrev geo.Velocity
 	haveV bool
 
-	recent []velEntry // up to M latest velocity vectors (mean course)
-
 	outlierRun int
 	gapOpen    bool
 
-	// Long-term stop run: consecutive low-speed fixes, with incremental
-	// centroid sums and a bounding box so the within-radius check is
-	// O(1) when the run obviously fits (see stopWithin).
-	stopRun    []runFix
+	// Long-term stop state, with incremental centroid sums and a
+	// bounding box over the stop run so the within-radius check is O(1)
+	// when the run obviously fits (see stopWithin).
 	stopped    bool
 	stopSumLon float64
 	stopSumLat float64
@@ -114,11 +129,7 @@ type vesselState struct {
 	stopMinLat float64
 	stopMaxLat float64
 
-	// Slow-motion run: consecutive slow (but moving) fixes.
-	slowRun []runFix
-	slow    bool
-
-	recentTurns []float64 // signed heading deltas of the last m steps
+	slow bool
 
 	// Odometers (the §3.1 extension the paper plans: "capture additional
 	// features, such as traveled distance from a given origin"): total
@@ -127,7 +138,6 @@ type vesselState struct {
 	odometerM  float64
 	departureM float64
 
-	synopsis   stream.TimeBuffer[CriticalPoint]
 	lastSeenNS int64
 	haveSeen   bool
 }
@@ -156,8 +166,8 @@ type SlideResult struct {
 }
 
 // slide advances the shard through one slide: it ingests the fixes
-// routed to it (in.idx, when the tier indexes emissions, holds each
-// fix's index in the whole batch), then runs the slide-time gap sweep
+// routed to it (each carrying its index in the whole batch, which
+// emission indexing records), then runs the slide-time gap sweep
 // and window eviction. It returns the offset into fresh where the
 // gap-sweep emissions start (they are ordered by MMSI, while
 // fresh[:gapStart] is ordered by triggering fix) and the expired delta
@@ -167,11 +177,9 @@ func (tr *shard) slide(in shardIn, q time.Time) (gapStart int, delta []CriticalP
 	tr.fresh = tr.fresh[:0]
 	tr.freshIdx = tr.freshIdx[:0]
 	tr.shedding = in.shed
-	for k, f := range in.fixes {
-		if in.idx != nil {
-			tr.curIdx = in.idx[k]
-		}
-		tr.ingest(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
+	for _, r := range in.recs {
+		tr.curIdx = r.idx
+		tr.ingest(r.mmsi, r.lon, r.lat, r.ns)
 	}
 	tr.curIdx = gapSentinel
 	gapStart = len(tr.fresh)
@@ -243,7 +251,7 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 		// first dozen fixes.
 		m := tr.params.M
 		st = &vesselState{
-			mmsi:        mmsi,
+			vesselCore:  vesselCore{mmsi: mmsi},
 			recent:      make([]velEntry, 0, m),
 			recentTurns: make([]float64, 0, m),
 			stopRun:     make([]runFix, 0, 2*m),
@@ -721,10 +729,7 @@ func (tr *shard) evict(q time.Time) []CriticalPoint {
 			st.synopsis.EvictBefore(cutoff)
 		}
 		if st.lastSeenNS <= cutoffNS {
-			st.synopsis.Each(func(_ time.Time, cp CriticalPoint) bool {
-				tr.delta = append(tr.delta, cp)
-				return true
-			})
+			tr.delta = st.synopsis.AppendValues(tr.delta)
 			delete(tr.vessels, mmsi)
 		}
 	}
