@@ -49,10 +49,11 @@ test-chaos:
 # Distributed-cluster equivalence suite: byte-identical output across
 # 1-process / cluster(1) / cluster(3), kill-one-worker exactly-once
 # restore, whole-cluster manifest restore, a restored worker's
-# replay-gap report, and the stalled-worker degradation path — all
-# over real loopback TCP, under the race detector.
+# replay-gap report, the stalled-worker degradation path, and the
+# router slices' feed wire (bit-identical re-serving, resume,
+# keepalives) — all over real loopback TCP, under the race detector.
 test-cluster:
-	go test -race -v -run 'TestCluster|TestWorker' ./internal/cluster/
+	go test -race -v -run 'TestCluster|TestWorker|TestRouter' ./internal/cluster/
 
 # Durable alert-log chaos suite: replica kills mid-stream with
 # subscriber failover, writer crash mid-segment (fault-injected), and

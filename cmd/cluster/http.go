@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -25,13 +23,17 @@ type healthzPayload struct {
 	Router       cluster.RouterStats `json:"router"`
 }
 
-// mux wires the cluster's HTTP surface: SSE alerts with Last-Event-ID
-// replay from the hub ring, the alert-history tail, cluster health, and
-// the metrics exposition.
+// mux wires the cluster's HTTP surface, the same endpoints as the
+// single-process gateway:
+//
+//	GET /events   live SSE alert stream (Last-Event-ID replay from the hub ring)
+//	GET /alerts   alert history from the hub ring (?n= newest; all without n)
+//	GET /healthz  folded worker health, merge and router accounting
+//	GET /metrics  Prometheus text exposition
 func mux(coord *cluster.Coordinator, router *cluster.Router, hub *serve.Hub, reg *obs.Registry) http.Handler {
 	m := http.NewServeMux()
-	m.Handle("/metrics", reg.Handler())
-	m.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	m.Handle("GET /metrics", reg.Handler())
+	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := coord.Stats()
 		h := coord.Health()
 		p := healthzPayload{
@@ -45,28 +47,13 @@ func mux(coord *cluster.Coordinator, router *cluster.Router, hub *serve.Hub, reg
 			Hub:          hub.Stats(),
 			Router:       router.Stats(),
 		}
-		writeJSON(w, p)
+		serve.WriteJSON(w, p)
 	})
-	m.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
-		n := 100
-		if raw := r.URL.Query().Get("n"); raw != "" {
-			if v, err := strconv.Atoi(raw); err == nil && v > 0 {
-				n = v
-			}
-		}
-		writeJSON(w, hub.Ring().Last(n))
-	})
+	m.HandleFunc("GET /alerts", serve.AlertsHandler(hub))
 	// The envelope sequence is the SSE event id, so a reconnecting client
 	// resumes from Last-Event-ID and sees every alert exactly once —
 	// including across a coordinator restart, because a manifest restore
 	// continues the hub's sequence.
-	m.Handle("/events", serve.EventsHandler(hub, 0, 0, nil))
+	m.Handle("GET /events", serve.EventsHandler(hub, 0, 0, nil))
 	return m
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -6,6 +6,13 @@
 // the merged event stream, and serves alerts and cluster health over
 // HTTP. Workers are separate cmd/worker processes, one per slice.
 //
+// Each slice is a feed.Server on the same NMEA wire as cmd/feed (with
+// the RESUME handshake and keepalives), so a worker reads its slice
+// exactly as a single process reads the upstream feed. Without -feed,
+// the upstream is an in-process static replay of the simulated fleet.
+// The HTTP endpoints are the gateway's: GET /events, GET /alerts (?n=
+// newest, the whole ring without n), GET /healthz and GET /metrics.
+//
 // A three-worker cluster on one machine:
 //
 //	cluster -workers 3 -vessels 300 -hours 3
@@ -191,7 +198,7 @@ func main() {
 	// downstream.
 	feedAddr := *live
 	if feedAddr == "" {
-		srv := &feed.Server{Fixes: sim.Run(), Speedup: *speedup, HandshakeWait: 2 * time.Second}
+		srv := &feed.Server{Source: feed.NewReplay(sim.Run()), Speedup: *speedup, HandshakeWait: feed.DefaultHandshakeWait}
 		addrCh := make(chan net.Addr, 1)
 		go func() {
 			if err := srv.ListenAndServe(ctx, "127.0.0.1:0", addrCh); err != nil {

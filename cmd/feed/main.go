@@ -39,7 +39,7 @@ func main() {
 		hours   = flag.Float64("hours", 6, "simulated duration")
 		seed    = flag.Int64("seed", 1, "world/fleet seed")
 		speedup = flag.Float64("speedup", 600, "time acceleration (0 = as fast as possible)")
-		hsWait  = flag.Duration("handshake-wait", 2*time.Second, "how long to wait for a RESUME handshake (0 disables resume)")
+		hsWait  = flag.Duration("handshake-wait", feed.DefaultHandshakeWait, "how long to wait for a RESUME handshake (0 disables resume)")
 
 		chaos        = flag.Bool("chaos", false, "serve through a fault-injection proxy")
 		chaosSeed    = flag.Int64("chaos-seed", 42, "fault schedule seed")
@@ -62,7 +62,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	srv := &feed.Server{Fixes: fixes, Speedup: *speedup, Logf: log.Printf, HandshakeWait: *hsWait}
+	srv := &feed.Server{Source: feed.NewReplay(fixes), Speedup: *speedup, Logf: log.Printf, HandshakeWait: *hsWait}
 	addrCh := make(chan net.Addr, 1)
 	go func() {
 		a := <-addrCh

@@ -247,7 +247,7 @@ func main() {
 		// simulation over loopback, so the ingest path (reconnecting
 		// client, ingest stage, health accounting) is the same either
 		// way — including the RESUME handshake a restored run performs.
-		srv := &feed.Server{Fixes: sim.Run(), Speedup: *speedup, HandshakeWait: 2 * time.Second}
+		srv := &feed.Server{Source: feed.NewReplay(sim.Run()), Speedup: *speedup, HandshakeWait: feed.DefaultHandshakeWait}
 		addrCh := make(chan net.Addr, 1)
 		go func() {
 			if err := srv.ListenAndServe(ctx, "127.0.0.1:0", addrCh); err != nil {

@@ -55,7 +55,7 @@ func main() {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := &feed.Server{Fixes: fixes, Speedup: 600, HandshakeWait: 2 * time.Second} // 3 h in ~18 s
+	srv := &feed.Server{Source: feed.NewReplay(fixes), Speedup: 600, HandshakeWait: feed.DefaultHandshakeWait} // 3 h in ~18 s
 	addrCh := make(chan net.Addr, 1)
 	go func() {
 		if err := srv.ListenAndServe(ctx, "127.0.0.1:0", addrCh); err != nil {

@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
+	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/ais"
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/feed"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
 	"repro/internal/serve"
@@ -43,19 +44,27 @@ func testFleet(t *testing.T, vessels, hours int) (*fleetsim.Simulator, []ais.Fix
 	return sim, fixes
 }
 
-// canonFixes round-trips the fixes through the feed wire's CSV form, so
-// the reference run sees exactly the coordinate rounding the cluster's
-// workers receive over the router sockets. The rounding is idempotent:
-// the router re-serializing a canonical fix reproduces it bit-for-bit.
+// canonFixes round-trips the fixes through a feed server's NMEA wire,
+// so the reference run sees exactly the coordinate quantisation the
+// cluster's workers receive. The encoding is idempotent: a router slice
+// re-serving a canonical fix reproduces it bit-for-bit
+// (TestRouterWireIsIdempotent).
 func canonFixes(t *testing.T, fixes []ais.Fix) []ais.Fix {
 	t.Helper()
-	var buf bytes.Buffer
-	for _, f := range fixes {
-		if err := ais.WriteFixCSV(&buf, f); err != nil {
-			t.Fatalf("canonicalizing fixes: %v", err)
-		}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("canonicalizing fixes: %v", err)
 	}
-	out, err := stream.Collect(ais.NewScanner(&buf))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := &feed.Server{Source: feed.NewReplay(fixes), HandshakeWait: feed.DefaultHandshakeWait}
+	go srv.Serve(ctx, ln)
+	c, err := feed.DialReconnecting(ln.Addr().String(), feed.DefaultRetryPolicy())
+	if err != nil {
+		t.Fatalf("canonicalizing fixes: %v", err)
+	}
+	defer c.Close()
+	out, err := stream.Collect(c)
 	if err != nil {
 		t.Fatalf("re-reading canonical fixes: %v", err)
 	}

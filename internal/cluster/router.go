@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,26 +29,16 @@ type RouterOptions struct {
 	// worker with a dead-peer timeout can tell an idle slice from a
 	// dead router.
 	KeepaliveEvery time.Duration
-	// HandshakeWait bounds the wait for the worker's "RESUME <unix>"
-	// greeting (default 2s).
-	HandshakeWait time.Duration
-	// WriteTimeout bounds each flush to a worker; a worker that stops
-	// reading for this long is dropped (default 10s) and must
-	// reconnect.
-	WriteTimeout time.Duration
 	// Logf receives lifecycle messages; nil silences them.
 	Logf func(format string, args ...any)
 }
 
-// RouterSliceStats counts one slice's serving life.
+// RouterSliceStats counts one slice's serving life: what its ring took
+// in and trimmed, and what its feed server did with its workers.
 type RouterSliceStats struct {
-	Dispatched    int // fixes routed into this slice
-	Trimmed       int // fixes dropped off the replay ring's horizon
-	ClientsServed int // slice connections accepted
-	Resumes       int // RESUME handshakes honored
-	ResumeSkipped int // fixes skipped as ≤ a resume cursor
-	Heartbeats    int // keepalive lines emitted
-	DeadClients   int // connections dropped on a write timeout/error
+	Dispatched int // fixes routed into this slice
+	Trimmed    int // fixes dropped off the replay ring's horizon
+	feed.ServerStats
 }
 
 // RouterStats aggregates the router's accounting.
@@ -59,14 +47,14 @@ type RouterStats struct {
 	Slices     []RouterSliceStats
 }
 
-// Router partitions a fix stream into per-vessel-slice feeds served
-// over the feed wire protocol: each slice listener speaks the same
-// line format and RESUME handshake as feed.Server, so workers consume
-// their slice through the ordinary reconnecting client with
-// exactly-once resume semantics.
+// Router partitions a fix stream into per-vessel-slice feeds. Each
+// slice is a feed.Ring served by its own feed.Server, so workers read
+// the same NMEA wire, RESUME handshake and keepalives as any feed
+// client, through the ordinary reconnecting client with exactly-once
+// resume semantics — and a fix already in wire form reaches its worker
+// bit-identical.
 type Router struct {
-	opt    RouterOptions
-	slices []*sliceFeed
+	slices []*feed.Server // slice i serves its ring, slices[i].Source
 
 	mu     sync.Mutex
 	cursor feed.Cursor // upstream cursor over every dispatched fix
@@ -74,24 +62,25 @@ type Router struct {
 
 // NewRouter builds a router with Workers slices.
 func NewRouter(opt RouterOptions) *Router {
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
 	if opt.RetainFixes <= 0 {
 		opt.RetainFixes = 1 << 16
 	}
 	if opt.KeepaliveEvery <= 0 {
 		opt.KeepaliveEvery = 2 * time.Second
 	}
-	if opt.HandshakeWait <= 0 {
-		opt.HandshakeWait = 2 * time.Second
-	}
-	if opt.WriteTimeout <= 0 {
-		opt.WriteTimeout = 10 * time.Second
-	}
-	r := &Router{opt: opt}
-	for i := 0; i < opt.Workers; i++ {
-		r.slices = append(r.slices, newSliceFeed(opt.RetainFixes))
+	r := &Router{}
+	for i := 0; i < max(opt.Workers, 1); i++ {
+		srv := &feed.Server{
+			Source:         feed.NewRing(opt.RetainFixes),
+			HandshakeWait:  feed.DefaultHandshakeWait,
+			KeepaliveEvery: opt.KeepaliveEvery,
+		}
+		if opt.Logf != nil {
+			srv.Logf = func(format string, args ...any) {
+				opt.Logf("slice %d: "+format, append([]any{i}, args...)...)
+			}
+		}
+		r.slices = append(r.slices, srv)
 	}
 	return r
 }
@@ -101,10 +90,11 @@ func (r *Router) Workers() int { return len(r.slices) }
 
 // ListenSlices binds one listener per slice ("host:port", port 0 picks
 // a free one; an empty addrs entry defaults to 127.0.0.1:0) and starts
-// serving. It returns the bound addresses, indexed by slice.
+// serving until ctx is cancelled. It returns the bound addresses,
+// indexed by slice.
 func (r *Router) ListenSlices(ctx context.Context, addrs []string) ([]net.Addr, error) {
 	bound := make([]net.Addr, len(r.slices))
-	for i := range r.slices {
+	for i, srv := range r.slices {
 		addr := "127.0.0.1:0"
 		if i < len(addrs) && addrs[i] != "" {
 			addr = addrs[i]
@@ -114,25 +104,13 @@ func (r *Router) ListenSlices(ctx context.Context, addrs []string) ([]net.Addr, 
 			return nil, fmt.Errorf("cluster: router slice %d listen %s: %w", i, addr, err)
 		}
 		bound[i] = ln.Addr()
-		go r.serveSlice(ctx, i, ln)
+		go func() {
+			if err := srv.Serve(ctx, ln); err != nil && srv.Logf != nil {
+				srv.Logf("%v", err)
+			}
+		}()
 	}
 	return bound, nil
-}
-
-// serveSlice accepts worker connections for one slice.
-func (r *Router) serveSlice(ctx context.Context, i int, ln net.Listener) {
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		r.logf("slice %d: worker %s connected", i, conn.RemoteAddr())
-		go r.streamSlice(ctx, i, conn)
-	}
 }
 
 // Dispatch routes one fix to its slice and advances the upstream
@@ -142,14 +120,14 @@ func (r *Router) Dispatch(f ais.Fix) {
 	r.mu.Lock()
 	r.cursor.Note(f)
 	r.mu.Unlock()
-	r.slices[tracker.ShardOf(f.MMSI, len(r.slices))].append(f)
+	r.slices[tracker.ShardOf(f.MMSI, len(r.slices))].Source.Append(f)
 }
 
 // Finish marks the stream complete: slice connections drain their ring
 // and close cleanly, so workers observe an ordinary end of feed.
 func (r *Router) Finish() {
-	for _, s := range r.slices {
-		s.finish()
+	for _, srv := range r.slices {
+		srv.Source.Finish()
 	}
 }
 
@@ -179,17 +157,17 @@ func (r *Router) Cursor() feed.Cursor {
 // Stats snapshots the router's accounting.
 func (r *Router) Stats() RouterStats {
 	out := RouterStats{Slices: make([]RouterSliceStats, len(r.slices))}
-	for i, s := range r.slices {
-		out.Slices[i] = s.stats()
+	for i := range r.slices {
+		out.Slices[i] = r.sliceStats(i)
 		out.Dispatched += out.Slices[i].Dispatched
 	}
 	return out
 }
 
-func (r *Router) logf(format string, args ...any) {
-	if r.opt.Logf != nil {
-		r.opt.Logf(format, args...)
-	}
+func (r *Router) sliceStats(i int) RouterSliceStats {
+	srv := r.slices[i]
+	rs := srv.Source.Stats()
+	return RouterSliceStats{Dispatched: rs.Appended, Trimmed: rs.Trimmed, ServerStats: srv.Stats()}
 }
 
 // RegisterMetrics exposes the router's per-slice partition series:
@@ -197,10 +175,9 @@ func (r *Router) logf(format string, args ...any) {
 // workers.
 func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	for i := range r.slices {
-		s := r.slices[i]
 		labels := obs.Labels{"slice": strconv.Itoa(i)}
 		get := func(f func(RouterSliceStats) int) func() float64 {
-			return func() float64 { return float64(f(s.stats())) }
+			return func() float64 { return float64(f(r.sliceStats(i))) }
 		}
 		reg.CounterFunc("maritime_cluster_router_dispatched_total",
 			"Fixes routed into this vessel slice.", labels,
@@ -216,221 +193,6 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 			get(func(st RouterSliceStats) int { return st.Heartbeats }))
 		reg.CounterFunc("maritime_cluster_router_dead_clients_total",
 			"Worker connections dropped on a write timeout or error.", labels,
-			get(func(st RouterSliceStats) int { return st.DeadClients }))
+			get(func(st RouterSliceStats) int { return st.WriteErrors }))
 	}
-}
-
-// streamSlice serves one worker connection: RESUME handshake, replay
-// from the ring, then follow the live stream with idle heartbeats.
-func (r *Router) streamSlice(ctx context.Context, i int, conn net.Conn) {
-	defer conn.Close()
-	s := r.slices[i]
-	s.count(func(st *RouterSliceStats) { st.ClientsServed++ })
-	cursor := r.handshake(i, conn)
-
-	w := newLineWriter(conn, r.opt.WriteTimeout)
-	pos, skipped := s.resumePos(cursor)
-	if skipped > 0 {
-		s.count(func(st *RouterSliceStats) { st.ResumeSkipped += skipped })
-	}
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		fixes, next, done, notify := s.window(pos)
-		for _, f := range fixes {
-			if err := w.writeFix(f); err != nil {
-				s.count(func(st *RouterSliceStats) { st.DeadClients++ })
-				r.logf("slice %d: worker %s dropped: %v", i, conn.RemoteAddr(), err)
-				return
-			}
-		}
-		pos = next
-		if err := w.flush(); err != nil {
-			s.count(func(st *RouterSliceStats) { st.DeadClients++ })
-			r.logf("slice %d: worker %s dropped: %v", i, conn.RemoteAddr(), err)
-			return
-		}
-		if done {
-			r.logf("slice %d: worker %s finished (%d fixes)", i, conn.RemoteAddr(), pos)
-			return
-		}
-		if len(fixes) == 0 {
-			// Caught up on a live stream: wait for traffic, heartbeating
-			// so the worker's dead-peer detector stays quiet.
-			select {
-			case <-ctx.Done():
-				return
-			case <-notify:
-			case <-time.After(r.opt.KeepaliveEvery):
-				if err := w.heartbeat(); err != nil {
-					s.count(func(st *RouterSliceStats) { st.DeadClients++ })
-					return
-				}
-				s.count(func(st *RouterSliceStats) { st.Heartbeats++ })
-			}
-		}
-	}
-}
-
-// handshake reads the worker's "RESUME <unix>" greeting, mirroring
-// feed.Server's semantics: nil means full replay.
-func (r *Router) handshake(i int, conn net.Conn) *int64 {
-	conn.SetReadDeadline(time.Now().Add(r.opt.HandshakeWait))
-	defer conn.SetReadDeadline(time.Time{})
-	line := make([]byte, 0, 32)
-	buf := make([]byte, 1)
-	for len(line) < 64 {
-		if _, err := conn.Read(buf); err != nil {
-			return nil
-		}
-		if buf[0] == '\n' {
-			break
-		}
-		line = append(line, buf[0])
-	}
-	fields := strings.Fields(string(line))
-	if len(fields) != 2 || fields[0] != "RESUME" {
-		return nil
-	}
-	cursor, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil || cursor < 0 {
-		return nil
-	}
-	r.slices[i].count(func(st *RouterSliceStats) { st.Resumes++ })
-	r.logf("slice %d: worker %s resumes after %d", i, conn.RemoteAddr(), cursor)
-	return &cursor
-}
-
-// sliceFeed is one slice's bounded replay ring plus live fan-out. Fixes
-// are indexed by a monotone sequence; the ring holds [start, start+len)
-// and trims its oldest entries when full.
-type sliceFeed struct {
-	mu     sync.Mutex
-	buf    []ais.Fix
-	start  int // sequence number of buf[0]
-	bound  int
-	done   bool
-	notify chan struct{}
-	st     RouterSliceStats
-}
-
-func newSliceFeed(bound int) *sliceFeed {
-	return &sliceFeed{bound: bound, notify: make(chan struct{})}
-}
-
-func (s *sliceFeed) append(f ais.Fix) {
-	s.mu.Lock()
-	s.buf = append(s.buf, f)
-	s.st.Dispatched++
-	if len(s.buf) > s.bound {
-		n := len(s.buf) - s.bound
-		s.buf = s.buf[n:]
-		s.start += n
-		s.st.Trimmed += n
-	}
-	close(s.notify)
-	s.notify = make(chan struct{})
-	s.mu.Unlock()
-}
-
-func (s *sliceFeed) finish() {
-	s.mu.Lock()
-	s.done = true
-	close(s.notify)
-	s.notify = make(chan struct{})
-	s.mu.Unlock()
-}
-
-// resumePos returns the ring position of the first fix strictly newer
-// than the cursor, and how many retained fixes the cursor skips.
-func (s *sliceFeed) resumePos(cursor *int64) (pos, skipped int) {
-	if cursor == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.buf) && s.buf[i].Time.Unix() <= *cursor {
-		i++
-	}
-	return s.start + i, i
-}
-
-// window copies the retained fixes at and after pos, returning the next
-// position, whether the stream is complete past it, and a channel that
-// signals the next append.
-func (s *sliceFeed) window(pos int) (fixes []ais.Fix, next int, done bool, notify chan struct{}) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := pos - s.start
-	if i < 0 {
-		// The requested position fell off the ring's horizon; resume at
-		// the oldest retained fix. The trimmed prefix is already counted.
-		i = 0
-	}
-	if i < len(s.buf) {
-		fixes = append(fixes, s.buf[i:]...)
-	}
-	// The window always extends to the newest retained fix, so once the
-	// stream is finished the returned batch completes the replay.
-	next = s.start + len(s.buf)
-	return fixes, next, s.done, s.notify
-}
-
-func (s *sliceFeed) count(fn func(*RouterSliceStats)) {
-	s.mu.Lock()
-	fn(&s.st)
-	s.mu.Unlock()
-}
-
-func (s *sliceFeed) stats() RouterSliceStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st
-}
-
-// lineWriter renders fixes in the feed wire protocol's CSV form with a
-// per-flush write deadline.
-type lineWriter struct {
-	conn    net.Conn
-	w       *strings.Builder
-	timeout time.Duration
-}
-
-func newLineWriter(conn net.Conn, timeout time.Duration) *lineWriter {
-	return &lineWriter{conn: conn, w: &strings.Builder{}, timeout: timeout}
-}
-
-func (l *lineWriter) writeFix(f ais.Fix) error {
-	if err := ais.WriteFixCSV(l.w, f); err != nil {
-		return err
-	}
-	if l.w.Len() >= 32*1024 {
-		return l.flush()
-	}
-	return nil
-}
-
-func (l *lineWriter) heartbeat() error {
-	fmt.Fprintf(l.w, "# HB %d\n", time.Now().Unix())
-	return l.flush()
-}
-
-func (l *lineWriter) flush() error {
-	if l.w.Len() == 0 {
-		return nil
-	}
-	if err := l.conn.SetWriteDeadline(time.Now().Add(l.timeout)); err != nil {
-		return err
-	}
-	_, err := l.conn.Write([]byte(l.w.String()))
-	l.w.Reset()
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return fmt.Errorf("write timeout after %s: %w", l.timeout, err)
-		}
-	}
-	return err
 }

@@ -10,51 +10,18 @@ import (
 	"time"
 
 	"repro/internal/ais"
+	"repro/internal/feed"
 	"repro/internal/geo"
+	"repro/internal/stream"
+	"repro/internal/tracker"
 )
 
 func testFix(mmsi uint32, sec int64) ais.Fix {
 	return ais.Fix{MMSI: mmsi, Pos: geo.Point{Lon: 23.5, Lat: 37.9}, Time: time.Unix(sec, 0).UTC()}
 }
 
-// The replay ring trims its oldest fixes past the bound, and the loss
-// is counted, never silent.
-func TestSliceFeedTrimAccounting(t *testing.T) {
-	s := newSliceFeed(4)
-	for i := int64(0); i < 10; i++ {
-		s.append(testFix(1, 1000+i))
-	}
-	st := s.stats()
-	if st.Dispatched != 10 || st.Trimmed != 6 {
-		t.Fatalf("want 10 dispatched / 6 trimmed, got %d / %d", st.Dispatched, st.Trimmed)
-	}
-	fixes, next, done, _ := s.window(0)
-	if len(fixes) != 4 || fixes[0].Time.Unix() != 1006 {
-		t.Fatalf("window after trim: %d fixes from %v", len(fixes), fixes[0].Time)
-	}
-	if next != 10 || done {
-		t.Fatalf("want next=10 done=false, got next=%d done=%v", next, done)
-	}
-}
-
-// A resume cursor skips everything at or before its second.
-func TestSliceFeedResumePos(t *testing.T) {
-	s := newSliceFeed(100)
-	for i := int64(0); i < 5; i++ {
-		s.append(testFix(1, 1000+i))
-	}
-	cursor := int64(1002)
-	pos, skipped := s.resumePos(&cursor)
-	if pos != 3 || skipped != 3 {
-		t.Fatalf("resume after 1002: want pos=3 skipped=3, got %d/%d", pos, skipped)
-	}
-	if pos, skipped := s.resumePos(nil); pos != 0 || skipped != 0 {
-		t.Fatalf("full replay: want 0/0, got %d/%d", pos, skipped)
-	}
-}
-
 // A slice connection speaks the feed wire protocol: RESUME handshake,
-// CSV fixes, keepalive comments while idle, clean close on Finish.
+// NMEA fixes, keepalive comments while idle, clean close on Finish.
 func TestRouterSliceServesResumeAndHeartbeats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -85,7 +52,7 @@ func TestRouterSliceServesResumeAndHeartbeats(t *testing.T) {
 		switch {
 		case strings.HasPrefix(line, "# HB "):
 			heartbeats++
-		case strings.HasPrefix(line, "7,"):
+		case strings.Contains(line, " !AIVDM,"):
 			fixes++
 		default:
 			t.Fatalf("unexpected line %q", line)
@@ -103,6 +70,11 @@ func TestRouterSliceServesResumeAndHeartbeats(t *testing.T) {
 		t.Fatalf("stream did not close cleanly: %v", err)
 	}
 
+	// The server accounts the connection once it has closed it.
+	deadline := time.Now().Add(2 * time.Second)
+	for r.Stats().Slices[0].ClientsServed == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	st := r.Stats().Slices[0]
 	if st.Resumes != 1 || st.ResumeSkipped != 2 {
 		t.Errorf("want 1 resume skipping 2 fixes, got %d/%d", st.Resumes, st.ResumeSkipped)
@@ -137,5 +109,58 @@ func TestRouterPartitionsAndCursor(t *testing.T) {
 	}
 	if cur := r.Cursor(); cur.Sec != 3009 {
 		t.Errorf("upstream cursor at %d, want 3009", cur.Sec)
+	}
+}
+
+// Fixes already in feed-wire form come back off a router slice
+// bit-identical: the slices serve the same NMEA wire the upstream feed
+// does, so routing changes no coordinate and every cluster width sees
+// the single-process input.
+func TestRouterWireIsIdempotent(t *testing.T) {
+	_, raw := testFleet(t, 40, 2)
+	fixes := canonFixes(t, raw)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const workers = 2
+	r := NewRouter(RouterOptions{Workers: workers, RetainFixes: len(fixes)})
+	addrs, err := r.ListenSlices(ctx, nil)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	for _, f := range fixes {
+		r.Dispatch(f)
+	}
+	r.Finish()
+
+	var read int
+	for i, addr := range addrs {
+		var want []ais.Fix
+		for _, f := range fixes {
+			if tracker.ShardOf(f.MMSI, workers) == i {
+				want = append(want, f)
+			}
+		}
+		c, err := feed.DialReconnecting(addr.String(), feed.DefaultRetryPolicy())
+		if err != nil {
+			t.Fatalf("slice %d: %v", i, err)
+		}
+		got, err := stream.Collect(c)
+		c.Close()
+		if err != nil {
+			t.Fatalf("slice %d: %v", i, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("slice %d: read %d fixes, dispatched %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].MMSI != want[j].MMSI || got[j].Pos != want[j].Pos || !got[j].Time.Equal(want[j].Time) {
+				t.Fatalf("slice %d fix %d: read %v (%.9f, %.9f), dispatched %v (%.9f, %.9f)", i, j,
+					got[j], got[j].Pos.Lon, got[j].Pos.Lat, want[j], want[j].Pos.Lon, want[j].Pos.Lat)
+			}
+		}
+		read += len(got)
+	}
+	if read != len(fixes) {
+		t.Fatalf("read %d fixes across the slices, dispatched %d", read, len(fixes))
 	}
 }

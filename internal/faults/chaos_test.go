@@ -99,7 +99,7 @@ func TestChaosEndToEnd(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := &feed.Server{Fixes: fixes, Speedup: 0, HandshakeWait: 2 * time.Second}
+	srv := &feed.Server{Source: feed.NewReplay(fixes), HandshakeWait: feed.DefaultHandshakeWait}
 	srvAddr := make(chan net.Addr, 1)
 	go srv.ListenAndServe(ctx, "127.0.0.1:0", srvAddr)
 	upstream := (<-srvAddr).String()

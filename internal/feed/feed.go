@@ -1,17 +1,25 @@
 // Package feed provides the live AIS feed integration the paper plans
 // for its deployment (§7: "we soon expect to be given access to live
-// AIS feeds from all vessels across the Aegean Sea"): a TCP server that
-// replays a positional stream as timestamped NMEA AIVDM lines at a
-// configurable time acceleration, and a client that connects to such a
-// feed and exposes it as a FixSource for the surveillance pipeline.
+// AIS feeds from all vessels across the Aegean Sea"), as the one
+// implementation of the feed wire protocol on both ends.
+//
+// The wire is line-oriented: each fix is "<unix> !AIVDM…" (a
+// timestamped NMEA AIVDM sentence), idle stretches carry "# HB <unix>"
+// comment lines, and a client may open with "RESUME <unix>" to be
+// replayed only the fixes strictly after that second.
+//
+// Server serves a Ring over that wire. A static replay (cmd/feed, the
+// self-contained cmd/serve and cmd/cluster) is a ring built full and
+// finished, paced by the original timestamps; the cluster router's
+// vessel slices are live rings it appends to. ReconnectingClient is the
+// one client: it re-dials dropped connections, resumes with the
+// handshake and discards the duplicates replayed around its cursor.
 package feed
 
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -20,6 +28,16 @@ import (
 
 	"repro/internal/ais"
 )
+
+// DefaultHandshakeWait is how long every server in this repository
+// waits for a client's optional RESUME greeting. ReconnectingClient
+// greets at once, so only a client that sends nothing pays it.
+const DefaultHandshakeWait = 2 * time.Second
+
+// writeTimeout bounds every write to a client: one that stops reading
+// for this long is dropped (counted in WriteErrors) and must reconnect.
+// Tests shorten it.
+var writeTimeout = 10 * time.Second
 
 // ServerStats counts what the feed server did and why it dropped
 // output, mirroring ais.ScannerStats on the producing side: encode and
@@ -30,15 +48,17 @@ type ServerStats struct {
 	Resumes       int // RESUME handshakes honored
 	ResumeSkipped int // fixes skipped because they were ≤ a resume cursor
 	EncodeErrors  int // fixes dropped because NMEA encoding failed
-	WriteErrors   int // client connections dropped on a write error
+	WriteErrors   int // client connections dropped on a write error or timeout
 	Heartbeats    int // keepalive comment lines emitted during idle stretches
 }
 
-// Server replays a fix stream to every connected client, paced by the
+// Server replays a Ring to every connected client, paced by the
 // original timestamps divided by Speedup (Speedup 0 or ≥ 1e6 replays
-// as fast as the sockets drain).
+// as fast as the sockets drain). A client that catches up with a live
+// ring waits for the next append; once the ring is finished and
+// drained, the connection closes cleanly.
 type Server struct {
-	Fixes   []ais.Fix
+	Source  *Ring
 	Speedup float64
 	// Logf receives connection lifecycle messages; nil silences them.
 	Logf func(format string, args ...any)
@@ -48,27 +68,21 @@ type Server struct {
 	// timestamp strictly greater than the cursor; clients that send
 	// nothing get the full stream after the wait elapses.
 	HandshakeWait time.Duration
-	// KeepaliveEvery, when positive, emits a "# HB <stream-unix>"
-	// comment line whenever a paced replay would otherwise stay silent
-	// for that long. The scanner on the other end skips comment lines
-	// (counted as Blank), so heartbeats cost nothing semantically but
-	// let a client with a read timeout distinguish an idle stream from
-	// a dead peer.
+	// KeepaliveEvery, when positive, emits a "# HB <unix>" comment line
+	// whenever the server would otherwise stay silent for that long,
+	// pacing a replay or waiting on a live ring. The scanner on the
+	// other end skips comment lines (counted as Blank), so heartbeats
+	// cost nothing semantically but let a client with a read timeout
+	// distinguish an idle stream from a dead peer.
 	KeepaliveEvery time.Duration
 
-	mu       sync.Mutex
-	listener net.Listener
-	stats    ServerStats
+	mu    sync.Mutex
+	stats ServerStats
 }
 
-// Serve listens on addr ("host:port", port 0 picks a free one) and
-// streams to each client until ctx is cancelled. It returns the bound
-// address on a channel-free API: call Addr after Serve has started, or
-// use ListenAndServe for the common case.
+// Serve streams to each client accepted on ln until ctx is cancelled,
+// which closes ln.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
 	go func() {
 		<-ctx.Done()
 		ln.Close()
@@ -86,9 +100,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// ListenAndServe binds addr and serves until ctx is cancelled. The
-// bound address is reported through addrCh (buffered, length 1) before
-// the first Accept.
+// ListenAndServe binds addr ("host:port", port 0 picks a free one) and
+// serves until ctx is cancelled. The bound address is reported through
+// addrCh (buffered, length 1) before the first Accept.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, addrCh chan<- net.Addr) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -101,11 +115,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, addrCh chan<- 
 }
 
 // ClientsServed returns how many client connections completed.
-func (s *Server) ClientsServed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.ClientsServed
-}
+func (s *Server) ClientsServed() int { return s.Stats().ClientsServed }
 
 // Stats returns a snapshot of the server's drop and resume counters.
 func (s *Server) Stats() ServerStats {
@@ -130,90 +140,147 @@ func (s *Server) logf(format string, args ...any) {
 // accounting.
 var encodeSentences = ais.EncodeSentences
 
-// stream writes the fix stream to one client.
+// deadlineWriter arms the write deadline before every write to conn.
+type deadlineWriter struct{ conn net.Conn }
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	if err := d.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		return 0, err
+	}
+	return d.conn.Write(p)
+}
+
+// stream serves one client: handshake, replay from the resume position,
+// then follow the ring until it is finished and drained.
 func (s *Server) stream(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	defer s.count(func(st *ServerStats) { st.ClientsServed++ })
-	cursor := s.handshake(conn)
-	w := bufio.NewWriter(conn)
-	var streamStart time.Time
-	var wallStart time.Time
-	paced := false
-	for i, f := range s.Fixes {
-		if ctx.Err() != nil {
-			return
-		}
-		if cursor != nil && f.Time.Unix() <= *cursor {
-			s.count(func(st *ServerStats) { st.ResumeSkipped++ })
-			continue
-		}
-		if s.Speedup > 0 && s.Speedup < 1e6 {
-			if !paced {
-				streamStart = f.Time
-				wallStart = time.Now()
-				paced = true
-			} else {
-				due := wallStart.Add(time.Duration(float64(f.Time.Sub(streamStart)) / s.Speedup))
-				for {
-					d := time.Until(due)
-					if d <= 0 {
-						break
-					}
-					if s.KeepaliveEvery > 0 && d > s.KeepaliveEvery {
-						d = s.KeepaliveEvery
-					}
-					select {
-					case <-ctx.Done():
+	pos, skipped := s.Source.resumePos(s.handshake(conn))
+	if skipped > 0 {
+		s.count(func(st *ServerStats) { st.ResumeSkipped += skipped })
+	}
+	w := bufio.NewWriter(deadlineWriter{conn})
+	paced := s.Speedup > 0 && s.Speedup < 1e6
+	var streamStart, wallStart time.Time
+	for {
+		fixes, first, done, notify := s.Source.window(pos)
+		for j, f := range fixes {
+			if ctx.Err() != nil {
+				return
+			}
+			if paced {
+				if wallStart.IsZero() {
+					streamStart, wallStart = f.Time, time.Now()
+				} else {
+					due := wallStart.Add(time.Duration(float64(f.Time.Sub(streamStart)) / s.Speedup))
+					if time.Until(due) > 0 && !s.wait(ctx, w, conn, due, nil) {
 						return
-					case <-time.After(d):
-					}
-					if s.KeepaliveEvery > 0 && time.Until(due) > 0 {
-						// Still waiting: reassure the client we are alive.
-						if !s.heartbeat(w, conn) {
-							return
-						}
 					}
 				}
 			}
-		}
-		report := &ais.PositionReport{
-			Type: ais.TypePositionA, MMSI: f.MMSI,
-			Lon: f.Pos.Lon, Lat: f.Pos.Lat,
-			UTCSecond: f.Time.Second(),
-		}
-		lines, err := encodeSentences(report, "A", i)
-		if err != nil {
-			s.count(func(st *ServerStats) { st.EncodeErrors++ })
-			s.logf("encode: %v", err)
-			continue
-		}
-		for _, line := range lines {
-			if _, err := fmt.Fprintf(w, "%d %s\n", f.Time.Unix(), line); err != nil {
-				s.count(func(st *ServerStats) { st.WriteErrors++ })
-				s.logf("client %s dropped: %v", conn.RemoteAddr(), err)
-				return
+			lines, err := encodeSentences(&ais.PositionReport{
+				Type: ais.TypePositionA, MMSI: f.MMSI,
+				Lon: f.Pos.Lon, Lat: f.Pos.Lat,
+				UTCSecond: f.Time.Second(),
+			}, "A", first+j)
+			if err != nil {
+				s.count(func(st *ServerStats) { st.EncodeErrors++ })
+				s.logf("encode: %v", err)
+				continue
+			}
+			for _, line := range lines {
+				w.WriteString(strconv.FormatInt(f.Time.Unix(), 10))
+				w.WriteByte(' ')
+				w.WriteString(line)
+				// The writer's error is sticky, so this reports any
+				// failed write of the fix.
+				if err := w.WriteByte('\n'); err != nil {
+					s.drop(conn, err)
+					return
+				}
 			}
 		}
-		// Flush per fix so paced clients see data promptly.
-		if err := w.Flush(); err != nil {
-			s.count(func(st *ServerStats) { st.WriteErrors++ })
+		pos = first + len(fixes)
+		if done {
+			if s.flush(w, conn) {
+				s.logf("client %s finished (%d fixes)", conn.RemoteAddr(), pos)
+			}
+			return
+		}
+		if len(fixes) == 0 && !s.wait(ctx, w, conn, time.Time{}, notify) {
 			return
 		}
 	}
-	s.logf("client %s finished (%d fixes)", conn.RemoteAddr(), len(s.Fixes))
 }
 
-// heartbeat writes one keepalive comment line, reporting success.
-func (s *Server) heartbeat(w *bufio.Writer, conn net.Conn) bool {
-	if _, err := fmt.Fprintf(w, "# HB %d\n", time.Now().Unix()); err == nil {
-		if err = w.Flush(); err == nil {
-			s.count(func(st *ServerStats) { st.Heartbeats++ })
+// wait flushes what is buffered, then blocks until due (zero: no
+// deadline) or until notify fires, writing a heartbeat after every
+// KeepaliveEvery of silence. It reports whether to keep streaming.
+func (s *Server) wait(ctx context.Context, w *bufio.Writer, conn net.Conn, due time.Time, notify <-chan struct{}) bool {
+	if !s.flush(w, conn) {
+		return false
+	}
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		d := time.Until(due)
+		if !due.IsZero() && d <= 0 {
 			return true
 		}
+		heartbeat := s.KeepaliveEvery > 0 && (due.IsZero() || d > s.KeepaliveEvery)
+		if heartbeat {
+			d = s.KeepaliveEvery
+		}
+		var tick <-chan time.Time
+		if heartbeat || !due.IsZero() {
+			// The previous tick, if any, was received: Reset is safe.
+			if timer == nil {
+				timer = time.NewTimer(d)
+			} else {
+				timer.Reset(d)
+			}
+			tick = timer.C
+		}
+		select {
+		case <-ctx.Done():
+			return false
+		case <-notify:
+			return true
+		case <-tick:
+		}
+		if heartbeat {
+			// Still waiting: reassure the client we are alive.
+			fmt.Fprintf(w, "# HB %d\n", time.Now().Unix())
+			if !s.flush(w, conn) {
+				return false
+			}
+			s.count(func(st *ServerStats) { st.Heartbeats++ })
+		}
 	}
+}
+
+// flush writes out the buffered lines, dropping the client on failure.
+func (s *Server) flush(w *bufio.Writer, conn net.Conn) bool {
+	if err := w.Flush(); err != nil {
+		s.drop(conn, err)
+		return false
+	}
+	return true
+}
+
+// drop counts a failed write and arms a reset for the close: a client
+// that stopped reading must see a fault to reconnect and resume from,
+// not the clean close that means the feed is finished.
+func (s *Server) drop(conn net.Conn, err error) {
 	s.count(func(st *ServerStats) { st.WriteErrors++ })
-	s.logf("client %s dropped on heartbeat", conn.RemoteAddr())
-	return false
+	s.logf("client %s dropped: %v", conn.RemoteAddr(), err)
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetLinger(0)
+	}
 }
 
 // handshake waits up to HandshakeWait for an optional "RESUME <unix>"
@@ -243,89 +310,10 @@ func (s *Server) handshake(conn net.Conn) *int64 {
 		return nil
 	}
 	cursor, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return nil
-	}
-	if cursor < 0 {
+	if err != nil || cursor < 0 {
 		return nil // a fresh session's greeting: full replay
 	}
 	s.count(func(st *ServerStats) { st.Resumes++ })
 	s.logf("client %s resumes after %d", conn.RemoteAddr(), cursor)
 	return &cursor
-}
-
-// Client consumes a live feed as a FixSource: it dials the feed address
-// and scans cleaned fixes off the wire. Close when done.
-type Client struct {
-	conn    net.Conn
-	scanner *ais.Scanner
-}
-
-// Dial connects to a feed server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("feed: dial: %w", err)
-	}
-	return &Client{conn: conn, scanner: ais.NewScanner(conn)}, nil
-}
-
-// NewClient wraps an existing connection (e.g. one end of net.Pipe in
-// tests).
-func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, scanner: ais.NewScanner(conn)}
-}
-
-// Scan advances to the next fix from the wire.
-func (c *Client) Scan() bool { return c.scanner.Scan() }
-
-// Fix returns the current fix.
-func (c *Client) Fix() ais.Fix { return c.scanner.Fix() }
-
-// Err returns the first transport or scan error, filtering the EOF of
-// a finished feed. A feed that ends mid-line after an otherwise clean
-// finish surfaces as io.ErrUnexpectedEOF (possibly wrapped); that is
-// still a finished feed, not a transport failure.
-func (c *Client) Err() error {
-	err := c.scanner.Err()
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil
-	}
-	return err
-}
-
-// Stats exposes the underlying scanner's drop counters.
-func (c *Client) Stats() ais.ScannerStats { return c.scanner.Stats() }
-
-// Close terminates the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// StreamClient is the closable FixSource both feed clients implement.
-type StreamClient interface {
-	Scan() bool
-	Fix() ais.Fix
-	Err() error
-	Close() error
-}
-
-// Relay pumps a client's fixes into a callback until the feed ends or
-// ctx is cancelled, a convenience for live pipelines.
-func Relay(ctx context.Context, c StreamClient, fn func(ais.Fix)) error {
-	done := make(chan struct{})
-	var scanErr error
-	go func() {
-		defer close(done)
-		for c.Scan() {
-			fn(c.Fix())
-		}
-		scanErr = c.Err()
-	}()
-	select {
-	case <-ctx.Done():
-		c.Close()
-		<-done
-		return ctx.Err()
-	case <-done:
-		return scanErr
-	}
 }

@@ -33,8 +33,9 @@ func TestServerKeepaliveHeartbeats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// 30 s of stream time at 100× ≈ 300 ms of wall idle between fixes.
+	want := pacedFixes(30 * time.Second)
 	srv := &Server{
-		Fixes:          pacedFixes(30 * time.Second),
+		Source:         NewReplay(want),
 		Speedup:        100,
 		HandshakeWait:  200 * time.Millisecond,
 		KeepaliveEvery: 40 * time.Millisecond,
@@ -60,8 +61,8 @@ func TestServerKeepaliveHeartbeats(t *testing.T) {
 			fixes++
 		}
 	}
-	if fixes != len(srv.Fixes) {
-		t.Errorf("received %d fix lines, want %d", fixes, len(srv.Fixes))
+	if fixes != len(want) {
+		t.Errorf("received %d fix lines, want %d", fixes, len(want))
 	}
 	if heartbeats == 0 {
 		t.Error("no heartbeat lines crossed the idle stretch")
@@ -77,8 +78,9 @@ func TestServerKeepaliveHeartbeats(t *testing.T) {
 func TestDeadPeerQuietWhenHeartbeatsFlow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	fixes := pacedFixes(30 * time.Second)
 	srv := &Server{
-		Fixes:          pacedFixes(30 * time.Second),
+		Source:         NewReplay(fixes),
 		Speedup:        100,
 		HandshakeWait:  200 * time.Millisecond,
 		KeepaliveEvery: 40 * time.Millisecond,
@@ -102,8 +104,8 @@ func TestDeadPeerQuietWhenHeartbeatsFlow(t *testing.T) {
 	if err := client.Err(); err != nil {
 		t.Fatalf("client error: %v", err)
 	}
-	if len(got) != len(srv.Fixes) {
-		t.Fatalf("received %d fixes, want %d", len(got), len(srv.Fixes))
+	if len(got) != len(fixes) {
+		t.Fatalf("received %d fixes, want %d", len(got), len(fixes))
 	}
 	ns := client.NetStats()
 	if ns.DeadPeers != 0 || ns.Reconnects != 0 {

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -15,7 +14,7 @@ import (
 // client's own Stats/NetStats report.
 func TestClientMetricsExport(t *testing.T) {
 	fixes := testFixes(50)
-	srv := &Server{Fixes: fixes, Logf: t.Logf, HandshakeWait: 2 * time.Second}
+	srv := &Server{Source: NewReplay(fixes), Logf: t.Logf, HandshakeWait: DefaultHandshakeWait}
 	_, addr, shutdown := startServerWith(t, srv)
 	defer shutdown()
 

@@ -48,7 +48,7 @@ func (c *limitConn) Read(p []byte) (int, error) {
 // delivers every fix exactly once in order.
 func TestReconnectingClientResumes(t *testing.T) {
 	fixes := testFixes(200)
-	srv := &Server{Fixes: fixes, Logf: t.Logf, HandshakeWait: 2 * time.Second}
+	srv := &Server{Source: NewReplay(fixes), Logf: t.Logf, HandshakeWait: DefaultHandshakeWait}
 	_, addr, shutdown := startServerWith(t, srv)
 	defer shutdown()
 
@@ -186,7 +186,7 @@ func TestServerCountsEncodeAndWriteErrors(t *testing.T) {
 	// The stream must not fit in the socket buffers, or the server can
 	// finish writing before the slammed door is observable.
 	fixes := testFixes(200000)
-	srv := &Server{Fixes: fixes, Logf: t.Logf}
+	srv := &Server{Source: NewReplay(fixes), Logf: t.Logf}
 	_, addr, shutdown := startServerWith(t, srv)
 	defer shutdown()
 
@@ -219,9 +219,9 @@ func TestServerCountsEncodeAndWriteErrors(t *testing.T) {
 
 // errConn is a net.Conn stub whose reads drain a string and then fail
 // with a wrapped io.ErrUnexpectedEOF, the shape a feed that dies
-// mid-line produces.
+// mid-line produces. Writes (the client's greeting) are discarded.
 type errConn struct {
-	net.Conn // nil; only Read/Close are used
+	net.Conn // nil; only Read/Write/Close are used
 	r        io.Reader
 	err      error
 }
@@ -233,7 +233,8 @@ func (c *errConn) Read(p []byte) (int, error) {
 	}
 	return n, err
 }
-func (c *errConn) Close() error { return nil }
+func (c *errConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *errConn) Close() error                { return nil }
 
 // TestClientErrFiltersWrappedEOFs pins the errors.Is-based filtering:
 // an unexpected EOF after the feed delivered its data is a finished
@@ -248,7 +249,8 @@ func TestClientErrFiltersWrappedEOFs(t *testing.T) {
 		fmt.Errorf("read tcp: %w", io.ErrUnexpectedEOF),
 		fmt.Errorf("feed: %w", io.EOF),
 	} {
-		c := NewClient(&errConn{r: strings.NewReader(data), err: wrapped})
+		conn := &errConn{r: strings.NewReader(data), err: wrapped}
+		c := NewReconnecting(func() (net.Conn, error) { return conn, nil }, testPolicy())
 		n := 0
 		for c.Scan() {
 			n++

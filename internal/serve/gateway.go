@@ -133,7 +133,7 @@ func (g *Gateway) Consume(rep core.SlideReport) {
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /events", EventsHandler(g.hub, g.opt.SubscriberQueue, g.opt.Heartbeat, g.logf))
-	mux.HandleFunc("GET /alerts", g.handleAlerts)
+	mux.HandleFunc("GET /alerts", AlertsHandler(g.hub))
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /report", g.handleReport)
 	mux.HandleFunc("GET /vessels", g.handleVessels)
@@ -241,18 +241,24 @@ func lastEventID(r *http.Request) *uint64 {
 	return &v
 }
 
-// handleAlerts serves the ring buffer tail as JSON.
-func (g *Gateway) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
+// AlertsHandler returns the alert-history endpoint every serving node
+// mounts — the writer gateway, the replicas and the cluster
+// coordinator: the newest ?n= envelopes of the hub's ring as JSON,
+// oldest first, or the whole ring without n. A malformed or negative n
+// is a 400.
+func AlertsHandler(hub *Hub) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := 0
+		if raw := r.URL.Query().Get("n"); raw != "" {
+			v, err := strconv.Atoi(raw)
+			if err != nil || v < 0 {
+				http.Error(w, "bad n", http.StatusBadRequest)
+				return
+			}
+			n = v
 		}
-		n = v
+		WriteJSON(w, hub.Ring().Last(n))
 	}
-	writeJSON(w, g.hub.Ring().Last(n))
 }
 
 // HealthzPayload is the /healthz response body. Status is the
@@ -281,7 +287,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.repMu.RUnlock()
 	p.Hub = g.hub.Stats()
 	p.Status = p.Health.State()
-	writeJSON(w, p)
+	WriteJSON(w, p)
 }
 
 // slideReportPayload is the JSON shape of the latest slide report.
@@ -299,7 +305,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	g.repMu.RLock()
 	rep := g.last
 	g.repMu.RUnlock()
-	writeJSON(w, slideReportPayload{
+	WriteJSON(w, slideReportPayload{
 		Query:          rep.Query,
 		FixesIn:        rep.FixesIn,
 		CriticalPoints: rep.CriticalPoints,
@@ -322,7 +328,7 @@ func (g *Gateway) handleVessels(w http.ResponseWriter, r *http.Request) {
 	g.pipeMu.RLock()
 	infos := g.sys.Tracker().Infos()
 	g.pipeMu.RUnlock()
-	writeJSON(w, infos)
+	WriteJSON(w, infos)
 }
 
 // vesselPayload is one vessel's state plus its retained synopsis.
@@ -367,7 +373,7 @@ func (g *Gateway) handleVessel(w http.ResponseWriter, r *http.Request) {
 			SpeedKn: cp.SpeedKn,
 		})
 	}
-	writeJSON(w, p)
+	WriteJSON(w, p)
 }
 
 // tripPayload summarizes one archived trip.
@@ -411,7 +417,7 @@ func (g *Gateway) handleTrips(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	g.pipeMu.RUnlock()
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // odPayload is one origin–destination connection with its trip count.
@@ -435,11 +441,11 @@ func (g *Gateway) handleOD(w http.ResponseWriter, r *http.Request) {
 		}
 		return out[i].Dest < out[j].Dest
 	})
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
-// writeJSON renders v with an application/json content type.
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON renders v, indented, with an application/json content type.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -94,25 +93,14 @@ type replicaHealth struct {
 func (rp *Replica) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /events", EventsHandler(rp.hub, rp.opt.SubscriberQueue, rp.opt.Heartbeat, rp.logf))
-	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, r *http.Request) {
-		n := 0
-		if raw := r.URL.Query().Get("n"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		writeJSON(w, rp.hub.Ring().Last(n))
-	})
+	mux.HandleFunc("GET /alerts", AlertsHandler(rp.hub))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		p := replicaHealth{Status: "ok", Hub: rp.hub.Stats()}
 		p.Replica.Name = rp.opt.Name
 		if rp.opt.Info != nil {
 			p.Replica = rp.opt.Info()
 		}
-		writeJSON(w, p)
+		WriteJSON(w, p)
 	})
 	if rp.opt.Metrics != nil {
 		mux.Handle("GET /metrics", rp.opt.Metrics.Handler())
