@@ -334,8 +334,12 @@ func BenchmarkAblationNoGridIndex(b *testing.B) {
 // and against 1000 subscribers with per-vessel filters.
 // Publish is non-blocking by construction — a subscriber that falls
 // behind drops from its own bounded queue — so the per-op cost is the
-// pipeline-side price of serving that many clients. Reported metrics:
-// envelopes delivered and dropped per publish.
+// pipeline-side price of serving that many clients. Every subscriber is
+// offered every envelope and its own Filter.Match keeps what it wants,
+// so the cost is O(subscribers × envelopes) whether or not the filters
+// reject most of them: the filtered case pays for all 1000 subscribers
+// to deliver to 100. Reported metrics: envelopes delivered and dropped
+// per publish.
 func BenchmarkHubFanout(b *testing.B) {
 	alerts := make([]maritime.Alert, 4)
 	base := time.Date(2015, 3, 15, 12, 0, 0, 0, time.UTC)

@@ -51,13 +51,9 @@ func (f Filter) Match(a maritime.Alert) bool {
 // /events?mmsi=237000101,237000102&ce=illegalShipping.
 func ParseFilter(q url.Values) (Filter, error) {
 	var f Filter
-	if raw := strings.TrimSpace(q.Get("mmsi")); raw != "" {
-		f.MMSI = make(map[uint32]struct{})
-		for _, tok := range strings.Split(raw, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
+	if set := splitSet(q.Get("mmsi")); set != nil {
+		f.MMSI = make(map[uint32]struct{}, len(set))
+		for tok := range set {
 			v, err := strconv.ParseUint(tok, 10, 32)
 			if err != nil {
 				return Filter{}, fmt.Errorf("serve: bad mmsi %q: %w", tok, err)

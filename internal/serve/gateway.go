@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -183,8 +184,13 @@ func pumpEvents(w http.ResponseWriter, r *http.Request, hub *Hub,
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	last, err := lastEventID(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	var sub *Subscriber
-	if last := lastEventID(r); last != nil {
+	if last != nil {
 		sub = hub.SubscribeFrom(filter, queueCap, *last)
 	} else {
 		sub = hub.Subscribe(filter, queueCap)
@@ -225,20 +231,22 @@ func pumpEvents(w http.ResponseWriter, r *http.Request, hub *Hub,
 }
 
 // lastEventID extracts the SSE resume cursor from the Last-Event-ID
-// header or an "after" query parameter; nil means a fresh session.
-func lastEventID(r *http.Request) *uint64 {
+// header or an "after" query parameter; nil means a fresh session. A
+// cursor that does not parse is an error: starting fresh instead would
+// silently skip everything after it.
+func lastEventID(r *http.Request) (*uint64, error) {
 	raw := r.Header.Get("Last-Event-ID")
 	if raw == "" {
 		raw = r.URL.Query().Get("after")
 	}
 	if raw == "" {
-		return nil
+		return nil, nil
 	}
 	v, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("serve: bad resume cursor %q", raw)
 	}
-	return &v
+	return &v, nil
 }
 
 // AlertsHandler returns the alert-history endpoint every serving node

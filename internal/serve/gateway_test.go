@@ -449,6 +449,42 @@ func TestSSEWireFormat(t *testing.T) {
 	}
 }
 
+// TestEventsRejectsMalformedCursor: a resume cursor that does not parse
+// is a 400, not a fresh stream that silently skips everything after it.
+func TestEventsRejectsMalformedCursor(t *testing.T) {
+	g := newTestGateway(t, Options{})
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	for _, tc := range []struct {
+		name, query, lastEventID string
+		want                     int
+	}{
+		{"after=abc", "?after=abc", "", http.StatusBadRequest},
+		{"Last-Event-ID: x", "", "x", http.StatusBadRequest},
+		{"after=-1", "?after=-1", "", http.StatusBadRequest},
+		{"no cursor", "", "", http.StatusOK},
+		{"after=0", "?after=0", "", http.StatusOK},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/events"+tc.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.lastEventID != "" {
+			req.Header.Set("Last-Event-ID", tc.lastEventID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // flushRecorder is a ResponseWriter that counts Flush calls and records
 // how many whole SSE frames had been written at each one.
 type flushRecorder struct {

@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +72,9 @@ type EnvelopeLog interface {
 // Hub fans recognized alerts out to subscribers. Publish never blocks:
 // each subscriber owns a bounded queue that drops its oldest entries
 // when the consumer falls behind, with drops accounted per subscriber.
+// Every subscriber is offered every published envelope and keeps what
+// its Filter.Match accepts — one filter path, so a publish costs
+// O(subscribers × envelopes).
 type Hub struct {
 	// pubMu serializes publishers end to end, so envelopes reach the
 	// log, the ring — and every subscriber queue — in sequence order.
@@ -78,15 +82,15 @@ type Hub struct {
 	// mu. The fan-out scratch below is guarded by it.
 	pubMu sync.Mutex
 
-	// mu guards the subscriber registry (the matcher) and the
-	// sequence/published counters. It is held only for short
-	// bookkeeping sections — never across the log append, the ring push
-	// or a subscriber offer — so registering, departing and stats never
-	// wait on a fan-out in flight.
+	// mu guards the subscriber registry and the sequence/published
+	// counters. It is held only for short bookkeeping sections — never
+	// across the log append, the ring push or a subscriber offer — so
+	// registering, departing and stats never wait on a fan-out in
+	// flight.
 	mu     sync.Mutex
 	seq    uint64
 	nextID int
-	match  *matcher
+	subs   []*Subscriber // live subscribers, in registration order
 	ring   *Ring
 
 	// log, when set, receives every envelope durably before any
@@ -105,14 +109,9 @@ type Hub struct {
 	goneDelivered uint64
 	goneDropped   uint64
 
-	// Fan-out scratch (under pubMu): per-slot envelope batches built
-	// from the matcher's bitmaps, reused across publishes. fanMark[slot]
-	// == fanGen marks slots touched by the current publish.
-	fanEnvs    [][]Envelope
-	fanSubs    []*Subscriber
-	fanMark    []int
-	fanTouched []int
-	fanGen     int
+	// fanout is the registry snapshot one publish offers to (under
+	// pubMu), reused across publishes.
+	fanout []*Subscriber
 }
 
 // NewHub returns a hub retaining ringCap alerts for replay and history
@@ -121,10 +120,7 @@ func NewHub(ringCap int) *Hub {
 	if ringCap <= 0 {
 		ringCap = 1024
 	}
-	return &Hub{
-		match: newMatcher(),
-		ring:  NewRing(ringCap),
-	}
+	return &Hub{ring: NewRing(ringCap)}
 }
 
 // Ring exposes the alert-history ring buffer.
@@ -154,10 +150,8 @@ func (h *Hub) LogAppendErrors() uint64 { return h.logErrs.Load() }
 
 // Publish stamps the slide's alerts with sequence numbers, appends them
 // to the durable log (when attached), then to the history ring, and
-// offers them to the matched subscribers. It never blocks on a slow
-// consumer; per-subscriber selection runs through the compiled filter
-// matcher, so a publish touches O(matched) subscribers, not all of
-// them.
+// offers them to every subscriber, whose filter keeps what it accepts.
+// It never blocks on a slow consumer.
 //
 // The no-gap/no-dup contract with SubscribeFrom survives the unlocked
 // delivery: envelopes land in the ring before the subscriber snapshot
@@ -214,40 +208,23 @@ func (h *Hub) PublishEnvelopes(envs []Envelope) {
 	h.deliver(envs)
 }
 
-// deliver pushes envelopes to the ring, matches them against every
-// subscriber filter via the bitmap matcher, and offers each subscriber
-// only its matched batch, outside any hub lock. Callers hold pubMu.
+// deliver pushes envelopes to the ring, snapshots the registry, and
+// offers the whole batch to every subscriber in it outside any hub
+// lock; each subscriber's offer applies its filter. Callers hold pubMu.
 func (h *Hub) deliver(envs []Envelope) {
 	for i := range envs {
 		h.ring.Push(envs[i])
 	}
 
 	h.mu.Lock()
-	m := h.match
-	if n := len(m.slots); len(h.fanEnvs) < n {
-		h.fanEnvs = append(h.fanEnvs, make([][]Envelope, n-len(h.fanEnvs))...)
-		h.fanSubs = append(h.fanSubs, make([]*Subscriber, n-len(h.fanSubs))...)
-		h.fanMark = append(h.fanMark, make([]int, n-len(h.fanMark))...)
-	}
-	h.fanGen++
-	gen := h.fanGen
-	h.fanTouched = h.fanTouched[:0]
-	for i := range envs {
-		bsForEach(m.match(envs[i].Alert), func(slot int) {
-			if h.fanMark[slot] != gen {
-				h.fanMark[slot] = gen
-				h.fanEnvs[slot] = h.fanEnvs[slot][:0]
-				h.fanSubs[slot] = m.slots[slot]
-				h.fanTouched = append(h.fanTouched, slot)
-			}
-			h.fanEnvs[slot] = append(h.fanEnvs[slot], envs[i])
-		})
-	}
+	h.fanout = append(h.fanout[:0], h.subs...)
 	h.mu.Unlock()
 
-	for _, slot := range h.fanTouched {
-		h.fanSubs[slot].offer(h.fanEnvs[slot])
+	for _, s := range h.fanout {
+		s.offer(envs)
 	}
+	// Departed subscribers must not stay reachable through the scratch.
+	clear(h.fanout)
 }
 
 // Subscribe registers a consumer with the given filter and queue
@@ -279,7 +256,7 @@ func (h *Hub) subscribe(f Filter, queueCap int, afterSeq *uint64) *Subscriber {
 	if queueCap <= 0 {
 		queueCap = 256
 	}
-	s := &Subscriber{filter: f, cap: queueCap, hub: h, slot: -1}
+	s := &Subscriber{filter: f, cap: queueCap, hub: h}
 	s.cond = sync.NewCond(&s.mu)
 	if afterSeq == nil {
 		h.mu.Lock()
@@ -289,7 +266,7 @@ func (h *Hub) subscribe(f Filter, queueCap int, afterSeq *uint64) *Subscriber {
 		// A fresh subscriber starts at the current head sequence: a
 		// publish already in flight counts as "before" it.
 		s.lastSeq = h.seq
-		s.slot = h.match.add(s)
+		h.subs = append(h.subs, s)
 		return s
 	}
 	after := *afterSeq
@@ -365,7 +342,7 @@ func (h *Hub) subscribe(f Filter, queueCap int, afterSeq *uint64) *Subscriber {
 		// without history): everything in between is gone.
 		announce(h.seq)
 	}
-	s.slot = h.match.add(s)
+	h.subs = append(h.subs, s)
 	return s
 }
 
@@ -388,10 +365,11 @@ func readReplay(replay EnvelopeLog, afterSeq uint64, dst []Envelope) []Envelope 
 func (h *Hub) remove(s *Subscriber, delivered, dropped uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if s.slot < 0 || s.slot >= len(h.match.slots) || h.match.slots[s.slot] != s {
+	i := slices.Index(h.subs, s)
+	if i < 0 {
 		return
 	}
-	h.match.remove(s.slot, s.filter)
+	h.subs = slices.Delete(h.subs, i, i+1)
 	h.goneDelivered += delivered
 	h.goneDropped += dropped
 }
@@ -438,11 +416,8 @@ func (h *Hub) stats(detail bool) HubStats {
 		Dropped:         h.goneDropped,
 		LogAppendErrors: h.logErrs.Load(),
 	}
-	for _, s := range h.match.slots {
-		if s == nil {
-			continue
-		}
-		st.Subscribers++
+	st.Subscribers = len(h.subs)
+	for _, s := range h.subs {
 		ss := s.Stats()
 		st.Delivered += ss.Delivered
 		st.Dropped += ss.Dropped
@@ -473,7 +448,6 @@ func (h *Hub) RegisterMetrics(r *obs.Registry) {
 // with Next/NextTimeout.
 type Subscriber struct {
 	id     int
-	slot   int
 	filter Filter
 	hub    *Hub
 

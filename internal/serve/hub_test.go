@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"net/url"
 	"sync"
 	"testing"
@@ -154,6 +155,12 @@ func TestFilterMatch(t *testing.T) {
 		{"area miss", "area=a2", mk(1, maritime.CESuspicious, "a1"), false},
 		{"conjunction", "mmsi=1&ce=illegalShipping&area=a1", mk(1, maritime.CEIllegalShipping, "a1"), true},
 		{"conjunction one miss", "mmsi=1&ce=illegalShipping&area=a2", mk(1, maritime.CEIllegalShipping, "a1"), false},
+		// A list of only separators is empty: it constrains nothing, so
+		// even a vessel-less alert (excluded by any MMSI set) matches.
+		{"empty mmsi list matches all", "mmsi=,", mk(0, maritime.CESuspicious, "a1"), true},
+		{"blank mmsi list matches all", "mmsi=%20,%20,", mk(0, maritime.CESuspicious, "a1"), true},
+		{"empty ce list matches all", "ce=,", mk(0, maritime.CESuspicious, "a1"), true},
+		{"empty area list matches all", "area=,", mk(0, maritime.CESuspicious, "a1"), true},
 	}
 	for _, tc := range cases {
 		q, err := url.ParseQuery(tc.query)
@@ -328,5 +335,203 @@ func TestPublishNothingIsNoop(t *testing.T) {
 	}
 	if got := fmt.Sprint(h.Ring().Len()); got != "0" {
 		t.Fatalf("ring len = %s", got)
+	}
+}
+
+// randFilter draws a filter whose every dimension is either nil (match
+// any) or a non-empty subset of the given universe.
+func randFilter(rng *rand.Rand, vessels []uint32, ces, areas []string) Filter {
+	var f Filter
+	if rng.Intn(2) == 0 {
+		f.MMSI = map[uint32]struct{}{}
+		for len(f.MMSI) == 0 {
+			for _, v := range vessels {
+				if rng.Intn(3) == 0 {
+					f.MMSI[v] = struct{}{}
+				}
+			}
+		}
+	}
+	pick := func(universe []string) map[string]struct{} {
+		if rng.Intn(2) == 0 {
+			return nil
+		}
+		set := map[string]struct{}{}
+		for len(set) == 0 {
+			for _, s := range universe {
+				if rng.Intn(3) == 0 {
+					set[s] = struct{}{}
+				}
+			}
+		}
+		return set
+	}
+	f.CEs = pick(ces)
+	f.Areas = pick(areas)
+	return f
+}
+
+// randAlert draws an alert shaped like the pipeline's: durative area CEs
+// carry no vessel, pairwise CEs carry two distinct vessels.
+func randAlert(rng *rand.Rand, vessels []uint32, ces, areas []string) maritime.Alert {
+	a := maritime.Alert{CE: ces[rng.Intn(len(ces))], AreaID: areas[rng.Intn(len(areas))], Time: t0}
+	switch a.CE {
+	case maritime.CESuspicious, maritime.CEIllegalFishing:
+	case maritime.CERendezvous, maritime.CEDarkRendezvous, maritime.CECollisionCourse:
+		i := rng.Intn(len(vessels))
+		a.Vessel = vessels[i]
+		a.Vessel2 = vessels[(i+1+rng.Intn(len(vessels)-1))%len(vessels)]
+	default:
+		a.Vessel = vessels[rng.Intn(len(vessels))]
+	}
+	return a
+}
+
+// popAll takes everything queued off a subscriber without blocking.
+func popAll(s *Subscriber) []Envelope {
+	var out []Envelope
+	for n := s.Pending(); n > 0; n-- {
+		e, _ := s.Next()
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestHubDeliversWhatFilterMatchAccepts is the hub's delivery contract
+// as a property: across random filters, random publishes and subscribers
+// joining (fresh or resuming) and leaving between them, every subscriber
+// receives exactly the envelopes published while it was registered (or
+// after its resume cursor) that Filter.Match accepts, in sequence order.
+// A background goroutine churns throwaway resuming subscribers and reads
+// the stats concurrently with every publish; each of those must receive
+// a prefix of its filter's accepted stream.
+func TestHubDeliversWhatFilterMatchAccepts(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	vessels := []uint32{101, 102, 103, 104, 105, 106}
+	ces := []string{maritime.CESuspicious, maritime.CEIllegalFishing, maritime.CEIllegalShipping,
+		maritime.CEDangerousShipping, maritime.CERendezvous, maritime.CEDarkRendezvous, maritime.CECollisionCourse}
+	areas := []string{"a0", "a1", "a2", "a3"}
+	const (
+		rounds   = 60
+		maxBatch = 8
+		capacity = rounds * maxBatch // ring and queues hold everything: no drops, no trims
+	)
+	h := NewHub(capacity)
+	var published []Envelope // published[k-1] has Seq k
+
+	type tracked struct {
+		s     *Subscriber
+		after uint64 // accepted envelopes with Seq > after are owed
+	}
+	// check verifies one subscriber's stream against the filter over
+	// everything published so far.
+	check := func(tr tracked, got []Envelope) {
+		t.Helper()
+		var want []uint64
+		for _, e := range published[tr.after:] {
+			if tr.s.filter.Match(e.Alert) {
+				want = append(want, e.Seq)
+			}
+		}
+		gotSeqs := make([]uint64, len(got))
+		for i, e := range got {
+			gotSeqs[i] = e.Seq
+		}
+		if fmt.Sprint(gotSeqs) != fmt.Sprint(want) {
+			t.Fatalf("subscriber %d (filter %+v, after %d): got seqs %v, want %v", tr.s.ID(), tr.s.filter, tr.after, gotSeqs, want)
+		}
+	}
+	join := func() tracked {
+		f := randFilter(rng, vessels, ces, areas)
+		head := uint64(len(published))
+		if rng.Intn(3) == 0 {
+			after := uint64(rng.Int63n(int64(head) + 1))
+			return tracked{h.SubscribeFrom(f, capacity, after), after}
+		}
+		return tracked{h.Subscribe(f, capacity), head}
+	}
+
+	// Background churn: resuming subscribers from seq 0 against the
+	// whole retained history, closed after a random while.
+	type churned struct {
+		f   Filter
+		got []Envelope
+	}
+	stop := make(chan struct{})
+	stopChurn := sync.OnceFunc(func() { close(stop) })
+	// A failing check must not leave the churner running or blocked on
+	// its one send.
+	defer stopChurn()
+	churnDone := make(chan []churned, 1)
+	crng := rand.New(rand.NewSource(rng.Int63()))
+	go func() {
+		var out []churned
+		for {
+			select {
+			case <-stop:
+				churnDone <- out
+				return
+			default:
+			}
+			f := randFilter(crng, vessels, ces, areas)
+			s := h.SubscribeFrom(f, capacity, 0)
+			_ = h.Stats()
+			time.Sleep(time.Duration(crng.Intn(200)) * time.Microsecond)
+			out = append(out, churned{f, popAll(s)})
+			s.Close()
+		}
+	}()
+
+	live := make([]tracked, 200)
+	for i := range live {
+		live[i] = join()
+	}
+	for r := 0; r < rounds; r++ {
+		alerts := make([]maritime.Alert, 1+rng.Intn(maxBatch))
+		for i := range alerts {
+			alerts[i] = randAlert(rng, vessels, ces, areas)
+		}
+		h.Publish(t0.Add(time.Duration(r)*time.Minute), alerts)
+		published = append(published, h.Ring().Since(uint64(len(published)))...)
+		if len(published) != int(h.Stats().Published) {
+			t.Fatalf("ring holds %d envelopes, published %d", len(published), h.Stats().Published)
+		}
+		// Leave and join between publishes.
+		for k := rng.Intn(8); k > 0 && len(live) > 0; k-- {
+			i := rng.Intn(len(live))
+			check(live[i], popAll(live[i].s))
+			live[i].s.Close()
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		for k := rng.Intn(8); k > 0; k-- {
+			live = append(live, join())
+		}
+	}
+	stopChurn()
+	for _, c := range <-churnDone {
+		var want []uint64
+		for _, e := range published {
+			if c.f.Match(e.Alert) {
+				want = append(want, e.Seq)
+			}
+		}
+		if len(c.got) > len(want) {
+			t.Fatalf("churned subscriber (filter %+v) got %d envelopes, only %d accepted", c.f, len(c.got), len(want))
+		}
+		for i, e := range c.got {
+			if e.Seq != want[i] {
+				t.Fatalf("churned subscriber (filter %+v): envelope %d has seq %d, want %d", c.f, i, e.Seq, want[i])
+			}
+		}
+	}
+	for _, tr := range live {
+		check(tr, popAll(tr.s))
+		tr.s.Close()
+	}
+	if st := h.Stats(); st.Subscribers != 0 || st.Dropped != 0 {
+		t.Fatalf("hub stats after the run = %+v, want no subscribers and no drops", st)
 	}
 }

@@ -1,5 +1,7 @@
 package serve
 
+import "slices"
+
 // Checkpoint support. The hub serializes its sequence counter and the
 // retained history ring so that a restored gateway resumes the envelope
 // sequence exactly where the crashed one stopped: deterministic replay
@@ -58,12 +60,7 @@ func (h *Hub) Restore(snap HubSnapshot) {
 // gateway stops accepting connections separately.
 func (h *Hub) Close() {
 	h.mu.Lock()
-	subs := make([]*Subscriber, 0, len(h.match.slots))
-	for _, s := range h.match.slots {
-		if s != nil {
-			subs = append(subs, s)
-		}
-	}
+	subs := slices.Clone(h.subs)
 	h.mu.Unlock()
 	// Subscriber.Close re-enters the hub via remove, so it must run
 	// outside h.mu.
