@@ -61,7 +61,7 @@ func main() {
 		window    = flag.Duration("window", time.Hour, "window range ω")
 		slide     = flag.Duration("slide", 10*time.Minute, "window slide β")
 		procs     = flag.Int("procs", 1, "partition CE recognition across this many parallel recognizers")
-		shards    = flag.Int("shards", 0, "mobility-tracker shards (0 = one per CPU, 1 = serial)")
+		shards    = flag.Int("shards", 0, "mobility-tracker shards (0 = four per CPU, 1 = serial)")
 		quiet     = flag.Bool("quiet", false, "suppress per-alert output")
 		watchdog  = flag.Duration("watchdog", 0, "per-slide recognition budget; wedged partitions are abandoned (0 = off)")
 		selfHeal  = flag.Bool("self-heal", false, "recover panics and wedged partitions by quarantine-and-restore instead of crashing (batch runs default to fail-fast)")
@@ -215,8 +215,7 @@ func main() {
 	var totalAlerts int
 	var recogTime time.Duration
 	res, err := run.Slides(ctx, checkpoint.Loop{
-		Process: func(b stream.Batch) error {
-			rep := sys.ProcessBatch(b)
+		Report: func(_ stream.Batch, rep core.SlideReport) error {
 			recogTime += rep.Timings.Recognition
 			totalAlerts += len(rep.Alerts)
 			return nil

@@ -80,7 +80,7 @@ func main() {
 		window  = flag.Duration("window", time.Hour, "window range ω")
 		slide   = flag.Duration("slide", 10*time.Minute, "window slide β")
 		procs   = flag.Int("procs", 1, "partition CE recognition across this many parallel recognizers")
-		shards  = flag.Int("shards", 0, "mobility-tracker shards (0 = one per CPU, 1 = serial)")
+		shards  = flag.Int("shards", 0, "mobility-tracker shards (0 = four per CPU, 1 = serial)")
 
 		watchdog  = flag.Duration("watchdog", 5*time.Second, "per-slide recognition budget (0 = off)")
 		selfHeal  = flag.Bool("self-heal", true, "recover panics and wedged partitions by quarantine-and-restore instead of crashing")
@@ -298,8 +298,9 @@ func main() {
 		defer close(done)
 		alerts := 0
 		res, err := run.Slides(ctx, checkpoint.Loop{
-			Process: func(b stream.Batch) error {
-				alerts += len(gw.Process(b).Alerts)
+			Pipeline: gw,
+			Report: func(_ stream.Batch, rep core.SlideReport) error {
+				alerts += len(rep.Alerts)
 				return nil
 			},
 			// Checkpoints capture pipeline and hub together under Quiesce,

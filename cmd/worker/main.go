@@ -53,7 +53,7 @@ func main() {
 		areas     = flag.Int("areas", 35, "areas of interest")
 		window    = flag.Duration("window", time.Hour, "window range ω")
 		slide     = flag.Duration("slide", 10*time.Minute, "window slide β")
-		shards    = flag.Int("shards", 1, "mobility-tracker shards within this worker (0 = one per CPU)")
+		shards    = flag.Int("shards", 1, "mobility-tracker shards within this worker (0 = four per CPU)")
 		gridStart = flag.String("grid-start", "", "slide-grid origin (RFC 3339, required for >1 worker; e.g. the stream's first slide boundary)")
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory for crash-safe restart (empty = off)")
 		ckptEvery = flag.Int("checkpoint-every", 6, "checkpoint every N slides on the slide grid: at each query time that is a multiple of N × the slide, the same cut on every worker and in serve/recognize")

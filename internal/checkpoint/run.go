@@ -137,11 +137,24 @@ func (r *Run) Ingest(src stream.FixSource, client *feed.ReconnectingClient, capa
 	return r.stage
 }
 
+// Pipeline is what the slide loop drives: core.System, or a serving
+// tier that wraps each step in its own lock.
+type Pipeline interface {
+	// Track runs trajectory detection over one slide.
+	Track(stream.Batch)
+	// ProcessTracked runs the tracked slide through the rest of the
+	// pipeline, starting the slide ahead returns, if any, beside it.
+	ProcessTracked(ahead func() (stream.Batch, bool)) core.SlideReport
+}
+
 // Loop is what differs between the drivers' slide loops.
 type Loop struct {
-	// Process runs one slide through the pipeline; an error aborts the
-	// run at once, with no final checkpoint.
-	Process func(stream.Batch) error
+	// Pipeline runs the slides; nil runs them on RunConfig.System.
+	Pipeline Pipeline
+	// Report, when set, receives every processed slide's report before
+	// the slide's fixes are noted in the cursor; an error aborts the run
+	// at once, with no final checkpoint.
+	Report func(b stream.Batch, rep core.SlideReport) error
 	// Capture fills st.System (and st.Hub) with the pipeline's state as
 	// of st.Query; the loop has set Query, Cursor and Slides. Nil
 	// snapshots System. The gateway captures under Quiesce, together with
@@ -173,10 +186,20 @@ type Result struct {
 }
 
 // Slides drives the slide loop until the source ends or ctx is
-// cancelled. A cancelled ctx closes the live client and discards the
-// slides read ahead — the newest may have been truncated by the
+// cancelled. Each slide k is tracked, and while it is processed the
+// next slide, if the ingest stage already holds it, is tracked beside
+// it on the tracker's shard pool (core.System.ProcessTracked). A slide
+// that waits for the feed is tracked when it arrives, as before: the
+// loop never parks a goroutine to wait for one. Nothing is tracked past
+// a slide that will be checkpointed, so every checkpoint sees tracker
+// and recognizer on the same slide, and a slide's fixes go into the
+// resume cursor only once it is processed.
+//
+// A cancelled ctx closes the live client and discards the slides read
+// ahead but not yet tracked — the newest may have been truncated by the
 // closing source — so the final checkpoint sits on a complete-slide
-// boundary and the cursor replays them whole. The final checkpoint
+// boundary and the cursor replays them whole. A slide already tracked
+// ahead was complete when taken and is processed first. The final checkpoint
 // (unless already taken at the last slide) precedes the driver's
 // Drain: drained trips are final, and a resumed run must not
 // re-finalize them. Slides closes the client, then the stage, and
@@ -203,17 +226,43 @@ func (r *Run) Slides(ctx context.Context, l Loop) (Result, error) {
 		r.stage.Close()
 	}
 
+	pipe := l.Pipeline
+	if pipe == nil {
+		pipe = r.cfg.System
+	}
 	var res Result
 	var firstTraffic time.Time
 	var savedLast bool
-	for {
-		b, ok := r.stage.Next()
-		if !ok || ctx.Err() != nil {
-			break
+	var b, next stream.Batch
+	var ahead bool // b was tracked ahead, beside the slide before it
+	lookAhead := func() (stream.Batch, bool) {
+		if r.due(b.Query) || ctx.Err() != nil {
+			return stream.Batch{}, false
 		}
-		if err := l.Process(b); err != nil {
-			closeIngest()
-			return res, err
+		nb, ok := r.stage.TryNext()
+		// A slide handed over after cancellation may be truncated.
+		if !ok || ctx.Err() != nil {
+			return stream.Batch{}, false
+		}
+		next, ahead = nb, true
+		return nb, true
+	}
+	for {
+		if ahead {
+			b, ahead = next, false
+		} else {
+			var ok bool
+			if b, ok = r.stage.Next(); !ok || ctx.Err() != nil {
+				break
+			}
+			pipe.Track(b)
+		}
+		rep := pipe.ProcessTracked(lookAhead)
+		if l.Report != nil {
+			if err := l.Report(b, rep); err != nil {
+				closeIngest()
+				return res, err
+			}
 		}
 		for _, f := range b.Fixes {
 			r.cur.Note(f)

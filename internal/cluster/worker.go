@@ -161,9 +161,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.run.Ingest(client, client, 0)
 
 	res, err := w.run.Slides(ctx, checkpoint.Loop{
-		Process: func(b stream.Batch) error {
-			w.fresh = w.fresh[:0]
-			rep := w.sys.ProcessBatch(b)
+		Report: func(b stream.Batch, rep core.SlideReport) error {
 			w.out = SlideOutput{
 				Worker:         w.cfg.ID,
 				Query:          b.Query,

@@ -26,6 +26,9 @@ import (
 //	                            (turn, speedChange, gap) keep flowing
 //	L3 DegradeShedStationary    the tracker drops jitter fixes from
 //	                            long-stopped vessels before windowing
+//	                            (from the next slide routed, which is
+//	                            one slide later when it was tracked
+//	                            ahead)
 //
 // Every transition is counted and exported (Health, /metrics), so an
 // operator can tell a degraded-but-coping system from a healthy one.
@@ -135,7 +138,8 @@ func (s *System) DegradationLevel() int {
 
 // degradeStep runs the ladder once per slide with the slide's wall
 // time, and toggles the tracker-side shedding when the L3 boundary is
-// crossed.
+// crossed. The tracker reads the toggle when it routes a slide, so with
+// the next slide already tracked ahead it takes effect a slide later.
 func (s *System) degradeStep(wall time.Duration) {
 	old := s.degrader.Level()
 	lvl := s.degrader.observe(wall)

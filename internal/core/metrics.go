@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/obs"
+	"repro/internal/stream"
 )
 
 // pipelineMetrics is the pipeline's push-side instrumentation: the
@@ -77,8 +78,13 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 		trips:          r.Counter("maritime_trips_completed_total", "Trips reconstructed and loaded into the store.", nil),
 	}
 	r.CounterFunc("maritime_slide_overlap_seconds_total",
-		"Stage time that cost the slide nothing because another stage ran beside it: per slide, the stage busy times' sum minus the slide's wall time, when positive.", nil,
+		"Stage time that cost the slide nothing because it ran beside another stage or, for a slide tracked ahead, beside the previous slide: per slide, the stage busy times' sum minus the slide's wall time, when positive.", nil,
 		func() float64 { return float64(s.metrics.overlapNanos.Load()) / 1e9 })
+	r.CounterFunc("maritime_pipeline_wait_seconds_total", stream.PipelineWaitHelp,
+		obs.Labels{"side": "tracker"}, func() float64 { return float64(s.trackerWait.Load()) / 1e9 })
+	r.CounterFunc("maritime_pipeline_lookahead_slides_total",
+		"Slides whose tracking was started on the shard pool while the previous slide was still being processed (the next slide was already waiting in the ingest stage).", nil,
+		func() float64 { return float64(s.lookahead.Load()) })
 	r.CounterFunc("maritime_watchdog_trips_total",
 		"Slides on which CE recognition exceeded its budget and was abandoned.", nil,
 		func() float64 { return float64(s.watchdogTrips.Load()) })

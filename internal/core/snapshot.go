@@ -39,6 +39,11 @@ var (
 	// Heal re-admits the targets (the supervisor does this
 	// automatically), Snapshot succeeds again.
 	ErrWedged = errors.New("core: cannot snapshot a system with out-of-service targets")
+	// ErrSlideInFlight means a slide has been tracked but not yet
+	// processed: the tracker is a slide ahead of everything after it, so
+	// no snapshot of the two is consistent until ProcessTracked runs.
+	// Checkpoint on a slide boundary that nothing was tracked past.
+	ErrSlideInFlight = errors.New("core: cannot snapshot with a tracked slide not yet processed")
 )
 
 // Snapshot is the serialized dynamic state of a System. Recognizers
@@ -56,13 +61,17 @@ type Snapshot struct {
 	Analytics *analytics.Snapshot
 }
 
-// Snapshot captures the system's complete dynamic state. It must not
-// run concurrently with ProcessBatch. It fails with ErrWedged when the
-// watchdog has abandoned a recognizer, because an abandoned goroutine
-// may still be mutating that recognizer's state.
+// Snapshot captures the system's complete dynamic state, serialized
+// with slides. It fails with ErrWedged when the watchdog has abandoned a
+// recognizer, because an abandoned goroutine may still be mutating that
+// recognizer's state, and with ErrSlideInFlight between Track (or a
+// look-ahead start) and ProcessTracked.
 func (s *System) Snapshot() (Snapshot, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	if s.next.set {
+		return Snapshot{}, ErrSlideInFlight
+	}
 	if quar, failed := s.downCounts(); quar+failed > 0 {
 		return Snapshot{}, ErrWedged
 	}
@@ -92,7 +101,8 @@ func (s *System) Snapshot() (Snapshot, error) {
 // error before any state is replaced. The store restores first, so a
 // tracker failure after it leaves the store restored; callers treat a
 // failed restore as fatal and fall back to an older checkpoint or a
-// cold start. It must not run concurrently with ProcessBatch.
+// cold start. It is serialized with slides; a slide tracked but not yet
+// processed is discarded with the state it was tracked against.
 func (s *System) RestoreSnapshot(snap Snapshot) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -112,6 +122,7 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 	if err := s.tracker.RestoreSnapshot(snap.Tracker); err != nil {
 		return err
 	}
+	s.next = trackedSlide{}
 	for i, p := range s.partitions {
 		if s.selfHeal && p.down.Load() != partUp {
 			p.rec = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, p.areas)

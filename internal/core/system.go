@@ -45,9 +45,9 @@ type Config struct {
 	Processors int
 	// TrackerShards splits mobility tracking across this many vessel
 	// shards driven concurrently per slide (trajectory detection is
-	// independent per vessel, §5.2). 0 picks one shard per CPU; 1 runs
-	// the exact single-threaded tracker. Output is byte-identical across
-	// shard counts.
+	// independent per vessel, §5.2). 0 picks tracker.DefaultShards; 1
+	// runs the exact single-threaded tracker. Output is byte-identical
+	// across shard counts.
 	TrackerShards int
 	// WatchdogTimeout bounds one slide's CE recognition: a recognizer
 	// that exceeds it is flagged as wedged and abandoned — its events are
@@ -82,18 +82,27 @@ type Config struct {
 
 // Timings breaks one slide's processing cost into the stages of the
 // paper's Figure 10 plus CE recognition. The stage fields are busy
-// times: recognition runs beside archival and analytics, so they can
-// add up to more than the slide took, and they leave out the self-heal
+// times: recognition runs beside archival and analytics, and a slide
+// tracked ahead was tracked beside the previous slide, so they can add
+// up to more than the slide took, and they leave out the self-heal
 // journaling between them. What the slide cost the pipeline is Wall.
 type Timings struct {
-	Tracking       time.Duration // window update + trajectory event detection
+	// Tracking is window update + trajectory event detection. For a
+	// slide tracked ahead it runs from Start to when the last shard
+	// finished (or, if the pipeline waited for it, to the end of the
+	// wait), plus the merge.
+	Tracking       time.Duration
 	Staging        time.Duration // delta points into the staging area
 	Reconstruction time.Duration // trip segmentation
 	Loading        time.Duration // inserting trips into the store
 	Recognition    time.Duration // RTEC query step (routing and journaling included)
 	Analytics      time.Duration // cross-vessel pairwise screening
-	// Wall is the measured elapsed time of the slide, from the window
-	// update through the journal re-base (sinks excluded).
+	// Wall is the time the pipeline goroutine spent on the slide, from
+	// the window update through the journal re-base (sinks excluded).
+	// For a slide tracked ahead that is starting it plus everything from
+	// collecting its shards on, less the time spent starting the next
+	// slide: the time it was tracked beside the previous slide is not
+	// its own, so the slides' Walls never add up to more than the run.
 	Wall time.Duration
 }
 
@@ -151,6 +160,14 @@ type System struct {
 	// untouched.
 	metrics *pipelineMetrics
 
+	// next is the slide between Track (or a look-ahead start) and
+	// ProcessTracked. lookahead counts the slides started ahead and
+	// trackerWait the time ProcessTracked blocked on their shards; both
+	// are loaded by scrapes.
+	next        trackedSlide
+	lookahead   atomic.Int64
+	trackerWait atomic.Int64
+
 	// Degradation state (see Health): watchdog bookkeeping and the
 	// drivers' ingest-side health contributions. The counters are
 	// atomics because Health() is scraped from HTTP goroutines
@@ -199,6 +216,20 @@ type System struct {
 	// onSlideEnd callbacks run after each slide OUTSIDE the lock.
 	runMu      sync.Mutex
 	onSlideEnd []func(SlideReport)
+}
+
+// trackedSlide is a slide whose tracking is done or under way and whose
+// processing is not.
+type trackedSlide struct {
+	set   bool
+	ahead bool // started on the tracker's pool; Finish collects it
+	fixes int
+	res   tracker.SlideResult // when !ahead
+	// own is the pipeline goroutine's time on the slide so far: the
+	// whole tracking for a slide tracked in place, the start for one
+	// tracked ahead (which started at started).
+	own     time.Duration
+	started time.Time
 }
 
 // partition is one longitude band of the monitored region.
@@ -346,19 +377,97 @@ func PortPolys(ports []mod.PortArea) []*geo.Polygon {
 }
 
 // ProcessBatch runs one window slide through the full pipeline and
-// reports what happened, with per-stage timings. Slides are serialized
-// with the other state-mutating entry points (Snapshot, Heal, ...);
-// OnSlideEnd callbacks run after the slide, outside the lock.
+// reports what happened, with per-stage timings: Track and
+// ProcessTracked back to back, under one hold of the lock. Slides are
+// serialized with the other state-mutating entry points (Snapshot,
+// Heal, ...); OnSlideEnd callbacks run after the slide, outside the
+// lock.
 func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 	s.runMu.Lock()
+	s.trackLocked(b)
+	return s.endSlide(s.processTrackedLocked(nil))
+}
+
+// Track runs trajectory detection over b, for the next ProcessTracked
+// to process. It panics when a tracked slide is still waiting for
+// ProcessTracked.
+func (s *System) Track(b stream.Batch) {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	s.trackLocked(b)
+}
+
+func (s *System) trackLocked(b stream.Batch) {
+	if s.next.set {
+		panic("core: a tracked slide has not been processed")
+	}
 	start := time.Now()
 	res := s.tracker.Slide(b)
-	rep := SlideReport{FixesIn: len(b.Fixes)}
-	rep.Timings.Tracking = time.Since(start)
-	if s.freshObs != nil {
-		s.freshObs(b.Query, res.Fresh)
+	s.next = trackedSlide{set: true, fixes: len(b.Fixes), res: res, own: time.Since(start)}
+}
+
+// ProcessTracked runs the tracked slide — from Track, or started ahead
+// by the previous ProcessTracked — through the rest of the pipeline.
+// ahead, when non-nil, is asked for the next slide once this one's
+// tracking is done: a batch it returns is started on the tracker's
+// shard pool and tracked while this slide is recognized, archived and
+// published, and the next ProcessTracked processes it (no Track). It
+// is not asked while a tracker shard is quarantined, so a repair never
+// races a slide it would change. Serialized like ProcessBatch.
+func (s *System) ProcessTracked(ahead func() (stream.Batch, bool)) SlideReport {
+	s.runMu.Lock()
+	return s.endSlide(s.processTrackedLocked(ahead))
+}
+
+func (s *System) processTrackedLocked(ahead func() (stream.Batch, bool)) SlideReport {
+	cur := s.next
+	if !cur.set {
+		panic("core: ProcessTracked without a tracked slide")
 	}
-	return s.endSlide(s.processLocked(start, rep, res))
+	s.next = trackedSlide{}
+	begin := time.Now()
+	rep := SlideReport{FixesIn: cur.fixes}
+	res := cur.res
+	rep.Timings.Tracking = cur.own
+	if cur.ahead {
+		var done time.Time
+		res, done = s.tracker.Finish()
+		end := time.Now()
+		// The shards ran beside the previous slide until they were all in
+		// or this slide began collecting them; whatever ran on is waited.
+		// (A zero done — every shard out of service — ran nothing.)
+		if done.IsZero() {
+			done = cur.started
+		}
+		rep.Timings.Tracking += max(earlier(done, begin).Sub(cur.started), 0) + end.Sub(begin)
+		if waited := earlier(done, end).Sub(begin); waited > 0 {
+			s.trackerWait.Add(int64(waited))
+		}
+	}
+	own := cur.own
+	if ahead != nil && s.tracker.FaultStats().Quarantined == 0 {
+		if b, ok := ahead(); ok {
+			t := time.Now()
+			s.tracker.Start(b)
+			started := time.Now()
+			s.next = trackedSlide{set: true, ahead: true, fixes: len(b.Fixes), own: started.Sub(t), started: started}
+			s.lookahead.Add(1)
+			// Starting the next slide is the next slide's time.
+			own -= s.next.own
+		}
+	}
+	if s.freshObs != nil {
+		s.freshObs(res.Query, res.Fresh)
+	}
+	return s.processLocked(begin, own, rep, res)
+}
+
+// earlier returns the earlier of two instants.
+func earlier(a, b time.Time) time.Time {
+	if a.Before(b) {
+		return a
+	}
+	return b
 }
 
 // ProcessSlide runs the stages after trajectory detection — CE
@@ -370,7 +479,7 @@ func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 // state-mutating entry points like ProcessBatch.
 func (s *System) ProcessSlide(res tracker.SlideResult) SlideReport {
 	s.runMu.Lock()
-	return s.endSlide(s.processLocked(time.Now(), SlideReport{}, res))
+	return s.endSlide(s.processLocked(time.Now(), 0, SlideReport{}, res))
 }
 
 // endSlide releases runMu, taken by the caller, and runs the OnSlideEnd
@@ -385,9 +494,9 @@ func (s *System) endSlide(rep SlideReport) SlideReport {
 }
 
 // processLocked is one slide from the tracker seam on, completing
-// rep (FixesIn and Tracking filled in by the caller); start is when the
-// slide began, for its Wall time.
-func (s *System) processLocked(start time.Time, rep SlideReport, res tracker.SlideResult) SlideReport {
+// rep (FixesIn and Tracking filled in by the caller). The slide's Wall
+// time is own plus the time since start.
+func (s *System) processLocked(start time.Time, own time.Duration, rep SlideReport, res tracker.SlideResult) SlideReport {
 	rep.Query, rep.CriticalPoints = res.Query, len(res.Fresh)
 	level := DegradeNone
 	if s.degrader != nil {
@@ -455,7 +564,7 @@ func (s *System) processLocked(start time.Time, rep SlideReport, res tracker.Sli
 		rep.Alerts = merged
 	}
 	s.rebaseJournals()
-	rep.Timings.Wall = time.Since(start)
+	rep.Timings.Wall = own + time.Since(start)
 	if s.degrader != nil {
 		s.degradeStep(rep.Timings.Wall)
 	}

@@ -93,6 +93,22 @@ func (g *Gateway) Process(b stream.Batch) core.SlideReport {
 	return g.sys.ProcessBatch(b)
 }
 
+// Track forwards core.System.Track under the write lock.
+func (g *Gateway) Track(b stream.Batch) {
+	g.pipeMu.Lock()
+	defer g.pipeMu.Unlock()
+	g.sys.Track(b)
+}
+
+// ProcessTracked forwards core.System.ProcessTracked under the write
+// lock. A slide it starts ahead is tracked after the lock is released;
+// the tracker's own reads (/vessels) finish it before they look.
+func (g *Gateway) ProcessTracked(ahead func() (stream.Batch, bool)) core.SlideReport {
+	g.pipeMu.Lock()
+	defer g.pipeMu.Unlock()
+	return g.sys.ProcessTracked(ahead)
+}
+
 // Drain forwards core.System.Drain under the write lock, for drivers
 // finishing a stream.
 func (g *Gateway) Drain(last time.Time) {

@@ -70,9 +70,12 @@ func (h *Hub) Close() {
 }
 
 // Quiesce runs fn while the pipeline is paused under the gateway's
-// write lock: no slide is in flight and no snapshot query is reading,
-// so fn observes (or captures) a consistent pipeline state. The
-// checkpoint loop uses it to snapshot between slides.
+// write lock: no slide is being processed and no snapshot query is
+// reading, so fn observes (or captures) a consistent pipeline state.
+// The checkpoint loop uses it to snapshot between slides, on a slide
+// nothing was tracked past; anywhere else a slide tracked ahead may be
+// in flight, which tracker reads finish first and core.System.Snapshot
+// refuses (ErrSlideInFlight).
 func (g *Gateway) Quiesce(fn func()) {
 	g.pipeMu.Lock()
 	defer g.pipeMu.Unlock()

@@ -11,7 +11,9 @@ import (
 // IngestStage is the ingest side of a live pipeline: it owns the fix
 // source and its Batcher on a goroutine of its own and hands the
 // pipeline whole slides, so slide k+1 is read and decoded while slide k
-// is processed. How far ingest may run ahead is the capacity:
+// is processed. A pipeline that tracks slide k+1 beside slide k takes
+// it early with TryNext, which frees the stage to read slide k+2. How
+// far ingest may run ahead is the capacity:
 //
 //   - capacity 0 is lossless. At most one finished slide waits while the
 //     next is being filled; when that one finishes too the stage blocks,
@@ -26,7 +28,7 @@ import (
 //     nothing whatever N is. Slides emptied by drops are still
 //     delivered, so window cadence survives overload.
 //
-// One goroutine calls Next, Recycle and Err; Pending, Dropped and the
+// One goroutine calls Next, TryNext, Recycle and Err; Pending, Dropped and the
 // metrics may be read from any goroutine.
 type IngestStage struct {
 	batcher  *Batcher
@@ -73,9 +75,10 @@ type queuedSlide struct {
 
 func (q *queuedSlide) live() int { return len(q.fixes) - q.head }
 
-// maxFreeBatches bounds the recycled arrays kept: one slide with the
-// pipeline, one waiting, one being filled.
-const maxFreeBatches = 3
+// maxFreeBatches bounds the recycled arrays kept: one slide being
+// processed, one tracked ahead of it (held until processed, for the
+// resume cursor), one waiting and one being filled.
+const maxFreeBatches = 4
 
 // NewIngestStage starts reading b on a new goroutine. capacity is in
 // fixes; 0 (or less) selects the lossless mode. The caller must not use
@@ -217,6 +220,20 @@ func (s *IngestStage) Next() (Batch, bool) {
 		}
 		s.pipelineWait.Add(int64(time.Since(t)))
 	}
+	return s.pop()
+}
+
+// TryNext is Next without the wait: it returns the oldest finished slide
+// if one is ready now, and false otherwise — also when the source has
+// not ended, so false means "call Next", not "done".
+func (s *IngestStage) TryNext() (Batch, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pop()
+}
+
+// pop takes the oldest finished slide off the queue. Callers hold mu.
+func (s *IngestStage) pop() (Batch, bool) {
 	if s.closed || len(s.ready) == 0 {
 		return Batch{}, false
 	}

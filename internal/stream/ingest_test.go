@@ -175,6 +175,47 @@ func TestIngestStageMatchesBatcher(t *testing.T) {
 	}
 }
 
+// TestIngestStageTryNext drives the stage as the look-ahead slide loop
+// does: the slide being processed is held while the next is taken early
+// whenever one is ready, and recycled only after. The slides must still
+// be the Batcher's, and TryNext must never wait.
+func TestIngestStageTryNext(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		fixes := randomStream(rand.New(rand.NewSource(seed)))
+		want := drain(NewBatcher(NewSliceSource(fixes), time.Minute).Next, nil)
+		for _, capacity := range []int{0, len(fixes) + 1} {
+			st := NewIngestStage(NewBatcher(NewSliceSource(fixes), time.Minute), capacity)
+			var got, held []Batch
+			for {
+				if len(held) == 0 {
+					b, ok := st.Next()
+					if !ok {
+						break
+					}
+					held = append(held, b)
+				}
+				if b, ok := st.TryNext(); ok {
+					held = append(held, b)
+				}
+				cur := held[0]
+				held = held[1:]
+				got = append(got, Batch{Fixes: append([]ais.Fix(nil), cur.Fixes...), Query: cur.Query})
+				st.Recycle(cur)
+			}
+			st.Close()
+			sameBatches(t, got, want)
+		}
+	}
+
+	src := &chanSource{ch: make(chan ais.Fix)}
+	st := NewIngestStage(NewBatcher(src, time.Minute), 0)
+	if b, ok := st.TryNext(); ok {
+		t.Fatalf("TryNext on an idle source returned a slide at %v", b.Query)
+	}
+	close(src.ch)
+	st.Close()
+}
+
 func TestIngestStageLosslessBackpressure(t *testing.T) {
 	const slides, perSlide = 12, 10
 	fixes := gridFixes(slides, perSlide)
@@ -496,13 +537,20 @@ func TestIngestStageMetricsExport(t *testing.T) {
 
 // TestIngestStageAllocs holds the warm stage to a constant number of
 // allocations per slide whatever the slide's size: the backing arrays
-// handed back through Recycle carry the fixes, nothing is grown anew.
+// handed back through Recycle carry the fixes, nothing is grown anew —
+// also for a consumer that holds each slide until it has taken the next,
+// as the look-ahead slide loop does.
 func TestIngestStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates allocation counts")
 	}
 	const perSlide = 4096
-	for _, capacity := range []int{0, 8192} {
+	for _, mode := range []struct {
+		capacity int
+		ahead    bool
+	}{{0, false}, {8192, false}, {0, true}, {8192, true}} {
+		capacity := mode.capacity
+		var held Batch
 		// The test feeds each slide itself, so that in capacity mode —
 		// where nothing else holds ingest back — every slide is taken
 		// before the next one closes, as with a pipeline that keeps up.
@@ -519,15 +567,18 @@ func TestIngestStageAllocs(t *testing.T) {
 			if !ok || len(b.Fixes) != perSlide {
 				t.Fatalf("slide of %d fixes, ok=%v", len(b.Fixes), ok)
 			}
+			if mode.ahead {
+				b, held = held, b
+			}
 			st.Recycle(b)
 		}
 		for i := 0; i < 4; i++ {
 			step()
 		}
 		avg := testing.AllocsPerRun(32, step)
-		t.Logf("capacity %d: %.1f allocations per warm slide of %d fixes", capacity, avg, perSlide)
+		t.Logf("capacity %d, ahead %v: %.1f allocations per warm slide of %d fixes", capacity, mode.ahead, avg, perSlide)
 		if avg > 2 {
-			t.Errorf("capacity %d: %.1f allocations per warm slide, want ≤ 2", capacity, avg)
+			t.Errorf("capacity %d, ahead %v: %.1f allocations per warm slide, want ≤ 2", capacity, mode.ahead, avg)
 		}
 		if d := st.Dropped(); d != 0 {
 			t.Errorf("capacity %d: dropped %d fixes", capacity, d)

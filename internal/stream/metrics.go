@@ -16,9 +16,12 @@ func (s *IngestStage) RegisterMetrics(r *obs.Registry) {
 		nil, func() float64 { return float64(s.Dropped()) })
 	r.Gauge("maritime_ingest_capacity",
 		"Ingest backlog bound in fixes (0 = lossless: one slide of read-ahead, then backpressure).", nil).Set(float64(s.capacity))
-	const waitHelp = "Time one side of the ingest hand-over spent blocked on the other: side=ingest is a finished slide waiting to be taken (the pipeline is the bottleneck), side=pipeline is the pipeline waiting for a slide (feed and decode are)."
-	r.CounterFunc("maritime_pipeline_wait_seconds_total", waitHelp,
+	r.CounterFunc("maritime_pipeline_wait_seconds_total", PipelineWaitHelp,
 		obs.Labels{"side": "ingest"}, func() float64 { return float64(s.ingestWait.Load()) / 1e9 })
-	r.CounterFunc("maritime_pipeline_wait_seconds_total", waitHelp,
+	r.CounterFunc("maritime_pipeline_wait_seconds_total", PipelineWaitHelp,
 		obs.Labels{"side": "pipeline"}, func() float64 { return float64(s.pipelineWait.Load()) / 1e9 })
 }
+
+// PipelineWaitHelp is the help text of maritime_pipeline_wait_seconds_total,
+// whose side="tracker" series core.System registers.
+const PipelineWaitHelp = "Time one side of a pipeline hand-over spent blocked on the other: side=ingest is a finished slide waiting to be taken (the pipeline is the bottleneck), side=pipeline is the pipeline waiting for a slide (feed and decode are), side=tracker is the pipeline waiting for the shards of a slide tracked ahead (tracking is)."

@@ -94,10 +94,10 @@ func BenchmarkSteadySlide(b *testing.B) {
 	b.ReportMetric(float64(b.N*fixes)/b.Elapsed().Seconds(), "fixes/s")
 }
 
-// BenchmarkSelfHealSlide is BenchmarkSteadySlide at two shards, the
-// tier as cmd/serve runs it on a 2-core box, with self-heal off and on
-// (journal, cadence re-bases, watchdog): the per-fix cost of self-heal
-// is the difference between the two rows.
+// BenchmarkSelfHealSlide is BenchmarkSteadySlide at DefaultShards, the
+// tier as cmd/serve runs it, with self-heal off and on (journal,
+// cadence re-bases, watchdog): the per-fix cost of self-heal is the
+// difference between the two rows.
 func BenchmarkSelfHealSlide(b *testing.B) {
 	batches, fixes := benchWorkload(b)
 	span := 2 * time.Hour
@@ -107,7 +107,7 @@ func BenchmarkSelfHealSlide(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, 2)
+			tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, DefaultShards())
 			defer tr.Close()
 			if heal {
 				tr.EnableSelfHeal(DefaultJournalSlides)
@@ -134,12 +134,13 @@ func BenchmarkSelfHealSlide(b *testing.B) {
 // slices at their high-water marks, synopsis windows full), a slide must
 // run allocation-free up to a small amortized constant — synopsis ring
 // growth and stop-run reallocation are amortized, nothing is allocated
-// per fix or per slide. Two shards is what production runs on a 2-core
-// box (DefaultShards). Each shard count is gated plain, with self-heal
-// on, and as cmd/serve runs it: self-heal under the watchdog, every
-// shard pooled. Self-heal re-bases every second slide, so the measured
-// slides include re-bases, which refill the journal's buffers in place,
-// and journal appends, which copy into recycled slide buffers.
+// per fix or per slide. Each shard count — and DefaultShards, what
+// production runs — is gated plain, with self-heal on, as cmd/serve runs
+// a slide that waited for the feed (self-heal under the watchdog, every
+// shard pooled), and as it runs a slide tracked ahead (the same, through
+// Start and Finish). Self-heal re-bases every second slide, so the
+// measured slides include re-bases, which refill the journal's buffers
+// in place, and journal appends, which copy into recycled slide buffers.
 func TestSteadyStateSlideAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts")
@@ -150,22 +151,30 @@ func TestSteadyStateSlideAllocs(t *testing.T) {
 	batches = batches[:len(batches)-1]
 	warm := len(batches) - 12 // leave 12 slides (one full window) to measure
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
-	for _, shards := range []int{1, 2} {
-		for _, mode := range []string{"plain", "self-heal", "watchdog"} {
+	for _, shards := range []int{1, 2, DefaultShards()} {
+		for _, mode := range []string{"plain", "self-heal", "watchdog", "ahead"} {
 			tier := NewSharded(DefaultParams(), window, shards)
 			if mode != "plain" {
 				tier.EnableSelfHeal(2)
 			}
-			if mode == "watchdog" {
+			if mode == "watchdog" || mode == "ahead" {
 				tier.SetSlideTimeout(time.Minute)
 			}
+			slide := tier.Slide
+			if mode == "ahead" {
+				slide = func(b stream.Batch) SlideResult {
+					tier.Start(b)
+					res, _ := tier.Finish()
+					return res
+				}
+			}
 			for _, b := range batches[:warm] {
-				tier.Slide(b)
+				slide(b)
 			}
 			idx := warm
 			const runs = 10 // AllocsPerRun adds one warm-up call
 			allocs := testing.AllocsPerRun(runs, func() {
-				tier.Slide(batches[idx])
+				slide(batches[idx])
 				idx++
 			})
 			if idx != warm+runs+1 {

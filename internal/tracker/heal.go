@@ -194,8 +194,12 @@ func (s *Sharded) FaultStats() FaultStats {
 }
 
 // Quarantined returns the quarantine records of every out-of-service
-// shard awaiting repair. It must not run concurrently with Slide.
+// shard awaiting repair, as of the last finished slide. It does not
+// finish the slide in flight: the supervisor polls it after every
+// slide, and quarantines change only when a slide finishes.
 func (s *Sharded) Quarantined() []supervise.Quarantine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []supervise.Quarantine
 	for i := range s.heal {
 		if s.heal[i].quarantined {
@@ -287,7 +291,8 @@ func (s *Sharded) replayShard(i int, hook *func(shard, slide, attempt int), reru
 		}
 		gapStart, delta := tr.slide(sl.in, sl.q)
 		if k == last {
-			out = shardOut{gapStart: gapStart, delta: delta, dur: time.Since(start)}
+			end := time.Now()
+			out = shardOut{gapStart: gapStart, delta: delta, dur: end.Sub(start), end: end}
 		}
 	}
 	// Tier-wide atomics are wired only now, so the replay itself did not
@@ -297,11 +302,13 @@ func (s *Sharded) replayShard(i int, hook *func(shard, slide, attempt int), reru
 }
 
 // RepairShard rebuilds a quarantined shard from its journal and
-// re-admits it. It must not run concurrently with Slide (the supervisor
-// serializes through core's run lock). An error leaves the shard
+// re-admits it, after finishing the slide in flight (whose fixes for
+// the shard the journal then holds). An error leaves the shard
 // quarantined: either the target is not quarantined, or the replay
 // panicked again (a persistent fault the supervisor will back off on).
 func (s *Sharded) RepairShard(i int) error {
+	s.settle()
+	defer s.mu.Unlock()
 	if s.heal == nil {
 		return fmt.Errorf("tracker: self-heal not enabled")
 	}
@@ -330,6 +337,8 @@ func (s *Sharded) RepairShard(i int) error {
 // a process restart or snapshot restore. Called by the supervisor when
 // repairs exhaust the give-up threshold.
 func (s *Sharded) AbandonShard(i int) {
+	s.settle()
+	defer s.mu.Unlock()
 	if s.heal == nil || i < 0 || i >= len(s.shards) {
 		return
 	}

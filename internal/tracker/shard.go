@@ -45,19 +45,38 @@ func ShardOf(mmsi uint32, n int) int {
 // output is exactly the critical-point stream of one shard holding
 // every vessel (fresh points in triggering-fix order, then slide-time
 // gap points in MMSI order; delta points sorted by time then MMSI).
-// Shard 0 runs on the calling goroutine and the rest on a persistent
-// worker pool; under the watchdog every shard runs pooled so the caller
-// can abandon a wedged one. Output is byte-identical across shard
-// counts; one shard is the serial tracker.
+// Slide runs shard 0 on the calling goroutine and the rest on a
+// persistent worker pool; under the watchdog every shard runs pooled so
+// the caller can abandon a wedged one. Output is byte-identical across
+// shard counts; one shard is the serial tracker.
 //
-// The SlideResult returned by Slide aliases tier-owned scratch: Fresh
-// and Delta are valid until the next Slide call. The pipeline consumes
-// them within the slide; callers that retain them must copy.
+// A slide is two steps, and Slide is the two back to back: Start
+// routes, journals and hands every shard to the pool, and Finish
+// collects them, deals with stragglers and panics, merges and re-bases.
+// Between the two the caller may do other work — the pipeline processes
+// the previous slide there. One slide at a time is in flight: every
+// read and repair of the tier's state (Stats, Infos, Snapshot,
+// RepairShard, ...) first finishes the slide in flight, on the calling
+// goroutine, and keeps its result for Finish.
+//
+// The SlideResult returned by Slide and Finish aliases tier-owned
+// scratch: Fresh and Delta are valid until the slide after next starts,
+// so a slide's result survives while the next one is tracked. Callers
+// that retain them longer must copy.
 type Sharded struct {
 	params Params
 	window stream.WindowSpec
 	shards []*shard
 	pool   *shardPool // started by the first pooled slide
+
+	// mu serializes the slide steps with the reads and repairs other
+	// goroutines make. A started slide is in flight until finish, which
+	// runs under mu whoever calls it; its result waits in result until
+	// Finish takes it.
+	mu       sync.Mutex
+	flight   flight
+	result   SlideResult
+	resultAt time.Time
 
 	// Slide-scoped scratch, reused across slides. in holds each shard's
 	// routed input, outs and done its result slot and the pooled shards'
@@ -71,8 +90,10 @@ type Sharded struct {
 	completed []bool
 	skip      []bool // shards left out of this slide's merge
 	heads     []int
-	fresh     []CriticalPoint
-	delta     []CriticalPoint
+	// The merged output, double-buffered like the shards' own scratch:
+	// merge writes one pair and swaps it with the spare.
+	fresh, spareFresh []CriticalPoint
+	delta, spareDelta []CriticalPoint
 
 	metrics *shardMetrics
 
@@ -105,6 +126,15 @@ type Sharded struct {
 	closeOnce sync.Once
 }
 
+// flight is the slide between start and finish.
+type flight struct {
+	on       bool
+	query    time.Time
+	pooled   int // shards handed to the pool, to be collected
+	watchdog bool
+	hook     *func(shard, slide, attempt int)
+}
+
 // shardIn is one shard's routed input for a slide: its fixes and
 // whether overload shedding is on for the slide.
 type shardIn struct {
@@ -129,6 +159,7 @@ type shardOut struct {
 	gapStart int // offset in the shard's fresh where gap-sweep points begin
 	delta    []CriticalPoint
 	dur      time.Duration
+	end      time.Time             // when the shard finished the slide
 	panic    *supervise.Quarantine // set when a recoverable job panicked
 }
 
@@ -206,7 +237,8 @@ func runShard(j shardJob) {
 		(*j.hook)(j.i, j.slide, j.attempt)
 	}
 	gapStart, delta := j.tr.slide(j.in, j.q)
-	*j.out = shardOut{gapStart: gapStart, delta: delta, dur: time.Since(start)}
+	end := time.Now()
+	*j.out = shardOut{gapStart: gapStart, delta: delta, dur: end.Sub(start), end: end}
 	if j.done != nil {
 		j.done <- j.i
 	}
@@ -255,8 +287,13 @@ func (s *Sharded) newShard() *shard {
 }
 
 // DefaultShards is the shard count used when a configuration leaves it
-// zero: one shard per available CPU.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
+// zero: four shards per available CPU. With the next slide tracked
+// beside the pipeline's work on the current one, the shards share the
+// cores with recognition and ingest, and smaller shards balance better
+// across whatever cores are free; a sweep over 1×, 2× and 4× per CPU
+// on the end-to-end benchmark picked 4× (EXPERIMENTS.md, "Two slides in
+// flight").
+func DefaultShards() int { return 4 * runtime.GOMAXPROCS(0) }
 
 // workers returns the tier's pool, starting it on first use with one
 // worker per shard — enough for the watchdog, which pools every shard.
@@ -272,9 +309,12 @@ func (s *Sharded) workers() *shardPool {
 	return s.pool
 }
 
-// Close stops the worker pool. It must not be called concurrently with
-// Slide. Closing is idempotent; a closed tier must not slide again.
+// Close finishes the slide in flight, if any, and stops the worker
+// pool. Closing is idempotent; a closed tier must not slide again.
 func (s *Sharded) Close() {
+	s.mu.Lock()
+	s.finish()
+	s.mu.Unlock()
 	s.closeOnce.Do(func() {
 		if s.pool != nil {
 			close(s.pool.stop)
@@ -293,9 +333,10 @@ func (s *Sharded) wireShared(tr *shard) {
 	tr.shedCnt = &s.shedCnt
 }
 
-// SetShedStationary toggles overload shedding from the next slide on:
-// while on, fixes from long-stopped vessels only advance the vessel
-// clock (see shard ingest). Safe to call from any goroutine.
+// SetShedStationary toggles overload shedding from the next slide
+// started on: while on, fixes from long-stopped vessels only advance
+// the vessel clock (see shard ingest). A slide already started keeps
+// the setting it was routed with. Safe to call from any goroutine.
 func (s *Sharded) SetShedStationary(on bool) { s.shedOn.Store(on) }
 
 // LateFixes returns the tier-wide count of late fixes accepted
@@ -311,10 +352,55 @@ func (s *Sharded) ShedFixes() int64 { return s.shedCnt.Load() }
 
 // Slide processes one batch: it updates the window with fresh
 // positions, detects trajectory events, performs slide-time gap
-// detection, and evicts expired critical points and stale vessels. The
-// returned Fresh and Delta slices are tier-owned scratch, valid until
-// the next Slide.
+// detection, and evicts expired critical points and stale vessels. It is
+// Start and Finish back to back, except that shard 0 runs on the calling
+// goroutine unless the watchdog is armed. The returned Fresh and Delta
+// slices are tier-owned scratch, valid until the slide after next
+// starts.
 func (s *Sharded) Slide(b stream.Batch) SlideResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.start(b, false)
+	s.finish()
+	return s.take()
+}
+
+// Start begins the slide over b: it routes and journals the batch and
+// hands every shard to the worker pool, then returns while they run.
+// Finish collects the slide. Starting a slide while another is in
+// flight finishes that one first; its result is lost.
+func (s *Sharded) Start(b stream.Batch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.start(b, true)
+}
+
+// Finish waits for the slide Start began — under the slide watchdog
+// when armed — merges it and returns its result, together with when
+// its last shard finished (stragglers: when the watchdog gave up on
+// them). A slide a reader already finished is returned as kept. With
+// no slide started, Finish returns a zero result.
+func (s *Sharded) Finish() (SlideResult, time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finish()
+	at := s.resultAt
+	return s.take(), at
+}
+
+// take hands the kept result out once.
+func (s *Sharded) take() SlideResult {
+	res := s.result
+	s.result, s.resultAt = SlideResult{}, time.Time{}
+	return res
+}
+
+// start is the first step of a slide: finish the one in flight, route
+// and journal the batch, and dispatch the shards — all of them to the
+// pool when pooled or under the watchdog, else shard 0 runs here.
+// Callers hold mu.
+func (s *Sharded) start(b stream.Batch, pooled bool) {
+	s.finish()
 	n := len(s.shards)
 	s.slideSeq++
 	watchdog := s.heal != nil && s.timeout > 0
@@ -334,7 +420,7 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 
 	// Shards [0, firstPooled) run here, the rest on the pool.
 	firstPooled := 1
-	if watchdog {
+	if pooled || watchdog {
 		firstPooled = 0
 	}
 	inFlight := 0
@@ -356,12 +442,27 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 			s.shardDone(i)
 		}
 	}
-	s.collect(inFlight, watchdog)
+	s.flight = flight{on: true, query: b.Query, pooled: inFlight, watchdog: watchdog, hook: hook}
+}
+
+// finish is the second step of the slide in flight, if any: collect the
+// pooled shards, quarantine stragglers, re-run panicked shards from the
+// journal, merge, and re-base the journals that are due. The result is
+// kept for take. Callers hold mu.
+func (s *Sharded) finish() {
+	f := s.flight
+	if !f.on {
+		return
+	}
+	s.flight = flight{}
+	s.collect(f.pooled, f.watchdog)
+	var doneAt time.Time
 
 	// Stragglers: quarantine them and replace their pool workers, which
 	// are stuck inside runShard on the now-abandoned shard.
 	for i := range s.shards {
 		if !s.skip[i] && !s.completed[i] {
+			doneAt = time.Now()
 			s.stalls.Add(1)
 			s.quarantineShard(i, supervise.Stalled(fmt.Sprintf("tracker/%d", i)))
 			s.pool.addWorker()
@@ -378,7 +479,7 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 			continue
 		}
 		s.panics.Add(1)
-		tr, out, qr := s.replayShard(i, hook, true)
+		tr, out, qr := s.replayShard(i, f.hook, true)
 		if qr != nil {
 			s.panics.Add(1)
 			s.quarantineShard(i, *qr)
@@ -401,10 +502,16 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 		}
 		m.mergeDur.ObserveDuration(time.Since(mergeStart))
 	}
+	for i := range s.shards {
+		if !s.skip[i] && s.outs[i].end.After(doneAt) {
+			doneAt = s.outs[i].end
+		}
+	}
 	if s.heal != nil {
 		s.rebaseDue()
 	}
-	return SlideResult{Query: b.Query, Fresh: fresh, Delta: delta}
+	s.result = SlideResult{Query: f.query, Fresh: fresh, Delta: delta}
+	s.resultAt = doneAt
 }
 
 // job builds shard i's slide job.
@@ -505,8 +612,8 @@ func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
 		}
 		return s.shards[0].fresh, s.outs[0].delta
 	}
-	s.fresh = s.fresh[:0]
-	s.delta = s.delta[:0]
+	s.fresh, s.spareFresh = s.spareFresh[:0], s.fresh
+	s.delta, s.spareDelta = s.spareDelta[:0], s.delta
 
 	// Ingest segment, by triggering-fix index.
 	for i := 0; i < n; i++ {
@@ -582,10 +689,23 @@ func (s *Sharded) outOfService(i int) bool {
 	return s.heal != nil && (s.heal[i].quarantined || s.heal[i].failed)
 }
 
+// settle finishes the slide in flight, if any, and returns with mu
+// held: every read of the tier's state goes through it.
+func (s *Sharded) settle() {
+	s.mu.Lock()
+	s.finish()
+}
+
 // Stats returns the merged counter snapshot across all shards.
 // Quarantined shards are excluded (they are unsafe to read); their
 // counters reappear once a repair rebuilds them from the journal.
 func (s *Sharded) Stats() Stats {
+	s.settle()
+	defer s.mu.Unlock()
+	return s.stats()
+}
+
+func (s *Sharded) stats() Stats {
 	out := Stats{ByType: make(map[EventType]int)}
 	for i, sh := range s.shards {
 		if s.outOfService(i) {
@@ -608,6 +728,12 @@ func (s *Sharded) Stats() Stats {
 // VesselCount returns the number of vessels with live state across all
 // shards.
 func (s *Sharded) VesselCount() int {
+	s.settle()
+	defer s.mu.Unlock()
+	return s.vesselCount()
+}
+
+func (s *Sharded) vesselCount() int {
 	n := 0
 	for i, sh := range s.shards {
 		if !s.outOfService(i) {
@@ -618,7 +744,7 @@ func (s *Sharded) VesselCount() int {
 }
 
 // vessel returns one vessel's live state, or nil when it has none or
-// its shard is out of service.
+// its shard is out of service. Callers hold mu.
 func (s *Sharded) vessel(mmsi uint32) *vesselState {
 	i := ShardOf(mmsi, len(s.shards))
 	if s.outOfService(i) {
@@ -633,6 +759,8 @@ func (s *Sharded) vessel(mmsi uint32) *vesselState {
 // straight-line chord is counted, as the course in between is unknown.
 // ok is false for vessels without live state.
 func (s *Sharded) Odometer(mmsi uint32) (totalM, sinceDepartureM float64, ok bool) {
+	s.settle()
+	defer s.mu.Unlock()
 	st := s.vessel(mmsi)
 	if st == nil {
 		return 0, 0, false
@@ -643,6 +771,8 @@ func (s *Sharded) Odometer(mmsi uint32) (totalM, sinceDepartureM float64, ok boo
 // Synopsis returns the critical points currently retained in the window
 // for the given vessel, oldest first.
 func (s *Sharded) Synopsis(mmsi uint32) []CriticalPoint {
+	s.settle()
+	defer s.mu.Unlock()
 	st := s.vessel(mmsi)
 	if st == nil {
 		return nil
@@ -653,6 +783,8 @@ func (s *Sharded) Synopsis(mmsi uint32) []CriticalPoint {
 // Info returns the summary of one vessel; ok is false for vessels
 // without live state.
 func (s *Sharded) Info(mmsi uint32) (VesselInfo, bool) {
+	s.settle()
+	defer s.mu.Unlock()
 	st := s.vessel(mmsi)
 	if st == nil {
 		return VesselInfo{}, false
@@ -662,7 +794,9 @@ func (s *Sharded) Info(mmsi uint32) (VesselInfo, bool) {
 
 // Infos returns the summary of every tracked vessel, ordered by MMSI.
 func (s *Sharded) Infos() []VesselInfo {
-	out := make([]VesselInfo, 0, s.VesselCount())
+	s.settle()
+	defer s.mu.Unlock()
+	out := make([]VesselInfo, 0, s.vesselCount())
 	for i, sh := range s.shards {
 		if s.outOfService(i) {
 			continue

@@ -161,11 +161,13 @@ func restoreVessel(vs VesselSnapshot) *vesselState {
 	return st
 }
 
-// Snapshot captures the tier's complete state. It must not run
-// concurrently with Slide. Quarantined shards are excluded: callers
-// that need a complete snapshot must repair them first (core.Snapshot
-// refuses with ErrWedged until then).
+// Snapshot captures the tier's complete state, after finishing the
+// slide in flight. Quarantined shards are excluded: callers that need a
+// complete snapshot must repair them first (core.Snapshot refuses with
+// ErrWedged until then).
 func (s *Sharded) Snapshot() Snapshot {
+	s.settle()
+	defer s.mu.Unlock()
 	var snap Snapshot
 	for i, sh := range s.shards {
 		if s.outOfService(i) {
@@ -184,7 +186,7 @@ func (s *Sharded) Snapshot() Snapshot {
 		}
 		return 0
 	})
-	snap.Stats = s.Stats()
+	snap.Stats = s.stats()
 	return snap
 }
 
@@ -192,8 +194,12 @@ func (s *Sharded) Snapshot() Snapshot {
 // snapshot's. Vessels are re-routed by hash, so the snapshot may come
 // from a tier with a different shard count; the merged counters land on
 // shard 0 (per-shard attribution is not preserved across a reshard, the
-// merged totals are). It must not run concurrently with Slide.
+// merged totals are). A slide in flight is finished first and its
+// result discarded: it belongs to the state the restore replaces.
 func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
+	s.settle()
+	defer s.mu.Unlock()
+	s.take()
 	n := len(s.shards)
 	// Quarantined shards' trackers may still be touched by a wedged
 	// goroutine: replace them outright rather than mutating them, which

@@ -24,13 +24,17 @@ type shard struct {
 	// Slide-scoped scratch, reused across slides so the hot path does
 	// not re-allocate per slide. fresh holds the emissions of the
 	// current slide; delta and gapScan back eviction and the slide-time
-	// gap sweep.
-	fresh     []CriticalPoint
-	delta     []CriticalPoint
-	deltaKey  []deltaSortKey
-	deltaOut  []CriticalPoint
-	gapScan   []uint32
-	evictScan []uint32
+	// gap sweep. fresh and deltaOut, which a one-shard tier hands out as
+	// its result, swap with their spares every slide, so the previous
+	// slide's result stays intact while this one is tracked.
+	fresh      []CriticalPoint
+	spareFresh []CriticalPoint
+	delta      []CriticalPoint
+	deltaKey   []deltaSortKey
+	deltaOut   []CriticalPoint
+	spareDelta []CriticalPoint
+	gapScan    []uint32
+	evictScan  []uint32
 
 	// Emission indexing, on when the tier has more than one shard:
 	// freshIdx records, parallel to fresh, the batch index of the fix
@@ -172,9 +176,10 @@ type SlideResult struct {
 // gap-sweep emissions start (they are ordered by MMSI, while
 // fresh[:gapStart] is ordered by triggering fix) and the expired delta
 // points. Both fresh and delta are shard-owned scratch, valid until the
-// next slide.
+// slide after next.
 func (tr *shard) slide(in shardIn, q time.Time) (gapStart int, delta []CriticalPoint) {
-	tr.fresh = tr.fresh[:0]
+	tr.fresh, tr.spareFresh = tr.spareFresh[:0], tr.fresh
+	tr.deltaOut, tr.spareDelta = tr.spareDelta, tr.deltaOut
 	tr.freshIdx = tr.freshIdx[:0]
 	tr.shedding = in.shed
 	for _, r := range in.recs {
@@ -709,7 +714,7 @@ func compareDeltaKey(a, b deltaSortKey) int {
 // evict expires critical points older than the window range and removes
 // vessels silent beyond it, returning the expired "delta" points in
 // per-vessel time order. The returned slice is tracker-owned scratch,
-// valid until the next slide. Only the candidates collectSweeps gathered
+// valid until the slide after next. Only the candidates collectSweeps gathered
 // are visited; vessels whose oldest retained point is still inside the
 // window were already settled by its head peek.
 func (tr *shard) evict(q time.Time) []CriticalPoint {
