@@ -192,35 +192,42 @@ func timedAllocs(f func()) (time.Duration, uint64) {
 
 // BenchmarkRecognizerAdvance measures one recognition query step over a
 // warm window on a denser world than Figure 11's (140 areas, β = 5 min,
-// so every ME lives in ω/β = 12 or 72 overlapping windows): the whole
-// stream is replayed per iteration and the warm steps are timed.
-// Reported metrics: mean time and allocations per warm step.
+// so every ME lives in ω/β = 12, 72 or 144 overlapping windows): the
+// whole stream is replayed per iteration and the warm steps are timed.
+// Reported metrics: mean time and allocations per warm step, and the
+// fluent instances a warm step derived again (the rest it carried
+// forward). The step evaluates what changed, so time per step should
+// stay roughly flat in ω.
 func BenchmarkRecognizerAdvance(b *testing.B) {
 	const slide = 5 * time.Minute
 	cfg := fleetsim.DefaultConfig()
-	cfg.Vessels, cfg.NumAreas, cfg.Duration = 400, 140, 9*time.Hour
+	cfg.Vessels, cfg.NumAreas, cfg.Duration = 400, 140, 15*time.Hour
 	wl := expbench.BuildWorkloadFrom(cfg)
 	slides, queries := expbench.MESlides(wl, slide)
-	for _, window := range []time.Duration{time.Hour, 6 * time.Hour} {
+	for _, window := range []time.Duration{time.Hour, 6 * time.Hour, 12 * time.Hour} {
 		b.Run(fmt.Sprintf("window=%s", window), func(b *testing.B) {
 			warm := int(window / slide)
 			var busy time.Duration
 			var allocs uint64
+			evaluated := 0
 			for i := 0; i < b.N; i++ {
 				rec := maritime.NewRecognizer(maritime.Config{Window: window}, wl.Vessels, wl.Areas)
 				for k := 0; k < warm; k++ {
 					rec.Advance(queries[k], slides[k], nil)
 				}
+				before := rec.Engine().Stats().Evaluated
 				t, a := timedAllocs(func() {
 					for k := warm; k < len(slides); k++ {
 						rec.Advance(queries[k], slides[k], nil)
 					}
 				})
 				busy, allocs = busy+t, allocs+a
+				evaluated += rec.Engine().Stats().Evaluated - before
 			}
 			steps := float64(b.N * (len(slides) - warm))
 			b.ReportMetric(float64(busy.Microseconds())/steps, "µs/step")
 			b.ReportMetric(float64(allocs)/steps, "allocs/step")
+			b.ReportMetric(float64(evaluated)/steps, "evaluated/step")
 		})
 	}
 }

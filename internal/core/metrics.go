@@ -27,6 +27,10 @@ type pipelineMetrics struct {
 	fixes    *obs.Counter
 	critical *obs.Counter
 	trips    *obs.Counter
+	// alerts holds the per-CE alert counters, each resolved on its CE's
+	// first alert: a registry lookup builds and renders a label set, too
+	// dear for every alert. Only the pipeline goroutine touches the map.
+	alerts map[string]*obs.Counter
 
 	// Stage time hidden behind another stage: per slide, the stage busy
 	// times' sum beyond the slide's wall time (recognition beside
@@ -44,6 +48,11 @@ type pipelineMetrics struct {
 	// memoryEvents is the events the in-service recognizers' working
 	// memories held after the last slide, set alongside the definitions.
 	memoryEvents atomic.Int64
+	// The engines' per-step work, summed like the definitions: fluent
+	// instances derived again and carried forward (index 0 and 1), with
+	// each recognizer's previous reading.
+	entities     [2]atomic.Int64
+	entitiesLast [][2]int
 
 	// Per-screen cost of the pairwise analytics tier, indexed like
 	// analytics.Screens: the pipeline goroutine adds each slide's
@@ -65,6 +74,7 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	}
 	s.metrics = &pipelineMetrics{
 		reg:            r,
+		alerts:         make(map[string]*obs.Counter),
 		tracking:       stage("tracking"),
 		staging:        stage("staging"),
 		reconstruction: stage("reconstruction"),
@@ -143,6 +153,7 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 		defs := s.recAt(0).Engine().Stats().Definitions
 		s.metrics.defNanos = make(map[string]*atomic.Int64, len(defs))
 		s.metrics.defLast = make([][]time.Duration, n)
+		s.metrics.entitiesLast = make([][2]int, n)
 		for i := range s.metrics.defLast {
 			s.metrics.defLast[i] = make([]time.Duration, len(defs))
 		}
@@ -156,6 +167,13 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 				"Time spent evaluating each RTEC definition (input fluent, derived event, fluent), summed over recognizers: which rule the recognition stage's time goes to.",
 				obs.Labels{"definition": def.Name},
 				func() float64 { return float64(nanos.Load()) / 1e9 })
+		}
+		for i, outcome := range [2]string{"evaluated", "carried"} {
+			n := &s.metrics.entities[i]
+			r.CounterFunc("maritime_recognition_entities_total",
+				"Fluent instances the recognizers' query steps derived again (outcome=evaluated) or carried forward untouched (outcome=carried): the incremental engine's work against the window's size.",
+				obs.Labels{"outcome": outcome},
+				func() float64 { return float64(n.Load()) })
 		}
 		r.GaugeFunc("maritime_recognition_working_memory_events",
 			"Events in the RTEC working memories of the in-service recognizers after the last slide: the window every query step ranges over, so definition seconds can be read per event.", nil,
@@ -191,7 +209,16 @@ func (s *System) observeDefinitions() {
 		}
 		engine := s.recAt(i).Engine()
 		events += engine.WorkingMemorySize()
-		for j, def := range engine.Stats().Definitions {
+		st := engine.Stats()
+		for k, v := range [2]int{st.Evaluated, st.Carried} {
+			d := v - m.entitiesLast[i][k]
+			if d < 0 {
+				d = v
+			}
+			m.entities[k].Add(int64(d))
+			m.entitiesLast[i][k] = v
+		}
+		for j, def := range st.Definitions {
 			spent := def.Time - last[j]
 			if spent < 0 {
 				spent = def.Time
@@ -231,7 +258,12 @@ func (m *pipelineMetrics) observe(rep SlideReport) {
 	m.critical.Add(uint64(rep.CriticalPoints))
 	m.trips.Add(uint64(rep.TripsCompleted))
 	for _, a := range rep.Alerts {
-		m.reg.Counter("maritime_alerts_total", "Complex events recognized, by CE pattern.",
-			obs.Labels{"ce": a.CE}).Inc()
+		c := m.alerts[a.CE]
+		if c == nil {
+			c = m.reg.Counter("maritime_alerts_total", "Complex events recognized, by CE pattern.",
+				obs.Labels{"ce": a.CE})
+			m.alerts[a.CE] = c
+		}
+		c.Inc()
 	}
 }

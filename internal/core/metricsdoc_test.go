@@ -17,7 +17,8 @@ var familyLiteral = regexp.MustCompile(`"(maritime_[a-z0-9_]+)"`)
 var tableName = regexp.MustCompile("`(maritime_[^`]+)`")
 
 // TestMetricFamiliesDocumented holds README's metrics table to every
-// maritime_* family the pipeline, tracker and ingest packages register:
+// maritime_* family an internal package registers (the pipeline,
+// tracker, ingest, alert log, checkpoint, cluster, feed and serve tiers):
 // a family added without a row fails here.
 func TestMetricFamiliesDocumented(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
@@ -40,7 +41,7 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 		t.Fatal("README has no metrics table rows")
 	}
 	var missing []string
-	for _, dir := range []string{".", "../tracker", "../stream"} {
+	for _, dir := range []string{".", "../tracker", "../stream", "../alertlog", "../checkpoint", "../cluster", "../feed", "../serve"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)

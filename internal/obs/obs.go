@@ -318,17 +318,18 @@ func renderLabels(labels Labels) string {
 	return b.String()
 }
 
+// The text format's escapes, built once: a Replacer is safe for
+// concurrent use.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
 // escapeLabel escapes a label value per the text-format rules.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // escapeHelp escapes a HELP string.
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 // formatFloat renders a float the way Prometheus expects: integers
 // without a decimal point, everything else in shortest form.

@@ -25,7 +25,7 @@ func TestSimpleFluentInertia(t *testing.T) {
 		{Name: "finish", Entity: "v1", Time: 25},
 		{Name: "finish", Entity: "v1", Time: 30}, // already broken
 	})
-	got := res.Fluents[FluentKey{"busy", "v1", True}]
+	got := res.Fluents()[FluentKey{"busy", "v1", True}]
 	want := IntervalList{iv(10, 25)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("busy(v1) = %v, want %v", got, want)
@@ -36,7 +36,7 @@ func TestSimpleFluentOpenInterval(t *testing.T) {
 	e := NewEngine(1000)
 	e.DefineSimpleFluent(boolFluent("busy", "begin", "finish"))
 	res := e.Advance(100, []Event{{Name: "begin", Entity: "v1", Time: 40}})
-	got := res.Fluents[FluentKey{"busy", "v1", True}]
+	got := res.Fluents()[FluentKey{"busy", "v1", True}]
 	if len(got) != 1 || !got[0].Open() || got[0].Since != 40 {
 		t.Errorf("busy(v1) = %v, want open from 40", got)
 	}
@@ -61,8 +61,8 @@ func TestMultiValuedFluentCrossBreaking(t *testing.T) {
 		{Name: "toRed", Entity: "x", Time: 10},
 		{Name: "toGreen", Entity: "x", Time: 30},
 	})
-	red := res.Fluents[FluentKey{"light", "x", "red"}]
-	green := res.Fluents[FluentKey{"light", "x", "green"}]
+	red := res.Fluents()[FluentKey{"light", "x", "red"}]
+	green := res.Fluents()[FluentKey{"light", "x", "green"}]
 	if !reflect.DeepEqual(red, IntervalList{iv(10, 30)}) {
 		t.Errorf("red = %v", red)
 	}
@@ -85,7 +85,7 @@ func TestInputFluentPairing(t *testing.T) {
 		{Name: "stopEnd", Entity: "v1", Time: 80},
 		{Name: "stopStart", Entity: "v1", Time: 120},
 	})
-	got := res.Fluents[FluentKey{"stopped", "v1", True}]
+	got := res.Fluents()[FluentKey{"stopped", "v1", True}]
 	if len(got) != 2 || got[0] != iv(50, 80) || got[1].Since != 120 || !got[1].Open() {
 		t.Errorf("stopped(v1) = %v", got)
 	}
@@ -99,7 +99,7 @@ func TestInputFluentEndWithoutStart(t *testing.T) {
 		e.DeclareInputFluent(InputFluent{Name: "stopped", StartEvent: "stopStart", EndEvent: "stopEnd"})
 		return e.Advance(200, []Event{{Name: "stopEnd", Entity: "v1", Time: 150}})
 	}()
-	got := res.Fluents[FluentKey{"stopped", "v1", True}]
+	got := res.Fluents()[FluentKey{"stopped", "v1", True}]
 	if !reflect.DeepEqual(got, IntervalList{iv(100, 150)}) {
 		t.Errorf("stopped(v1) = %v, want [(100,150]]", got)
 	}
@@ -173,7 +173,7 @@ func TestFluentTriggeredByStartOfInputFluent(t *testing.T) {
 		{Name: "stopEnd", Entity: "v1", Time: 100},  // back to one → not suspicious
 		{Name: "stopEnd", Entity: "v2", Time: 150},
 	})
-	got := res.Fluents[FluentKey{"suspicious", "zone", True}]
+	got := res.Fluents()[FluentKey{"suspicious", "zone", True}]
 	if !reflect.DeepEqual(got, IntervalList{iv(50, 100)}) {
 		t.Errorf("suspicious(zone) = %v, want [(50,100]]", got)
 	}
@@ -191,7 +191,7 @@ func TestWindowingForgetsOldEvents(t *testing.T) {
 	if e.WorkingMemorySize() != 0 {
 		t.Errorf("memory = %d after expiry", e.WorkingMemorySize())
 	}
-	if got := res.Fluents[FluentKey{"busy", "v1", True}]; got != nil {
+	if got := res.Fluents()[FluentKey{"busy", "v1", True}]; got != nil {
 		t.Errorf("busy derived from forgotten events: %v", got)
 	}
 }
@@ -203,7 +203,7 @@ func TestDelayedEventWithinWindowIsUsed(t *testing.T) {
 	e.DefineSimpleFluent(boolFluent("busy", "begin", "finish"))
 	e.Advance(100, nil)
 	res := e.Advance(200, []Event{{Name: "begin", Entity: "v1", Time: 90}}) // delayed
-	got := res.Fluents[FluentKey{"busy", "v1", True}]
+	got := res.Fluents()[FluentKey{"busy", "v1", True}]
 	if len(got) != 1 || got[0].Since != 90 {
 		t.Errorf("delayed event ignored: %v", got)
 	}
@@ -228,11 +228,11 @@ func TestFutureEventHeldPending(t *testing.T) {
 	e := NewEngine(100)
 	e.DefineSimpleFluent(boolFluent("busy", "begin", "finish"))
 	res := e.Advance(100, []Event{{Name: "begin", Entity: "v1", Time: 150}})
-	if got := res.Fluents[FluentKey{"busy", "v1", True}]; got != nil {
+	if got := res.Fluents()[FluentKey{"busy", "v1", True}]; got != nil {
 		t.Errorf("future event already visible: %v", got)
 	}
 	res = e.Advance(200, nil)
-	got := res.Fluents[FluentKey{"busy", "v1", True}]
+	got := res.Fluents()[FluentKey{"busy", "v1", True}]
 	if len(got) != 1 || got[0].Since != 150 {
 		t.Errorf("pending event not admitted: %v", got)
 	}
@@ -246,7 +246,7 @@ func TestOutOfOrderArrivalSameStep(t *testing.T) {
 		{Name: "finish", Entity: "v1", Time: 60},
 		{Name: "begin", Entity: "v1", Time: 30},
 	})
-	got := res.Fluents[FluentKey{"busy", "v1", True}]
+	got := res.Fluents()[FluentKey{"busy", "v1", True}]
 	if !reflect.DeepEqual(got, IntervalList{iv(30, 60)}) {
 		t.Errorf("out-of-order = %v, want [(30,60]]", got)
 	}

@@ -26,7 +26,7 @@ func Example() {
 	})
 
 	key := rtec.FluentKey{Fluent: "f", Entity: "x", Value: rtec.True}
-	fmt.Println("holdsFor:", res.Fluents[key])
+	fmt.Println("holdsFor:", res.Fluents()[key])
 	fmt.Println("holdsAt(10):", engine.HoldsAt(key, 10))
 	fmt.Println("holdsAt(25):", engine.HoldsAt(key, 25))
 	fmt.Println("holdsAt(26):", engine.HoldsAt(key, 26))

@@ -303,7 +303,7 @@ func TestIndexMatchesNaiveScans(t *testing.T) {
 				}
 			}
 			for key, want := range naiveInputFluent(model.memory, stopped, q-window) {
-				if got, ok := res.Fluents[key]; !ok || !reflect.DeepEqual(got, want) {
+				if got, ok := res.Fluents()[key]; !ok || !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d q %d: %v = %v (present %v), pairing scan says %v", seed, q, key, got, ok, want)
 				}
 			}

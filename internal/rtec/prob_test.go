@@ -142,7 +142,7 @@ func TestEngineProbabilisticMode(t *testing.T) {
 		{Name: "finish", Entity: "v", Time: 40, P: 1},  // belief 0
 	})
 	key := FluentKey{"busy", "v", True}
-	got := res.Fluents[key]
+	got := res.Fluents()[key]
 	if !reflect.DeepEqual(got, IntervalList{iv(20, 40)}) {
 		t.Errorf("probabilistic intervals = %v, want [(20,40]]", got)
 	}
@@ -167,12 +167,12 @@ func TestEngineProbabilisticCertainEventsMatchCrisp(t *testing.T) {
 	}
 	crisp := NewEngine(10000)
 	crisp.DefineSimpleFluent(boolFluent("busy", "begin", "finish"))
-	want := crisp.Advance(5000, events).Fluents
+	want := crisp.Advance(5000, events).Fluents()
 
 	prob := NewEngine(10000)
 	prob.DefineSimpleFluent(boolFluent("busy", "begin", "finish"))
 	prob.SetProbabilistic(0.5)
-	got := prob.Advance(5000, events).Fluents
+	got := prob.Advance(5000, events).Fluents()
 
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("probabilistic with certain events diverged:\n got %v\nwant %v", got, want)
@@ -194,7 +194,7 @@ func TestEngineProbabilisticLeavesMultiValuedCrisp(t *testing.T) {
 		{Name: "toRed", Entity: "x", Time: 10, P: 0.3}, // confidence ignored crisply
 		{Name: "toGreen", Entity: "x", Time: 30},
 	})
-	red := res.Fluents[FluentKey{"light", "x", "red"}]
+	red := res.Fluents()[FluentKey{"light", "x", "red"}]
 	if !reflect.DeepEqual(red, IntervalList{iv(10, 30)}) {
 		t.Errorf("multi-valued fluent not crisp in prob mode: %v", red)
 	}

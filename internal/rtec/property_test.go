@@ -44,8 +44,8 @@ func TestPropertyFluentsHaveOneValueAtATime(t *testing.T) {
 		res := e.Advance(5000, randomEvents(rng, 60, 4000))
 		for tp := Timepoint(1); tp <= 4200; tp += 13 {
 			for _, entity := range []string{"a", "b", "c"} {
-				red := res.Fluents[FluentKey{"light", entity, "red"}].HoldsAt(tp)
-				green := res.Fluents[FluentKey{"light", entity, "green"}].HoldsAt(tp)
+				red := res.Fluents()[FluentKey{"light", entity, "red"}].HoldsAt(tp)
+				green := res.Fluents()[FluentKey{"light", entity, "green"}].HoldsAt(tp)
 				if red && green {
 					t.Fatalf("seed %d: light(%s) is both red and green at %d", seed, entity, tp)
 				}
@@ -59,7 +59,7 @@ func TestPropertyIntervalsAreMaximalAndDisjoint(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := buildEngine(10000)
 		res := e.Advance(5000, randomEvents(rng, 80, 4000))
-		for key, ivs := range res.Fluents {
+		for key, ivs := range res.Fluents() {
 			for i := 0; i < len(ivs); i++ {
 				if ivs[i].Until <= ivs[i].Since {
 					t.Fatalf("seed %d: %v has empty interval %v", seed, key, ivs[i])
@@ -86,7 +86,7 @@ func TestPropertyDeliveryOrderIrrelevantWithinWindow(t *testing.T) {
 		events := randomEvents(rng, 50, 3000)
 
 		oneShot := buildEngine(100000)
-		want := oneShot.Advance(5000, events).Fluents
+		want := oneShot.Advance(5000, events).Fluents()
 
 		shuffled := append([]Event(nil), events...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -94,7 +94,7 @@ func TestPropertyDeliveryOrderIrrelevantWithinWindow(t *testing.T) {
 		// Deliver in three arbitrary chunks at increasing query times.
 		incremental.Advance(4000, shuffled[:len(shuffled)/3])
 		incremental.Advance(4500, shuffled[len(shuffled)/3:2*len(shuffled)/3])
-		got := incremental.Advance(5000, shuffled[2*len(shuffled)/3:]).Fluents
+		got := incremental.Advance(5000, shuffled[2*len(shuffled)/3:]).Fluents()
 
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: incremental shuffled delivery diverged\n got: %v\nwant: %v",
@@ -112,9 +112,9 @@ func TestPropertyWindowedSubsetOfUnbounded(t *testing.T) {
 		events := randomEvents(rng, 60, 4000)
 
 		windowed := buildEngine(1500)
-		w := windowed.Advance(5000, events).Fluents
+		w := windowed.Advance(5000, events).Fluents()
 		unbounded := buildEngine(1 << 40)
-		u := unbounded.Advance(5000, events).Fluents
+		u := unbounded.Advance(5000, events).Fluents()
 
 		for key, ivs := range w {
 			for _, iv := range ivs {

@@ -1,7 +1,5 @@
 package rtec
 
-import "sort"
-
 // Statically determined fluents and declarations — the remaining RTEC
 // definition forms (Artikis et al., "An Event Calculus for Event
 // Recognition"). A statically determined fluent is defined directly by
@@ -17,6 +15,9 @@ import "sort"
 // receives the evaluation context (with every earlier definition's
 // intervals available) and one declared entity, and returns the
 // fluent's maximal intervals for that entity via interval algebra.
+// Like a rule's Map, Compute and EntitiesOf are evaluated again only
+// when what they read through the Ctx changes; between evaluations the
+// intervals are clipped to the moving window.
 type StaticFluentDef struct {
 	Name string
 	// Entities lists the declared groundings. When nil, EntitiesOf is
@@ -36,7 +37,8 @@ type StaticFluentDef struct {
 // registration order, interleaved with simple fluents in one combined
 // definition order.
 func (e *Engine) DefineStaticFluent(def StaticFluentDef) {
-	e.defs = append(e.defs, definition{name: def.Name, static: &def})
+	e.builtins, e.builtinTriggered = nil, 0
+	e.defs = append(e.defs, &definition{name: def.Name, static: &def})
 }
 
 // Declare limits a previously registered simple fluent to the given
@@ -62,26 +64,4 @@ func (e *Engine) declaredOK(fluent, entity string) bool {
 		return true
 	}
 	return set[entity]
-}
-
-// evalStaticFluent computes a statically determined fluent for its
-// declared entities.
-func (c *Ctx) evalStaticFluent(def *StaticFluentDef) {
-	entities := def.Entities
-	if entities == nil && def.EntitiesOf != nil {
-		entities = def.EntitiesOf(c)
-	}
-	sorted := append([]string(nil), entities...)
-	sort.Strings(sorted)
-	window := Interval{Since: c.WindowStart, Until: Inf}
-	for _, entity := range sorted {
-		if !c.engine.declaredOK(def.Name, entity) {
-			continue
-		}
-		ivs := Clip(window, def.Compute(c, entity))
-		if len(ivs) == 0 {
-			continue
-		}
-		c.setFluent(FluentKey{Fluent: def.Name, Entity: entity, Value: True}, ivs)
-	}
 }

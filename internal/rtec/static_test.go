@@ -26,7 +26,7 @@ func TestStaticFluentFromIntervalAlgebra(t *testing.T) {
 		{Name: "begin", Entity: "b", Time: 60},
 		{Name: "finish", Entity: "b", Time: 200},
 	})
-	got := res.Fluents[FluentKey{"joint", "a+b", True}]
+	got := res.Fluents()[FluentKey{"joint", "a+b", True}]
 	if !reflect.DeepEqual(got, IntervalList{iv(60, 100)}) {
 		t.Errorf("joint = %v, want [(60,100]]", got)
 	}
@@ -63,11 +63,11 @@ func TestStaticFluentEntitiesOf(t *testing.T) {
 		{Name: "ping", Entity: "x", Time: 40},
 		{Name: "ping", Entity: "y", Time: 200},
 	})
-	x := res.Fluents[FluentKey{"alive", "x", True}]
+	x := res.Fluents()[FluentKey{"alive", "x", True}]
 	if !reflect.DeepEqual(x, IntervalList{iv(10, 90)}) {
 		t.Errorf("alive(x) = %v, want [(10,90]]", x)
 	}
-	if res.Fluents[FluentKey{"alive", "y", True}] == nil {
+	if res.Fluents()[FluentKey{"alive", "y", True}] == nil {
 		t.Error("alive(y) missing")
 	}
 }
@@ -82,7 +82,7 @@ func TestStaticFluentClippedToWindow(t *testing.T) {
 		},
 	})
 	res := e.Advance(300, nil)
-	got := res.Fluents[FluentKey{"always", "z", True}]
+	got := res.Fluents()[FluentKey{"always", "z", True}]
 	if !reflect.DeepEqual(got, IntervalList{iv(200, 1000)}) {
 		t.Errorf("clipped = %v, want [(200,1000]]", got)
 	}
@@ -106,7 +106,7 @@ func TestStaticFluentFeedsDownstreamSimpleFluent(t *testing.T) {
 		Init: map[string][]TriggerRule{True: {{Event: "start:echo", Map: identity}}},
 	})
 	res := e.Advance(500, []Event{{Name: "begin", Entity: "a", Time: 42}})
-	got := res.Fluents[FluentKey{"reacted", "a", True}]
+	got := res.Fluents()[FluentKey{"reacted", "a", True}]
 	if len(got) != 1 || got[0].Since != 42 {
 		t.Errorf("reacted = %v, want open from 42", got)
 	}
@@ -121,10 +121,10 @@ func TestDeclarationsRestrictSimpleFluent(t *testing.T) {
 		{Name: "mark", Entity: "area-1", Time: 10},
 		{Name: "mark", Entity: "area-2", Time: 20}, // undeclared: ignored
 	})
-	if res.Fluents[FluentKey{"watchlisted", "area-1", True}] == nil {
+	if res.Fluents()[FluentKey{"watchlisted", "area-1", True}] == nil {
 		t.Error("declared entity not computed")
 	}
-	if res.Fluents[FluentKey{"watchlisted", "area-2", True}] != nil {
+	if res.Fluents()[FluentKey{"watchlisted", "area-2", True}] != nil {
 		t.Error("undeclared entity computed despite declaration")
 	}
 }
@@ -140,10 +140,10 @@ func TestDeclarationsRestrictStaticFluent(t *testing.T) {
 	})
 	e.Declare("covered", []string{"b"})
 	res := e.Advance(100, nil)
-	if res.Fluents[FluentKey{"covered", "a", True}] != nil {
+	if res.Fluents()[FluentKey{"covered", "a", True}] != nil {
 		t.Error("undeclared static entity computed")
 	}
-	if res.Fluents[FluentKey{"covered", "b", True}] == nil {
+	if res.Fluents()[FluentKey{"covered", "b", True}] == nil {
 		t.Error("declared static entity missing")
 	}
 }
@@ -153,7 +153,7 @@ func TestDeclareUnknownFluentIsNoOp(t *testing.T) {
 	e.Declare("nonexistent", []string{"x"})
 	e.DefineSimpleFluent(boolFluent("busy", "begin", "finish"))
 	res := e.Advance(100, []Event{{Name: "begin", Entity: "v", Time: 5}})
-	if res.Fluents[FluentKey{"busy", "v", True}] == nil {
+	if res.Fluents()[FluentKey{"busy", "v", True}] == nil {
 		t.Error("unrelated declaration broke an undeclared fluent")
 	}
 }
