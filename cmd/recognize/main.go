@@ -60,10 +60,9 @@ func main() {
 		areas     = flag.Int("areas", 35, "areas of interest")
 		window    = flag.Duration("window", time.Hour, "window range ω")
 		slide     = flag.Duration("slide", 10*time.Minute, "window slide β")
-		procs     = flag.Int("procs", 1, "partition CE recognition across this many parallel recognizers")
 		shards    = flag.Int("shards", 0, "mobility-tracker shards (0 = four per CPU, 1 = serial)")
 		quiet     = flag.Bool("quiet", false, "suppress per-alert output")
-		watchdog  = flag.Duration("watchdog", 0, "per-slide recognition budget; wedged partitions are abandoned (0 = off)")
+		watchdog  = flag.Duration("watchdog", 0, "per-slide recognition budget; a wedged recognizer is abandoned (0 = off)")
 		selfHeal  = flag.Bool("self-heal", false, "recover panics and wedged partitions by quarantine-and-restore instead of crashing (batch runs default to fail-fast)")
 		degrade   = flag.Bool("degrade", false, "shed work under overload (defer archival → instantaneous-only recognition → shed stationary vessels); meaningful for live feeds")
 		degSlide  = flag.Duration("degrade-slide-high", 0, "per-slide cost above which the pipeline degrades (0 = 80% of -slide)")
@@ -91,7 +90,6 @@ func main() {
 		Window:          stream.WindowSpec{Range: *window, Slide: *slide},
 		Tracker:         tracker.DefaultParams(),
 		Recognition:     maritime.Config{Window: *window},
-		Processors:      *procs,
 		TrackerShards:   *shards,
 		WatchdogTimeout: *watchdog,
 		SelfHeal:        *selfHeal,

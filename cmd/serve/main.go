@@ -79,7 +79,6 @@ func main() {
 		speedup = flag.Float64("speedup", 600, "time acceleration of the internal feed (0 = as fast as possible)")
 		window  = flag.Duration("window", time.Hour, "window range ω")
 		slide   = flag.Duration("slide", 10*time.Minute, "window slide β")
-		procs   = flag.Int("procs", 1, "partition CE recognition across this many parallel recognizers")
 		shards  = flag.Int("shards", 0, "mobility-tracker shards (0 = four per CPU, 1 = serial)")
 
 		watchdog  = flag.Duration("watchdog", 5*time.Second, "per-slide recognition budget (0 = off)")
@@ -133,7 +132,6 @@ func main() {
 		Window:          stream.WindowSpec{Range: *window, Slide: *slide},
 		Tracker:         tracker.DefaultParams(),
 		Recognition:     maritime.Config{Window: *window},
-		Processors:      *procs,
 		TrackerShards:   *shards,
 		WatchdogTimeout: *watchdog,
 		SelfHeal:        *selfHeal,

@@ -365,7 +365,7 @@ func TestLookAheadFaultsMatchSerial(t *testing.T) {
 				sys.OnSlideEnd(func(core.SlideReport) { sup.Poll() })
 				release := make(chan struct{})
 				var steps atomic.Int64
-				core.SetRecognizerFaultHook(func(int) {
+				core.SetRecognizerFaultHook(func() {
 					if steps.Add(1) == 6 {
 						<-release
 					}

@@ -122,16 +122,14 @@ func renderClusterFinal(f ClusterFinal) string {
 }
 
 // referenceRun processes the whole stream in one process, recognition
-// on over the given number of longitude bands — the ground truth the
-// cluster must reproduce.
-func referenceRun(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix, processors int) ([]string, string) {
+// on — the ground truth the cluster must reproduce.
+func referenceRun(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix) ([]string, string) {
 	t.Helper()
 	vessels, areas, ports := core.AdaptWorld(sim)
 	sys := core.NewSystem(core.Config{
 		Window:        stream.WindowSpec{Range: time.Hour, Slide: testSlide},
 		Tracker:       tracker.DefaultParams(),
 		Recognition:   maritime.Config{Window: time.Hour},
-		Processors:    processors,
 		TrackerShards: 3,
 	}, vessels, areas, ports)
 	defer sys.Close()
@@ -181,11 +179,10 @@ func (s *reportSink) rendered() []string {
 
 // clusterOpts parameterizes one cluster run.
 type clusterOpts struct {
-	workers    int
-	queueCap   int // 0: large (1024) so equivalence runs never force a merge
-	hub        *serve.Hub
-	analytics  bool // enable the coordinator's pairwise analytics tier
-	processors int  // the coordinator's recognition bands (core.Config.Processors)
+	workers   int
+	queueCap  int // 0: large (1024) so equivalence runs never force a merge
+	hub       *serve.Hub
+	analytics bool // enable the coordinator's pairwise analytics tier
 
 	ckptDirs  []string // per-worker; enables checkpointing when set
 	ckptEvery int
@@ -238,7 +235,6 @@ func runCluster(t *testing.T, sim *fleetsim.Simulator, fixes []ais.Fix, o cluste
 		Window:      stream.WindowSpec{Range: time.Hour, Slide: testSlide},
 		Tracker:     tracker.DefaultParams(),
 		Recognition: maritime.Config{Window: time.Hour},
-		Processors:  o.processors,
 	}
 	coordCfg := CoordinatorConfig{
 		Workers:   o.workers,
@@ -434,21 +430,15 @@ func drainEnvelopes(sub *serve.Subscriber) []serve.Envelope {
 
 // TestClusterMatchesSingleProcess is the golden equivalence check: one
 // process, a 1-worker cluster and a 3-worker cluster must all produce
-// the same per-slide output and final archival digest — also with
-// recognition split into two longitude bands on both sides, which the
-// coordinator runs through core's band fan-out.
+// the same per-slide output and final archival digest.
 func TestClusterMatchesSingleProcess(t *testing.T) {
 	sim, raw := testFleet(t, 120, 4)
 	fixes := canonFixes(t, raw)
 
-	for _, tc := range []struct{ workers, processors int }{{1, 1}, {3, 1}, {3, 2}} {
-		refSlides, refFinal := referenceRun(t, sim, fixes, tc.processors)
-		workers := tc.workers
-		res := runCluster(t, sim, fixes, clusterOpts{workers: workers, processors: tc.processors})
-		label := fmt.Sprintf("cluster(%d) processors=%d", workers, tc.processors)
-		if banded := res.coord.sys.Recognizer() == nil; banded != (tc.processors > 1) {
-			t.Fatalf("%s: coordinator banded=%v", label, banded)
-		}
+	refSlides, refFinal := referenceRun(t, sim, fixes)
+	for _, workers := range []int{1, 3} {
+		res := runCluster(t, sim, fixes, clusterOpts{workers: workers})
+		label := fmt.Sprintf("cluster(%d)", workers)
 		compareSlides(t, label, refSlides, res.slides)
 		if got := renderClusterFinal(res.final); got != refFinal {
 			t.Errorf("%s final digest diverged:\n  want %s\n  got  %s", label, refFinal, got)
@@ -472,7 +462,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 func TestClusterKillWorkerRestore(t *testing.T) {
 	sim, raw := testFleet(t, 120, 4)
 	fixes := canonFixes(t, raw)
-	refSlides, refFinal := referenceRun(t, sim, fixes, 1)
+	refSlides, refFinal := referenceRun(t, sim, fixes)
 
 	cleanHub := serve.NewHub(1 << 15)
 	cleanSub := cleanHub.Subscribe(serve.Filter{}, 1<<15)
@@ -532,7 +522,7 @@ func TestClusterKillWorkerRestore(t *testing.T) {
 func TestClusterManifestRestore(t *testing.T) {
 	sim, raw := testFleet(t, 120, 4)
 	fixes := canonFixes(t, raw)
-	refSlides, refFinal := referenceRun(t, sim, fixes, 1)
+	refSlides, refFinal := referenceRun(t, sim, fixes)
 
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	manifestDir := t.TempDir()

@@ -161,7 +161,7 @@ var durativeDemarcations = map[string]bool{
 
 // filterInstantaneous drops the durative demarcations from the ME
 // stream, counting each drop. It filters in place: the stream is the
-// slide's scratch, which routing copies into the bands' slots.
+// slide's scratch, which recognition copies into the recognizer's slot.
 func (s *System) filterInstantaneous(events []rtec.Event) []rtec.Event {
 	out := events[:0]
 	for _, ev := range events {

@@ -27,8 +27,8 @@ func serialSlide(s *System, b stream.Batch) SlideReport {
 	}
 	s.runArchival(&rep, res.Delta, true)
 	events := maritime.MEStream(res.Fresh)
-	// Joined at once: nothing runs beside the recognizers.
-	rep.Alerts, _ = s.startPartitions(b.Query, events)()
+	// Joined at once: nothing runs beside the recognizer.
+	rep.Alerts, _ = s.startRecognition(b.Query, events)()
 	if s.analytics != nil {
 		if pair := s.analytics.Slide(b.Query, res.Fresh); len(pair) > 0 {
 			rep.Alerts = append(rep.Alerts, pair...)
@@ -40,7 +40,7 @@ func serialSlide(s *System, b stream.Batch) SlideReport {
 }
 
 // sameFinalState compares two systems' complete dynamic state: the
-// snapshots of every recognizer, the tracker and the analytics tier,
+// snapshots of the recognizer, the tracker and the analytics tier,
 // and the store's trips before and after the final drain (its snapshot
 // gob-encodes maps, so its bytes differ between equal stores; draining
 // turns the staged points the trip lists do not show into trips).
@@ -84,7 +84,7 @@ func alertStrings(rep SlideReport) []string {
 // TestFanOutMatchesSerialComposition runs the same fleet through
 // ProcessBatch, where recognition works beside archival and analytics,
 // and through the serial composition of the same stages: every slide's
-// alerts (in order), critical points and trips, and at the end every
+// alerts (in order), critical points and trips, and at the end the
 // recognizer's, the tracker's and the analytics tier's snapshot and the
 // store's contents must be identical.
 func TestFanOutMatchesSerialComposition(t *testing.T) {
@@ -93,21 +93,18 @@ func TestFanOutMatchesSerialComposition(t *testing.T) {
 	simCfg.DarkPairs = 3
 	pairwise := &analytics.Config{EnableCollision: true}
 	cases := []struct {
-		name       string
-		processors int
-		watchdog   time.Duration
-		selfHeal   bool
-		analytics  *analytics.Config
+		name      string
+		watchdog  time.Duration
+		selfHeal  bool
+		analytics *analytics.Config
 	}{
-		{"production", 1, 5 * time.Second, true, pairwise},
-		{"partitioned-production", 3, 5 * time.Second, true, pairwise},
-		{"partitioned-bare", 2, 0, false, nil},
-		{"watchdog-only", 1, 5 * time.Second, false, pairwise},
+		{"production", 5 * time.Second, true, pairwise},
+		{"bare", 0, false, nil},
+		{"watchdog-only", 5 * time.Second, false, pairwise},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := defaultSystemConfig()
-			cfg.Processors = tc.processors
 			cfg.WatchdogTimeout = tc.watchdog
 			cfg.SelfHeal = tc.selfHeal
 			cfg.Analytics = tc.analytics
@@ -191,7 +188,7 @@ func TestSelfHealFaultsDuringOverlap(t *testing.T) {
 			release := make(chan struct{})      // lets a stalled recognizer goroutine go
 			defer close(release)
 			var recOnce, storeOnce sync.Once
-			SetRecognizerFaultHook(func(int) {
+			SetRecognizerFaultHook(func() {
 				if slide.Load() != faultSlide {
 					return
 				}
@@ -280,7 +277,7 @@ func TestDegradationVotesOnWallTime(t *testing.T) {
 	_, _, ports := AdaptWorld(sim)
 	sys := NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
-	SetRecognizerFaultHook(func(int) { time.Sleep(stageCost) })
+	SetRecognizerFaultHook(func() { time.Sleep(stageCost) })
 	defer SetRecognizerFaultHook(nil)
 	sys.SetStoreFaultHook(func() { time.Sleep(stageCost) })
 

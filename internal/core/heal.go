@@ -15,23 +15,23 @@ import (
 )
 
 // Self-healing supervision (Config.SelfHeal). Every stateful target —
-// tracker shards, recognizer partitions, the MOD store — gets the same
+// tracker shards, the recognizer, the MOD store — gets the same
 // treatment: a panic or watchdog stall quarantines the target instead
 // of crashing or terminally abandoning it, the system keeps a journal
 // of the target's recent input slides, and Heal rebuilds the target by
 // restoring its last known-good snapshot and replaying the journal.
 // Tracker shards implement this inside the tracker package (their
 // journals are routed fixes); this file implements it for the
-// recognizers and the store. All three keep their journals in
+// recognizer and the store. All three keep their journals in
 // supervise.Journal, so they share one retention rule.
 //
-// Alerts a recognizer would have produced while quarantined are
+// Alerts the recognizer would have produced while quarantined are
 // reconstructed by the replay and delivered with the next slide's
 // report ("recovered" alerts): the replayed recognizer starts from the
 // pre-quarantine base whose seen-set already covers everything reported
 // live, so recovered alerts are exactly the ones that were lost.
 
-// Down-state of a recognizer partition or the store.
+// Down-state of the recognizer or the store.
 const (
 	partUp       = 0 // in service
 	partStalled  = 1 // watchdog-abandoned; goroutine may still run
@@ -45,7 +45,7 @@ type recSlide struct {
 	events []rtec.Event
 }
 
-// recJournal is one recognizer's repair journal: the snapshot the next
+// recJournal is the recognizer's repair journal: the snapshot the next
 // replay starts from plus every input slide since. downFrom indexes the
 // first journaled slide whose live output was lost to a quarantine
 // (-1 while healthy); a replay reports the alerts of slides from that
@@ -71,10 +71,10 @@ type storeSlide struct {
 type storeJournal = supervise.Journal[*mod.MOD, storeSlide]
 
 // initSelfHeal arms the supervision layer: the tracker's own shard
-// journals, and one journal per recognizer plus one for the store.
-func (s *System) initSelfHeal(vessels []maritime.Vessel, ports []mod.PortArea) {
+// journals, and one journal for the recognizer and one for the store.
+func (s *System) initSelfHeal(vessels []maritime.Vessel, areas []maritime.Area, ports []mod.PortArea) {
 	s.selfHeal = true
-	s.vessels, s.ports = vessels, ports
+	s.vessels, s.areas, s.ports = vessels, areas, ports
 	s.tracker.EnableSelfHeal(s.journalEvery)
 	if s.cfg.WatchdogTimeout > 0 {
 		s.tracker.SetSlideTimeout(s.cfg.WatchdogTimeout)
@@ -82,13 +82,12 @@ func (s *System) initSelfHeal(vessels []maritime.Vessel, ports []mod.PortArea) {
 	s.resetJournals()
 }
 
-// resetJournals starts every recognizer's and the store's journal over
+// resetJournals starts the recognizer's and the store's journal over
 // from their current state.
 func (s *System) resetJournals() {
-	s.recJ = make([]recJournal, len(s.partitions))
-	for i := range s.recJ {
-		s.recJ[i] = recJournal{
-			Journal:  supervise.NewJournal[maritime.RecognizerSnapshot, recSlide](s.recAt(i).Snapshot(), s.journalEvery),
+	if s.rec != nil {
+		s.recJ = &recJournal{
+			Journal:  supervise.NewJournal[maritime.RecognizerSnapshot, recSlide](s.rec.Snapshot(), s.journalEvery),
 			downFrom: -1,
 		}
 	}
@@ -98,39 +97,11 @@ func (s *System) resetJournals() {
 	}
 }
 
-// recAt returns recognizer i.
-func (s *System) recAt(i int) *maritime.Recognizer { return s.partitions[i].rec }
-
-// recDown returns recognizer i's down-state.
-func (s *System) recDown(i int) int32 { return s.partitions[i].down.Load() }
-
-// recTarget names recognizer i in the supervisor's namespace: a lone
-// band is "recognizer", one of several "recognizer/<i>".
-func (s *System) recTarget(i int) string {
-	if len(s.partitions) == 1 {
-		return "recognizer"
-	}
-	return fmt.Sprintf("recognizer/%d", i)
-}
-
-// recIndex resolves a supervisor target name to its recognizer.
-func (s *System) recIndex(target string) (int, bool) {
-	for i := range s.partitions {
-		if s.recTarget(i) == target {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// journalRec appends one input slide to recognizer i's journal. A
+// journalRec appends one input slide to the recognizer's journal. A
 // slide the retention cap evicts is a replay gap; if its live output
 // was lost to the quarantine, its events are now lost for good.
-func (s *System) journalRec(i int, q time.Time, events []rtec.Event) {
-	if s.recDown(i) == partFailed {
-		return
-	}
-	j := &s.recJ[i]
+func (s *System) journalRec(q time.Time, events []rtec.Event) {
+	j := s.recJ
 	old, evicted := j.Append(recSlide{q: q, events: append(j.Spare().events[:0], events...)})
 	if !evicted {
 		return
@@ -158,28 +129,27 @@ func (s *System) journalStore(delta []tracker.CriticalPoint, reconstruct bool) {
 	}
 }
 
-// quarantinePartition takes recognition partition i out of service: its
-// scratch slot is abandoned to whatever goroutine may still hold it and
-// its journal is marked. Without SelfHeal the slide's routed events are
-// lost; with it they are journaled, and count as lost only once no
-// replay can recover them (journalRec, Abandon).
-func (s *System) quarantinePartition(i int, state int32, info supervise.Quarantine) {
-	p := s.partitions[i]
-	p.down.Store(state)
-	p.info = info
+// quarantineRecognizer takes the recognizer out of service: its events
+// slot is abandoned to whatever goroutine may still hold it and its
+// journal is marked. Without SelfHeal the slide's events are lost; with
+// it they are journaled, and count as lost only once no replay can
+// recover them (journalRec, Abandon).
+func (s *System) quarantineRecognizer(state int32, info supervise.Quarantine) {
+	s.recDown.Store(state)
+	s.recInfo = info
 	if state == partPanicked {
 		s.panicsRecovered.Add(1)
 	}
 	if !s.selfHeal {
-		s.watchdogLostEvents.Add(int64(len(s.evByPart[i])))
+		s.watchdogLostEvents.Add(int64(len(s.recEvents)))
 	}
 	// The abandoned goroutine may still hold this slide's backing
-	// arrays; never append into them again.
-	s.evByPart[i] = nil
+	// array; never append into it again.
+	s.recEvents = nil
 	// This slide (already journaled) and every one after it are missing
 	// from live output until a replay recovers them.
-	if s.recJ != nil && s.recJ[i].downFrom < 0 {
-		s.recJ[i].downFrom = len(s.recJ[i].Slides) - 1
+	if s.recJ != nil && s.recJ.downFrom < 0 {
+		s.recJ.downFrom = len(s.recJ.Slides) - 1
 	}
 }
 
@@ -197,10 +167,8 @@ func (s *System) rebaseJournals() {
 		return
 	}
 	t := time.Now()
-	for i := range s.recJ {
-		if j := &s.recJ[i]; j.downFrom < 0 && s.recDown(i) == partUp && j.Due() {
-			j.Rebase(s.recAt(i).Snapshot())
-		}
+	if j := s.recJ; j != nil && j.downFrom < 0 && s.recDown.Load() == partUp && j.Due() {
+		j.Rebase(s.rec.Snapshot())
 	}
 	mid := time.Now()
 	s.rebaseRecNanos.Add(int64(mid.Sub(t)))
@@ -211,16 +179,14 @@ func (s *System) rebaseJournals() {
 }
 
 // Quarantined lists every target currently quarantined and repairable
-// by Heal — tracker shards, recognizers, the store. Failed (given-up)
+// by Heal — tracker shards, the recognizer, the store. Failed (given-up)
 // targets are not listed; they show up in Health.Failed.
 func (s *System) Quarantined() []supervise.Quarantine {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	out := s.tracker.Quarantined()
-	for _, p := range s.partitions {
-		if d := p.down.Load(); d == partStalled || d == partPanicked {
-			out = append(out, p.info)
-		}
+	if d := s.recDown.Load(); d == partStalled || d == partPanicked {
+		out = append(out, s.recInfo)
 	}
 	if d := s.storeDown.Load(); d == partStalled || d == partPanicked {
 		out = append(out, s.storeInfo)
@@ -230,9 +196,9 @@ func (s *System) Quarantined() []supervise.Quarantine {
 
 // Heal repairs one quarantined target by restore-then-replay and
 // re-admits it. Targets use the supervise namespace: "tracker/N",
-// "recognizer" (one band) or "recognizer/N" (several), "store". The
-// repair runs under the pipeline lock, so it must not be called from an
-// AlertSink (use OnSlideEnd, which fires outside the lock).
+// "recognizer", "store". The repair runs under the pipeline lock, so it
+// must not be called from an AlertSink (use OnSlideEnd, which fires
+// outside the lock).
 func (s *System) Heal(target string) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -248,9 +214,8 @@ func (s *System) Heal(target string) error {
 		return s.tracker.RepairShard(i)
 	case target == "store":
 		return s.healStore()
-	}
-	if i, ok := s.recIndex(target); ok {
-		return s.healRecognizer(i)
+	case target == "recognizer" && s.rec != nil:
+		return s.healRecognizer()
 	}
 	return fmt.Errorf("core: unknown heal target %q", target)
 }
@@ -274,13 +239,12 @@ func (s *System) Abandon(target string) {
 				s.storeJ.Slides = nil
 			}
 		}
-	default:
-		if i, ok := s.recIndex(target); ok && s.recDown(i) != partUp {
-			s.partitions[i].down.Store(partFailed)
-			if s.recJ != nil {
+	case target == "recognizer":
+		if s.recDown.Load() != partUp {
+			s.recDown.Store(partFailed)
+			if j := s.recJ; j != nil {
 				// Free the journal: what it held since the quarantine can
 				// no longer be recovered.
-				j := &s.recJ[i]
 				for _, sl := range j.Slides[max(j.downFrom, 0):] {
 					s.watchdogLostEvents.Add(int64(len(sl.events)))
 				}
@@ -290,24 +254,22 @@ func (s *System) Abandon(target string) {
 	}
 }
 
-// healRecognizer rebuilds recognizer i from its journal base, replays
+// healRecognizer rebuilds the recognizer from its journal base, replays
 // every journaled slide, collects the alerts of the quarantine window
 // as recovered, and re-admits. A panic during replay leaves the target
 // quarantined and returns an error.
-func (s *System) healRecognizer(i int) (err error) {
-	down := s.recDown(i)
-	if down != partStalled && down != partPanicked {
-		return fmt.Errorf("core: %s is not quarantined", s.recTarget(i))
+func (s *System) healRecognizer() (err error) {
+	if d := s.recDown.Load(); d != partStalled && d != partPanicked {
+		return errors.New("core: recognizer is not quarantined")
 	}
-	j := &s.recJ[i]
-	p := s.partitions[i]
+	j := s.recJ
 	var recovered []maritime.Alert
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: replaying %s panicked: %v", s.recTarget(i), r)
+			err = fmt.Errorf("core: replaying recognizer panicked: %v", r)
 		}
 	}()
-	rec := maritime.NewRecognizer(s.cfg.Recognition, s.vessels, p.areas)
+	rec := maritime.NewRecognizer(s.cfg.Recognition, s.vessels, s.areas)
 	rec.RestoreSnapshot(j.Base)
 	for k := range j.Slides {
 		sl := &j.Slides[k]
@@ -318,9 +280,9 @@ func (s *System) healRecognizer(i int) (err error) {
 	}
 	// Re-admit. The old recognizer object is simply leaked: a stalled
 	// goroutine may still be running against it.
-	p.rec = rec
-	p.down.Store(partUp)
-	p.info = supervise.Quarantine{}
+	s.rec = rec
+	s.recDown.Store(partUp)
+	s.recInfo = supervise.Quarantine{}
 	j.Rebase(rec.Snapshot())
 	j.downFrom = -1
 	s.recovered = append(s.recovered, recovered...)
@@ -368,9 +330,8 @@ func (s *System) OnSlideEnd(fn func(SlideReport)) {
 }
 
 // SetRecognizerFaultHook installs fn at the start of every recognition
-// step, with the band index (-1 when there is one band). Chaos tests
-// inject panics and stalls through it; nil uninstalls.
-func SetRecognizerFaultHook(fn func(partition int)) {
+// step. Chaos tests inject panics and stalls through it; nil uninstalls.
+func SetRecognizerFaultHook(fn func()) {
 	if fn == nil {
 		recognizerAdvanceHook.Store(nil)
 		return

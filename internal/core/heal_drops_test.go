@@ -9,15 +9,14 @@ import (
 	"repro/internal/tracker"
 )
 
-// TestSelfHealLostEventsCountOnlyUnrecoverable panics one of two bands
-// and then heals it, or gives up on it. Under SelfHeal the band's
-// events are journaled while it is down, so they are lost only once no
-// replay can bring them back: a healed run reports no watchdog drops
-// (and the alerts of the run nothing happened to), an abandoned one
-// exactly the events of the slides journaled since the quarantine.
+// TestSelfHealLostEventsCountOnlyUnrecoverable panics the recognizer
+// and then heals it, or gives up on it. Under SelfHeal its events are
+// journaled while it is down, so they are lost only once no replay can
+// bring them back: a healed run reports no watchdog drops (and the
+// alerts of the run nothing happened to), an abandoned one exactly the
+// events of the slides journaled since the quarantine.
 func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 	cfg := defaultSystemConfig()
-	cfg.Processors = 2
 	cfg.SelfHeal = true
 	batches, vessels, areas, sim := slideBatches(t, simConfig(150, 5), cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
@@ -38,19 +37,15 @@ func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sys := NewSystem(cfg, vessels, areas, ports)
 			defer sys.Close()
-			// Band 0's share of each slide's movement events, counted from
-			// the fresh points independently of routing and journals.
+			// Each slide's movement events, counted from the fresh points
+			// independently of the journal.
 			slide := 0
-			band0 := make([]int, len(batches))
+			events := make([]int, len(batches))
 			sys.SetFreshObserver(func(_ time.Time, fresh []tracker.CriticalPoint) {
-				for _, ev := range maritime.MEStream(fresh) {
-					if sys.partitionOf(ev.Lon) == 0 {
-						band0[slide]++
-					}
-				}
+				events[slide] = len(maritime.MEStream(fresh))
 			})
-			SetRecognizerFaultHook(func(partition int) {
-				if partition == 0 && slide == panicSlide {
+			SetRecognizerFaultHook(func() {
+				if slide == panicSlide {
 					panic("injected recognizer fault")
 				}
 			})
@@ -67,18 +62,18 @@ func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 					t.Fatalf("%d events counted lost while still journaled for a heal", lost)
 				}
 				if heal {
-					if err := sys.Heal("recognizer/0"); err != nil {
+					if err := sys.Heal("recognizer"); err != nil {
 						t.Fatal(err)
 					}
 					continue
 				}
-				sys.Abandon("recognizer/0")
+				sys.Abandon("recognizer")
 				want := 0
 				for k := panicSlide; k <= repairSlide; k++ {
-					want += band0[k]
+					want += events[k]
 				}
 				if want == 0 {
-					t.Fatal("band 0 saw no events while quarantined; the test is vacuous")
+					t.Fatal("no events while quarantined; the test is vacuous")
 				}
 				if lost := sys.Health().DropsByCause["watchdog"]; lost != want {
 					t.Fatalf("abandon counted %d events lost, the quarantine journaled %d", lost, want)

@@ -103,7 +103,7 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 	sys := newSystem(cfg, 1, vessels, areas, ports)
 	defer sys.Close()
 	slide := 0
-	SetRecognizerFaultHook(func(int) {
+	SetRecognizerFaultHook(func() {
 		if slide == panicSlide {
 			panic("injected recognizer fault")
 		}
@@ -123,20 +123,20 @@ func TestSelfHealJournalCapEvictsOldestOnly(t *testing.T) {
 		t.Errorf("ReplayGapSlides = %d, want %d (%d evicted from each of two journals)", got, 2*evicted, evicted)
 	}
 	survivors := healSlide + 1 - capSlides
-	wantRec, wantStore := all.recJ[0].Slides[survivors:], all.storeJ.Slides[survivors:]
-	if !reflect.DeepEqual(sys.recJ[0].Slides, wantRec) {
-		t.Errorf("recognizer journal holds %d slides, not the newest %d in order", len(sys.recJ[0].Slides), capSlides)
+	wantRec, wantStore := all.recJ.Slides[survivors:], all.storeJ.Slides[survivors:]
+	if !reflect.DeepEqual(sys.recJ.Slides, wantRec) {
+		t.Errorf("recognizer journal holds %d slides, not the newest %d in order", len(sys.recJ.Slides), capSlides)
 	}
 	if !reflect.DeepEqual(sys.storeJ.Slides, wantStore) {
 		t.Errorf("store journal holds %d slides, not the newest %d in order", len(sys.storeJ.Slides), capSlides)
 	}
-	if sys.recJ[0].downFrom != 0 {
-		t.Errorf("downFrom = %d, want 0: every surviving slide's output was lost", sys.recJ[0].downFrom)
+	if sys.recJ.downFrom != 0 {
+		t.Errorf("downFrom = %d, want 0: every surviving slide's output was lost", sys.recJ.downFrom)
 	}
 
 	// What a replay of exactly the survivors yields.
 	rec := maritime.NewRecognizer(cfg.Recognition, vessels, areas)
-	rec.RestoreSnapshot(sys.recJ[0].Base)
+	rec.RestoreSnapshot(sys.recJ.Base)
 	var wantRecovered []maritime.Alert
 	for _, sl := range wantRec {
 		wantRecovered = append(wantRecovered, rec.Advance(sl.q, sl.events, nil).Alerts...)

@@ -53,16 +53,15 @@ func alertKeys(reports []SlideReport) []string {
 	return keys
 }
 
-// TestSelfHealRecognizerPanicQuarantineHeal injects a panic into one
-// recognition partition mid-run: the process must survive, the
-// partition must land in quarantine with the panic captured, Snapshot
-// must refuse with ErrWedged, and after Heal the replayed partition
-// must deliver the quarantine window's alerts so the run's total output
-// matches the fault-free golden run exactly.
+// TestSelfHealRecognizerPanicQuarantineHeal injects a panic into the
+// recognizer mid-run: the process must survive, the recognizer must
+// land in quarantine with the panic captured, Snapshot must refuse with
+// ErrWedged, and after Heal the replayed recognizer must deliver the
+// quarantine window's alerts so the run's total output matches the
+// fault-free golden run exactly.
 func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
 	simCfg := simConfig(150, 5)
 	cfg := defaultSystemConfig()
-	cfg.Processors = 2
 	cfg.SelfHeal = true
 	batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
@@ -78,12 +77,9 @@ func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
 
 	sys := NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
-	if len(sys.partitions) != 2 {
-		t.Fatalf("expected 2 partitions, got %d", len(sys.partitions))
-	}
 	slide := 0
-	SetRecognizerFaultHook(func(partition int) {
-		if partition == 0 && slide == panicSlide {
+	SetRecognizerFaultHook(func() {
+		if slide == panicSlide {
 			panic("injected recognizer fault")
 		}
 	})
@@ -102,7 +98,7 @@ func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
 				t.Fatalf("state = %q, want degraded", h.State())
 			}
 			q := sys.Quarantined()
-			if len(q) != 1 || q[0].Target != "recognizer/0" || q[0].Cause != "panic" ||
+			if len(q) != 1 || q[0].Target != "recognizer" || q[0].Cause != "panic" ||
 				!strings.Contains(q[0].Value, "injected recognizer fault") || q[0].Stack == "" {
 				t.Fatalf("quarantine records: %+v", q)
 			}
@@ -111,7 +107,7 @@ func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
 			}
 		}
 		if i == healSlide {
-			if err := sys.Heal("recognizer/0"); err != nil {
+			if err := sys.Heal("recognizer"); err != nil {
 				t.Fatalf("Heal: %v", err)
 			}
 			h := sys.Health()
@@ -164,7 +160,7 @@ func TestSelfHealSupervisorRestoresStalledRecognizer(t *testing.T) {
 	// slide (that is the point of the watchdog), so the slide number
 	// must be read atomically.
 	var slide atomic.Int64
-	SetRecognizerFaultHook(func(partition int) {
+	SetRecognizerFaultHook(func() {
 		if slide.Load() == stallSlide {
 			once.Do(func() { <-release })
 		}
@@ -271,14 +267,14 @@ func TestHealErrorsAndAbandon(t *testing.T) {
 	if err := sys.Heal("nonsense"); err == nil {
 		t.Error("unknown target should fail")
 	}
-	if err := sys.Heal("recognizer/7"); err == nil {
-		t.Error("out-of-range partition should fail")
+	if err := sys.Heal("recognizer/0"); err == nil {
+		t.Error("a band target should fail: there is one recognizer")
 	}
 
 	// Quarantine the single recognizer via an injected panic, then give
 	// up on it: it must leave the repairable set and flip State to
 	// wedged.
-	SetRecognizerFaultHook(func(int) { panic("persistent fault") })
+	SetRecognizerFaultHook(func() { panic("persistent fault") })
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	sys.ProcessBatch(stream.Batch{Query: t0})
 	SetRecognizerFaultHook(nil)

@@ -12,7 +12,7 @@ import (
 
 // Health is the pipeline's degradation snapshot: how often the ingest
 // path had to reconnect, what was dropped and why, and whether the
-// recognition watchdog had to abandon a wedged partition. It is
+// recognition watchdog had to abandon the wedged recognizer. It is
 // surfaced per slide through SlideReport and at session end by the live
 // drivers, so an operator can tell "clean run" from "survived faults"
 // without grepping logs.
@@ -39,13 +39,13 @@ type Health struct {
 	IngestOverflow int
 	// WatchdogTrips counts slides where a pipeline stage exceeded its
 	// budget and was abandoned (recognition watchdog plus tracker shard
-	// stalls); WedgedPartitions is how many recognizers are currently
-	// out of service because of it.
+	// stalls); WedgedPartitions is 1 while the recognizer is out of
+	// service (wedged, quarantined or given up), else 0.
 	WatchdogTrips    int
 	WedgedPartitions int
 	// Supervision counters (Config.SelfHeal). PanicsRecovered counts
 	// panics converted into quarantines instead of crashes; Quarantined
-	// is how many targets (tracker shards, recognizers, the store) are
+	// is how many targets (tracker shards, the recognizer, the store) are
 	// currently out of service awaiting repair; Restores counts
 	// completed quarantine→restore→replay→re-admit cycles; Failed is
 	// how many targets the supervisor gave up on.
@@ -295,16 +295,13 @@ func (s *System) Health() Health {
 }
 
 func (s *System) wedgedCount() int {
-	n := 0
-	for _, p := range s.partitions {
-		if p.down.Load() != partUp {
-			n++
-		}
+	if s.recDown.Load() != partUp {
+		return 1
 	}
-	return n
+	return 0
 }
 
-// downCounts tallies the recognizers' and store's down-states:
+// downCounts tallies the recognizer's and store's down-states:
 // quarantined (repairable) vs failed (given up). Safe under concurrent
 // scrapes — it reads only atomics.
 func (s *System) downCounts() (quar, failed int) {
@@ -316,9 +313,7 @@ func (s *System) downCounts() (quar, failed int) {
 			failed++
 		}
 	}
-	for _, p := range s.partitions {
-		tally(p.down.Load())
-	}
+	tally(s.recDown.Load())
 	tally(s.storeDown.Load())
 	return quar, failed
 }

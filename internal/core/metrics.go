@@ -38,21 +38,22 @@ type pipelineMetrics struct {
 	// scrapes.
 	overlapNanos atomic.Int64
 
-	// Per-definition recognition time. The engines keep cumulative
+	// Per-definition recognition time. The engine keeps cumulative
 	// readings that only the pipeline goroutine may touch; after each
-	// slide it adds what every in-service recognizer spent since its
-	// previous reading (last, per recognizer and definition) to atomics a
-	// scrape can load at any time.
+	// slide it adds what an in-service recognizer spent since its
+	// previous reading (defLast, per definition) to atomics a scrape can
+	// load at any time.
 	defNanos map[string]*atomic.Int64
-	defLast  [][]time.Duration
-	// memoryEvents is the events the in-service recognizers' working
-	// memories held after the last slide, set alongside the definitions.
+	defLast  []time.Duration
+	// memoryEvents is the events the recognizer's working memory held
+	// after the last slide (0 while it is out of service), set alongside
+	// the definitions.
 	memoryEvents atomic.Int64
-	// The engines' per-step work, summed like the definitions: fluent
+	// The engine's per-step work, summed like the definitions: fluent
 	// instances derived again and carried forward (index 0 and 1), with
-	// each recognizer's previous reading.
+	// the previous reading.
 	entities     [2]atomic.Int64
-	entitiesLast [][2]int
+	entitiesLast [2]int
 
 	// Per-screen cost of the pairwise analytics tier, indexed like
 	// analytics.Screens: the pipeline goroutine adds each slide's
@@ -102,19 +103,19 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 		"Events dropped because their recognizer was wedged.", nil,
 		func() float64 { return float64(s.watchdogLostEvents.Load()) })
 	r.GaugeFunc("maritime_wedged_partitions",
-		"Recognizer partitions currently out of service after a watchdog trip.", nil,
+		"1 while the recognizer is out of service after a watchdog trip, a panic or a give-up, else 0.", nil,
 		func() float64 { return float64(s.wedgedCount()) })
 	r.CounterFunc("maritime_panics_recovered_total",
-		"Panics in the recognizer fan-out or archival path converted into quarantines instead of crashes.", nil,
+		"Panics in the recognizer or archival path converted into quarantines instead of crashes.", nil,
 		func() float64 { return float64(s.panicsRecovered.Load()) })
 	r.GaugeFunc("maritime_quarantined_targets",
-		"Recognizers and store currently quarantined, awaiting restore-then-replay (tracker shards are counted by maritime_tracker_shards_quarantined).", nil,
+		"Recognizer and store currently quarantined, awaiting restore-then-replay (tracker shards are counted by maritime_tracker_shards_quarantined).", nil,
 		func() float64 { q, _ := s.downCounts(); return float64(q) })
 	r.GaugeFunc("maritime_failed_targets",
-		"Recognizers and store the supervisor gave up on; out of service until a snapshot restore.", nil,
+		"Recognizer and store the supervisor gave up on; out of service until a snapshot restore.", nil,
 		func() float64 { _, f := s.downCounts(); return float64(f) })
 	r.CounterFunc("maritime_restores_total",
-		"Completed quarantine-restore-replay-readmit cycles on recognizers and the store.", nil,
+		"Completed quarantine-restore-replay-readmit cycles on the recognizer and the store.", nil,
 		func() float64 { return float64(s.restores.Load()) })
 	r.CounterFunc("maritime_journal_gap_slides_total",
 		"Self-heal journal slides discarded by the retention cap (lost to replay, accounted in Health.ReplayGapSlides).", nil,
@@ -131,7 +132,7 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 		"tracker":    s.tracker.RebaseTime,
 	} {
 		r.CounterFunc("maritime_selfheal_rebase_seconds_total",
-			"Pipeline-goroutine time spent re-basing self-heal journals (forking the store, snapshotting recognizers, copying tracker shards), once per journal cadence.",
+			"Pipeline-goroutine time spent re-basing self-heal journals (forking the store, snapshotting the recognizer, copying tracker shards), once per journal cadence.",
 			obs.Labels{"target": target},
 			func() float64 { return spent().Seconds() })
 	}
@@ -149,14 +150,10 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_degraded_dropped_events_total",
 		"Durative movement events dropped while recognition ran instantaneous-only.", nil,
 		func() float64 { return float64(s.degradedDrops.Load()) })
-	if n := len(s.partitions); n > 0 {
-		defs := s.recAt(0).Engine().Stats().Definitions
+	if s.rec != nil {
+		defs := s.rec.Engine().Stats().Definitions
 		s.metrics.defNanos = make(map[string]*atomic.Int64, len(defs))
-		s.metrics.defLast = make([][]time.Duration, n)
-		s.metrics.entitiesLast = make([][2]int, n)
-		for i := range s.metrics.defLast {
-			s.metrics.defLast[i] = make([]time.Duration, len(defs))
-		}
+		s.metrics.defLast = make([]time.Duration, len(defs))
 		for _, def := range defs {
 			if s.metrics.defNanos[def.Name] != nil {
 				continue // definitions sharing a name share a series
@@ -164,19 +161,19 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 			nanos := new(atomic.Int64)
 			s.metrics.defNanos[def.Name] = nanos
 			r.CounterFunc("maritime_recognition_definition_seconds_total",
-				"Time spent evaluating each RTEC definition (input fluent, derived event, fluent), summed over recognizers: which rule the recognition stage's time goes to.",
+				"Time spent evaluating each RTEC definition (input fluent, derived event, fluent): which rule the recognition stage's time goes to.",
 				obs.Labels{"definition": def.Name},
 				func() float64 { return float64(nanos.Load()) / 1e9 })
 		}
 		for i, outcome := range [2]string{"evaluated", "carried"} {
 			n := &s.metrics.entities[i]
 			r.CounterFunc("maritime_recognition_entities_total",
-				"Fluent instances the recognizers' query steps derived again (outcome=evaluated) or carried forward untouched (outcome=carried): the incremental engine's work against the window's size.",
+				"Fluent instances the recognizer's query steps derived again (outcome=evaluated) or carried forward untouched (outcome=carried): the incremental engine's work against the window's size.",
 				obs.Labels{"outcome": outcome},
 				func() float64 { return float64(n.Load()) })
 		}
 		r.GaugeFunc("maritime_recognition_working_memory_events",
-			"Events in the RTEC working memories of the in-service recognizers after the last slide: the window every query step ranges over, so definition seconds can be read per event.", nil,
+			"Events in the RTEC working memory of the recognizer after the last slide (0 while it is out of service): the window every query step ranges over, so definition seconds can be read per event.", nil,
 			func() float64 { return float64(s.metrics.memoryEvents.Load()) })
 	}
 	if s.analytics != nil {
@@ -195,39 +192,36 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	s.tracker.RegisterMetrics(r)
 }
 
-// observeDefinitions adds each in-service recognizer's evaluation time
-// since its previous reading to the per-definition counters and sets the
-// working-memory gauge to their summed sizes. A recognizer that is down
-// is skipped — an abandoned goroutine may still be inside its engine —
-// and one rebuilt by Heal reads from zero again.
+// observeDefinitions adds the recognizer's evaluation time since its
+// previous reading to the per-definition counters and sets the
+// working-memory gauge to its size. A recognizer that is down is
+// skipped — an abandoned goroutine may still be inside its engine — and
+// one rebuilt by Heal reads from zero again.
 func (s *System) observeDefinitions() {
 	m := s.metrics
-	events := 0
-	for i, last := range m.defLast {
-		if s.recDown(i) != partUp {
-			continue
-		}
-		engine := s.recAt(i).Engine()
-		events += engine.WorkingMemorySize()
-		st := engine.Stats()
-		for k, v := range [2]int{st.Evaluated, st.Carried} {
-			d := v - m.entitiesLast[i][k]
-			if d < 0 {
-				d = v
-			}
-			m.entities[k].Add(int64(d))
-			m.entitiesLast[i][k] = v
-		}
-		for j, def := range st.Definitions {
-			spent := def.Time - last[j]
-			if spent < 0 {
-				spent = def.Time
-			}
-			m.defNanos[def.Name].Add(int64(spent))
-			last[j] = def.Time
-		}
+	if s.rec == nil || s.recDown.Load() != partUp {
+		m.memoryEvents.Store(0)
+		return
 	}
-	m.memoryEvents.Store(int64(events))
+	engine := s.rec.Engine()
+	m.memoryEvents.Store(int64(engine.WorkingMemorySize()))
+	st := engine.Stats()
+	for k, v := range [2]int{st.Evaluated, st.Carried} {
+		d := v - m.entitiesLast[k]
+		if d < 0 {
+			d = v
+		}
+		m.entities[k].Add(int64(d))
+		m.entitiesLast[k] = v
+	}
+	for j, def := range st.Definitions {
+		spent := def.Time - m.defLast[j]
+		if spent < 0 {
+			spent = def.Time
+		}
+		m.defNanos[def.Name].Add(int64(spent))
+		m.defLast[j] = def.Time
+	}
 }
 
 // observeScreens adds one slide's per-screen analytics cost to the

@@ -2,25 +2,28 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/fleetsim"
+	"repro/internal/maritime"
 	"repro/internal/obs"
 	"repro/internal/stream"
+	"repro/internal/tracker"
 )
 
 // TestHealthScrapeConcurrentWithProcessBatch is the regression test for
 // the watchdog-counter data race: Health() used to read plain ints that
-// advancePartitions mutates mid-slide, so the first concurrent metrics
-// scrape was undefined behavior. Run under -race (CI does) this fails
-// loudly if the counters ever regress to unsynchronized fields. The
-// hook wedges partition 0 so the run exercises the mutation paths —
-// trips, lost events and wedged flags — while scrapers hammer Health.
+// the recognition watchdog mutates mid-slide, so the first concurrent
+// metrics scrape was undefined behavior. Run under -race (CI does) this
+// fails loudly if the counters ever regress to unsynchronized fields.
+// The hook wedges the recognizer halfway through the run so the run
+// exercises the mutation paths — trips, lost events and wedged flags —
+// while scrapers hammer Health.
 // The analytics tier is armed so the same scrapes also race the
 // pipeline goroutine's per-slide adds into the per-screen and overlap
 // counters, and the stream arrives through an ingest stage on the same
@@ -28,22 +31,24 @@ import (
 func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	// Band 1 holds its step open until archival has begun and then for
-	// a moment beside it, so the slide's stages overlap even when the
-	// scrapers leave the pipeline a single core: without it the band's
-	// goroutine may only be scheduled once the caller blocks in the join.
+	// Until the wedge, each step is held open until archival has begun
+	// and then for a moment beside it, so the slide's stages overlap even
+	// when the scrapers leave the pipeline a single core: without it the
+	// recognizer's goroutine may only be scheduled once the caller blocks
+	// in the join.
+	const wedgeSlide = 8
 	archiving := make(chan struct{}, 1)
-	hook := func(i int) {
-		switch i {
-		case 0:
+	var steps atomic.Int64
+	hook := func() {
+		if steps.Add(1) == wedgeSlide+1 {
 			<-release
-		case 1:
-			select {
-			case <-archiving:
-			case <-time.After(100 * time.Millisecond):
-			}
-			time.Sleep(2 * time.Millisecond)
+			return
 		}
+		select {
+		case <-archiving:
+		case <-time.After(100 * time.Millisecond):
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	recognizerAdvanceHook.Store(&hook)
 	defer recognizerAdvanceHook.Store(nil)
@@ -52,10 +57,11 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	fixes := sim.Run()
 	vessels, areas, ports := AdaptWorld(sim)
 	// The budget must be generous: under -race on a small machine the
-	// four busy-loop scrapers can starve the healthy partition's
-	// goroutine for tens of milliseconds, and only the hook-blocked
-	// partition may trip the watchdog.
-	cfg := wedgeableConfig(500 * time.Millisecond)
+	// four busy-loop scrapers can starve the recognizer's goroutine for
+	// tens of milliseconds, and only the hook-blocked step may trip the
+	// watchdog.
+	cfg := defaultSystemConfig()
+	cfg.WatchdogTimeout = 500 * time.Millisecond
 	cfg.Analytics = &analytics.Config{EnableCollision: true}
 	sys := NewSystem(cfg, vessels, areas, ports)
 	sys.SetStoreFaultHook(func() {
@@ -94,10 +100,25 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	stage := stream.NewIngestStage(stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute), 0)
 	defer stage.Close()
 	stage.RegisterMetrics(reg)
-	for {
+	memoryGauge := func() float64 {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return scrapedValue(t, b.String(), "\nmaritime_recognition_working_memory_events")
+	}
+	for slide := 0; ; slide++ {
 		b, ok := stage.Next()
 		if !ok {
 			break
+		}
+		if slide == wedgeSlide {
+			// The window a step ranges over: the in-service recognizer's
+			// working memory.
+			held := sys.Recognizer().Engine().WorkingMemorySize()
+			if v := memoryGauge(); v != float64(held) || held == 0 {
+				t.Errorf("working-memory gauge = %v, the recognizer holds %d events", v, held)
+			}
 		}
 		sys.ProcessBatch(b)
 		stage.Recycle(b)
@@ -137,20 +158,14 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 		t.Errorf("ingest side waited %.6fs behind a pipeline that stalled 500 ms", w)
 	}
 	scraped(`maritime_pipeline_wait_seconds_total{side="pipeline"}`)
-	// Both bands ran beside archival and analytics on every slide.
+	// The recognizer ran beside archival and analytics on every slide up
+	// to the wedge.
 	if v := scraped("\nmaritime_slide_overlap_seconds_total"); v <= 0 {
-		t.Errorf("overlap = %.6fs with recognition on its own goroutines", v)
+		t.Errorf("overlap = %.6fs with recognition on its own goroutine", v)
 	}
-	// The window a step ranges over: the in-service band's working
-	// memory — the wedged band is out of service and not counted.
-	held := 0
-	for i := range sys.partitions {
-		if sys.recDown(i) == partUp {
-			held += sys.recAt(i).Engine().WorkingMemorySize()
-		}
-	}
-	if v := scraped("\nmaritime_recognition_working_memory_events"); v != float64(held) || held == 0 {
-		t.Errorf("working-memory gauge = %v, the in-service recognizers hold %d events", v, held)
+	// The wedged recognizer is out of service and not counted.
+	if v := scraped("\nmaritime_recognition_working_memory_events"); v != 0 {
+		t.Errorf("working-memory gauge = %v with the recognizer wedged, want 0", v)
 	}
 }
 
@@ -167,106 +182,63 @@ func scrapedValue(t *testing.T, out, series string) (v float64) {
 	return v
 }
 
-// TestPartitionOfBoundaries pins the band-ownership rule: bounds are
-// half-open [lo, hi), a longitude west of band 0 belongs to band 0
-// (its lower bound is -Inf), a longitude exactly on a band edge belongs
-// to the band east of it, and anything east of every finite bound falls
-// back to the last band.
-func TestPartitionOfBoundaries(t *testing.T) {
-	s := &System{partitions: []*partition{
-		{loLon: math.Inf(-1), hiLon: -5},
-		{loLon: -5, hiLon: 10},
-		{loLon: 10, hiLon: math.Inf(1)},
-	}}
-	cases := []struct {
-		lon  float64
-		want int
-	}{
-		{-180, 0}, // far west of band 0
-		{-5.001, 0},
-		{-5, 1}, // exactly on the first edge: east band owns it
-		{0, 1},
-		{10, 2}, // exactly on the second edge
-		{179, 2},
-		{math.Inf(1), 2}, // east of everything: fallback to last band
-	}
-	for _, tc := range cases {
-		if got := s.partitionOf(tc.lon); got != tc.want {
-			t.Errorf("partitionOf(%v) = %d, want %d", tc.lon, got, tc.want)
-		}
-	}
-	// Finite last bound: longitudes beyond it must still land in the
-	// last band via the fallback, never index out of range.
-	s2 := &System{partitions: []*partition{
-		{loLon: math.Inf(-1), hiLon: 0},
-		{loLon: 0, hiLon: 20},
-	}}
-	if got := s2.partitionOf(25); got != 1 {
-		t.Errorf("partitionOf east of a finite last bound = %d, want 1", got)
-	}
-}
-
-// TestWatchdogLostEventAccountingParity wedges the single recognizer
-// and one partition of a partitioned system over the same stream, and
-// checks both account every post-wedge event as lost the same way:
-// through Health.DropsByCause["watchdog"], counted per event.
+// TestWatchdogLostEventAccountingParity wedges the recognizer partway
+// through a stream and checks the loss is accounted per event through
+// Health.DropsByCause["watchdog"]: exactly the movement events handed
+// to the recognizer from the tripped slide on, counted independently
+// from each slide's fresh critical points.
 func TestWatchdogLostEventAccountingParity(t *testing.T) {
-	run := func(procs int, wedge int) (lost int, fed int) {
-		release := make(chan struct{})
-		defer close(release)
-		hook := func(i int) {
-			if i == wedge {
-				<-release
+	const wedgeSlide = 5
+	release := make(chan struct{})
+	defer close(release)
+	var steps atomic.Int64
+	hook := func() {
+		if steps.Add(1) == wedgeSlide+1 {
+			<-release
+		}
+	}
+	recognizerAdvanceHook.Store(&hook)
+	defer recognizerAdvanceHook.Store(nil)
+
+	sim := fleetsim.NewSimulator(simConfig(80, 3))
+	fixes := sim.Run()
+	vessels, areas, ports := AdaptWorld(sim)
+	cfg := defaultSystemConfig()
+	cfg.WatchdogTimeout = 250 * time.Millisecond
+	sys := NewSystem(cfg, vessels, areas, ports)
+	defer sys.Close()
+	events := 0
+	sys.SetFreshObserver(func(_ time.Time, fresh []tracker.CriticalPoint) {
+		events = len(maritime.MEStream(fresh))
+	})
+
+	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute)
+	fed, after := 0, 0
+	for slide := 0; ; slide++ {
+		b, ok := batcher.Next()
+		if !ok {
+			break
+		}
+		sys.ProcessBatch(b)
+		if slide >= wedgeSlide {
+			fed += events
+			if slide > wedgeSlide {
+				after += events
 			}
 		}
-		recognizerAdvanceHook.Store(&hook)
-		defer recognizerAdvanceHook.Store(nil)
-
-		sim := fleetsim.NewSimulator(simConfig(80, 3))
-		fixes := sim.Run()
-		vessels, areas, ports := AdaptWorld(sim)
-		cfg := defaultSystemConfig()
-		cfg.Processors = procs
-		cfg.WatchdogTimeout = 50 * time.Millisecond
-		sys := NewSystem(cfg, vessels, areas, ports)
-
-		batcher := stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute)
-		for {
-			b, ok := batcher.Next()
-			if !ok {
-				break
-			}
-			rep := sys.ProcessBatch(b)
-			if sys.Health().WatchdogTrips > 0 {
-				// Events that reach a wedged recognizer after the trip are
-				// the "fed" population the accounting must cover.
-				fed += rep.CriticalPoints
-			}
-		}
-		return sys.Health().DropsByCause["watchdog"], fed
 	}
-
-	lostSingle, fedSingle := run(1, -1)
-	if lostSingle == 0 {
-		t.Fatal("single recognizer: no events accounted as lost to the watchdog")
+	if h := sys.Health(); h.WatchdogTrips != 1 {
+		t.Fatalf("WatchdogTrips = %d, want 1: the wedge did not trip on slide %d", h.WatchdogTrips, wedgeSlide)
 	}
-	if fedSingle == 0 {
-		t.Fatal("single recognizer: wedge happened on the final slide, test is vacuous")
+	if after == 0 {
+		t.Fatal("no events after the trip: the test is vacuous")
 	}
-
-	lostPart, _ := run(2, 0)
-	if lostPart == 0 {
-		t.Fatal("partitioned: no events accounted as lost to the watchdog")
+	lost := sys.Health().DropsByCause["watchdog"]
+	if lost != fed {
+		t.Errorf("watchdog drops = %d, the wedged recognizer was handed %d events from the trip on", lost, fed)
 	}
-	// Parity of mechanism, not of magnitude: the single recognizer loses
-	// every event once wedged; the partitioned system loses only the
-	// wedged band's share. Both must account through the same channel
-	// and never exceed what was actually fed to a wedged recognizer.
-	if lostSingle > fedSingle+lostSingle {
-		t.Errorf("single recognizer over-accounted: lost %d", lostSingle)
-	}
-	h := Health{DropsByCause: map[string]int{"watchdog": lostPart}}
-	if h.TotalDropped() != lostPart {
+	h := Health{DropsByCause: map[string]int{"watchdog": lost}}
+	if h.TotalDropped() != lost {
 		t.Errorf("watchdog drops not visible through TotalDropped")
 	}
 }

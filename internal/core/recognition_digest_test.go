@@ -10,9 +10,16 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
+	"repro/internal/rtec"
 	"repro/internal/stream"
 	"repro/internal/tracker"
 )
+
+// holdsFor returns the maximal intervals of a durative CE for an area as
+// of the last slide.
+func holdsFor(sys *System, ce, areaID string) rtec.IntervalList {
+	return sys.Recognizer().Engine().HoldsFor(rtec.FluentKey{Fluent: ce, Entity: areaID, Value: rtec.True})
+}
 
 // recognitionDigest runs a fleet through core.System and hashes what
 // recognition produced: every slide's alerts, in order, and after every
@@ -46,7 +53,7 @@ func recognitionDigest(t *testing.T, simCfg fleetsim.Config, window, slide time.
 		}
 		for _, a := range areas {
 			for _, ce := range []string{maritime.CESuspicious, maritime.CEIllegalFishing} {
-				if ivs := sys.RecognizerIntervals(ce, a.ID); ivs != nil {
+				if ivs := holdsFor(sys, ce, a.ID); ivs != nil {
 					fmt.Fprintf(h, "%s(%s) %v\n", ce, a.ID, ivs)
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -8,58 +9,101 @@ import (
 	"repro/internal/stream"
 )
 
-// TestProcessorsWithoutAreasFallsBack is the regression test for the
-// silent-recognition-loss bug: Processors > 1 with an empty areas slice
-// used to build zero partitions, making recognition disappear (and
-// partitionOf index -1). The system must fall back to a single
-// recognizer instead.
-func TestProcessorsWithoutAreasFallsBack(t *testing.T) {
-	cfg := defaultSystemConfig()
-	cfg.Processors = 4
-	sim := fleetsim.NewSimulator(simConfig(60, 2))
-	fixes := sim.Run()
-	vessels, _, ports := AdaptWorld(sim)
-	sys := NewSystem(cfg, vessels, nil /* no areas */, ports)
-	if sys.Recognizer() == nil {
-		t.Fatal("no recognizer with Processors=4 and no areas: recognition silently disabled")
+// TestWatchdogSingleRecognizer wedges the recognizer on its first step:
+// every slide stays bounded by the watchdog, recognition degrades to
+// nothing, the recognizer is advanced exactly once and skipped
+// afterwards, and the loss is accounted in Health and in the slide
+// reports.
+func TestWatchdogSingleRecognizer(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	calls := make(chan struct{}, 64)
+	hook := func() {
+		calls <- struct{}{}
+		<-release // wedged until the test ends
 	}
-	// The slide must process without panicking and still run the CE
-	// engine (area-less CEs like fast approaches need no polygons).
-	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), cfg.Window.Slide)
-	reports := sys.RunAll(batcher)
+	recognizerAdvanceHook.Store(&hook)
+	defer recognizerAdvanceHook.Store(nil)
+
+	cfg := defaultSystemConfig()
+	cfg.WatchdogTimeout = 100 * time.Millisecond
+	sim := fleetsim.NewSimulator(simConfig(40, 2))
+	fixes := sim.Run()
+	vessels, areas, ports := AdaptWorld(sim)
+	sys := NewSystem(cfg, vessels, areas, ports)
+	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute)
+	start := time.Now()
+	var reports []SlideReport
+	for {
+		b, ok := batcher.Next()
+		if !ok {
+			break
+		}
+		slideStart := time.Now()
+		reports = append(reports, sys.ProcessBatch(b))
+		if d := time.Since(slideStart); d > 5*time.Second {
+			t.Fatalf("slide took %v despite a 100ms watchdog: the wedged recognizer hung the pipeline", d)
+		}
+	}
+	if time.Since(start) > 30*time.Second {
+		t.Fatalf("run took %v, watchdog is not bounding slides", time.Since(start))
+	}
 	if len(reports) == 0 {
 		t.Fatal("no slides processed")
 	}
+	h := sys.Health()
+	if h.WatchdogTrips != 1 || h.WedgedPartitions != 1 {
+		t.Errorf("health = %+v, want 1 trip / 1 wedged", h)
+	}
+	if h.DropsByCause["watchdog"] == 0 {
+		t.Error("no events accounted as lost to the watchdog")
+	}
+	// Receive rather than close: the abandoned goroutine's send has no
+	// happens-before edge with this goroutine, and close-vs-send is a
+	// race. It may have been scheduled only after the trip, so wait for
+	// its one call.
+	select {
+	case <-calls:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the recognizer was never advanced")
+	}
+	if n := len(calls); n != 0 {
+		t.Errorf("wedged recognizer advanced %d times, want 1", 1+n)
+	}
+	for _, r := range reports {
+		if len(r.Alerts) != 0 {
+			t.Error("alerts produced by a wedged recognizer")
+		}
+	}
+	// Health rides along on slide reports.
+	if last := reports[len(reports)-1]; last.Health.WatchdogTrips != 1 {
+		t.Errorf("SlideReport.Health.WatchdogTrips = %d, want 1", last.Health.WatchdogTrips)
+	}
 }
 
-// wedgeableConfig builds a partitioned system with a short watchdog.
-func wedgeableConfig(timeout time.Duration) Config {
-	cfg := defaultSystemConfig()
-	cfg.Processors = 2
-	cfg.WatchdogTimeout = timeout
-	return cfg
-}
-
-// TestWatchdogSkipsWedgedPartition wedges one partition's recognizer
-// and checks the slide completes within the budget, the healthy
-// partition's alerts survive, and later slides skip the wedged one.
+// TestWatchdogSkipsWedgedPartition wedges the recognizer partway
+// through a stream and checks every slide completes within the budget,
+// the alerts recognized before the wedge survive, and later slides skip
+// the wedged recognizer instead of advancing it again.
 func TestWatchdogSkipsWedgedPartition(t *testing.T) {
+	const wedgeStep = 18
 	release := make(chan struct{})
 	defer close(release)
-	calls := make(chan int, 64)
-	hook := func(i int) {
-		calls <- i
-		if i == 0 {
-			<-release // partition 0 is wedged until the test ends
+	var steps atomic.Int64
+	hook := func() {
+		if steps.Add(1) == wedgeStep {
+			<-release // wedged until the test ends
 		}
 	}
 	recognizerAdvanceHook.Store(&hook)
 	defer recognizerAdvanceHook.Store(nil)
 
-	sim := fleetsim.NewSimulator(simConfig(150, 3))
+	cfg := defaultSystemConfig()
+	cfg.WatchdogTimeout = 200 * time.Millisecond
+	sim := fleetsim.NewSimulator(simConfig(150, 6))
 	fixes := sim.Run()
 	vessels, areas, ports := AdaptWorld(sim)
-	sys := NewSystem(wedgeableConfig(200*time.Millisecond), vessels, areas, ports)
+	sys := NewSystem(cfg, vessels, areas, ports)
 
 	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute)
 	start := time.Now()
@@ -72,16 +116,19 @@ func TestWatchdogSkipsWedgedPartition(t *testing.T) {
 		slideStart := time.Now()
 		reports = append(reports, sys.ProcessBatch(b))
 		if d := time.Since(slideStart); d > 5*time.Second {
-			t.Fatalf("slide took %v despite a 200ms watchdog: the wedged partition hung the pipeline", d)
+			t.Fatalf("slide took %v despite a 200ms watchdog: the wedged recognizer hung the pipeline", d)
 		}
 	}
 	if time.Since(start) > 30*time.Second {
 		t.Fatalf("run took %v, watchdog is not bounding slides", time.Since(start))
 	}
+	if len(reports) <= wedgeStep {
+		t.Fatalf("%d slides, want more than %d: the wedge never happened", len(reports), wedgeStep)
+	}
 
 	h := sys.Health()
 	if h.WatchdogTrips != 1 {
-		t.Errorf("WatchdogTrips = %d, want exactly 1 (the partition is skipped afterwards)", h.WatchdogTrips)
+		t.Errorf("WatchdogTrips = %d, want exactly 1 (the recognizer is skipped afterwards)", h.WatchdogTrips)
 	}
 	if h.WedgedPartitions != 1 {
 		t.Errorf("WedgedPartitions = %d, want 1", h.WedgedPartitions)
@@ -89,70 +136,28 @@ func TestWatchdogSkipsWedgedPartition(t *testing.T) {
 	if h.DropsByCause["watchdog"] == 0 {
 		t.Error("no events accounted as lost to the watchdog")
 	}
-
-	// Partition 0 must have been advanced exactly once (then abandoned);
-	// partition 1 once per slide with traffic. Drain without closing:
-	// the abandoned goroutine's send has no happens-before edge with
-	// this goroutine, and close-vs-send is a race.
-	perPart := map[int]int{}
-	for len(calls) > 0 {
-		perPart[<-calls]++
+	// The recognizer must have been advanced up to the wedge and never
+	// again. The wedged call may be scheduled only after the trip, so
+	// wait for it.
+	deadline := time.Now().Add(5 * time.Second)
+	for steps.Load() < wedgeStep && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	if perPart[0] != 1 {
-		t.Errorf("wedged partition advanced %d times, want 1", perPart[0])
-	}
-	if perPart[1] < len(reports)/2 {
-		t.Errorf("healthy partition advanced %d times over %d slides", perPart[1], len(reports))
+	if n := steps.Load(); n != wedgeStep {
+		t.Errorf("recognizer advanced %d times, want %d (wedged on the last)", n, wedgeStep)
 	}
 
-	// The healthy partition must still produce alerts.
+	// The alerts recognized before the wedge survive it.
 	alerts := 0
 	for _, r := range reports {
 		alerts += len(r.Alerts)
 	}
 	if alerts == 0 {
-		t.Error("no alerts from the healthy partition: degradation was total")
+		t.Error("no alerts before the wedge: degradation was total")
 	}
 	// Health rides along on slide reports.
-	last := reports[len(reports)-1]
-	if last.Health.WatchdogTrips != 1 {
+	if last := reports[len(reports)-1]; last.Health.WatchdogTrips != 1 {
 		t.Errorf("SlideReport.Health.WatchdogTrips = %d, want 1", last.Health.WatchdogTrips)
-	}
-}
-
-// TestWatchdogSingleRecognizer wedges the lone recognizer: recognition
-// degrades to nothing, but the pipeline keeps sliding and the loss is
-// accounted.
-func TestWatchdogSingleRecognizer(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	hook := func(i int) {
-		if i == -1 {
-			<-release
-		}
-	}
-	recognizerAdvanceHook.Store(&hook)
-	defer recognizerAdvanceHook.Store(nil)
-
-	cfg := defaultSystemConfig()
-	cfg.WatchdogTimeout = 100 * time.Millisecond
-	sim := fleetsim.NewSimulator(simConfig(40, 2))
-	fixes := sim.Run()
-	vessels, areas, ports := AdaptWorld(sim)
-	sys := NewSystem(cfg, vessels, areas, ports)
-	batcher := stream.NewBatcher(stream.NewSliceSource(fixes), 10*time.Minute)
-	reports := sys.RunAll(batcher)
-	if len(reports) == 0 {
-		t.Fatal("no slides processed")
-	}
-	h := sys.Health()
-	if h.WatchdogTrips != 1 || h.WedgedPartitions != 1 {
-		t.Errorf("health = %+v, want 1 trip / 1 wedged", h)
-	}
-	for _, r := range reports {
-		if len(r.Alerts) != 0 {
-			t.Error("alerts produced by a wedged recognizer")
-		}
 	}
 }
 

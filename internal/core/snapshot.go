@@ -13,7 +13,7 @@ import (
 )
 
 // Checkpoint support. The system serializes every stateful pipeline
-// stage — tracker vessels, recognizer working memories, the
+// stage — tracker vessels, the recognizer's working memory, the
 // moving-object store — into one Snapshot the checkpoint subsystem
 // frames and persists. Configuration and static world knowledge are not
 // serialized: the restoring process builds an identically configured
@@ -27,11 +27,12 @@ import (
 
 // Typed restore failures, matched with errors.Is.
 var (
-	// ErrTopologyMismatch means the snapshot was taken by a system with a
-	// different recognizer layout (Processors count, or recognition
-	// enabled vs disabled) than the one restoring it.
+	// ErrTopologyMismatch means the snapshot's recognizer states do not
+	// fit the system restoring it: recognition enabled vs disabled, or
+	// more than one recognizer state (a longitude-band split that systems
+	// no longer run).
 	ErrTopologyMismatch = errors.New("core: snapshot recognizer topology does not match this system")
-	// ErrWedged means the system has targets out of service — recognizers
+	// ErrWedged means the system has targets out of service — a recognizer
 	// abandoned by the watchdog, quarantined tracker shards, a
 	// quarantined store — whose state is incomplete or may still be
 	// mutating in abandoned goroutines, so a consistent snapshot cannot
@@ -47,8 +48,8 @@ var (
 )
 
 // Snapshot is the serialized dynamic state of a System. Recognizers
-// holds one entry per recognizer in band order (a single entry for a
-// one-band system, none with recognition disabled); Store is the
+// holds the recognizer's state: one entry, none with recognition
+// disabled (a list so that snapshots keep their encoding); Store is the
 // MOD's own framed snapshot, kept opaque so its format versioning stays
 // with the mod package.
 type Snapshot struct {
@@ -79,8 +80,8 @@ func (s *System) Snapshot() (Snapshot, error) {
 		return Snapshot{}, ErrWedged
 	}
 	snap := Snapshot{Tracker: s.tracker.Snapshot()}
-	for _, p := range s.partitions {
-		snap.Recognizers = append(snap.Recognizers, p.rec.Snapshot())
+	if s.rec != nil {
+		snap.Recognizers = []maritime.RecognizerSnapshot{s.rec.Snapshot()}
 	}
 	var store bytes.Buffer
 	if err := s.store.SaveSnapshot(&store); err != nil {
@@ -106,9 +107,13 @@ func (s *System) Snapshot() (Snapshot, error) {
 func (s *System) RestoreSnapshot(snap Snapshot) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if len(snap.Recognizers) != len(s.partitions) {
+	want := 0
+	if s.rec != nil {
+		want = 1
+	}
+	if len(snap.Recognizers) != want {
 		return fmt.Errorf("%w: snapshot has %d recognizers, system has %d",
-			ErrTopologyMismatch, len(snap.Recognizers), len(s.partitions))
+			ErrTopologyMismatch, len(snap.Recognizers), want)
 	}
 	// A restore supersedes any quarantine or failure: down targets are
 	// replaced outright (a wedged goroutine may still be touching the
@@ -123,13 +128,13 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 		return err
 	}
 	s.next = trackedSlide{}
-	for i, p := range s.partitions {
-		if s.selfHeal && p.down.Load() != partUp {
-			p.rec = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, p.areas)
+	if s.rec != nil {
+		if s.selfHeal && s.recDown.Load() != partUp {
+			s.rec = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, s.areas)
 		}
-		p.rec.RestoreSnapshot(snap.Recognizers[i])
-		p.down.Store(partUp)
-		p.info = supervise.Quarantine{}
+		s.rec.RestoreSnapshot(snap.Recognizers[0])
+		s.recDown.Store(partUp)
+		s.recInfo = supervise.Quarantine{}
 	}
 	s.storeDown.Store(partUp)
 	s.storeInfo = supervise.Quarantine{}

@@ -9,8 +9,6 @@
 package core
 
 import (
-	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,11 +36,6 @@ type Config struct {
 	// the pipeline generates no precomputed spatial facts (that mode is
 	// an experiment, see internal/expbench).
 	Recognition maritime.Config
-	// Processors splits CE recognition geographically across this many
-	// parallel recognizers (the paper's §5.2 distributed setting: "One
-	// may further distribute CE recognition by dividing further the
-	// monitored area"). 0 or 1 runs one band holding every area.
-	Processors int
 	// TrackerShards splits mobility tracking across this many vessel
 	// shards driven concurrently per slide (trajectory detection is
 	// independent per vessel, §5.2). 0 picks tracker.DefaultShards; 1
@@ -51,9 +44,8 @@ type Config struct {
 	TrackerShards int
 	// WatchdogTimeout bounds one slide's CE recognition: a recognizer
 	// that exceeds it is flagged as wedged and abandoned — its events are
-	// dropped (counted in Health) and the slide completes with whatever
-	// the healthy recognizers produced, instead of hanging the pipeline.
-	// 0 disables the watchdog.
+	// dropped (counted in Health) and the slide completes without its
+	// alerts, instead of hanging the pipeline. 0 disables the watchdog.
 	WatchdogTimeout time.Duration
 	// DisableRecognition turns the CE module off, for experiments that
 	// time trajectory detection alone.
@@ -62,10 +54,10 @@ type Config struct {
 	// experiments that time online processing alone.
 	DisableArchival bool
 	// SelfHeal arms the supervision layer: panics in tracker shard
-	// workers, the recognizer fan-out and the archival path are recovered
+	// workers, the recognizer and the archival path are recovered
 	// into quarantined targets instead of crashing the process,
 	// per-target journals are kept, and Heal re-admits a quarantined
-	// target by restore-then-replay. Watchdog-wedged recognizers become
+	// target by restore-then-replay. A watchdog-wedged recognizer becomes
 	// repairable instead of terminally abandoned.
 	SelfHeal bool
 	// Degrade configures the overload degradation ladder (see
@@ -131,21 +123,24 @@ type System struct {
 	store     *mod.MOD
 	analytics *analytics.Tier
 
-	// CE recognition: one recognizer per longitude band (Processors of
-	// them, or a single band over the whole region), fed the events of
-	// vessels inside its band. Empty when recognition is disabled.
-	partitions []*partition
+	// CE recognition: one recognizer over every area, nil when
+	// recognition is disabled. recDown marks it out of service
+	// (partStalled: abandoned by the watchdog, its goroutine may still be
+	// running; partPanicked: panic recovered; partFailed: given up); it
+	// must never be advanced while down. Atomic because concurrent Health
+	// scrapes read it; recInfo describes the quarantine and is guarded by
+	// runMu.
+	rec     *maritime.Recognizer
+	recDown atomic.Int32
+	recInfo supervise.Quarantine
 
-	// Per-slide scratch for startPartitions, reused across slides so the
-	// fan-out does not allocate per slide. (The alerts slice is NOT
-	// scratch: sinks and the gateway retain it.)
-	evByPart  [][]rtec.Event
-	completed []bool
-	snaps     []maritime.Snapshot
-
-	// meScratch backs the slide's movement-event stream. Only routing
-	// reads it: recognizers get the events through their evByPart slot.
+	// meScratch backs the slide's movement-event stream and recEvents
+	// the recognizer's copy of it, both reused across slides. A step on
+	// its own goroutine reads only recEvents, which quarantine abandons
+	// to it (sets to nil, never appended to again), so a goroutine the
+	// watchdog left behind never sees a later slide's events.
 	meScratch []rtec.Event
+	recEvents []rtec.Event
 
 	// Registered alert consumers, notified after every slide.
 	sinks []AlertSink
@@ -178,14 +173,15 @@ type System struct {
 	watchdogLostEvents atomic.Int64
 
 	// Self-healing supervision (Config.SelfHeal); see heal.go. The
-	// static world knowledge is retained so repairs can build fresh
-	// recognizers/stores; journals keep each target's recent input
+	// static world knowledge is retained so repairs can build a fresh
+	// recognizer or store; journals keep each target's recent input
 	// slides for restore-then-replay, re-based every journalEvery slides.
 	selfHeal     bool
 	journalEvery int
 	vessels      []maritime.Vessel
+	areas        []maritime.Area
 	ports        []mod.PortArea
-	recJ         []recJournal
+	recJ         *recJournal
 	storeJ       *storeJournal
 	storeDown    atomic.Int32
 	storeInfo    supervise.Quarantine
@@ -201,7 +197,7 @@ type System struct {
 	// Archival and re-base accounting, written by the pipeline goroutine
 	// and loaded by scrapes: points awaiting a trip as of the last
 	// archival step, points Reconstruct has examined, and time spent
-	// re-basing the store's and the recognizers' journals.
+	// re-basing the store's and the recognizer's journals.
 	stagedPoints     atomic.Int64
 	scannedPoints    atomic.Int64
 	rebaseStoreNanos atomic.Int64
@@ -230,21 +226,6 @@ type trackedSlide struct {
 	// tracked ahead (which started at started).
 	own     time.Duration
 	started time.Time
-}
-
-// partition is one longitude band of the monitored region.
-type partition struct {
-	rec   *maritime.Recognizer
-	areas []maritime.Area
-	loLon float64 // inclusive lower longitude bound (-Inf for first)
-	hiLon float64 // exclusive upper bound (+Inf for last)
-	// down marks a partition out of service (partStalled: abandoned by
-	// the watchdog, its goroutine may still be running; partPanicked:
-	// panic recovered; partFailed: given up). It must never be advanced
-	// while down. Atomic because concurrent Health scrapes read it; info
-	// describes the quarantine and is guarded by runMu.
-	down atomic.Int32
-	info supervise.Quarantine
 }
 
 // NewSystem wires the pipeline over the given static knowledge. vessels
@@ -276,7 +257,7 @@ func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []
 		journalEvery: journalEvery,
 	}
 	if !cfg.DisableRecognition {
-		s.buildPartitions(vessels, areas)
+		s.rec = maritime.NewRecognizer(cfg.Recognition, vessels, areas)
 	}
 	if cfg.Analytics != nil && !cfg.DisableRecognition {
 		s.analytics = analytics.New(*cfg.Analytics, PortPolys(ports))
@@ -285,7 +266,7 @@ func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []
 		s.degrader = newDegrader(*cfg.Degrade)
 	}
 	if cfg.SelfHeal {
-		s.initSelfHeal(vessels, ports)
+		s.initSelfHeal(vessels, areas, ports)
 	}
 	return s
 }
@@ -293,49 +274,6 @@ func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []
 // Close releases the tracker's shard worker pool. Systems are also
 // reclaimed by a finalizer, so Close is optional but prompt.
 func (s *System) Close() { s.tracker.Close() }
-
-// buildPartitions splits the areas into Processors longitude bands of
-// roughly equal area count and builds one recognizer per band. With one
-// processor, or no areas to split, it builds a single band over
-// (−∞, +∞) holding every area in the order given.
-func (s *System) buildPartitions(vessels []maritime.Vessel, areas []maritime.Area) {
-	lo := math.Inf(-1)
-	add := func(band []maritime.Area, hi float64) {
-		s.partitions = append(s.partitions, &partition{
-			rec:   maritime.NewRecognizer(s.cfg.Recognition, vessels, band),
-			areas: band,
-			loLon: lo,
-			hiLon: hi,
-		})
-		lo = hi
-	}
-	if n := s.cfg.Processors; n <= 1 || len(areas) == 0 {
-		add(areas, math.Inf(1))
-	} else {
-		sorted := append([]maritime.Area(nil), areas...)
-		slices.SortFunc(sorted, func(a, b maritime.Area) int {
-			return cmp.Compare(a.Poly.Centroid().Lon, b.Poly.Centroid().Lon)
-		})
-		per := (len(sorted) + n - 1) / n
-		for i := 0; i < len(sorted); i += per {
-			hi := min(i+per, len(sorted))
-			band := sorted[i:hi]
-			upper := math.Inf(1)
-			if hi < len(sorted) {
-				// Split halfway between adjacent band centroids.
-				upper = (band[len(band)-1].Poly.Centroid().Lon +
-					sorted[hi].Poly.Centroid().Lon) / 2
-			}
-			add(band, upper)
-		}
-	}
-	// The per-slide fan-out scratch is fixed for the system's lifetime;
-	// build it once here instead of per slide.
-	np := len(s.partitions)
-	s.evByPart = make([][]rtec.Event, np)
-	s.completed = make([]bool, np)
-	s.snaps = make([]maritime.Snapshot, np)
-}
 
 // SetFreshObserver installs a tap receiving each slide's fresh critical
 // points right after trajectory detection, before recognition. A
@@ -350,15 +288,9 @@ func (s *System) SetFreshObserver(fn func(q time.Time, fresh []tracker.CriticalP
 // Tracker exposes the trajectory detection component.
 func (s *System) Tracker() *tracker.Sharded { return s.tracker }
 
-// Recognizer exposes the CE recognition component: the recognizer of
-// the single band, or nil when recognition is disabled or split across
-// several bands.
-func (s *System) Recognizer() *maritime.Recognizer {
-	if len(s.partitions) != 1 {
-		return nil
-	}
-	return s.partitions[0].rec
-}
+// Recognizer exposes the CE recognition component, or nil when
+// recognition is disabled.
+func (s *System) Recognizer() *maritime.Recognizer { return s.rec }
 
 // Store exposes the moving-object store.
 func (s *System) Store() *mod.MOD { return s.store }
@@ -510,18 +442,17 @@ func (s *System) processLocked(start time.Time, own time.Duration, rep SlideRepo
 	// The slide result has three consumers that share no state:
 	// recognition (fresh points, as movement events), archival (delta
 	// points) and analytics (fresh points). Recognition is started first;
-	// where it runs on goroutines of its own — under the watchdog, or
-	// across several bands — the other two run here beside it until the
-	// join.
+	// where it runs on a goroutine of its own — under the watchdog — the
+	// other two run here beside it until the join.
 	var join func() ([]maritime.Alert, time.Duration)
-	if len(s.partitions) > 0 {
+	if s.rec != nil {
 		t := time.Now()
 		s.meScratch = maritime.MEStreamInto(s.meScratch[:0], res.Fresh)
 		events := s.meScratch
 		if level >= DegradeInstantaneousOnly {
 			events = s.filterInstantaneous(events)
 		}
-		join = s.startPartitions(res.Query, events)
+		join = s.startRecognition(res.Query, events)
 		rep.Timings.Recognition = time.Since(t)
 	}
 
@@ -617,181 +548,110 @@ func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, do
 // noteStaged publishes the store's staged-point count for scrapes.
 func (s *System) noteStaged() { s.stagedPoints.Store(int64(s.store.StagedCount())) }
 
-// recognizerAdvanceHook is called at the start of every band's
-// recognition step with the band index (-1 when there is one band);
-// tests install a blocking hook to simulate a wedged recognizer. It is
-// atomic because abandoned goroutines may still read it while a test
+// recognizerAdvanceHook is called at the start of every recognition
+// step; tests install a blocking hook to simulate a wedged recognizer. It
+// is atomic because abandoned goroutines may still read it while a test
 // tears it down.
-var recognizerAdvanceHook atomic.Pointer[func(i int)]
+var recognizerAdvanceHook atomic.Pointer[func()]
 
-// startPartitions fans the slide's events out to the recognizer of the
-// band each vessel is in and starts the bands (the MEs are "forwarded
-// to the appropriate processor according to vessel location", paper
-// §5.2). Whatever the caller does before calling the returned join runs
-// beside the bands; the join collects them under the watchdog and
-// yields the alerts and how long the slowest band ran. Bands run on
-// goroutines of their own, except a lone band without a watchdog: there
-// is nothing to run it beside or to abandon it for, so it runs in place,
+// recResult is one recognition step's outcome: the snapshot, or with
+// SelfHeal the quarantine record of a panic, and how long it ran.
+type recResult struct {
+	snap maritime.Snapshot
+	qr   *supervise.Quarantine
+	ran  time.Duration
+}
+
+// noRecognition is the join of a slide the recognizer sits out.
+func noRecognition() ([]maritime.Alert, time.Duration) { return nil, 0 }
+
+// startRecognition starts the recognizer's step over the slide's
+// movement events. Whatever the caller does before calling the returned
+// join runs beside the step; the join collects it under the watchdog
+// and yields the alerts and how long the step ran. Under a watchdog the
+// step runs on a goroutine of its own, which the watchdog can abandon;
+// without one there is nothing to abandon it for, so it runs in place,
 // inside the join. With SelfHeal the slide's input is journaled first
-// and a panic inside Advance quarantines the band instead of crashing.
-func (s *System) startPartitions(q time.Time, events []rtec.Event) func() ([]maritime.Alert, time.Duration) {
-	n := len(s.partitions)
-	// The routing slots are system-owned scratch reused across slides. A
-	// down partition's slot is abandoned to its goroutine at quarantine
-	// time (set to nil, never appended to again), so a goroutine that
-	// still holds an old slice sees a stable array.
-	for i := range s.evByPart {
-		s.evByPart[i] = s.evByPart[i][:0]
-	}
-	for _, ev := range events {
-		i := s.partitionOf(ev.Lon)
-		if d := s.partitions[i].down.Load(); d != partUp {
-			if !s.selfHeal || d == partFailed {
-				// No journal will replay it: the event is lost.
-				s.watchdogLostEvents.Add(1)
-				continue
-			}
-			// The journal still needs the event: a Heal replay delivers
-			// the quarantine window's alerts as recovered.
-		}
-		s.evByPart[i] = append(s.evByPart[i], ev)
+// and a panic inside Advance quarantines the recognizer instead of
+// crashing.
+func (s *System) startRecognition(q time.Time, events []rtec.Event) func() ([]maritime.Alert, time.Duration) {
+	down := s.recDown.Load()
+	if down != partUp && (!s.selfHeal || down == partFailed) {
+		// No journal will replay them: the events are lost.
+		s.watchdogLostEvents.Add(int64(len(events)))
+		return noRecognition
 	}
 	if s.recJ != nil {
-		for i := range s.partitions {
-			s.journalRec(i, q, s.evByPart[i])
-		}
+		// A quarantined recognizer's journal still needs the events: a
+		// Heal replay delivers the quarantine window's alerts as
+		// recovered.
+		s.journalRec(q, events)
 	}
-	// Fan out to the live partitions. Results come back over a buffered
-	// channel rather than shared slots so that a goroutine abandoned by
-	// the watchdog can still complete without racing a later slide; the
-	// channel itself is per-slide for the same reason. Each band takes
-	// its event slice by value at launch so later slides may reslice the
-	// scratch slots freely. With SelfHeal a panicking band reports a
-	// quarantine record instead of crashing.
-	type partResult struct {
-		i    int
-		snap maritime.Snapshot
-		qr   *supervise.Quarantine
-		ran  time.Duration
+	if down != partUp {
+		return noRecognition
 	}
-	results := make(chan partResult, n)
-	advance := func(i int, rec *maritime.Recognizer, evs []rtec.Event) {
+	s.recEvents = append(s.recEvents[:0], events...)
+	// The step reports over a per-slide buffered channel, so a goroutine
+	// abandoned by the watchdog can still complete without racing a
+	// later slide. It takes the recognizer and its events by value at
+	// launch.
+	results := make(chan recResult, 1)
+	rec, evs := s.rec, s.recEvents
+	advance := func() {
 		t := time.Now()
 		if s.selfHeal {
 			defer func() {
 				if r := recover(); r != nil {
-					qr := supervise.Panicked(s.recTarget(i), r)
-					results <- partResult{i: i, qr: &qr, ran: time.Since(t)}
+					qr := supervise.Panicked("recognizer", r)
+					results <- recResult{qr: &qr, ran: time.Since(t)}
 				}
 			}()
 		}
 		if h := recognizerAdvanceHook.Load(); h != nil {
-			hi := i
-			if n == 1 {
-				hi = -1
-			}
-			(*h)(hi)
+			(*h)()
 		}
 		snap := rec.Advance(q, evs, nil)
-		results <- partResult{i: i, snap: snap, ran: time.Since(t)}
+		results <- recResult{snap: snap, ran: time.Since(t)}
 	}
-	var inPlace func()
-	active := 0
+	collect := func(r recResult) ([]maritime.Alert, time.Duration) {
+		if r.qr != nil {
+			s.quarantineRecognizer(partPanicked, *r.qr)
+			return nil, r.ran
+		}
+		return r.snap.Alerts, r.ran
+	}
+	if s.cfg.WatchdogTimeout <= 0 {
+		return func() ([]maritime.Alert, time.Duration) {
+			advance()
+			return collect(<-results)
+		}
+	}
 	launched := time.Now()
-	for i, p := range s.partitions {
-		s.completed[i] = false
-		if p.down.Load() != partUp {
-			continue
-		}
-		active++
-		rec, evs := p.rec, s.evByPart[i]
-		if n == 1 && s.cfg.WatchdogTimeout <= 0 {
-			inPlace = func() { advance(i, rec, evs) }
-			continue
-		}
-		go advance(i, rec, evs)
-	}
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	if s.cfg.WatchdogTimeout > 0 {
-		timer = time.NewTimer(s.cfg.WatchdogTimeout)
-		timeout = timer.C
-	}
+	go advance()
+	timer := time.NewTimer(s.cfg.WatchdogTimeout)
 	return func() ([]maritime.Alert, time.Duration) {
-		if timer != nil {
-			defer timer.Stop()
+		defer timer.Stop()
+		select {
+		case r := <-results:
+			return collect(r)
+		case <-timer.C:
 		}
-		if inPlace != nil {
-			inPlace()
+		// A result can race the deadline into the select: when the
+		// pipeline goroutine is scheduled late — or archival and analytics
+		// outlasted the budget — both channels are ready and select picks
+		// either. A step that answered in time is not wedged.
+		select {
+		case r := <-results:
+			return collect(r)
+		default:
 		}
-		var slowest time.Duration
-		collect := func(r partResult) {
-			slowest = max(slowest, r.ran)
-			if r.qr != nil {
-				s.quarantinePartition(r.i, partPanicked, *r.qr)
-				return
-			}
-			s.snaps[r.i] = r.snap
-			s.completed[r.i] = true
-		}
-		for got := 0; got < active; {
-			select {
-			case r := <-results:
-				collect(r)
-				got++
-			case <-timeout:
-				// A result can race the deadline into the select: when the
-				// pipeline goroutine is scheduled late — or archival and
-				// analytics outlasted the budget — both channels are ready
-				// and select picks either. Drain deliveries that beat the
-				// deadline before declaring anyone a straggler — a
-				// partition that answered in time is not wedged.
-				for draining := true; draining && got < active; {
-					select {
-					case r := <-results:
-						collect(r)
-						got++
-					default:
-						draining = false
-					}
-				}
-				if got == active {
-					break
-				}
-				// The slide budget is spent: flag every straggler — still
-				// up (a band down at launch stays down: Heal waits for
-				// runMu) yet not completed — as wedged and move on with
-				// the snapshots that did arrive. With SelfHeal the
-				// quarantine is repairable via Heal.
-				s.watchdogTrips.Add(1)
-				slowest = time.Since(launched)
-				for i, p := range s.partitions {
-					if !s.completed[i] && p.down.Load() == partUp {
-						s.quarantinePartition(i, partStalled, supervise.Stalled(s.recTarget(i)))
-					}
-				}
-				got = active
-			}
-		}
-		var alerts []maritime.Alert
-		for i := range s.snaps {
-			if s.completed[i] {
-				alerts = append(alerts, s.snaps[i].Alerts...)
-			}
-		}
-		slices.SortStableFunc(alerts, maritime.CompareAlerts)
-		return alerts, slowest
+		// The slide budget is spent: flag the recognizer as wedged and move
+		// on without its alerts. With SelfHeal the quarantine is repairable
+		// via Heal.
+		s.watchdogTrips.Add(1)
+		s.quarantineRecognizer(partStalled, supervise.Stalled("recognizer"))
+		return nil, time.Since(launched)
 	}
-}
-
-// partitionOf returns the index of the band owning longitude lon.
-func (s *System) partitionOf(lon float64) int {
-	for i, p := range s.partitions {
-		if lon < p.hiLon {
-			return i
-		}
-	}
-	return len(s.partitions) - 1
 }
 
 // Drain stages whatever is left in the tracker's window into the store
@@ -835,16 +695,4 @@ func (s *System) RunAll(batches interface{ Next() (stream.Batch, bool) }) []Slid
 		s.Drain(last)
 	}
 	return reports
-}
-
-// RecognizerIntervals returns the maximal intervals of a durative CE
-// for an area as of the last slide, or nil when recognition is off.
-func (s *System) RecognizerIntervals(ce, areaID string) rtec.IntervalList {
-	key := rtec.FluentKey{Fluent: ce, Entity: areaID, Value: rtec.True}
-	for _, p := range s.partitions {
-		if ivs := p.rec.Engine().HoldsFor(key); ivs != nil {
-			return ivs
-		}
-	}
-	return nil
 }

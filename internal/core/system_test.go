@@ -129,7 +129,7 @@ func TestSuspiciousAreaTruthRecall(t *testing.T) {
 		// The intervals may also be inspected directly.
 		for i := 0; i < 2; i++ {
 			id := []string{"watch-00", "watch-01"}[i]
-			if len(sys.RecognizerIntervals(maritime.CESuspicious, id)) > 0 {
+			if len(holdsFor(sys, maritime.CESuspicious, id)) > 0 {
 				found = true
 			}
 		}
@@ -209,9 +209,6 @@ func TestDisableFlags(t *testing.T) {
 	if sys.Store().StagedCount() != 0 || len(sys.Store().Trips()) != 0 {
 		t.Error("archival ran despite DisableArchival")
 	}
-	if sys.RecognizerIntervals(maritime.CESuspicious, "watch-00") != nil {
-		t.Error("intervals from disabled recognizer")
-	}
 }
 
 // TestNewSystemPanicsOnSpatialFacts pins that the pipeline refuses the
@@ -226,49 +223,4 @@ func TestNewSystemPanicsOnSpatialFacts(t *testing.T) {
 		}
 	}()
 	NewSystem(cfg, nil, nil, nil)
-}
-
-func TestPartitionedRecognition(t *testing.T) {
-	// Processors > 1 splits recognition into longitude bands; the
-	// scripted violations must still be found.
-	sysCfg := defaultSystemConfig()
-	sysCfg.Processors = 2
-	sys, _, reports := buildSystem(t, simConfig(150, 6), sysCfg)
-	if sys.Recognizer() != nil {
-		t.Fatal("single recognizer built despite Processors=2")
-	}
-	byCE := make(map[string]int)
-	for _, r := range reports {
-		for _, a := range r.Alerts {
-			byCE[a.CE]++
-		}
-	}
-	if byCE[maritime.CEIllegalShipping] == 0 {
-		t.Error("no illegalShipping recognized by the partitioned system")
-	}
-	if byCE[maritime.CESuspicious] == 0 {
-		t.Error("no suspicious recognized by the partitioned system")
-	}
-}
-
-func TestPartitionedMatchesSingleOnInteriorAreas(t *testing.T) {
-	// The alert sets should largely coincide; boundary-straddling
-	// vessels may differ, so compare as a superset-with-slack check.
-	single, _, reportsSingle := buildSystem(t, simConfig(150, 6), defaultSystemConfig())
-	_ = single
-	cfg2 := defaultSystemConfig()
-	cfg2.Processors = 2
-	_, _, reportsPart := buildSystem(t, simConfig(150, 6), cfg2)
-
-	count := func(reports []SlideReport) int {
-		n := 0
-		for _, r := range reports {
-			n += len(r.Alerts)
-		}
-		return n
-	}
-	a, b := count(reportsSingle), count(reportsPart)
-	if b < a/2 || b > a*2 {
-		t.Errorf("partitioned alert volume %d wildly differs from single %d", b, a)
-	}
 }

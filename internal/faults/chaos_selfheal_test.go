@@ -83,7 +83,6 @@ func TestChaosShardKill100Equivalence(t *testing.T) {
 		Tracker:       tracker.DefaultParams(),
 		TrackerShards: 4,
 		Recognition:   maritime.Config{Window: time.Hour},
-		Processors:    2,
 		SelfHeal:      true,
 	}
 
@@ -146,7 +145,6 @@ func TestChaosShardQuarantineSupervisorRestores(t *testing.T) {
 		Tracker:       tracker.DefaultParams(),
 		TrackerShards: 4,
 		Recognition:   maritime.Config{Window: time.Hour},
-		Processors:    2,
 		SelfHeal:      true,
 	}
 	// The shard dies on both attempts of one slide a third into the run.
@@ -234,7 +232,6 @@ func TestChaosLoadSpikeDegradationLadder(t *testing.T) {
 		Tracker:       tracker.DefaultParams(),
 		TrackerShards: 2,
 		Recognition:   maritime.Config{Window: time.Hour},
-		Processors:    2,
 		SelfHeal:      true,
 		Degrade: &core.DegradeSpec{
 			SlideHigh:  time.Hour, // latency never votes in this test

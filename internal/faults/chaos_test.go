@@ -41,9 +41,8 @@ func (r *recordingStage) Next() (stream.Batch, bool) {
 
 func chaosSystemConfig() core.Config {
 	return core.Config{
-		Window:     stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute},
-		Tracker:    tracker.DefaultParams(),
-		Processors: 2,
+		Window:  stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute},
+		Tracker: tracker.DefaultParams(),
 		Recognition: maritime.Config{
 			Window: time.Hour,
 		},

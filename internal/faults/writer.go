@@ -43,6 +43,3 @@ func (c *CrashWriter) Write(p []byte) (int, error) {
 	c.written += int64(n)
 	return n, err
 }
-
-// Written returns the bytes let through so far.
-func (c *CrashWriter) Written() int64 { return c.written }

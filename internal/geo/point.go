@@ -135,9 +135,6 @@ func Interpolate(a, b Point, f float64) Point {
 	}
 }
 
-// Midpoint returns the point halfway between a and b.
-func Midpoint(a, b Point) Point { return Interpolate(a, b, 0.5) }
-
 // Centroid returns the arithmetic centroid of the given points, used by
 // the tracker to collapse a long-term stop into a single critical point.
 // It panics if pts is empty.

@@ -24,9 +24,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]Envelope, capacity)}
 }
 
-// Cap returns the retention capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Len returns the number of retained envelopes.
 func (r *Ring) Len() int {
 	r.mu.Lock()

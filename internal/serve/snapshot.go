@@ -81,10 +81,3 @@ func (g *Gateway) Quiesce(fn func()) {
 	defer g.pipeMu.Unlock()
 	fn()
 }
-
-// SlideCount returns how many slides the gateway has consumed.
-func (g *Gateway) SlideCount() int {
-	g.repMu.RLock()
-	defer g.repMu.RUnlock()
-	return g.slides
-}

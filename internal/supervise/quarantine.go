@@ -5,8 +5,8 @@
 // with exponential backoff and a give-up threshold.
 //
 // The package deliberately depends only on the standard library and the
-// observability layer, so every tier (tracker shards, recognizer
-// partitions, the MOD store) can share its types without import cycles.
+// observability layer, so every tier (tracker shards, the recognizer,
+// the MOD store) can share its types without import cycles.
 package supervise
 
 import (
@@ -19,9 +19,8 @@ import (
 // is, why it was taken out, and what the failure looked like.
 type Quarantine struct {
 	// Target names the partition in the supervisor's namespace:
-	// "tracker/3" for a tracker shard, "recognizer" for the recognizer
-	// of a one-band system and "recognizer/1" for one of several bands,
-	// "store" for the MOD archival store.
+	// "tracker/3" for a tracker shard, "recognizer" for the CE
+	// recognizer, "store" for the MOD archival store.
 	Target string
 	// Cause is "panic" for a recovered panic, "stall" for a watchdog
 	// timeout.

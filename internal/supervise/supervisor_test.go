@@ -45,7 +45,7 @@ func (f *fakeHealer) Abandon(target string) {
 func TestSupervisorHealsImmediatelyOnFirstObservation(t *testing.T) {
 	h := newFakeHealer()
 	h.quarantined["tracker/1"] = true
-	h.quarantined["recognizer/0"] = true
+	h.quarantined["recognizer"] = true
 	sup := New(h, Policy{})
 
 	if healed := sup.Poll(); healed != 2 {
@@ -58,7 +58,7 @@ func TestSupervisorHealsImmediatelyOnFirstObservation(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 repairs", st)
 	}
 	// Deterministic order: sorted by target.
-	if len(h.heals) != 2 || h.heals[0] != "recognizer/0" || h.heals[1] != "tracker/1" {
+	if len(h.heals) != 2 || h.heals[0] != "recognizer" || h.heals[1] != "tracker/1" {
 		t.Errorf("heal order = %v", h.heals)
 	}
 }
