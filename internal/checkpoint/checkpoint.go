@@ -214,7 +214,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 		"Write attempts retried after a transient failure (ENOSPC, EIO); not counted as failures when a retry succeeds.",
 		func(s durable.StoreStats) uint64 { return s.Retries })
 	counter("maritime_checkpoint_restores_total",
-		"Successful restores from a checkpoint at startup.",
+		"Successful restores from a checkpoint, at startup or on a rewind after a fault.",
 		func(s durable.StoreStats) uint64 { return s.Restores })
 	counter("maritime_checkpoint_rejected_total",
 		"Checkpoint files rejected at restore (truncated, corrupt, or future-version).",

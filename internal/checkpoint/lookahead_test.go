@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/stream"
-	"repro/internal/supervise"
 	"repro/internal/tracker"
 )
 
@@ -60,17 +59,24 @@ type laTrace struct {
 	fresh  []string          // per slide: its critical points
 	ckpts  map[string]string // checkpoint payload by query time
 	final  string            // archival state and every trip, after Drain
+	at     map[time.Time]int // fresh's index by query time
 }
 
-// laRecorder wires a system's observers into a trace.
+// laRecorder wires a system's observers into a trace. A slide a rewind
+// processes again replaces what its earlier processing tapped.
 func laRecorder(sys *core.System) *laTrace {
-	tr := &laTrace{ckpts: map[string]string{}}
+	tr := &laTrace{ckpts: map[string]string{}, at: map[time.Time]int{}}
 	sys.SetFreshObserver(func(q time.Time, fresh []tracker.CriticalPoint) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "Q=%s", q.UTC().Format(time.RFC3339))
 		for _, cp := range fresh {
 			fmt.Fprintf(&b, " %+v", cp)
 		}
+		if i, ok := tr.at[q]; ok {
+			tr.fresh[i] = b.String()
+			return
+		}
+		tr.at[q] = len(tr.fresh)
 		tr.fresh = append(tr.fresh, b.String())
 	})
 	return tr
@@ -320,9 +326,9 @@ func TestLookAheadMatchesSerial(t *testing.T) {
 }
 
 // TestLookAheadFaultsMatchSerial injects faults while a slide is in
-// flight on the tracker and requires the look-ahead run to emit exactly
-// what the serial run under the same faults does — with no alert more
-// often than the fault-free run emits it.
+// flight on the tracker and requires the look-ahead run, which rewinds
+// to its newest checkpoint and replays after each, to emit exactly what
+// the fault-free serial run does — with no alert more often.
 func TestLookAheadFaultsMatchSerial(t *testing.T) {
 	sim, fixes := testFleet(t, 100, 4)
 	vessels, areas, ports := core.AdaptWorld(sim)
@@ -337,32 +343,29 @@ func TestLookAheadFaultsMatchSerial(t *testing.T) {
 		arm func(sys *core.System) func()
 		cfg func(*core.Config)
 		// fired reports whether the fault was hit and handled.
-		fired func(sys *core.System) bool
+		fired func(h core.Health) bool
 	}{
 		{
-			// A tracker shard panics on slide 5; self-heal re-runs it from
-			// the journal inside the slide, losslessly.
+			// A tracker shard panics the first time it tracks slide 5,
+			// most likely ahead, beside slide 4.
 			name: "shard-panic",
 			arm: func(sys *core.System) func() {
-				sys.Tracker().SetFaultHook(func(shard, slide, attempt int) {
-					if shard == 1 && slide == 5 && attempt == 0 {
+				var once atomic.Bool
+				sys.Tracker().SetFaultHook(func(shard int, q time.Time) {
+					if shard == 1 && q.Equal(fixes[0].Time.Truncate(testSlide).Add(5*testSlide)) && once.CompareAndSwap(false, true) {
 						panic("injected shard fault")
 					}
 				})
 				return func() {}
 			},
-			fired: func(sys *core.System) bool { return sys.Tracker().FaultStats().Retries == 1 },
+			fired: func(h core.Health) bool { return h.PanicsRecovered == 1 && h.Restores == 1 },
 		},
 		{
 			// The recognizer wedges on its 6th step: the watchdog
-			// quarantines it and the supervisor, polled after every slide,
-			// heals it; the lost slide's alerts arrive as recovered with the
-			// next one.
+			// quarantines it and the run rewinds.
 			name: "recognizer-stall",
 			cfg:  func(c *core.Config) { c.WatchdogTimeout = time.Second },
 			arm: func(sys *core.System) func() {
-				sup := supervise.New(sys, supervise.Policy{})
-				sys.OnSlideEnd(func(core.SlideReport) { sup.Poll() })
 				release := make(chan struct{})
 				var steps atomic.Int64
 				core.SetRecognizerFaultHook(func() {
@@ -375,26 +378,23 @@ func TestLookAheadFaultsMatchSerial(t *testing.T) {
 					close(release)
 				}
 			},
-			fired: func(sys *core.System) bool { return sys.Health().Restores == 1 },
+			fired: func(h core.Health) bool { return h.WatchdogTrips == 1 && h.Restores == 1 },
 		},
 		{
-			// Shard 1 panics twice on slide 5 and is quarantined; every
-			// slide end asks for its repair. Ahead, that request lands
-			// while the next slide is in flight on the tracker.
+			// The recognizer panics on its 8th step, at the end of which
+			// the next slide is in flight on the tracker: the rewind that
+			// starts from the slide's end discards it with the rest.
 			name: "heal-from-slide-end",
 			arm: func(sys *core.System) func() {
-				sys.Tracker().SetFaultHook(func(shard, slide, attempt int) {
-					if shard == 1 && slide == 5 {
-						panic("injected persistent shard fault")
+				var steps atomic.Int64
+				core.SetRecognizerFaultHook(func() {
+					if steps.Add(1) == 8 {
+						panic("injected recognizer fault")
 					}
 				})
-				sys.OnSlideEnd(func(core.SlideReport) { _ = sys.Heal("tracker/1") })
-				return func() {}
+				return func() { core.SetRecognizerFaultHook(nil) }
 			},
-			fired: func(sys *core.System) bool {
-				fs := sys.Tracker().FaultStats()
-				return fs.Repairs == 1 && fs.DroppedFixes > 0
-			},
+			fired: func(h core.Health) bool { return h.PanicsRecovered == 1 && h.Restores == 1 },
 		},
 	}
 	for _, tc := range cases {
@@ -403,28 +403,22 @@ func TestLookAheadFaultsMatchSerial(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			serial := core.NewSystem(cfg, vessels, areas, ports)
-			defer serial.Close()
-			release := tc.arm(serial)
-			want := serialRun(t, serial, fixes)
-			release()
-
 			sys := core.NewSystem(cfg, vessels, areas, ports)
 			defer sys.Close()
-			release = tc.arm(sys)
+			release := tc.arm(sys)
 			got, _, ahead := loopRun(t, sys, fixes, t.TempDir(), 0, nil)
 			release()
-			got.ckpts = nil // a quarantine fails the snapshot; compared below by health
-			compareTraces(t, want, got)
+			got.ckpts = nil // a restore resets counters the snapshots carry
+			compareTraces(t, reference, got)
 			if ahead == 0 {
 				t.Error("no slide was tracked ahead")
 			}
-			if !tc.fired(serial) || !tc.fired(sys) {
-				t.Errorf("the fault did not fire and heal as intended: serial %+v, ahead %+v",
-					serial.Tracker().FaultStats(), sys.Tracker().FaultStats())
+			h := sys.Health()
+			if !tc.fired(h) {
+				t.Errorf("the fault did not fire and rewind as intended: %s", h)
 			}
-			if h := sys.Health(); h.Quarantined != 0 {
-				t.Errorf("ended with %d targets quarantined", h.Quarantined)
+			if h.State() != "ok" {
+				t.Errorf("ended %s", h)
 			}
 			seen := alertCounts(reference.slides)
 			for key, n := range alertCounts(got.slides) {

@@ -27,7 +27,7 @@ type CoordinatorConfig struct {
 	// System configures the coordinator's pipeline, the same core.System
 	// a single process runs, fed the merged slides: its window's slide is
 	// the cluster's slide step (must match the workers'), and its
-	// recognition, band, watchdog, self-heal and analytics settings apply
+	// recognition, watchdog and analytics settings apply
 	// to the merged stream. Archival is forced off — the workers archive
 	// their slices — and its tracker never runs: the merged critical
 	// points arrive already detected.

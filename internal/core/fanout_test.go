@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,9 +21,6 @@ func serialSlide(s *System, b stream.Batch) SlideReport {
 	rep := SlideReport{Query: b.Query, FixesIn: len(b.Fixes)}
 	res := s.tracker.Slide(b)
 	rep.CriticalPoints = len(res.Fresh)
-	if s.storeJ != nil {
-		s.journalStore(res.Delta, true)
-	}
 	s.runArchival(&rep, res.Delta, true)
 	events := maritime.MEStream(res.Fresh)
 	// Joined at once: nothing runs beside the recognizer.
@@ -35,7 +31,6 @@ func serialSlide(s *System, b stream.Batch) SlideReport {
 			slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
 		}
 	}
-	s.rebaseJournals()
 	return rep
 }
 
@@ -95,18 +90,16 @@ func TestFanOutMatchesSerialComposition(t *testing.T) {
 	cases := []struct {
 		name      string
 		watchdog  time.Duration
-		selfHeal  bool
 		analytics *analytics.Config
 	}{
-		{"production", 5 * time.Second, true, pairwise},
-		{"bare", 0, false, nil},
-		{"watchdog-only", 5 * time.Second, false, pairwise},
+		{"production", 5 * time.Second, pairwise},
+		{"bare", 0, nil},
+		{"watchdog-only", 5 * time.Second, pairwise},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := defaultSystemConfig()
 			cfg.WatchdogTimeout = tc.watchdog
-			cfg.SelfHeal = tc.selfHeal
 			cfg.Analytics = tc.analytics
 			batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
 			_, _, ports := AdaptWorld(sim)
@@ -144,20 +137,20 @@ func TestFanOutMatchesSerialComposition(t *testing.T) {
 // TestSelfHealFaultsDuringOverlap fires the fault hooks while the
 // slide's consumers run side by side — the recognizer stalls past the
 // watchdog while archival runs, the store panics while the recognizer
-// runs, and both in one slide — and checks quarantine, Heal and replay
-// end where the undisturbed run ends: the same alerts, and identical
-// recognizer, store, tracker and analytics snapshots.
+// runs, and both in one slide — and checks that the quarantine, the
+// rewind and the replay end where the undisturbed run ends: the same
+// alerts, and identical recognizer, store, tracker and analytics
+// snapshots.
 func TestSelfHealFaultsDuringOverlap(t *testing.T) {
 	simCfg := simConfig(120, 5)
 	simCfg.RendezvousPairs = 2
 	cfg := defaultSystemConfig()
-	cfg.SelfHeal = true
 	// Generous: under -race on a busy box a healthy slide must not trip it.
 	cfg.WatchdogTimeout = 500 * time.Millisecond
 	cfg.Analytics = &analytics.Config{EnableCollision: true}
 	batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
-	const faultSlide, healSlide = 7, 10
+	const faultSlide = 7
 
 	undisturbed := func() (*System, []string) {
 		golden := NewSystem(cfg, vessels, areas, ports)
@@ -187,72 +180,54 @@ func TestSelfHealFaultsDuringOverlap(t *testing.T) {
 			storeFaulted := make(chan struct{}) // archival has run (and panicked, when asked to)
 			release := make(chan struct{})      // lets a stalled recognizer goroutine go
 			defer close(release)
-			var recOnce, storeOnce sync.Once
+			var recFired, storeFired atomic.Bool
 			SetRecognizerFaultHook(func() {
-				if slide.Load() != faultSlide {
+				if slide.Load() != faultSlide || !recFired.CompareAndSwap(false, true) {
 					return
 				}
-				recOnce.Do(func() {
-					close(recRunning)
-					if tc.stallRecognizer {
-						<-release
-					} else {
-						<-storeFaulted // still running when the store panics
-					}
-				})
+				close(recRunning)
+				if tc.stallRecognizer {
+					<-release
+				} else {
+					<-storeFaulted // still running when the store panics
+				}
 			})
 			defer SetRecognizerFaultHook(nil)
 			sys.SetStoreFaultHook(func() {
-				if slide.Load() != faultSlide {
+				if slide.Load() != faultSlide || !storeFired.CompareAndSwap(false, true) {
 					return
 				}
-				storeOnce.Do(func() {
-					<-recRunning // archival runs while the recognizer does
-					defer close(storeFaulted)
-					if tc.panic {
-						panic("injected archival fault")
-					}
-				})
-			})
-
-			var reports []SlideReport
-			for i, b := range batches {
-				slide.Store(int64(i))
-				reports = append(reports, sys.ProcessBatch(b))
-				switch i {
-				case faultSlide:
-					var want []string
-					if tc.stallRecognizer {
-						want = append(want, "recognizer:stall")
-					}
-					if tc.panic {
-						want = append(want, "store:panic")
-					}
-					var got []string
-					for _, q := range sys.Quarantined() {
-						got = append(got, q.Target+":"+q.Cause)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("quarantined after the fault slide: %v, want %v", got, want)
-					}
-				case healSlide:
-					for _, q := range sys.Quarantined() {
-						if err := sys.Heal(q.Target); err != nil {
-							t.Fatalf("Heal(%s): %v", q.Target, err)
-						}
-					}
+				<-recRunning // archival runs while the recognizer does
+				defer close(storeFaulted)
+				if tc.panic {
+					panic("injected archival fault")
 				}
-			}
-			h := sys.Health()
-			wantRestores := 0
+			})
+			var want []string
 			if tc.stallRecognizer {
-				wantRestores++
+				want = append(want, "recognizer:stall")
 			}
 			if tc.panic {
-				wantRestores++
+				want = append(want, "store:panic")
 			}
-			if h.Quarantined != 0 || h.Restores != wantRestores || h.State() != "ok" {
-				t.Fatalf("final health %+v (state %q), want %d restores and nothing down", h, h.State(), wantRestores)
+			sys.OnSlideEnd(func(rep SlideReport) {
+				if !rep.Rewind {
+					return
+				}
+				var got []string
+				for _, q := range rep.Faults {
+					got = append(got, q.Target+":"+q.Cause)
+				}
+				slices.Sort(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("quarantined on the fault slide: %v, want %v", got, want)
+				}
+			})
+
+			reports := rewindRun(t, sys, batches, 3, func(i int) { slide.Store(int64(i)) })
+			h := sys.Health()
+			if h.Quarantined != 0 || h.Restores != 1 || h.State() != "ok" {
+				t.Fatalf("final health %s, want one rewind and nothing down", h)
 			}
 			// A fresh undisturbed run each time: comparing drains both.
 			golden, want := undisturbed()

@@ -10,17 +10,16 @@ import (
 )
 
 // TestSelfHealLostEventsCountOnlyUnrecoverable panics the recognizer
-// and then heals it, or gives up on it. Under SelfHeal its events are
-// journaled while it is down, so they are lost only once no replay can
-// bring them back: a healed run reports no watchdog drops (and the
-// alerts of the run nothing happened to), an abandoned one exactly the
-// events of the slides journaled since the quarantine.
+// with rewinds armed ("heal") and without ("abandon"). Events are lost
+// only when no replay brings them back: a rewound run reports no
+// watchdog drops (and the alerts of the run nothing happened to); a run
+// that cannot rewind keeps the recognizer down and counts exactly the
+// events of the faulted slide and of every slide after it.
 func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 	cfg := defaultSystemConfig()
-	cfg.SelfHeal = true
 	batches, vessels, areas, sim := slideBatches(t, simConfig(150, 5), cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
-	const panicSlide, repairSlide = 8, 10
+	const panicSlide = 8
 
 	golden := NewSystem(cfg, vessels, areas, ports)
 	defer golden.Close()
@@ -37,57 +36,49 @@ func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sys := NewSystem(cfg, vessels, areas, ports)
 			defer sys.Close()
-			// Each slide's movement events, counted from the fresh points
-			// independently of the journal.
+			// Each slide's movement events, counted from the fresh points.
 			slide := 0
 			events := make([]int, len(batches))
 			sys.SetFreshObserver(func(_ time.Time, fresh []tracker.CriticalPoint) {
 				events[slide] = len(maritime.MEStream(fresh))
 			})
+			fired := false
 			SetRecognizerFaultHook(func() {
-				if slide == panicSlide {
+				if slide == panicSlide && !fired {
+					fired = true
 					panic("injected recognizer fault")
 				}
 			})
 			defer SetRecognizerFaultHook(nil)
 
-			var reports []SlideReport
-			for i, b := range batches {
-				slide = i
-				reports = append(reports, sys.ProcessBatch(b))
-				if i != repairSlide {
-					continue
+			if !heal {
+				for i, b := range batches {
+					slide = i
+					sys.ProcessBatch(b)
 				}
-				if lost := sys.Health().DropsByCause["watchdog"]; lost != 0 {
-					t.Fatalf("%d events counted lost while still journaled for a heal", lost)
-				}
-				if heal {
-					if err := sys.Heal("recognizer"); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				sys.Abandon("recognizer")
 				want := 0
-				for k := panicSlide; k <= repairSlide; k++ {
+				for k := panicSlide; k < len(batches); k++ {
 					want += events[k]
 				}
 				if want == 0 {
-					t.Fatal("no events while quarantined; the test is vacuous")
+					t.Fatal("no events after the fault; the test is vacuous")
 				}
-				if lost := sys.Health().DropsByCause["watchdog"]; lost != want {
-					t.Fatalf("abandon counted %d events lost, the quarantine journaled %d", lost, want)
+				h := sys.Health()
+				if lost := h.DropsByCause["watchdog"]; lost != want {
+					t.Fatalf("counted %d events lost, the slides since the fault carried %d", lost, want)
 				}
-			}
-			if !heal {
+				if h.Quarantined != 1 || h.State() != "degraded" {
+					t.Fatalf("without rewinds the recognizer stays quarantined: %s", h)
+				}
 				return
 			}
+			reports := rewindRun(t, sys, batches, 3, func(i int) { slide = i })
 			h := sys.Health()
 			if lost := h.DropsByCause["watchdog"]; lost != 0 || h.TotalDropped() != 0 {
-				t.Errorf("healed run reports drops %v", h.DropsByCause)
+				t.Errorf("rewound run reports drops %v", h.DropsByCause)
 			}
 			if want, got := alertKeys(goldenReports), alertKeys(reports); !reflect.DeepEqual(want, got) {
-				t.Errorf("healed run gave %d alerts, the undisturbed run %d", len(got), len(want))
+				t.Errorf("rewound run gave %d alerts, the undisturbed run %d", len(got), len(want))
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
 	"repro/internal/stream"
-	"repro/internal/supervise"
 )
 
 // slideBatches materializes the simulator stream into slide batches so
@@ -53,20 +51,74 @@ func alertKeys(reports []SlideReport) []string {
 	return keys
 }
 
+// rewindRun drives sys over batches the way checkpoint.Run drives a
+// system that rewinds on faults: a snapshot every `every` slides stands
+// in for the checkpoint, a report asking for a rewind restores the
+// newest one and replays the slides since, and the reports a driver
+// passes on — neither rewound nor replayed — are returned. before, when
+// set, runs ahead of every processed slide with its batch index.
+func rewindRun(t *testing.T, sys *System, batches []stream.Batch, every int, before func(i int)) []SlideReport {
+	t.Helper()
+	sys.RewindOnFault()
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := -1 // the last slide the snapshot covers
+	var out []SlideReport
+	for i := 0; i < len(batches); i++ {
+		if before != nil {
+			before(i)
+		}
+		rep := sys.ProcessBatch(batches[i])
+		if rep.Rewind {
+			if err := sys.RestoreSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+			i = base
+			continue
+		}
+		if !rep.Replay {
+			out = append(out, rep)
+		}
+		// A snapshot fails while a target is fenced; the previous one
+		// stays the newest, as a failed checkpoint save leaves it.
+		if (i+1)%every == 0 {
+			if s, err := sys.Snapshot(); err == nil {
+				snap, base = s, i
+			}
+		}
+	}
+	return out
+}
+
+// sameReports requires the delivered reports to be the fault-free run's,
+// slide by slide.
+func sameReports(t *testing.T, want, got []SlideReport) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d slides, the fault-free run %d", len(got), len(want))
+	}
+	for i := range want {
+		if !want[i].Query.Equal(got[i].Query) || !reflect.DeepEqual(alertStrings(want[i]), alertStrings(got[i])) ||
+			want[i].CriticalPoints != got[i].CriticalPoints || want[i].TripsCompleted != got[i].TripsCompleted {
+			t.Fatalf("slide %d differs from the fault-free run:\n  want %v\n  got  %v", i, alertStrings(want[i]), alertStrings(got[i]))
+		}
+	}
+}
+
 // TestSelfHealRecognizerPanicQuarantineHeal injects a panic into the
-// recognizer mid-run: the process must survive, the recognizer must
-// land in quarantine with the panic captured, Snapshot must refuse with
-// ErrWedged, and after Heal the replayed recognizer must deliver the
-// quarantine window's alerts so the run's total output matches the
-// fault-free golden run exactly.
+// recognizer mid-run: the process must survive, the recognizer must be
+// quarantined with the panic captured, the slide must ask for a rewind
+// without reaching the sinks, Snapshot must refuse with ErrWedged, and
+// after the restore and replay every delivered slide must match the
+// fault-free golden run.
 func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
 	simCfg := simConfig(150, 5)
 	cfg := defaultSystemConfig()
-	cfg.SelfHeal = true
 	batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
 	const panicSlide = 8
-	healSlide := panicSlide + 2
 
 	golden := NewSystem(cfg, vessels, areas, ports)
 	defer golden.Close()
@@ -77,63 +129,64 @@ func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
 
 	sys := NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
-	slide := 0
+	sink := &countingSink{}
+	sys.AddAlertSink(sink)
+	var fired atomic.Bool
 	SetRecognizerFaultHook(func() {
-		if slide == panicSlide {
+		if sink.slides.Load() == panicSlide && fired.CompareAndSwap(false, true) {
 			panic("injected recognizer fault")
 		}
 	})
 	defer SetRecognizerFaultHook(nil)
+	rewinds := 0
+	sys.OnSlideEnd(func(rep SlideReport) {
+		if !rep.Rewind {
+			return
+		}
+		rewinds++
+		h := rep.Health
+		if h.PanicsRecovered != 1 || h.Quarantined != 1 || h.State() != "degraded" {
+			t.Errorf("faulted slide: health %s, want 1 panic recovered / 1 quarantined", h)
+		}
+		q := rep.Faults
+		if len(q) != 1 || q[0].Target != "recognizer" || q[0].Cause != "panic" ||
+			!strings.Contains(q[0].Value, "injected recognizer fault") || q[0].Stack == "" {
+			t.Errorf("quarantine records: %+v", q)
+		}
+		if _, err := sys.Snapshot(); !errors.Is(err, ErrWedged) {
+			t.Errorf("Snapshot while quarantined: err=%v, want ErrWedged", err)
+		}
+	})
 
-	var reports []SlideReport
-	for i, b := range batches {
-		slide = i
-		reports = append(reports, sys.ProcessBatch(b))
-		if i == panicSlide {
-			h := sys.Health()
-			if h.PanicsRecovered != 1 || h.Quarantined != 1 {
-				t.Fatalf("after panic: health %+v, want 1 panic recovered / 1 quarantined", h)
-			}
-			if h.State() != "degraded" {
-				t.Fatalf("state = %q, want degraded", h.State())
-			}
-			q := sys.Quarantined()
-			if len(q) != 1 || q[0].Target != "recognizer" || q[0].Cause != "panic" ||
-				!strings.Contains(q[0].Value, "injected recognizer fault") || q[0].Stack == "" {
-				t.Fatalf("quarantine records: %+v", q)
-			}
-			if _, err := sys.Snapshot(); !errors.Is(err, ErrWedged) {
-				t.Fatalf("Snapshot while quarantined: err=%v, want ErrWedged", err)
-			}
-		}
-		if i == healSlide {
-			if err := sys.Heal("recognizer"); err != nil {
-				t.Fatalf("Heal: %v", err)
-			}
-			h := sys.Health()
-			if h.Quarantined != 0 || h.Restores != 1 {
-				t.Fatalf("after heal: %+v", h)
-			}
-			if _, err := sys.Snapshot(); err != nil {
-				t.Fatalf("Snapshot after heal: %v", err)
-			}
-		}
+	reports := rewindRun(t, sys, batches, 3, nil)
+	if rewinds != 1 {
+		t.Fatalf("%d rewinds, want 1", rewinds)
 	}
-	want, got := alertKeys(goldenReports), alertKeys(reports)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("alert streams diverged after heal: golden %d alerts, faulted %d\ngolden: %v\nfaulted: %v",
-			len(want), len(got), want, got)
+	if h := sys.Health(); h.Quarantined != 0 || h.Restores != 1 || h.State() != "ok" {
+		t.Errorf("after the rewind: %s", h)
+	}
+	if got := int(sink.slides.Load()); got != len(batches) {
+		t.Errorf("the sink saw %d slides, the stream has %d", got, len(batches))
+	}
+	sameReports(t, goldenReports, reports)
+}
+
+// countingSink counts the slides that reach it, replays excluded.
+type countingSink struct{ slides atomic.Int64 }
+
+func (c *countingSink) Consume(rep SlideReport) {
+	if !rep.Replay {
+		c.slides.Add(1)
 	}
 }
 
 // TestSelfHealSupervisorRestoresStalledRecognizer wedges the single
-// recognizer via the watchdog and lets a Supervisor attached to
-// OnSlideEnd repair it automatically: ErrWedged must be transient, and
-// the total alert output must match the golden run.
+// recognizer via the watchdog: the rewind replaces it with a fresh one
+// while the wedged goroutine still runs, ErrWedged is transient, and
+// every delivered slide matches the golden run.
 func TestSelfHealSupervisorRestoresStalledRecognizer(t *testing.T) {
 	simCfg := simConfig(120, 4)
 	cfg := defaultSystemConfig()
-	cfg.SelfHeal = true
 	cfg.WatchdogTimeout = 100 * time.Millisecond
 	batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
@@ -150,55 +203,40 @@ func TestSelfHealSupervisorRestoresStalledRecognizer(t *testing.T) {
 
 	sys := NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
-	sup := supervise.New(sys, supervise.Policy{InitialBackoff: time.Millisecond})
-	sys.OnSlideEnd(func(SlideReport) { sup.Poll() })
-
 	release := make(chan struct{})
 	defer close(release)
-	var once sync.Once
 	// The hook runs on recognition goroutines that may outlive their
 	// slide (that is the point of the watchdog), so the slide number
 	// must be read atomically.
 	var slide atomic.Int64
+	var stalled atomic.Bool
 	SetRecognizerFaultHook(func() {
-		if slide.Load() == stallSlide {
-			once.Do(func() { <-release })
+		if slide.Load() == stallSlide && stalled.CompareAndSwap(false, true) {
+			<-release
 		}
 	})
 	defer SetRecognizerFaultHook(nil)
 
-	var reports []SlideReport
-	for i, b := range batches {
-		slide.Store(int64(i))
-		reports = append(reports, sys.ProcessBatch(b))
-	}
+	reports := rewindRun(t, sys, batches, 4, func(i int) { slide.Store(int64(i)) })
 	h := sys.Health()
 	if h.WatchdogTrips != 1 {
 		t.Errorf("WatchdogTrips = %d, want 1", h.WatchdogTrips)
 	}
-	if st := sup.Stats(); st.Repairs != 1 || st.GiveUps != 0 {
-		t.Errorf("supervisor stats = %+v, want exactly one repair", st)
-	}
-	if h.Quarantined != 0 || h.Restores != 1 || h.State() != "ok" {
-		t.Errorf("final health %+v (state %q), want fully recovered", h, h.State())
+	if h.Quarantined != 0 || h.Restores != 1 || h.State() != "ok" || h.TotalDropped() != 0 {
+		t.Errorf("final health %s, want fully recovered, nothing lost", h)
 	}
 	if _, err := sys.Snapshot(); err != nil {
-		t.Errorf("Snapshot after supervised repair: %v", err)
+		t.Errorf("Snapshot after the rewind: %v", err)
 	}
-	want, got := alertKeys(goldenReports), alertKeys(reports)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("alert streams diverged: golden %d alerts, supervised %d\ngolden: %v\nsupervised: %v",
-			len(want), len(got), want, got)
-	}
+	sameReports(t, goldenReports, reports)
 }
 
 // TestSelfHealStorePanicQuarantineHeal panics the archival path: the
-// store is quarantined (slides keep flowing), Heal replays the journal,
-// and the final store contents equal the fault-free run's.
+// store is quarantined, the rewind replaces it, and the final store
+// contents equal the fault-free run's.
 func TestSelfHealStorePanicQuarantineHeal(t *testing.T) {
 	simCfg := simConfig(120, 4)
 	cfg := defaultSystemConfig()
-	cfg.SelfHeal = true
 	cfg.DisableRecognition = true
 	batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
@@ -214,98 +252,85 @@ func TestSelfHealStorePanicQuarantineHeal(t *testing.T) {
 	sys := NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
 	slide := 0
+	fired := false
 	sys.SetStoreFaultHook(func() {
-		if slide == panicSlide {
+		if slide == panicSlide && !fired {
+			fired = true
 			panic("injected archival fault")
 		}
 	})
-	for i, b := range batches {
-		slide = i
-		sys.ProcessBatch(b)
-		if i == panicSlide {
-			q := sys.Quarantined()
-			if len(q) != 1 || q[0].Target != "store" || q[0].Cause != "panic" {
-				t.Fatalf("quarantine records after store panic: %+v", q)
-			}
-			if _, err := sys.Snapshot(); !errors.Is(err, ErrWedged) {
-				t.Fatalf("Snapshot with store down: err=%v, want ErrWedged", err)
-			}
+	sys.OnSlideEnd(func(rep SlideReport) {
+		if !rep.Rewind {
+			return
 		}
-		if i == panicSlide+3 {
-			if err := sys.Heal("store"); err != nil {
-				t.Fatalf("Heal(store): %v", err)
-			}
+		if q := rep.Faults; len(q) != 1 || q[0].Target != "store" || q[0].Cause != "panic" {
+			t.Errorf("quarantine records after the store panic: %+v", q)
 		}
-	}
+		if _, err := sys.Snapshot(); !errors.Is(err, ErrWedged) {
+			t.Errorf("Snapshot with store down: err=%v, want ErrWedged", err)
+		}
+	})
+	rewindRun(t, sys, batches, 2, func(i int) { slide = i })
 	sys.Drain(batches[len(batches)-1].Query)
 	want, got := golden.Store().Table4Stats(), sys.Store().Table4Stats()
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("store contents diverged after heal:\ngolden: %+v\nhealed: %+v", want, got)
+		t.Errorf("store contents diverged after the rewind:\ngolden: %+v\nhealed: %+v", want, got)
 	}
 	if h := sys.Health(); h.PanicsRecovered != 1 || h.Restores != 1 {
-		t.Errorf("health %+v, want 1 panic / 1 restore", h)
+		t.Errorf("health %s, want 1 panic / 1 restore", h)
 	}
 }
 
-// TestHealErrorsAndAbandon covers Heal's failure modes and the give-up
-// path.
-func TestHealErrorsAndAbandon(t *testing.T) {
+// TestFaultDuringReplayFences makes the recognizer fault again while
+// the replay of its first fault is not yet past it: the second fault is
+// not rewound, the recognizer is fenced as failed and State reads
+// wedged, the slide reaches the sinks with its loss counted, later
+// slides flow without it, and a restore re-admits it.
+func TestFaultDuringReplayFences(t *testing.T) {
 	cfg := defaultSystemConfig()
-	cfg.SelfHeal = true
-	sim := fleetsim.NewSimulator(simConfig(40, 1))
-	sim.Run()
-	vessels, areas, ports := AdaptWorld(sim)
+	batches, vessels, areas, sim := slideBatches(t, simConfig(60, 2), cfg.Window.Slide)
+	_, _, ports := AdaptWorld(sim)
 	sys := NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
+	const faultSlide = 4
+	slide := 0
+	SetRecognizerFaultHook(func() {
+		if slide == faultSlide {
+			panic("persistent fault")
+		}
+	})
+	defer SetRecognizerFaultHook(nil)
+	sink := &countingSink{}
+	sys.AddAlertSink(sink)
 
-	if err := sys.Heal("recognizer"); err == nil || !strings.Contains(err.Error(), "not quarantined") {
-		t.Errorf("healing a healthy recognizer: %v", err)
-	}
-	if err := sys.Heal("store"); err == nil {
-		t.Error("healing a healthy store should fail")
-	}
-	if err := sys.Heal("nonsense"); err == nil {
-		t.Error("unknown target should fail")
-	}
-	if err := sys.Heal("recognizer/0"); err == nil {
-		t.Error("a band target should fail: there is one recognizer")
-	}
-
-	// Quarantine the single recognizer via an injected panic, then give
-	// up on it: it must leave the repairable set and flip State to
-	// wedged.
-	SetRecognizerFaultHook(func() { panic("persistent fault") })
-	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	sys.ProcessBatch(stream.Batch{Query: t0})
-	SetRecognizerFaultHook(nil)
-	if len(sys.Quarantined()) != 1 {
-		t.Fatalf("quarantined: %+v", sys.Quarantined())
-	}
-	sys.Abandon("recognizer")
-	if len(sys.Quarantined()) != 0 {
-		t.Errorf("abandoned target still listed: %+v", sys.Quarantined())
-	}
+	reports := rewindRun(t, sys, batches, 2, func(i int) { slide = i })
 	h := sys.Health()
-	if h.Failed != 1 || h.State() != "wedged" {
-		t.Errorf("health after abandon: %+v (state %q), want failed=1 wedged", h, h.State())
+	if h.Failed != 1 || h.State() != "wedged" || h.Restores != 1 || h.PanicsRecovered != 2 {
+		t.Errorf("health %s, want one rewind and the recognizer fenced", h)
 	}
-	// Later slides must keep flowing without the recognizer.
-	sys.ProcessBatch(stream.Batch{Query: t0.Add(cfg.Window.Slide)})
+	if h.DropsByCause["watchdog"] == 0 {
+		t.Error("the fenced recognizer's events must be counted lost")
+	}
+	if len(reports) != len(batches) || int(sink.slides.Load()) != len(batches) {
+		t.Errorf("delivered %d slides (%d to the sink), the stream has %d", len(reports), sink.slides.Load(), len(batches))
+	}
+	if _, err := sys.Snapshot(); !errors.Is(err, ErrWedged) {
+		t.Errorf("Snapshot with the recognizer fenced: %v, want ErrWedged", err)
+	}
 
-	// A checkpoint restore supersedes the failure.
+	// A restore supersedes the failure.
 	golden := NewSystem(cfg, vessels, areas, ports)
 	defer golden.Close()
 	snap, err := golden.Snapshot()
 	if err != nil {
-		t.Fatalf("golden snapshot: %v", err)
+		t.Fatal(err)
 	}
 	if err := sys.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+		t.Fatal(err)
 	}
 	if h := sys.Health(); h.Failed != 0 || h.State() == "wedged" {
-		t.Errorf("restore should re-admit failed targets: %+v", h)
+		t.Errorf("a restore should re-admit the fenced recognizer: %s", h)
 	}
-	sys.ProcessBatch(stream.Batch{Query: t0.Add(2 * cfg.Window.Slide)})
 }
 
 // TestDegradationLadder drives the ladder with a scripted backlog

@@ -39,16 +39,17 @@ type Health struct {
 	IngestOverflow int
 	// WatchdogTrips counts slides where a pipeline stage exceeded its
 	// budget and was abandoned (recognition watchdog plus tracker shard
-	// stalls); WedgedPartitions is 1 while the recognizer is out of
-	// service (wedged, quarantined or given up), else 0.
-	WatchdogTrips    int
-	WedgedPartitions int
-	// Supervision counters (Config.SelfHeal). PanicsRecovered counts
-	// panics converted into quarantines instead of crashes; Quarantined
-	// is how many targets (tracker shards, the recognizer, the store) are
-	// currently out of service awaiting repair; Restores counts
-	// completed quarantine→restore→replay→re-admit cycles; Failed is
-	// how many targets the supervisor gave up on.
+	// stalls); RecognizerDown is 1 while the recognizer is out of service
+	// (wedged, quarantined or fenced), else 0.
+	WatchdogTrips  int
+	RecognizerDown int
+	// Fault counters. PanicsRecovered counts panics converted into
+	// quarantines instead of crashes; Quarantined is how many targets
+	// (tracker shards, the recognizer, the store) are out of service
+	// right now, until a checkpoint restore replaces them; Restores counts
+	// restores that replaced down targets (rewinds); Failed is how many
+	// targets are fenced for good — they faulted again while their first
+	// fault was being replayed.
 	PanicsRecovered int
 	Quarantined     int
 	Restores        int
@@ -64,8 +65,7 @@ type Health struct {
 	LateFixesDropped  int
 	// ReplayGapSlides counts window slides lost to replay: slides
 	// between a restored checkpoint and the first fix the feed could
-	// actually replay, plus self-heal journal slides discarded by the
-	// retention cap. Either way it reports how much of the stream was
+	// actually replay. It reports how much of the stream was
 	// unrecoverable instead of silently closing the gap.
 	ReplayGapSlides int
 	// Cross-vessel analytics tier accounting (Config.Analytics):
@@ -87,7 +87,7 @@ func (h Health) Merge(o Health) Health {
 	out.ResumeDupes += o.ResumeDupes
 	out.IngestOverflow += o.IngestOverflow
 	out.WatchdogTrips += o.WatchdogTrips
-	out.WedgedPartitions += o.WedgedPartitions
+	out.RecognizerDown += o.RecognizerDown
 	out.PanicsRecovered += o.PanicsRecovered
 	out.Quarantined += o.Quarantined
 	out.Restores += o.Restores
@@ -127,15 +127,16 @@ func (h Health) TotalDropped() int {
 }
 
 // State classifies the snapshot for operators: "ok"; "degraded" when
-// the system is running but below full fidelity and expected to recover
-// on its own (targets quarantined awaiting repair, or the overload
-// ladder active); "wedged" when a target has failed for good and needs
-// operator action (restart, or a checkpoint restore).
+// the system is running but below full fidelity (targets quarantined —
+// rewinding to a checkpoint, or without checkpoints out of service until
+// a restart — or the overload ladder active); "wedged" when a target is
+// fenced for good and needs operator action (restart, or a checkpoint
+// restore).
 func (h Health) State() string {
 	switch {
 	case h.Failed > 0:
 		return "wedged"
-	case h.Quarantined > 0 || h.DegradationLevel > 0 || h.WedgedPartitions > 0:
+	case h.Quarantined > 0 || h.DegradationLevel > 0 || h.RecognizerDown > 0:
 		return "degraded"
 	}
 	return "ok"
@@ -144,8 +145,8 @@ func (h Health) State() string {
 // String renders a compact one-line summary for logs.
 func (h Health) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "state=%s reconnects=%d resumes=%d watchdog=%d wedged=%d",
-		h.State(), h.Reconnects, h.Resumes, h.WatchdogTrips, h.WedgedPartitions)
+	fmt.Fprintf(&b, "state=%s reconnects=%d resumes=%d watchdog=%d recognizer-down=%d",
+		h.State(), h.Reconnects, h.Resumes, h.WatchdogTrips, h.RecognizerDown)
 	if h.PanicsRecovered > 0 || h.Quarantined > 0 || h.Restores > 0 || h.Failed > 0 {
 		fmt.Fprintf(&b, " panics=%d quarantined=%d restores=%d failed=%d",
 			h.PanicsRecovered, h.Quarantined, h.Restores, h.Failed)
@@ -235,9 +236,17 @@ func LiveHealthSource(c *feed.ReconnectingClient, stage *stream.IngestStage) fun
 
 // AddHealthSource registers a callback contributing ingest-side
 // counters (feed client, ingest stage) to the system's Health
-// snapshots; drivers wire their transport layer in through this.
+// snapshots; drivers wire their transport layer in through this. It is
+// safe to call while Health is being scraped.
 func (s *System) AddHealthSource(fn func() Health) {
-	s.healthSources = append(s.healthSources, fn)
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	var srcs []func() Health
+	if old := s.healthSources.Load(); old != nil {
+		srcs = append(srcs, *old...)
+	}
+	srcs = append(srcs, fn)
+	s.healthSources.Store(&srcs)
 }
 
 // Health merges the system's own degradation counters with every
@@ -246,11 +255,10 @@ func (s *System) AddHealthSource(fn func() Health) {
 // (HTTP health and metrics scrapes) while the pipeline is mid-slide.
 func (s *System) Health() Health {
 	h := Health{
-		WatchdogTrips:    int(s.watchdogTrips.Load()),
-		WedgedPartitions: s.wedgedCount(),
-		PanicsRecovered:  int(s.panicsRecovered.Load()),
-		Restores:         int(s.restores.Load()),
-		ReplayGapSlides:  int(s.journalGaps.Load()),
+		WatchdogTrips:   int(s.watchdogTrips.Load()),
+		RecognizerDown:  s.recognizerDown(),
+		PanicsRecovered: int(s.panicsRecovered.Load()),
+		Restores:        int(s.restores.Load()),
 	}
 	quar, failed := s.downCounts()
 	ts := s.tracker.FaultStats()
@@ -258,8 +266,6 @@ func (s *System) Health() Health {
 	h.WatchdogTrips += ts.Stalls
 	h.Quarantined = quar + ts.Quarantined
 	h.Failed = failed + ts.Failed
-	h.Restores += ts.Retries + ts.Repairs
-	h.ReplayGapSlides += ts.GapSlides
 	if s.degrader != nil {
 		h.DegradationLevel = s.degrader.Level()
 		h.DegradationTransitions = int(s.degrader.transitions.Load())
@@ -276,8 +282,8 @@ func (s *System) Health() Health {
 	if lost := s.watchdogLostEvents.Load(); lost > 0 {
 		drops["watchdog"] = int(lost)
 	}
-	if ts.DroppedFixes > 0 {
-		drops["shard-down"] = ts.DroppedFixes
+	if n := ts.DroppedFixes + int(s.faultFixes.Load()); n > 0 {
+		drops["shard-down"] = n
 	}
 	if shed := s.tracker.ShedFixes(); shed > 0 {
 		drops["shed-stationary"] = int(shed)
@@ -288,13 +294,15 @@ func (s *System) Health() Health {
 	if len(drops) > 0 {
 		h.DropsByCause = drops
 	}
-	for _, fn := range s.healthSources {
-		h = h.Merge(fn())
+	if srcs := s.healthSources.Load(); srcs != nil {
+		for _, fn := range *srcs {
+			h = h.Merge(fn())
+		}
 	}
 	return h
 }
 
-func (s *System) wedgedCount() int {
+func (s *System) recognizerDown() int {
 	if s.recDown.Load() != partUp {
 		return 1
 	}
@@ -302,7 +310,7 @@ func (s *System) wedgedCount() int {
 }
 
 // downCounts tallies the recognizer's and store's down-states:
-// quarantined (repairable) vs failed (given up). Safe under concurrent
+// quarantined vs fenced for good. Safe under concurrent
 // scrapes — it reads only atomics.
 func (s *System) downCounts() (quar, failed int) {
 	tally := func(d int32) {

@@ -102,40 +102,27 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_watchdog_lost_events_total",
 		"Events dropped because their recognizer was wedged.", nil,
 		func() float64 { return float64(s.watchdogLostEvents.Load()) })
-	r.GaugeFunc("maritime_wedged_partitions",
-		"1 while the recognizer is out of service after a watchdog trip, a panic or a give-up, else 0.", nil,
-		func() float64 { return float64(s.wedgedCount()) })
+	r.GaugeFunc("maritime_recognizer_down",
+		"1 while the recognizer is out of service after a watchdog trip or a panic, else 0.", nil,
+		func() float64 { return float64(s.recognizerDown()) })
 	r.CounterFunc("maritime_panics_recovered_total",
 		"Panics in the recognizer or archival path converted into quarantines instead of crashes.", nil,
 		func() float64 { return float64(s.panicsRecovered.Load()) })
 	r.GaugeFunc("maritime_quarantined_targets",
-		"Recognizer and store currently quarantined, awaiting restore-then-replay (tracker shards are counted by maritime_tracker_shards_quarantined).", nil,
+		"Recognizer and store currently quarantined, out of service until a checkpoint restore replaces them (tracker shards are counted by maritime_tracker_shards_quarantined).", nil,
 		func() float64 { q, _ := s.downCounts(); return float64(q) })
 	r.GaugeFunc("maritime_failed_targets",
-		"Recognizer and store the supervisor gave up on; out of service until a snapshot restore.", nil,
+		"Recognizer and store fenced for good after faulting again during the replay of their first fault; out of service until a restart.", nil,
 		func() float64 { _, f := s.downCounts(); return float64(f) })
 	r.CounterFunc("maritime_restores_total",
-		"Completed quarantine-restore-replay-readmit cycles on the recognizer and the store.", nil,
+		"Checkpoint restores that replaced down targets: rewinds after a fault, each followed by a replay from the checkpoint's cursor.", nil,
 		func() float64 { return float64(s.restores.Load()) })
-	r.CounterFunc("maritime_journal_gap_slides_total",
-		"Self-heal journal slides discarded by the retention cap (lost to replay, accounted in Health.ReplayGapSlides).", nil,
-		func() float64 { return float64(s.journalGaps.Load()) })
 	r.GaugeFunc("maritime_mod_staged_points",
 		"Critical points in the store's staging area, not yet part of a reconstructed trip (the paper's Table 4 \"remaining in staging\"), as of the last archival step.", nil,
 		func() float64 { return float64(s.stagedPoints.Load()) })
 	r.CounterFunc("maritime_mod_reconstruct_scanned_points_total",
 		"Staged points trip reconstruction has examined. Healthy archival scans what was staged since the previous slide; a rate near maritime_mod_staged_points per slide means it is rescanning the staging area.", nil,
 		func() float64 { return float64(s.scannedPoints.Load()) })
-	for target, spent := range map[string]func() time.Duration{
-		"store":      func() time.Duration { return time.Duration(s.rebaseStoreNanos.Load()) },
-		"recognizer": func() time.Duration { return time.Duration(s.rebaseRecNanos.Load()) },
-		"tracker":    s.tracker.RebaseTime,
-	} {
-		r.CounterFunc("maritime_selfheal_rebase_seconds_total",
-			"Pipeline-goroutine time spent re-basing self-heal journals (forking the store, snapshotting the recognizer, copying tracker shards), once per journal cadence.",
-			obs.Labels{"target": target},
-			func() float64 { return spent().Seconds() })
-	}
 	r.GaugeFunc("maritime_degradation_level",
 		"Current rung of the overload degradation ladder (0 = full pipeline).", nil,
 		func() float64 { return float64(s.DegradationLevel()) })
@@ -196,7 +183,7 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 // previous reading to the per-definition counters and sets the
 // working-memory gauge to its size. A recognizer that is down is
 // skipped — an abandoned goroutine may still be inside its engine — and
-// one rebuilt by Heal reads from zero again.
+// one a restore replaced reads from zero again.
 func (s *System) observeDefinitions() {
 	m := s.metrics
 	if s.rec == nil || s.recDown.Load() != partUp {

@@ -87,7 +87,7 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 				default:
 				}
 				h := sys.Health()
-				if h.WedgedPartitions < 0 {
+				if h.RecognizerDown < 0 {
 					t.Error("negative wedged count")
 					return
 				}
@@ -127,7 +127,7 @@ func TestHealthScrapeConcurrentWithProcessBatch(t *testing.T) {
 	scrapers.Wait()
 
 	h := sys.Health()
-	if h.WatchdogTrips != 1 || h.WedgedPartitions != 1 {
+	if h.WatchdogTrips != 1 || h.RecognizerDown != 1 {
 		t.Errorf("health after wedged run = %+v, want 1 trip / 1 wedged", h)
 	}
 
@@ -277,7 +277,7 @@ func TestPipelineMetricsExport(t *testing.T) {
 	for _, name := range []string{
 		"maritime_slides_total", "maritime_fixes_total",
 		"maritime_critical_points_total", "maritime_watchdog_trips_total",
-		"maritime_wedged_partitions",
+		"maritime_recognizer_down",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("scrape missing %s", name)

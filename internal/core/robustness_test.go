@@ -52,7 +52,7 @@ func TestWatchdogSingleRecognizer(t *testing.T) {
 		t.Fatal("no slides processed")
 	}
 	h := sys.Health()
-	if h.WatchdogTrips != 1 || h.WedgedPartitions != 1 {
+	if h.WatchdogTrips != 1 || h.RecognizerDown != 1 {
 		t.Errorf("health = %+v, want 1 trip / 1 wedged", h)
 	}
 	if h.DropsByCause["watchdog"] == 0 {
@@ -130,8 +130,8 @@ func TestWatchdogSkipsWedgedPartition(t *testing.T) {
 	if h.WatchdogTrips != 1 {
 		t.Errorf("WatchdogTrips = %d, want exactly 1 (the recognizer is skipped afterwards)", h.WatchdogTrips)
 	}
-	if h.WedgedPartitions != 1 {
-		t.Errorf("WedgedPartitions = %d, want 1", h.WedgedPartitions)
+	if h.RecognizerDown != 1 {
+		t.Errorf("RecognizerDown = %d, want 1", h.RecognizerDown)
 	}
 	if h.DropsByCause["watchdog"] == 0 {
 		t.Error("no events accounted as lost to the watchdog")

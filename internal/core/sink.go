@@ -23,7 +23,10 @@ type AlertSink interface {
 	Consume(rep SlideReport)
 }
 
-// AddAlertSink registers a sink notified after every processed slide.
+// AddAlertSink registers a sink notified after every processed slide,
+// except one withheld for a rewind (SlideReport.Rewind). A sink keyed by
+// sequence numbers takes replayed slides too; any other skips them
+// (SlideReport.Replay).
 func (s *System) AddAlertSink(sink AlertSink) {
 	s.sinks = append(s.sinks, sink)
 }
@@ -53,9 +56,10 @@ func NewWriterSink(w io.Writer, prefix string) *WriterSink {
 	return &WriterSink{w: w, prefix: prefix}
 }
 
-// Consume prints the slide's alerts.
+// Consume prints the slide's alerts, unless the slide is a replay
+// whose alerts were printed before.
 func (s *WriterSink) Consume(rep SlideReport) {
-	if len(rep.Alerts) == 0 {
+	if len(rep.Alerts) == 0 || rep.Replay {
 		return
 	}
 	s.mu.Lock()

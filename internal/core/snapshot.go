@@ -8,7 +8,6 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/maritime"
 	"repro/internal/mod"
-	"repro/internal/supervise"
 	"repro/internal/tracker"
 )
 
@@ -19,11 +18,11 @@ import (
 // serialized: the restoring process builds an identically configured
 // System first, then restores dynamic state into it.
 //
-// Watchdog and supervision state (down targets, trip counters,
-// journals) is deliberately NOT checkpointed: a restart — or an
-// in-process RestoreSnapshot — is exactly the recovery action for a
-// wedged target, so the restored system starts with every target
-// healthy and its journals re-based on the restored state.
+// Watchdog and fault state (down targets, trip counters) is
+// deliberately NOT checkpointed: a restart — or an in-process
+// RestoreSnapshot, the rewind after a fault — is exactly the recovery
+// action for a wedged target, so the restored system starts with every
+// target healthy.
 
 // Typed restore failures, matched with errors.Is.
 var (
@@ -36,9 +35,8 @@ var (
 	// abandoned by the watchdog, quarantined tracker shards, a
 	// quarantined store — whose state is incomplete or may still be
 	// mutating in abandoned goroutines, so a consistent snapshot cannot
-	// be taken. With Config.SelfHeal the condition is transient: once
-	// Heal re-admits the targets (the supervisor does this
-	// automatically), Snapshot succeeds again.
+	// be taken. A restore replaces the down targets, and Snapshot then
+	// succeeds again.
 	ErrWedged = errors.New("core: cannot snapshot a system with out-of-service targets")
 	// ErrSlideInFlight means a slide has been tracked but not yet
 	// processed: the tracker is a slide ahead of everything after it, so
@@ -118,7 +116,10 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 	// A restore supersedes any quarantine or failure: down targets are
 	// replaced outright (a wedged goroutine may still be touching the
 	// old objects) and re-admitted with the restored state.
-	if s.selfHeal && s.storeDown.Load() != partUp {
+	quar, failed := s.downCounts()
+	ts := s.tracker.FaultStats()
+	replacing := quar+failed+ts.Quarantined+ts.Failed > 0
+	if s.storeDown.Load() != partUp {
 		s.store = mod.New(s.ports)
 	}
 	if err := s.store.RestoreSnapshot(bytes.NewReader(snap.Store)); err != nil {
@@ -129,16 +130,14 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 	}
 	s.next = trackedSlide{}
 	if s.rec != nil {
-		if s.selfHeal && s.recDown.Load() != partUp {
+		if s.recDown.Load() != partUp {
 			s.rec = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, s.areas)
 		}
 		s.rec.RestoreSnapshot(snap.Recognizers[0])
 		s.recDown.Store(partUp)
-		s.recInfo = supervise.Quarantine{}
 	}
 	s.storeDown.Store(partUp)
-	s.storeInfo = supervise.Quarantine{}
-	s.recovered = nil
+	s.faults, s.faultEvents = nil, 0
 	s.noteStaged()
 	// Lenient on both sides: a snapshot without analytics state resets
 	// the tier, and analytics state restored into a system without the
@@ -147,10 +146,8 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 	if s.analytics != nil {
 		s.analytics.Restore(snap.Analytics)
 	}
-	// Journals must describe the restored state, not the one it
-	// replaced.
-	if s.selfHeal {
-		s.resetJournals()
+	if replacing {
+		s.restores.Add(1)
 	}
 	return nil
 }

@@ -42,10 +42,11 @@ type Config struct {
 	// runs the exact single-threaded tracker. Output is byte-identical
 	// across shard counts.
 	TrackerShards int
-	// WatchdogTimeout bounds one slide's CE recognition: a recognizer
-	// that exceeds it is flagged as wedged and abandoned — its events are
-	// dropped (counted in Health) and the slide completes without its
-	// alerts, instead of hanging the pipeline. 0 disables the watchdog.
+	// WatchdogTimeout bounds one slide's CE recognition and each tracker
+	// shard's slide: a recognizer or shard that exceeds it is quarantined
+	// as wedged and abandoned, and the slide completes without it instead
+	// of hanging the pipeline (see faults.go for what happens next). 0
+	// disables the watchdog.
 	WatchdogTimeout time.Duration
 	// DisableRecognition turns the CE module off, for experiments that
 	// time trajectory detection alone.
@@ -53,12 +54,10 @@ type Config struct {
 	// DisableArchival turns staging/reconstruction/loading off, for
 	// experiments that time online processing alone.
 	DisableArchival bool
-	// SelfHeal arms the supervision layer: panics in tracker shard
-	// workers, the recognizer and the archival path are recovered
-	// into quarantined targets instead of crashing the process,
-	// per-target journals are kept, and Heal re-admits a quarantined
-	// target by restore-then-replay. A watchdog-wedged recognizer becomes
-	// repairable instead of terminally abandoned.
+	// SelfHeal is kept so that configurations written against the
+	// removed in-memory repair journals still compile; it has no effect.
+	// Panics are always recovered into quarantines, and recovery is a
+	// checkpoint restore and replay (faults.go).
 	SelfHeal bool
 	// Degrade configures the overload degradation ladder (see
 	// DegradeSpec); nil disables it.
@@ -76,8 +75,8 @@ type Config struct {
 // paper's Figure 10 plus CE recognition. The stage fields are busy
 // times: recognition runs beside archival and analytics, and a slide
 // tracked ahead was tracked beside the previous slide, so they can add
-// up to more than the slide took, and they leave out the self-heal
-// journaling between them. What the slide cost the pipeline is Wall.
+// up to more than the slide took. What the slide cost the pipeline is
+// Wall.
 type Timings struct {
 	// Tracking is window update + trajectory event detection. For a
 	// slide tracked ahead it runs from Start to when the last shard
@@ -87,10 +86,10 @@ type Timings struct {
 	Staging        time.Duration // delta points into the staging area
 	Reconstruction time.Duration // trip segmentation
 	Loading        time.Duration // inserting trips into the store
-	Recognition    time.Duration // RTEC query step (routing and journaling included)
+	Recognition    time.Duration // RTEC query step (movement-event routing included)
 	Analytics      time.Duration // cross-vessel pairwise screening
 	// Wall is the time the pipeline goroutine spent on the slide, from
-	// the window update through the journal re-base (sinks excluded).
+	// the window update through the join of its stages (sinks excluded).
 	// For a slide tracked ahead that is starting it plus everything from
 	// collecting its shards on, less the time spent starting the next
 	// slide: the time it was tracked beside the previous slide is not
@@ -114,6 +113,17 @@ type SlideReport struct {
 	// Health is the degradation snapshot as of this slide (cumulative
 	// counters, not per-slide deltas).
 	Health Health
+	// Faults holds the quarantine records of the targets that faulted
+	// during this slide; empty on a healthy slide.
+	Faults []supervise.Quarantine
+	// Rewind reports that targets faulted during this slide and the
+	// system rewinds on faults (RewindOnFault): the slide reached no
+	// sink, and the driver is to restore its newest checkpoint and replay
+	// from there. Replay marks a slide the replay processes again that
+	// the sinks already had before the fault; sinks that are not keyed by
+	// sequence skip it.
+	Rewind bool
+	Replay bool
 }
 
 // System is the assembled pipeline.
@@ -126,13 +136,17 @@ type System struct {
 	// CE recognition: one recognizer over every area, nil when
 	// recognition is disabled. recDown marks it out of service
 	// (partStalled: abandoned by the watchdog, its goroutine may still be
-	// running; partPanicked: panic recovered; partFailed: given up); it
+	// running; partPanicked: panic recovered; partFailed: fenced); it
 	// must never be advanced while down. Atomic because concurrent Health
-	// scrapes read it; recInfo describes the quarantine and is guarded by
-	// runMu.
+	// scrapes read it.
 	rec     *maritime.Recognizer
 	recDown atomic.Int32
-	recInfo supervise.Quarantine
+
+	// The static world knowledge, kept so that a restore can replace a
+	// down recognizer or store with a fresh one.
+	vessels []maritime.Vessel
+	areas   []maritime.Area
+	ports   []mod.PortArea
 
 	// meScratch backs the slide's movement-event stream and recEvents
 	// the recognizer's copy of it, both reused across slides. A step on
@@ -167,49 +181,38 @@ type System struct {
 	// drivers' ingest-side health contributions. The counters are
 	// atomics because Health() is scraped from HTTP goroutines
 	// (/healthz, /metrics) while the pipeline goroutine mutates them
-	// mid-slide.
-	healthSources      []func() Health
+	// mid-slide; the sources are copied on write for the same reason.
+	healthSources      atomic.Pointer[[]func() Health]
 	watchdogTrips      atomic.Int64
 	watchdogLostEvents atomic.Int64
 
-	// Self-healing supervision (Config.SelfHeal); see heal.go. The
-	// static world knowledge is retained so repairs can build a fresh
-	// recognizer or store; journals keep each target's recent input
-	// slides for restore-then-replay, re-based every journalEvery slides.
-	selfHeal     bool
-	journalEvery int
-	vessels      []maritime.Vessel
-	areas        []maritime.Area
-	ports        []mod.PortArea
-	recJ         *recJournal
-	storeJ       *storeJournal
-	storeDown    atomic.Int32
-	storeInfo    supervise.Quarantine
-	// recovered holds alerts reconstructed by a Heal replay, delivered
-	// (sorted in) with the next slide's report.
-	recovered       []maritime.Alert
+	// Fault handling (faults.go): the store's down-state, the slide's
+	// quarantine records and lost events until settleFaults, whether the
+	// driver rewinds on faults and the last slide it rewound to, and the
+	// fault counters.
+	storeDown       atomic.Int32
+	faults          []supervise.Quarantine
+	faultEvents     int
+	rewind          bool
+	rewoundTo       time.Time
+	faultFixes      atomic.Int64
 	panicsRecovered atomic.Int64
 	restores        atomic.Int64
-	journalGaps     atomic.Int64
 	degradedDrops   atomic.Int64
 	storeHook       atomic.Pointer[func()]
 
-	// Archival and re-base accounting, written by the pipeline goroutine
-	// and loaded by scrapes: points awaiting a trip as of the last
-	// archival step, points Reconstruct has examined, and time spent
-	// re-basing the store's and the recognizer's journals.
-	stagedPoints     atomic.Int64
-	scannedPoints    atomic.Int64
-	rebaseStoreNanos atomic.Int64
-	rebaseRecNanos   atomic.Int64
+	// Archival accounting, written by the pipeline goroutine and loaded
+	// by scrapes: points awaiting a trip as of the last archival step,
+	// and points Reconstruct has examined.
+	stagedPoints  atomic.Int64
+	scannedPoints atomic.Int64
 
 	// Overload degradation ladder (Config.Degrade); see degrade.go.
 	degrader *degrader
 
 	// runMu serializes the pipeline's state-mutating entry points
-	// (ProcessBatch, Drain, Snapshot, RestoreSnapshot, Heal, Abandon) so
-	// a supervisor may repair targets while the stream keeps sliding.
-	// onSlideEnd callbacks run after each slide OUTSIDE the lock.
+	// (ProcessBatch, Drain, Snapshot, RestoreSnapshot, ...). onSlideEnd
+	// callbacks run after each slide outside the lock.
 	runMu      sync.Mutex
 	onSlideEnd []func(SlideReport)
 }
@@ -232,12 +235,6 @@ type trackedSlide struct {
 // and areas feed CE recognition; ports feed trip segmentation. It panics
 // when cfg.Recognition.Mode is not maritime.SpatialOnDemand.
 func NewSystem(cfg Config, vessels []maritime.Vessel, areas []maritime.Area, ports []mod.PortArea) *System {
-	return newSystem(cfg, tracker.DefaultJournalSlides, vessels, areas, ports)
-}
-
-// newSystem is NewSystem with the self-heal journals' re-base cadence
-// given, so tests can re-base (and hit the retention cap) sooner.
-func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []maritime.Area, ports []mod.PortArea) *System {
 	if cfg.Recognition.Mode != maritime.SpatialOnDemand {
 		// Without a fact generator that mode would silently recognize
 		// nothing spatial.
@@ -251,10 +248,15 @@ func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []
 		shards = tracker.DefaultShards()
 	}
 	s := &System{
-		cfg:          cfg,
-		tracker:      tracker.NewSharded(cfg.Tracker, cfg.Window, shards),
-		store:        mod.New(ports),
-		journalEvery: journalEvery,
+		cfg:     cfg,
+		tracker: tracker.NewSharded(cfg.Tracker, cfg.Window, shards),
+		store:   mod.New(ports),
+		vessels: vessels,
+		areas:   areas,
+		ports:   ports,
+	}
+	if cfg.WatchdogTimeout > 0 {
+		s.tracker.SetSlideTimeout(cfg.WatchdogTimeout)
 	}
 	if !cfg.DisableRecognition {
 		s.rec = maritime.NewRecognizer(cfg.Recognition, vessels, areas)
@@ -264,9 +266,6 @@ func newSystem(cfg Config, journalEvery int, vessels []maritime.Vessel, areas []
 	}
 	if cfg.Degrade != nil {
 		s.degrader = newDegrader(*cfg.Degrade)
-	}
-	if cfg.SelfHeal {
-		s.initSelfHeal(vessels, areas, ports)
 	}
 	return s
 }
@@ -312,8 +311,8 @@ func PortPolys(ports []mod.PortArea) []*geo.Polygon {
 // reports what happened, with per-stage timings: Track and
 // ProcessTracked back to back, under one hold of the lock. Slides are
 // serialized with the other state-mutating entry points (Snapshot,
-// Heal, ...); OnSlideEnd callbacks run after the slide, outside the
-// lock.
+// RestoreSnapshot, ...); OnSlideEnd callbacks run after the slide,
+// outside the lock.
 func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 	s.runMu.Lock()
 	s.trackLocked(b)
@@ -344,8 +343,9 @@ func (s *System) trackLocked(b stream.Batch) {
 // tracking is done: a batch it returns is started on the tracker's
 // shard pool and tracked while this slide is recognized, archived and
 // published, and the next ProcessTracked processes it (no Track). It
-// is not asked while a tracker shard is quarantined, so a repair never
-// races a slide it would change. Serialized like ProcessBatch.
+// is not asked while a tracker shard is quarantined: that slide is
+// rewound or fenced, and the slide after it would be tracked against
+// the state the fault left behind. Serialized like ProcessBatch.
 func (s *System) ProcessTracked(ahead func() (stream.Batch, bool)) SlideReport {
 	s.runMu.Lock()
 	return s.endSlide(s.processTrackedLocked(ahead))
@@ -434,10 +434,7 @@ func (s *System) processLocked(start time.Time, own time.Duration, rep SlideRepo
 	if s.degrader != nil {
 		level = s.degrader.Level()
 	}
-	// Alerts reconstructed by a Heal replay since the last slide are
-	// delivered with this one.
-	recovered := s.recovered
-	s.recovered = nil
+	s.faults = append(s.faults, res.Faults...)
 
 	// The slide result has three consumers that share no state:
 	// recognition (fresh points, as movement events), archival (delta
@@ -461,9 +458,6 @@ func (s *System) processLocked(start time.Time, own time.Duration, rep SlideRepo
 		// is lost) but reconstruction+loading are deferred to a healthier
 		// slide or the final drain.
 		doReconstruct := level < DegradeDeferArchival
-		if s.storeJ != nil {
-			s.journalStore(res.Delta, doReconstruct)
-		}
 		if s.storeDown.Load() == partUp {
 			s.runArchival(&rep, res.Delta, doReconstruct)
 		}
@@ -487,42 +481,36 @@ func (s *System) processLocked(start time.Time, own time.Duration, rep SlideRepo
 		rep.Alerts = append(rep.Alerts, pair...)
 		slices.SortStableFunc(rep.Alerts, maritime.CompareAlerts)
 	}
-	if len(recovered) > 0 {
-		merged := make([]maritime.Alert, 0, len(recovered)+len(rep.Alerts))
-		merged = append(merged, recovered...)
-		merged = append(merged, rep.Alerts...)
-		slices.SortStableFunc(merged, maritime.CompareAlerts)
-		rep.Alerts = merged
-	}
-	s.rebaseJournals()
+	s.settleFaults(&rep, res.LostFixes)
 	rep.Timings.Wall = own + time.Since(start)
 	if s.degrader != nil {
 		s.degradeStep(rep.Timings.Wall)
 	}
 	rep.Health = s.Health()
 	if s.metrics != nil {
-		s.metrics.observe(rep)
+		if !rep.Rewind && !rep.Replay {
+			s.metrics.observe(rep)
+		}
 		s.observeDefinitions()
 		if s.analytics != nil {
 			s.metrics.observeScreens(s.analytics.LastSlideCost())
 		}
 	}
-	s.notifySinks(rep)
+	if !rep.Rewind {
+		s.notifySinks(rep)
+	}
 	return rep
 }
 
 // runArchival stages the slide's delta points and (unless deferred by
-// the degradation ladder) reconstructs and loads trips. With SelfHeal a
-// panic anywhere in the archival path quarantines the store instead of
-// crashing; the journal replays the missed slides on Heal.
+// the degradation ladder) reconstructs and loads trips. A panic anywhere
+// in the archival path quarantines the store instead of crashing.
 func (s *System) runArchival(rep *SlideReport, delta []tracker.CriticalPoint, doReconstruct bool) {
-	if s.selfHeal {
-		defer func() {
-			if r := recover(); r != nil {
-				s.quarantineStore(supervise.Panicked("store", r))
-			}
-		}()
-	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.quarantineStore(supervise.Panicked("store", r))
+		}
+	}()
 	t := time.Now()
 	if h := s.storeHook.Load(); h != nil {
 		(*h)()
@@ -554,8 +542,8 @@ func (s *System) noteStaged() { s.stagedPoints.Store(int64(s.store.StagedCount()
 // tears it down.
 var recognizerAdvanceHook atomic.Pointer[func()]
 
-// recResult is one recognition step's outcome: the snapshot, or with
-// SelfHeal the quarantine record of a panic, and how long it ran.
+// recResult is one recognition step's outcome: the snapshot, or the
+// quarantine record of a panic, and how long it ran.
 type recResult struct {
 	snap maritime.Snapshot
 	qr   *supervise.Quarantine
@@ -571,23 +559,12 @@ func noRecognition() ([]maritime.Alert, time.Duration) { return nil, 0 }
 // and yields the alerts and how long the step ran. Under a watchdog the
 // step runs on a goroutine of its own, which the watchdog can abandon;
 // without one there is nothing to abandon it for, so it runs in place,
-// inside the join. With SelfHeal the slide's input is journaled first
-// and a panic inside Advance quarantines the recognizer instead of
-// crashing.
+// inside the join. A panic inside Advance quarantines the recognizer
+// instead of crashing.
 func (s *System) startRecognition(q time.Time, events []rtec.Event) func() ([]maritime.Alert, time.Duration) {
-	down := s.recDown.Load()
-	if down != partUp && (!s.selfHeal || down == partFailed) {
-		// No journal will replay them: the events are lost.
+	if s.recDown.Load() != partUp {
+		// A down recognizer emits nothing: the events are lost.
 		s.watchdogLostEvents.Add(int64(len(events)))
-		return noRecognition
-	}
-	if s.recJ != nil {
-		// A quarantined recognizer's journal still needs the events: a
-		// Heal replay delivers the quarantine window's alerts as
-		// recovered.
-		s.journalRec(q, events)
-	}
-	if down != partUp {
 		return noRecognition
 	}
 	s.recEvents = append(s.recEvents[:0], events...)
@@ -599,14 +576,12 @@ func (s *System) startRecognition(q time.Time, events []rtec.Event) func() ([]ma
 	rec, evs := s.rec, s.recEvents
 	advance := func() {
 		t := time.Now()
-		if s.selfHeal {
-			defer func() {
-				if r := recover(); r != nil {
-					qr := supervise.Panicked("recognizer", r)
-					results <- recResult{qr: &qr, ran: time.Since(t)}
-				}
-			}()
-		}
+		defer func() {
+			if r := recover(); r != nil {
+				qr := supervise.Panicked("recognizer", r)
+				results <- recResult{qr: &qr, ran: time.Since(t)}
+			}
+		}()
 		if h := recognizerAdvanceHook.Load(); h != nil {
 			(*h)()
 		}
@@ -646,8 +621,7 @@ func (s *System) startRecognition(q time.Time, events []rtec.Event) func() ([]ma
 		default:
 		}
 		// The slide budget is spent: flag the recognizer as wedged and move
-		// on without its alerts. With SelfHeal the quarantine is repairable
-		// via Heal.
+		// on without its alerts.
 		s.watchdogTrips.Add(1)
 		s.quarantineRecognizer(partStalled, supervise.Stalled("recognizer"))
 		return nil, time.Since(launched)
@@ -667,9 +641,6 @@ func (s *System) Drain(last time.Time) {
 	}
 	// The drain always reconstructs, regardless of the degradation
 	// ladder: end-of-stream statistics must cover the whole stream.
-	if s.storeJ != nil {
-		s.journalStore(res.Delta, true)
-	}
 	if s.storeDown.Load() != partUp {
 		return
 	}

@@ -1,25 +1,29 @@
 package faults_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ais"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
 	"repro/internal/mod"
 	"repro/internal/obs"
 	"repro/internal/stream"
-	"repro/internal/supervise"
 	"repro/internal/tracker"
 )
 
-// The supervision chaos suite: the pipeline runs with Config.SelfHeal
-// under sustained fault injection and its surviving output must match
+// The fault-recovery chaos suite: the pipeline runs under sustained
+// fault injection through checkpoint.Run, which rewinds to its newest
+// checkpoint and replays after every fault, and its output must match
 // the fault-free golden run apart from losses the health ledger
 // accounts for. Run under -race via `make test-chaos`.
 
@@ -66,24 +70,59 @@ func renderChaosSlide(rep core.SlideReport) string {
 	return b.String()
 }
 
-// TestChaosShardKill100Equivalence is the issue's headline guarantee:
-// kill a tracker shard worker 100 times over a run and the surviving
-// output must be byte-identical to the no-fault golden run, with every
-// panic recovered in-slide (zero replay gaps to account for) and the
-// process never exiting.
+// fixesOf flattens slide batches back into their stream.
+func fixesOf(batches []stream.Batch) (fixes []ais.Fix) {
+	for _, b := range batches {
+		fixes = append(fixes, b.Fixes...)
+	}
+	return fixes
+}
+
+// chaosRun drives sys over the batches' stream through checkpoint.Run,
+// checkpointing into dir every `every` slides (restoring the newest
+// checkpoint there first), and returns the rendered reports the loop
+// passed on.
+func chaosRun(t *testing.T, sys *core.System, batches []stream.Batch, dir string, every int) []string {
+	t.Helper()
+	mgr, err := checkpoint.NewManager(checkpoint.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slide := batches[1].Query.Sub(batches[0].Query)
+	run, err := checkpoint.Restore(checkpoint.RunConfig{System: sys, Checkpoints: mgr, Every: every, Slide: slide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Ingest(stream.NewSliceSource(fixesOf(batches)), nil, 0)
+	var got []string
+	if _, err := run.Slides(context.Background(), checkpoint.Loop{
+		Report: func(_ stream.Batch, rep core.SlideReport) error {
+			got = append(got, renderChaosSlide(rep))
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestChaosShardKill100Equivalence is the headline guarantee: kill a
+// tracker shard worker 100 times over a run and the output must be
+// byte-identical to the no-fault golden run — every kill recovered by
+// a rewind to the newest checkpoint and a replay (zero loss to
+// account for), and the process never exiting.
 func TestChaosShardKill100Equivalence(t *testing.T) {
 	const slide = 10 * time.Minute
 	const kills = 100
 	batches, vessels, areas, ports := chaosWorld(t, 150, 6, slide)
-	if len(batches)*4 < kills {
-		t.Fatalf("run too short: %d slides x 4 shards < %d kill sites", len(batches), kills)
+	if (len(batches)-1)*3 < kills {
+		t.Fatalf("run too short: %d slides x 3 shards < %d kill sites", len(batches)-1, kills)
 	}
 	cfg := core.Config{
 		Window:        stream.WindowSpec{Range: time.Hour, Slide: slide},
 		Tracker:       tracker.DefaultParams(),
 		TrackerShards: 4,
 		Recognition:   maritime.Config{Window: time.Hour},
-		SelfHeal:      true,
 	}
 
 	golden := core.NewSystem(cfg, vessels, areas, ports)
@@ -95,34 +134,47 @@ func TestChaosShardKill100Equivalence(t *testing.T) {
 
 	sys := core.NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
+	// Three shards die the first time they track each slide after the
+	// first (which the first checkpoint covers), until 100 have died.
 	var killed atomic.Int64
-	sys.Tracker().SetFaultHook(func(shard, slideNo, attempt int) {
-		// First-attempt kills only: the in-slide retry recovers each one
-		// losslessly, so 100 deaths cost nothing but latency.
-		if attempt == 0 && killed.Add(1) <= kills {
-			panic(fmt.Sprintf("chaos: killing shard %d at slide %d", shard, slideNo))
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	sys.Tracker().SetFaultHook(func(shard int, q time.Time) {
+		if shard == 0 || !q.After(batches[0].Query) {
+			return
+		}
+		key := fmt.Sprint(shard, q.Unix())
+		mu.Lock()
+		first := !seen[key]
+		seen[key] = true
+		mu.Unlock()
+		if first && killed.Add(1) <= kills {
+			panic(fmt.Sprintf("chaos: killing shard %d at %s", shard, q))
 		}
 	})
-	for i, b := range batches {
-		got := renderChaosSlide(sys.ProcessBatch(b))
-		if got != want[i] {
-			t.Fatalf("slide %d diverges from golden under shard kills:\n  golden: %s\n  chaos:  %s", i, want[i], got)
+	got := chaosRun(t, sys, batches, t.TempDir(), 1)
+	if len(got) != len(want) {
+		t.Fatalf("reported %d slides, golden %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("slide %d diverges from golden under shard kills:\n  golden: %s\n  chaos:  %s", i, want[i], got[i])
 		}
 	}
 
 	fs := sys.Tracker().FaultStats()
-	if fs.Panics != kills || fs.Retries != kills {
-		t.Errorf("fault stats: %+v, want Panics=Retries=%d", fs, kills)
+	if fs.Panics != kills {
+		t.Errorf("fault stats: %+v, want Panics=%d", fs, kills)
 	}
-	if fs.Quarantined != 0 || fs.DroppedFixes != 0 || fs.GapSlides != 0 {
-		t.Errorf("first-attempt kills must recover losslessly: %+v", fs)
+	if fs.Quarantined != 0 || fs.Failed != 0 {
+		t.Errorf("every killed shard must be back in service: %+v", fs)
 	}
 	h := sys.Health()
 	if h.PanicsRecovered != kills {
 		t.Errorf("Health.PanicsRecovered = %d, want %d", h.PanicsRecovered, kills)
 	}
-	if h.ReplayGapSlides != 0 {
-		t.Errorf("ReplayGapSlides = %d, want 0 (nothing to account)", h.ReplayGapSlides)
+	if h.Restores == 0 || h.TotalDropped() != 0 || h.ReplayGapSlides != 0 {
+		t.Errorf("health %s: want rewinds and nothing lost", h)
 	}
 	if h.State() != "ok" {
 		t.Errorf("final state %q, want ok", h.State())
@@ -132,11 +184,12 @@ func TestChaosShardKill100Equivalence(t *testing.T) {
 	}
 }
 
-// TestChaosShardQuarantineSupervisorRestores escalates past the
-// in-slide retry: one shard dies on the retry too, so the tier must
-// quarantine it (its fixes dropped and accounted), the supervisor must
-// restore it by journal replay, and once the window range has flushed
-// the transient the per-slide output must re-converge with golden.
+// TestChaosShardQuarantineSupervisorRestores escalates past one
+// rewind: a shard dies on every attempt at one slide, so the replay
+// hits the fault again and the shard is fenced — its fixes dropped and
+// accounted, State wedged. A restart from the newest checkpoint (a
+// fresh process, as an operator or supervisor would start it), which
+// predates the fault, restores it, and its output is golden's.
 func TestChaosShardQuarantineSupervisorRestores(t *testing.T) {
 	const slide = 10 * time.Minute
 	batches, vessels, areas, ports := chaosWorld(t, 150, 6, slide)
@@ -145,11 +198,11 @@ func TestChaosShardQuarantineSupervisorRestores(t *testing.T) {
 		Tracker:       tracker.DefaultParams(),
 		TrackerShards: 4,
 		Recognition:   maritime.Config{Window: time.Hour},
-		SelfHeal:      true,
 	}
-	// The shard dies on both attempts of one slide a third into the run.
-	killSlide := len(batches) / 3
+	// The shard dies at one slide a third into the run, every time.
+	killAt := batches[len(batches)/3].Query
 	const killShard = 2
+	const every = 3
 
 	golden := core.NewSystem(cfg, vessels, areas, ports)
 	defer golden.Close()
@@ -158,58 +211,51 @@ func TestChaosShardQuarantineSupervisorRestores(t *testing.T) {
 		want = append(want, renderChaosSlide(golden.ProcessBatch(b)))
 	}
 
+	dir := t.TempDir()
 	sys := core.NewSystem(cfg, vessels, areas, ports)
 	defer sys.Close()
-	var slideNo atomic.Int64
-	sys.Tracker().SetFaultHook(func(shard, _, _ int) {
-		if shard == killShard && int(slideNo.Load()) == killSlide {
+	sys.Tracker().SetFaultHook(func(shard int, q time.Time) {
+		if shard == killShard && q.Equal(killAt) {
 			panic("chaos: shard dies on every attempt")
 		}
 	})
-	sup := supervise.New(sys, supervise.Policy{InitialBackoff: time.Millisecond})
-	sys.OnSlideEnd(func(core.SlideReport) { sup.Poll() })
-
-	// The supervisor polls at slide end, so the quarantine can be healed
-	// before control returns here — observe it through the repair ledger.
-	healedBy := -1
-	for i, b := range batches {
-		slideNo.Store(int64(i))
-		got := renderChaosSlide(sys.ProcessBatch(b))
-		q := len(sys.Quarantined()) > 0
-		if healedBy < 0 && i >= killSlide && !q && sys.Tracker().FaultStats().Repairs > 0 {
-			healedBy = i
-		}
-		if i < killSlide && got != want[i] {
-			t.Fatalf("pre-fault slide %d diverges:\n  golden: %s\n  chaos:  %s", i, want[i], got)
-		}
-		// One window range after the repair every transient has flushed:
-		// tracker state replayed back to golden, recognizer window rolled
-		// past the quarantine's lost events.
-		flush := int(cfg.Window.Range/slide) + 1
-		if healedBy >= 0 && i > healedBy+flush && got != want[i] {
-			t.Fatalf("slide %d (repaired at %d) still diverges:\n  golden: %s\n  chaos:  %s", i, healedBy, want[i], got)
-		}
+	got := chaosRun(t, sys, batches, dir, every)
+	if len(got) != len(want) {
+		t.Fatalf("reported %d slides, golden %d", len(got), len(want))
 	}
-	if healedBy < 0 {
-		t.Fatal("supervisor never restored the quarantined shard")
-	}
-
-	fs := sys.Tracker().FaultStats()
-	if fs.Quarantined != 0 || fs.Repairs == 0 {
-		t.Errorf("shard not restored: %+v", fs)
-	}
-	if st := sup.Stats(); st.Repairs == 0 || st.GiveUps != 0 {
-		t.Errorf("supervisor stats: %+v, want at least one repair and no give-ups", st)
+	k := len(batches) / 3
+	for i := 0; i < k; i++ {
+		if got[i] != want[i] {
+			t.Fatalf("pre-fault slide %d diverges:\n  golden: %s\n  chaos:  %s", i, want[i], got[i])
+		}
 	}
 	h := sys.Health()
+	if h.Failed != 1 || h.State() != "wedged" || h.Restores != 1 {
+		t.Errorf("health %s: want one rewind and the shard fenced", h)
+	}
 	if h.DropsByCause["shard-down"] == 0 {
-		t.Error("quarantine window's dropped fixes must be accounted under shard-down")
+		t.Error("the fenced shard's dropped fixes must be accounted under shard-down")
 	}
-	if h.State() != "ok" {
-		t.Errorf("final state %q, want ok after restoration (health: %s)", h.State(), h.String())
+	if _, err := sys.Snapshot(); err == nil {
+		t.Error("Snapshot with a fenced shard should fail")
 	}
-	if _, err := sys.Snapshot(); err != nil {
-		t.Errorf("Snapshot after restoration: %v", err)
+
+	// The restart: a fresh system restores the newest checkpoint, which
+	// predates the fault, and replays the stream from its cursor.
+	restarted := core.NewSystem(cfg, vessels, areas, ports)
+	defer restarted.Close()
+	rest := chaosRun(t, restarted, batches, dir, every)
+	tail := want[len(want)-len(rest):]
+	if len(rest) < len(want)-k {
+		t.Fatalf("the restart replayed %d slides; want it to resume from a checkpoint before the fault", len(rest))
+	}
+	for i := range rest {
+		if rest[i] != tail[i] {
+			t.Fatalf("slide %d after the restart diverges:\n  golden: %s\n  chaos:  %s", i, tail[i], rest[i])
+		}
+	}
+	if h := restarted.Health(); h.State() != "ok" {
+		t.Errorf("restarted state %q, want ok (health: %s)", h.State(), h)
 	}
 }
 
@@ -232,7 +278,6 @@ func TestChaosLoadSpikeDegradationLadder(t *testing.T) {
 		Tracker:       tracker.DefaultParams(),
 		TrackerShards: 2,
 		Recognition:   maritime.Config{Window: time.Hour},
-		SelfHeal:      true,
 		Degrade: &core.DegradeSpec{
 			SlideHigh:  time.Hour, // latency never votes in this test
 			DepthHigh:  1000,

@@ -41,12 +41,23 @@ func (c Cursor) Clone() Cursor {
 	return Cursor{Sec: c.Sec, SeenAtSec: maps.Clone(c.SeenAtSec)}
 }
 
-// SeedCursor primes the client's resume cursor before its first
+// SeedCursor primes the client's resume cursor for its next
 // connection, so that connect sends "RESUME <Sec-1>" and discards the
-// replayed fixes the cursor already covers. It must be called before
-// the first Scan and only on a client built by NewReconnecting (which
-// connects lazily).
+// replayed fixes the cursor already covers. Before the first Scan it
+// seeds the first connection of a client built by NewReconnecting
+// (which connects lazily). On a client already streaming it rewinds:
+// the current connection is dropped, and the next Scan reconnects at
+// the cursor, a reconnect and a resume. No Scan may run meanwhile — a
+// Scan blocked on the connection is released with Interrupt first.
 func (c *ReconnectingClient) SeedCursor(cur Cursor) {
+	if c.dialed {
+		if c.scanner != nil {
+			c.foldScanner()
+		}
+		c.dropConn()
+		c.redial = true
+	}
+	c.interrupted.Store(false)
 	c.curSec = cur.Sec
 	c.seenAtSec = maps.Clone(cur.SeenAtSec)
 	if c.seenAtSec == nil {

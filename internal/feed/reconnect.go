@@ -127,6 +127,13 @@ type ReconnectingClient struct {
 	rng        *rand.Rand
 	backoff    time.Duration
 	consecFail int
+
+	// dialed is set by the first connection; redial makes the next Scan
+	// connect again, as a reconnect (SeedCursor); interrupted makes Scan
+	// return false until then (Interrupt).
+	dialed      bool
+	redial      bool
+	interrupted atomic.Bool
 }
 
 // DialReconnecting connects to a feed server with the given retry
@@ -171,10 +178,10 @@ func NewReconnecting(dial func() (net.Conn, error), policy RetryPolicy) *Reconne
 // Err to distinguish).
 func (c *ReconnectingClient) Scan() bool {
 	for {
-		if c.isClosed() {
+		if c.isClosed() || c.interrupted.Load() {
 			return false
 		}
-		if c.scanner == nil && !c.connect(false) {
+		if c.scanner == nil && !c.connect(c.redial) {
 			return false
 		}
 		if c.scanner.Scan() {
@@ -188,12 +195,11 @@ func (c *ReconnectingClient) Scan() bool {
 			return true
 		}
 		err := c.scanner.Err()
-		c.mu.Lock()
-		c.acc = c.acc.Add(c.scanner.Stats())
-		c.live = ais.ScannerStats{}
-		c.mu.Unlock()
-		c.scanner = nil
+		c.foldScanner()
 		c.dropConn()
+		if c.interrupted.Load() {
+			return false
+		}
 		if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return false // the feed finished cleanly
 		}
@@ -223,7 +229,7 @@ func (c *ReconnectingClient) Scan() bool {
 // first connect is not a reconnect).
 func (c *ReconnectingClient) connect(reconnected bool) bool {
 	for {
-		if c.isClosed() {
+		if c.isClosed() || c.interrupted.Load() {
 			return false
 		}
 		c.count(func(n *NetStats) { n.DialAttempts++ })
@@ -237,6 +243,7 @@ func (c *ReconnectingClient) connect(reconnected bool) bool {
 			}
 			c.conn = conn
 			c.mu.Unlock()
+			c.dialed, c.redial = true, false
 			if c.policy.ResetOnSuccess {
 				c.backoff = c.policy.InitialBackoff
 				c.consecFail = 0
@@ -418,6 +425,25 @@ func (c *ReconnectingClient) Close() error {
 }
 
 func (c *ReconnectingClient) isClosed() bool { return c.closed.Load() }
+
+// Interrupt makes the Scan in progress, if any, and every later one
+// return false — as at the end of the feed, but without closing the
+// client — until SeedCursor rewinds it. Safe to call from any
+// goroutine.
+func (c *ReconnectingClient) Interrupt() {
+	c.interrupted.Store(true)
+	c.dropConn()
+}
+
+// foldScanner retires the current connection's scanner, folding its
+// counters into the client's.
+func (c *ReconnectingClient) foldScanner() {
+	c.mu.Lock()
+	c.acc = c.acc.Add(c.scanner.Stats())
+	c.live = ais.ScannerStats{}
+	c.mu.Unlock()
+	c.scanner = nil
+}
 
 // dropConn closes and forgets the current connection without marking
 // the client closed.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -273,133 +271,5 @@ func TestReconstructScansOnlyNewPoints(t *testing.T) {
 	r.Reconstruct()
 	if got, want := r.ScannedPoints(), r.StagedCount(); got != want {
 		t.Fatalf("first scan after a restore examined %d points, want all %d staged", got, want)
-	}
-}
-
-// TestForkIsIndependent checks that a fork holds the store's contents
-// and that neither side sees the other's later staging, reconstruction
-// or loading.
-func TestForkIsIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	stream := randomStream(rng, 25)
-	half := len(stream) / 2
-	m := New(streamPorts())
-	m.Stage(stream[:half])
-	m.ReconstructAndLoad()
-	m.Stage(stream[half : half+10]) // unscanned points travel with the fork
-	want := contentsOf(m)
-
-	f := m.Fork()
-	if got := contentsOf(f); !reflect.DeepEqual(got, want) {
-		t.Fatal("fork contents differ from the store's")
-	}
-	if f.StagedCount() != m.StagedCount() || f.ScannedPoints() != m.ScannedPoints() {
-		t.Fatal("fork counters differ from the store's")
-	}
-	m.Stage(stream[half+10:])
-	m.ReconstructAndLoad()
-	if got := contentsOf(f); !reflect.DeepEqual(got, want) {
-		t.Fatal("fork changed when the store moved on")
-	}
-	after := contentsOf(m)
-	f.Stage(stream[half+10:])
-	f.ReconstructAndLoad()
-	if got := contentsOf(m); !reflect.DeepEqual(got, after) {
-		t.Fatal("store changed when the fork moved on")
-	}
-	if got := contentsOf(f); !reflect.DeepEqual(got, after) {
-		t.Fatal("fork replaying the same input ended elsewhere than the store")
-	}
-}
-
-// TestForkAliasing is the shared-prefix fork under the race detector:
-// after a fork (the self-heal journal's re-base) the live store keeps
-// staging, reconstructing and loading on one goroutine while another
-// forks the base again, replays onto it as a repair does, and reads
-// every point and trip of both. The base must come out unchanged and
-// the replay must end where a store that shares nothing ends. Without
-// the capacity clamp both sides would append into the same spare
-// capacity.
-func TestForkAliasing(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	stream := randomStream(rng, 40)
-	half := len(stream) / 2
-	live := New(streamPorts())
-	for i := 0; i < half; i += 25 {
-		live.Stage(stream[i:min(i+25, half)])
-		live.ReconstructAndLoad()
-	}
-	base := live.Fork()
-	baseWant := contentsOf(base)
-	tail := stream[half:]
-
-	// What the replay must produce, on a store sharing no memory.
-	alone := saveRestore(t, base)
-	for i := 0; i < len(tail); i += 25 {
-		alone.Stage(tail[i:min(i+25, len(tail))])
-		alone.ReconstructAndLoad()
-	}
-	replayWant := contentsOf(alone)
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < len(tail); i += 25 {
-			live.Stage(tail[i:min(i+25, len(tail))])
-			live.ReconstructAndLoad()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for round := 0; round < 3; round++ {
-			st := base.Fork()
-			for i := 0; i < len(tail); i += 25 {
-				st.Stage(tail[i:min(i+25, len(tail))])
-				st.ReconstructAndLoad()
-			}
-			if got := contentsOf(st); !reflect.DeepEqual(got, replayWant) {
-				t.Errorf("round %d: replay onto a fork of the base differs from the unshared replay", round)
-			}
-			if got := contentsOf(base); !reflect.DeepEqual(got, baseWant) {
-				t.Errorf("round %d: base contents changed", round)
-			}
-		}
-	}()
-	wg.Wait()
-	if got := contentsOf(live); !reflect.DeepEqual(got, replayWant) {
-		t.Error("live store differs from the unshared replay")
-	}
-}
-
-// TestForkAllocs gates the re-base cost: a fork allocates for the
-// store's vessels, not its points, so eight times the staged points per
-// vessel must not move the bytes one fork allocates.
-func TestForkAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gate is meaningless under the race detector")
-	}
-	forkBytes := func(perVessel int) uint64 {
-		m := New(testPorts())
-		var pts []tracker.CriticalPoint
-		for k := 0; k < perVessel; k++ {
-			for v := uint32(0); v < 500; v++ {
-				pts = append(pts, cp(100+v, 24+float64(k)*0.001, 36.5, time.Duration(k)*time.Minute, tracker.EventTurn))
-			}
-		}
-		m.Stage(pts)
-		m.Reconstruct()
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		f := m.Fork()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(f)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	one, eight := forkBytes(8), forkBytes(64)
-	t.Logf("fork of 500 vessels: %d B at 8 points each, %d B at 64", one, eight)
-	if eight > one+one/4 {
-		t.Fatalf("fork allocated %d B with 8× the staged points, %d B with 1×: it scales with points", eight, one)
 	}
 }

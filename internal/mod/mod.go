@@ -10,7 +10,6 @@ package mod
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -90,9 +89,8 @@ type MOD struct {
 
 	// staging holds per-vessel delta critical points not yet assigned to
 	// a completed trip, in time order (the paper's staging table). A
-	// staged point is never modified: a vessel's slice only grows by
-	// append or is replaced by a fresh copy of its unassigned tail, which
-	// is what lets Fork share the points. staged is their running count.
+	// vessel's slice only grows by append or is replaced by a fresh copy
+	// of its unassigned tail. staged is their running count.
 	staging map[uint32][]tracker.CriticalPoint
 	staged  int
 	// origin tracks the port the vessel departed from, once known.
@@ -126,33 +124,6 @@ func New(ports []PortArea) *MOD {
 		unscanned: make(map[uint32]int),
 		byVessel:  make(map[uint32][]*Trip),
 	}
-}
-
-// Fork returns an independent store over the same ports holding m's
-// current contents, in time proportional to the number of vessels, not
-// points: the maps are cloned and every slice is shared as a prefix
-// whose capacity is clamped to its length. Staged points and loaded
-// trips are never modified, the fork's first append to a slice moves it
-// to an array of its own, and m's appends land past the fork's length —
-// so neither store ever writes memory the other can read.
-func (m *MOD) Fork() *MOD {
-	f := &MOD{
-		ports:     m.ports,
-		staging:   maps.Clone(m.staging),
-		staged:    m.staged,
-		origin:    maps.Clone(m.origin),
-		unscanned: maps.Clone(m.unscanned),
-		scanned:   m.scanned,
-		trips:     slices.Clip(m.trips),
-		byVessel:  maps.Clone(m.byVessel),
-	}
-	for mmsi, pts := range f.staging {
-		f.staging[mmsi] = slices.Clip(pts)
-	}
-	for mmsi, trips := range f.byVessel {
-		f.byVessel[mmsi] = slices.Clip(trips)
-	}
-	return f
 }
 
 // Stage appends a batch of expired critical points to the staging area.

@@ -128,11 +128,15 @@ func (g *Gateway) StreamEnded() {
 
 // Consume implements core.AlertSink: it records the slide report and
 // fans its alerts out to subscribers. It never blocks on slow clients.
+// A replayed slide is published too — it puts the hub's sequence back
+// where it was, and the hub fans out nothing it already has.
 func (g *Gateway) Consume(rep core.SlideReport) {
-	g.repMu.Lock()
-	g.last = rep
-	g.slides++
-	g.repMu.Unlock()
+	if !rep.Replay {
+		g.repMu.Lock()
+		g.last = rep
+		g.slides++
+		g.repMu.Unlock()
+	}
 	g.hub.Publish(rep.Query, rep.Alerts)
 }
 
@@ -287,10 +291,10 @@ func AlertsHandler(hub *Hub) http.HandlerFunc {
 
 // HealthzPayload is the /healthz response body. Status is the
 // pipeline's three-state summary: "ok", "degraded" (quarantined
-// targets under repair or the degradation ladder engaged — recovering,
-// no operator action needed yet), or "wedged" (a target was abandoned
-// past the give-up threshold; only a snapshot restore or restart
-// brings it back).
+// targets — rewinding to a checkpoint, or without checkpoints out of
+// service until a restart — or the degradation ladder engaged), or
+// "wedged" (a target faulted again while its first fault was being
+// replayed and is fenced; only a restart brings it back).
 type HealthzPayload struct {
 	Status    string      `json:"status"` // "ok", "degraded", or "wedged"
 	Slides    int         `json:"slides"`

@@ -87,8 +87,14 @@ type Hub struct {
 	// across the log append, the ring push or a subscriber offer — so
 	// registering, departing and stats never wait on a fan-out in
 	// flight.
-	mu     sync.Mutex
-	seq    uint64
+	mu  sync.Mutex
+	seq uint64
+	// high is the highest sequence number ever fanned out. A restore
+	// can set seq back below it (a rewind after a fault); the slides
+	// replayed from there re-publish their alerts under the same numbers,
+	// and envelopes at or below high reach the log (whose append skips
+	// them) but not the ring or any subscriber again.
+	high   uint64
 	nextID int
 	subs   []*Subscriber // live subscribers, in registration order
 	ring   *Ring
@@ -151,7 +157,9 @@ func (h *Hub) LogAppendErrors() uint64 { return h.logErrs.Load() }
 // Publish stamps the slide's alerts with sequence numbers, appends them
 // to the durable log (when attached), then to the history ring, and
 // offers them to every subscriber, whose filter keeps what it accepts.
-// It never blocks on a slow consumer.
+// It never blocks on a slow consumer. Envelopes numbered at or below
+// the highest sequence already published — a replay after a rewind —
+// go to the log only.
 //
 // The no-gap/no-dup contract with SubscribeFrom survives the unlocked
 // delivery: envelopes land in the ring before the subscriber snapshot
@@ -174,7 +182,12 @@ func (h *Hub) Publish(slide time.Time, alerts []maritime.Alert) {
 		h.seq++
 		envs[i] = Envelope{Seq: h.seq, Slide: slide, Published: now, Alert: a}
 	}
-	h.published += uint64(len(envs))
+	fresh := envs
+	if first := envs[0].Seq; h.high >= first {
+		fresh = envs[min(h.high-first+1, uint64(len(envs))):]
+	}
+	h.high = max(h.high, h.seq)
+	h.published += uint64(len(fresh))
 	h.mu.Unlock()
 
 	// Durability precedes visibility: the log append (with its fsync)
@@ -185,7 +198,9 @@ func (h *Hub) Publish(slide time.Time, alerts []maritime.Alert) {
 			h.logErrs.Add(1)
 		}
 	}
-	h.deliver(envs)
+	if len(fresh) > 0 {
+		h.deliver(fresh)
+	}
 }
 
 // PublishEnvelopes re-publishes already-sequenced envelopes — the
@@ -203,6 +218,7 @@ func (h *Hub) PublishEnvelopes(envs []Envelope) {
 	if last := envs[len(envs)-1].Seq; last > h.seq {
 		h.seq = last
 	}
+	h.high = max(h.high, h.seq)
 	h.published += uint64(len(envs))
 	h.mu.Unlock()
 	h.deliver(envs)

@@ -39,16 +39,23 @@ func (h *Hub) Snapshot() HubSnapshot {
 	return snap
 }
 
-// Restore replaces the hub's sequence counter and history with a
-// snapshot's. It must run before the pipeline publishes and before
-// subscribers attach.
+// Restore sets the hub's sequence counter back to a snapshot's, so the
+// slides replayed after it re-publish under the same numbers. At
+// process start it also fills the history; on a rewind, which restores
+// a hub that has published past the snapshot, what the hub has
+// published stays published: the ring keeps its newer envelopes, and
+// replayed envelopes are not fanned out again (see Publish).
 func (h *Hub) Restore(snap HubSnapshot) {
 	h.mu.Lock()
+	h.high = max(h.high, h.seq)
 	h.seq = snap.Seq
-	h.published = snap.Published
+	h.published = max(h.published, snap.Published)
+	high := h.high
 	h.mu.Unlock()
 	for _, e := range snap.Ring {
-		h.ring.Push(e)
+		if e.Seq > high {
+			h.ring.Push(e)
+		}
 	}
 }
 

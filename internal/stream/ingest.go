@@ -304,11 +304,29 @@ func (s *IngestStage) Pending() int {
 // Close releases a blocked Next and a blocked hand-over, discards the
 // slides read ahead, and returns once the stage's goroutine has exited.
 // It does not close the source: a source that can block in Scan (a
-// socket) must be closed first, or Close waits for its next fix.
+// socket) must be closed or interrupted first, or Close waits for its
+// next fix.
 func (s *IngestStage) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.exited
+}
+
+// Reopen starts a closed stage over b — the same source rewound, after
+// a restore — keeping its capacity, counters and recycled arrays. The
+// slides read ahead before Close are gone.
+func (s *IngestStage) Reopen(b *Batcher) {
+	s.mu.Lock()
+	for i := range s.ready {
+		s.release(&s.ready[i])
+	}
+	s.batcher = b
+	s.ready, s.behind, s.dropFrom, s.openFixes = s.ready[:0], 0, 1, 0
+	s.closed, s.done, s.err = false, false, nil
+	s.waiting.Store(0)
+	s.exited = make(chan struct{})
+	s.mu.Unlock()
+	go s.run()
 }

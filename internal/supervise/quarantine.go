@@ -1,12 +1,11 @@
-// Package supervise closes the fault-recovery loop around the pipeline:
-// partitions that panic or wedge are quarantined by their tier instead
-// of killing the process, and a Supervisor repairs them — restore from
-// the last known-good state, replay the journaled slides, re-admit —
-// with exponential backoff and a give-up threshold.
+// Package supervise holds the quarantine record: partitions that panic
+// or wedge are quarantined by their tier instead of killing the
+// process, and the record says who, why and what the failure looked
+// like. Recovery is a checkpoint restore and replay (core, checkpoint).
 //
-// The package deliberately depends only on the standard library and the
-// observability layer, so every tier (tracker shards, the recognizer,
-// the MOD store) can share its types without import cycles.
+// The package depends only on the standard library, so every tier
+// (tracker shards, the recognizer, the MOD store) can share its types
+// without import cycles.
 package supervise
 
 import (
@@ -18,7 +17,7 @@ import (
 // Quarantine describes one out-of-service pipeline partition: who it
 // is, why it was taken out, and what the failure looked like.
 type Quarantine struct {
-	// Target names the partition in the supervisor's namespace:
+	// Target names the partition:
 	// "tracker/3" for a tracker shard, "recognizer" for the CE
 	// recognizer, "store" for the MOD archival store.
 	Target string

@@ -94,53 +94,15 @@ func BenchmarkSteadySlide(b *testing.B) {
 	b.ReportMetric(float64(b.N*fixes)/b.Elapsed().Seconds(), "fixes/s")
 }
 
-// BenchmarkSelfHealSlide is BenchmarkSteadySlide at DefaultShards, the
-// tier as cmd/serve runs it, with self-heal off and on (journal,
-// cadence re-bases, watchdog): the per-fix cost of self-heal is the
-// difference between the two rows.
-func BenchmarkSelfHealSlide(b *testing.B) {
-	batches, fixes := benchWorkload(b)
-	span := 2 * time.Hour
-	for _, heal := range []bool{false, true} {
-		name := "off"
-		if heal {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, DefaultShards())
-			defer tr.Close()
-			if heal {
-				tr.EnableSelfHeal(DefaultJournalSlides)
-				tr.SetSlideTimeout(time.Minute)
-			}
-			for _, bt := range batches {
-				tr.Slide(bt)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shiftBatches(batches, span)
-				for _, bt := range batches {
-					tr.Slide(bt)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fixes), "ns/fix")
-		})
-	}
-}
-
 // TestSteadyStateSlideAllocs is the allocation-free steady state gate:
 // after the tracking tier has warmed (vessel map populated, scratch
 // slices at their high-water marks, synopsis windows full), a slide must
 // run allocation-free up to a small amortized constant — synopsis ring
 // growth and stop-run reallocation are amortized, nothing is allocated
 // per fix or per slide. Each shard count — and DefaultShards, what
-// production runs — is gated plain, with self-heal on, as cmd/serve runs
-// a slide that waited for the feed (self-heal under the watchdog, every
-// shard pooled), and as it runs a slide tracked ahead (the same, through
-// Start and Finish). Self-heal re-bases every second slide, so the
-// measured slides include re-bases, which refill the journal's buffers
-// in place, and journal appends, which copy into recycled slide buffers.
+// production runs — is gated plain, as cmd/serve runs a slide that
+// waited for the feed (under the watchdog, every shard pooled), and as
+// it runs a slide tracked ahead (the same, through Start and Finish).
 func TestSteadyStateSlideAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts")
@@ -152,11 +114,8 @@ func TestSteadyStateSlideAllocs(t *testing.T) {
 	warm := len(batches) - 12 // leave 12 slides (one full window) to measure
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 	for _, shards := range []int{1, 2, DefaultShards()} {
-		for _, mode := range []string{"plain", "self-heal", "watchdog", "ahead"} {
+		for _, mode := range []string{"plain", "watchdog", "ahead"} {
 			tier := NewSharded(DefaultParams(), window, shards)
-			if mode != "plain" {
-				tier.EnableSelfHeal(2)
-			}
 			if mode == "watchdog" || mode == "ahead" {
 				tier.SetSlideTimeout(time.Minute)
 			}
@@ -185,16 +144,6 @@ func TestSteadyStateSlideAllocs(t *testing.T) {
 				t.Errorf("shards=%d %s: steady-state slide allocates %.1f times, want <= %d", shards, mode, allocs, maxAllocs)
 			}
 			t.Logf("shards=%d %s: %.1f allocs per steady-state slide", shards, mode, allocs)
-			if mode != "plain" {
-				// A warm re-base refills buffers already sized for the state.
-				if a := testing.AllocsPerRun(runs, func() {
-					for i := range tier.shards {
-						tier.rebase(i)
-					}
-				}); a != 0 {
-					t.Errorf("shards=%d %s: a warm re-base allocates %.1f times, want 0", shards, mode, a)
-				}
-			}
 			tier.Close()
 		}
 	}

@@ -1,11 +1,9 @@
 package tracker
 
 import (
-	"cmp"
-	"reflect"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,10 +12,16 @@ import (
 	"repro/internal/stream"
 )
 
+// The tier half of fault recovery: a faulted shard is quarantined and
+// reported on the slide's result, and restoring the snapshot taken
+// before the slide and sliding it again — what the pipeline's driver
+// does from its newest checkpoint — yields the fault-free output.
+
 // TestSelfHealPanicEquivalence is the tier-level chaos golden test: a
-// shard worker panics on every single slide, the tier recovers each
-// panic with an in-slide journal re-run, and the merged output must
-// stay byte-identical to the serial tracker — zero loss, no quarantine.
+// shard worker panics on every single slide, the tier quarantines it
+// and reports the fault, and restoring the slide's starting snapshot
+// and sliding it again must give output byte-identical to the serial
+// tracker's.
 func TestSelfHealPanicEquivalence(t *testing.T) {
 	batches := simBatches(t, 120, 2)
 	params := DefaultParams()
@@ -26,10 +30,11 @@ func TestSelfHealPanicEquivalence(t *testing.T) {
 	serial := NewSharded(params, window, 1)
 	sharded := NewSharded(params, window, 4)
 	defer sharded.Close()
-	sharded.EnableSelfHeal(6)
 	kills := 0
-	sharded.SetFaultHook(func(shard, slide, attempt int) {
-		if shard == 1 && attempt == 0 {
+	killed := map[time.Time]bool{}
+	sharded.SetFaultHook(func(shard int, q time.Time) {
+		if shard == 1 && !killed[q] {
+			killed[q] = true
 			kills++
 			panic("injected shard fault")
 		}
@@ -37,7 +42,18 @@ func TestSelfHealPanicEquivalence(t *testing.T) {
 
 	for i, b := range batches {
 		want := serial.Slide(b)
+		before := sharded.Snapshot()
+		faulted := sharded.Slide(b)
+		if len(faulted.Faults) != 1 || faulted.Faults[0].Target != "tracker/1" {
+			t.Fatalf("slide %d: fault records %+v, want tracker/1's", i, faulted.Faults)
+		}
+		if err := sharded.RestoreSnapshot(before); err != nil {
+			t.Fatal(err)
+		}
 		got := sharded.Slide(b)
+		if len(got.Faults) != 0 || got.LostFixes != 0 {
+			t.Fatalf("slide %d replayed with faults: %+v", i, got.Faults)
+		}
 		comparePoints(t, i, "fresh", want.Fresh, got.Fresh)
 		comparePoints(t, i, "delta", want.Delta, got.Delta)
 	}
@@ -45,11 +61,8 @@ func TestSelfHealPanicEquivalence(t *testing.T) {
 		t.Errorf("expected %d injected panics, hook fired %d times", len(batches), kills)
 	}
 	fs := sharded.FaultStats()
-	if fs.Panics != kills || fs.Retries != kills {
-		t.Errorf("fault stats: got %+v, want Panics=Retries=%d", fs, kills)
-	}
-	if fs.Quarantined != 0 || fs.DroppedFixes != 0 || fs.GapSlides != 0 {
-		t.Errorf("lossless recovery expected, got %+v", fs)
+	if fs.Panics != kills || fs.Quarantined != 0 || fs.Failed != 0 || fs.DroppedFixes != 0 {
+		t.Errorf("fault stats: got %+v, want Panics=%d and every shard back in service", fs, kills)
 	}
 	ws, gs := serial.Stats(), sharded.Stats()
 	if ws.FixesIn != gs.FixesIn || ws.Critical != gs.Critical {
@@ -58,125 +71,128 @@ func TestSelfHealPanicEquivalence(t *testing.T) {
 }
 
 // TestSelfHealStallQuarantineRepair wedges one shard mid-run: the
-// watchdog must quarantine it within the slide, the tier must keep
-// sliding with the remaining shards (dropping and counting the wedged
-// shard's fixes), and RepairShard must replay the journal so that the
-// tier state — and all subsequent output — converges back to the
-// golden run.
+// watchdog must quarantine it within the slide and report it, the tier
+// must keep sliding with the remaining shards (dropping and counting
+// the wedged shard's fixes), and restoring the snapshot taken before
+// the stall and replaying the slides since must bring the tier state —
+// and all subsequent output — back to the golden run.
 func TestSelfHealStallQuarantineRepair(t *testing.T) {
 	batches := simBatches(t, 120, 2)
 	params := DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
-	const stallShard, stallSlide = 2, 8
+	const stallShard, stallSlide = 2, 7
 
 	serial := NewSharded(params, window, 1)
 	sharded := NewSharded(params, window, 4)
 	defer sharded.Close()
-	sharded.EnableSelfHeal(6)
 	sharded.SetSlideTimeout(50 * time.Millisecond)
 	release := make(chan struct{})
 	defer close(release)
-	var once sync.Once
-	sharded.SetFaultHook(func(shard, slide, attempt int) {
-		if shard == stallShard && slide == stallSlide {
-			once.Do(func() { <-release })
+	var stalled atomic.Bool
+	sharded.SetFaultHook(func(shard int, q time.Time) {
+		if shard == stallShard && q.Equal(batches[stallSlide].Query) && stalled.CompareAndSwap(false, true) {
+			<-release
 		}
 	})
 
-	repaired := false
-	for i, b := range batches {
-		want := serial.Slide(b)
+	var before Snapshot
+	var want []SlideResult
+	for i, b := range batches[:stallSlide+3] {
+		w := serial.Slide(b)
+		want = append(want, SlideResult{Fresh: slices.Clone(w.Fresh), Delta: slices.Clone(w.Delta)})
 		got := sharded.Slide(b)
-		if i+1 < stallSlide || repaired {
-			comparePoints(t, i, "fresh", want.Fresh, got.Fresh)
-			comparePoints(t, i, "delta", want.Delta, got.Delta)
+		if i == stallSlide-1 {
+			before = sharded.Snapshot()
 		}
-		if i+1 == stallSlide {
+		if i < stallSlide {
+			comparePoints(t, i, "fresh", w.Fresh, got.Fresh)
+			comparePoints(t, i, "delta", w.Delta, got.Delta)
+		}
+		if i == stallSlide {
 			fs := sharded.FaultStats()
 			if fs.Stalls != 1 || fs.Quarantined != 1 {
 				t.Fatalf("slide %d: expected one stalled quarantined shard, got %+v", i, fs)
 			}
-			q := sharded.Quarantined()
-			if len(q) != 1 || q[0].Target != "tracker/2" || q[0].Cause != "stall" {
+			if q := got.Faults; len(q) != 1 || q[0].Target != "tracker/2" || q[0].Cause != "stall" {
 				t.Fatalf("quarantine records: %+v", q)
 			}
-			if fs.DroppedFixes == 0 {
-				t.Fatal("wedged shard's fixes should be counted as dropped")
-			}
-		}
-		// Let the shard miss a couple of slides before the repair, then
-		// re-admit it; from here the replayed state must equal golden.
-		if i+1 == stallSlide+2 {
-			if err := sharded.RepairShard(stallShard); err != nil {
-				t.Fatalf("RepairShard: %v", err)
-			}
-			repaired = true
-			if fs := sharded.FaultStats(); fs.Quarantined != 0 || fs.Repairs != 1 {
-				t.Fatalf("after repair: %+v", fs)
+			if got.LostFixes == 0 {
+				t.Fatal("the wedged shard's fixes of the slide should be reported lost")
 			}
 		}
 	}
-	// Replay reprocessed every journaled fix, so even the counters of
-	// the quarantine window are reconstructed.
+	// Slides after the stall route nothing to the wedged shard.
+	if fs := sharded.FaultStats(); fs.DroppedFixes == 0 {
+		t.Fatalf("fixes routed to the wedged shard should be counted dropped: %+v", fs)
+	}
+	// Restore the state before the stall and replay: from here the
+	// tier must equal golden, the counters of the replayed slides too.
+	if err := sharded.RestoreSnapshot(before); err != nil {
+		t.Fatal(err)
+	}
+	if fs := sharded.FaultStats(); fs.Quarantined != 0 {
+		t.Fatalf("after restore: %+v", fs)
+	}
+	for i := stallSlide; i < len(batches); i++ {
+		if i >= len(want) {
+			w := serial.Slide(batches[i])
+			want = append(want, SlideResult{Fresh: slices.Clone(w.Fresh), Delta: slices.Clone(w.Delta)})
+		}
+		got := sharded.Slide(batches[i])
+		comparePoints(t, i, "fresh", want[i].Fresh, got.Fresh)
+		comparePoints(t, i, "delta", want[i].Delta, got.Delta)
+	}
 	ws, gs := serial.Stats(), sharded.Stats()
 	if ws.FixesIn != gs.FixesIn || ws.Critical != gs.Critical || ws.Duplicates != gs.Duplicates {
-		t.Errorf("stats diverged after repair: serial %+v, sharded %+v", ws, gs)
-	}
-	if fs := sharded.FaultStats(); fs.GapSlides != 0 {
-		t.Errorf("journal should not have gapped: %+v", fs)
+		t.Errorf("stats diverged after the restore: serial %+v, sharded %+v", ws, gs)
 	}
 }
 
-// TestSelfHealRepairErrors covers the failure modes of RepairShard and
-// the give-up path.
+// TestSelfHealRepairErrors covers the failure path: a panic leaves a
+// complete quarantine record, Fence moves the shard to failed for good,
+// a failed shard stays out of service without faulting again, and a
+// snapshot restore re-admits it.
 func TestSelfHealRepairErrors(t *testing.T) {
 	params := DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 	sharded := NewSharded(params, window, 2)
 	defer sharded.Close()
-	sharded.EnableSelfHeal(4)
 
-	if err := sharded.RepairShard(0); err == nil || !strings.Contains(err.Error(), "not quarantined") {
-		t.Fatalf("repairing a healthy shard: %v", err)
-	}
-	if err := sharded.RepairShard(9); err == nil {
-		t.Fatal("repairing an out-of-range shard should fail")
-	}
-
-	// Force a quarantine via a double panic (live + re-run attempt).
-	sharded.SetFaultHook(func(shard, slide, attempt int) {
+	sharded.SetFaultHook(func(shard int, _ time.Time) {
 		if shard == 1 {
 			panic("persistent fault")
 		}
 	})
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	sharded.Slide(stream.Batch{Query: start})
-	if fs := sharded.FaultStats(); fs.Quarantined != 1 || fs.Panics != 2 {
-		t.Fatalf("expected quarantine after double panic, got %+v", fs)
+	res := sharded.Slide(stream.Batch{Query: start})
+	if fs := sharded.FaultStats(); fs.Quarantined != 1 || fs.Panics != 1 {
+		t.Fatalf("expected a quarantine after the panic, got %+v", fs)
 	}
-	q := sharded.Quarantined()
+	q := res.Faults
 	if len(q) != 1 || q[0].Cause != "panic" || !strings.Contains(q[0].Value, "persistent fault") || q[0].Stack == "" {
 		t.Fatalf("quarantine record incomplete: %+v", q)
 	}
 
-	// Give up: the shard moves to failed and stays out of service.
-	sharded.AbandonShard(1)
+	// Fenced: the shard moves to failed and stays out of service.
+	sharded.Fence()
 	fs := sharded.FaultStats()
 	if fs.Quarantined != 0 || fs.Failed != 1 {
-		t.Fatalf("after abandon: %+v", fs)
+		t.Fatalf("after Fence: %+v", fs)
 	}
-	sharded.SetFaultHook(nil)
-	sharded.Slide(stream.Batch{Query: start.Add(5 * time.Minute)})
-	if len(sharded.Quarantined()) != 0 {
-		t.Fatal("failed shard must not re-enter quarantine")
+	if res := sharded.Slide(stream.Batch{Query: start.Add(5 * time.Minute)}); len(res.Faults) != 0 {
+		t.Fatalf("a failed shard must not fault again: %+v", res.Faults)
 	}
 
 	// A snapshot restore supersedes the failure and re-admits the shard.
+	sharded.SetFaultHook(nil)
 	if err := sharded.RestoreSnapshot(Snapshot{}); err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
 	if fs := sharded.FaultStats(); fs.Failed != 0 {
 		t.Fatalf("restore should clear failed shards: %+v", fs)
+	}
+	if res := sharded.Slide(stream.Batch{Query: start.Add(10 * time.Minute)}); len(res.Faults) != 0 {
+		t.Fatalf("re-admitted shard faulted: %+v", res.Faults)
 	}
 }
 
@@ -267,146 +283,4 @@ func TestShedStationary(t *testing.T) {
 	if shed := sharded.ShedFixes(); shed != 2 {
 		t.Errorf("shedding off must stop counting, got %d", shed)
 	}
-}
-
-// TestSelfHealReplaySheds re-runs a panicked slide while overload
-// shedding is on: the replay must shed exactly the fixes the live slide
-// would have, so the repaired shard's state and counters equal those of
-// a tier that never panicked.
-func TestSelfHealReplaySheds(t *testing.T) {
-	params := DefaultParams()
-	window := stream.WindowSpec{Range: time.Hour, Slide: 10 * time.Minute}
-	const stopped = uint32(300)
-	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	base := geo.Point{Lon: 23.0, Lat: 37.0}
-	var dock []ais.Fix
-	for k := 0; k < 3*params.M; k++ {
-		dock = append(dock, ais.Fix{MMSI: stopped, Pos: base, Time: t0.Add(time.Duration(k) * time.Minute)})
-	}
-	next := t0.Add(time.Duration(3*params.M) * time.Minute)
-	slides := []stream.Batch{
-		{Query: next, Fixes: dock},
-		{Query: next.Add(10 * time.Minute), Fixes: []ais.Fix{
-			{MMSI: stopped, Pos: base, Time: next.Add(1 * time.Minute)},
-			{MMSI: stopped, Pos: base, Time: next.Add(2 * time.Minute)},
-		}},
-	}
-
-	run := func(faulty bool) *Sharded {
-		s := NewSharded(params, window, 2)
-		t.Cleanup(s.Close)
-		s.EnableSelfHeal(4)
-		if faulty {
-			s.SetFaultHook(func(shard, slide, attempt int) {
-				if shard == ShardOf(stopped, 2) && slide == 2 && attempt == 0 {
-					panic("injected shard fault")
-				}
-			})
-		}
-		s.Slide(slides[0])
-		s.SetShedStationary(true)
-		s.Slide(slides[1])
-		return s
-	}
-	want, got := run(false), run(true)
-	if fs := got.FaultStats(); fs.Retries != 1 || fs.Quarantined != 0 {
-		t.Fatalf("expected one lossless retry, got %+v", fs)
-	}
-	if ws, gs := want.Stats(), got.Stats(); ws.Shed != 2 || gs.Shed != ws.Shed || gs.FixesIn != ws.FixesIn {
-		t.Errorf("shed counters after the retry: got %+v, want %+v (Shed 2)", gs, ws)
-	}
-	if !reflect.DeepEqual(want.Snapshot(), got.Snapshot()) {
-		t.Error("replayed shard state differs from the never-panicked tier's")
-	}
-}
-
-// TestJournalMatchesLiveShard checks the self-heal journal against the
-// live shards after every slide: each shard rebuilt from its journal
-// base plus the journaled slides must hold exactly the live shard's
-// vessel state and counters. The re-base cadence is short (3), so most
-// checks replay across a recycled base and recycled slide buffers; the
-// window is short enough that silent vessels are evicted; one shard
-// panics every seventh slide, so the journal also rebuilds the shards
-// it later checks. Each shard is rebuilt twice, with the first rebuild
-// scribbled over in between, which catches a rebuild that aliases the
-// base instead of copying out of it.
-func TestJournalMatchesLiveShard(t *testing.T) {
-	batches := simBatches(t, 50, 3)
-	batches = batches[:len(batches)-1] // the drain slide evicts everything at once
-	window := stream.WindowSpec{Range: 20 * time.Minute, Slide: 5 * time.Minute}
-	for _, shards := range []int{1, 2, 4} {
-		for _, watchdog := range []bool{false, true} {
-			tier := NewSharded(DefaultParams(), window, shards)
-			tier.EnableSelfHeal(3)
-			if watchdog {
-				tier.SetSlideTimeout(time.Minute)
-			}
-			tier.SetFaultHook(func(shard, slide, attempt int) {
-				if slide%7 == 0 && shard == slide%shards && attempt == 0 {
-					panic("injected shard fault")
-				}
-			})
-			evicted := false
-			prev := map[uint32]bool{}
-			for k, b := range batches {
-				tier.Slide(b)
-				cur := map[uint32]bool{}
-				for i, live := range tier.shards {
-					want := shardState(live)
-					for _, vs := range want.Vessels {
-						cur[vs.MMSI] = true
-					}
-					for attempt := 0; attempt < 2; attempt++ {
-						rebuilt, _, qr := tier.replayShard(i, nil, false)
-						if qr != nil {
-							t.Fatalf("shards=%d watchdog=%v slide %d: replay of shard %d panicked: %s", shards, watchdog, k, i, qr.Value)
-						}
-						if got := shardState(rebuilt); !reflect.DeepEqual(got, want) {
-							t.Fatalf("shards=%d watchdog=%v slide %d: shard %d rebuilt from its journal (attempt %d) differs from the live shard", shards, watchdog, k, i, attempt)
-						}
-						if rebuilt.lastQueryNS != live.lastQueryNS || rebuilt.haveLastQ != live.haveLastQ {
-							t.Fatalf("shards=%d watchdog=%v slide %d: shard %d rebuilt with query clock %d/%v, live %d/%v",
-								shards, watchdog, k, i, rebuilt.lastQueryNS, rebuilt.haveLastQ, live.lastQueryNS, live.haveLastQ)
-						}
-						scribble(rebuilt)
-					}
-				}
-				for mmsi := range prev {
-					evicted = evicted || !cur[mmsi]
-				}
-				prev = cur
-			}
-			st, fs := tier.Stats(), tier.FaultStats()
-			tier.Close()
-			if st.ByType[EventStopStart] == 0 || st.ByType[EventGapStart] == 0 || st.ByType[EventSlowStart] == 0 || !evicted {
-				t.Fatalf("shards=%d watchdog=%v: the fleet must stop, go slow, go silent and be evicted: %+v evicted=%v", shards, watchdog, st.ByType, evicted)
-			}
-			if fs.Retries == 0 || fs.Quarantined != 0 {
-				t.Fatalf("shards=%d watchdog=%v: want lossless in-slide retries, got %+v", shards, watchdog, fs)
-			}
-		}
-	}
-}
-
-// shardState is one shard's vessel state and counters in Snapshot form.
-func shardState(tr *shard) Snapshot {
-	snap := Snapshot{Stats: tr.stats}
-	for mmsi, st := range tr.vessels {
-		snap.Vessels = append(snap.Vessels, snapshotVessel(mmsi, st))
-	}
-	slices.SortFunc(snap.Vessels, func(a, b VesselSnapshot) int { return cmp.Compare(a.MMSI, b.MMSI) })
-	return snap
-}
-
-// scribble overwrites every slice element and counter of a shard, so a
-// later rebuild that shares memory with this one shows the damage.
-func scribble(tr *shard) {
-	for _, st := range tr.vessels {
-		clear(st.recent)
-		clear(st.recentTurns)
-		clear(st.stopRun)
-		clear(st.slowRun)
-		st.synopsis.Reset()
-	}
-	clear(tr.stats.ByType)
 }

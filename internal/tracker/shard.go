@@ -40,9 +40,8 @@ func ShardOf(mmsi uint32, n int) int {
 //
 // Trajectory detection is independent per vessel (§5.2), so the state
 // is split across n shards keyed by MMSI hash. Every slide takes one
-// path: route the batch to the shards, journal it (with self-heal on,
-// see heal.go), run the shards, and merge their results so that the
-// output is exactly the critical-point stream of one shard holding
+// path: route the batch to the shards, run them, and merge their
+// results so that the output is exactly the critical-point stream of one shard holding
 // every vessel (fresh points in triggering-fix order, then slide-time
 // gap points in MMSI order; delta points sorted by time then MMSI).
 // Slide runs shard 0 on the calling goroutine and the rest on a
@@ -51,12 +50,13 @@ func ShardOf(mmsi uint32, n int) int {
 // shard counts; one shard is the serial tracker.
 //
 // A slide is two steps, and Slide is the two back to back: Start
-// routes, journals and hands every shard to the pool, and Finish
-// collects them, deals with stragglers and panics, merges and re-bases.
+// routes and hands every shard to the pool, and Finish collects them,
+// quarantines stragglers and panicked shards (see faults.go) and
+// merges.
 // Between the two the caller may do other work — the pipeline processes
 // the previous slide there. One slide at a time is in flight: every
-// read and repair of the tier's state (Stats, Infos, Snapshot,
-// RepairShard, ...) first finishes the slide in flight, on the calling
+// read and restore of the tier's state (Stats, Infos, Snapshot,
+// RestoreSnapshot, ...) first finishes the slide in flight, on the calling
 // goroutine, and keeps its result for Finish.
 //
 // The SlideResult returned by Slide and Finish aliases tier-owned
@@ -97,25 +97,23 @@ type Sharded struct {
 
 	metrics *shardMetrics
 
-	// Self-healing state (nil unless EnableSelfHeal was called); see
-	// heal.go.
-	heal      []shardHeal
-	slideSeq  int
-	timeout   time.Duration
-	watch     *time.Timer // the slide watchdog's timer, reused across slides
-	faultHook atomic.Pointer[func(shard, slide, attempt int)]
+	// Fault isolation (see faults.go): each shard's down-state, the
+	// slide watchdog, the chaos hook, and the quarantine records and
+	// lost fixes of the slide being finished.
+	down       []uint8
+	timeout    time.Duration
+	watch      *time.Timer // the slide watchdog's timer, reused across slides
+	faultHook  atomic.Pointer[func(shard int, q time.Time)]
+	faults     []supervise.Quarantine
+	faultFixes int
 
 	// Fault counters, atomics so Health and metric scrapes may read
 	// them from other goroutines mid-slide.
 	panics      atomic.Int64
 	stalls      atomic.Int64
-	repairs     atomic.Int64
-	retries     atomic.Int64
 	quarCount   atomic.Int64
 	failedCount atomic.Int64
 	dropped     atomic.Int64
-	gapSlides   atomic.Int64
-	rebaseNanos atomic.Int64
 
 	// Tier-wide ingest accounting shared by all shards (see shard).
 	lateAcc  atomic.Int64
@@ -132,7 +130,6 @@ type flight struct {
 	query    time.Time
 	pooled   int // shards handed to the pool, to be collected
 	watchdog bool
-	hook     *func(shard, slide, attempt int)
 }
 
 // shardIn is one shard's routed input for a slide: its fixes and
@@ -142,11 +139,10 @@ type shardIn struct {
 	shed bool
 }
 
-// fixRec is one routed fix in the form a shard ingests and its journal
-// keeps: the scalars ingest reads and the fix's index in the whole
-// batch (which the merge orders emissions by). It is pointer-free and
-// 32 bytes, so copying a slide into the journal is a memmove the
-// collector never scans.
+// fixRec is one routed fix in the form a shard ingests: the scalars
+// ingest reads and the fix's index in the whole batch (which the merge
+// orders emissions by). It is pointer-free and 32 bytes, so the routed
+// slide is memory the collector never scans.
 type fixRec struct {
 	mmsi     uint32
 	idx      int32
@@ -160,7 +156,7 @@ type shardOut struct {
 	delta    []CriticalPoint
 	dur      time.Duration
 	end      time.Time             // when the shard finished the slide
-	panic    *supervise.Quarantine // set when a recoverable job panicked
+	panic    *supervise.Quarantine // set when the job panicked
 }
 
 // shardJob is one shard's slide. It carries everything the run needs so
@@ -173,14 +169,7 @@ type shardJob struct {
 	out  *shardOut
 	done chan<- int // nil when the job runs on the caller
 	i    int
-
-	// Self-heal extras: chaos injection hook, slide ordinal, retry
-	// attempt, and whether a panic is contained (quarantined) rather
-	// than propagated.
-	hook        *func(shard, slide, attempt int)
-	slide       int
-	attempt     int
-	recoverable bool
+	hook *func(shard int, q time.Time) // chaos injection, nil when none
 }
 
 // shardPool is a fixed set of long-lived workers fed over one shared
@@ -217,24 +206,22 @@ func (p *shardPool) worker() {
 func (p *shardPool) addWorker() { go p.worker() }
 
 // runShard advances one shard through a slide and publishes its result.
-// A recoverable job converts a panic — the shard's own state machine or
-// an injected fault — into a quarantine record on its out slot instead
-// of unwinding; any other job lets the panic crash the process.
+// A panic — the shard's own state machine or an injected fault — is
+// converted into a quarantine record on its out slot instead of
+// unwinding.
 func runShard(j shardJob) {
-	if j.recoverable {
-		defer func() {
-			if r := recover(); r != nil {
-				q := supervise.Panicked(fmt.Sprintf("tracker/%d", j.i), r)
-				j.out.panic = &q
-				if j.done != nil {
-					j.done <- j.i
-				}
+	defer func() {
+		if r := recover(); r != nil {
+			q := supervise.Panicked(shardTarget(j.i), r)
+			j.out.panic = &q
+			if j.done != nil {
+				j.done <- j.i
 			}
-		}()
-	}
+		}
+	}()
 	start := time.Now()
 	if j.hook != nil {
-		(*j.hook)(j.i, j.slide, j.attempt)
+		(*j.hook)(j.i, j.q)
 	}
 	gapStart, delta := j.tr.slide(j.in, j.q)
 	end := time.Now()
@@ -266,6 +253,7 @@ func NewSharded(params Params, window stream.WindowSpec, shards int) *Sharded {
 		completed: make([]bool, shards),
 		skip:      make([]bool, shards),
 		heads:     make([]int, shards),
+		down:      make([]uint8, shards),
 	}
 	for i := range s.shards {
 		s.shards[i] = s.newShard()
@@ -365,8 +353,8 @@ func (s *Sharded) Slide(b stream.Batch) SlideResult {
 	return s.take()
 }
 
-// Start begins the slide over b: it routes and journals the batch and
-// hands every shard to the worker pool, then returns while they run.
+// Start begins the slide over b: it routes the batch and hands every
+// shard to the worker pool, then returns while they run.
 // Finish collects the slide. Starting a slide while another is in
 // flight finishes that one first; its result is lost.
 func (s *Sharded) Start(b stream.Batch) {
@@ -396,24 +384,15 @@ func (s *Sharded) take() SlideResult {
 }
 
 // start is the first step of a slide: finish the one in flight, route
-// and journal the batch, and dispatch the shards — all of them to the
-// pool when pooled or under the watchdog, else shard 0 runs here.
-// Callers hold mu.
+// the batch, and dispatch the shards — all of them to the pool when
+// pooled or under the watchdog, else shard 0 runs here. Callers hold
+// mu.
 func (s *Sharded) start(b stream.Batch, pooled bool) {
 	s.finish()
 	n := len(s.shards)
-	s.slideSeq++
-	watchdog := s.heal != nil && s.timeout > 0
+	watchdog := s.timeout > 0
 	s.route(b)
-	var hook *func(shard, slide, attempt int)
-	if s.heal != nil {
-		hook = s.faultHook.Load()
-		// Journal every shard — quarantined ones too, so repair replays
-		// the fixes their live run is dropping.
-		for i := range s.shards {
-			s.journalAppend(i, b.Query)
-		}
-	}
+	hook := s.faultHook.Load()
 	if s.abandoned {
 		s.outs, s.done, s.abandoned = make([]shardOut, n), make(chan int, n), false
 	}
@@ -442,13 +421,12 @@ func (s *Sharded) start(b stream.Batch, pooled bool) {
 			s.shardDone(i)
 		}
 	}
-	s.flight = flight{on: true, query: b.Query, pooled: inFlight, watchdog: watchdog, hook: hook}
+	s.flight = flight{on: true, query: b.Query, pooled: inFlight, watchdog: watchdog}
 }
 
 // finish is the second step of the slide in flight, if any: collect the
-// pooled shards, quarantine stragglers, re-run panicked shards from the
-// journal, merge, and re-base the journals that are due. The result is
-// kept for take. Callers hold mu.
+// pooled shards, quarantine stragglers and panicked shards, and merge.
+// The result is kept for take. Callers hold mu.
 func (s *Sharded) finish() {
 	f := s.flight
 	if !f.on {
@@ -457,6 +435,7 @@ func (s *Sharded) finish() {
 	s.flight = flight{}
 	s.collect(f.pooled, f.watchdog)
 	var doneAt time.Time
+	s.faults, s.faultFixes = nil, 0
 
 	// Stragglers: quarantine them and replace their pool workers, which
 	// are stuck inside runShard on the now-abandoned shard.
@@ -464,30 +443,16 @@ func (s *Sharded) finish() {
 		if !s.skip[i] && !s.completed[i] {
 			doneAt = time.Now()
 			s.stalls.Add(1)
-			s.quarantineShard(i, supervise.Stalled(fmt.Sprintf("tracker/%d", i)))
+			s.quarantineShard(i, supervise.Stalled(shardTarget(i)))
 			s.pool.addWorker()
 			s.abandoned = true
 		}
 	}
-	// Panicked shards (self-heal only: without it the panic was not
-	// recovered): rebuild from the journal and re-run this slide. The
-	// re-run's output is exactly what a panic-free slide would have
-	// produced, so the merge stays bit-identical. A second panic
-	// quarantines the shard instead.
 	for i := range s.shards {
-		if s.skip[i] || s.outs[i].panic == nil {
-			continue
-		}
-		s.panics.Add(1)
-		tr, out, qr := s.replayShard(i, f.hook, true)
-		if qr != nil {
+		if !s.skip[i] && s.outs[i].panic != nil {
 			s.panics.Add(1)
-			s.quarantineShard(i, *qr)
-			continue
+			s.quarantineShard(i, *s.outs[i].panic)
 		}
-		s.shards[i] = tr
-		s.outs[i] = out
-		s.retries.Add(1)
 	}
 
 	mergeStart := time.Now()
@@ -507,19 +472,13 @@ func (s *Sharded) finish() {
 			doneAt = s.outs[i].end
 		}
 	}
-	if s.heal != nil {
-		s.rebaseDue()
-	}
-	s.result = SlideResult{Query: f.query, Fresh: fresh, Delta: delta}
+	s.result = SlideResult{Query: f.query, Fresh: fresh, Delta: delta, Faults: s.faults, LostFixes: s.faultFixes}
 	s.resultAt = doneAt
 }
 
 // job builds shard i's slide job.
-func (s *Sharded) job(i int, q time.Time, hook *func(shard, slide, attempt int), done chan<- int) shardJob {
-	return shardJob{
-		tr: s.shards[i], in: s.in[i], q: q, out: &s.outs[i], done: done, i: i,
-		hook: hook, slide: s.slideSeq, recoverable: s.heal != nil,
-	}
+func (s *Sharded) job(i int, q time.Time, hook *func(shard int, q time.Time), done chan<- int) shardJob {
+	return shardJob{tr: s.shards[i], in: s.in[i], q: q, out: &s.outs[i], done: done, i: i, hook: hook}
 }
 
 // shardDone marks shard i's result as arrived.
@@ -684,10 +643,8 @@ func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
 
 // outOfService reports whether a shard is quarantined or failed. Such a
 // shard may still be mutated by a wedged goroutine, so every read path
-// must skip it until a repair swaps in a rebuilt one.
-func (s *Sharded) outOfService(i int) bool {
-	return s.heal != nil && (s.heal[i].quarantined || s.heal[i].failed)
-}
+// must skip it until a restore swaps in a fresh one.
+func (s *Sharded) outOfService(i int) bool { return s.down[i] != shardUp }
 
 // settle finishes the slide in flight, if any, and returns with mu
 // held: every read of the tier's state goes through it.
@@ -698,7 +655,7 @@ func (s *Sharded) settle() {
 
 // Stats returns the merged counter snapshot across all shards.
 // Quarantined shards are excluded (they are unsafe to read); their
-// counters reappear once a repair rebuilds them from the journal.
+// counters reappear once a restore rebuilds them.
 func (s *Sharded) Stats() Stats {
 	s.settle()
 	defer s.mu.Unlock()
@@ -860,19 +817,16 @@ func (s *Sharded) RegisterMetrics(r *obs.Registry) {
 		"Fixes of long-stopped vessels skipped under overload degradation.",
 		nil, func() float64 { return float64(s.shedCnt.Load()) })
 	r.CounterFunc("maritime_tracker_shard_panics_total",
-		"Shard-worker panics recovered by the self-healing tier.",
+		"Shard-worker panics recovered and turned into quarantines.",
 		nil, func() float64 { return float64(s.panics.Load()) })
 	r.CounterFunc("maritime_tracker_shard_stalls_total",
 		"Shards quarantined by the per-slide stall watchdog.",
 		nil, func() float64 { return float64(s.stalls.Load()) })
-	r.CounterFunc("maritime_tracker_shard_repairs_total",
-		"Shard recoveries: in-slide journal re-runs plus quarantine repairs.",
-		nil, func() float64 { return float64(s.retries.Load() + s.repairs.Load()) })
 	r.GaugeFunc("maritime_tracker_shards_quarantined",
-		"Shards currently quarantined and awaiting repair.",
+		"Shards currently quarantined, out of service until a checkpoint restore.",
 		nil, func() float64 { return float64(s.quarCount.Load()) })
 	r.CounterFunc("maritime_tracker_shard_dropped_fixes_total",
-		"Fixes dropped because their shard was out of service.",
+		"Fixes routed to a shard already out of service.",
 		nil, func() float64 { return float64(s.dropped.Load()) })
 	s.metrics = m
 }

@@ -62,7 +62,8 @@ func comparePoints(t *testing.T, slide int, kind string, serial, sharded []Criti
 
 // TestShardedEquivalence is the golden test of the tracking tier's one
 // slide path, driven through every way it can run — 1, 2, 4 and 7
-// shards; self-heal off, on, and on under the watchdog — against the
+// shards; plain, through the no-op EnableSelfHeal kept for old callers,
+// and under the watchdog — against the
 // single-shard reference: byte-identical fresh and delta streams on
 // every slide, equal counters (per event type too) and equal final
 // state. It also pins where the shards ran: the pool starts for more

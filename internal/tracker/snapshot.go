@@ -162,8 +162,8 @@ func restoreVessel(vs VesselSnapshot) *vesselState {
 }
 
 // Snapshot captures the tier's complete state, after finishing the
-// slide in flight. Quarantined shards are excluded: callers that need a
-// complete snapshot must repair them first (core.Snapshot refuses with
+// slide in flight. Down shards are excluded: callers that need a
+// complete snapshot must restore first (core.Snapshot refuses with
 // ErrWedged until then).
 func (s *Sharded) Snapshot() Snapshot {
 	s.settle()
@@ -201,16 +201,15 @@ func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
 	defer s.mu.Unlock()
 	s.take()
 	n := len(s.shards)
-	// Quarantined shards' trackers may still be touched by a wedged
-	// goroutine: replace them outright rather than mutating them, which
-	// also re-admits every shard (a restore supersedes any pending
-	// repair).
-	if s.heal != nil {
-		s.resetHeal()
-	}
+	// Down shards may still be touched by a wedged goroutine: replace
+	// them outright rather than mutating them, which also re-admits every
+	// shard. Every shard forgets the last query it saw: the slides after
+	// the snapshot's are new to it, not late.
+	s.readmit()
 	for _, sh := range s.shards {
 		sh.vessels = make(map[uint32]*vesselState)
 		sh.stats = Stats{ByType: make(map[EventType]int)}
+		sh.lastQueryNS, sh.haveLastQ = 0, false
 	}
 	for _, vs := range snap.Vessels {
 		sh := s.shards[ShardOf(vs.MMSI, n)]
@@ -229,13 +228,6 @@ func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
 	s0.stats.Shed = snap.Stats.Shed
 	for k, v := range snap.Stats.ByType {
 		s0.stats.ByType[k] = v
-	}
-	// Repair journals must describe the restored state, not the one it
-	// replaced.
-	if s.heal != nil {
-		for i := range s.heal {
-			s.rebase(i)
-		}
 	}
 	return nil
 }

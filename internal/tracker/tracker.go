@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/stream"
+	"repro/internal/supervise"
 )
 
 // shard is one partition of the tracking tier: the per-vessel motion
@@ -51,13 +52,10 @@ type shard struct {
 	haveLastQ   bool
 
 	// shedding is the tier's overload-shedding switch as of the current
-	// slide (see Sharded.SetShedStationary); journaled with the slide so
-	// a replay sheds what the live run shed.
+	// slide (see Sharded.SetShedStationary).
 	shedding bool
 
-	// Tier-shared accounting, wired by the tier (nil while a journal
-	// replay rebuilds a shard, so the replay does not double-count).
-	// Atomics because core.Health and metric scrapes read them from other
+	// Tier-shared accounting, wired by the tier. Atomics because core.Health and metric scrapes read them from other
 	// goroutines mid-slide.
 	lateAcc  *atomic.Int64
 	lateDrop *atomic.Int64
@@ -107,8 +105,7 @@ type vesselState struct {
 	synopsis stream.TimeBuffer[CriticalPoint]
 }
 
-// vesselCore is the pointer-free part of a vessel's state, which a
-// self-heal re-base copies whole (see shardBase).
+// vesselCore is the pointer-free part of a vessel's state.
 type vesselCore struct {
 	mmsi     uint32
 	haveLast bool
@@ -167,6 +164,11 @@ type SlideResult struct {
 	// window at this query time and move to the staging area for offline
 	// trajectory reconstruction (paper §3.2).
 	Delta []CriticalPoint
+	// Faults holds the quarantine records of the shards this slide took
+	// out of service, and LostFixes their fixes of this slide, which
+	// Fresh and Delta lack. Both are empty on a healthy slide.
+	Faults    []supervise.Quarantine
+	LostFixes int
 }
 
 // slide advances the shard through one slide: it ingests the fixes
