@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-quick check-allocs experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-quick check-allocs check-run-patterns experiments examples
 
 all: fmt-check build vet test
 
@@ -38,13 +38,14 @@ test-recovery:
 	go test -race -v -run 'TestKillRestore|TestGatewayExactlyOnce|TestReplayGap|TestSigterm' ./internal/checkpoint/
 	go test -race -v -run 'TestStore' ./internal/durable/
 
-# Panic/stall-injection supervision suite: shard kills, recognizer and
-# store panics, watchdog stalls, supervisor restore-then-replay, and the
-# overload degradation ladder — golden-run equivalence under the race
-# detector.
+# Panic/stall-injection suite: shard kills, recognizer and store panics,
+# watchdog stalls, each recovered by a rewind to the newest checkpoint
+# and a replay, a second fault during the replay fenced, the paced-shape
+# fault schedule, and the overload degradation ladder — golden-run
+# equivalence under the race detector.
 test-chaos:
-	go test -race -v -run 'TestChaos|TestSelfHeal|TestHealErrors|TestDegradation|TestSupervisor|TestDelayedStream' \
-		./internal/faults/ ./internal/core/ ./internal/tracker/ ./internal/supervise/
+	go test -race -v -run 'TestChaos|TestSelfHeal|TestFaultDuringReplay|TestFaultSchedule|TestDegradation|TestDelayedStream' \
+		./internal/faults/ ./internal/core/ ./internal/tracker/ ./internal/checkpoint/
 
 # Distributed-cluster equivalence suite: byte-identical output across
 # 1-process / cluster(1) / cluster(3), kill-one-worker exactly-once
@@ -111,16 +112,21 @@ bench-quick:
 	go run ./cmd/bench -quick
 
 # Allocation-regression guard: the steady-state slide budget
-# (testing.AllocsPerRun gate in the tracker, self-heal re-bases
-# included, and a warm tracker re-base at zero), the zero-allocation
-# zero-copy scanners, the warm ingest stage's recycled slide arrays, the
-# recognition query step over a warm 6 h window, the pairwise screening
-# slide of a warm analytics tier and the store fork behind every
-# self-heal re-base (bytes independent of the points staged). Run
-# without -race: the race runtime inflates allocation counts and the
-# tests skip themselves under it.
+# (testing.AllocsPerRun gate in the tracker, plain, under the watchdog
+# and tracked ahead), the zero-allocation zero-copy scanners, the warm
+# ingest stage's recycled slide arrays, the recognition query step over
+# a warm 6 h window, the pairwise screening slide of a warm analytics
+# tier and the per-slide metrics observation. Run without -race: the
+# race runtime inflates allocation counts and the tests skip themselves
+# under it.
 check-allocs:
-	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs|TestForkAllocs|TestObserveAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/ ./internal/mod/ ./internal/core/
+	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs|TestObserveAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/ ./internal/core/
+
+# Every -run alternative in this Makefile and in CI must name at least
+# one test in the packages its command lists: `go test -run` passes
+# silently when a pattern matches nothing.
+check-run-patterns:
+	scripts/check-run-patterns.sh
 
 # Full row sets at the default scale (N=1000); see -list for ids.
 experiments:

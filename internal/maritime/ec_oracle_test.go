@@ -378,8 +378,8 @@ func sameRecognizer(t *testing.T, what string, got, want *Recognizer) {
 // working memory from scratch (RestoreSnapshot's rescan), in both
 // spatial modes, crisp and probabilistic; in mid-stream the recognizer is
 // replaced by one restored from its snapshot, and later by one restored
-// from an older snapshot that replays the slides since — core's
-// self-heal — which must also equal the live one.
+// from an older snapshot that replays the slides since — core's rewind
+// after a fault — which must also equal the live one.
 func TestRecognizerIncrementalMatchesFromScratch(t *testing.T) {
 	const window, slide = 90 * time.Minute, 10 * time.Minute
 	vessels, areas, spots := oracleWorld()

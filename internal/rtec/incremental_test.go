@@ -86,7 +86,7 @@ func sameState(t *testing.T, what string, got, want *Engine) {
 // fluent (instances clipped at every step), crisp and probabilistic, at
 // ω = β too. In mid-stream the engine is replaced twice: by one restored
 // from its snapshot, and by one restored from an older snapshot that
-// replays the slides since, as self-heal does.
+// replays the slides since, as a rewind after a fault does.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
