@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-quick check-allocs check-run-patterns experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode fuzz-scanner bench-quick check-allocs check-run-patterns experiments examples
 
 all: fmt-check build vet test
 
@@ -104,6 +104,13 @@ bench:
 bench-decode:
 	go test -run '^$$' -bench '^BenchmarkDecode$$' -benchmem -benchtime=1x ./internal/ais/
 
+# Fuzz the Data Scanner for 30 s: every mutated byte stream must decode
+# to the same fixes and the same drop counters on the zero-copy path as
+# on the string decoder in internal/ais/legacy_test.go. Plain `go test`
+# runs only the seed corpus.
+fuzz-scanner:
+	go test -run '^$$' -fuzz '^FuzzScanner$$' -fuzztime 30s ./internal/ais/
+
 # End-to-end benchmark smoke (cmd/bench, the BENCHMARK.json harness) on
 # a toy fleet, ~15 s: all four workloads against real cmd/serve
 # children, with the delivered-alerts correctness gate. Not a
@@ -122,9 +129,10 @@ bench-quick:
 check-allocs:
 	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs|TestObserveAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/ ./internal/core/
 
-# Every -run alternative in this Makefile and in CI must name at least
-# one test in the packages its command lists: `go test -run` passes
-# silently when a pattern matches nothing.
+# Every -run, -bench and -fuzz alternative in this Makefile and in CI
+# must name at least one test, benchmark or fuzz target in the packages
+# its command lists: `go test` passes silently when a pattern matches
+# nothing.
 check-run-patterns:
 	scripts/check-run-patterns.sh
 

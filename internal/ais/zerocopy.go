@@ -62,139 +62,187 @@ var hexTable = func() (t [256]byte) {
 	return
 }()
 
-// payloadUint extracts an unsigned MSB-first bit field [start,
-// start+width) from an armored payload, without dearmoring it into a
-// buffer: the six-bit groups covering the field (at most six, for the
-// 30-bit MMSI) are gathered into one word, shifted and masked. The
-// payload must already be validated (all characters in the alphabet,
-// field within the bit length).
-func payloadUint(payload []byte, start, width int) uint64 {
-	end := start + width
-	last := (end - 1) / 6
-	var v uint64
-	for _, c := range payload[start/6 : last+1] {
-		v = v<<6 | uint64(dearmorTable[c])
-	}
-	return v >> uint((last+1)*6-end) & (1<<uint(width) - 1)
+// armorBits is the first 120 bits of a validated payload — its first
+// twenty characters, which hold every field a fix needs — as two 60-bit
+// words, MSB first, dearmored without a buffer.
+type armorBits struct{ hi, lo uint64 }
+
+func newArmorBits(payload []byte) armorBits {
+	return armorBits{armorWord(payload[:10]), armorWord(payload[10:20])}
 }
 
-// payloadInt extracts a signed two's-complement field.
-func payloadInt(payload []byte, start, width int) int64 {
-	v := payloadUint(payload, start, width)
+// armorWord packs ten armored characters into the low 60 bits.
+func armorWord(p []byte) uint64 {
+	_ = p[9]
+	t := &dearmorTable
+	return uint64(t[p[0]])<<54 | uint64(t[p[1]])<<48 | uint64(t[p[2]])<<42 |
+		uint64(t[p[3]])<<36 | uint64(t[p[4]])<<30 | uint64(t[p[5]])<<24 |
+		uint64(t[p[6]])<<18 | uint64(t[p[7]])<<12 | uint64(t[p[8]])<<6 | uint64(t[p[9]])
+}
+
+// uint extracts the unsigned field [start, start+width), width <= 60.
+func (a armorBits) uint(start, width int) uint64 {
+	end := start + width
+	var v uint64
+	switch {
+	case end <= 60:
+		v = a.hi >> uint(60-end)
+	case start >= 60:
+		v = a.lo >> uint(120-end)
+	default:
+		v = a.hi<<uint(end-60) | a.lo>>uint(120-end)
+	}
+	return v & (1<<uint(width) - 1)
+}
+
+// int extracts a signed two's-complement field.
+func (a armorBits) int(start, width int) int64 {
+	v := a.uint(start, width)
 	if v&(1<<uint(width-1)) != 0 {
 		v |= ^uint64(0) << uint(width)
 	}
 	return int64(v)
 }
 
+// asciiSpace marks the bytes bytes.TrimSpace trims from an ASCII line.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // consumeBytes handles one non-empty, whitespace-trimmed line on the
-// zero-copy path.
+// zero-copy path. The NMEA timestamp is parsed inline when it has the
+// shape every feed writes — up to 18 digits, then ASCII spaces — and by
+// strconv otherwise (a sign, 19 or more digits, other whitespace),
+// which settles it exactly as the string decoder does.
 func (s *Scanner) consumeBytes(line []byte) (Fix, bool) {
-	if i := bytes.IndexByte(line, '!'); i >= 0 {
-		return s.consumeNMEABytes(line[:i], line[i:])
+	bang := bytes.IndexByte(line, '!')
+	if bang < 0 {
+		return s.consumeCSVBytes(line)
 	}
-	return s.consumeCSVBytes(line)
+	var ts int64
+	i := 0
+	for ; i < bang && line[i]-'0' < 10; i++ {
+		ts = ts*10 + int64(line[i]-'0')
+	}
+	j := i
+	for j < bang && asciiSpace[line[j]] {
+		j++
+	}
+	if i == 0 || i > 18 || j < bang {
+		var err error
+		if ts, err = strconv.ParseInt(unsafeString(bytes.TrimSpace(line[:bang])), 10, 64); err != nil {
+			s.stats.Malformed++
+			return Fix{}, false
+		}
+	}
+	return s.consumeNMEABytes(ts, line[bang:])
 }
 
-// consumeNMEABytes parses "<ts> !AIVDM..." lines without allocating.
-// The validation sequence replicates ParseSentence + Assembler.Push +
-// decodeArmored + decodePositionReport step for step.
-func (s *Scanner) consumeNMEABytes(prefix, sentence []byte) (Fix, bool) {
-	ts, err := strconv.ParseInt(unsafeString(bytes.TrimSpace(prefix)), 10, 64)
-	if err != nil {
-		s.stats.Malformed++
-		return Fix{}, false
+// fieldInt parses a sentence field as strconv.Atoi does: inline for the
+// single digit every AIVDM count, number and fill field carries, by
+// strconv for any other shape.
+func fieldInt(b []byte) (int, bool) {
+	if len(b) == 1 && b[0]-'0' < 10 {
+		return int(b[0] - '0'), true
+	}
+	n, err := strconv.Atoi(unsafeString(b))
+	return n, err == nil
+}
+
+// consumeNMEABytes decodes one "!AIVDM..." sentence stamped ts, without
+// allocating. The validation sequence replicates ParseSentence +
+// Assembler.Push + decodeArmored + decodePositionReport step for step.
+func (s *Scanner) consumeNMEABytes(ts int64, sentence []byte) (Fix, bool) {
+	// One forward pass over the sentence (sentence[0] == '!' is
+	// guaranteed by the caller, which also trimmed trailing CR/LF). It
+	// XORs the checksum, records the first six comma offsets and notes
+	// whether the sixth field, the payload, holds a byte outside the
+	// armor alphabet. At each '*' it snapshots the sum and the comma
+	// count: the last '*' — the one ParseSentence's LastIndexByte finds —
+	// ends the body, and every earlier one is part of it.
+	var (
+		sum, bodySum byte
+		star         = -1
+		commas       [6]int
+		nc, bodyNC   int
+		badArmor     bool
+	)
+	for k := 1; k < len(sentence); k++ {
+		c := sentence[k]
+		sum ^= c
+		switch {
+		case c == ',':
+			if nc < len(commas) {
+				commas[nc] = k
+			}
+			nc++
+			if nc == 5 {
+				// The payload: its armor characters in a tight loop, the
+				// first byte outside the alphabet back to the cases here.
+				for k+1 < len(sentence) && dearmorTable[sentence[k+1]] != 0xFF {
+					k++
+					sum ^= sentence[k]
+				}
+			}
+		case c == '*':
+			star, bodySum, bodyNC = k, sum^c, nc
+			badArmor = badArmor || nc == 5
+		case nc == 5:
+			badArmor = true // a payload byte the tight loop stopped at
+		}
 	}
 
-	// ParseSentence structure checks. sentence[0] == '!' is guaranteed
-	// by the IndexByte split; the caller already trimmed trailing CR/LF.
-	star := bytes.LastIndexByte(sentence, '*')
+	// ParseSentence structure checks.
 	if star < 0 || star+3 > len(sentence) {
 		s.stats.Malformed++ // missing checksum
 		return Fix{}, false
 	}
-	body := sentence[1:star]
 	hi, lo := hexTable[sentence[star+1]], hexTable[sentence[star+2]]
 	if hi == 0xFF || lo == 0xFF {
 		s.stats.Malformed++ // unparsable checksum
 		return Fix{}, false
 	}
-	var sum byte
-	for _, c := range body {
-		sum ^= c
-	}
-	if sum != hi<<4|lo {
+	if bodySum != hi<<4|lo {
 		s.stats.BadChecksum++
 		return Fix{}, false
 	}
-
-	// Split the body into its 7 comma-separated fields in place.
-	var fields [7][]byte
-	nf := 0
-	rest := body
-	for {
-		j := bytes.IndexByte(rest, ',')
-		if j < 0 {
-			break
-		}
-		if nf == 7 {
-			s.stats.Malformed++ // 8+ fields
-			return Fix{}, false
-		}
-		fields[nf] = rest[:j]
-		nf++
-		rest = rest[j+1:]
-	}
-	if nf != 6 {
+	if bodyNC != 6 {
 		s.stats.Malformed++ // field count != 7
 		return Fix{}, false
 	}
-	fields[6] = rest
 
-	talker := fields[0]
-	if !bytes.Equal(talker, []byte("AIVDM")) && !bytes.Equal(talker, []byte("AIVDO")) {
+	talker := sentence[1:commas[0]]
+	if string(talker) != "AIVDM" && string(talker) != "AIVDO" {
 		s.stats.Unsupported++ // ErrNotAIVDM
 		return Fix{}, false
 	}
-	fragCount, err := strconv.Atoi(unsafeString(fields[1]))
-	if err != nil || fragCount < 1 {
+	fragCount, ok := fieldInt(sentence[commas[0]+1 : commas[1]])
+	if !ok || fragCount < 1 {
 		s.stats.Malformed++
 		return Fix{}, false
 	}
-	fragNum, err := strconv.Atoi(unsafeString(fields[2]))
-	if err != nil || fragNum < 1 || fragNum > fragCount {
+	fragNum, ok := fieldInt(sentence[commas[1]+1 : commas[2]])
+	if !ok || fragNum < 1 || fragNum > fragCount {
 		s.stats.Malformed++
 		return Fix{}, false
 	}
-	fill, err := strconv.Atoi(unsafeString(fields[6]))
-	if err != nil || fill < 0 || fill > 5 {
+	fill, ok := fieldInt(sentence[commas[5]+1 : star])
+	if !ok || fill < 0 || fill > 5 {
 		s.stats.Malformed++
 		return Fix{}, false
 	}
 
-	payload := fields[5]
+	payload := sentence[commas[4]+1 : commas[5]]
 	if fragCount > 1 {
 		// Multi-sentence group: rare, and the assembler must retain the
 		// payload beyond this line's buffer — take the legacy path.
-		return s.pushLegacy(ts, Sentence{
-			Talker:        string(talker),
-			FragmentCount: fragCount,
-			FragmentNum:   fragNum,
-			MessageID:     string(fields[3]),
-			Channel:       string(fields[4]),
-			Payload:       string(payload),
-			FillBits:      fill,
-		})
+		return s.pushLegacy(ts, sentenceOf(sentence, &commas, fragCount, fragNum, fill))
 	}
 
-	// decodeArmored: validate every payload character (dearmor rejects
-	// the whole payload on any bad character) and establish the bit
-	// length.
-	for _, c := range payload {
-		if dearmorTable[c] == 0xFF {
-			s.stats.Malformed++ // invalid payload character
-			return Fix{}, false
-		}
+	// decodeArmored: every payload character must be in the alphabet
+	// (dearmor rejects the whole payload on any bad one, which the pass
+	// above noted), then establish the bit length.
+	if badArmor {
+		s.stats.Malformed++ // invalid payload character
+		return Fix{}, false
 	}
 	bitLen := len(payload) * 6
 	if fill > bitLen {
@@ -211,24 +259,15 @@ func (s *Scanner) consumeNMEABytes(prefix, sentence []byte) (Fix, bool) {
 	switch msgType {
 	case TypeStaticVoyage:
 		// Voyage report: decoded off the hot path (ship name, ETA, …).
-		return s.pushLegacy(ts, Sentence{
-			Talker:        string(talker),
-			FragmentCount: fragCount,
-			FragmentNum:   fragNum,
-			MessageID:     string(fields[3]),
-			Channel:       string(fields[4]),
-			Payload:       string(payload),
-			FillBits:      fill,
-		})
+		return s.pushLegacy(ts, sentenceOf(sentence, &commas, fragCount, fragNum, fill))
 	case TypePositionA, TypePositionAAssigned, TypePositionAResponse:
 		if bitLen < lenPositionA {
 			s.stats.Malformed++ // ErrTruncated
 			return Fix{}, false
 		}
-		return s.finishFix(ts,
-			uint32(payloadUint(payload, 8, 30)),
-			float64(payloadInt(payload, 61, 28))/600000,
-			float64(payloadInt(payload, 89, 27))/600000)
+		a := newArmorBits(payload)
+		return s.finishFix(ts, uint32(a.uint(8, 30)),
+			float64(a.int(61, 28))/600000, float64(a.int(89, 27))/600000)
 	case TypePositionB, TypePositionBExtended:
 		need := lenPositionB
 		if msgType == TypePositionBExtended {
@@ -238,13 +277,26 @@ func (s *Scanner) consumeNMEABytes(prefix, sentence []byte) (Fix, bool) {
 			s.stats.Malformed++ // ErrTruncated
 			return Fix{}, false
 		}
-		return s.finishFix(ts,
-			uint32(payloadUint(payload, 8, 30)),
-			float64(payloadInt(payload, 57, 28))/600000,
-			float64(payloadInt(payload, 85, 27))/600000)
+		a := newArmorBits(payload)
+		return s.finishFix(ts, uint32(a.uint(8, 30)),
+			float64(a.int(57, 28))/600000, float64(a.int(85, 27))/600000)
 	default:
 		s.stats.Unsupported++ // ErrUnsupportedType
 		return Fix{}, false
+	}
+}
+
+// sentenceOf copies the fields of a sentence the single pass validated
+// out of the line buffer, for the allocating path.
+func sentenceOf(sentence []byte, commas *[6]int, fragCount, fragNum, fill int) Sentence {
+	return Sentence{
+		Talker:        string(sentence[1:commas[0]]),
+		FragmentCount: fragCount,
+		FragmentNum:   fragNum,
+		MessageID:     string(sentence[commas[2]+1 : commas[3]]),
+		Channel:       string(sentence[commas[3]+1 : commas[4]]),
+		Payload:       string(sentence[commas[4]+1 : commas[5]]),
+		FillBits:      fill,
 	}
 }
 

@@ -70,6 +70,66 @@ func differentialCorpus(t testing.TB) string {
 		t.Fatal(err)
 	}
 	add("1243814400 " + lines[0])
+
+	// The edges of the single-pass decode: each line must land where the
+	// string decoder puts it.
+	const payload = "15RTgt0PAso;90TKcjM8h6g208CQ"
+	valid := sum("AIVDM,1,1,,A," + payload + ",0")
+	lowerHex := valid[:len(valid)-2] + strings.ToLower(valid[len(valid)-2:])
+	if lowerHex == valid {
+		t.Fatalf("checksum of %s has no hex letter to lowercase", valid)
+	}
+	add("1243814400 " + sum("AIVDM,1,1,,A,15RTgt0PA*so;90TKcjM8h6g208CQ,0")) // '*' in the payload
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+"*,0"))                  // '*' ending the payload
+	add("1243814400 " + sum("AIVDM,1,1,,A*,"+payload+",0"))                  // '*' in the channel
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",0*"))                  // '*' ending the last field
+	add("1243814400 " + valid + "xyz")                                       // bytes after the checksum
+	add("1243814400 " + valid + ",1,2")                                      // commas after the checksum
+	add("1243814400 " + valid + "*00")                                       // a second checksum
+	add("1243814400 " + lowerHex)                                            // lowercase hex checksum
+	add("1243814400 " + valid[:len(valid)-2] + "4G")                         // non-hex checksum digit
+	add("+1243814400 " + valid)                                              // sign
+	add("-1 " + valid)                                                       // negative timestamp
+	add("0001243814400 " + valid)                                            // leading zeros
+	add("999999999999999999 " + valid)                                       // 18 digits, inline
+	add("0000000001243814400 " + valid)                                      // 19 digits, in range
+	add("9999999999999999999 " + valid)                                      // 19 digits, overflow
+	add("12438144001243814400 " + valid)                                     // 20 digits, overflow
+	add("1243814400\t" + valid)                                              // tab before '!'
+	add("1243814400  " + valid)                                              // two spaces before '!'
+	add("1243814400\u00a0" + valid)                                          // non-ASCII space before '!'
+	add("1243814400\u00e9 " + valid)                                         // non-space, non-ASCII byte before '!'
+	add("1243 814400 " + valid)                                              // space inside the timestamp
+	add(valid)                                                               // no timestamp
+	add("1243814400 " + sum("AIVDO,1,1,,A,"+payload+",0"))                   // own-vessel talker
+	add("1243814400 " + sum("AIVDMX,1,1,,A,"+payload+",0"))                  // talker too long
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",6"))                   // fill 6
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",05"))                  // fill with a leading zero
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+","))                    // empty fill
+	add("1243814400 " + sum("AIVDM,01,1,,A,"+payload+",0"))                  // fragment count 01
+	add("1243814400 " + sum("AIVDM,1,01,,A,"+payload+",0"))                  // fragment number 01
+	add("1243814400 " + sum("AIVDM,+1,1,,A,"+payload+",0"))                  // signed fragment count
+	add("1243814400 " + sum("AIVDM,1,10,,A,"+payload+",0"))                  // fragment 10 of 1
+	add("1243814400 " + sum("AIVDM,10,1,4,A,"+payload+",0"))                 // fragment 1 of 10
+	add("1243814400 " + sum("AIVDM,1,1,,A,,0"))                              // empty payload
+	add("1243814400 " + lines[0] + "\r")                                     // CRLF line ending
+	add("1243814400 " + valid + "\r")                                        // CRLF line ending
+	for i, typ := range []int{TypePositionB, TypePositionBExtended, TypePositionAAssigned, TypePositionAResponse} {
+		r := &PositionReport{Type: typ, MMSI: uint32(237200000 + i), Lon: -9.5 - float64(i), Lat: -38.25 + float64(i)}
+		enc, err := EncodeSentences(r, "B", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("%d %s", 1243814400+i, enc[0]))
+		// The same report cut one character short of its bit length.
+		short := enc[0][:strings.LastIndexByte(enc[0], ',')]
+		add(fmt.Sprintf("%d %s", 1243814400+i, sum(short[1:len(short)-1]+",0")))
+	}
+	// A line past the read buffer's limit, between two valid fixes: one
+	// Malformed line, and the scan goes on.
+	add("237000001,23.5,37.5,1243814400")
+	add(strings.Repeat("9", maxLineBytes+1))
+	add("237000002,23.6,37.6,1243814460")
 	return sb.String()
 }
 

@@ -329,9 +329,7 @@ func (r *Run) Slides(ctx context.Context, l Loop) (Result, error) {
 				return res, err
 			}
 		}
-		for _, f := range b.Fixes {
-			r.cur.Note(f)
-		}
+		r.cur.NoteAll(b.Fixes)
 		res.Slides++
 		r.slides++
 		res.Last = b.Query

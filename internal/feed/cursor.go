@@ -36,6 +36,35 @@ func (c *Cursor) Note(f ais.Fix) {
 	}
 }
 
+// NoteAll advances the cursor past a batch of processed fixes, in the
+// order the pipeline consumed them, leaving it exactly as a Note per
+// fix would. Only the batch's newest second can survive in the cursor,
+// so it finds that second and counts the fixes at it alone.
+func (c *Cursor) NoteAll(fixes []ais.Fix) {
+	if len(fixes) == 0 {
+		return
+	}
+	top := fixes[0].Time.Unix()
+	for _, f := range fixes[1:] {
+		top = max(top, f.Time.Unix())
+	}
+	if top < c.Sec {
+		return
+	}
+	if top > c.Sec {
+		c.Sec = top
+		clear(c.SeenAtSec)
+	}
+	if c.SeenAtSec == nil {
+		c.SeenAtSec = make(map[uint32]int)
+	}
+	for _, f := range fixes {
+		if f.Time.Unix() == top {
+			c.SeenAtSec[f.MMSI]++
+		}
+	}
+}
+
 // Clone returns an independent copy.
 func (c Cursor) Clone() Cursor {
 	return Cursor{Sec: c.Sec, SeenAtSec: maps.Clone(c.SeenAtSec)}
@@ -59,9 +88,11 @@ func (c *ReconnectingClient) SeedCursor(cur Cursor) {
 	}
 	c.interrupted.Store(false)
 	c.curSec = cur.Sec
-	c.seenAtSec = maps.Clone(cur.SeenAtSec)
-	if c.seenAtSec == nil {
-		c.seenAtSec = make(map[uint32]int)
+	c.seenAtSec = c.seenAtSec[:0]
+	for mmsi, n := range cur.SeenAtSec {
+		for range n {
+			c.seenAtSec = append(c.seenAtSec, mmsi)
+		}
 	}
 }
 

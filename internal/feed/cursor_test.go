@@ -1,7 +1,11 @@
 package feed
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,6 +29,47 @@ func TestCursorNote(t *testing.T) {
 	c.Note(fixAt(3, t0.Add(time.Second)))
 	if c.Sec != t0.Unix()+1 || len(c.SeenAtSec) != 1 || c.SeenAtSec[3] != 1 {
 		t.Fatalf("cursor after advancing = %+v", c)
+	}
+}
+
+// TestCursorNoteAllMatchesNote holds the batch form to the per-fix
+// definition on random batches — seconds out of order, repeated
+// vessels, empty batches — from a zero cursor and from one restored out
+// of a checkpoint's encoding: both cursors must stay equal, down to a
+// nil versus an empty map.
+func TestCursorNoteAllMatchesNote(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var restored Cursor
+	for i := 0; i < 40; i++ {
+		restored.Note(fixAt(uint32(rng.Intn(4)), t0.Add(time.Duration(rng.Intn(3))*time.Second)))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(restored); err != nil {
+		t.Fatal(err)
+	}
+	restored = Cursor{}
+	if err := gob.NewDecoder(&buf).Decode(&restored); err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []Cursor{{}, restored, {Sec: t0.Unix() + 200}} {
+		batch, perFix := start.Clone(), start.Clone()
+		base := t0
+		for b := 0; b < 500; b++ {
+			fixes := make([]ais.Fix, rng.Intn(12)) // one in twelve empty
+			for i := range fixes {
+				// Mostly forward, now and then a second or two back.
+				at := base.Add(time.Duration(rng.Intn(5)-1) * time.Second)
+				fixes[i] = fixAt(uint32(rng.Intn(5)), at)
+			}
+			base = base.Add(time.Duration(rng.Intn(3)) * time.Second)
+			batch.NoteAll(fixes)
+			for _, f := range fixes {
+				perFix.Note(f)
+			}
+			if !reflect.DeepEqual(batch, perFix) {
+				t.Fatalf("from %+v, batch %d %v: NoteAll gives %#v, Note per fix %#v", start, b, fixes, batch, perFix)
+			}
+		}
 	}
 }
 

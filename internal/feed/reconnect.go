@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -116,11 +115,12 @@ type ReconnectingClient struct {
 	fix  ais.Fix
 	err  error
 
-	// Resume cursor: the newest fix second seen, how many fixes each
-	// vessel contributed at that second, and the dedupe budget armed at
-	// the last reconnect.
+	// Resume cursor: the newest fix second seen, the vessel of every
+	// fix seen at that second (one entry per fix, so a vessel's count
+	// is its multiplicity; the counts are built only at a reconnect),
+	// and the dedupe budget armed at the last reconnect.
 	curSec    int64
-	seenAtSec map[uint32]int
+	seenAtSec []uint32
 	skipAtSec map[uint32]int
 	resuming  bool
 
@@ -163,12 +163,11 @@ func NewReconnecting(dial func() (net.Conn, error), policy RetryPolicy) *Reconne
 		seed = 1
 	}
 	return &ReconnectingClient{
-		policy:    policy,
-		dial:      dial,
-		closeCh:   make(chan struct{}),
-		seenAtSec: make(map[uint32]int),
-		rng:       rand.New(rand.NewSource(seed)),
-		backoff:   policy.InitialBackoff,
+		policy:  policy,
+		dial:    dial,
+		closeCh: make(chan struct{}),
+		rng:     rand.New(rand.NewSource(seed)),
+		backoff: policy.InitialBackoff,
 	}
 }
 
@@ -265,7 +264,10 @@ func (c *ReconnectingClient) connect(reconnected bool) bool {
 			fmt.Fprintf(conn, "RESUME %d\n", cursor)
 			if c.curSec > 0 {
 				c.count(func(n *NetStats) { n.Resumes++ })
-				c.skipAtSec = maps.Clone(c.seenAtSec)
+				c.skipAtSec = make(map[uint32]int, len(c.seenAtSec))
+				for _, mmsi := range c.seenAtSec {
+					c.skipAtSec[mmsi]++
+				}
 				c.resuming = true
 				c.logf("reconnected, resuming after %d", cursor)
 			}
@@ -365,10 +367,10 @@ func (c *ReconnectingClient) noteSeen(f ais.Fix) {
 	u := f.Time.Unix()
 	if u > c.curSec {
 		c.curSec = u
-		clear(c.seenAtSec)
+		c.seenAtSec = c.seenAtSec[:0]
 	}
 	if u == c.curSec {
-		c.seenAtSec[f.MMSI]++
+		c.seenAtSec = append(c.seenAtSec, f.MMSI)
 	}
 }
 

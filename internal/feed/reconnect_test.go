@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ais"
+	"repro/internal/geo"
 )
 
 // testPolicy retries fast so failure paths do not slow the suite.
@@ -104,6 +106,86 @@ func TestReconnectingClientResumes(t *testing.T) {
 	// connection saw, including partial lines cut by the fault.
 	if s := c.Stats(); !s.Reconciles() {
 		t.Errorf("cumulative scanner stats do not reconcile: %+v", s)
+	}
+}
+
+// TestReconnectingClientResumesMidSecond cuts the connection inside a
+// second at which vessel 7 has three fixes and vessel 8 two, after the
+// client has taken two of 7's and one of 8's: the resume must discard
+// exactly those three and deliver the rest of the second once, in order.
+// A client seeded with a cursor over the same prefix must resume at
+// the same place.
+func TestReconnectingClientResumesMidSecond(t *testing.T) {
+	sec := t0.Add(time.Minute)
+	var fixes []ais.Fix
+	add := func(mmsi uint32, at time.Time) {
+		pos := geo.Point{Lon: 24 + float64(len(fixes))/100, Lat: 37}
+		fixes = append(fixes, ais.Fix{MMSI: mmsi, Pos: pos, Time: at})
+	}
+	add(7, t0)
+	add(8, t0)
+	for _, m := range []uint32{7, 8, 7, 7, 8} {
+		add(m, sec)
+	}
+	add(7, sec.Add(time.Second))
+	add(8, sec.Add(time.Second))
+	// The first connection carries the two fixes before sec, then 7, 8,
+	// 7, then part of the next line.
+	budget := 10
+	for _, f := range fixes[:5] {
+		lines, err := ais.EncodeSentences(&ais.PositionReport{Type: ais.TypePositionA, MMSI: f.MMSI,
+			Lon: f.Pos.Lon, Lat: f.Pos.Lat, UTCSecond: f.Time.Second()}, "A", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget += len(fmt.Sprintf("%d %s\n", f.Time.Unix(), lines[0]))
+	}
+
+	srv := &Server{Source: NewReplay(fixes), Logf: t.Logf, HandshakeWait: DefaultHandshakeWait}
+	_, addr, shutdown := startServerWith(t, srv)
+	defer shutdown()
+	read := func(c *ReconnectingClient) []ais.Fix {
+		defer c.Close()
+		var got []ais.Fix
+		for c.Scan() {
+			got = append(got, c.Fix())
+		}
+		if err := c.Err(); err != nil {
+			t.Fatalf("Err() = %v", err)
+		}
+		return got
+	}
+	want := read(dial(t, addr))
+	if len(want) != len(fixes) {
+		t.Fatalf("uninterrupted read delivered %d fixes, want %d", len(want), len(fixes))
+	}
+
+	dials := 0
+	c := NewReconnecting(func() (net.Conn, error) {
+		dials++
+		conn, err := net.Dial("tcp", addr)
+		if err == nil && dials == 1 {
+			return &limitConn{Conn: conn, budget: budget}, nil
+		}
+		return conn, err
+	}, testPolicy())
+	c.Logf = t.Logf
+	got := read(c)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed read delivered\n %v\nwant\n %v", got, want)
+	}
+	if ns := c.NetStats(); ns.Reconnects != 1 || ns.Resumes != 1 || ns.ResumeSkipped != 3 {
+		t.Errorf("NetStats = %+v, want 1 reconnect, 1 resume, 3 fixes skipped (7 twice, 8 once)", ns)
+	}
+
+	var cur Cursor
+	cur.NoteAll(want[:5])
+	seeded, err := DialReconnectingFrom(addr, testPolicy(), cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read(seeded); !reflect.DeepEqual(got, want[5:]) {
+		t.Fatalf("client seeded with %+v delivered\n %v\nwant\n %v", cur, got, want[5:])
 	}
 }
 
