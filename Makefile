@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode fuzz-scanner bench-quick check-allocs check-run-patterns experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker fuzz-scanner bench-quick check-allocs check-run-patterns experiments examples
 
 all: fmt-check build vet test
 
@@ -103,6 +103,13 @@ bench:
 # execute, not a measurement.
 bench-decode:
 	go test -run '^$$' -bench '^BenchmarkDecode$$' -benchmem -benchtime=1x ./internal/ais/
+
+# Tracking-tier micro-benchmark: the warm tier replaying 2 h of stream
+# at fleet sizes up to the paper's N = 6425, serial and at
+# DefaultShards(), one iteration each — a smoke run that proves the
+# benchmark still compiles and executes, not a measurement.
+bench-tracker:
+	go test -run '^$$' -bench '^BenchmarkSteadySlide$$' -benchmem -benchtime=1x ./internal/tracker/
 
 # Fuzz the Data Scanner for 30 s: every mutated byte stream must decode
 # to the same fixes and the same drop counters on the zero-copy path as

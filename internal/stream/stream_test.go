@@ -169,82 +169,6 @@ func TestSliceSourceReset(t *testing.T) {
 	}
 }
 
-func TestTimeBufferEviction(t *testing.T) {
-	var b TimeBuffer[int]
-	for i := 0; i < 10; i++ {
-		b.Append(t0.Add(time.Duration(i)*time.Minute), i)
-	}
-	if b.Len() != 10 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	evicted := b.EvictBefore(t0.Add(4 * time.Minute)) // drops minutes 0..4
-	if evicted != 5 {
-		t.Errorf("evicted %d, want 5", evicted)
-	}
-	if b.Len() != 5 {
-		t.Errorf("Len = %d, want 5", b.Len())
-	}
-	ts, v := b.At(0)
-	if v != 5 || !ts.Equal(t0.Add(5*time.Minute)) {
-		t.Errorf("At(0) = %v, %d", ts, v)
-	}
-	_, last, ok := b.Last()
-	if !ok || last != 9 {
-		t.Errorf("Last = %d, %v", last, ok)
-	}
-}
-
-func TestTimeBufferEvictAll(t *testing.T) {
-	var b TimeBuffer[string]
-	b.Append(t0, "a")
-	b.Append(t0.Add(time.Second), "b")
-	b.EvictBefore(t0.Add(time.Hour))
-	if b.Len() != 0 {
-		t.Errorf("Len = %d after full eviction", b.Len())
-	}
-	if _, _, ok := b.Last(); ok {
-		t.Error("Last ok on empty buffer")
-	}
-	// Buffer remains usable.
-	b.Append(t0.Add(2*time.Second), "c")
-	if b.Len() != 1 {
-		t.Errorf("Len = %d after reuse", b.Len())
-	}
-}
-
-func TestTimeBufferEach(t *testing.T) {
-	var b TimeBuffer[int]
-	for i := 0; i < 5; i++ {
-		b.Append(t0.Add(time.Duration(i)*time.Second), i)
-	}
-	b.EvictBefore(t0) // drops item 0
-	var got []int
-	b.Each(func(_ time.Time, v int) bool {
-		got = append(got, v)
-		return v < 3 // stop after 3
-	})
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Each visited %v", got)
-	}
-}
-
-func TestTimeBufferCompaction(t *testing.T) {
-	var b TimeBuffer[int]
-	const n = 20000
-	for i := 0; i < n; i++ {
-		b.Append(t0.Add(time.Duration(i)*time.Second), i)
-	}
-	// Evict 75% to trigger compaction.
-	b.EvictBefore(t0.Add(time.Duration(3*n/4) * time.Second))
-	if b.Len() != n/4-1 {
-		t.Errorf("Len = %d, want %d", b.Len(), n/4-1)
-	}
-	_, v := b.At(0)
-	if v != 3*n/4+1 {
-		t.Errorf("At(0) = %d, want %d", v, 3*n/4+1)
-	}
-}
-
 func TestDelayerDeterministicAndComplete(t *testing.T) {
 	fixes := make([]ais.Fix, 100)
 	for i := range fixes {

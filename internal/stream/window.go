@@ -1,9 +1,9 @@
 // Package stream provides the data-stream machinery of the surveillance
 // system: sliding-window specifications with range ω and slide β
 // (paper §2), batching of a timestamped positional stream into slide
-// intervals, replay at inflated arrival rates for stress tests, generic
-// time-ordered buffers with eviction, and deterministic out-of-order
-// delivery simulation for the delayed-message experiments.
+// intervals, replay at inflated arrival rates for stress tests, and
+// deterministic out-of-order delivery simulation for the
+// delayed-message experiments.
 package stream
 
 import (

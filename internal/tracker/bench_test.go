@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -9,13 +10,13 @@ import (
 	"repro/internal/stream"
 )
 
-// benchWorkload is the benchmark fleet: seed 42, 400 vessels, 2 h, 5 min
-// slides.
-func benchWorkload(b *testing.B) (batches []stream.Batch, fixes int) {
+// benchWorkload is a benchmark fleet: the given seed and fleet size, 35
+// areas, 2 h, 5 min slides.
+func benchWorkload(b *testing.B, seed int64, vessels int) (batches []stream.Batch, fixes int) {
 	b.Helper()
 	cfg := fleetsim.DefaultConfig()
-	cfg.Seed = 42
-	cfg.Vessels = 400
+	cfg.Seed = seed
+	cfg.Vessels = vessels
 	cfg.Duration = 2 * time.Hour
 	all := fleetsim.NewSimulator(cfg).Run()
 	batcher := stream.NewBatcher(stream.NewSliceSource(all), 5*time.Minute)
@@ -45,10 +46,10 @@ func benchSlide(b *testing.B, batches []stream.Batch, fixes, shards int) {
 	b.ReportMetric(float64(b.N*fixes)/b.Elapsed().Seconds(), "fixes/s")
 }
 
-// BenchmarkShardedSlide replays the workload through a cold tracking
-// tier at 1, 2 and 4 shards.
+// BenchmarkShardedSlide replays the 400-vessel seed-42 fleet through a
+// cold tracking tier at 1, 2 and 4 shards.
 func BenchmarkShardedSlide(b *testing.B) {
-	batches, fixes := benchWorkload(b)
+	batches, fixes := benchWorkload(b, 42, 400)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(strconv.Itoa(shards)+"shard", func(b *testing.B) { benchSlide(b, batches, fixes, shards) })
 	}
@@ -70,13 +71,36 @@ func shiftBatches(batches []stream.Batch, d time.Duration) {
 // deployment sits in: one warm tracking tier, vessels and window
 // populated, replaying the workload as consecutive stretches of stream
 // time. One op is one full 2 h replay (24 slides). Cold-start costs —
-// vessel-map growth, per-vessel state allocation, slice warm-up — are
+// slab growth, per-vessel state allocation, slice warm-up — are
 // excluded, which is exactly what distinguishes this row from
 // BenchmarkShardedSlide.
+//
+// The fleets run from the 400-vessel seed-42 one the earlier rows were
+// measured on to the paper's N = 6425 (seed 1, 35 areas, ω = 1 h,
+// β = 5 min), serial and at DefaultShards(): a 400-vessel tier's state
+// fits in cache, so only the larger fleets show what a fix costs when it
+// does not.
 func BenchmarkSteadySlide(b *testing.B) {
-	batches, fixes := benchWorkload(b)
+	for _, c := range []struct {
+		seed    int64
+		vessels int
+		shards  int
+	}{
+		{42, 400, 1},
+		{1, 400, 1},
+		{1, 1500, 1},
+		{1, 6425, 1},
+		{1, 6425, DefaultShards()},
+	} {
+		name := fmt.Sprintf("seed%d/N%d/%dshard", c.seed, c.vessels, c.shards)
+		b.Run(name, func(b *testing.B) { benchSteady(b, c.seed, c.vessels, c.shards) })
+	}
+}
+
+func benchSteady(b *testing.B, seed int64, vessels, shards int) {
+	batches, fixes := benchWorkload(b, seed, vessels)
 	span := 2 * time.Hour
-	tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, 1)
+	tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, shards)
 	defer tr.Close()
 	// Warm up: one full pass populates the fleet and fills the window.
 	for _, bt := range batches {

@@ -30,15 +30,15 @@ type VesselInfo struct {
 }
 
 // infoOf builds the public summary from live state.
-func infoOf(mmsi uint32, st *vesselState) VesselInfo {
+func infoOf(st *vesselState) VesselInfo {
 	info := VesselInfo{
-		MMSI:            mmsi,
+		MMSI:            st.mmsi,
 		OdometerM:       st.odometerM,
 		SinceDepartureM: st.departureM,
 		Stopped:         st.stopped,
 		Slow:            st.slow,
 		GapOpen:         st.gapOpen,
-		SynopsisLen:     st.synopsis.Len(),
+		SynopsisLen:     st.synopsis.len(),
 	}
 	if st.haveSeen {
 		info.LastSeen = nsTime(st.lastSeenNS)

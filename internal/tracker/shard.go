@@ -268,8 +268,7 @@ func (s *Sharded) newShard() *shard {
 	return &shard{
 		params:   s.params,
 		window:   s.window,
-		vessels:  make(map[uint32]*vesselState),
-		stats:    Stats{ByType: make(map[EventType]int)},
+		index:    make(map[uint32]int32),
 		indexing: len(s.shards) > 1,
 	}
 }
@@ -628,7 +627,7 @@ func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
 			if s.skip[i] || h >= len(s.outs[i].delta) {
 				continue
 			}
-			if best == -1 || compareDelta(s.outs[i].delta[h], s.outs[best].delta[s.heads[best]]) < 0 {
+			if best == -1 || compareDelta(&s.outs[i].delta[h], &s.outs[best].delta[s.heads[best]]) < 0 {
 				best = i
 			}
 		}
@@ -662,7 +661,10 @@ func (s *Sharded) Stats() Stats {
 	return s.stats()
 }
 
+// stats merges the shards' counters, building ByType from their
+// per-type arrays with an entry for every type emitted at least once.
 func (s *Sharded) stats() Stats {
+	var byType [numEventTypes]int
 	out := Stats{ByType: make(map[EventType]int)}
 	for i, sh := range s.shards {
 		if s.outOfService(i) {
@@ -675,8 +677,13 @@ func (s *Sharded) stats() Stats {
 		out.LateAccepted += sh.stats.LateAccepted
 		out.LateDropped += sh.stats.LateDropped
 		out.Shed += sh.stats.Shed
-		for k, v := range sh.stats.ByType {
-			out.ByType[k] += v
+		for k, v := range sh.byType {
+			byType[k] += v
+		}
+	}
+	for k, v := range byType {
+		if v != 0 {
+			out.ByType[EventType(k)] = v
 		}
 	}
 	return out
@@ -694,7 +701,7 @@ func (s *Sharded) vesselCount() int {
 	n := 0
 	for i, sh := range s.shards {
 		if !s.outOfService(i) {
-			n += len(sh.vessels)
+			n += len(sh.index)
 		}
 	}
 	return n
@@ -707,7 +714,12 @@ func (s *Sharded) vessel(mmsi uint32) *vesselState {
 	if s.outOfService(i) {
 		return nil
 	}
-	return s.shards[i].vessels[mmsi]
+	sh := s.shards[i]
+	slot, ok := sh.index[mmsi]
+	if !ok {
+		return nil
+	}
+	return &sh.slots[slot]
 }
 
 // Odometer returns a vessel's traveled distance in meters: the total
@@ -734,7 +746,7 @@ func (s *Sharded) Synopsis(mmsi uint32) []CriticalPoint {
 	if st == nil {
 		return nil
 	}
-	return st.synopsis.AppendValues(make([]CriticalPoint, 0, st.synopsis.Len()))
+	return append(make([]CriticalPoint, 0, st.synopsis.len()), st.synopsis.live()...)
 }
 
 // Info returns the summary of one vessel; ok is false for vessels
@@ -746,7 +758,7 @@ func (s *Sharded) Info(mmsi uint32) (VesselInfo, bool) {
 	if st == nil {
 		return VesselInfo{}, false
 	}
-	return infoOf(mmsi, st), true
+	return infoOf(st), true
 }
 
 // Infos returns the summary of every tracked vessel, ordered by MMSI.
@@ -758,8 +770,10 @@ func (s *Sharded) Infos() []VesselInfo {
 		if s.outOfService(i) {
 			continue
 		}
-		for mmsi, st := range sh.vessels {
-			out = append(out, infoOf(mmsi, st))
+		for j := range sh.slots {
+			if sh.slots[j].inUse {
+				out = append(out, infoOf(&sh.slots[j]))
+			}
 		}
 	}
 	slices.SortFunc(out, func(a, b VesselInfo) int {

@@ -54,24 +54,24 @@ type Snapshot struct {
 	Stats   Stats
 }
 
-// snapshotVessel captures one vessel's state, converting the in-memory
-// layout (nanosecond clocks, runFix members) to the stable wire format
-// of ais.Fix values. Slices
-// are copied so the snapshot stays valid while the tracker keeps
-// sliding.
-func snapshotVessel(mmsi uint32, st *vesselState) VesselSnapshot {
+// snapshotVessel captures the vessel in slot, converting the in-memory
+// layout (nanosecond clocks, runFix members, ring windows) to the stable
+// wire format of ais.Fix values and oldest-first slices. Slices are
+// copied so the snapshot stays valid while the tracker keeps sliding.
+func (tr *shard) snapshotVessel(slot int32) VesselSnapshot {
+	st := &tr.slots[slot]
+	mmsi := st.mmsi
 	vs := VesselSnapshot{
-		MMSI:        mmsi,
-		HaveLast:    st.haveLast,
-		VPrev:       st.vPrev,
-		HaveV:       st.haveV,
-		OutlierRun:  st.outlierRun,
-		GapOpen:     st.gapOpen,
-		Stopped:     st.stopped,
-		Slow:        st.slow,
-		RecentTurns: slices.Clone(st.recentTurns),
-		OdometerM:   st.odometerM,
-		DepartureM:  st.departureM,
+		MMSI:       mmsi,
+		HaveLast:   st.haveLast,
+		VPrev:      st.vPrev,
+		HaveV:      st.haveV,
+		OutlierRun: int(st.outlierRun),
+		GapOpen:    st.gapOpen,
+		Stopped:    st.stopped,
+		Slow:       st.slow,
+		OdometerM:  st.odometerM,
+		DepartureM: st.departureM,
 	}
 	if st.haveLast {
 		vs.Last = ais.Fix{MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS)}
@@ -79,16 +79,24 @@ func snapshotVessel(mmsi uint32, st *vesselState) VesselSnapshot {
 	if st.haveSeen {
 		vs.LastSeen = nsTime(st.lastSeenNS)
 	}
-	if len(st.recent) > 0 {
-		vs.Recent = make([]geo.Velocity, len(st.recent))
-		for i := range st.recent {
-			vs.Recent[i] = st.recent[i].v
+	speeds, headings, turns := tr.vesselRings(slot)
+	if st.velLen > 0 {
+		vs.Recent = make([]geo.Velocity, st.velLen)
+		for k, i := int32(0), st.velHead; k < st.velLen; k++ {
+			vs.Recent[k] = geo.Velocity{SpeedKnots: speeds[i], HeadingDeg: headings[i]}
+			if i++; i == int32(len(speeds)) {
+				i = 0
+			}
 		}
+	}
+	if st.turnLen > 0 {
+		ta, tb := ringSegments(turns, st.turnHead, st.turnLen)
+		vs.RecentTurns = append(slices.Clone(ta), tb...)
 	}
 	vs.StopRun = runToFixes(mmsi, st.stopRun)
 	vs.SlowRun = runToFixes(mmsi, st.slowRun)
-	if n := st.synopsis.Len(); n > 0 {
-		vs.Synopsis = st.synopsis.AppendValues(make([]CriticalPoint, 0, n))
+	if n := st.synopsis.len(); n > 0 {
+		vs.Synopsis = slices.Clone(st.synopsis.live())
 	}
 	return vs
 }
@@ -105,40 +113,34 @@ func runToFixes(mmsi uint32, run []runFix) []ais.Fix {
 	return out
 }
 
-// fixesToRun converts wire-form run members to the in-memory layout.
-func fixesToRun(fs []ais.Fix) []runFix {
-	if len(fs) == 0 {
-		return nil
+// appendRun appends wire-form run members to dst in the in-memory
+// layout.
+func appendRun(dst []runFix, fs []ais.Fix) []runFix {
+	for _, f := range fs {
+		dst = append(dst, runFix{pos: f.Pos, tns: f.Time.UnixNano()})
 	}
-	out := make([]runFix, len(fs))
-	for i, f := range fs {
-		out[i] = runFix{pos: f.Pos, tns: f.Time.UnixNano()}
-	}
-	return out
+	return dst
 }
 
-// restoreVessel rebuilds the in-memory state from its snapshot. Derived
-// caches — latitude trig, per-sample heading trig, stop-run aggregates —
-// are recomputed with the same math calls ingest would have made, so the
-// restored state is bit-identical to the live one it mirrors.
-func restoreVessel(vs VesselSnapshot) *vesselState {
-	st := &vesselState{
-		vesselCore: vesselCore{
-			mmsi:       vs.MMSI,
-			haveLast:   vs.HaveLast,
-			vPrev:      vs.VPrev,
-			haveV:      vs.HaveV,
-			outlierRun: vs.OutlierRun,
-			gapOpen:    vs.GapOpen,
-			stopped:    vs.Stopped,
-			slow:       vs.Slow,
-			odometerM:  vs.OdometerM,
-			departureM: vs.DepartureM,
-		},
-		stopRun:     fixesToRun(vs.StopRun),
-		slowRun:     fixesToRun(vs.SlowRun),
-		recentTurns: slices.Clone(vs.RecentTurns),
-	}
+// restoreVessel rebuilds a vessel's in-memory state from its snapshot,
+// in a slot of its own. Derived caches — latitude trig, stop-run
+// aggregates, the oldest synopsis time — are recomputed with the same
+// math calls ingest would have made, so the restored state is
+// bit-identical to the live one it mirrors.
+func (tr *shard) restoreVessel(vs VesselSnapshot) {
+	slot := tr.admit(vs.MMSI)
+	st := &tr.slots[slot]
+	st.haveLast = vs.HaveLast
+	st.vPrev = vs.VPrev
+	st.haveV = vs.HaveV
+	st.outlierRun = int32(vs.OutlierRun)
+	st.gapOpen = vs.GapOpen
+	st.stopped = vs.Stopped
+	st.slow = vs.Slow
+	st.odometerM = vs.OdometerM
+	st.departureM = vs.DepartureM
+	st.stopRun = appendRun(st.stopRun, vs.StopRun)
+	st.slowRun = appendRun(st.slowRun, vs.SlowRun)
 	if vs.HaveLast {
 		st.lastPos = vs.Last.Pos
 		st.lastTNS = vs.Last.Time.UnixNano()
@@ -148,17 +150,18 @@ func restoreVessel(vs VesselSnapshot) *vesselState {
 		st.lastSeenNS = vs.LastSeen.UnixNano()
 		st.haveSeen = true
 	}
-	if len(vs.Recent) > 0 {
-		st.recent = make([]velEntry, len(vs.Recent))
-		for i, v := range vs.Recent {
-			st.recent[i] = velEntry{v: v}
-		}
+	speeds, headings, turns := tr.vesselRings(slot)
+	for _, v := range vs.Recent {
+		i := ringNext(int32(len(speeds)), &st.velHead, &st.velLen)
+		speeds[i], headings[i] = v.SpeedKnots, v.HeadingDeg
+	}
+	for _, d := range vs.RecentTurns {
+		turns[ringNext(int32(len(turns)), &st.turnHead, &st.turnLen)] = d
 	}
 	st.rebuildStopAgg()
-	for _, cp := range vs.Synopsis {
-		st.synopsis.Append(cp.Time, cp)
+	for i := range vs.Synopsis {
+		st.addPoint(&vs.Synopsis[i])
 	}
-	return st
 }
 
 // Snapshot captures the tier's complete state, after finishing the
@@ -173,8 +176,10 @@ func (s *Sharded) Snapshot() Snapshot {
 		if s.outOfService(i) {
 			continue
 		}
-		for mmsi, st := range sh.vessels {
-			snap.Vessels = append(snap.Vessels, snapshotVessel(mmsi, st))
+		for j := range sh.slots {
+			if sh.slots[j].inUse {
+				snap.Vessels = append(snap.Vessels, sh.snapshotVessel(int32(j)))
+			}
 		}
 	}
 	slices.SortFunc(snap.Vessels, func(a, b VesselSnapshot) int {
@@ -207,16 +212,17 @@ func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
 	// the snapshot's are new to it, not late.
 	s.readmit()
 	for _, sh := range s.shards {
-		sh.vessels = make(map[uint32]*vesselState)
-		sh.stats = Stats{ByType: make(map[EventType]int)}
+		sh.index = make(map[uint32]int32)
+		sh.slots, sh.free, sh.rings = nil, nil, nil
+		sh.stats, sh.byType = Stats{}, [numEventTypes]int{}
 		sh.lastQueryNS, sh.haveLastQ = 0, false
 	}
 	for _, vs := range snap.Vessels {
 		sh := s.shards[ShardOf(vs.MMSI, n)]
-		if _, dup := sh.vessels[vs.MMSI]; dup {
+		if _, dup := sh.index[vs.MMSI]; dup {
 			return fmt.Errorf("tracker: snapshot lists vessel %d twice", vs.MMSI)
 		}
-		sh.vessels[vs.MMSI] = restoreVessel(vs)
+		sh.restoreVessel(vs)
 	}
 	s0 := s.shards[0]
 	s0.stats.FixesIn = snap.Stats.FixesIn
@@ -227,7 +233,10 @@ func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
 	s0.stats.LateDropped = snap.Stats.LateDropped
 	s0.stats.Shed = snap.Stats.Shed
 	for k, v := range snap.Stats.ByType {
-		s0.stats.ByType[k] = v
+		if k < 0 || int(k) >= numEventTypes {
+			return fmt.Errorf("tracker: snapshot counts unknown event type %d", int(k))
+		}
+		s0.byType[k] = v
 	}
 	return nil
 }

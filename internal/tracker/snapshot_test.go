@@ -11,23 +11,34 @@ import (
 // golden test: run a seeded fleet to an arbitrary slide, snapshot, build
 // a fresh tier (same or different shard count), restore, and finish the
 // run — every subsequent fresh/delta stream and the final statistics
-// must be byte-identical to the uninterrupted run.
+// must be byte-identical to the uninterrupted run. Two cases go further:
+// one kills after evictions have put slots on the victim's free lists
+// (a 30 min window), and one restores into a tier that already holds
+// state of its own, evicted vessels and free slots included.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	batches := simBatches(t, 120, 2)
 	params := DefaultParams()
-	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
+	hour := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
+	halfHour := stream.WindowSpec{Range: 30 * time.Minute, Slide: 5 * time.Minute}
 
 	for _, tc := range []struct {
 		name            string
 		fromShards, to  int
 		killAfterSlides int
+		window          stream.WindowSpec
+		dirtySlides     int // slides the restored tier runs before the restore
 	}{
-		{"same-shard-count", 4, 4, len(batches) / 2},
-		{"reshard-up", 2, 7, len(batches) / 3},
-		{"reshard-down", 7, 1, 2 * len(batches) / 3},
-		{"kill-at-first-slide", 3, 3, 1},
+		{"same-shard-count", 4, 4, len(batches) / 2, hour, 0},
+		{"reshard-up", 2, 7, len(batches) / 3, hour, 0},
+		{"reshard-down", 7, 1, 2 * len(batches) / 3, hour, 0},
+		{"kill-at-first-slide", 3, 3, 1, hour, 0},
+		// The kill points and the used tier's run are where the seeded
+		// fleet has evicted vessels and left their slots free.
+		{"kill-after-evictions", 3, 2, 14, halfHour, 0},
+		{"restore-into-used-tier", 2, 3, 20, halfHour, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			window := tc.window
 			uninterrupted := NewSharded(params, window, tc.fromShards)
 			defer uninterrupted.Close()
 			victim := NewSharded(params, window, tc.fromShards)
@@ -43,9 +54,20 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				comparePoints(t, i, "delta", wantDelta, got.Delta)
 			}
 			snap = victim.Snapshot()
+			if tc.window == halfHour && freeSlots(victim) == 0 {
+				t.Fatal("no slot on a free list at the kill point; the case tests nothing")
+			}
 
 			restored := NewSharded(params, window, tc.to)
 			defer restored.Close()
+			if tc.dirtySlides > 0 {
+				for _, b := range batches[:tc.dirtySlides] {
+					restored.Slide(b)
+				}
+				if restored.VesselCount() == 0 || freeSlots(restored) == 0 {
+					t.Fatal("the tier restored into holds no vessel or no free slot")
+				}
+			}
 			if err := restored.RestoreSnapshot(snap); err != nil {
 				t.Fatal(err)
 			}
@@ -86,6 +108,17 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// freeSlots counts the slots on a tier's free lists.
+func freeSlots(s *Sharded) int {
+	s.settle()
+	defer s.mu.Unlock()
+	n := 0
+	for _, sh := range s.shards {
+		n += len(sh.free)
+	}
+	return n
 }
 
 // TestSnapshotIndependentOfLiveState verifies the snapshot deep-copies:

@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -16,11 +17,21 @@ import (
 // machine that advances them (see Sharded). Internal clocks are int64
 // nanoseconds; emitted critical points carry time.Time values rebuilt
 // with time.Unix(0, ns).UTC().
+//
+// Vessel state lives in a slab: slots holds every vessel's state by
+// value, index maps an MMSI to its slot, and free lists the slots of
+// evicted vessels for reuse, together with their run and synopsis
+// capacity. The speed, heading and turn windows of slot i live in one
+// shard-wide arena, rings, at [i·3M, (i+1)·3M).
 type shard struct {
-	params  Params
-	window  stream.WindowSpec
-	vessels map[uint32]*vesselState
-	stats   Stats
+	params Params
+	window stream.WindowSpec
+	index  map[uint32]int32
+	slots  []vesselState
+	free   []int32
+	rings  []float64
+	stats  Stats // ByType stays nil: per-type counts live in byType
+	byType [numEventTypes]int
 
 	// Slide-scoped scratch, reused across slides so the hot path does
 	// not re-allocate per slide. fresh holds the emissions of the
@@ -34,8 +45,8 @@ type shard struct {
 	deltaKey   []deltaSortKey
 	deltaOut   []CriticalPoint
 	spareDelta []CriticalPoint
-	gapScan    []uint32
-	evictScan  []uint32
+	gapScan    []gapCand
+	evictScan  []int32 // slots
 
 	// Emission indexing, on when the tier has more than one shard:
 	// freshIdx records, parallel to fresh, the batch index of the fix
@@ -62,6 +73,9 @@ type shard struct {
 	shedCnt  *atomic.Int64
 }
 
+// numEventTypes bounds the EventType values a shard counts.
+const numEventTypes = int(EventSlowEnd) + 1
+
 // gapSentinel tags emissions not attributable to a fix: the slide-time
 // gap sweep runs after every fix of the batch, so its emissions sort
 // after all ingest-time ones.
@@ -72,15 +86,6 @@ const gapSentinel = int32(1<<31 - 1)
 // struct identical to the original fix time.
 func nsTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
-// velEntry is one sample of the recent-velocity window. Heading trig is
-// not cached here: the outlier gate's speed test rejects almost every
-// fix before the heading fold runs, so SinCosDeg is paid per entry only
-// inside that rare fold (recentMeanHeading) instead of once per ingested
-// fix.
-type velEntry struct {
-	v geo.Velocity
-}
-
 // runFix is one member of a stop or slow run: position plus nanosecond
 // timestamp.
 type runFix struct {
@@ -88,49 +93,38 @@ type runFix struct {
 	tns int64
 }
 
-// vesselState is the per-vessel in-memory motion state: the scalar
-// core plus the windows and runs the detectors fold over.
+// noSynopsis is the cached oldest-synopsis time of a vessel whose
+// synopsis is empty: later than every cutoff.
+const noSynopsis = math.MaxInt64
+
+// vesselState is one vessel's in-memory motion state, held by value in
+// its shard's slab. The fields every fix touches come first, so a fix
+// reads and writes about two cache lines of it; the identity, the
+// cached oldest-synopsis time, the stop-run aggregates and the synopsis
+// itself follow. The vessel's speed, heading and turn windows are rings
+// in the shard's arena (see shard), addressed by the cursors here.
 type vesselState struct {
-	vesselCore
-
-	recent      []velEntry // up to M latest velocity vectors (mean course)
-	recentTurns []float64  // signed heading deltas of the last m steps
-
-	// Long-term stop run: consecutive low-speed fixes (its aggregates
-	// live in the core).
-	stopRun []runFix
-	// Slow-motion run: consecutive slow (but moving) fixes.
-	slowRun []runFix
-
-	synopsis stream.TimeBuffer[CriticalPoint]
-}
-
-// vesselCore is the pointer-free part of a vessel's state.
-type vesselCore struct {
-	mmsi     uint32
+	inUse    bool // the slot holds a vessel (false on the free list)
 	haveLast bool
+	haveSeen bool
+	haveV    bool
+	gapOpen  bool
+	stopped  bool // in a long-term stop episode
+	slow     bool // in a slow-motion episode
+
+	// Ring cursors: the oldest entry and the entry count of the
+	// speed/heading window (the up to M latest velocity vectors, for the
+	// mean course) and of the turn window (the signed heading deltas of
+	// the last M steps).
+	velHead, velLen   int32
+	turnHead, turnLen int32
+
+	outlierRun int32
+
 	lastPos  geo.Point
 	lastTNS  int64
 	lastTrig geo.LatTrig // sin/cos of lastPos.Lat, cached for the next hop
-
-	vPrev geo.Velocity
-	haveV bool
-
-	outlierRun int
-	gapOpen    bool
-
-	// Long-term stop state, with incremental centroid sums and a
-	// bounding box over the stop run so the within-radius check is O(1)
-	// when the run obviously fits (see stopWithin).
-	stopped    bool
-	stopSumLon float64
-	stopSumLat float64
-	stopMinLon float64
-	stopMaxLon float64
-	stopMinLat float64
-	stopMaxLat float64
-
-	slow bool
+	vPrev    geo.Velocity
 
 	// Odometers (the §3.1 extension the paper plans: "capture additional
 	// features, such as traveled distance from a given origin"): total
@@ -140,7 +134,29 @@ type vesselCore struct {
 	departureM float64
 
 	lastSeenNS int64
-	haveSeen   bool
+
+	// Long-term stop run: consecutive low-speed fixes (its aggregates
+	// follow below).
+	stopRun []runFix
+	// Slow-motion run: consecutive slow (but moving) fixes.
+	slowRun []runFix
+
+	mmsi uint32
+	// synOldestNS caches the oldest synopsis point's time (noSynopsis
+	// when empty), so the slide-closing sweep never reads the synopsis.
+	synOldestNS int64
+
+	// Incremental centroid sums and a bounding box over the stop run, so
+	// the within-radius check is O(1) when the run obviously fits (see
+	// stopWithin).
+	stopSumLon float64
+	stopSumLat float64
+	stopMinLon float64
+	stopMaxLon float64
+	stopMinLat float64
+	stopMaxLat float64
+
+	synopsis synopsisBuf
 }
 
 // setLast advances the vessel clock and position, caching the latitude
@@ -151,6 +167,114 @@ func (st *vesselState) setLast(pos geo.Point, tns int64, trig geo.LatTrig) {
 	st.lastTrig = trig
 	st.lastSeenNS = tns
 	st.haveSeen = true
+}
+
+// addPoint appends a critical point to the vessel's synopsis.
+func (st *vesselState) addPoint(cp *CriticalPoint) {
+	if st.synopsis.len() == 0 {
+		st.synOldestNS = cp.Time.UnixNano()
+	}
+	st.synopsis.push(cp)
+}
+
+// expire appends the synopsis points at or before cutoffNS to dst,
+// oldest first, and drops them.
+func (st *vesselState) expire(dst []CriticalPoint, cutoffNS int64) []CriticalPoint {
+	dst = st.synopsis.expire(dst, cutoffNS)
+	st.synOldestNS = st.synopsis.oldestNS()
+	return dst
+}
+
+// admit returns the slot of a vessel new to the shard: a free slot,
+// which keeps its run and synopsis capacity, or a new one with its runs
+// presized to their steady-state capacity (the stop and slow runs hover
+// around 2M), so a new vessel does not pay a growslice ladder on its
+// first dozen fixes.
+func (tr *shard) admit(mmsi uint32) int32 {
+	var slot int32
+	if n := len(tr.free); n > 0 {
+		slot = tr.free[n-1]
+		tr.free = tr.free[:n-1]
+	} else {
+		m := tr.params.M
+		slot = int32(len(tr.slots))
+		tr.slots = append(tr.slots, vesselState{
+			stopRun: make([]runFix, 0, 2*m),
+			slowRun: make([]runFix, 0, 2*m),
+		})
+		tr.rings = slices.Grow(tr.rings, 3*m)[:len(tr.rings)+3*m]
+	}
+	st := &tr.slots[slot]
+	st.inUse = true
+	st.mmsi = mmsi
+	st.synOldestNS = noSynopsis
+	tr.index[mmsi] = slot
+	return slot
+}
+
+// release evicts the vessel in slot and puts the slot on the free list.
+// Everything but the runs' and the synopsis's capacity is cleared, so
+// the vessel that reuses the slot starts from a fresh vessel's state:
+// empty windows, runs and synopsis, zero odometers.
+func (tr *shard) release(slot int32) {
+	st := &tr.slots[slot]
+	delete(tr.index, st.mmsi)
+	*st = vesselState{
+		stopRun:  st.stopRun[:0],
+		slowRun:  st.slowRun[:0],
+		synopsis: synopsisBuf{items: st.synopsis.items[:0]},
+	}
+	tr.free = append(tr.free, slot)
+}
+
+// vesselRings returns the speed, heading and turn rings of slot, each M
+// long.
+func (tr *shard) vesselRings(slot int32) (speeds, headings, turns []float64) {
+	m := tr.params.M
+	r := tr.rings[int(slot)*3*m:][: 3*m : 3*m]
+	return r[:m:m], r[m : 2*m : 2*m], r[2*m:]
+}
+
+// ringNext returns the index of a ring of m entries that its next entry
+// goes to, and advances the cursors: a ring that is full drops its
+// oldest entry.
+func ringNext(m int32, head, n *int32) int32 {
+	if *n < m {
+		i := *head + *n
+		if i >= m {
+			i -= m
+		}
+		*n++
+		return i
+	}
+	i := *head
+	if *head++; *head == m {
+		*head = 0
+	}
+	return i
+}
+
+// ringSegments returns a ring's n entries from head on, oldest first, as
+// the two contiguous runs they occupy.
+func ringSegments(ring []float64, head, n int32) (a, b []float64) {
+	if end := head + n; end <= int32(len(ring)) {
+		return ring[head:end], nil
+	}
+	return ring[head:], ring[:head+n-int32(len(ring))]
+}
+
+// ringSum folds a ring oldest first: the sum is bit-identical to a
+// left-to-right fold over the window in arrival order.
+func ringSum(ring []float64, head, n int32) float64 {
+	a, b := ringSegments(ring, head, n)
+	var sum float64
+	for _, v := range a {
+		sum += v
+	}
+	for _, v := range b {
+		sum += v
+	}
+	return sum
 }
 
 // SlideResult is the output of one window slide.
@@ -198,7 +322,7 @@ func (tr *shard) slide(in shardIn, q time.Time) (gapStart int, delta []CriticalP
 	return gapStart, delta
 }
 
-// collectSweeps walks the vessel map once, gathering the candidates of
+// collectSweeps walks the slab once, gathering the candidates of
 // both slide-closing phases: vessels due a gap-start emission and
 // vessels with window-expired synopsis points or stale state. Collecting
 // before the gap sweep runs is exact: sweep emissions are stamped at a
@@ -208,31 +332,38 @@ func (tr *shard) slide(in shardIn, q time.Time) (gapStart int, delta []CriticalP
 func (tr *shard) collectSweeps(q time.Time) {
 	qns := q.UnixNano()
 	gapNS := int64(tr.params.GapPeriod)
-	cutoff := q.Add(-tr.window.Range)
-	cutoffNS := cutoff.UnixNano()
+	cutoffNS := q.Add(-tr.window.Range).UnixNano()
 	tr.gapScan = tr.gapScan[:0]
 	tr.evictScan = tr.evictScan[:0]
-	for mmsi, st := range tr.vessels {
-		if st.haveLast && !st.gapOpen && qns-st.lastTNS >= gapNS {
-			tr.gapScan = append(tr.gapScan, mmsi)
+	for i := range tr.slots {
+		st := &tr.slots[i]
+		if !st.inUse {
+			continue
 		}
-		if st.lastSeenNS <= cutoffNS {
-			tr.evictScan = append(tr.evictScan, mmsi)
-		} else if ts, ok := st.synopsis.Oldest(); ok && !ts.After(cutoff) {
-			tr.evictScan = append(tr.evictScan, mmsi)
+		if st.haveLast && !st.gapOpen && qns-st.lastTNS >= gapNS {
+			tr.gapScan = append(tr.gapScan, gapCand{mmsi: st.mmsi, slot: int32(i)})
+		}
+		if st.lastSeenNS <= cutoffNS || st.synOldestNS <= cutoffNS {
+			tr.evictScan = append(tr.evictScan, int32(i))
 		}
 	}
+}
+
+// gapCand is a vessel due a slide-time gap-start emission.
+type gapCand struct {
+	mmsi uint32
+	slot int32
 }
 
 // emit records a critical point.
 func (tr *shard) emit(st *vesselState, cp CriticalPoint) {
 	tr.stats.Critical++
-	tr.stats.ByType[cp.Type]++
+	tr.byType[cp.Type]++
 	tr.fresh = append(tr.fresh, cp)
 	if tr.indexing {
 		tr.freshIdx = append(tr.freshIdx, tr.curIdx)
 	}
-	st.synopsis.Append(cp.Time, cp)
+	st.addPoint(&tr.fresh[len(tr.fresh)-1])
 }
 
 // noteLateAccepted counts an admitted fix whose timestamp precedes the
@@ -250,22 +381,11 @@ func (tr *shard) noteLateAccepted(tns int64) {
 // ingest processes one fix given as scalar values.
 func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	tr.stats.FixesIn++
-	st := tr.vessels[mmsi]
-	if st == nil {
-		// Presize the ring-style scratch to its steady-state capacity (the
-		// recent/turn windows are bounded by M; stop and slow runs hover
-		// around it) so a new vessel does not pay a growslice ladder on its
-		// first dozen fixes.
-		m := tr.params.M
-		st = &vesselState{
-			vesselCore:  vesselCore{mmsi: mmsi},
-			recent:      make([]velEntry, 0, m),
-			recentTurns: make([]float64, 0, m),
-			stopRun:     make([]runFix, 0, 2*m),
-			slowRun:     make([]runFix, 0, 2*m),
-		}
-		tr.vessels[mmsi] = st
+	slot, ok := tr.index[mmsi]
+	if !ok {
+		slot = tr.admit(mmsi)
 	}
+	st := &tr.slots[slot]
 	pos := geo.Point{Lon: lon, Lat: lat}
 	if !st.haveLast {
 		st.setLast(pos, tns, geo.LatTrigOf(pos))
@@ -325,8 +445,7 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 		st.departureM += hop
 		// The course across the silence is unknown: restart motion state.
 		st.haveV = false
-		st.recent = st.recent[:0]
-		st.recentTurns = st.recentTurns[:0]
+		st.velLen, st.turnLen = 0, 0
 		st.outlierRun = 0
 		st.setLast(pos, tns, trig)
 		return
@@ -339,28 +458,29 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 		return
 	}
 	vNow, dist := geo.VelocityDistBetween(st.lastPos, pos, dt, st.lastTrig, trig)
+	speeds, headings, turns := tr.vesselRings(slot)
 
 	// Off-course outlier rejection (paper Figure 2(d)): an abrupt change
 	// in both speed and heading relative to the mean velocity over the
 	// previous m positions marks a temporary deviation to discard. The
 	// absolute speed floor is checked first so the mean fold only runs
 	// for fixes fast enough to ever be outliers.
-	if !p.DisableOutlierFilter && vNow.SpeedKnots > p.OutlierMinKnots && len(st.recent) >= p.M/2 {
+	if !p.DisableOutlierFilter && vNow.SpeedKnots > p.OutlierMinKnots && int(st.velLen) >= p.M/2 {
 		// The speed test alone settles nearly every fix; the heading fold
 		// (per-entry trig plus an atan2) only runs once the speed factor
 		// is exceeded. Short-circuit order matches the combined fold, so
 		// accepted/rejected decisions are identical.
-		ref := max(recentMeanSpeed(st.recent), 1)
+		ref := max(ringSum(speeds, st.velHead, st.velLen)/float64(st.velLen), 1)
 		if vNow.SpeedKnots > p.OutlierSpeedFactor*ref &&
-			geo.HeadingDelta(vNow.HeadingDeg, recentMeanHeading(st.recent)) > p.OutlierHeadingDeg {
+			geo.HeadingDelta(vNow.HeadingDeg, ringMeanHeading(speeds, headings, st.velHead, st.velLen)) > p.OutlierHeadingDeg {
 			st.outlierRun++
-			if st.outlierRun < p.OutlierRunLimit {
+			if int(st.outlierRun) < p.OutlierRunLimit {
 				tr.stats.Outliers++
 				return
 			}
 			// Too many consecutive rejections: the course truly
 			// changed. Resynchronize on this fix.
-			st.recent = st.recent[:0]
+			st.velLen = 0
 		}
 	}
 	st.outlierRun = 0
@@ -379,33 +499,26 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 				SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
 				Confidence: marginConfidence(math.Abs(delta), p.TurnThresholdDeg),
 			})
-			st.recentTurns = st.recentTurns[:0]
+			st.turnLen = 0
 		} else {
 			// Small individual changes may cumulatively signify a smooth
 			// turn (paper Figure 3(b)): the cumulative change in heading
 			// across the m most recent positions exceeding Δθ. Bounding
 			// the accumulation window keeps the slow bearing drift of
 			// long legs from masking genuine course changes.
-			if len(st.recentTurns) == p.M {
-				copy(st.recentTurns, st.recentTurns[1:])
-				st.recentTurns = st.recentTurns[:p.M-1]
-			}
-			st.recentTurns = append(st.recentTurns, delta)
-			var cum float64
-			for _, d := range st.recentTurns {
-				cum += d
-			}
+			turns[ringNext(int32(len(turns)), &st.turnHead, &st.turnLen)] = delta
+			cum := ringSum(turns, st.turnHead, st.turnLen)
 			if math.Abs(cum) > p.TurnThresholdDeg {
 				tr.emit(st, CriticalPoint{
 					MMSI: mmsi, Pos: pos, Time: nsTime(tns), Type: EventSmoothTurn,
 					SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
 					Confidence: marginConfidence(math.Abs(cum), p.TurnThresholdDeg),
 				})
-				st.recentTurns = st.recentTurns[:0]
+				st.turnLen = 0
 			}
 		}
 	} else {
-		st.recentTurns = st.recentTurns[:0]
+		st.turnLen = 0
 	}
 
 	// Instantaneous speed change (paper Figure 2(b)): emitted only when
@@ -430,38 +543,29 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 	st.odometerM += dist
 	st.departureM += dist
 
-	if len(st.recent) == p.M {
-		copy(st.recent, st.recent[1:])
-		st.recent = st.recent[:p.M-1]
-	}
-	st.recent = append(st.recent, velEntry{v: vNow})
+	i := ringNext(int32(len(speeds)), &st.velHead, &st.velLen)
+	speeds[i], headings[i] = vNow.SpeedKnots, vNow.HeadingDeg
 	st.vPrev = vNow
 	st.haveV = true
 	st.setLast(pos, tns, trig)
 }
 
-// recentMeanSpeed folds just the speed half of the recent-velocity window,
-// accumulating in the same order geo.MeanVelocity would, so the result
-// is bit-identical to its SpeedKnots.
-func recentMeanSpeed(vs []velEntry) float64 {
-	var speed float64
-	for i := range vs {
-		speed += vs[i].v.SpeedKnots
-	}
-	return speed / float64(len(vs))
-}
-
-// recentMeanHeading folds the heading half of the recent-velocity window,
-// bit-identical to geo.MeanVelocity's HeadingDeg over the same samples:
-// SinCosDeg returns exactly what the per-sample Sin/Cos calls would
-// (pinned by the geo trig tests), and the zero-vector case yields the
-// same zero heading.
-func recentMeanHeading(vs []velEntry) float64 {
+// ringMeanHeading folds the heading half of the velocity window, oldest
+// first, bit-identical to geo.MeanVelocity's HeadingDeg over the same
+// samples: SinCosDeg returns exactly what the per-sample Sin/Cos calls
+// would (pinned by the geo trig tests), and the zero-vector case yields
+// the same zero heading. Heading trig is not cached per sample: the
+// outlier gate's speed test rejects almost every fix before this fold
+// runs, so SinCosDeg is paid per entry only inside it.
+func ringMeanHeading(speeds, headings []float64, head, n int32) float64 {
 	var x, y float64
-	for i := range vs {
-		sin, cos := geo.SinCosDeg(vs[i].v.HeadingDeg)
-		x += vs[i].v.SpeedKnots * sin
-		y += vs[i].v.SpeedKnots * cos
+	for k, i := int32(0), head; k < n; k++ {
+		sin, cos := geo.SinCosDeg(headings[i])
+		x += speeds[i] * sin
+		y += speeds[i] * cos
+		if i++; i == int32(len(speeds)) {
+			i = 0
+		}
 	}
 	if x != 0 || y != 0 {
 		return geo.HeadingFromComponents(x, y)
@@ -658,12 +762,12 @@ func (tr *shard) closeRuns(st *vesselState, endNS int64) {
 // order is deterministic — the sharded tier merges per-shard gap
 // emissions back into exactly this order.
 func (tr *shard) detectGaps(q time.Time) {
-	slices.Sort(tr.gapScan)
-	for _, mmsi := range tr.gapScan {
-		st := tr.vessels[mmsi]
+	slices.SortFunc(tr.gapScan, func(a, b gapCand) int { return cmp.Compare(a.mmsi, b.mmsi) })
+	for _, c := range tr.gapScan {
+		st := &tr.slots[c.slot]
 		tr.closeRuns(st, st.lastTNS)
 		tr.emit(st, CriticalPoint{
-			MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS), Type: EventGapStart,
+			MMSI: c.mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS), Type: EventGapStart,
 		})
 		st.gapOpen = true
 	}
@@ -671,8 +775,9 @@ func (tr *shard) detectGaps(q time.Time) {
 
 // compareDelta orders the delta stream by time, then MMSI; equal keys
 // can only come from one vessel's synopsis, whose order a stable sort
-// preserves, so the sorted stream is fully deterministic.
-func compareDelta(a, b CriticalPoint) int {
+// preserves, so the sorted stream is fully deterministic. It compares in
+// place: a CriticalPoint is 88 bytes.
+func compareDelta(a, b *CriticalPoint) int {
 	if c := a.Time.Compare(b.Time); c != 0 {
 		return c
 	}
@@ -718,32 +823,24 @@ func compareDeltaKey(a, b deltaSortKey) int {
 // per-vessel time order. The returned slice is tracker-owned scratch,
 // valid until the slide after next. Only the candidates collectSweeps gathered
 // are visited; vessels whose oldest retained point is still inside the
-// window were already settled by its head peek.
+// window were already settled by its cached oldest-point time. An
+// evicted vessel hands over its whole synopsis and frees its slot.
 func (tr *shard) evict(q time.Time) []CriticalPoint {
-	cutoff := q.Add(-tr.window.Range)
-	cutoffNS := cutoff.UnixNano()
+	cutoffNS := q.Add(-tr.window.Range).UnixNano()
 	tr.delta = tr.delta[:0]
-	for _, mmsi := range tr.evictScan {
-		st := tr.vessels[mmsi]
-		if ts, ok := st.synopsis.Oldest(); ok && !ts.After(cutoff) {
-			st.synopsis.Each(func(ts time.Time, cp CriticalPoint) bool {
-				if ts.After(cutoff) {
-					return false
-				}
-				tr.delta = append(tr.delta, cp)
-				return true
-			})
-			st.synopsis.EvictBefore(cutoff)
-		}
+	for _, slot := range tr.evictScan {
+		st := &tr.slots[slot]
 		if st.lastSeenNS <= cutoffNS {
-			tr.delta = st.synopsis.AppendValues(tr.delta)
-			delete(tr.vessels, mmsi)
+			tr.delta = append(tr.delta, st.synopsis.live()...)
+			tr.release(slot)
+		} else {
+			tr.delta = st.expire(tr.delta, cutoffNS)
 		}
 	}
-	// Candidate order follows map iteration, which is random; keep the
-	// delta stream deterministic for reproducible staging and archival
-	// (idx settles equal (time, MMSI) keys, which can only come from one
-	// vessel's synopsis walk). Sorting 16-byte integer keys
+	// Candidate order follows slot order, which depends on the order
+	// vessels arrived and left; keep the delta stream deterministic for
+	// reproducible staging and archival (idx settles equal (time, MMSI)
+	// keys, which can only come from one vessel's synopsis walk). Sorting 16-byte integer keys
 	// and gathering once is cheaper than a stable sort that swaps 80-byte
 	// points; the idx tiebreak reproduces stable order exactly (UnixNano
 	// ordering coincides with Time ordering for any representable fix
@@ -801,4 +898,68 @@ func runMedian(run []runFix) geo.Point {
 		}
 	}
 	return run[best].pos
+}
+
+// synopsisBuf is a vessel's window synopsis: the critical points it
+// retains, in emission order, each keyed by its own Time. Points arrive
+// in near time order (a sweep's gap-start point is stamped at the
+// vessel's last fix), and expiry drops only the prefix at or before the
+// cutoff, so a delayed point deeper in the buffer expires on a later
+// sweep, once the points ahead of it have gone. A full backing array is
+// compacted in place when at least half of it is dead and otherwise
+// regrown to twice the live points, so its capacity follows the
+// window's contents, not the length of the stream.
+type synopsisBuf struct {
+	items []CriticalPoint
+	head  int // index of the oldest live point
+}
+
+// minSynopsisCap is the capacity a synopsis starts at.
+const minSynopsisCap = 8
+
+func (b *synopsisBuf) len() int { return len(b.items) - b.head }
+
+// live returns the live points, oldest first. The slice aliases the
+// buffer.
+func (b *synopsisBuf) live() []CriticalPoint { return b.items[b.head:] }
+
+// oldestNS returns the oldest live point's time, or noSynopsis when the
+// buffer is empty.
+func (b *synopsisBuf) oldestNS() int64 {
+	if b.head == len(b.items) {
+		return noSynopsis
+	}
+	return b.items[b.head].Time.UnixNano()
+}
+
+// push appends a point.
+func (b *synopsisBuf) push(cp *CriticalPoint) {
+	if n := len(b.items); n == cap(b.items) {
+		live := n - b.head
+		if b.head > 0 && 2*b.head >= n {
+			copy(b.items, b.items[b.head:])
+			b.items = b.items[:live]
+		} else {
+			grown := make([]CriticalPoint, live, max(2*live, minSynopsisCap))
+			copy(grown, b.items[b.head:])
+			b.items = grown
+		}
+		b.head = 0
+	}
+	b.items = append(b.items, *cp)
+}
+
+// expire appends the prefix of points at or before cutoffNS to dst and
+// drops it.
+func (b *synopsisBuf) expire(dst []CriticalPoint, cutoffNS int64) []CriticalPoint {
+	h := b.head
+	for h < len(b.items) && b.items[h].Time.UnixNano() <= cutoffNS {
+		h++
+	}
+	dst = append(dst, b.items[b.head:h]...)
+	if h == len(b.items) {
+		b.items, h = b.items[:0], 0
+	}
+	b.head = h
+	return dst
 }
