@@ -119,10 +119,10 @@ func benchSteady(b *testing.B, seed int64, vessels, shards int) {
 }
 
 // TestSteadyStateSlideAllocs is the allocation-free steady state gate:
-// after the tracking tier has warmed (vessel map populated, scratch
-// slices at their high-water marks, synopsis windows full), a slide must
-// run allocation-free up to a small amortized constant — synopsis ring
-// growth and stop-run reallocation are amortized, nothing is allocated
+// after the tracking tier has warmed (slab populated, scratch slices at
+// their high-water marks, synopsis windows full), a slide must run
+// allocation-free up to a small amortized constant — synopsis regrowth
+// and stop-run reallocation are amortized, nothing is allocated
 // per fix or per slide. Each shard count — and DefaultShards, what
 // production runs — is gated plain, as cmd/serve runs a slide that
 // waited for the feed (under the watchdog, every shard pooled), and as

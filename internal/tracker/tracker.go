@@ -840,9 +840,9 @@ func (tr *shard) evict(q time.Time) []CriticalPoint {
 	// Candidate order follows slot order, which depends on the order
 	// vessels arrived and left; keep the delta stream deterministic for
 	// reproducible staging and archival (idx settles equal (time, MMSI)
-	// keys, which can only come from one vessel's synopsis walk). Sorting 16-byte integer keys
-	// and gathering once is cheaper than a stable sort that swaps 80-byte
-	// points; the idx tiebreak reproduces stable order exactly (UnixNano
+	// keys, which can only come from one vessel's synopsis walk).
+	// Sorting 16-byte integer keys and gathering once is cheaper than a
+	// stable sort that swaps 88-byte points; the idx tiebreak reproduces stable order exactly (UnixNano
 	// ordering coincides with Time ordering for any representable fix
 	// timestamp).
 	tr.deltaKey = tr.deltaKey[:0]
