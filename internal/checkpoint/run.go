@@ -238,9 +238,10 @@ type Result struct {
 }
 
 // Slides drives the slide loop until the source ends or ctx is
-// cancelled. Each slide k is tracked, and while it is processed the
-// next slide, if the ingest stage already holds it, is tracked beside
-// it on the tracker's shard pool (core.System.ProcessTracked). A slide
+// cancelled. Each slide k is tracked, and the next slide, if the ingest
+// stage already holds it as slide k's shards are collected or once they
+// are, is rolled in on the tracker's shard pool and tracked while k is
+// processed (core.System.ProcessTracked). A slide
 // that waits for the feed is tracked when it arrives, as before: the
 // loop never parks a goroutine to wait for one. Nothing is tracked past
 // a slide that will be checkpointed, so every checkpoint sees tracker

@@ -79,9 +79,9 @@ type Config struct {
 // Wall.
 type Timings struct {
 	// Tracking is window update + trajectory event detection. For a
-	// slide tracked ahead it runs from Start to when the last shard
-	// finished (or, if the pipeline waited for it, to the end of the
-	// wait), plus the merge.
+	// slide tracked ahead it runs from when it was routed to when its
+	// last shard finished (or, if the pipeline waited for it, to the end
+	// of the wait), plus the merge.
 	Tracking       time.Duration
 	Staging        time.Duration // delta points into the staging area
 	Reconstruction time.Duration // trip segmentation
@@ -90,8 +90,8 @@ type Timings struct {
 	Analytics      time.Duration // cross-vessel pairwise screening
 	// Wall is the time the pipeline goroutine spent on the slide, from
 	// the window update through the join of its stages (sinks excluded).
-	// For a slide tracked ahead that is starting it plus everything from
-	// collecting its shards on, less the time spent starting the next
+	// For a slide tracked ahead that is routing it plus everything from
+	// collecting its shards on, less the time spent routing the next
 	// slide: the time it was tracked beside the previous slide is not
 	// its own, so the slides' Walls never add up to more than the run.
 	Wall time.Duration
@@ -169,8 +169,8 @@ type System struct {
 	// untouched.
 	metrics *pipelineMetrics
 
-	// next is the slide between Track (or a look-ahead start) and
-	// ProcessTracked. lookahead counts the slides started ahead and
+	// next is the slide between Track (or a look-ahead roll) and
+	// ProcessTracked. lookahead counts the slides rolled in ahead and
 	// trackerWait the time ProcessTracked blocked on their shards; both
 	// are loaded by scrapes.
 	next        trackedSlide
@@ -221,12 +221,12 @@ type System struct {
 // processing is not.
 type trackedSlide struct {
 	set   bool
-	ahead bool // started on the tracker's pool; Finish collects it
+	ahead bool // rolled in on the tracker's pool; the next Roll collects it
 	fixes int
 	res   tracker.SlideResult // when !ahead
 	// own is the pipeline goroutine's time on the slide so far: the
-	// whole tracking for a slide tracked in place, the start for one
-	// tracked ahead (which started at started).
+	// whole tracking for a slide tracked in place, the routing for one
+	// tracked ahead (which was routed by started).
 	own     time.Duration
 	started time.Time
 }
@@ -339,13 +339,16 @@ func (s *System) trackLocked(b stream.Batch) {
 
 // ProcessTracked runs the tracked slide — from Track, or started ahead
 // by the previous ProcessTracked — through the rest of the pipeline.
-// ahead, when non-nil, is asked for the next slide once this one's
-// tracking is done: a batch it returns is started on the tracker's
-// shard pool and tracked while this slide is recognized, archived and
-// published, and the next ProcessTracked processes it (no Track). It
-// is not asked while a tracker shard is quarantined: that slide is
-// rewound or fenced, and the slide after it would be tracked against
-// the state the fault left behind. Serialized like ProcessBatch.
+// ahead, when non-nil, is asked for the next slide before this one's
+// shards are collected: a batch it returns is rolled in on the
+// tracker's shard pool (tracker.Sharded.Roll), each shard taking it up
+// as soon as it is done with this slide, and tracked while this slide
+// is merged, recognized, archived and published; the next
+// ProcessTracked processes it (no Track). It is not asked while a
+// tracker shard is quarantined: that slide is rewound or fenced, and
+// the slide after it would be tracked against the state the fault left
+// behind. A shard that faults in this slide is not handed the next
+// one. Serialized like ProcessBatch.
 func (s *System) ProcessTracked(ahead func() (stream.Batch, bool)) SlideReport {
 	s.runMu.Lock()
 	return s.endSlide(s.processTrackedLocked(ahead))
@@ -361,37 +364,67 @@ func (s *System) processTrackedLocked(ahead func() (stream.Batch, bool)) SlideRe
 	rep := SlideReport{FixesIn: cur.fixes}
 	res := cur.res
 	rep.Timings.Tracking = cur.own
+	own := cur.own
+	next, ok := s.askAhead(ahead)
 	if cur.ahead {
-		var done time.Time
-		res, done = s.tracker.Finish()
+		var rolled *stream.Batch
+		if ok {
+			rolled = &next
+		}
+		t := time.Now()
+		r, done, collecting := s.tracker.Roll(rolled)
 		end := time.Now()
+		res = r
 		// The shards ran beside the previous slide until they were all in
 		// or this slide began collecting them; whatever ran on is waited.
 		// (A zero done — every shard out of service — ran nothing.)
 		if done.IsZero() {
 			done = cur.started
 		}
-		rep.Timings.Tracking += max(earlier(done, begin).Sub(cur.started), 0) + end.Sub(begin)
-		if waited := earlier(done, end).Sub(begin); waited > 0 {
+		rep.Timings.Tracking += max(earlier(done, collecting).Sub(cur.started), 0) + end.Sub(collecting)
+		if waited := earlier(done, end).Sub(collecting); waited > 0 {
 			s.trackerWait.Add(int64(waited))
 		}
-	}
-	own := cur.own
-	if ahead != nil && s.tracker.FaultStats().Quarantined == 0 {
-		if b, ok := ahead(); ok {
-			t := time.Now()
-			s.tracker.Start(b)
-			started := time.Now()
-			s.next = trackedSlide{set: true, ahead: true, fixes: len(b.Fixes), own: started.Sub(t), started: started}
-			s.lookahead.Add(1)
-			// Starting the next slide is the next slide's time.
-			own -= s.next.own
+		if ok {
+			own -= s.rolledAhead(len(next.Fixes), t, collecting)
+		} else if next, ok = s.askAhead(ahead); ok {
+			// Nothing was waiting when collection began; the ingest stage
+			// has finished the next slide since.
+			own -= s.startAhead(next)
 		}
+	} else if ok {
+		own -= s.startAhead(next)
 	}
 	if s.freshObs != nil {
 		s.freshObs(res.Query, res.Fresh)
 	}
 	return s.processLocked(begin, own, rep, res)
+}
+
+// askAhead asks ahead, if any, for the next slide, unless a tracker
+// shard is quarantined.
+func (s *System) askAhead(ahead func() (stream.Batch, bool)) (stream.Batch, bool) {
+	if ahead == nil || s.tracker.FaultStats().Quarantined != 0 {
+		return stream.Batch{}, false
+	}
+	return ahead()
+}
+
+// startAhead starts b on the tracker's pool, with no slide in flight,
+// as the slide tracked ahead, and returns the time routing it took.
+func (s *System) startAhead(b stream.Batch) time.Duration {
+	t := time.Now()
+	_, _, routed := s.tracker.Roll(&b)
+	return s.rolledAhead(len(b.Fixes), t, routed)
+}
+
+// rolledAhead records the slide of fixes fixes, routed between t and
+// routed, as the slide tracked ahead, and returns the routing time: the
+// next slide's, not this one's.
+func (s *System) rolledAhead(fixes int, t, routed time.Time) time.Duration {
+	s.next = trackedSlide{set: true, ahead: true, fixes: fixes, own: routed.Sub(t), started: routed}
+	s.lookahead.Add(1)
+	return s.next.own
 }
 
 // earlier returns the earlier of two instants.

@@ -34,13 +34,19 @@ func LatTrigOf(p Point) LatTrig {
 // meters, bit-identical to Haversine(a, b), given each point's cached
 // latitude trig.
 func HaversineCached(a, b Point, ta, tb LatTrig) float64 {
+	return HaversineCos(a, b, ta.Cos, tb.Cos)
+}
+
+// HaversineCos is HaversineCached given only the cosines of the two
+// latitudes, the one half of the latitude trig a distance reads.
+func HaversineCos(a, b Point, cosA, cosB float64) float64 {
 	dLat := radians(b.Lat - a.Lat)
 	dLon := radians(b.Lon - a.Lon)
 
 	sdLat := math.Sin(dLat / 2)
 	sdLon := math.Sin(dLon / 2)
 	// Same association order as Haversine: ((cos·cos)·sin)·sin.
-	s := sdLat*sdLat + ta.Cos*tb.Cos*sdLon*sdLon
+	s := sdLat*sdLat + cosA*cosB*sdLon*sdLon
 	if s > 1 {
 		s = 1
 	}

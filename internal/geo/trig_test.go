@@ -49,6 +49,31 @@ func TestCachedTrigBitIdentical(t *testing.T) {
 	}
 }
 
+// TestHaversineSymmetricAndCosCached pins the two facts the tracker's
+// run representatives rest on: Haversine(a, b) equals Haversine(b, a)
+// bit for bit (so a pairwise sum may compute each pair once), and
+// HaversineCos over the latitudes' cosines — cached by LatTrigOf or
+// computed by math.Cos — equals Haversine bit for bit.
+func TestHaversineSymmetricAndCosCached(t *testing.T) {
+	for _, pp := range randPoints(20000) {
+		a, b := pp[0], pp[1]
+		want := Haversine(a, b)
+		if rev := Haversine(b, a); rev != want {
+			t.Fatalf("Haversine(%v, %v) = %v, reversed %v", a, b, want, rev)
+		}
+		ca, cb := LatTrigOf(a).Cos, LatTrigOf(b).Cos
+		if got := HaversineCos(a, b, ca, cb); got != want {
+			t.Fatalf("HaversineCos(%v, %v) = %v, Haversine = %v", a, b, got, want)
+		}
+		if got := HaversineCos(b, a, cb, ca); got != want {
+			t.Fatalf("HaversineCos(%v, %v) reversed = %v, Haversine = %v", a, b, got, want)
+		}
+		if got := HaversineCos(a, b, math.Cos(radians(a.Lat)), math.Cos(radians(b.Lat))); got != want {
+			t.Fatalf("HaversineCos(%v, %v) over math.Cos = %v, Haversine = %v", a, b, got, want)
+		}
+	}
+}
+
 // TestSincosBitIdentical pins the platform assumption LatTrigOf and
 // SinCosDeg rely on: math.Sincos returns exactly what separate math.Sin
 // and math.Cos calls return, so cached trig stays bit-compatible with

@@ -125,8 +125,9 @@ func benchSteady(b *testing.B, seed int64, vessels, shards int) {
 // and stop-run reallocation are amortized, nothing is allocated
 // per fix or per slide. Each shard count — and DefaultShards, what
 // production runs — is gated plain, as cmd/serve runs a slide that
-// waited for the feed (under the watchdog, every shard pooled), and as
-// it runs a slide tracked ahead (the same, through Start and Finish).
+// waited for the feed (under the watchdog, every shard pooled), as it
+// runs a slide tracked ahead (started by one Roll, finished by the
+// next), and as it rolls one slide into the next.
 func TestSteadyStateSlideAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts")
@@ -138,16 +139,22 @@ func TestSteadyStateSlideAllocs(t *testing.T) {
 	warm := len(batches) - 12 // leave 12 slides (one full window) to measure
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 	for _, shards := range []int{1, 2, DefaultShards()} {
-		for _, mode := range []string{"plain", "watchdog", "ahead"} {
+		for _, mode := range []string{"plain", "watchdog", "ahead", "rollover"} {
 			tier := NewSharded(DefaultParams(), window, shards)
-			if mode == "watchdog" || mode == "ahead" {
+			if mode != "plain" {
 				tier.SetSlideTimeout(time.Minute)
 			}
 			slide := tier.Slide
-			if mode == "ahead" {
+			switch mode {
+			case "ahead":
 				slide = func(b stream.Batch) SlideResult {
-					tier.Start(b)
-					res, _ := tier.Finish()
+					tier.Roll(&b)
+					res, _, _ := tier.Roll(nil)
+					return res
+				}
+			case "rollover":
+				slide = func(b stream.Batch) SlideResult {
+					res, _, _ := tier.Roll(&b)
 					return res
 				}
 			}

@@ -74,17 +74,18 @@ func (s *Sharded) FaultStats() FaultStats {
 }
 
 // quarantineShard takes a shard out of service and records why on the
-// slide's result. Its input buffers are left to any goroutine still
-// holding them (fresh ones are allocated on next use), and its fixes
-// for this slide are counted on the result: whether they are lost
-// depends on whether the driver replays the slide.
-func (s *Sharded) quarantineShard(i int, q supervise.Quarantine) {
+// result of the slide whose buffers are bf. Its input buffer there is
+// left to any goroutine still holding it (a fresh one is allocated on
+// next use), and its fixes for this slide are counted on the result:
+// whether they are lost depends on whether the driver replays the
+// slide.
+func (s *Sharded) quarantineShard(bf *slideBufs, i int, q supervise.Quarantine) {
 	s.down[i] = shardQuarantined
 	s.quarCount.Add(1)
-	s.skip[i] = true
+	bf.skip[i] = true
 	s.faults = append(s.faults, q)
-	s.faultFixes += len(s.in[i].recs)
-	s.in[i] = shardIn{}
+	s.faultFixes += len(bf.in[i].recs)
+	bf.in[i] = shardIn{}
 }
 
 // Fence moves every quarantined shard to failed: out of service for
@@ -120,7 +121,7 @@ func (s *Sharded) readmit() {
 		tr := s.newShard()
 		s.wireShared(tr)
 		s.shards[i] = tr
-		s.in[i] = shardIn{}
+		s.bufs[0].in[i], s.bufs[1].in[i] = shardIn{}, shardIn{}
 		s.down[i] = shardUp
 	}
 }

@@ -40,14 +40,9 @@ func infoOf(st *vesselState) VesselInfo {
 		GapOpen:         st.gapOpen,
 		SynopsisLen:     st.synopsis.len(),
 	}
-	if st.haveSeen {
-		info.LastSeen = nsTime(st.lastSeenNS)
-	}
 	if st.haveLast {
 		info.LastPos = st.lastPos
-		if !st.haveSeen {
-			info.LastSeen = nsTime(st.lastTNS)
-		}
+		info.LastSeen = nsTime(st.lastTNS)
 	}
 	if st.haveV {
 		info.SpeedKn = st.vPrev.SpeedKnots

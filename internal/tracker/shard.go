@@ -49,17 +49,20 @@ func ShardOf(mmsi uint32, n int) int {
 // the caller can abandon a wedged one. Output is byte-identical across
 // shard counts; one shard is the serial tracker.
 //
-// A slide is two steps, and Slide is the two back to back: Start
-// routes and hands every shard to the pool, and Finish collects them,
-// quarantines stragglers and panicked shards (see faults.go) and
-// merges.
-// Between the two the caller may do other work — the pipeline processes
-// the previous slide there. One slide at a time is in flight: every
-// read and restore of the tier's state (Stats, Infos, Snapshot,
-// RestoreSnapshot, ...) first finishes the slide in flight, on the calling
-// goroutine, and keeps its result for Finish.
+// A slide is started, then finished: started, it is routed and every
+// shard is handed its job; finished, the shards are collected,
+// stragglers and panicked shards quarantined (see faults.go) and the
+// results merged. Roll finishes the slide in flight and starts the next
+// in one call: it routes the next batch, then collects the slide in
+// flight and hands each shard its share of the next slide as soon as
+// that shard's result is in, so the shards roll from one slide into the
+// next while the finished slide is merged and the caller processes it.
+// Slide starts a slide and finishes it. Between calls at most one slide
+// is in flight: every read and restore of the tier's state (Stats,
+// Infos, Snapshot, RestoreSnapshot, ...) first finishes it, on the
+// calling goroutine, and keeps its result for the next Roll.
 //
-// The SlideResult returned by Slide and Finish aliases tier-owned
+// The SlideResult returned by Slide and Roll aliases tier-owned
 // scratch: Fresh and Delta are valid until the slide after next starts,
 // so a slide's result survives while the next one is tracked. Callers
 // that retain them longer must copy.
@@ -68,28 +71,22 @@ type Sharded struct {
 	window stream.WindowSpec
 	shards []*shard
 	pool   *shardPool // started by the first pooled slide
-
 	// mu serializes the slide steps with the reads and repairs other
-	// goroutines make. A started slide is in flight until finish, which
-	// runs under mu whoever calls it; its result waits in result until
-	// Finish takes it.
+	// goroutines make. A started slide is in flight until a roll
+	// finishes it, under mu whoever calls it; its result waits in result
+	// until Roll takes it.
 	mu       sync.Mutex
 	flight   flight
 	result   SlideResult
 	resultAt time.Time
 
-	// Slide-scoped scratch, reused across slides. in holds each shard's
-	// routed input, outs and done its result slot and the pooled shards'
-	// fan-in. A shard abandoned by the watchdog keeps its in slot (a
-	// fresh one is allocated on next use) and the outs/done it was given:
-	// abandoned makes the next slide start on new ones.
-	in        []shardIn
-	outs      []shardOut
-	done      chan int
-	abandoned bool
-	completed []bool
-	skip      []bool // shards left out of this slide's merge
-	heads     []int
+	// Slide-scoped scratch, reused across slides and double-buffered: a
+	// rolled slide is routed and dispatched into one set while the slide
+	// in flight is still collected and merged from the other. last is
+	// the set of the slide started last.
+	bufs  [2]slideBufs
+	last  int
+	heads []int
 	// The merged output, double-buffered like the shards' own scratch:
 	// merge writes one pair and swaps it with the spare.
 	fresh, spareFresh []CriticalPoint
@@ -124,12 +121,44 @@ type Sharded struct {
 	closeOnce sync.Once
 }
 
-// flight is the slide between start and finish.
+// flight is a started slide: its query time, its scratch set in bufs,
+// how many of its shards are on the pool to be collected, and what it
+// was started with.
 type flight struct {
 	on       bool
 	query    time.Time
-	pooled   int // shards handed to the pool, to be collected
+	buf      int
+	pooled   int
 	watchdog bool
+	hook     *func(shard int, q time.Time)
+}
+
+// slideBufs is one slide's scratch: each shard's routed input and
+// result slot, the pooled shards' fan-in, and per shard whether it was
+// handed its job, whether its result is in, and whether it is left out
+// of the merge. A shard abandoned by the watchdog keeps its input and
+// the result slot and fan-in it was given: abandoned makes the next
+// slide on this set start on new ones, so a late write from the wedged
+// goroutine never lands in a live slide.
+type slideBufs struct {
+	in        []shardIn
+	outs      []shardOut
+	done      chan int
+	abandoned bool
+	launched  []bool
+	completed []bool
+	skip      []bool
+}
+
+func newSlideBufs(n int) slideBufs {
+	return slideBufs{
+		in:        make([]shardIn, n),
+		outs:      make([]shardOut, n),
+		done:      make(chan int, n),
+		launched:  make([]bool, n),
+		completed: make([]bool, n),
+		skip:      make([]bool, n),
+	}
 }
 
 // shardIn is one shard's routed input for a slide: its fixes and
@@ -150,9 +179,14 @@ type fixRec struct {
 	ns       int64
 }
 
-// shardOut is one shard's slide outcome.
+// shardOut is one shard's slide outcome. fresh, freshIdx and delta
+// alias the shard's double-buffered scratch, so they stay intact while
+// the shard runs the next slide: the merge reads a slide only from its
+// result slots.
 type shardOut struct {
-	gapStart int // offset in the shard's fresh where gap-sweep points begin
+	fresh    []CriticalPoint // ingest-time points, then gap-sweep points from gapStart on
+	freshIdx []int32         // batch index of each ingest-time point's fix (multi-shard tiers)
+	gapStart int
 	delta    []CriticalPoint
 	dur      time.Duration
 	end      time.Time             // when the shard finished the slide
@@ -195,6 +229,13 @@ func (p *shardPool) worker() {
 		select {
 		case j := <-p.jobs:
 			runShard(j)
+			// The result just sent made the collector runnable next on
+			// this worker's P, but it runs only once the worker lets go
+			// of the P. With more jobs queued — a slide rolled in — the
+			// worker would take one without blocking and keep the
+			// collector, which hands out the jobs and merges the slide,
+			// off the CPU until the queue drains. Yield instead.
+			runtime.Gosched()
 		case <-p.stop:
 			return
 		}
@@ -223,9 +264,10 @@ func runShard(j shardJob) {
 	if j.hook != nil {
 		(*j.hook)(j.i, j.q)
 	}
-	gapStart, delta := j.tr.slide(j.in, j.q)
-	end := time.Now()
-	*j.out = shardOut{gapStart: gapStart, delta: delta, dur: end.Sub(start), end: end}
+	out := j.tr.slide(j.in, j.q)
+	out.end = time.Now()
+	out.dur = out.end.Sub(start)
+	*j.out = out
 	if j.done != nil {
 		j.done <- j.i
 	}
@@ -244,16 +286,12 @@ func NewSharded(params Params, window stream.WindowSpec, shards int) *Sharded {
 	}
 	shards = max(shards, 1)
 	s := &Sharded{
-		params:    params,
-		window:    window,
-		shards:    make([]*shard, shards),
-		in:        make([]shardIn, shards),
-		outs:      make([]shardOut, shards),
-		done:      make(chan int, shards),
-		completed: make([]bool, shards),
-		skip:      make([]bool, shards),
-		heads:     make([]int, shards),
-		down:      make([]uint8, shards),
+		params: params,
+		window: window,
+		shards: make([]*shard, shards),
+		bufs:   [2]slideBufs{newSlideBufs(shards), newSlideBufs(shards)},
+		heads:  make([]int, shards),
+		down:   make([]uint8, shards),
 	}
 	for i := range s.shards {
 		s.shards[i] = s.newShard()
@@ -300,7 +338,7 @@ func (s *Sharded) workers() *shardPool {
 // pool. Closing is idempotent; a closed tier must not slide again.
 func (s *Sharded) Close() {
 	s.mu.Lock()
-	s.finish()
+	s.roll(nil, true)
 	s.mu.Unlock()
 	s.closeOnce.Do(func() {
 		if s.pool != nil {
@@ -339,40 +377,38 @@ func (s *Sharded) ShedFixes() int64 { return s.shedCnt.Load() }
 
 // Slide processes one batch: it updates the window with fresh
 // positions, detects trajectory events, performs slide-time gap
-// detection, and evicts expired critical points and stale vessels. It is
-// Start and Finish back to back, except that shard 0 runs on the calling
+// detection, and evicts expired critical points and stale vessels. It
+// starts the slide and finishes it, with shard 0 on the calling
 // goroutine unless the watchdog is armed. The returned Fresh and Delta
 // slices are tier-owned scratch, valid until the slide after next
 // starts.
 func (s *Sharded) Slide(b stream.Batch) SlideResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.start(b, false)
-	s.finish()
+	s.roll(&b, false)
+	s.roll(nil, false)
 	return s.take()
 }
 
-// Start begins the slide over b: it routes the batch and hands every
-// shard to the worker pool, then returns while they run.
-// Finish collects the slide. Starting a slide while another is in
-// flight finishes that one first; its result is lost.
-func (s *Sharded) Start(b stream.Batch) {
+// Roll finishes the slide in flight, if any, and starts the slide over
+// next, if non-nil, beside it, every shard on the worker pool: next is
+// routed first, then each shard is handed its share of next the moment
+// its result for the slide in flight arrives, and the finished slide is
+// merged while they run. A shard that panicked or stalled in the slide
+// in flight is quarantined and never handed next; its fixes of next are
+// counted dropped, as for any shard out of service.
+//
+// Roll returns the finished slide's result — collected under the slide
+// watchdog when armed; with no slide in flight, the result a reader
+// kept, if any, else a zero one — and when its last shard finished
+// (stragglers: when the watchdog gave up on them), and when Roll began
+// collecting, after routing next.
+func (s *Sharded) Roll(next *stream.Batch) (res SlideResult, done, collecting time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.start(b, true)
-}
-
-// Finish waits for the slide Start began — under the slide watchdog
-// when armed — merges it and returns its result, together with when
-// its last shard finished (stragglers: when the watchdog gave up on
-// them). A slide a reader already finished is returned as kept. With
-// no slide started, Finish returns a zero result.
-func (s *Sharded) Finish() (SlideResult, time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finish()
-	at := s.resultAt
-	return s.take(), at
+	collecting = s.roll(next, true)
+	done = s.resultAt
+	return s.take(), done, collecting
 }
 
 // take hands the kept result out once.
@@ -382,118 +418,157 @@ func (s *Sharded) take() SlideResult {
 	return res
 }
 
-// start is the first step of a slide: finish the one in flight, route
-// the batch, and dispatch the shards — all of them to the pool when
-// pooled or under the watchdog, else shard 0 runs here. Callers hold
-// mu.
-func (s *Sharded) start(b stream.Batch, pooled bool) {
-	s.finish()
-	n := len(s.shards)
-	watchdog := s.timeout > 0
-	s.route(b)
-	hook := s.faultHook.Load()
-	if s.abandoned {
-		s.outs, s.done, s.abandoned = make([]shardOut, n), make(chan int, n), false
+// roll is every slide step: route next, if any, into the scratch set
+// the slide in flight does not use; collect the slide in flight, if
+// any, handing each shard its next job as its result arrives; finish
+// that slide and keep its result; then hand out the rest of next —
+// every shard when nothing was in flight, on the pool when pooled or
+// under the watchdog, else shard 0 here. It returns when next was
+// routed. Callers hold mu.
+func (s *Sharded) roll(next *stream.Batch, pooled bool) time.Time {
+	f := s.flight
+	s.flight = flight{}
+	var nf flight
+	if next != nil {
+		nf = s.prepare(*next)
 	}
-
-	// Shards [0, firstPooled) run here, the rest on the pool.
-	firstPooled := 1
-	if pooled || watchdog {
-		firstPooled = 0
+	routed := time.Now()
+	if f.on {
+		s.collect(f, &nf)
+		s.finish(f)
 	}
-	inFlight := 0
-	for i := range s.shards {
-		s.completed[i] = false
-		s.skip[i] = s.outOfService(i)
-		if s.skip[i] {
-			s.dropped.Add(int64(len(s.in[i].recs)))
-			continue
-		}
-		if i >= firstPooled {
-			s.workers().jobs <- s.job(i, b.Query, hook, s.done)
-			inFlight++
-		}
+	if nf.on {
+		s.launch(&nf, pooled)
+		s.flight = nf
 	}
-	for i := 0; i < firstPooled; i++ {
-		if !s.skip[i] {
-			runShard(s.job(i, b.Query, hook, nil))
-			s.shardDone(i)
-		}
-	}
-	s.flight = flight{on: true, query: b.Query, pooled: inFlight, watchdog: watchdog}
+	return routed
 }
 
-// finish is the second step of the slide in flight, if any: collect the
-// pooled shards, quarantine stragglers and panicked shards, and merge.
-// The result is kept for take. Callers hold mu.
-func (s *Sharded) finish() {
-	f := s.flight
-	if !f.on {
-		return
+// prepare routes b into the next scratch set and returns its slide, not
+// yet handed to any shard.
+func (s *Sharded) prepare(b stream.Batch) flight {
+	s.last = 1 - s.last
+	bf := &s.bufs[s.last]
+	if bf.abandoned {
+		n := len(s.shards)
+		bf.outs, bf.done, bf.abandoned = make([]shardOut, n), make(chan int, n), false
 	}
-	s.flight = flight{}
-	s.collect(f.pooled, f.watchdog)
+	s.route(b, bf.in)
+	clear(bf.launched)
+	clear(bf.completed)
+	clear(bf.skip)
+	return flight{on: true, query: b.Query, buf: s.last, watchdog: s.timeout > 0, hook: s.faultHook.Load()}
+}
+
+// launch hands every shard of nf not yet handed its job to the pool —
+// or, for shard 0 when neither pooled nor under the watchdog, runs it
+// here — and leaves out shards out of service, counting their fixes
+// dropped.
+func (s *Sharded) launch(nf *flight, pooled bool) {
+	bf := &s.bufs[nf.buf]
+	inline := !pooled && !nf.watchdog && !bf.launched[0]
+	for i := range s.shards {
+		switch {
+		case bf.launched[i]:
+		case s.outOfService(i):
+			bf.skip[i] = true
+			s.dropped.Add(int64(len(bf.in[i].recs)))
+		case i == 0 && inline: // runs last, here
+		default:
+			s.dispatch(nf, i)
+		}
+	}
+	if inline && !bf.skip[0] {
+		bf.launched[0] = true
+		runShard(s.job(nf, 0, nil))
+		s.shardDone(bf, 0)
+	}
+}
+
+// dispatch hands shard i its job of nf on the pool.
+func (s *Sharded) dispatch(nf *flight, i int) {
+	bf := &s.bufs[nf.buf]
+	bf.launched[i] = true
+	s.workers().jobs <- s.job(nf, i, bf.done)
+	nf.pooled++
+}
+
+// finish ends slide f once collected: quarantine stragglers and
+// panicked shards, and merge. The result is kept for take.
+func (s *Sharded) finish(f flight) {
+	bf := &s.bufs[f.buf]
 	var doneAt time.Time
 	s.faults, s.faultFixes = nil, 0
 
 	// Stragglers: quarantine them and replace their pool workers, which
 	// are stuck inside runShard on the now-abandoned shard.
 	for i := range s.shards {
-		if !s.skip[i] && !s.completed[i] {
+		if !bf.skip[i] && !bf.completed[i] {
 			doneAt = time.Now()
 			s.stalls.Add(1)
-			s.quarantineShard(i, supervise.Stalled(shardTarget(i)))
+			s.quarantineShard(bf, i, supervise.Stalled(shardTarget(i)))
 			s.pool.addWorker()
-			s.abandoned = true
+			bf.abandoned = true
 		}
 	}
 	for i := range s.shards {
-		if !s.skip[i] && s.outs[i].panic != nil {
+		if !bf.skip[i] && bf.outs[i].panic != nil {
 			s.panics.Add(1)
-			s.quarantineShard(i, *s.outs[i].panic)
+			s.quarantineShard(bf, i, *bf.outs[i].panic)
 		}
 	}
 
 	mergeStart := time.Now()
-	fresh, delta := s.merge()
+	fresh, delta := s.merge(bf)
 	if m := s.metrics; m != nil {
 		m.mergeQueue.Set(0)
 		for i := range s.shards {
-			if !s.skip[i] {
-				m.shardDur[i].ObserveDuration(s.outs[i].dur)
-				m.shardFixes[i].Add(uint64(len(s.in[i].recs)))
+			if !bf.skip[i] {
+				m.shardDur[i].ObserveDuration(bf.outs[i].dur)
+				m.shardFixes[i].Add(uint64(len(bf.in[i].recs)))
 			}
 		}
 		m.mergeDur.ObserveDuration(time.Since(mergeStart))
 	}
 	for i := range s.shards {
-		if !s.skip[i] && s.outs[i].end.After(doneAt) {
-			doneAt = s.outs[i].end
+		if !bf.skip[i] && bf.outs[i].end.After(doneAt) {
+			doneAt = bf.outs[i].end
 		}
 	}
 	s.result = SlideResult{Query: f.query, Fresh: fresh, Delta: delta, Faults: s.faults, LostFixes: s.faultFixes}
 	s.resultAt = doneAt
 }
 
-// job builds shard i's slide job.
-func (s *Sharded) job(i int, q time.Time, hook *func(shard int, q time.Time), done chan<- int) shardJob {
-	return shardJob{tr: s.shards[i], in: s.in[i], q: q, out: &s.outs[i], done: done, i: i, hook: hook}
+// job builds shard i's job of slide f.
+func (s *Sharded) job(f *flight, i int, done chan<- int) shardJob {
+	bf := &s.bufs[f.buf]
+	return shardJob{tr: s.shards[i], in: bf.in[i], q: f.query, out: &bf.outs[i], done: done, i: i, hook: f.hook}
 }
 
 // shardDone marks shard i's result as arrived.
-func (s *Sharded) shardDone(i int) {
-	s.completed[i] = true
+func (s *Sharded) shardDone(bf *slideBufs, i int) {
+	bf.completed[i] = true
 	if s.metrics != nil {
 		s.metrics.mergeQueue.Add(1)
 	}
 }
 
-// collect waits for the inFlight pooled shards, under the slide
-// watchdog when armed. Results that beat the deadline but raced the
-// timer are drained before the rest are left as stragglers.
-func (s *Sharded) collect(inFlight int, watchdog bool) {
+// arrive takes shard i's result of slide f and, when a next slide nf is
+// being rolled in and the shard did not panic, hands it its next job.
+func (s *Sharded) arrive(f flight, nf *flight, i int) {
+	bf := &s.bufs[f.buf]
+	s.shardDone(bf, i)
+	if nf.on && bf.outs[i].panic == nil {
+		s.dispatch(nf, i)
+	}
+}
+
+// collect waits for slide f's pooled shards, under the slide watchdog
+// when armed. Results that beat the deadline but raced the timer are
+// drained before the rest are left as stragglers.
+func (s *Sharded) collect(f flight, nf *flight) {
 	var expire <-chan time.Time
-	if watchdog {
+	if f.watchdog {
 		if s.watch == nil {
 			s.watch = time.NewTimer(s.timeout)
 		} else {
@@ -511,15 +586,16 @@ func (s *Sharded) collect(inFlight int, watchdog bool) {
 			}
 		}()
 	}
-	for got := 0; got < inFlight; got++ {
+	done := s.bufs[f.buf].done
+	for got := 0; got < f.pooled; got++ {
 		select {
-		case i := <-s.done:
-			s.shardDone(i)
+		case i := <-done:
+			s.arrive(f, nf, i)
 		case <-expire:
-			for ; got < inFlight; got++ {
+			for ; got < f.pooled; got++ {
 				select {
-				case i := <-s.done:
-					s.shardDone(i)
+				case i := <-done:
+					s.arrive(f, nf, i)
 				default:
 					return
 				}
@@ -529,28 +605,28 @@ func (s *Sharded) collect(inFlight int, watchdog bool) {
 	}
 }
 
-// route splits the batch into the per-shard input buffers (reused
+// route splits the batch into the per-shard input buffers in (reused
 // across slides): each fix goes, as a fixRec tagged with its batch
 // index, to the shard owning its vessel. Every shard reads its own
 // copy, never the caller's batch, so a shard the watchdog abandons
 // cannot read a batch the caller has recycled.
-func (s *Sharded) route(b stream.Batch) {
+func (s *Sharded) route(b stream.Batch, in []shardIn) {
 	n := len(s.shards)
 	shed := s.shedOn.Load()
-	for i := range s.in {
-		s.in[i].recs = s.in[i].recs[:0]
-		s.in[i].shed = shed
+	for i := range in {
+		in[i].recs = in[i].recs[:0]
+		in[i].shed = shed
 	}
 	for i, f := range b.Fixes {
 		sh := ShardOf(f.MMSI, n)
-		s.in[sh].recs = append(s.in[sh].recs, fixRec{
+		in[sh].recs = append(in[sh].recs, fixRec{
 			mmsi: f.MMSI, idx: int32(i), lon: f.Pos.Lon, lat: f.Pos.Lat, ns: f.Time.UnixNano(),
 		})
 	}
 }
 
-// merge recombines the per-shard slide outputs into the exact serial
-// emission order:
+// merge recombines the per-shard slide outputs in bf's result slots into
+// the exact serial emission order:
 //
 //   - ingest-time points, k-way merged on the batch index of their
 //     triggering fix (each index lives in exactly one shard, so the
@@ -562,13 +638,14 @@ func (s *Sharded) route(b stream.Batch) {
 //     keys imply equal MMSIs.
 //
 // A lone shard's output is already in that order and is returned as is.
-func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
+func (s *Sharded) merge(bf *slideBufs) (fresh, delta []CriticalPoint) {
 	n := len(s.shards)
+	outs, skip := bf.outs, bf.skip
 	if n == 1 {
-		if s.skip[0] {
+		if skip[0] {
 			return nil, nil
 		}
-		return s.shards[0].fresh, s.outs[0].delta
+		return outs[0].fresh, outs[0].delta
 	}
 	s.fresh, s.spareFresh = s.spareFresh[:0], s.fresh
 	s.delta, s.spareDelta = s.spareDelta[:0], s.delta
@@ -582,17 +659,17 @@ func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
 		var bestIdx int32
 		for i := 0; i < n; i++ {
 			h := s.heads[i]
-			if s.skip[i] || h >= s.outs[i].gapStart {
+			if skip[i] || h >= outs[i].gapStart {
 				continue
 			}
-			if idx := s.shards[i].freshIdx[h]; best == -1 || idx < bestIdx {
+			if idx := outs[i].freshIdx[h]; best == -1 || idx < bestIdx {
 				best, bestIdx = i, idx
 			}
 		}
 		if best == -1 {
 			break
 		}
-		s.fresh = append(s.fresh, s.shards[best].fresh[s.heads[best]])
+		s.fresh = append(s.fresh, outs[best].fresh[s.heads[best]])
 		s.heads[best]++
 	}
 
@@ -602,17 +679,17 @@ func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
 		var bestMMSI uint32
 		for i := 0; i < n; i++ {
 			h := s.heads[i]
-			if s.skip[i] || h >= len(s.shards[i].fresh) {
+			if skip[i] || h >= len(outs[i].fresh) {
 				continue
 			}
-			if m := s.shards[i].fresh[h].MMSI; best == -1 || m < bestMMSI {
+			if m := outs[i].fresh[h].MMSI; best == -1 || m < bestMMSI {
 				best, bestMMSI = i, m
 			}
 		}
 		if best == -1 {
 			break
 		}
-		s.fresh = append(s.fresh, s.shards[best].fresh[s.heads[best]])
+		s.fresh = append(s.fresh, outs[best].fresh[s.heads[best]])
 		s.heads[best]++
 	}
 
@@ -624,17 +701,17 @@ func (s *Sharded) merge() (fresh, delta []CriticalPoint) {
 		best := -1
 		for i := 0; i < n; i++ {
 			h := s.heads[i]
-			if s.skip[i] || h >= len(s.outs[i].delta) {
+			if skip[i] || h >= len(outs[i].delta) {
 				continue
 			}
-			if best == -1 || compareDelta(&s.outs[i].delta[h], &s.outs[best].delta[s.heads[best]]) < 0 {
+			if best == -1 || compareDelta(&outs[i].delta[h], &outs[best].delta[s.heads[best]]) < 0 {
 				best = i
 			}
 		}
 		if best == -1 {
 			break
 		}
-		s.delta = append(s.delta, s.outs[best].delta[s.heads[best]])
+		s.delta = append(s.delta, outs[best].delta[s.heads[best]])
 		s.heads[best]++
 	}
 	return s.fresh, s.delta
@@ -649,7 +726,7 @@ func (s *Sharded) outOfService(i int) bool { return s.down[i] != shardUp }
 // held: every read of the tier's state goes through it.
 func (s *Sharded) settle() {
 	s.mu.Lock()
-	s.finish()
+	s.roll(nil, true)
 }
 
 // Stats returns the merged counter snapshot across all shards.

@@ -44,6 +44,8 @@ type VesselSnapshot struct {
 	DepartureM float64
 
 	Synopsis []CriticalPoint
+	// LastSeen is Last's time, written so the checkpoint format stays
+	// as it was; restore reads the vessel clock from Last.
 	LastSeen time.Time
 }
 
@@ -75,9 +77,7 @@ func (tr *shard) snapshotVessel(slot int32) VesselSnapshot {
 	}
 	if st.haveLast {
 		vs.Last = ais.Fix{MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS)}
-	}
-	if st.haveSeen {
-		vs.LastSeen = nsTime(st.lastSeenNS)
+		vs.LastSeen = vs.Last.Time
 	}
 	speeds, headings, turns := tr.vesselRings(slot)
 	if st.velLen > 0 {
@@ -146,10 +146,6 @@ func (tr *shard) restoreVessel(vs VesselSnapshot) {
 		st.lastTNS = vs.Last.Time.UnixNano()
 		st.lastTrig = geo.LatTrigOf(vs.Last.Pos)
 	}
-	if !vs.LastSeen.IsZero() {
-		st.lastSeenNS = vs.LastSeen.UnixNano()
-		st.haveSeen = true
-	}
 	speeds, headings, turns := tr.vesselRings(slot)
 	for _, v := range vs.Recent {
 		i := ringNext(int32(len(speeds)), &st.velHead, &st.velLen)
@@ -199,9 +195,15 @@ func (s *Sharded) Snapshot() Snapshot {
 // snapshot's. Vessels are re-routed by hash, so the snapshot may come
 // from a tier with a different shard count; the merged counters land on
 // shard 0 (per-shard attribution is not preserved across a reshard, the
-// merged totals are). A slide in flight is finished first and its
+// merged totals are). The snapshot is checked whole before anything is
+// touched: one that lists a vessel twice or counts an unknown event
+// type is refused, and the tier — a slide in flight included — is left
+// as it was. Otherwise a slide in flight is finished first and its
 // result discarded: it belongs to the state the restore replaces.
 func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
+	if err := snap.validate(); err != nil {
+		return err
+	}
 	s.settle()
 	defer s.mu.Unlock()
 	s.take()
@@ -218,11 +220,7 @@ func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
 		sh.lastQueryNS, sh.haveLastQ = 0, false
 	}
 	for _, vs := range snap.Vessels {
-		sh := s.shards[ShardOf(vs.MMSI, n)]
-		if _, dup := sh.index[vs.MMSI]; dup {
-			return fmt.Errorf("tracker: snapshot lists vessel %d twice", vs.MMSI)
-		}
-		sh.restoreVessel(vs)
+		s.shards[ShardOf(vs.MMSI, n)].restoreVessel(vs)
 	}
 	s0 := s.shards[0]
 	s0.stats.FixesIn = snap.Stats.FixesIn
@@ -233,10 +231,25 @@ func (s *Sharded) RestoreSnapshot(snap Snapshot) error {
 	s0.stats.LateDropped = snap.Stats.LateDropped
 	s0.stats.Shed = snap.Stats.Shed
 	for k, v := range snap.Stats.ByType {
+		s0.byType[k] = v
+	}
+	return nil
+}
+
+// validate checks what a restore cannot take: a vessel listed twice, an
+// event type out of range.
+func (snap *Snapshot) validate() error {
+	seen := make(map[uint32]struct{}, len(snap.Vessels))
+	for _, vs := range snap.Vessels {
+		if _, dup := seen[vs.MMSI]; dup {
+			return fmt.Errorf("tracker: snapshot lists vessel %d twice", vs.MMSI)
+		}
+		seen[vs.MMSI] = struct{}{}
+	}
+	for k := range snap.Stats.ByType {
 		if k < 0 || int(k) >= numEventTypes {
 			return fmt.Errorf("tracker: snapshot counts unknown event type %d", int(k))
 		}
-		s0.byType[k] = v
 	}
 	return nil
 }

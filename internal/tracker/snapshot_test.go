@@ -1,6 +1,12 @@
 package tracker
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -164,16 +170,84 @@ func TestSnapshotIndependentOfLiveState(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsDuplicateVessel guards the snapshot integrity check.
+// TestRestoreRejectsDuplicateVessel guards the snapshot integrity
+// check: a snapshot listing a vessel twice, or counting an event type
+// the tier does not know, is refused whole — before any shard is
+// touched. The tier's Snapshot stays byte-equal across the refused
+// restore, a slide in flight survives it, and the tier keeps sliding to
+// the digest of a tier that was never asked.
 func TestRestoreRejectsDuplicateVessel(t *testing.T) {
-	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
+	batches := simBatches(t, 120, 2)
+	window := stream.WindowSpec{Range: 30 * time.Minute, Slide: 5 * time.Minute}
+	mid := len(batches) / 2
 	s := NewSharded(DefaultParams(), window, 2)
 	defer s.Close()
-	snap := Snapshot{
-		Vessels: []VesselSnapshot{{MMSI: 42}, {MMSI: 42}},
-		Stats:   Stats{ByType: map[EventType]int{}},
+	ref := NewSharded(DefaultParams(), window, 2)
+	defer ref.Close()
+	for _, b := range batches[:mid] {
+		s.Slide(b)
+		ref.Slide(b)
 	}
-	if err := s.RestoreSnapshot(snap); err == nil {
-		t.Fatal("duplicate vessel accepted")
+	good := s.Snapshot()
+	if len(good.Vessels) == 0 {
+		t.Fatal("no vessels to snapshot")
+	}
+	dup := good
+	dup.Vessels = append(slices.Clone(good.Vessels), good.Vessels[len(good.Vessels)/2])
+	unknown := good
+	unknown.Stats.ByType = maps.Clone(good.Stats.ByType)
+	unknown.Stats.ByType[EventType(numEventTypes)] = 1
+	bad := map[string]Snapshot{"duplicate vessel": dup, "unknown event type": unknown}
+
+	encode := func() []byte {
+		t.Helper()
+		b, err := json.Marshal(s.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := encode()
+	for name, snap := range bad {
+		if err := s.RestoreSnapshot(snap); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+		if after := encode(); !bytes.Equal(before, after) {
+			t.Fatalf("%s: the refused restore changed the tier's snapshot", name)
+		}
+	}
+
+	// Refused with a slide in flight, the slide is neither finished nor
+	// lost: the next Roll returns it.
+	s.Roll(&batches[mid])
+	for name, snap := range bad {
+		if err := s.RestoreSnapshot(snap); err == nil {
+			t.Fatalf("%s: restore accepted with a slide in flight", name)
+		}
+	}
+	digest := func(res []SlideResult, tier *Sharded) string {
+		d := &digestWriter{h: sha256.New()}
+		for _, r := range res {
+			d.i64(r.Query.UnixNano())
+			d.points("fresh", r.Fresh)
+			d.points("delta", r.Delta)
+		}
+		d.stats(tier.Stats())
+		return hex.EncodeToString(d.h.Sum(nil))
+	}
+	var got, want []SlideResult
+	clone := func(r SlideResult) SlideResult {
+		return SlideResult{Query: r.Query, Fresh: slices.Clone(r.Fresh), Delta: slices.Clone(r.Delta)}
+	}
+	res, _, _ := s.Roll(nil)
+	got = append(got, clone(res))
+	for _, b := range batches[mid+1:] {
+		got = append(got, clone(s.Slide(b)))
+	}
+	for _, b := range batches[mid:] {
+		want = append(want, clone(ref.Slide(b)))
+	}
+	if g, w := digest(got, s), digest(want, ref); g != w {
+		t.Errorf("after the refused restores the tier slides to digest %s, want %s", g, w)
 	}
 }

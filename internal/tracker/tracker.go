@@ -46,16 +46,18 @@ type shard struct {
 	deltaOut   []CriticalPoint
 	spareDelta []CriticalPoint
 	gapScan    []gapCand
-	evictScan  []int32 // slots
+	evictScan  []int32   // slots
+	medianSums []float64 // runMedian's scratch: per-member distance sums, then latitude cosines
 
 	// Emission indexing, on when the tier has more than one shard:
 	// freshIdx records, parallel to fresh, the batch index of the fix
 	// that triggered each emission, so the merge can restore global
-	// batch order exactly. curIdx is the index of the fix being ingested
-	// (gapSentinel outside ingest).
-	indexing bool
-	curIdx   int32
-	freshIdx []int32
+	// batch order exactly; it swaps with its spare like fresh. curIdx is
+	// the index of the fix being ingested (gapSentinel outside ingest).
+	indexing      bool
+	curIdx        int32
+	freshIdx      []int32
+	spareFreshIdx []int32
 
 	// lastQueryNS is the query time that closed the previous slide: the
 	// boundary against which accepted fixes are classified as late.
@@ -106,7 +108,6 @@ const noSynopsis = math.MaxInt64
 type vesselState struct {
 	inUse    bool // the slot holds a vessel (false on the free list)
 	haveLast bool
-	haveSeen bool
 	haveV    bool
 	gapOpen  bool
 	stopped  bool // in a long-term stop episode
@@ -132,8 +133,6 @@ type vesselState struct {
 	// — i.e. since its last long-term stop ended.
 	odometerM  float64
 	departureM float64
-
-	lastSeenNS int64
 
 	// Long-term stop run: consecutive low-speed fixes (its aggregates
 	// follow below).
@@ -165,8 +164,6 @@ func (st *vesselState) setLast(pos geo.Point, tns int64, trig geo.LatTrig) {
 	st.lastPos = pos
 	st.lastTNS = tns
 	st.lastTrig = trig
-	st.lastSeenNS = tns
-	st.haveSeen = true
 }
 
 // addPoint appends a critical point to the vessel's synopsis.
@@ -298,28 +295,27 @@ type SlideResult struct {
 // slide advances the shard through one slide: it ingests the fixes
 // routed to it (each carrying its index in the whole batch, which
 // emission indexing records), then runs the slide-time gap sweep
-// and window eviction. It returns the offset into fresh where the
-// gap-sweep emissions start (they are ordered by MMSI, while
-// fresh[:gapStart] is ordered by triggering fix) and the expired delta
-// points. Both fresh and delta are shard-owned scratch, valid until the
+// and window eviction. The result holds the slide's emissions — ordered
+// by triggering fix up to gapStart, then the gap sweep's by MMSI — and
+// the expired delta points, all shard-owned scratch valid until the
 // slide after next.
-func (tr *shard) slide(in shardIn, q time.Time) (gapStart int, delta []CriticalPoint) {
+func (tr *shard) slide(in shardIn, q time.Time) shardOut {
 	tr.fresh, tr.spareFresh = tr.spareFresh[:0], tr.fresh
+	tr.freshIdx, tr.spareFreshIdx = tr.spareFreshIdx[:0], tr.freshIdx
 	tr.deltaOut, tr.spareDelta = tr.spareDelta, tr.deltaOut
-	tr.freshIdx = tr.freshIdx[:0]
 	tr.shedding = in.shed
 	for _, r := range in.recs {
 		tr.curIdx = r.idx
 		tr.ingest(r.mmsi, r.lon, r.lat, r.ns)
 	}
 	tr.curIdx = gapSentinel
-	gapStart = len(tr.fresh)
+	gapStart := len(tr.fresh)
 	tr.collectSweeps(q)
 	tr.detectGaps(q)
-	delta = tr.evict(q)
+	delta := tr.evict(q)
 	tr.lastQueryNS = q.UnixNano()
 	tr.haveLastQ = true
-	return gapStart, delta
+	return shardOut{fresh: tr.fresh, freshIdx: tr.freshIdx, gapStart: gapStart, delta: delta}
 }
 
 // collectSweeps walks the slab once, gathering the candidates of
@@ -343,7 +339,7 @@ func (tr *shard) collectSweeps(q time.Time) {
 		if st.haveLast && !st.gapOpen && qns-st.lastTNS >= gapNS {
 			tr.gapScan = append(tr.gapScan, gapCand{mmsi: st.mmsi, slot: int32(i)})
 		}
-		if st.lastSeenNS <= cutoffNS || st.synOldestNS <= cutoffNS {
+		if st.lastTNS <= cutoffNS || st.synOldestNS <= cutoffNS {
 			tr.evictScan = append(tr.evictScan, int32(i))
 		}
 	}
@@ -626,7 +622,8 @@ func (st *vesselState) stopCentroid() geo.Point {
 // of the run centroid — the same answer withinRadius gave the row path.
 // A conservative spherical L1 bound over the run's bounding box settles
 // the common case (a tight anchorage drift) without touching the run;
-// only runs brushing the radius fall back to the exact per-point scan.
+// only runs brushing the radius fall back to the exact per-point scan,
+// which takes the centroid's latitude cosine once.
 func (st *vesselState) stopWithin(radius float64) bool {
 	c := st.stopCentroid()
 	dLat := max(st.stopMaxLat-c.Lat, c.Lat-st.stopMinLat)
@@ -636,8 +633,9 @@ func (st *vesselState) stopWithin(radius float64) bool {
 	if geo.L1DistanceBoundMeters(dLat, dLon) <= 0.999*radius {
 		return true
 	}
+	cosC := geo.LatTrigOf(c).Cos
 	for _, f := range st.stopRun {
-		if geo.Haversine(c, f.pos) > radius {
+		if geo.HaversineCos(c, f.pos, cosC, geo.LatTrigOf(f.pos).Cos) > radius {
 			return false
 		}
 	}
@@ -717,7 +715,7 @@ func (tr *shard) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow g
 		if !st.slow && len(st.slowRun) >= p.M {
 			st.slow = true
 			tr.emit(st, CriticalPoint{
-				MMSI: st.mmsi, Pos: runMedian(st.slowRun), Time: nsTime(st.slowRun[0].tns),
+				MMSI: st.mmsi, Pos: tr.runMedian(st.slowRun), Time: nsTime(st.slowRun[0].tns),
 				Type: EventSlowStart, SpeedKn: vNow.SpeedKnots,
 				Confidence: marginConfidence(p.VSlowKnots-vNow.SpeedKnots+p.VSlowKnots, p.VSlowKnots),
 			})
@@ -729,7 +727,7 @@ func (tr *shard) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow g
 	}
 	if st.slow {
 		tr.emit(st, CriticalPoint{
-			MMSI: st.mmsi, Pos: runMedian(st.slowRun), Time: nsTime(tns), Type: EventSlowEnd,
+			MMSI: st.mmsi, Pos: tr.runMedian(st.slowRun), Time: nsTime(tns), Type: EventSlowEnd,
 			Duration: time.Duration(tns - st.slowRun[0].tns),
 		})
 		st.slow = false
@@ -745,7 +743,7 @@ func (tr *shard) closeRuns(st *vesselState, endNS int64) {
 	}
 	if st.slow {
 		tr.emit(st, CriticalPoint{
-			MMSI: st.mmsi, Pos: runMedian(st.slowRun), Time: nsTime(endNS), Type: EventSlowEnd,
+			MMSI: st.mmsi, Pos: tr.runMedian(st.slowRun), Time: nsTime(endNS), Type: EventSlowEnd,
 			Duration: time.Duration(endNS - st.slowRun[0].tns),
 		})
 		st.slow = false
@@ -830,7 +828,7 @@ func (tr *shard) evict(q time.Time) []CriticalPoint {
 	tr.delta = tr.delta[:0]
 	for _, slot := range tr.evictScan {
 		st := &tr.slots[slot]
-		if st.lastSeenNS <= cutoffNS {
+		if st.lastTNS <= cutoffNS {
 			tr.delta = append(tr.delta, st.synopsis.live()...)
 			tr.release(slot)
 		} else {
@@ -865,8 +863,9 @@ func (tr *shard) evict(q time.Time) []CriticalPoint {
 // caller already derived from the cached sums.
 func stopConfidenceAt(run []runFix, c geo.Point, radius float64) float64 {
 	var worst float64
+	cosC := geo.LatTrigOf(c).Cos
 	for _, f := range run {
-		if d := geo.Haversine(c, f.pos); d > worst {
+		if d := geo.HaversineCos(c, f.pos, cosC, geo.LatTrigOf(f.pos).Cos); d > worst {
 			worst = d
 		}
 	}
@@ -880,19 +879,32 @@ func stopConfidenceAt(run []runFix, c geo.Point, radius float64) float64 {
 // runMedian returns the positionally central fix of the run: the
 // representative critical point of a slow-motion episode (paper §3.1).
 // It picks the fix minimizing the sum of distances to the others — the
-// geometric median restricted to run members.
-func runMedian(run []runFix) geo.Point {
+// geometric median restricted to run members. A distance is symmetric
+// bit for bit, so each pair is computed once, over latitude cosines
+// taken once per member, and added to both members' sums; each sum
+// still adds its terms in member order, so it equals the row-by-row sum
+// exactly.
+func (tr *shard) runMedian(run []runFix) geo.Point {
 	if len(run) == 1 {
 		return run[0].pos
 	}
-	best, bestSum := 0, math.Inf(1)
+	sums := append(tr.medianSums[:0], make([]float64, 2*len(run))...)
+	tr.medianSums = sums
+	cos := sums[len(run):]
+	sums = sums[:len(run)]
 	for i := range run {
-		sum := 0.0
-		for j := range run {
-			if i != j {
-				sum += geo.Haversine(run[i].pos, run[j].pos)
-			}
+		cos[i] = geo.LatTrigOf(run[i].pos).Cos
+	}
+	for i := range run {
+		a := &run[i]
+		for j := i + 1; j < len(run); j++ {
+			d := geo.HaversineCos(a.pos, run[j].pos, cos[i], cos[j])
+			sums[i] += d
+			sums[j] += d
 		}
+	}
+	best, bestSum := 0, math.Inf(1)
+	for i, sum := range sums {
 		if sum < bestSum {
 			best, bestSum = i, sum
 		}

@@ -1,6 +1,8 @@
 package tracker
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -466,5 +468,62 @@ func TestOdometer(t *testing.T) {
 	}
 	if _, _, ok := tr.Odometer(424242); ok {
 		t.Error("odometer for unknown vessel")
+	}
+}
+
+// TestRunRepresentativesMatchUncached pins the run representatives to
+// their row-by-row form on random runs: runMedian (each pair computed
+// once, over cosines taken once per member) reaches every member's
+// distance sum bit for bit and picks the member the full double loop of
+// Haversine calls picks, and stopConfidenceAt grades as a Haversine
+// scan does.
+func TestRunRepresentativesMatchUncached(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := &shard{}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(45)
+		base := geo.Point{Lon: rng.Float64()*360 - 180, Lat: rng.Float64()*170 - 85}
+		spread := []float64{1e-5, 1e-3, 0.05}[trial%3]
+		run := make([]runFix, n)
+		for i := range run {
+			p := geo.Point{Lon: base.Lon + (rng.Float64()-0.5)*spread, Lat: base.Lat + (rng.Float64()-0.5)*spread}
+			if i > 0 && rng.Intn(8) == 0 {
+				p = run[rng.Intn(i)].pos // coincident members tie
+			}
+			run[i] = runFix{pos: p, tns: int64(i)}
+		}
+		want, bestSum := run[0].pos, math.Inf(1)
+		sums := make([]float64, n)
+		for i := range run {
+			sum := 0.0
+			for j := range run {
+				if i != j {
+					sum += geo.Haversine(run[i].pos, run[j].pos)
+				}
+			}
+			sums[i] = sum
+			if sum < bestSum {
+				want, bestSum = run[i].pos, sum
+			}
+		}
+		if got := tr.runMedian(run); got != want {
+			t.Fatalf("trial %d: runMedian = %v, uncached double loop picks %v", trial, got, want)
+		}
+		if n > 1 {
+			for i, sum := range sums {
+				if tr.medianSums[i] != sum {
+					t.Fatalf("trial %d: member %d's distance sum %v, row by row %v", trial, i, tr.medianSums[i], sum)
+				}
+			}
+		}
+		c := base
+		var worst float64
+		for _, f := range run {
+			worst = max(worst, geo.Haversine(c, f.pos))
+		}
+		radius := 50 + rng.Float64()*500
+		if got, wantConf := stopConfidenceAt(run, c, radius), max(1-worst/(2*radius), 0.5); got != wantConf {
+			t.Fatalf("trial %d: stopConfidenceAt = %v, uncached %v", trial, got, wantConf)
+		}
 	}
 }
