@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker fuzz-scanner bench-quick check-allocs check-run-patterns experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker fuzz-scanner fuzz-window-sum bench-quick check-allocs check-run-patterns experiments examples
 
 all: fmt-check build vet test
 
@@ -117,6 +117,13 @@ bench-tracker:
 # runs only the seed corpus.
 fuzz-scanner:
 	go test -run '^$$' -fuzz '^FuzzScanner$$' -fuzztime 30s ./internal/ais/
+
+# Fuzz the tracker's bound-first window tests for 10 s: over any ring
+# window's entries and resets, the outlier gate's speed test and the
+# smooth-turn test settled from the running sums must decide as the
+# exact oldest-first fold does. Plain `go test` runs only the seeds.
+fuzz-window-sum:
+	go test -run '^$$' -fuzz '^FuzzWindowSum$$' -fuzztime 10s ./internal/tracker/
 
 # End-to-end benchmark smoke (cmd/bench, the BENCHMARK.json harness) on
 # a toy fleet, ~15 s: all four workloads against real cmd/serve

@@ -31,6 +31,17 @@ func FuzzScanner(f *testing.F) {
 		// Lowercase checksum, CRLF ending. (A line past the read buffer's
 		// limit is in differentialCorpus: a 1 MiB seed pins the mutator.)
 		"1243814400 !AIVDM,1,1,,A,15RTgt0PAso;90TKcjM8h6g208CQ,0*4a\r",
+		// Appended after the fifteen above, so their ids #0–#29 hold: the
+		// word-at-a-time canonical path's edges — a payload of 9 bytes
+		// (one word and a tail), a byte ≥ 0x80 and an alphabet edge in
+		// the middle of a word, a two-character channel, a '*' in the
+		// checksum, bytes after it.
+		"1243814400 !AIVDM,1,1,,A,15RTgt0PA,0*16",
+		"1243814400 !AIVDM,1,1,,A,15RTg\x80PAso;90TKcjM8h6g208CQ,0*8E",
+		"1243814400 !AIVDM,1,1,,A,15RTgXx_so;90TKcjM8h6g208CQ,0*60",
+		"1243814400 !AIVDM,1,1,,AB,15RTgt0PAso;90TKcjM8h6g208CQ,0*08",
+		"1243814400 !AIVDM,1,1,,A,15RTgt0PAso;90TKcjM8h6g208CQ,0**A",
+		"1243814400 !AIVDM,1,1,,A,15RTgt0PAso;90TKcjM8h6g208CQ,0*4A0",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -2,6 +2,8 @@ package ais
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"strconv"
 	"time"
 	"unsafe"
@@ -109,9 +111,10 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 
 // consumeBytes handles one non-empty, whitespace-trimmed line on the
 // zero-copy path. The NMEA timestamp is parsed inline when it has the
-// shape every feed writes — up to 18 digits, then ASCII spaces — and by
-// strconv otherwise (a sign, 19 or more digits, other whitespace),
-// which settles it exactly as the string decoder does.
+// shape every feed writes — up to 18 digits, the first eight of them a
+// word at a time, then ASCII spaces — and by strconv otherwise (a sign,
+// 19 or more digits, other whitespace), which settles it exactly as the
+// string decoder does.
 func (s *Scanner) consumeBytes(line []byte) (Fix, bool) {
 	bang := bytes.IndexByte(line, '!')
 	if bang < 0 {
@@ -119,6 +122,20 @@ func (s *Scanner) consumeBytes(line []byte) (Fix, bool) {
 	}
 	var ts int64
 	i := 0
+	if bang >= 8 {
+		// Eight leading digits at once: each lane less '0', then lanes
+		// folded pairwise (×10, ×100, ×10⁴) with the first digit most
+		// significant.
+		w := binary.LittleEndian.Uint64(line)
+		y := w &^ highs
+		if digits := (y + (0x80-'0')*lanes) &^ (y + (0x7F-'9')*lanes) &^ w; digits&highs == highs {
+			d := w - '0'*lanes
+			d = (d * (10<<8 + 1)) >> 8 & 0x00FF00FF00FF00FF
+			d = (d * (100<<16 + 1)) >> 16 & 0x0000FFFF0000FFFF
+			d = (d * (10000<<32 + 1)) >> 32
+			ts, i = int64(d), 8
+		}
+	}
 	for ; i < bang && line[i]-'0' < 10; i++ {
 		ts = ts*10 + int64(line[i]-'0')
 	}
@@ -147,17 +164,126 @@ func fieldInt(b []byte) (int, bool) {
 	return n, err == nil
 }
 
+// The canonical single-fragment sentence, "!AIVDM,1,1,,<ch>,<payload>,<fill>*<hh>":
+// its first twelve bytes as one 8-byte and one 4-byte little-endian
+// word, the XOR of the eleven of them inside the checksummed body, and
+// the payload's offset.
+const (
+	canonHead  = uint64('!') | uint64('A')<<8 | uint64('I')<<16 | uint64('V')<<24 | uint64('D')<<32 | uint64('M')<<40 | uint64(',')<<48 | uint64('1')<<56
+	canonTail  = uint32(',') | uint32('1')<<8 | uint32(',')<<16 | uint32(',')<<24
+	canonSum   = 'A' ^ 'I' ^ 'V' ^ 'D' ^ 'M' ^ ',' ^ '1' ^ ',' ^ '1' ^ ',' ^ ','
+	canonStart = 14 // the payload's offset: prefix, one channel byte, ','
+)
+
+// Word-at-a-time byte tests: lanes holds 1 in every byte, so c·lanes
+// repeats c across a word; a lane's high bit is its test's answer.
+const (
+	lanes = 0x0101010101010101
+	highs = 0x80 * lanes
+)
+
+// armorRun returns the length of the longest prefix of p whose bytes
+// are all in the armor alphabet ('0'–'W', '`'–'w'), and the XOR of
+// those bytes. It tests eight bytes per step: with the high bit of each
+// lane masked off, adding 0x80−lo sets a lane's high bit iff the lane is
+// at least lo, and adding 0x7F−hi iff it is above hi, with no carry
+// between lanes; a lane with its own high bit set (a byte ≥ 0x80) is
+// outside the alphabet too. The first lane that fails ends the run. The
+// last r < 8 bytes are read from the word that ends p, shifted down into
+// the low r lanes, or byte by byte when p is shorter than a word; only
+// those r lanes are tested.
+func armorRun(p []byte) (n int, sum byte) {
+	var x uint64
+	for n < len(p) {
+		r := min(len(p)-n, 8)
+		var w uint64
+		switch {
+		case r == 8:
+			w = binary.LittleEndian.Uint64(p[n:])
+		case len(p) >= 8:
+			w = binary.LittleEndian.Uint64(p[len(p)-8:]) >> (64 - 8*r)
+		default:
+			for i, c := range p[n:] {
+				w |= uint64(c) << (8 * i)
+			}
+		}
+		if bad := outsideArmor(w) & (uint64(1)<<(8*r) - 1); bad != 0 {
+			k := bits.TrailingZeros64(bad) / 8
+			return n + k, foldXOR(x ^ w&(uint64(1)<<(8*k)-1))
+		}
+		x ^= w
+		n += r
+	}
+	return n, foldXOR(x)
+}
+
+// outsideArmor returns the high bit of every lane of w holding a byte
+// outside the armor alphabet, and no other bit.
+func outsideArmor(w uint64) uint64 {
+	y := w &^ highs
+	digits := (y + (0x80-'0')*lanes) &^ (y + (0x7F-'W')*lanes)
+	letters := (y + (0x80-'`')*lanes) &^ (y + (0x7F-'w')*lanes)
+	return (^(digits | letters) | w) & highs
+}
+
+// foldXOR folds the eight lanes of a word into the XOR of its bytes.
+func foldXOR(x uint64) byte {
+	x ^= x >> 32
+	x ^= x >> 16
+	x ^= x >> 8
+	return byte(x)
+}
+
 // consumeNMEABytes decodes one "!AIVDM..." sentence stamped ts, without
 // allocating. The validation sequence replicates ParseSentence +
 // Assembler.Push + decodeArmored + decodePositionReport step for step.
+//
+// A canonical sentence — the "!AIVDM,1,1,," prefix, a one-byte channel,
+// a payload wholly in the armor alphabet and nothing after
+// ",<fill>*<hex><hex>" — is settled without the byte loop: its talker,
+// fragment fields and comma offsets are the prefix's, the checksum's
+// '*' is the last one, and the payload's XOR comes a word at a time.
+// Every check the byte loop's path makes after the checksum either holds
+// by that shape or is made below as it is there, so the line lands on
+// the same counter and fix. Any other sentence takes the byte loop.
 func (s *Scanner) consumeNMEABytes(ts int64, sentence []byte) (Fix, bool) {
-	// One forward pass over the sentence (sentence[0] == '!' is
-	// guaranteed by the caller, which also trimmed trailing CR/LF). It
-	// XORs the checksum, records the first six comma offsets and notes
-	// whether the sixth field, the payload, holds a byte outside the
-	// armor alphabet. At each '*' it snapshots the sum and the comma
-	// count: the last '*' — the one ParseSentence's LastIndexByte finds —
-	// ends the body, and every earlier one is part of it.
+	end := len(sentence) - 5 // the comma before the fill digit
+	if end >= canonStart &&
+		binary.LittleEndian.Uint64(sentence) == canonHead &&
+		binary.LittleEndian.Uint32(sentence[8:]) == canonTail &&
+		sentence[12] != ',' && sentence[13] == ',' &&
+		sentence[end] == ',' && sentence[end+1]-'0' < 10 && sentence[end+2] == '*' {
+		hi, lo := hexTable[sentence[end+3]], hexTable[sentence[end+4]]
+		payload := sentence[canonStart:end]
+		if n, psum := armorRun(payload); n == len(payload) && hi != 0xFF && lo != 0xFF {
+			fill := int(sentence[end+1] - '0')
+			if canonSum^sentence[12]^','^psum^','^sentence[end+1] != hi<<4|lo {
+				s.stats.BadChecksum++
+				return Fix{}, false
+			}
+			if fill > 5 {
+				s.stats.Malformed++
+				return Fix{}, false
+			}
+			if fix, ok, voyage := s.decodeSingle(ts, payload, fill); !voyage {
+				return fix, ok
+			}
+			commas := [6]int{6, 8, 10, 11, 13, end} // the canonical offsets
+			return s.pushLegacy(ts, sentenceOf(sentence, &commas, 1, 1, fill))
+		}
+	}
+	return s.consumeNMEALoop(ts, sentence)
+}
+
+// consumeNMEALoop is consumeNMEABytes for every sentence shape: one
+// forward pass over the sentence (sentence[0] == '!' is guaranteed by
+// the caller, which also trimmed trailing CR/LF). It XORs the checksum,
+// records the first six comma offsets and notes whether the sixth
+// field, the payload, holds a byte outside the armor alphabet. At each
+// '*' it snapshots the sum and the comma count: the last '*' — the one
+// ParseSentence's LastIndexByte finds — ends the body, and every earlier
+// one is part of it.
+func (s *Scanner) consumeNMEALoop(ts int64, sentence []byte) (Fix, bool) {
 	var (
 		sum, bodySum byte
 		star         = -1
@@ -175,18 +301,17 @@ func (s *Scanner) consumeNMEABytes(ts int64, sentence []byte) (Fix, bool) {
 			}
 			nc++
 			if nc == 5 {
-				// The payload: its armor characters in a tight loop, the
+				// The payload: its armor characters a word at a time, the
 				// first byte outside the alphabet back to the cases here.
-				for k+1 < len(sentence) && dearmorTable[sentence[k+1]] != 0xFF {
-					k++
-					sum ^= sentence[k]
-				}
+				n, psum := armorRun(sentence[k+1:])
+				k += n
+				sum ^= psum
 			}
 		case c == '*':
 			star, bodySum, bodyNC = k, sum^c, nc
 			badArmor = badArmor || nc == 5
 		case nc == 5:
-			badArmor = true // a payload byte the tight loop stopped at
+			badArmor = true // a payload byte the armor run stopped at
 		}
 	}
 
@@ -239,35 +364,47 @@ func (s *Scanner) consumeNMEABytes(ts int64, sentence []byte) (Fix, bool) {
 
 	// decodeArmored: every payload character must be in the alphabet
 	// (dearmor rejects the whole payload on any bad one, which the pass
-	// above noted), then establish the bit length.
+	// above noted).
 	if badArmor {
 		s.stats.Malformed++ // invalid payload character
 		return Fix{}, false
 	}
+	if fix, ok, voyage := s.decodeSingle(ts, payload, fill); !voyage {
+		return fix, ok
+	}
+	return s.pushLegacy(ts, sentenceOf(sentence, &commas, fragCount, fragNum, fill))
+}
+
+// decodeSingle finishes a validated single-fragment sentence whose
+// payload is wholly in the armor alphabet: it establishes the bit
+// length and extracts the fix. A voyage report is left to the caller
+// (voyage set, nothing counted), which hands it to the allocating path.
+func (s *Scanner) decodeSingle(ts int64, payload []byte, fill int) (fix Fix, ok, voyage bool) {
 	bitLen := len(payload) * 6
 	if fill > bitLen {
 		s.stats.Malformed++ // fill bits exceed payload
-		return Fix{}, false
+		return Fix{}, false, false
 	}
 	bitLen -= fill
 
 	if bitLen < 6 {
 		s.stats.Malformed++ // ErrTruncated
-		return Fix{}, false
+		return Fix{}, false, false
 	}
 	msgType := int(dearmorTable[payload[0]])
 	switch msgType {
 	case TypeStaticVoyage:
 		// Voyage report: decoded off the hot path (ship name, ETA, …).
-		return s.pushLegacy(ts, sentenceOf(sentence, &commas, fragCount, fragNum, fill))
+		return Fix{}, false, true
 	case TypePositionA, TypePositionAAssigned, TypePositionAResponse:
 		if bitLen < lenPositionA {
 			s.stats.Malformed++ // ErrTruncated
-			return Fix{}, false
+			return Fix{}, false, false
 		}
 		a := newArmorBits(payload)
-		return s.finishFix(ts, uint32(a.uint(8, 30)),
+		fix, ok = s.finishFix(ts, uint32(a.uint(8, 30)),
 			float64(a.int(61, 28))/600000, float64(a.int(89, 27))/600000)
+		return fix, ok, false
 	case TypePositionB, TypePositionBExtended:
 		need := lenPositionB
 		if msgType == TypePositionBExtended {
@@ -275,14 +412,15 @@ func (s *Scanner) consumeNMEABytes(ts int64, sentence []byte) (Fix, bool) {
 		}
 		if bitLen < need {
 			s.stats.Malformed++ // ErrTruncated
-			return Fix{}, false
+			return Fix{}, false, false
 		}
 		a := newArmorBits(payload)
-		return s.finishFix(ts, uint32(a.uint(8, 30)),
+		fix, ok = s.finishFix(ts, uint32(a.uint(8, 30)),
 			float64(a.int(57, 28))/600000, float64(a.int(85, 27))/600000)
+		return fix, ok, false
 	default:
 		s.stats.Unsupported++ // ErrUnsupportedType
-		return Fix{}, false
+		return Fix{}, false, false
 	}
 }
 

@@ -100,20 +100,31 @@ func differentialCorpus(t testing.TB) string {
 	add("1243814400\u00a0" + valid)                                          // non-ASCII space before '!'
 	add("1243814400\u00e9 " + valid)                                         // non-space, non-ASCII byte before '!'
 	add("1243 814400 " + valid)                                              // space inside the timestamp
-	add(valid)                                                               // no timestamp
-	add("1243814400 " + sum("AIVDO,1,1,,A,"+payload+",0"))                   // own-vessel talker
-	add("1243814400 " + sum("AIVDMX,1,1,,A,"+payload+",0"))                  // talker too long
-	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",6"))                   // fill 6
-	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",05"))                  // fill with a leading zero
-	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+","))                    // empty fill
-	add("1243814400 " + sum("AIVDM,01,1,,A,"+payload+",0"))                  // fragment count 01
-	add("1243814400 " + sum("AIVDM,1,01,,A,"+payload+",0"))                  // fragment number 01
-	add("1243814400 " + sum("AIVDM,+1,1,,A,"+payload+",0"))                  // signed fragment count
-	add("1243814400 " + sum("AIVDM,1,10,,A,"+payload+",0"))                  // fragment 10 of 1
-	add("1243814400 " + sum("AIVDM,10,1,4,A,"+payload+",0"))                 // fragment 1 of 10
-	add("1243814400 " + sum("AIVDM,1,1,,A,,0"))                              // empty payload
-	add("1243814400 " + lines[0] + "\r")                                     // CRLF line ending
-	add("1243814400 " + valid + "\r")                                        // CRLF line ending
+	add("12438144 " + valid)                                                 // eight digits, one word
+	add("1243814 " + valid)                                                  // seven digits, short of a word
+	add("00000000 " + valid)                                                 // eight zeros
+	add("99999999 " + valid)                                                 // eight nines
+	for i := 0; i < 8; i++ {
+		for _, c := range []byte{'/', ':', 0xb0} { // either side of the digits, and a digit with its high bit set
+			ts := []byte("1243814400")
+			ts[i] = c
+			add(string(ts) + " " + valid)
+		}
+	}
+	add(valid)                                               // no timestamp
+	add("1243814400 " + sum("AIVDO,1,1,,A,"+payload+",0"))   // own-vessel talker
+	add("1243814400 " + sum("AIVDMX,1,1,,A,"+payload+",0"))  // talker too long
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",6"))   // fill 6
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",05"))  // fill with a leading zero
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+","))    // empty fill
+	add("1243814400 " + sum("AIVDM,01,1,,A,"+payload+",0"))  // fragment count 01
+	add("1243814400 " + sum("AIVDM,1,01,,A,"+payload+",0"))  // fragment number 01
+	add("1243814400 " + sum("AIVDM,+1,1,,A,"+payload+",0"))  // signed fragment count
+	add("1243814400 " + sum("AIVDM,1,10,,A,"+payload+",0"))  // fragment 10 of 1
+	add("1243814400 " + sum("AIVDM,10,1,4,A,"+payload+",0")) // fragment 1 of 10
+	add("1243814400 " + sum("AIVDM,1,1,,A,,0"))              // empty payload
+	add("1243814400 " + lines[0] + "\r")                     // CRLF line ending
+	add("1243814400 " + valid + "\r")                        // CRLF line ending
 	for i, typ := range []int{TypePositionB, TypePositionBExtended, TypePositionAAssigned, TypePositionAResponse} {
 		r := &PositionReport{Type: typ, MMSI: uint32(237200000 + i), Lon: -9.5 - float64(i), Lat: -38.25 + float64(i)}
 		enc, err := EncodeSentences(r, "B", i)
@@ -125,6 +136,44 @@ func differentialCorpus(t testing.TB) string {
 		short := enc[0][:strings.LastIndexByte(enc[0], ',')]
 		add(fmt.Sprintf("%d %s", 1243814400+i, sum(short[1:len(short)-1]+",0")))
 	}
+	// The edges of the word-at-a-time canonical path. Payload lengths 0
+	// to 17 cover every residue of the eight-byte scan, each with fill 0
+	// and fill 5; the full-length payload carries each alphabet edge and
+	// bytes ≥ 0x80 in every lane of every word.
+	for n := 0; n <= 17; n++ {
+		add("1243814400 " + sum("AIVDM,1,1,,A,"+payload[:n]+",0"))
+		add("1243814400 " + sum("AIVDM,1,1,,B,"+payload[:n]+",5"))
+	}
+	for i := 0; i < len(payload); i++ {
+		for _, c := range []byte{'/', '0', 'W', 'X', '_', '`', 'w', 'x', 0x80, 0xff} {
+			b := []byte(payload)
+			b[i] = c
+			add("1243814400 " + sum("AIVDM,1,1,,A,"+string(b)+",0"))
+		}
+	}
+	add("1243814400 " + sum("AIVDM,1,1,,,"+payload+",0"))     // empty channel
+	add("1243814400 " + sum("AIVDM,1,1,,AB,"+payload+",0"))   // two-character channel
+	add("1243814400 " + sum("AIVDM,1,1,,,,"+payload+",0"))    // empty channel, then an empty field
+	add("1243814400 " + sum("AIVDM,1,1,,*,"+payload+",0"))    // '*' as the channel
+	add("1243814400 " + sum("AIVDM,1,1,,\xe9,"+payload+",0")) // non-ASCII channel
+	add("1243814400 " + sum("AIVDM,1,1,01,A,"+payload+",0"))  // message id 01
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",7"))    // fill digit past 5
+	for _, fill := range []string{"5", "6", "9"} {            // one character over the report's bits
+		add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+"0,"+fill))
+	}
+	add("1243814400 " + sum("AIVDM,1,1,,A,"+payload+",x"))                 // non-digit fill
+	add("1243814400 " + valid[:len(valid)-2] + "*" + valid[len(valid)-1:]) // '*' as the first hex digit
+	add("1243814400 " + valid[:len(valid)-1] + "*")                        // '*' as the second hex digit
+	add("1243814400 " + valid[:len(valid)-3] + "G" + valid[len(valid)-2:]) // non-'*' before the hex
+	add("1243814400 " + valid[:len(valid)-2] + "g0")                       // non-hex first digit
+	add("1243814400 " + valid + " ")                                       // trailing space, trimmed
+	add("1243814400 " + valid + "0")                                       // one byte after the checksum
+	add("1243814400 " + valid + "*4A")                                     // a second '*' after the checksum
+	add("1243814400 " + valid[:len(valid)-5] + valid[len(valid)-4:])       // no comma before the fill
+	add("1243814400 !AIVDM,1,1,,A,*00")                                    // shortest canonical shape
+	add("1243814400 !AIVDM,1,1,,A,,0*")                                    // one byte short of it
+	add("1243814400 !AIVDM,1,1,,")                                         // the prefix alone
+
 	// A line past the read buffer's limit, between two valid fixes: one
 	// Malformed line, and the scan goes on.
 	add("237000001,23.5,37.5,1243814400")

@@ -24,9 +24,10 @@ type LatTrig struct {
 // shares the argument reduction between the two halves and returns
 // values bit-identical to separate math.Sin and math.Cos calls (the Go
 // implementation evaluates the same polynomials after the same
-// reduction; the trig tests pin this).
+// reduction; the trig tests pin this); sincosSmall is math.Sincos
+// without the reduction below 45° (kernels.go).
 func LatTrigOf(p Point) LatTrig {
-	s, c := math.Sincos(radians(p.Lat))
+	s, c := sincosSmall(radians(p.Lat))
 	return LatTrig{Sin: s, Cos: c}
 }
 
@@ -38,19 +39,21 @@ func HaversineCached(a, b Point, ta, tb LatTrig) float64 {
 }
 
 // HaversineCos is HaversineCached given only the cosines of the two
-// latitudes, the one half of the latitude trig a distance reads.
+// latitudes, the one half of the latitude trig a distance reads. Its
+// sines and arctangent are the inline kernels (kernels.go), which
+// return math's bits.
 func HaversineCos(a, b Point, cosA, cosB float64) float64 {
 	dLat := radians(b.Lat - a.Lat)
 	dLon := radians(b.Lon - a.Lon)
 
-	sdLat := math.Sin(dLat / 2)
-	sdLon := math.Sin(dLon / 2)
+	sdLat := sinSmall(dLat / 2)
+	sdLon := sinSmall(dLon / 2)
 	// Same association order as Haversine: ((cos·cos)·sin)·sin.
 	s := sdLat*sdLat + cosA*cosB*sdLon*sdLon
 	if s > 1 {
 		s = 1
 	}
-	return 2 * EarthRadiusMeters * math.Atan2(math.Sqrt(s), math.Sqrt(1-s))
+	return 2 * EarthRadiusMeters * atan2(math.Sqrt(s), math.Sqrt(1-s))
 }
 
 // BearingCached returns the initial bearing from a to b in degrees,
@@ -75,15 +78,17 @@ func BearingCached(a, b Point, ta, tb LatTrig) float64 {
 // into [0, 360) is a conditional add instead of math.Mod. The result
 // agrees with Bearing to within a few ULPs — every consumer (the
 // tracker) resolves headings through this one function, so the
-// tracker's equivalence goldens are unaffected.
+// tracker's equivalence goldens are unaffected. Its sines and
+// arctangents are the inline kernels (kernels.go), which return
+// math's bits.
 // dt must be positive; the caller has already rejected non-advancing
 // timestamps.
 func VelocityDistBetween(a, b Point, dt time.Duration, ta, tb LatTrig) (Velocity, float64) {
 	dLat := radians(b.Lat - a.Lat)
 	dLon := radians(b.Lon - a.Lon)
 
-	sdLat := math.Sin(dLat / 2)
-	sdLon := math.Sin(dLon / 2)
+	sdLat := sinSmall(dLat / 2)
+	sdLon := sinSmall(dLon / 2)
 	// Same association order as Haversine: ((cos·cos)·sin)·sin.
 	s := sdLat*sdLat + ta.Cos*tb.Cos*sdLon*sdLon
 	if s > 1 {
@@ -96,7 +101,7 @@ func VelocityDistBetween(a, b Point, dt time.Duration, ta, tb LatTrig) (Velocity
 	sy, cx := math.Sqrt(s), math.Sqrt(1-s)
 	ang := math.Pi / 2
 	if cx > 0 {
-		ang = math.Atan(sy / cx)
+		ang = atan(sy / cx)
 	}
 	dist := 2 * EarthRadiusMeters * ang
 
@@ -113,7 +118,7 @@ func VelocityDistBetween(a, b Point, dt time.Duration, ta, tb LatTrig) (Velocity
 		}
 		y := sinD * tb.Cos
 		x := ta.Cos*tb.Sin - ta.Sin*tb.Cos*cosD
-		deg := degrees(math.Atan2(y, x))
+		deg := degrees(atan2(y, x))
 		if deg < 0 {
 			deg += 360
 		}

@@ -172,3 +172,69 @@ func TestL1BoundDominatesHaversine(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelsBitIdentical pins the inline kernels to the math functions
+// they stand for, bit for bit, over 10⁷ arguments each: random bit
+// patterns (±0, subnormals, ±Inf and NaN among them), the per-fix
+// ranges, and the edges where the kernels hand over — the ulps around
+// π/4 for sinSmall and sincosSmall, around 0.66 and tan(3π/8) for atan.
+func TestKernelsBitIdentical(t *testing.T) {
+	n := 10_000_000
+	if testing.Short() {
+		n = 1_000_000
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	rng := rand.New(rand.NewSource(7))
+	var edges []float64
+	for _, e := range []float64{0, math.Pi / 4, 0.66, 2.41421356237309504880, 1, math.MaxFloat64, 5e-324, 0x1p-1022} {
+		x := e
+		for k := 0; k < 64; k++ {
+			edges = append(edges, x, -x)
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		x = e
+		for k := 0; k < 64; k++ {
+			x = math.Nextafter(x, math.Inf(-1))
+			edges = append(edges, x, -x)
+		}
+	}
+	edges = append(edges, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1))
+	arg := func(i int) float64 {
+		switch {
+		case i < len(edges):
+			return edges[i]
+		case i%4 == 0:
+			return math.Float64frombits(rng.Uint64())
+		case i%4 == 1:
+			return (rng.Float64() - 0.5) * (math.Pi / 2) * 1.01 // |x| around π/4
+		case i%4 == 2:
+			return (rng.Float64() - 0.5) * 1e-3 // half-angles of nearby fixes
+		default:
+			return rng.NormFloat64() * 10
+		}
+	}
+	for i := 0; i < n; i++ {
+		x := arg(i)
+		if got, want := sinSmall(x), math.Sin(x); !same(got, want) {
+			t.Fatalf("sinSmall(%v) = %v, math.Sin = %v", x, got, want)
+		}
+		gs, gc := sincosSmall(x)
+		if ws, wc := math.Sincos(x); !same(gs, ws) || !same(gc, wc) {
+			t.Fatalf("sincosSmall(%v) = %v, %v, math.Sincos = %v, %v", x, gs, gc, ws, wc)
+		}
+		if got, want := atan(x), math.Atan(x); !same(got, want) {
+			t.Fatalf("atan(%v) = %v, math.Atan = %v", x, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		y, x := arg(i), arg((i*7919+13)%n)
+		if i%3 == 0 {
+			x = arg(i + 1)
+		}
+		if got, want := atan2(y, x), math.Atan2(y, x); !same(got, want) {
+			t.Fatalf("atan2(%v, %v) = %v, math.Atan2 = %v", y, x, got, want)
+		}
+	}
+}

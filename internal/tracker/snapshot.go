@@ -126,7 +126,11 @@ func appendRun(dst []runFix, fs []ais.Fix) []runFix {
 // in a slot of its own. Derived caches — latitude trig, stop-run
 // aggregates, the oldest synopsis time — are recomputed with the same
 // math calls ingest would have made, so the restored state is
-// bit-identical to the live one it mirrors.
+// bit-identical to the live one it mirrors. The turn window's running
+// sums are the exception: rebuilt from the restored entries, they may
+// differ in their low bits from the live ones, which accumulated over a
+// longer history; both are within their error bound of the same exact
+// fold, so every decision they settle is the same (see windowSum).
 func (tr *shard) restoreVessel(vs VesselSnapshot) {
 	slot := tr.admit(vs.MMSI)
 	st := &tr.slots[slot]
@@ -152,7 +156,7 @@ func (tr *shard) restoreVessel(vs VesselSnapshot) {
 		speeds[i], headings[i] = v.SpeedKnots, v.HeadingDeg
 	}
 	for _, d := range vs.RecentTurns {
-		turns[ringNext(int32(len(turns)), &st.turnHead, &st.turnLen)] = d
+		pushWindow(turns, &st.turnHead, &st.turnLen, &st.turnSum, d)
 	}
 	st.rebuildStopAgg()
 	for i := range vs.Synopsis {

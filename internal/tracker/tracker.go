@@ -100,11 +100,13 @@ type runFix struct {
 const noSynopsis = math.MaxInt64
 
 // vesselState is one vessel's in-memory motion state, held by value in
-// its shard's slab. The fields every fix touches come first, so a fix
-// reads and writes about two cache lines of it; the identity, the
-// cached oldest-synopsis time, the stop-run aggregates and the synopsis
-// itself follow. The vessel's speed, heading and turn windows are rings
-// in the shard's arena (see shard), addressed by the cursors here.
+// its shard's slab. The fields every fix touches come first — the
+// flags, the ring cursors and the turn window's running sums, the last
+// fix, the odometers and the run headers — so a fix reads and writes
+// about three cache lines of it; the identity, the cached oldest-synopsis
+// time, the stop-run aggregates and the synopsis itself follow. The
+// vessel's speed, heading and turn windows are rings in the shard's
+// arena (see shard), addressed by the cursors here.
 type vesselState struct {
 	inUse    bool // the slot holds a vessel (false on the free list)
 	haveLast bool
@@ -121,6 +123,10 @@ type vesselState struct {
 	turnHead, turnLen int32
 
 	outlierRun int32
+
+	// Running sums of the turn ring, which settle the smooth-turn test
+	// without folding the ring (see windowSum); zeroed with turnLen.
+	turnSum windowSum
 
 	lastPos  geo.Point
 	lastTNS  int64
@@ -183,10 +189,9 @@ func (st *vesselState) expire(dst []CriticalPoint, cutoffNS int64) []CriticalPoi
 }
 
 // admit returns the slot of a vessel new to the shard: a free slot,
-// which keeps its run and synopsis capacity, or a new one with its runs
-// presized to their steady-state capacity (the stop and slow runs hover
-// around 2M), so a new vessel does not pay a growslice ladder on its
-// first dozen fixes.
+// which keeps its run and synopsis capacity, or a new one. A new slot's
+// runs have no capacity until their first member (see appendRunFix), as
+// most vessels never enter a stop or slow episode.
 func (tr *shard) admit(mmsi uint32) int32 {
 	var slot int32
 	if n := len(tr.free); n > 0 {
@@ -195,10 +200,7 @@ func (tr *shard) admit(mmsi uint32) int32 {
 	} else {
 		m := tr.params.M
 		slot = int32(len(tr.slots))
-		tr.slots = append(tr.slots, vesselState{
-			stopRun: make([]runFix, 0, 2*m),
-			slowRun: make([]runFix, 0, 2*m),
-		})
+		tr.slots = append(tr.slots, vesselState{})
 		tr.rings = slices.Grow(tr.rings, 3*m)[:len(tr.rings)+3*m]
 	}
 	st := &tr.slots[slot]
@@ -222,6 +224,22 @@ func (tr *shard) release(slot int32) {
 		synopsis: synopsisBuf{items: st.synopsis.items[:0]},
 	}
 	tr.free = append(tr.free, slot)
+}
+
+// appendRunFix appends f to a stop or slow run. A run without capacity
+// gets its steady-state capacity at once — the runs hover around 2M
+// members — so a vessel entering its first episode pays one allocation,
+// not a growslice ladder over its first dozen fixes.
+func (tr *shard) appendRunFix(run []runFix, f runFix) []runFix {
+	if cap(run) == 0 {
+		run = make([]runFix, 0, 2*tr.params.M)
+	}
+	return append(run, f)
+}
+
+// resetTurns empties the turn window.
+func (st *vesselState) resetTurns() {
+	st.turnLen, st.turnSum = 0, windowSum{}
 }
 
 // vesselRings returns the speed, heading and turn rings of slot, each M
@@ -441,7 +459,8 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 		st.departureM += hop
 		// The course across the silence is unknown: restart motion state.
 		st.haveV = false
-		st.velLen, st.turnLen = 0, 0
+		st.velLen = 0
+		st.resetTurns()
 		st.outlierRun = 0
 		st.setLast(pos, tns, trig)
 		return
@@ -495,26 +514,27 @@ func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
 				SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
 				Confidence: marginConfidence(math.Abs(delta), p.TurnThresholdDeg),
 			})
-			st.turnLen = 0
+			st.resetTurns()
 		} else {
 			// Small individual changes may cumulatively signify a smooth
 			// turn (paper Figure 3(b)): the cumulative change in heading
 			// across the m most recent positions exceeding Δθ. Bounding
 			// the accumulation window keeps the slow bearing drift of
-			// long legs from masking genuine course changes.
-			turns[ringNext(int32(len(turns)), &st.turnHead, &st.turnLen)] = delta
-			cum := ringSum(turns, st.turnHead, st.turnLen)
-			if math.Abs(cum) > p.TurnThresholdDeg {
+			// long legs from masking genuine course changes. The running
+			// sums settle the test unless the threshold is within their
+			// error bound, and only then is the ring folded.
+			pushWindow(turns, &st.turnHead, &st.turnLen, &st.turnSum, delta)
+			if cum, ok := cumTurnAbove(p.TurnThresholdDeg, turns, st.turnHead, st.turnLen, &st.turnSum); ok {
 				tr.emit(st, CriticalPoint{
 					MMSI: mmsi, Pos: pos, Time: nsTime(tns), Type: EventSmoothTurn,
 					SpeedKn: vNow.SpeedKnots, HeadingDeg: vNow.HeadingDeg,
 					Confidence: marginConfidence(math.Abs(cum), p.TurnThresholdDeg),
 				})
-				st.turnLen = 0
+				st.resetTurns()
 			}
 		}
 	} else {
-		st.turnLen = 0
+		st.resetTurns()
 	}
 
 	// Instantaneous speed change (paper Figure 2(b)): emitted only when
@@ -649,7 +669,7 @@ func (tr *shard) updateStopRun(st *vesselState, pos geo.Point, tns int64, vNow g
 	p := &tr.params
 	if !moving {
 		st.pushStopAgg(pos, len(st.stopRun) == 0)
-		st.stopRun = append(st.stopRun, runFix{pos: pos, tns: tns})
+		st.stopRun = tr.appendRunFix(st.stopRun, runFix{pos: pos, tns: tns})
 		// Shrink from the front until the run fits in radius r.
 		for len(st.stopRun) > 1 && !st.stopWithin(p.StopRadiusMeters) {
 			if st.stopped {
@@ -711,7 +731,7 @@ func (tr *shard) updateSlowRun(st *vesselState, pos geo.Point, tns int64, vNow g
 	p := &tr.params
 	slowNow := moving && vNow.SpeedKnots <= p.VSlowKnots
 	if slowNow {
-		st.slowRun = append(st.slowRun, runFix{pos: pos, tns: tns})
+		st.slowRun = tr.appendRunFix(st.slowRun, runFix{pos: pos, tns: tns})
 		if !st.slow && len(st.slowRun) >= p.M {
 			st.slow = true
 			tr.emit(st, CriticalPoint{
