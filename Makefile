@@ -83,13 +83,14 @@ serveload-smoke:
 # Cross-vessel analytics suite: fleetsim ground-truth precision/recall
 # for rendezvous and dark-rendezvous, index-vs-brute-force collision
 # screening, the linear pair enumeration against its re-query
-# definition (proximity index and collision detector), the bounded cell
-# map, and cluster-vs-single-process pairwise byte equivalence
-# (including a mid-run manifest restore) — under the race detector.
+# definition (proximity index and the tier's collision screen), the
+# bounded cell map, and cluster-vs-single-process pairwise byte
+# equivalence (including a mid-run manifest restore) — under the race
+# detector.
 test-analytics:
 	go test -race -v -run 'TestPairwiseAnalyticsGroundTruth|TestAnalyticsDisabledByDefault' ./internal/core/
 	go test -race -v -run 'TestPointIndexPairsMatchRequery|TestPointIndexCellsBoundedUnderDrift' ./internal/geo/
-	go test -race -v -run 'TestIndexMatchesBruteForce|TestEncountersInvariantToArrivalOrder|TestEncountersMatchRequeryOracle' ./internal/collision/
+	go test -race -v -run 'TestIndexMatchesBruteForce|TestEncountersInvariantToArrivalOrder|TestEncountersMatchRequeryOracle' ./internal/analytics/
 	go test -race -v ./internal/analytics/
 	go test -race -v -run 'TestClusterPairwiseAnalyticsEquivalence|TestClusterManifestRestoreWithAnalytics' ./internal/cluster/
 

@@ -236,8 +236,8 @@ func BenchmarkRecognizerAdvance(b *testing.B) {
 // (rendezvous, dark-gap and CPA collision screening) on the paced
 // benchmark shape: N = 1500 with 30 + 30 scripted pairs, ω = 2 h,
 // β = 1 min. A stream opens with every vessel appearing at once and
-// staying live in the collision detector until its first fix goes
-// stale, so cold is the first fifteen stream minutes of a fresh tier —
+// staying in the collision screen until its first point is older than
+// the screen's staleness bound, so cold is the first fifteen stream minutes of a fresh tier —
 // some fifty times the candidate pairs of the steady state, the burst an
 // operator pays on every start — and steady is the second stream hour.
 // Reported metrics: mean time and allocations per slide.

@@ -1,8 +1,9 @@
 // Live monitor: the control-center deployment the paper targets (§7) —
 // an in-process feed server replays a simulated Aegean fleet at 600×
 // real time over TCP, and a monitoring client consumes the live NMEA
-// stream, tracks trajectories, recognizes complex events, watches for
-// collision courses, and issues short-term position forecasts.
+// stream, tracks trajectories, recognizes complex events, and screens
+// the fleet for collision courses (the analytics tier's
+// collisionCourse alerts).
 //
 // The wire is deliberately unreliable: the stream is routed through a
 // fault-injection proxy that resets the connection mid-replay and
@@ -30,12 +31,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/collision"
+	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/feed"
 	"repro/internal/fleetsim"
-	"repro/internal/forecast"
 	"repro/internal/maritime"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -93,9 +93,8 @@ func main() {
 		Tracker:         tracker.DefaultParams(),
 		Recognition:     maritime.Config{Window: window.Range},
 		WatchdogTimeout: 5 * time.Second,
+		Analytics:       &analytics.Config{EnableCollision: true},
 	}, vessels, areas, ports)
-	watch := collision.New(collision.Params{DistanceMeters: 400})
-	oracle := forecast.New(tracker.DefaultParams())
 
 	// The serving tier: an alert gateway over the same system, exposed
 	// on loopback for any SSE consumer or curl, with the observability
@@ -150,7 +149,6 @@ func main() {
 	sys.AddHealthSource(core.LiveHealthSource(client, stage))
 
 	alertCount := 0
-	reported := make(map[[2]uint32]time.Time) // encounter pair → last report
 	var lastQ time.Time
 	for {
 		batch, ok := stage.Next()
@@ -158,23 +156,7 @@ func main() {
 			break
 		}
 		lastQ = batch.Query
-		for _, f := range batch.Fixes {
-			watch.Observe(f)
-			oracle.ObserveFix(f)
-		}
-		report := gw.Process(batch)
-		oracle.ObserveEvents(nil)
-
-		alertCount += len(report.Alerts)
-		for _, e := range watch.Encounters(batch.Query) {
-			pair := [2]uint32{e.A, e.B}
-			if last, ok := reported[pair]; ok && batch.Query.Sub(last) < time.Hour {
-				continue // an ongoing encounter is reported once per hour
-			}
-			reported[pair] = batch.Query
-			fmt.Printf("COLLISION  %d vs %d: CPA %.0f m in %s near %s\n",
-				e.A, e.B, e.DCPA, e.TCPA.Round(time.Second), e.Where)
-		}
+		alertCount += len(gw.Process(batch).Alerts)
 		stage.Recycle(batch)
 	}
 	if err := stage.Err(); err != nil {
@@ -193,14 +175,4 @@ func main() {
 	hubStats := gw.Hub().Stats()
 	fmt.Printf("gateway fan-out: %d published, %d delivered, %d dropped\n",
 		hubStats.Published, hubStats.Delivered, hubStats.Dropped)
-	fmt.Println("\n15-minute forecasts for the three fastest tracks:")
-	printed := 0
-	for _, p := range oracle.PredictAll(lastQ, 15*time.Minute) {
-		if p.Confidence != forecast.ConfidenceHigh || printed >= 3 {
-			continue
-		}
-		fmt.Printf("  vessel %d expected at %s by %s\n",
-			p.MMSI, p.Pos, p.At.Format("15:04"))
-		printed++
-	}
 }

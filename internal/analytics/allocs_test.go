@@ -45,7 +45,7 @@ func TestTierSlideAllocs(t *testing.T) {
 		i++
 	})
 	perSlide := float64(alerts) / (measured + 1)
-	bound := 60 + perSlide // measured 49 at 19 alerts a slide, some 25 of them returning vessels
+	bound := 60 + perSlide // measured 23 at 19 alerts a slide
 	t.Logf("%.0f allocs per slide at %.0f alerts and %d candidate pairs a slide",
 		allocs, perSlide, tier.LastSlideCost()[analytics.ScreenCollision].Pairs)
 	if allocs > bound {

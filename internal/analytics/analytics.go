@@ -11,8 +11,8 @@
 //   - darkRendezvous: two vessels whose AIS gaps overlap in time and
 //     whose gap endpoints are mutually reachable at plausible implied
 //     speed and converge — a candidate transfer carried out dark.
-//   - collisionCourse: CPA screening over the live fleet via the
-//     collision detector, fed from tracker state instead of raw fixes.
+//   - collisionCourse: closest-point-of-approach screening over the
+//     same vessel state, for every vessel heard from recently.
 //
 // The tier is deterministic: points are normalized to (time, MMSI)
 // order before ingestion and all iteration is over sorted keys, so a
@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collision"
 	"repro/internal/geo"
 	"repro/internal/maritime"
 	"repro/internal/tracker"
@@ -102,7 +101,7 @@ type Config struct {
 	Dark       DarkParams
 	// Collision parameterizes CPA screening; EnableCollision turns it
 	// on (it re-alarms every time a pair newly enters conflict).
-	Collision       collision.Params
+	Collision       CollisionParams
 	EnableCollision bool
 	// Stale evicts vessel state silent beyond this (default 30 min).
 	Stale time.Duration
@@ -111,6 +110,7 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	c.Rendezvous = c.Rendezvous.withDefaults()
 	c.Dark = c.Dark.withDefaults()
+	c.Collision = c.Collision.withDefaults()
 	if c.Stale <= 0 {
 		c.Stale = 30 * time.Minute
 	}
@@ -118,11 +118,13 @@ func (c Config) withDefaults() Config {
 }
 
 // vstate is the per-vessel analytics state distilled from critical
-// points.
+// points: the newest point's kinematics plus the open episodes. It is
+// the tier's only per-vessel state; all three screens read it.
 type vstate struct {
 	pos        geo.Point
 	at         time.Time
 	speedKn    float64
+	headingDeg float64
 	slow       bool // inside a tracker stop/slow episode
 	dark       bool // inside an open communication gap
 	gapStart   geo.Point
@@ -147,7 +149,6 @@ type gapRec struct {
 // Tier holds the cross-vessel analytics state.
 type Tier struct {
 	cfg     Config
-	det     *collision.Detector
 	portIdx *geo.AreaIndex
 
 	vstates    map[uint32]*vstate
@@ -165,13 +166,13 @@ type Tier struct {
 	matched map[pairKey]bool
 	keys    []pairKey
 	current map[pairKey]bool // the next slide's collActive
+	cpa     cpaScreen
 	cost    SlideCost
 
 	// Mirrors of the counters, scraped concurrently by health probes.
-	atomVessels      atomic.Int64
-	atomEvicted      atomic.Int64
-	atomLateRejected atomic.Int64
-	atomPairAlerts   atomic.Int64
+	atomVessels    atomic.Int64
+	atomEvicted    atomic.Int64
+	atomPairAlerts atomic.Int64
 
 	evicted    int64
 	pairAlerts int64
@@ -180,10 +181,9 @@ type Tier struct {
 // Stats reports the tier's state accounting. Safe to call concurrently
 // with Slide: it reads only atomic mirrors.
 type Stats struct {
-	Vessels      int64 // vessels with live analytics state
-	Evicted      int64 // vessel states dropped after going stale
-	LateRejected int64 // out-of-order points the collision feed rejected
-	PairAlerts   int64 // pairwise alerts emitted
+	Vessels    int64 // vessels with live analytics state
+	Evicted    int64 // vessel states dropped after going stale
+	PairAlerts int64 // pairwise alerts emitted
 }
 
 // The tier's pairwise screens, as indices into SlideCost and Screens.
@@ -222,9 +222,6 @@ func New(cfg Config, ports []*geo.Polygon) *Tier {
 		matched:    make(map[pairKey]bool),
 		current:    make(map[pairKey]bool),
 	}
-	if cfg.EnableCollision {
-		t.det = collision.New(cfg.Collision)
-	}
 	if len(ports) > 0 {
 		t.portIdx = geo.NewAreaIndex(ports, cfg.Rendezvous.PortStandoffMeters, 0.25)
 	}
@@ -234,10 +231,9 @@ func New(cfg Config, ports []*geo.Polygon) *Tier {
 // Stats snapshots the atomic mirrors.
 func (t *Tier) Stats() Stats {
 	return Stats{
-		Vessels:      t.atomVessels.Load(),
-		Evicted:      t.atomEvicted.Load(),
-		LateRejected: t.atomLateRejected.Load(),
-		PairAlerts:   t.atomPairAlerts.Load(),
+		Vessels:    t.atomVessels.Load(),
+		Evicted:    t.atomEvicted.Load(),
+		PairAlerts: t.atomPairAlerts.Load(),
 	}
 }
 
@@ -264,7 +260,7 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 			t.vstates[cp.MMSI] = v
 		}
 		if cp.Time.After(v.at) {
-			v.pos, v.at, v.speedKn = cp.Pos, cp.Time, cp.SpeedKn
+			v.pos, v.at, v.speedKn, v.headingDeg = cp.Pos, cp.Time, cp.SpeedKn, cp.HeadingDeg
 		}
 		switch cp.Type {
 		case tracker.EventStopStart, tracker.EventSlowStart:
@@ -288,9 +284,6 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 			}
 			v.dark = false
 		}
-		if t.det != nil {
-			t.det.ObservePoint(cp.MMSI, cp.Pos, cp.Time, cp.SpeedKn, cp.HeadingDeg)
-		}
 	}
 
 	t.evictStale(q)
@@ -300,13 +293,11 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 	start = time.Now()
 	alerts = t.rendezvousScreen(alerts, q)
 	t.cost[ScreenRendezvous].Time = time.Since(start)
-	if t.det != nil {
+	if t.cfg.EnableCollision {
 		start = time.Now()
 		alerts = t.collisionScreen(alerts, q)
 		t.cost[ScreenCollision].Time = time.Since(start)
-		st := t.det.Stats()
-		t.cost[ScreenCollision].Pairs = st.PairsScreened
-		t.atomLateRejected.Store(int64(st.LateRejected))
+		t.cost[ScreenCollision].Pairs = t.cpa.pairs
 	}
 
 	slices.SortStableFunc(alerts, maritime.CompareAlerts)
@@ -481,13 +472,13 @@ func (t *Tier) nearPort(p geo.Point, standoff float64) bool {
 	return len(t.buf) > 0
 }
 
-// collisionScreen queries the CPA detector and alerts on pairs newly in
-// conflict; a pair re-alarms only after leaving conflict first. Alerts
-// are appended to out.
+// collisionScreen runs CPA over the tier's vessel state and alerts on
+// pairs newly in conflict; a pair re-alarms only after leaving conflict
+// first. Alerts are appended to out.
 func (t *Tier) collisionScreen(out []maritime.Alert, q time.Time) []maritime.Alert {
 	current := t.current
 	clear(current)
-	for _, e := range t.det.Encounters(q) {
+	for _, e := range t.cpa.encounters(&t.cfg.Collision, t.vstates, q) {
 		k := pairKey{e.A, e.B}
 		if current[k] {
 			continue

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/collision"
 	"repro/internal/geo"
 )
 
@@ -14,6 +13,7 @@ type VesselSnap struct {
 	Pos        geo.Point
 	At         time.Time
 	SpeedKn    float64
+	HeadingDeg float64
 	Slow, Dark bool
 	GapStart   geo.Point
 	GapStartAt time.Time
@@ -34,9 +34,24 @@ type Snapshot struct {
 	Pairs      []PairSnap
 	Gaps       []gapRec
 	CollActive [][2]uint32
-	Collision  *collision.DetectorSnapshot
 	Evicted    int64
 	PairAlerts int64
+	// Collision is read, never written: it is the section in which
+	// earlier builds kept a second copy of each vessel's kinematics for
+	// the collision screen. Restore takes each vessel's heading from it,
+	// since those builds stored none in Vessels. A vessel it leaves out
+	// had been silent longer than the screen's staleness bound, so its
+	// heading stays zero until its next point sets it.
+	Collision *legacyCollision
+}
+
+// legacyCollision and legacyKinematics decode the part of an earlier
+// build's collision section that Restore needs; gob skips the rest.
+type legacyCollision struct{ Vessels []legacyKinematics }
+
+type legacyKinematics struct {
+	MMSI uint32
+	Vel  geo.Velocity
 }
 
 // Snapshot serializes the tier state.
@@ -50,7 +65,8 @@ func (t *Tier) Snapshot() *Snapshot {
 	}
 	for mmsi, v := range t.vstates {
 		s.Vessels = append(s.Vessels, VesselSnap{
-			MMSI: mmsi, Pos: v.pos, At: v.at, SpeedKn: v.speedKn,
+			MMSI: mmsi, Pos: v.pos, At: v.at,
+			SpeedKn: v.speedKn, HeadingDeg: v.headingDeg,
 			Slow: v.slow, Dark: v.dark,
 			GapStart: v.gapStart, GapStartAt: v.gapStartAt,
 		})
@@ -76,10 +92,6 @@ func (t *Tier) Snapshot() *Snapshot {
 	slices.SortFunc(s.CollActive, func(x, y [2]uint32) int {
 		return comparePairKeys(pairKey{x[0], x[1]}, pairKey{y[0], y[1]})
 	})
-	if t.det != nil {
-		ds := t.det.Snapshot()
-		s.Collision = &ds
-	}
 	return s
 }
 
@@ -93,16 +105,14 @@ func (t *Tier) Restore(s *Snapshot) {
 	t.closedGaps = nil
 	t.evicted = 0
 	t.pairAlerts = 0
-	if t.det != nil {
-		t.det = collision.New(t.cfg.Collision)
-	}
 	if s == nil {
 		t.publishStats()
 		return
 	}
 	for _, v := range s.Vessels {
 		t.vstates[v.MMSI] = &vstate{
-			pos: v.Pos, at: v.At, speedKn: v.SpeedKn,
+			pos: v.Pos, at: v.At,
+			speedKn: v.SpeedKn, headingDeg: v.HeadingDeg,
 			slow: v.Slow, dark: v.Dark,
 			gapStart: v.GapStart, gapStartAt: v.GapStartAt,
 		}
@@ -116,8 +126,12 @@ func (t *Tier) Restore(s *Snapshot) {
 	t.closedGaps = slices.Clone(s.Gaps)
 	t.evicted = s.Evicted
 	t.pairAlerts = s.PairAlerts
-	if t.det != nil && s.Collision != nil {
-		t.det.Restore(*s.Collision)
+	if s.Collision != nil {
+		for _, k := range s.Collision.Vessels {
+			if v := t.vstates[k.MMSI]; v != nil {
+				v.headingDeg = k.Vel.HeadingDeg
+			}
+		}
 	}
 	t.publishStats()
 }
@@ -127,9 +141,4 @@ func (t *Tier) publishStats() {
 	t.atomVessels.Store(int64(len(t.vstates)))
 	t.atomEvicted.Store(t.evicted)
 	t.atomPairAlerts.Store(t.pairAlerts)
-	if t.det != nil {
-		t.atomLateRejected.Store(int64(t.det.Stats().LateRejected))
-	} else {
-		t.atomLateRejected.Store(0)
-	}
 }

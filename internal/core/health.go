@@ -69,11 +69,10 @@ type Health struct {
 	// unrecoverable instead of silently closing the gap.
 	ReplayGapSlides int
 	// Cross-vessel analytics tier accounting (Config.Analytics):
-	// vessel states evicted after going stale, out-of-order points the
-	// collision feed rejected, and pairwise alerts emitted.
-	AnalyticsEvicted      int
-	AnalyticsLateRejected int
-	AnalyticsPairAlerts   int
+	// vessel states evicted after going stale and pairwise alerts
+	// emitted.
+	AnalyticsEvicted    int
+	AnalyticsPairAlerts int
 }
 
 // Merge returns the element-wise combination of two snapshots.
@@ -98,7 +97,6 @@ func (h Health) Merge(o Health) Health {
 	out.LateFixesDropped += o.LateFixesDropped
 	out.ReplayGapSlides += o.ReplayGapSlides
 	out.AnalyticsEvicted += o.AnalyticsEvicted
-	out.AnalyticsLateRejected += o.AnalyticsLateRejected
 	out.AnalyticsPairAlerts += o.AnalyticsPairAlerts
 	if len(o.DropsByCause) > 0 {
 		if out.DropsByCause == nil {
@@ -168,9 +166,9 @@ func (h Health) String() string {
 	if h.ReplayGapSlides > 0 {
 		fmt.Fprintf(&b, " replay-gap-slides=%d", h.ReplayGapSlides)
 	}
-	if h.AnalyticsPairAlerts > 0 || h.AnalyticsEvicted > 0 || h.AnalyticsLateRejected > 0 {
-		fmt.Fprintf(&b, " analytics=pairs:%d(evicted %d late %d)",
-			h.AnalyticsPairAlerts, h.AnalyticsEvicted, h.AnalyticsLateRejected)
+	if h.AnalyticsPairAlerts > 0 || h.AnalyticsEvicted > 0 {
+		fmt.Fprintf(&b, " analytics=pairs:%d(evicted %d)",
+			h.AnalyticsPairAlerts, h.AnalyticsEvicted)
 	}
 	if len(h.DropsByCause) > 0 {
 		causes := make([]string, 0, len(h.DropsByCause))
@@ -275,7 +273,6 @@ func (s *System) Health() Health {
 	if s.analytics != nil {
 		as := s.analytics.Stats()
 		h.AnalyticsEvicted = int(as.Evicted)
-		h.AnalyticsLateRejected = int(as.LateRejected)
 		h.AnalyticsPairAlerts = int(as.PairAlerts)
 	}
 	drops := make(map[string]int, 4)

@@ -328,7 +328,7 @@ func (x *PointIndex) NearAppend(buf []int32, p Point, radiusMeters float64) []in
 // CandidatesAppend appends the ids of every point whose cell intersects
 // the padded radius box around p, without the exact Haversine filter —
 // the over-approximating form for callers that apply their own pair
-// predicate (the collision detector's CPA test).
+// predicate (the analytics tier's CPA test).
 func (x *PointIndex) CandidatesAppend(buf []int32, p Point, radiusMeters float64) []int32 {
 	return x.scan(buf, p, radiusMeters, false)
 }
