@@ -72,7 +72,7 @@ test-cluster:
 test-alertlog:
 	go test -race -v ./internal/alertlog/
 	go test -race -v -run 'TestSubscribeFrom|TestMarker|TestPublish|TestRing|TestRunLoad|TestEventsFlushOnDrain|TestReplicaHealthz' ./internal/serve/
-	go test -race -v -run 'TestClusterEventsMarker' ./cmd/cluster/
+	go test -race -v -run 'TestClusterEventsMarker' ./cmd/maritime/
 
 # Multi-replica serving smoke: the in-process load harness drives
 # subscribers round-robin across two replica gateways and asserts
@@ -153,7 +153,7 @@ check-run-patterns:
 
 # Full row sets at the default scale (N=1000); see -list for ids.
 experiments:
-	go run ./cmd/experiments -run all
+	go run ./cmd/maritime experiments -run all
 
 examples:
 	go run ./examples/quickstart

@@ -5,7 +5,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the whole evaluation at CI scale. cmd/experiments runs
+// regenerates the whole evaluation at CI scale. maritime experiments runs
 // the same harness at larger scales and prints the full row sets.
 package repro
 

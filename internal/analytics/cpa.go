@@ -61,10 +61,9 @@ func (p CollisionParams) withDefaults() CollisionParams {
 
 // encounter is one predicted close approach between two vessels.
 type encounter struct {
-	A, B  uint32        // MMSIs, A < B
-	TCPA  time.Duration // time to closest point of approach from query time
-	DCPA  float64       // distance at CPA in meters
-	Where geo.Point     // midpoint of the two projected CPA positions
+	A, B uint32        // MMSIs, A < B
+	TCPA time.Duration // time to closest point of approach from query time
+	DCPA float64       // distance at CPA in meters
 }
 
 // planar is a vessel state projected onto a local plane: meters east/
@@ -149,7 +148,6 @@ func (s *cpaScreen) encounters(p *CollisionParams, vs map[uint32]*vstate, q time
 		a, b := &states[i], &states[j]
 		if enc, ok := closestApproach(a, b, p); ok {
 			enc.A, enc.B = a.mmsi, b.mmsi
-			enc.Where = planarToGeo(ref, enc.Where.Lon, enc.Where.Lat)
 			out = append(out, enc)
 		}
 	})
@@ -165,9 +163,8 @@ func (s *cpaScreen) encounters(p *CollisionParams, vs map[uint32]*vstate, q time
 }
 
 // closestApproach computes the closest point of approach of two planar
-// states. The returned encounter carries the CPA midpoint in plane
-// coordinates in Where (converted by the caller). ok is false when the
-// pair never comes within threshold inside the horizon. It runs once
+// states; the caller fills in the pair. ok is false when the pair never
+// comes within threshold inside the horizon. It runs once
 // per candidate pair, so it takes pointers: copying two states and the
 // parameters per call cost more than the arithmetic.
 func closestApproach(a, b *planar, p *CollisionParams) (encounter, bool) {
@@ -193,14 +190,7 @@ func closestApproach(a, b *planar, p *CollisionParams) (encounter, bool) {
 	if dcpa > p.DistanceMeters {
 		return encounter{}, false
 	}
-	// CPA midpoint in plane coordinates, smuggled through Where.
-	ax, ay := a.x+a.vx*tcpa, a.y+a.vy*tcpa
-	bx, by := b.x+b.vx*tcpa, b.y+b.vy*tcpa
-	return encounter{
-		TCPA:  time.Duration(tcpa * float64(time.Second)),
-		DCPA:  dcpa,
-		Where: geo.Point{Lon: (ax + bx) / 2, Lat: (ay + by) / 2},
-	}, true
+	return encounter{TCPA: time.Duration(tcpa * float64(time.Second)), DCPA: dcpa}, true
 }
 
 // planarOffset returns p's offset from ref in meters east (x) and
@@ -210,13 +200,4 @@ func planarOffset(ref, p geo.Point) (x, y float64) {
 	y = (p.Lat - ref.Lat) * mPerDegLat
 	x = (p.Lon - ref.Lon) * mPerDegLat * math.Cos(ref.Lat*math.Pi/180)
 	return x, y
-}
-
-// planarToGeo converts plane meters back to coordinates.
-func planarToGeo(ref geo.Point, x, y float64) geo.Point {
-	const mPerDegLat = math.Pi * geo.EarthRadiusMeters / 180
-	return geo.Point{
-		Lon: ref.Lon + x/(mPerDegLat*math.Cos(ref.Lat*math.Pi/180)),
-		Lat: ref.Lat + y/mPerDegLat,
-	}
 }

@@ -55,9 +55,6 @@ func TestHeadOnEncounterDetected(t *testing.T) {
 	if e.DCPA > 100 {
 		t.Errorf("DCPA = %.0f m, want ~0", e.DCPA)
 	}
-	if dist := geo.Haversine(e.Where, mid); dist > 500 {
-		t.Errorf("CPA position %.0f m from the geometric midpoint", dist)
-	}
 }
 
 func TestCrossingCoursesRespectThreshold(t *testing.T) {
@@ -249,7 +246,7 @@ func TestExactThresholdPairAlarms(t *testing.T) {
 // project is the screen's projection written out again for the
 // oracles: the vessels heard from within Stale, in MMSI order, dead-
 // reckoned to now on a plane around the first one.
-func project(t *Tier, now time.Time) (geo.Point, []planar) {
+func project(t *Tier, now time.Time) []planar {
 	p := t.cfg.Collision
 	mmsis := make([]uint32, 0, len(t.vstates))
 	for mmsi, v := range t.vstates {
@@ -274,7 +271,7 @@ func project(t *Tier, now time.Time) (geo.Point, []planar) {
 			vx: ms * math.Sin(brng), vy: ms * math.Cos(brng), speedKn: v.speedKn,
 		})
 	}
-	return ref, states
+	return states
 }
 
 func sortEncounters(out []encounter) {
@@ -290,13 +287,12 @@ func sortEncounters(out []encounter) {
 // pruning — the oracle the index-driven screen must match exactly.
 func bruteForce(t *Tier, now time.Time) []encounter {
 	p := t.cfg.Collision
-	ref, states := project(t, now)
+	states := project(t, now)
 	var out []encounter
 	for i := range states {
 		for j := i + 1; j < len(states); j++ {
 			if enc, ok := cpa(states[i], states[j], p); ok {
 				enc.A, enc.B = states[i].mmsi, states[j].mmsi
-				enc.Where = planarToGeo(ref, enc.Where.Lon, enc.Where.Lat)
 				out = append(out, enc)
 			}
 		}
@@ -348,7 +344,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 // included.
 func encountersRequery(t *Tier, now time.Time) []encounter {
 	p := t.cfg.Collision
-	ref, states := project(t, now)
+	states := project(t, now)
 	reach := 2*geo.KnotsToMetersPerSecond(p.MaxSpeedKnots)*p.Horizon.Seconds() + p.DistanceMeters
 	idx := geo.NewPointIndex(reach / 111_000)
 	for i, s := range states {
@@ -372,7 +368,6 @@ func encountersRequery(t *Tier, now time.Time) []encounter {
 			a, b := states[min(i, j)], states[max(i, j)]
 			if enc, ok := cpa(a, b, p); ok {
 				enc.A, enc.B = a.mmsi, b.mmsi
-				enc.Where = planarToGeo(ref, enc.Where.Lon, enc.Where.Lat)
 				out = append(out, enc)
 			}
 		}

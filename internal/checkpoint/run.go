@@ -38,7 +38,7 @@ type RunConfig struct {
 }
 
 // Run is one process life of the restore → replay → checkpoint
-// lifecycle shared by cmd/serve, cmd/recognize and the cluster worker:
+// lifecycle shared by cmd/serve, maritime recognize and the cluster worker:
 // Restore puts the newest (or pinned) checkpoint into the system,
 // Ingest builds the batcher on the restored grid and the ingest stage,
 // and Slides drives the slide loop — noting every processed fix in the
@@ -142,6 +142,11 @@ func (r *Run) Ingest(src stream.FixSource, client *feed.ReconnectingClient, capa
 	}
 	return r.stage
 }
+
+// Pending is the ingest stage's backlog in fixes, the depth the
+// overload ladder reads (core.DegradeSpec.DepthFunc). Call it after
+// Ingest.
+func (r *Run) Pending() int { return r.stage.Pending() }
 
 // batcher builds the batcher over the ingest source as of the
 // checkpoint st (nil: the start of the stream): a static source read

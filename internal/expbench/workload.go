@@ -35,7 +35,7 @@ type Scale struct {
 var (
 	// ScaleCI keeps the full suite under a couple of minutes.
 	ScaleCI = Scale{Name: "ci", Vessels: 250, Seed: 1, Short: 7 * time.Hour, Long: 27 * time.Hour, Fig7Reps: 60}
-	// ScaleDefault is the cmd/experiments default.
+	// ScaleDefault is the maritime experiments default.
 	ScaleDefault = Scale{Name: "default", Vessels: 1000, Seed: 1, Short: 10 * time.Hour, Long: 28 * time.Hour, Fig7Reps: 20}
 	// ScalePaper matches the paper's fleet size.
 	ScalePaper = Scale{Name: "paper", Vessels: 6425, Seed: 1, Short: 12 * time.Hour, Long: 30 * time.Hour, Fig7Reps: 4}

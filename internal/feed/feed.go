@@ -8,8 +8,8 @@
 // comment lines, and a client may open with "RESUME <unix>" to be
 // replayed only the fixes strictly after that second.
 //
-// Server serves a Ring over that wire. A static replay (cmd/feed, the
-// self-contained cmd/serve and cmd/cluster) is a ring built full and
+// Server serves a Ring over that wire. A static replay (maritime feed, the
+// self-contained cmd/serve and maritime cluster) is a ring built full and
 // finished, paced by the original timestamps; the cluster router's
 // vessel slices are live rings it appends to. ReconnectingClient is the
 // one client: it re-dials dropped connections, resumes with the
