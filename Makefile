@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker fuzz-scanner fuzz-window-sum bench-quick check-allocs check-run-patterns experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker fuzz-scanner fuzz-window-sum fuzz-slide-order bench-quick check-allocs check-run-patterns experiments examples
 
 all: fmt-check build vet test
 
@@ -125,6 +125,14 @@ fuzz-scanner:
 # exact oldest-first fold does. Plain `go test` runs only the seeds.
 fuzz-window-sum:
 	go test -run '^$$' -fuzz '^FuzzWindowSum$$' -fuzztime 10s ./internal/tracker/
+
+# Fuzz the vessel-major slide for 10 s: over random fleets, motion,
+# disorder and cross-vessel interleavings, every slide's output, the
+# counters and the snapshot must equal batch-order ingest's, at shards
+# 1, 3 and DefaultShards(), plain, rolled and under the watchdog. Plain
+# `go test` runs only the seeds.
+fuzz-slide-order:
+	go test -run '^$$' -fuzz '^FuzzSlideOrder$$' -fuzztime 10s ./internal/tracker/
 
 # End-to-end benchmark smoke (cmd/bench, the BENCHMARK.json harness) on
 # a toy fleet, ~15 s: all four workloads against real cmd/serve

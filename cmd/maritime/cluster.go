@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"strings"
 	"time"
 
@@ -203,8 +204,13 @@ func clusterCmd(fs *flag.FlagSet, _ io.Writer) func(context.Context) error {
 			st := coord.Stats()
 			log.Printf("cluster done: %d slides merged (%d forced), %d alerts, %d trips archived",
 				f.Slides, st.ForcedMerges, f.Alerts, f.Final.Trips)
-			for cause, n := range st.DropsByCause {
-				log.Printf("  dropped slides: %s = %d", cause, n)
+			causes := make([]string, 0, len(st.DropsByCause))
+			for cause := range st.DropsByCause {
+				causes = append(causes, cause)
+			}
+			slices.Sort(causes)
+			for _, cause := range causes {
+				log.Printf("  dropped slides: %s = %d", cause, st.DropsByCause[cause])
 			}
 			log.Printf("health: %s", coord.Health())
 			log.Printf("still serving alert history and health (Ctrl-C to quit)")

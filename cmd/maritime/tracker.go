@@ -86,8 +86,10 @@ func trackerCmd(fs *flag.FlagSet, stdout io.Writer) func(context.Context) error 
 			st.FixesIn, st.Critical, st.CompressionRatio()*100, st.Outliers)
 		log.Printf("window %s: %d slides, mean tracking cost %s/slide",
 			spec, slides, totalTracking/time.Duration(max(1, slides)))
-		for et, n := range st.ByType {
-			log.Printf("  %-12s %d", et, n)
+		for et := tracker.EventFirst; et <= tracker.EventSlowEnd; et++ {
+			if n := st.ByType[et]; n > 0 {
+				log.Printf("  %-12s %d", et, n)
+			}
 		}
 		// The §3.1 odometer extension: traveled distance per vessel.
 		var farthest uint32

@@ -185,7 +185,7 @@ type fixRec struct {
 // result slots.
 type shardOut struct {
 	fresh    []CriticalPoint // ingest-time points, then gap-sweep points from gapStart on
-	freshIdx []int32         // batch index of each ingest-time point's fix (multi-shard tiers)
+	freshIdx []int32         // batch index of each ingest-time point's fix
 	gapStart int
 	delta    []CriticalPoint
 	dur      time.Duration
@@ -304,10 +304,9 @@ func NewSharded(params Params, window stream.WindowSpec, shards int) *Sharded {
 // tier-wide accounting.
 func (s *Sharded) newShard() *shard {
 	return &shard{
-		params:   s.params,
-		window:   s.window,
-		index:    make(map[uint32]int32),
-		indexing: len(s.shards) > 1,
+		params: s.params,
+		window: s.window,
+		index:  make(map[uint32]int32),
 	}
 }
 

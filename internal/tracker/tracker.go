@@ -49,15 +49,22 @@ type shard struct {
 	evictScan  []int32   // slots
 	medianSums []float64 // runMedian's scratch: per-member distance sums, then latitude cosines
 
-	// Emission indexing, on when the tier has more than one shard:
-	// freshIdx records, parallel to fresh, the batch index of the fix
-	// that triggered each emission, so the merge can restore global
-	// batch order exactly; it swaps with its spare like fresh. curIdx is
-	// the index of the fix being ingested (gapSentinel outside ingest).
-	indexing      bool
-	curIdx        int32
+	// freshIdx records, parallel to the ingest-time part of fresh, the
+	// batch index of the fix that triggered each emission, so the merge
+	// can restore global batch order exactly; it swaps with its spare
+	// like fresh.
 	freshIdx      []int32
 	spareFreshIdx []int32
+
+	// Vessel-major ingest scratch (see ingestSlide), per record: its
+	// vessel's slot and the span of fresh its emissions took; the record
+	// positions grouped by slot and, per slot, where its group ends; per
+	// ingest-time emission, its batch-order position.
+	recSlot []int32
+	recSpan []emitSpan
+	order   []int32
+	slotEnd []int32
+	dest    []int32
 
 	// lastQueryNS is the query time that closed the previous slide: the
 	// boundary against which accepted fixes are classified as late.
@@ -77,11 +84,6 @@ type shard struct {
 
 // numEventTypes bounds the EventType values a shard counts.
 const numEventTypes = int(EventSlowEnd) + 1
-
-// gapSentinel tags emissions not attributable to a fix: the slide-time
-// gap sweep runs after every fix of the batch, so its emissions sort
-// after all ingest-time ones.
-const gapSentinel = int32(1<<31 - 1)
 
 // nsTime rebuilds the time.Time for an internal nanosecond clock value.
 // For UTC instants within time.Unix's normalization range this yields a
@@ -312,21 +314,28 @@ type SlideResult struct {
 
 // slide advances the shard through one slide: it ingests the fixes
 // routed to it (each carrying its index in the whole batch, which
-// emission indexing records), then runs the slide-time gap sweep
-// and window eviction. The result holds the slide's emissions — ordered
-// by triggering fix up to gapStart, then the gap sweep's by MMSI — and
-// the expired delta points, all shard-owned scratch valid until the
-// slide after next.
+// freshIdx records), then runs the slide-time gap sweep and window
+// eviction. The result holds the slide's emissions — ordered by
+// triggering fix up to gapStart, then the gap sweep's by MMSI — and the
+// expired delta points, all shard-owned scratch valid until the slide
+// after next.
 func (tr *shard) slide(in shardIn, q time.Time) shardOut {
+	tr.beginSlide(in)
+	tr.ingestSlide(in.recs)
+	return tr.closeSlide(q)
+}
+
+// beginSlide swaps in the slide's output buffers and its shedding switch.
+func (tr *shard) beginSlide(in shardIn) {
 	tr.fresh, tr.spareFresh = tr.spareFresh[:0], tr.fresh
 	tr.freshIdx, tr.spareFreshIdx = tr.spareFreshIdx[:0], tr.freshIdx
 	tr.deltaOut, tr.spareDelta = tr.spareDelta, tr.deltaOut
 	tr.shedding = in.shed
-	for _, r := range in.recs {
-		tr.curIdx = r.idx
-		tr.ingest(r.mmsi, r.lon, r.lat, r.ns)
-	}
-	tr.curIdx = gapSentinel
+}
+
+// closeSlide runs the slide-time gap sweep and eviction after the
+// slide's fixes are in, and returns the slide's output.
+func (tr *shard) closeSlide(q time.Time) shardOut {
 	gapStart := len(tr.fresh)
 	tr.collectSweeps(q)
 	tr.detectGaps(q)
@@ -334,6 +343,89 @@ func (tr *shard) slide(in shardIn, q time.Time) shardOut {
 	tr.lastQueryNS = q.UnixNano()
 	tr.haveLastQ = true
 	return shardOut{fresh: tr.fresh, freshIdx: tr.freshIdx, gapStart: gapStart, delta: delta}
+}
+
+// emitSpan is where one record's emissions sit in fresh, [from, to).
+type emitSpan struct{ from, to int32 }
+
+// ingestSlide ingests a slide's records vessel-major, in three passes,
+// and leaves fresh and freshIdx exactly as ingesting them in batch order
+// would:
+//
+//  1. slot pass: one probe per record, admitting new vessels in batch
+//     order, so slots are numbered as batch-order ingest numbers them;
+//  2. ingest: the record positions are counting-sorted by slot — O(fixes
+//     + slots), no comparisons — and each vessel's fixes are ingested
+//     back to back, in their batch order, on a warm vessel state;
+//  3. restore: the emissions are permuted in place into batch order of
+//     their triggering fixes, the emissions of one fix kept in their
+//     emission order, and freshIdx is written alongside.
+//
+// Vessels are independent, so the order a vessel's fixes interleave
+// with other vessels' changes nothing but the order of fresh, which the
+// third pass restores.
+func (tr *shard) ingestSlide(recs []fixRec) {
+	n := len(recs)
+	slot := slices.Grow(tr.recSlot[:0], n)[:n]
+	tr.recSlot = slot
+	for i := range recs {
+		s, ok := tr.index[recs[i].mmsi]
+		if !ok {
+			s = tr.admit(recs[i].mmsi)
+		}
+		slot[i] = s
+	}
+
+	// Counting sort: ends[s] first counts slot s's records, then holds
+	// where its group starts in order, then, once the group is placed,
+	// where it ends.
+	ends := slices.Grow(tr.slotEnd[:0], len(tr.slots))[:len(tr.slots)]
+	tr.slotEnd = ends
+	clear(ends)
+	for _, s := range slot {
+		ends[s]++
+	}
+	var sum int32
+	for s, c := range ends {
+		ends[s] = sum
+		sum += c
+	}
+	order := slices.Grow(tr.order[:0], n)[:n]
+	tr.order = order
+	for i, s := range slot {
+		order[ends[s]] = int32(i)
+		ends[s]++
+	}
+
+	span := slices.Grow(tr.recSpan[:0], n)[:n]
+	tr.recSpan = span
+	var k int32
+	for s, end := range ends {
+		for ; k < end; k++ {
+			i := order[k]
+			r := &recs[i]
+			from := int32(len(tr.fresh))
+			tr.ingest(int32(s), r.mmsi, r.lon, r.lat, r.ns)
+			span[i] = emitSpan{from, int32(len(tr.fresh))}
+		}
+	}
+
+	dest := slices.Grow(tr.dest[:0], len(tr.fresh))[:len(tr.fresh)]
+	tr.dest = dest
+	for i := range recs {
+		for j := span[i].from; j < span[i].to; j++ {
+			dest[j] = int32(len(tr.freshIdx))
+			tr.freshIdx = append(tr.freshIdx, recs[i].idx)
+		}
+	}
+	// Each swap puts one point where it belongs, so the permutation
+	// costs at most one swap per emission and no second buffer.
+	for j := range dest {
+		for d := dest[j]; d != int32(j); d = dest[j] {
+			tr.fresh[j], tr.fresh[d] = tr.fresh[d], tr.fresh[j]
+			dest[j], dest[d] = dest[d], d
+		}
+	}
 }
 
 // collectSweeps walks the slab once, gathering the candidates of
@@ -374,9 +466,6 @@ func (tr *shard) emit(st *vesselState, cp CriticalPoint) {
 	tr.stats.Critical++
 	tr.byType[cp.Type]++
 	tr.fresh = append(tr.fresh, cp)
-	if tr.indexing {
-		tr.freshIdx = append(tr.freshIdx, tr.curIdx)
-	}
 	st.addPoint(&tr.fresh[len(tr.fresh)-1])
 }
 
@@ -392,13 +481,10 @@ func (tr *shard) noteLateAccepted(tns int64) {
 	}
 }
 
-// ingest processes one fix given as scalar values.
-func (tr *shard) ingest(mmsi uint32, lon, lat float64, tns int64) {
+// ingest processes one fix, given as scalar values, of the vessel in
+// slot.
+func (tr *shard) ingest(slot int32, mmsi uint32, lon, lat float64, tns int64) {
 	tr.stats.FixesIn++
-	slot, ok := tr.index[mmsi]
-	if !ok {
-		slot = tr.admit(mmsi)
-	}
 	st := &tr.slots[slot]
 	pos := geo.Point{Lon: lon, Lat: lat}
 	if !st.haveLast {

@@ -206,7 +206,7 @@ func TestWindowSumsFollowTracker(t *testing.T) {
 		if i >= 20 {
 			lon, lat = 24.02, 37.3+0.001*float64(i-20)
 		}
-		sh.ingest(scripted, lon, lat, t0+int64(i)*int64(10*time.Second))
+		sh.ingestFix(scripted, lon, lat, t0+int64(i)*int64(10*time.Second))
 		checkShardWindows(t, sh)
 	}
 	if sh.stats.Outliers < params.OutlierRunLimit-1 {
@@ -219,7 +219,7 @@ func TestWindowSumsFollowTracker(t *testing.T) {
 	cur := tier
 	for k, b := range batches {
 		for _, f := range b.Fixes {
-			sh.ingest(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
+			sh.ingestFix(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
 			checkShardWindows(t, sh)
 		}
 		sh.slide(shardIn{}, b.Query)
