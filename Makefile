@@ -33,10 +33,15 @@ test-race:
 # Crash-injection equivalence suite: kill-and-restore at arbitrary
 # slides and mid-checkpoint-write, byte-identical output and
 # exactly-once delivery through the gateway, and the snapshot store's
-# corruption matrix, under the race detector.
+# corruption matrix, under the race detector. Also the file formats:
+# version-2 checkpoints and manifests read back through every read path,
+# the version-1 fixtures and edge cases through the one upgrade, and
+# the pinned gob layouts.
 test-recovery:
-	go test -race -v -run 'TestKillRestore|TestGatewayExactlyOnce|TestReplayGap|TestSigterm' ./internal/checkpoint/
+	go test -race -v -run 'TestKillRestore|TestGatewayExactlyOnce|TestReplayGap|TestSigterm|TestVersion|TestSchemaPinned|TestRestoresEarlier|TestRefusesTwoBand|TestCursorMatchesEarlierBuild' ./internal/checkpoint/
 	go test -race -v -run 'TestStore' ./internal/durable/
+	go test -race -v -run 'TestVersion|TestRestoresEarlierManifest|TestRestoreClusterSkipsManifest' ./internal/cluster/
+	go test -race -v -run 'TestParentSnapshotUpgrades' ./internal/analytics/
 
 # Panic/stall-injection suite: shard kills, recognizer and store panics,
 # watchdog stalls, each recovered by a rewind to the newest checkpoint

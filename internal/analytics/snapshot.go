@@ -36,22 +36,6 @@ type Snapshot struct {
 	CollActive [][2]uint32
 	Evicted    int64
 	PairAlerts int64
-	// Collision is read, never written: it is the section in which
-	// earlier builds kept a second copy of each vessel's kinematics for
-	// the collision screen. Restore takes each vessel's heading from it,
-	// since those builds stored none in Vessels. A vessel it leaves out
-	// had been silent longer than the screen's staleness bound, so its
-	// heading stays zero until its next point sets it.
-	Collision *legacyCollision
-}
-
-// legacyCollision and legacyKinematics decode the part of an earlier
-// build's collision section that Restore needs; gob skips the rest.
-type legacyCollision struct{ Vessels []legacyKinematics }
-
-type legacyKinematics struct {
-	MMSI uint32
-	Vel  geo.Velocity
 }
 
 // Snapshot serializes the tier state.
@@ -96,8 +80,7 @@ func (t *Tier) Snapshot() *Snapshot {
 }
 
 // Restore replaces the tier state with a snapshot's. A nil snapshot
-// resets the tier to empty (lenient restore for checkpoints written
-// before the tier existed).
+// resets the tier to empty: the checkpoint was taken with the tier off.
 func (t *Tier) Restore(s *Snapshot) {
 	t.vstates = make(map[uint32]*vstate)
 	t.pairs = make(map[pairKey]*pairState)
@@ -126,13 +109,6 @@ func (t *Tier) Restore(s *Snapshot) {
 	t.closedGaps = slices.Clone(s.Gaps)
 	t.evicted = s.Evicted
 	t.pairAlerts = s.PairAlerts
-	if s.Collision != nil {
-		for _, k := range s.Collision.Vessels {
-			if v := t.vstates[k.MMSI]; v != nil {
-				v.headingDeg = k.Vel.HeadingDeg
-			}
-		}
-	}
 	t.publishStats()
 }
 

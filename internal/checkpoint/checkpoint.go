@@ -1,5 +1,5 @@
 // Package checkpoint persists the full pipeline state — tracker
-// vessels, recognizer working memories, the moving-object store, the
+// vessels, the recognizer's working memory, the moving-object store, the
 // alert hub's sequence/history, and the feed resume cursor — so a
 // surveillance process killed at any instant restarts with no
 // observable difference in its output stream.
@@ -38,8 +38,8 @@ import (
 )
 
 // fileSpec names checkpoint files: checkpoint-<seq>.ckpt, one durable
-// frame of gob(State) each.
-var fileSpec = durable.FileSpec{Prefix: "checkpoint-", Suffix: ".ckpt", Magic: "MARCKPT", Version: 1}
+// frame of gob(State) each. Version 1 is read through compat.go.
+var fileSpec = durable.FileSpec{Prefix: "checkpoint-", Suffix: ".ckpt", Magic: "MARCKPT", Version: 2}
 
 // State is everything a restart needs, captured atomically between two
 // window slides.
@@ -47,8 +47,8 @@ type State struct {
 	// Query is the query time of the last slide folded into this
 	// checkpoint; the resumed batcher continues the slide grid from it.
 	Query time.Time
-	// System is the pipeline's dynamic state (tracker, recognizers,
-	// store).
+	// System is the pipeline's dynamic state: tracker, recognizer,
+	// moving-object store and analytics tier.
 	System core.Snapshot
 	// Cursor covers exactly the fixes processed up to Query.
 	Cursor feed.Cursor
@@ -97,24 +97,31 @@ func (m *Manager) Save(st *State) error {
 	return nil
 }
 
-// decode unpacks one checkpoint payload.
-func decode(payload []byte) (*State, error) {
+// decode unpacks one checkpoint payload written at the given format
+// version.
+func decode(payload []byte, version uint16) (*State, error) {
 	var st State
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding state: %w", err)
+	}
+	if version == 1 {
+		if err := upgradeV1(payload, &st.System); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
 	}
 	return &st, nil
 }
 
 // Load reads and verifies one checkpoint file. Truncated, corrupt,
 // wrong-magic, and future-version files fail with the corresponding
-// typed durable error.
+// typed durable error; a version-1 file whose recognizer state no
+// system runs fails with core.ErrTopologyMismatch.
 func Load(path string) (*State, error) {
-	payload, err := fileSpec.ReadFile(path)
+	payload, version, err := fileSpec.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return decode(payload)
+	return decode(payload, version)
 }
 
 // RestoreNewest loads the newest valid checkpoint, walking past
@@ -124,8 +131,8 @@ func Load(path string) (*State, error) {
 // carries the rejection reasons when every candidate was invalid.
 func (m *Manager) RestoreNewest() (*State, error) {
 	var st *State
-	_, err := m.store.Restore(func(_ uint64, payload []byte) (err error) {
-		st, err = decode(payload)
+	_, err := m.store.Restore(func(_ uint64, payload []byte, version uint16) (err error) {
+		st, err = decode(payload, version)
 		return err
 	})
 	return st, err
@@ -143,11 +150,11 @@ func PathFor(dir string, seq uint64) string {
 // its manifest generation recorded, so the whole cluster restores one
 // coherent cut even when some workers have newer checkpoints.
 func (m *Manager) LoadAt(seq uint64) (*State, error) {
-	payload, err := m.store.Load(seq)
+	payload, version, err := m.store.Load(seq)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return decode(payload)
+	return decode(payload, version)
 }
 
 // Dir returns the checkpoint directory.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
+	"repro/internal/obs"
 	"repro/internal/rtec"
 	"repro/internal/stream"
 	"repro/internal/tracker"
@@ -94,20 +96,20 @@ func compatDigest(sys *core.System, areas []maritime.Area, batches []stream.Batc
 	return hex.EncodeToString(h.Sum(nil)), alerts
 }
 
-// loadCompat loads one of the earlier build's checkpoints and checks it
-// is the cut the test expects.
-func loadCompat(t *testing.T, name string, batches []stream.Batch, recognizers int) *State {
+// loadCompat loads the earlier build's one-recognizer checkpoint and
+// checks it is the cut the test expects.
+func loadCompat(t *testing.T, batches []stream.Batch) *State {
 	t.Helper()
-	st, err := Load("testdata/" + name)
+	st, err := Load("testdata/one-recognizer.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Slides != compatSlides || !st.Query.Equal(batches[compatSlides-1].Query) {
-		t.Fatalf("%s: checkpoint after %d slides at %s, want %d at %s",
-			name, st.Slides, st.Query, compatSlides, batches[compatSlides-1].Query)
+		t.Fatalf("checkpoint after %d slides at %s, want %d at %s",
+			st.Slides, st.Query, compatSlides, batches[compatSlides-1].Query)
 	}
-	if n := len(st.System.Recognizers); n != recognizers {
-		t.Fatalf("%s carries %d recognizer states, want %d", name, n, recognizers)
+	if st.System.Recognizer == nil {
+		t.Fatal("the checkpoint carries no recognizer state")
 	}
 	return st
 }
@@ -147,7 +149,7 @@ func sameState(t *testing.T, got, want *core.System) {
 // from the same checkpoint, and to an uninterrupted run.
 func TestRestoresEarlierOneRecognizerCheckpoint(t *testing.T) {
 	sim, batches := compatWorld(t)
-	st := loadCompat(t, "one-recognizer.ckpt", batches, 1)
+	st := loadCompat(t, batches)
 	vessels, areas, ports := core.AdaptWorld(sim)
 	restored := core.NewSystem(compatConfig(), vessels, areas, ports)
 	defer restored.Close()
@@ -171,18 +173,49 @@ func TestRestoresEarlierOneRecognizerCheckpoint(t *testing.T) {
 	sameState(t, restored, ref)
 }
 
-// TestRefusesTwoBandCheckpoint hands a system the earlier build's
-// two-band checkpoint: the restore must fail with ErrTopologyMismatch
-// before touching any state, so the system goes on exactly as if it had
-// never been asked.
+// TestRefusesTwoBandCheckpoint reads the earlier build's two-band
+// checkpoint: its two recognizer states fit no system, so Load refuses
+// it with ErrTopologyMismatch, and RestoreNewest skips it, counts it
+// rejected and restores the valid checkpoint below it. A snapshot whose
+// recognition does not match the system's is refused by RestoreSnapshot
+// before it touches any state, so the system goes on exactly as if it
+// had never been asked.
 func TestRefusesTwoBandCheckpoint(t *testing.T) {
+	if _, err := Load("testdata/two-bands.ckpt"); !errors.Is(err, core.ErrTopologyMismatch) {
+		t.Fatalf("Load of a two-band checkpoint: err=%v, want ErrTopologyMismatch", err)
+	}
+
+	dir := t.TempDir()
+	for seq, name := range map[uint64]string{1: "one-recognizer.ckpt", 2: "two-bands.ckpt"} {
+		b, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(PathFor(dir, seq), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr := newTestManager(t, Options{Dir: dir})
+	reg := obs.NewRegistry()
+	mgr.RegisterMetrics(reg)
+	st, err := mgr.RestoreNewest()
+	if st == nil || st.Slides != compatSlides || st.System.Recognizer == nil {
+		t.Fatalf("RestoreNewest = (%+v, %v), want the one-recognizer checkpoint below the two-band one", st, err)
+	}
+	if !errors.Is(err, core.ErrTopologyMismatch) {
+		t.Errorf("skip reason %v, want ErrTopologyMismatch", err)
+	}
+	if got := metricValue(t, reg, "maritime_checkpoint_rejected_total"); got != 1 {
+		t.Errorf("maritime_checkpoint_rejected_total = %v, want 1", got)
+	}
+
 	sim, batches := compatWorld(t)
-	st := loadCompat(t, "two-bands.ckpt", batches, 2)
 	const done = 4
 	sys := undisturbed(sim, batches, done)
 	defer sys.Close()
+	st.System.Recognizer = nil
 	if err := sys.RestoreSnapshot(st.System); !errors.Is(err, core.ErrTopologyMismatch) {
-		t.Fatalf("RestoreSnapshot of a two-band snapshot: err=%v, want ErrTopologyMismatch", err)
+		t.Fatalf("RestoreSnapshot of a snapshot without recognition: err=%v, want ErrTopologyMismatch", err)
 	}
 	ref := undisturbed(sim, batches, done)
 	defer ref.Close()

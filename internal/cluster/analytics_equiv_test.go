@@ -125,7 +125,7 @@ func TestClusterManifestRestoreWithAnalytics(t *testing.T) {
 	if m == nil {
 		t.Fatal("RestoreCluster found nothing to restore")
 	}
-	if m.System == nil || m.System.Analytics == nil {
+	if m.System.Analytics == nil {
 		t.Fatal("manifest carried no analytics snapshot")
 	}
 	if m.Slides == 0 || m.Slides > len(phase1.slides) {

@@ -132,11 +132,11 @@ func TestRestoresEarlierManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Slides != compatSlides || !m.Query.Equal(world.slides[compatSlides-1].Query) || m.System == nil {
+	if m.Slides != compatSlides || !m.Query.Equal(world.slides[compatSlides-1].Query) {
 		t.Fatalf("manifest after %d slides at %s, want %d at %s", m.Slides, m.Query, compatSlides, world.slides[compatSlides-1].Query)
 	}
-	if n := len(m.System.Recognizers); n != 1 {
-		t.Fatalf("manifest carries %d recognizer states, want 1", n)
+	if m.System.Recognizer == nil {
+		t.Fatal("manifest carries no recognizer state")
 	}
 	restored, got := compatCoordinator(t, world, m, nil)
 	ref, want := compatCoordinator(t, world, nil, nil)

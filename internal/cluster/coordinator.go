@@ -151,10 +151,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: manifest for %d workers, coordinator has %d",
 				cfg.Restore.Workers, cfg.Workers)
 		}
-		if cfg.Restore.System == nil {
-			return nil, errNoSystemSnapshot
-		}
-		if err := c.sys.RestoreSnapshot(*cfg.Restore.System); err != nil {
+		if err := c.sys.RestoreSnapshot(cfg.Restore.System); err != nil {
 			return nil, fmt.Errorf("cluster: restoring the coordinator: %w", err)
 		}
 		c.lastMerged = cfg.Restore.Query
@@ -488,7 +485,7 @@ func (c *Coordinator) writeManifestLocked(q time.Time, seqs []uint64, curs []*fe
 		Workers:    c.cfg.Workers,
 		WorkerSeqs: seqs,
 		Cursor:     mergeCursors(curs),
-		System:     &snap,
+		System:     snap,
 		Slides:     c.slides,
 	}
 	if c.cfg.Hub != nil {

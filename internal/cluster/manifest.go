@@ -17,7 +17,8 @@ import (
 
 // manifestSpec names manifest files: manifest-<seq>.mft, one durable
 // frame of gob(Manifest) each.
-var manifestSpec = durable.FileSpec{Prefix: "manifest-", Suffix: ".mft", Magic: "MARMANI", Version: 1}
+// Version 1 is read through decodeManifest's upgrade.
+var manifestSpec = durable.FileSpec{Prefix: "manifest-", Suffix: ".mft", Magic: "MARMANI", Version: 2}
 
 // Manifest binds one atomic cluster snapshot: the checkpoint sequence
 // number of every worker at a common query time, the merged resume
@@ -39,11 +40,9 @@ type Manifest struct {
 	// per-vessel counts at that second (vessel slices are disjoint).
 	Cursor feed.Cursor
 	// System is the coordinator system's snapshot as of Query — the
-	// format serve and worker checkpoints carry: recognizer working
-	// memories and the analytics tier's state. Nil only in a manifest
-	// written before the coordinator ran a core.System, which restore
-	// skips.
-	System *core.Snapshot
+	// format serve and worker checkpoints carry: the recognizer's
+	// working memory and the analytics tier's state.
+	System core.Snapshot
 	// Hub is the alert gateway's sequence/history; nil without one.
 	Hub *serve.HubSnapshot
 	// Slides is how many slides the coordinator had merged.
@@ -91,33 +90,55 @@ func (s *ManifestStore) Seq() uint64 { return s.store.Seq() }
 // counters.
 func (s *ManifestStore) Stats() durable.StoreStats { return s.store.Stats() }
 
-// errNoSystemSnapshot rejects a manifest from before the coordinator
-// ran a core.System: restoring it would start recognition from an empty
-// working memory mid-stream.
+// errNoSystemSnapshot rejects a version-1 manifest from before the
+// coordinator ran a core.System: restoring it would start recognition
+// from an empty working memory mid-stream.
 var errNoSystemSnapshot = errors.New("cluster: manifest predates the coordinator system snapshot")
 
-func decodeManifest(payload []byte) (*Manifest, error) {
+// decodeManifest decodes a manifest payload written at the given
+// format version. A version-1 payload is decoded a second time into an
+// overlay of the fields version 2 reshaped, and upgraded from it.
+func decodeManifest(payload []byte, version uint16) (*Manifest, error) {
 	var m Manifest
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("cluster: decoding manifest: %w", err)
+	}
+	if version == 1 {
+		// Slides is in every layout: gob refuses an overlay that shares
+		// no field with the encoded type.
+		var v1 struct {
+			Slides int
+			System *checkpoint.SystemV1
+		}
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v1); err != nil {
+			return nil, fmt.Errorf("cluster: decoding version-1 manifest: %w", err)
+		}
+		if v1.System == nil {
+			return nil, errNoSystemSnapshot
+		}
+		if err := v1.System.Upgrade(&m.System); err != nil {
+			return nil, fmt.Errorf("cluster: upgrading version-1 manifest: %w", err)
+		}
 	}
 	return &m, nil
 }
 
 // LoadManifest reads and verifies one manifest file; truncated,
 // corrupt, wrong-magic and future-version files fail with the
-// corresponding typed durable error.
+// corresponding typed durable error, and a version-1 manifest without a
+// coordinator system snapshot fails too.
 func LoadManifest(path string) (*Manifest, error) {
-	payload, err := manifestSpec.ReadFile(path)
+	payload, version, err := manifestSpec.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return decodeManifest(payload)
+	return decodeManifest(payload, version)
 }
 
 // RestoreCluster finds the newest manifest whose entire generation is
-// restorable: the manifest itself loads, it carries a coordinator
-// system snapshot, it matches the cluster width, and EVERY worker's recorded checkpoint sequence loads from that
+// restorable: the manifest itself loads (a version-1 one only if it
+// carries a coordinator system snapshot), it matches the cluster width,
+// and EVERY worker's recorded checkpoint sequence loads from that
 // worker's directory. A generation with any unreadable member is
 // skipped whole — the cluster never restores a mixed cut where one
 // worker is on a different generation than the rest. Returns nil with
@@ -126,13 +147,10 @@ func LoadManifest(path string) (*Manifest, error) {
 // reasons come back with the nil manifest.
 func RestoreCluster(s *ManifestStore, workerDirs []string) (*Manifest, error) {
 	var out *Manifest
-	_, err := s.store.Restore(func(_ uint64, payload []byte) error {
-		m, err := decodeManifest(payload)
+	_, err := s.store.Restore(func(_ uint64, payload []byte, version uint16) error {
+		m, err := decodeManifest(payload, version)
 		if err != nil {
 			return err
-		}
-		if m.System == nil {
-			return errNoSystemSnapshot
 		}
 		if m.Workers != len(workerDirs) || len(m.WorkerSeqs) != m.Workers {
 			return fmt.Errorf("cluster: manifest for %d workers, cluster has %d", m.Workers, len(workerDirs))

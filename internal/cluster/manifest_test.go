@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/feed"
 	"repro/internal/maritime"
@@ -76,7 +78,7 @@ func seedGenerations(t *testing.T, workers int) (*ManifestStore, []string) {
 			Query:      base.Add(time.Duration(gen) * 40 * time.Minute),
 			Workers:    workers,
 			WorkerSeqs: seqs,
-			System:     &snap,
+			System:     snap,
 			Slides:     gen * 4,
 		}
 		if err := store.Save(m); err != nil {
@@ -197,7 +199,7 @@ func TestManifestSaveRetriesTransientWriteFailure(t *testing.T) {
 		}
 		return w
 	}
-	m := &Manifest{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), Workers: 2, WorkerSeqs: []uint64{2, 2}, System: &core.Snapshot{Store: []byte{0}}, Slides: 12}
+	m := &Manifest{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), Workers: 2, WorkerSeqs: []uint64{2, 2}, System: core.Snapshot{Store: []byte{0}}, Slides: 12}
 	if err := store.Save(m); err != nil {
 		t.Fatalf("Save with one transient failure: %v", err)
 	}
@@ -227,10 +229,27 @@ type legacyManifest struct {
 	Analytics  *analytics.Snapshot
 }
 
-// A manifest in the older layout is skipped with a reason and counted
-// as rejected — restoring it would resume recognition from an empty
-// working memory mid-stream. Behind it the newest current generation
-// restores; alone, it is a cold start. The coordinator refuses it too.
+// writeV1Manifest writes v as manifest seq of store, framed at format
+// version 1.
+func writeV1Manifest(t *testing.T, store *ManifestStore, seq uint64, v any) {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	err := durable.WriteFileAtomic(store.store.Path(seq), func(w io.Writer) error {
+		return durable.WriteFrame(w, manifestSpec.Magic, 1, payload.Bytes())
+	})
+	if err != nil {
+		t.Fatalf("writing the version-1 manifest: %v", err)
+	}
+}
+
+// A version-1 manifest in the older layout is refused at load, and
+// skipped by RestoreCluster with the reason and counted as rejected —
+// restoring it would resume recognition from an empty working memory
+// mid-stream. Behind it the newest current generation restores; alone,
+// it is a cold start.
 func TestRestoreClusterSkipsManifestWithoutSystemSnapshot(t *testing.T) {
 	store, dirs := seedGenerations(t, 3)
 	legacy := legacyManifest{
@@ -241,19 +260,13 @@ func TestRestoreClusterSkipsManifestWithoutSystemSnapshot(t *testing.T) {
 		Slides:     12,
 		Analytics:  &analytics.Snapshot{},
 	}
-	if err := store.store.Save(func(w io.Writer) error { return gob.NewEncoder(w).Encode(legacy) }); err != nil {
-		t.Fatalf("saving the older-layout manifest: %v", err)
-	}
-	old, err := LoadManifest(store.store.Path(3))
-	if err != nil {
-		t.Fatalf("the older-layout manifest does not decode: %v", err)
-	}
-	if old.System != nil || old.Slides != 12 {
-		t.Fatalf("decoded %+v, want 12 slides and no system snapshot", old)
+	writeV1Manifest(t, store, 3, legacy)
+	if _, err := LoadManifest(store.store.Path(3)); !errors.Is(err, errNoSystemSnapshot) {
+		t.Fatalf("LoadManifest of the older-layout manifest: err=%v, want %v", err, errNoSystemSnapshot)
 	}
 
 	m, err := RestoreCluster(store, dirs)
-	if m == nil || m.Slides != 8 || m.System == nil {
+	if m == nil || m.Slides != 8 {
 		t.Fatalf("want the newest current generation (8 slides), got %+v (err=%v)", m, err)
 	}
 	if !errors.Is(err, errNoSystemSnapshot) {
@@ -273,17 +286,11 @@ func TestRestoreClusterSkipsManifestWithoutSystemSnapshot(t *testing.T) {
 		t.Errorf("the skipped manifest is not counted:\n%s", text.String())
 	}
 
-	if _, err := NewCoordinator(CoordinatorConfig{Workers: 3, System: coordinatorSystem(), Restore: old}); !errors.Is(err, errNoSystemSnapshot) {
-		t.Errorf("NewCoordinator restored the older-layout manifest: err=%v", err)
-	}
-
 	alone, err := NewManifestStore(t.TempDir(), 3)
 	if err != nil {
 		t.Fatalf("manifest store: %v", err)
 	}
-	if err := alone.store.Save(func(w io.Writer) error { return gob.NewEncoder(w).Encode(legacy) }); err != nil {
-		t.Fatalf("saving the older-layout manifest: %v", err)
-	}
+	writeV1Manifest(t, alone, 1, legacy)
 	if m, err := RestoreCluster(alone, dirs); m != nil || !errors.Is(err, errNoSystemSnapshot) {
 		t.Errorf("older-layout manifest alone: got %+v / %v, want a cold start with the skip reason", m, err)
 	}

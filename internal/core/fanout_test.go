@@ -49,7 +49,7 @@ func sameFinalState(t *testing.T, got, want *System, last time.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gs.Recognizers, ws.Recognizers) {
+	if !reflect.DeepEqual(gs.Recognizer, ws.Recognizer) {
 		t.Error("recognizer snapshots diverged")
 	}
 	gs.Store, ws.Store = nil, nil

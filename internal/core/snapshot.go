@@ -26,10 +26,9 @@ import (
 
 // Typed restore failures, matched with errors.Is.
 var (
-	// ErrTopologyMismatch means the snapshot's recognizer states do not
-	// fit the system restoring it: recognition enabled vs disabled, or
-	// more than one recognizer state (a longitude-band split that systems
-	// no longer run).
+	// ErrTopologyMismatch means the snapshot's recognizer state does not
+	// fit the system restoring it: one was taken with recognition on and
+	// the other runs with it off, or the other way round.
 	ErrTopologyMismatch = errors.New("core: snapshot recognizer topology does not match this system")
 	// ErrWedged means the system has targets out of service — a recognizer
 	// abandoned by the watchdog, quarantined tracker shards, a
@@ -45,18 +44,16 @@ var (
 	ErrSlideInFlight = errors.New("core: cannot snapshot with a tracked slide not yet processed")
 )
 
-// Snapshot is the serialized dynamic state of a System. Recognizers
-// holds the recognizer's state: one entry, none with recognition
-// disabled (a list so that snapshots keep their encoding); Store is the
+// Snapshot is the serialized dynamic state of a System. Recognizer is
+// the recognizer's state, nil with recognition disabled; Store is the
 // MOD's own framed snapshot, kept opaque so its format versioning stays
 // with the mod package.
 type Snapshot struct {
-	Tracker     tracker.Snapshot
-	Recognizers []maritime.RecognizerSnapshot
-	Store       []byte
+	Tracker    tracker.Snapshot
+	Recognizer *maritime.RecognizerSnapshot
+	Store      []byte
 	// Analytics is the cross-vessel tier's state; nil when the tier is
-	// disabled or the snapshot predates it (gob leaves absent fields
-	// zero, so old checkpoints restore cleanly with the tier reset).
+	// disabled.
 	Analytics *analytics.Snapshot
 }
 
@@ -79,7 +76,8 @@ func (s *System) Snapshot() (Snapshot, error) {
 	}
 	snap := Snapshot{Tracker: s.tracker.Snapshot()}
 	if s.rec != nil {
-		snap.Recognizers = []maritime.RecognizerSnapshot{s.rec.Snapshot()}
+		rec := s.rec.Snapshot()
+		snap.Recognizer = &rec
 	}
 	var store bytes.Buffer
 	if err := s.store.SaveSnapshot(&store); err != nil {
@@ -105,13 +103,9 @@ func (s *System) Snapshot() (Snapshot, error) {
 func (s *System) RestoreSnapshot(snap Snapshot) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	want := 0
-	if s.rec != nil {
-		want = 1
-	}
-	if len(snap.Recognizers) != want {
-		return fmt.Errorf("%w: snapshot has %d recognizers, system has %d",
-			ErrTopologyMismatch, len(snap.Recognizers), want)
+	if (snap.Recognizer != nil) != (s.rec != nil) {
+		return fmt.Errorf("%w: snapshot recognition on=%t, system on=%t",
+			ErrTopologyMismatch, snap.Recognizer != nil, s.rec != nil)
 	}
 	// A restore supersedes any quarantine or failure: down targets are
 	// replaced outright (a wedged goroutine may still be touching the
@@ -133,7 +127,7 @@ func (s *System) RestoreSnapshot(snap Snapshot) error {
 		if s.recDown.Load() != partUp {
 			s.rec = maritime.NewRecognizer(s.cfg.Recognition, s.vessels, s.areas)
 		}
-		s.rec.RestoreSnapshot(snap.Recognizers[0])
+		s.rec.RestoreSnapshot(*snap.Recognizer)
 		s.recDown.Store(partUp)
 	}
 	s.storeDown.Store(partUp)

@@ -27,20 +27,21 @@ func (f FileSpec) Name(seq uint64) string {
 	return fmt.Sprintf("%s%012d%s", f.Prefix, seq, f.Suffix)
 }
 
-// ReadFile reads and verifies the one frame in path. Truncated,
-// corrupt, wrong-magic and future-version files fail with the
-// corresponding typed error.
-func (f FileSpec) ReadFile(path string) ([]byte, error) {
+// ReadFile reads and verifies the one frame in path, returning its
+// payload and the format version it was written with (at most
+// f.Version). Truncated, corrupt, wrong-magic and future-version files
+// fail with the corresponding typed error.
+func (f FileSpec) ReadFile(path string) ([]byte, uint16, error) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("durable: opening %s: %w", path, err)
+		return nil, 0, fmt.Errorf("durable: opening %s: %w", path, err)
 	}
 	defer fh.Close()
-	payload, _, err := ReadFrame(fh, f.Magic, f.Version)
+	payload, version, err := ReadFrame(fh, f.Magic, f.Version)
 	if err != nil {
-		return nil, fmt.Errorf("durable: %s: %w", path, err)
+		return nil, 0, fmt.Errorf("durable: %s: %w", path, err)
 	}
-	return payload, nil
+	return payload, version, nil
 }
 
 // StoreOptions is the write and retention policy of a Store.
@@ -221,26 +222,28 @@ func (s *Store) prune() error {
 	return nil
 }
 
-// Load reads and verifies the file with exactly sequence seq.
-func (s *Store) Load(seq uint64) ([]byte, error) { return s.spec.ReadFile(s.Path(seq)) }
+// Load reads and verifies the file with exactly sequence seq, returning
+// its payload and format version.
+func (s *Store) Load(seq uint64) ([]byte, uint16, error) { return s.spec.ReadFile(s.Path(seq)) }
 
 // Restore walks the files newest to oldest and hands each verified
-// payload to accept; the first one accept takes (returns nil) ends the
-// walk and its sequence is returned. Unreadable files and payloads
-// accept refuses are skipped, counted as rejected, and their errors
-// joined into err so the caller can log what was skipped. seq 0 means
-// nothing was restored: err is nil when the directory held no files at
-// all, and carries the rejection reasons when every candidate failed.
-func (s *Store) Restore(accept func(seq uint64, payload []byte) error) (uint64, error) {
+// payload, with its format version, to accept; the first one accept
+// takes (returns nil) ends the walk and its sequence is returned.
+// Unreadable files and payloads accept refuses are skipped, counted as
+// rejected, and their errors joined into err so the caller can log what
+// was skipped. seq 0 means nothing was restored: err is nil when the
+// directory held no files at all, and carries the rejection reasons
+// when every candidate failed.
+func (s *Store) Restore(accept func(seq uint64, payload []byte, version uint16) error) (uint64, error) {
 	seqs, err := s.list()
 	if err != nil {
 		return 0, err
 	}
 	var failures []error
 	for i := len(seqs) - 1; i >= 0; i-- {
-		payload, err := s.Load(seqs[i])
+		payload, version, err := s.Load(seqs[i])
 		if err == nil {
-			if err = accept(seqs[i], payload); err != nil {
+			if err = accept(seqs[i], payload, version); err != nil {
 				err = fmt.Errorf("durable: %s: %w", s.Path(seqs[i]), err)
 			}
 		}

@@ -48,7 +48,7 @@ func rewrite(t *testing.T, s *Store, seq uint64, edit func([]byte) []byte) {
 // restoreAny restores the newest readable payload.
 func restoreAny(s *Store) (uint64, string, error) {
 	var got string
-	seq, err := s.Restore(func(_ uint64, payload []byte) error {
+	seq, err := s.Restore(func(_ uint64, payload []byte, _ uint16) error {
 		got = string(payload)
 		return nil
 	})
@@ -210,11 +210,41 @@ func TestStoreReopenContinuesSequence(t *testing.T) {
 	if err := saveString(s, "gen-3"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.Load(1); err != nil || string(got) != "gen-1" {
-		t.Fatalf("Load(1) = (%q, %v), want gen-1", got, err)
+	if got, version, err := s.Load(1); err != nil || string(got) != "gen-1" || version != testSpec.Version {
+		t.Fatalf("Load(1) = (%q, %d, %v), want gen-1 at version %d", got, version, err, testSpec.Version)
 	}
-	if _, err := s.Load(9); err == nil {
+	if _, _, err := s.Load(9); err == nil {
 		t.Fatal("Load of a missing sequence succeeded")
+	}
+}
+
+// A file written at an older format version is read, and Load and
+// Restore report the version it was written with, so the caller can
+// decode the older layout.
+func TestStoreReportsOlderFrameVersion(t *testing.T) {
+	s := openTestStore(t, StoreOptions{})
+	if err := saveString(s, "gen-1"); err != nil {
+		t.Fatal(err)
+	}
+	err := WriteFileAtomic(s.Path(2), func(w io.Writer) error {
+		return WriteFrame(w, testSpec.Magic, testSpec.Version-1, []byte("old-2"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, version, err := s.Load(2); err != nil || string(got) != "old-2" || version != testSpec.Version-1 {
+		t.Fatalf("Load(2) = (%q, %d, %v), want old-2 at version %d", got, version, err, testSpec.Version-1)
+	}
+	var versions []uint16
+	seq, err := s.Restore(func(_ uint64, _ []byte, version uint16) error {
+		versions = append(versions, version)
+		if version != testSpec.Version {
+			return errors.New("older version refused")
+		}
+		return nil
+	})
+	if seq != 1 || err == nil || fmt.Sprint(versions) != fmt.Sprint([]uint16{testSpec.Version - 1, testSpec.Version}) {
+		t.Fatalf("Restore = (%d, %v) after versions %v, want seq 1 past the older file", seq, err, versions)
 	}
 }
 
@@ -228,7 +258,7 @@ func TestStoreRestoreSkipsRefusedPayload(t *testing.T) {
 		}
 	}
 	refused := errors.New("refused")
-	seq, err := s.Restore(func(_ uint64, payload []byte) error {
+	seq, err := s.Restore(func(_ uint64, payload []byte, _ uint16) error {
 		if string(payload) == "gen-2" {
 			return refused
 		}

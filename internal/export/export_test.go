@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/maritime"
-	"repro/internal/mod"
 	"repro/internal/tracker"
 )
 
@@ -118,59 +116,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[3], "1800") {
 		t.Errorf("stop row duration: %q", lines[3])
-	}
-}
-
-func TestWriteWorldGeoJSON(t *testing.T) {
-	poly := geo.MustPolygon([]geo.Point{{Lon: 24, Lat: 37}, {Lon: 24.1, Lat: 37}, {Lon: 24.05, Lat: 37.1}})
-	areas := []maritime.Area{
-		{ID: "prot-1", Kind: maritime.KindProtected, Poly: poly},
-		{ID: "shal-1", Kind: maritime.KindShallow, Poly: poly, MinDepthM: 4},
-	}
-	ports := []mod.PortArea{{Name: "Piraeus", Poly: poly}}
-	var sb strings.Builder
-	if err := WriteWorldGeoJSON(&sb, areas, ports); err != nil {
-		t.Fatal(err)
-	}
-	var fc map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &fc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	features := fc["features"].([]any)
-	if len(features) != 3 {
-		t.Fatalf("features = %d, want 3", len(features))
-	}
-	// GeoJSON polygons must close their rings.
-	geom := features[0].(map[string]any)["geometry"].(map[string]any)
-	ring := geom["coordinates"].([]any)[0].([]any)
-	first := ring[0].([]any)
-	last := ring[len(ring)-1].([]any)
-	if first[0] != last[0] || first[1] != last[1] {
-		t.Error("polygon ring not closed")
-	}
-}
-
-func TestWriteAlertsGeoJSON(t *testing.T) {
-	poly := geo.MustPolygon([]geo.Point{{Lon: 24, Lat: 37}, {Lon: 24.1, Lat: 37}, {Lon: 24.05, Lat: 37.1}})
-	areas := []maritime.Area{{ID: "prot-1", Kind: maritime.KindProtected, Poly: poly}}
-	alerts := []maritime.Alert{
-		{CE: maritime.CEIllegalShipping, AreaID: "prot-1", Time: time.Date(2009, 6, 1, 4, 0, 0, 0, time.UTC)},
-		{CE: maritime.CEIllegalShipping, AreaID: "unknown", Time: time.Now()},
-	}
-	var sb strings.Builder
-	if err := WriteAlertsGeoJSON(&sb, alerts, areas); err != nil {
-		t.Fatal(err)
-	}
-	var fc map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &fc); err != nil {
-		t.Fatal(err)
-	}
-	features := fc["features"].([]any)
-	if len(features) != 1 {
-		t.Fatalf("features = %d, want 1 (unknown areas skipped)", len(features))
-	}
-	props := features[0].(map[string]any)["properties"].(map[string]any)
-	if props["ce"] != maritime.CEIllegalShipping {
-		t.Errorf("props = %v", props)
 	}
 }

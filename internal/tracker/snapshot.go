@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/ais"
 	"repro/internal/geo"
@@ -44,9 +43,6 @@ type VesselSnapshot struct {
 	DepartureM float64
 
 	Synopsis []CriticalPoint
-	// LastSeen is Last's time, written so the checkpoint format stays
-	// as it was; restore reads the vessel clock from Last.
-	LastSeen time.Time
 }
 
 // Snapshot is the serialized state of the whole tracking tier: every
@@ -77,7 +73,6 @@ func (tr *shard) snapshotVessel(slot int32) VesselSnapshot {
 	}
 	if st.haveLast {
 		vs.Last = ais.Fix{MMSI: mmsi, Pos: st.lastPos, Time: nsTime(st.lastTNS)}
-		vs.LastSeen = vs.Last.Time
 	}
 	speeds, headings, turns := tr.vesselRings(slot)
 	if st.velLen > 0 {
