@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build cross fmt-check vet test test-short test-race test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker fuzz-scanner fuzz-window-sum fuzz-slide-order bench-quick check-allocs check-run-patterns experiments examples
+.PHONY: all build cross fmt-check vet test test-short test-race test-fig11 test-recovery test-chaos test-cluster test-analytics test-alertlog serveload-smoke bench bench-decode bench-tracker bench-archival fuzz-scanner fuzz-window-sum fuzz-slide-order fuzz-archival bench-quick check-allocs check-run-patterns experiments examples
 
 all: fmt-check build vet test
 
@@ -29,6 +29,12 @@ test-short:
 # What CI runs: the whole suite under the race detector.
 test-race:
 	go test -race ./...
+
+# Fig. 11's two-processor wall-clock comparison, timed alone: in
+# `go test ./...` other packages' tests share the cores, so the race run
+# skips it and CI runs this as a step of its own.
+test-fig11:
+	go test -count=1 -v -run '^TestFig11TwoProcessorsNotSlower$$' ./internal/expbench/
 
 # Crash-injection equivalence suite: kill-and-restore at arbitrary
 # slides and mid-checkpoint-write, byte-identical output and
@@ -117,6 +123,13 @@ bench-decode:
 bench-tracker:
 	go test -run '^$$' -bench '^BenchmarkSteadySlide$$' -benchmem -benchtime=1x ./internal/tracker/
 
+# Archival micro-benchmark: one 5 h life of the paper's N = 6425 fleet's
+# tracker deltas, plus the end-of-stream drain, through the store's
+# Stage, Reconstruct and Load, one iteration — a smoke run that proves
+# the benchmark still compiles and executes, not a measurement.
+bench-archival:
+	go test -run '^$$' -bench '^BenchmarkArchivalLife$$' -benchmem -benchtime=1x ./internal/mod/
+
 # Fuzz the Data Scanner for 30 s: every mutated byte stream must decode
 # to the same fixes and the same drop counters on the zero-copy path as
 # on the string decoder in internal/ais/legacy_test.go. Plain `go test`
@@ -139,6 +152,14 @@ fuzz-window-sum:
 fuzz-slide-order:
 	go test -run '^$$' -fuzz '^FuzzSlideOrder$$' -fuzztime 10s ./internal/tracker/
 
+# Fuzz the store's archival for 10 s: over random fleets, slide sizes,
+# deferred reconstructions and a snapshot round trip, every Reconstruct's
+# trips, the staging area, origins, staged count and PositionAt must
+# equal the full-scan reference store's. Plain `go test` runs only the
+# seeds.
+fuzz-archival:
+	go test -run '^$$' -fuzz '^FuzzReconstruct$$' -fuzztime 10s ./internal/mod/
+
 # End-to-end benchmark smoke (cmd/bench, the BENCHMARK.json harness) on
 # a toy fleet, ~15 s: all four workloads against real cmd/serve
 # children, with the delivered-alerts correctness gate. Not a
@@ -151,11 +172,12 @@ bench-quick:
 # and tracked ahead), the zero-allocation zero-copy scanners, the warm
 # ingest stage's recycled slide arrays, the recognition query step over
 # a warm 6 h window, the pairwise screening slide of a warm analytics
-# tier and the per-slide metrics observation. Run without -race: the
-# race runtime inflates allocation counts and the tests skip themselves
-# under it.
+# tier, the per-slide metrics observation, and the store's staging and
+# reconstruction of a slide without stops. Run without -race: the race
+# runtime inflates allocation counts and the tests skip themselves under
+# it.
 check-allocs:
-	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs|TestObserveAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/ ./internal/core/
+	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestIngestStageAllocs|TestRecognizerAdvanceAllocs|TestTierSlideAllocs|TestObserveAllocs|TestStageAllocs' ./internal/tracker/ ./internal/ais/ ./internal/stream/ ./internal/maritime/ ./internal/analytics/ ./internal/core/ ./internal/mod/
 
 # Every -run, -bench and -fuzz alternative in this Makefile and in CI
 # must name at least one test, benchmark or fuzz target in the packages

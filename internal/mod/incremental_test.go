@@ -2,6 +2,7 @@ package mod
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,34 +10,66 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/geo"
 	"repro/internal/tracker"
 )
 
-// reconstructFullScan is the oracle for Reconstruct: the scan it
-// replaced, which visits every staged vessel and examines every staged
-// point from index 0 on every call. It reads none of the store's scan
-// bookkeeping.
-func reconstructFullScan(m *MOD) []*Trip {
+// refStore is the oracle for the store: the staging area as first
+// written, a map of every vessel's staged points, and a Reconstruct that
+// visits every staged vessel and examines every staged point from index
+// 0 on every call. It shares no state or code with MOD's staging
+// layout, so it holds any layout.
+type refStore struct {
+	ports   []PortArea
+	staging map[uint32][]tracker.CriticalPoint
+	origin  map[uint32]string
+	trips   []*Trip
+}
+
+func newRefStore(ports []PortArea) *refStore {
+	return &refStore{ports: ports, staging: map[uint32][]tracker.CriticalPoint{}, origin: map[uint32]string{}}
+}
+
+func (r *refStore) stage(points []tracker.CriticalPoint) {
+	for _, cp := range points {
+		r.staging[cp.MMSI] = append(r.staging[cp.MMSI], cp)
+	}
+}
+
+// portOf returns the port a long-term stop lies in, or "".
+func (r *refStore) portOf(cp tracker.CriticalPoint) string {
+	if cp.Type != tracker.EventStopStart && cp.Type != tracker.EventStopEnd {
+		return ""
+	}
+	for _, p := range r.ports {
+		if p.Poly.Contains(cp.Pos) {
+			return p.Name
+		}
+	}
+	return ""
+}
+
+func (r *refStore) reconstruct() []*Trip {
 	var completed []*Trip
-	mmsis := make([]uint32, 0, len(m.staging))
-	for mmsi := range m.staging {
+	mmsis := make([]uint32, 0, len(r.staging))
+	for mmsi := range r.staging {
 		mmsis = append(mmsis, mmsi)
 	}
 	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
 
 	for _, mmsi := range mmsis {
-		pts := m.staging[mmsi]
+		pts := r.staging[mmsi]
 		cursor := 0
 		for i, cp := range pts {
-			port := m.portOfStop(&cp)
+			port := r.portOf(cp)
 			if port == "" {
 				continue
 			}
 			segment := pts[cursor : i+1]
 			trip := &Trip{
 				MMSI:   mmsi,
-				Origin: m.origin[mmsi],
+				Origin: r.origin[mmsi],
 				Dest:   port,
 				Points: append([]tracker.CriticalPoint(nil), segment...),
 				Start:  segment[0].Time,
@@ -45,23 +78,54 @@ func reconstructFullScan(m *MOD) []*Trip {
 			if len(trip.Points) >= 2 && trip.DistanceMeters() >= minTripDistance {
 				completed = append(completed, trip)
 			}
-			m.origin[mmsi] = port
+			r.origin[mmsi] = port
 			cursor = i
 		}
-		if cursor > 0 {
-			m.staging[mmsi] = append(pts[:0:0], pts[cursor:]...)
-		}
+		r.staging[mmsi] = append(pts[:0:0], pts[cursor:]...)
 	}
 	return completed
 }
 
-// walkStaged counts staged points the slow way.
-func walkStaged(m *MOD) int {
+func (r *refStore) load(trips []*Trip) { r.trips = append(r.trips, trips...) }
+
+func (r *refStore) stagedCount() int {
 	n := 0
-	for _, pts := range m.staging {
+	for _, pts := range r.staging {
 		n += len(pts)
 	}
 	return n
+}
+
+// positionAt is PositionAt over the oracle's contents: the vessel's
+// archived trips in load order, then its staged points.
+func (r *refStore) positionAt(mmsi uint32, at time.Time) (geo.Point, bool) {
+	for _, trip := range r.trips {
+		if trip.MMSI != mmsi || at.Before(trip.Start) || at.After(trip.End) {
+			continue
+		}
+		if p, ok := tracker.Synopsis(trip.Points).At(at); ok {
+			return p, true
+		}
+	}
+	syn := tracker.Synopsis(r.staging[mmsi])
+	if len(syn) == 0 || at.Before(syn[0].Time) || at.After(syn[len(syn)-1].Time) {
+		return geo.Point{}, false
+	}
+	return syn.At(at)
+}
+
+func (r *refStore) contents() contents {
+	c := contents{Staging: map[uint32][]tracker.CriticalPoint{}, Origin: map[uint32]string{}}
+	for mmsi, pts := range r.staging {
+		if len(pts) > 0 {
+			c.Staging[mmsi] = append([]tracker.CriticalPoint(nil), pts...)
+		}
+	}
+	for mmsi, o := range r.origin {
+		c.Origin[mmsi] = o
+	}
+	c.Trips = derefTrips(r.trips)
+	return c
 }
 
 // streamPorts is testPorts plus a port whose centre is 1.8 km from
@@ -80,7 +144,10 @@ func streamPorts() []PortArea {
 // randomStream scripts a fleet's delta stream, merged in time order:
 // vessels that start docked, arrive mid-stream or end docked, dock with
 // back-to-back stop-start/stop-end points in one port, hop between the
-// two adjacent ports, stop at sea, or never dock at all.
+// two adjacent ports, stop at sea, or never dock at all. Some legs end in
+// a burst of stops seconds apart, at sea and in port mixed, so one slide
+// often stages several stops of one vessel, and some only stop at sea,
+// so a vessel can stage stops that close nothing.
 func randomStream(rng *rand.Rand, vessels int) []tracker.CriticalPoint {
 	docks := []geo.Point{{Lon: 23.63, Lat: 37.94}, {Lon: 25.14, Lat: 35.345}, {Lon: 23.6505, Lat: 37.94}}
 	sea := func() geo.Point {
@@ -93,9 +160,12 @@ func randomStream(rng *rand.Rand, vessels int) []tracker.CriticalPoint {
 		mmsi := uint32(1000 + v)
 		neverDocks := v%5 == 4
 		at := time.Duration(rng.Intn(3600)) * time.Second
+		next := func(maxStep int) {
+			at += time.Duration(1+rng.Intn(maxStep)) * time.Second
+		}
 		emit := func(pos geo.Point, et tracker.EventType) {
 			all = append(all, tracker.CriticalPoint{MMSI: mmsi, Pos: pos, Time: t0.Add(at), Type: et})
-			at += time.Duration(1+rng.Intn(1800)) * time.Second
+			next(1800)
 		}
 		if !neverDocks && rng.Intn(2) == 0 {
 			emit(docks[rng.Intn(len(docks))], tracker.EventStopEnd) // docked at the start
@@ -112,6 +182,20 @@ func randomStream(rng *rand.Rand, vessels int) []tracker.CriticalPoint {
 				p := sea()
 				emit(p, tracker.EventStopStart)
 				emit(p, tracker.EventStopEnd)
+			case rng.Intn(4) == 0:
+				// A burst of stops seconds apart, at sea and at the quays.
+				for n := 2 + rng.Intn(4); n > 0; n-- {
+					p := sea()
+					if rng.Intn(2) == 0 {
+						p = docks[rng.Intn(len(docks))]
+					}
+					et := tracker.EventStopStart
+					if rng.Intn(2) == 0 {
+						et = tracker.EventStopEnd
+					}
+					all = append(all, tracker.CriticalPoint{MMSI: mmsi, Pos: p, Time: t0.Add(at), Type: et})
+					next(30)
+				}
 			default:
 				d := docks[rng.Intn(len(docks))]
 				emit(d, tracker.EventStopStart)
@@ -130,7 +214,7 @@ func randomStream(rng *rand.Rand, vessels int) []tracker.CriticalPoint {
 }
 
 // saveRestore returns a fresh store restored from m's snapshot.
-func saveRestore(t *testing.T, m *MOD) *MOD {
+func saveRestore(t testing.TB, m *MOD) *MOD {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.SaveSnapshot(&buf); err != nil {
@@ -150,18 +234,30 @@ type contents struct {
 	Trips   []Trip
 }
 
-func contentsOf(m *MOD) contents {
-	c := contents{Staging: map[uint32][]tracker.CriticalPoint{}, Origin: map[uint32]string{}}
-	for mmsi, pts := range m.staging {
+// contentsOf reads a store's contents off its snapshot's wire type, so
+// the comparison holds whatever the store's layout.
+func contentsOf(t testing.TB, m *MOD) contents {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := durable.ReadFrame(&buf, snapshotMagic, snapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	c := contents{Staging: map[uint32][]tracker.CriticalPoint{}, Origin: map[uint32]string{}, Trips: snap.Trips}
+	for mmsi, pts := range snap.Staging {
 		if len(pts) > 0 {
-			c.Staging[mmsi] = append([]tracker.CriticalPoint(nil), pts...)
+			c.Staging[mmsi] = pts
 		}
 	}
-	for mmsi, o := range m.origin {
+	for mmsi, o := range snap.Origin {
 		c.Origin[mmsi] = o
-	}
-	for _, tr := range m.trips {
-		c.Trips = append(c.Trips, *tr)
 	}
 	return c
 }
@@ -174,58 +270,90 @@ func derefTrips(trips []*Trip) []Trip {
 	return out
 }
 
-// TestReconstructMatchesFullScanOracle drives the incremental
-// Reconstruct and the full-scan oracle with the same random slides —
-// reconstruction deferred for random runs of slides, as
-// DegradeDeferArchival does, and the incremental store replaced by a
-// snapshot round trip at a random slide — and requires the same trips
-// in the same order from every call, and the same staging area, origins
-// and snapshot contents at every slide.
+// driveAgainstOracle feeds a random fleet's stream to the store and to
+// the full-scan oracle in the same random slides: reconstruction
+// deferred for random runs of slides, as DegradeDeferArchival does, and
+// the store replaced by a snapshot round trip at a random slide. It
+// requires the same trips in the same order from every call, the same
+// staging area, origins and snapshot contents and staged count at every
+// slide, and the same PositionAt answers at random times. It returns the
+// number of trips completed.
+func driveAgainstOracle(t testing.TB, seed int64, vessels int) int {
+	rng := rand.New(rand.NewSource(seed))
+	stream := randomStream(rng, vessels)
+	if len(stream) == 0 {
+		return 0
+	}
+	first, last := stream[0].Time, stream[len(stream)-1].Time
+	m, oracle := New(streamPorts()), newRefStore(streamPorts())
+	restoreAt := rng.Intn(40)
+	deferred, trips := 0, 0
+	for slide := 0; len(stream) > 0; slide++ {
+		n := min(1+rng.Intn(30), len(stream))
+		m.Stage(stream[:n])
+		oracle.stage(stream[:n])
+		stream = stream[n:]
+		if slide == restoreAt {
+			m = saveRestore(t, m)
+		}
+		if deferred == 0 && rng.Intn(4) == 0 {
+			deferred = 1 + rng.Intn(5)
+		}
+		if deferred > 0 && len(stream) > 0 {
+			deferred--
+		} else {
+			got, want := m.Reconstruct(), oracle.reconstruct()
+			if !reflect.DeepEqual(derefTrips(got), derefTrips(want)) {
+				t.Fatalf("seed %d slide %d: trips differ\n got %v\nwant %v", seed, slide, got, want)
+			}
+			trips += len(got)
+			m.Load(got)
+			oracle.load(want)
+		}
+		if got, want := contentsOf(t, m), oracle.contents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d slide %d: store contents differ from the oracle's", seed, slide)
+		}
+		if got, want := m.StagedCount(), oracle.stagedCount(); got != want {
+			t.Fatalf("seed %d slide %d: StagedCount = %d, staging holds %d", seed, slide, got, want)
+		}
+		for q := 0; q < 4; q++ {
+			mmsi := uint32(1000 + rng.Intn(vessels))
+			at := first.Add(time.Duration(rng.Int63n(int64(last.Sub(first)) + 1)))
+			gp, gok := m.PositionAt(mmsi, at)
+			wp, wok := oracle.positionAt(mmsi, at)
+			if gp != wp || gok != wok {
+				t.Fatalf("seed %d slide %d: PositionAt(%d, %v) = %v %v, want %v %v", seed, slide, mmsi, at, gp, gok, wp, wok)
+			}
+		}
+	}
+	if got, want := contentsOf(t, saveRestore(t, m)), oracle.contents(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed %d: snapshot contents differ from the oracle's", seed)
+	}
+	return trips
+}
+
+// TestReconstructMatchesFullScanOracle holds the store to the full-scan
+// oracle on 40 random fleets.
 func TestReconstructMatchesFullScanOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			stream := randomStream(rng, 25)
-			inc, oracle := New(streamPorts()), New(streamPorts())
-			restoreAt := rng.Intn(40)
-			deferred, trips := 0, 0
-			for slide := 0; len(stream) > 0; slide++ {
-				n := min(1+rng.Intn(30), len(stream))
-				inc.Stage(stream[:n])
-				oracle.Stage(stream[:n])
-				stream = stream[n:]
-				if slide == restoreAt {
-					inc = saveRestore(t, inc)
-				}
-				if deferred == 0 && rng.Intn(4) == 0 {
-					deferred = 1 + rng.Intn(5)
-				}
-				if deferred > 0 && len(stream) > 0 {
-					deferred--
-				} else {
-					got, want := inc.Reconstruct(), reconstructFullScan(oracle)
-					if !reflect.DeepEqual(derefTrips(got), derefTrips(want)) {
-						t.Fatalf("slide %d: trips differ\n got %v\nwant %v", slide, got, want)
-					}
-					trips += len(got)
-					inc.Load(got)
-					oracle.Load(want)
-				}
-				if got, want := contentsOf(inc), contentsOf(oracle); !reflect.DeepEqual(got, want) {
-					t.Fatalf("slide %d: store contents differ from the oracle's", slide)
-				}
-				if got, want := inc.StagedCount(), walkStaged(oracle); got != want {
-					t.Fatalf("slide %d: StagedCount = %d, staging holds %d", slide, got, want)
-				}
-			}
-			if got, want := contentsOf(saveRestore(t, inc)), contentsOf(saveRestore(t, oracle)); !reflect.DeepEqual(got, want) {
-				t.Fatal("snapshot contents differ from the oracle's")
-			}
-			if trips == 0 {
+			if driveAgainstOracle(t, seed, 25) == 0 {
 				t.Fatal("stream completed no trip; the comparison is vacuous")
 			}
 		})
 	}
+}
+
+// FuzzReconstruct holds the store to the full-scan oracle on fleets the
+// fuzzer picks by seed and size. Plain `go test` runs only the seeds.
+func FuzzReconstruct(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed, uint8(25))
+	}
+	f.Add(int64(99), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, vessels uint8) {
+		driveAgainstOracle(t, seed, 1+int(vessels%40))
+	})
 }
 
 // TestReconstructScansOnlyNewPoints pins the cost model: one Reconstruct

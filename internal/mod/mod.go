@@ -9,6 +9,7 @@
 package mod
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -87,28 +88,84 @@ func (t *Trip) String() string {
 type MOD struct {
 	ports []PortArea
 
-	// staging holds per-vessel delta critical points not yet assigned to
-	// a completed trip, in time order (the paper's staging table). A
-	// vessel's slice only grows by append or is replaced by a fresh copy
-	// of its unassigned tail. staged is their running count.
-	staging map[uint32][]tracker.CriticalPoint
+	// The staging area (the paper's staging table) holds per-vessel delta
+	// critical points not yet assigned to a completed trip, in time
+	// order. index maps a vessel to its slot in vessels; a slot, once
+	// given, is kept for the store's lifetime. A vessel's points only grow
+	// by append or lose a prefix that moved into trips, the tail copied
+	// down in place: no trip or snapshot aliases them. staged is their
+	// running count.
+	index   map[uint32]int32
+	vessels []stagedVessel
 	staged  int
+	// dirty lists the slots that staged a StopStart or StopEnd since the
+	// previous Reconstruct, each once: only such a point can close a
+	// trip. It is derived state, not part of a snapshot.
+	dirty []int32
 	// origin tracks the port the vessel departed from, once known.
 	origin map[uint32]string
 
-	// unscanned maps every vessel staged into since the last Reconstruct
-	// to the index of its first staged point that no Reconstruct has
-	// examined yet. It is derived state, not part of a snapshot: a scan
-	// from index 0 finds the same trips (the retained anchor re-yields a
-	// one-point segment and the same origin), only slower. scanned counts
-	// the points examined over the store's lifetime.
-	unscanned map[uint32]int
-	scanned   int
+	// pending counts the points staged since the previous Reconstruct;
+	// scanned accumulates it over the store's lifetime.
+	pending int
+	scanned int
 
 	// trips and byVessel only grow by append, and a loaded trip is never
 	// modified.
 	trips    []*Trip
 	byVessel map[uint32][]*Trip
+}
+
+// stagedVessel is one vessel's slot in the staging area. from is the
+// index in pts of the first stop staged since the previous Reconstruct,
+// or -1: the points before it were already found not to close a trip.
+type stagedVessel struct {
+	mmsi uint32
+	from int32
+	pts  []stagedPoint
+}
+
+// stagedPoint is a critical point as the staging area holds it, in 64
+// bytes against a CriticalPoint's 88: the time as Unix nanoseconds, so
+// the record holds no pointer (the collector does not scan it, and a
+// grown array is not zeroed before the copy), and no MMSI, which is its
+// slot's. toPoint rebuilds the CriticalPoint exactly, as
+// the tracker builds it (time.Unix(0, ns).UTC()).
+type stagedPoint struct {
+	Pos        geo.Point
+	TNS        int64
+	SpeedKn    float64
+	HeadingDeg float64
+	Duration   time.Duration
+	Confidence float64
+	Type       tracker.EventType
+}
+
+func stagedOf(cp *tracker.CriticalPoint) stagedPoint {
+	return stagedPoint{
+		Pos: cp.Pos, TNS: cp.Time.UnixNano(), SpeedKn: cp.SpeedKn, HeadingDeg: cp.HeadingDeg,
+		Duration: cp.Duration, Confidence: cp.Confidence, Type: cp.Type,
+	}
+}
+
+func (p *stagedPoint) toPoint(mmsi uint32) tracker.CriticalPoint {
+	return tracker.CriticalPoint{
+		MMSI: mmsi, Pos: p.Pos, Time: time.Unix(0, p.TNS).UTC(), Type: p.Type,
+		SpeedKn: p.SpeedKn, HeadingDeg: p.HeadingDeg, Duration: p.Duration, Confidence: p.Confidence,
+	}
+}
+
+// criticalPoints rebuilds a run of one vessel's staged points.
+func criticalPoints(mmsi uint32, pts []stagedPoint) []tracker.CriticalPoint {
+	out := make([]tracker.CriticalPoint, len(pts))
+	for i := range pts {
+		out[i] = pts[i].toPoint(mmsi)
+	}
+	return out
+}
+
+func isStop(t tracker.EventType) bool {
+	return t == tracker.EventStopStart || t == tracker.EventStopEnd
 }
 
 // minTripDistance filters out degenerate "trips" between stop episodes
@@ -118,12 +175,22 @@ const minTripDistance = 2000.0 // meters
 // New returns an empty store segmenting against the given ports.
 func New(ports []PortArea) *MOD {
 	return &MOD{
-		ports:     ports,
-		staging:   make(map[uint32][]tracker.CriticalPoint),
-		origin:    make(map[uint32]string),
-		unscanned: make(map[uint32]int),
-		byVessel:  make(map[uint32][]*Trip),
+		ports:    ports,
+		index:    make(map[uint32]int32),
+		origin:   make(map[uint32]string),
+		byVessel: make(map[uint32][]*Trip),
 	}
+}
+
+// slot returns the vessel's staging slot, giving it one if it has none.
+func (m *MOD) slot(mmsi uint32) int32 {
+	i, ok := m.index[mmsi]
+	if !ok {
+		i = int32(len(m.vessels))
+		m.index[mmsi] = i
+		m.vessels = append(m.vessels, stagedVessel{mmsi: mmsi, from: -1})
+	}
+	return i
 }
 
 // Stage appends a batch of expired critical points to the staging area.
@@ -131,37 +198,50 @@ func New(ports []PortArea) *MOD {
 // stream guarantees.
 func (m *MOD) Stage(points []tracker.CriticalPoint) {
 	for i := range points {
-		mmsi := points[i].MMSI
-		pts := m.staging[mmsi]
-		if _, ok := m.unscanned[mmsi]; !ok {
-			m.unscanned[mmsi] = len(pts)
+		slot := m.slot(points[i].MMSI)
+		v := &m.vessels[slot]
+		if v.from < 0 && isStop(points[i].Type) {
+			v.from = int32(len(v.pts))
+			m.dirty = append(m.dirty, slot)
 		}
-		m.staging[mmsi] = append(pts, points[i])
+		v.pts = append(v.pts, stagedOf(&points[i]))
 	}
 	m.staged += len(points)
+	m.pending += len(points)
 }
 
 // StagedCount returns the number of critical points awaiting assignment
 // to a trajectory.
 func (m *MOD) StagedCount() int { return m.staged }
 
-// ScannedPoints returns how many staged points Reconstruct has examined
-// over the store's lifetime. It grows by what was staged since the
-// previous Reconstruct, not by what is staged.
+// ScannedPoints returns how many staged points Reconstruct has accounted
+// for over the store's lifetime: each point once, at the first
+// Reconstruct after it was staged (Stage ran its stop test). It grows by
+// what was staged since the previous Reconstruct, not by what is staged.
 func (m *MOD) ScannedPoints() int { return m.scanned }
 
 // portOfStop returns the port containing a long-term-stop critical
 // point, or "".
-func (m *MOD) portOfStop(cp *tracker.CriticalPoint) string {
-	if cp.Type != tracker.EventStopStart && cp.Type != tracker.EventStopEnd {
+func (m *MOD) portOfStop(p *stagedPoint) string {
+	if !isStop(p.Type) {
 		return ""
 	}
 	for i := range m.ports {
-		if m.ports[i].Poly.Contains(cp.Pos) {
+		if m.ports[i].Poly.Contains(p.Pos) {
 			return m.ports[i].Name
 		}
 	}
 	return ""
+}
+
+// pathMeters is the length of a run of staged points, summed as
+// Trip.DistanceMeters sums it.
+func pathMeters(pts []stagedPoint) float64 {
+	var d float64
+	for i := 1; i < len(pts); i++ {
+		d += geo.Haversine(pts[i-1].Pos, pts[i].Pos)
+	}
+	return d
 }
 
 // Reconstruct processes the staging area: it scans the points staged
@@ -171,53 +251,49 @@ func (m *MOD) portOfStop(cp *tracker.CriticalPoint) string {
 // subsequent Load, ordered by vessel and then time; points that do not
 // yet belong to a completed trip remain staged ("open-ended trips").
 //
-// Only vessels staged into since the previous call are visited, each
-// from its first unexamined point: everything before that is the
-// retained anchor of the open segment followed by points already found
-// not to close it.
+// Only vessels that staged a long-term stop since the previous call are
+// visited, each from that stop: everything before it is the retained
+// anchor of the open segment followed by points that cannot close it.
 func (m *MOD) Reconstruct() []*Trip {
+	m.scanned += m.pending
+	m.pending = 0
 	var completed []*Trip
-	mmsis := make([]uint32, 0, len(m.unscanned))
-	for mmsi := range m.unscanned {
-		mmsis = append(mmsis, mmsi)
-	}
-	slices.Sort(mmsis)
-
-	for _, mmsi := range mmsis {
-		pts := m.staging[mmsi]
-		from := m.unscanned[mmsi]
-		m.scanned += len(pts) - from
+	slices.SortFunc(m.dirty, func(a, b int32) int { return cmp.Compare(m.vessels[a].mmsi, m.vessels[b].mmsi) })
+	for _, slot := range m.dirty {
+		v := &m.vessels[slot]
+		pts := v.pts
 		cursor := 0 // start of the segment being assembled
-		for i := from; i < len(pts); i++ {
+		for i := int(v.from); i < len(pts); i++ {
 			port := m.portOfStop(&pts[i])
 			if port == "" {
 				continue
 			}
-			segment := pts[cursor : i+1]
-			trip := &Trip{
-				MMSI:   mmsi,
-				Origin: m.origin[mmsi],
-				Dest:   port,
-				Points: append([]tracker.CriticalPoint(nil), segment...),
-				Start:  segment[0].Time,
-				End:    pts[i].Time,
-			}
-			if len(trip.Points) >= 2 && trip.DistanceMeters() >= minTripDistance {
-				completed = append(completed, trip)
+			if segment := pts[cursor : i+1]; len(segment) >= 2 && pathMeters(segment) >= minTripDistance {
+				tp := criticalPoints(v.mmsi, segment)
+				completed = append(completed, &Trip{
+					MMSI:   v.mmsi,
+					Origin: m.origin[v.mmsi],
+					Dest:   port,
+					Points: tp,
+					Start:  tp[0].Time,
+					End:    tp[len(tp)-1].Time,
+				})
 			}
 			// Whether or not the segment qualified as a trip, the vessel
 			// is now docked at the port: it becomes the next origin and
 			// the stop anchors the next segment.
-			m.origin[mmsi] = port
+			m.origin[v.mmsi] = port
 			cursor = i
 		}
 		if cursor > 0 {
-			// Keep only the unassigned tail staged, in an array of its own.
-			m.staging[mmsi] = append(pts[:0:0], pts[cursor:]...)
+			// Keep only the unassigned tail staged, in place: the array
+			// stays the vessel's for its next trip.
+			v.pts = pts[:copy(pts, pts[cursor:])]
 			m.staged -= cursor
 		}
+		v.from = -1
 	}
-	clear(m.unscanned)
+	m.dirty = m.dirty[:0]
 	return completed
 }
 

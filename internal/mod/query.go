@@ -114,13 +114,12 @@ func (m *MOD) PositionAt(mmsi uint32, t time.Time) (geo.Point, bool) {
 			return p, true
 		}
 	}
-	staged := m.staging[mmsi]
-	if len(staged) == 0 {
+	var pts []stagedPoint
+	if slot, ok := m.index[mmsi]; ok {
+		pts = m.vessels[slot].pts
+	}
+	if len(pts) == 0 || t.Before(time.Unix(0, pts[0].TNS)) || t.After(time.Unix(0, pts[len(pts)-1].TNS)) {
 		return geo.Point{}, false
 	}
-	syn := tracker.Synopsis(staged)
-	if t.Before(syn[0].Time) || t.After(syn[len(syn)-1].Time) {
-		return geo.Point{}, false
-	}
-	return syn.At(t)
+	return tracker.Synopsis(criticalPoints(mmsi, pts)).At(t)
 }

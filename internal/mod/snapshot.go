@@ -40,9 +40,13 @@ type snapshot struct {
 // SaveSnapshot serializes the store.
 func (m *MOD) SaveSnapshot(w io.Writer) error {
 	snap := snapshot{
-		Staging: m.staging,
+		Staging: make(map[uint32][]tracker.CriticalPoint, len(m.vessels)),
 		Origin:  m.origin,
 		Trips:   make([]Trip, len(m.trips)),
+	}
+	for i := range m.vessels {
+		v := &m.vessels[i]
+		snap.Staging[v.mmsi] = criticalPoints(v.mmsi, v.pts)
 	}
 	for i, t := range m.trips {
 		snap.Trips[i] = *t
@@ -74,10 +78,6 @@ func (m *MOD) RestoreSnapshot(r io.Reader) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return fmt.Errorf("mod: decoding snapshot: %w", err)
 	}
-	staging := snap.Staging
-	if staging == nil {
-		staging = make(map[uint32][]tracker.CriticalPoint)
-	}
 	origin := snap.Origin
 	if origin == nil {
 		origin = make(map[uint32]string)
@@ -89,15 +89,23 @@ func (m *MOD) RestoreSnapshot(r io.Reader) error {
 		trips = append(trips, &t)
 		byVessel[t.MMSI] = append(byVessel[t.MMSI], &t)
 	}
-	// The scan position is not serialized: every staged vessel is
-	// examined from its first point by the next Reconstruct.
-	m.unscanned = make(map[uint32]int, len(staging))
+	// The scan position is not serialized: the next Reconstruct visits
+	// every staged vessel from its first point.
+	m.index = make(map[uint32]int32, len(snap.Staging))
+	m.vessels = make([]stagedVessel, 0, len(snap.Staging))
+	m.dirty = make([]int32, 0, len(snap.Staging))
 	m.staged = 0
-	for mmsi, pts := range staging {
-		m.unscanned[mmsi] = 0
+	for mmsi, pts := range snap.Staging {
+		v := stagedVessel{mmsi: mmsi, pts: make([]stagedPoint, len(pts))}
+		for j := range pts {
+			v.pts[j] = stagedOf(&pts[j])
+		}
+		m.index[mmsi] = int32(len(m.vessels))
+		m.dirty = append(m.dirty, int32(len(m.vessels)))
+		m.vessels = append(m.vessels, v)
 		m.staged += len(pts)
 	}
-	m.staging = staging
+	m.pending = m.staged
 	m.origin = origin
 	m.trips = trips
 	m.byVessel = byVessel
