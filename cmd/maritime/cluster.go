@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -80,11 +81,11 @@ func clusterCmd(fs *flag.FlagSet, _ io.Writer) func(context.Context) error {
 		vesselsReg, areasReg, ports := core.AdaptWorld(sim)
 		reg := cli.Registry()
 
-		var store *cluster.ManifestStore
-		var restored *cluster.Manifest
+		var store *checkpoint.Manager
+		var restored *checkpoint.State
 		if *manifestDir != "" {
 			var err error
-			store, err = cluster.NewManifestStore(*manifestDir, *keep)
+			store, err = checkpoint.NewManifestManager(checkpoint.Options{Dir: *manifestDir, Keep: *keep})
 			if err != nil {
 				return err
 			}

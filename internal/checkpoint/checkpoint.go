@@ -9,8 +9,10 @@
 // (temp file, fsync, rename, directory fsync) so a crash mid-write
 // leaves the previous checkpoint untouched. The store keeps the last K
 // checkpoints; restore walks them newest-first and falls back past any
-// truncated, corrupt, or future-version file — every rejection is a
-// typed durable error, never a panic or a half-restored pipeline.
+// truncated, corrupt, future-version or retired-version file — every
+// rejection is a typed error, never a panic or a half-restored
+// pipeline. A cluster manifest is the same State in a directory of its
+// own (NewManifestManager), with the worker cut filled in.
 //
 // The restore → replay contract: State.Cursor covers exactly the fixes
 // the pipeline had processed when the checkpoint was taken. On restart
@@ -25,6 +27,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -37,9 +40,24 @@ import (
 	"repro/internal/serve"
 )
 
-// fileSpec names checkpoint files: checkpoint-<seq>.ckpt, one durable
-// frame of gob(State) each. Version 1 is read through compat.go.
-var fileSpec = durable.FileSpec{Prefix: "checkpoint-", Suffix: ".ckpt", Magic: "MARCKPT", Version: 2}
+// fileSpec names checkpoint files: checkpoint-<seq>.ckpt, and
+// manifestSpec cluster manifests: manifest-<seq>.mft. Each file is one
+// durable frame of gob(State). Version 3 added the worker cut; a
+// version-2 payload decodes into it by field name, the cut left zero.
+var (
+	fileSpec     = durable.FileSpec{Prefix: "checkpoint-", Suffix: ".ckpt", Magic: "MARCKPT", Version: 3}
+	manifestSpec = durable.FileSpec{Prefix: "manifest-", Suffix: ".mft", Magic: "MARMANI", Version: 3}
+)
+
+// oldestVersion is the oldest format version this binary reads: its
+// own and the one before.
+const oldestVersion = 2
+
+// ErrRetiredVersion rejects a file written at a format version older
+// than the one before this binary's own. Such a payload is never
+// decoded: gob would match its fields by name into the current types
+// and restore whatever happened to line up.
+var ErrRetiredVersion = errors.New("checkpoint: retired format version")
 
 // State is everything a restart needs, captured atomically between two
 // window slides.
@@ -57,15 +75,22 @@ type State struct {
 	Hub *serve.HubSnapshot
 	// Slides is how many slides the pipeline had processed.
 	Slides int
+	// Workers and WorkerSeqs are a cluster manifest's worker cut: the
+	// cluster width, and worker i's checkpoint sequence at Query.
+	// Restoring every worker to its sequence and the coordinator to this
+	// State puts the whole cluster on one coherent cut. Zero in a
+	// single-process checkpoint.
+	Workers    int
+	WorkerSeqs []uint64
 }
 
 // Options configures a Manager: the directory, keep-last-K retention,
 // the crash-injection hook and the transient-write retry policy.
 type Options = durable.StoreOptions
 
-// Manager owns one checkpoint directory: periodic saves with pruning,
-// and newest-valid restore with fallback. It is the gob-typed face of a
-// durable.Store.
+// Manager owns one checkpoint or manifest directory: periodic saves
+// with pruning, and newest-valid restore with fallback. It is the
+// gob-typed face of a durable.Store.
 type Manager struct {
 	store *durable.Store
 
@@ -74,8 +99,13 @@ type Manager struct {
 
 // NewManager opens (creating if needed) the checkpoint directory and
 // positions the sequence counter after the newest existing checkpoint.
-func NewManager(opt Options) (*Manager, error) {
-	store, err := durable.OpenStore(fileSpec, opt)
+func NewManager(opt Options) (*Manager, error) { return openManager(fileSpec, opt) }
+
+// NewManifestManager opens a cluster manifest directory the same way.
+func NewManifestManager(opt Options) (*Manager, error) { return openManager(manifestSpec, opt) }
+
+func openManager(spec durable.FileSpec, opt Options) (*Manager, error) {
+	store, err := durable.OpenStore(spec, opt)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -97,25 +127,23 @@ func (m *Manager) Save(st *State) error {
 	return nil
 }
 
-// decode unpacks one checkpoint payload written at the given format
-// version.
+// decode unpacks one payload written at the given format version.
 func decode(payload []byte, version uint16) (*State, error) {
+	if version < oldestVersion {
+		return nil, fmt.Errorf("%w: version %d, this binary reads %d and %d",
+			ErrRetiredVersion, version, oldestVersion, fileSpec.Version)
+	}
 	var st State
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding state: %w", err)
-	}
-	if version == 1 {
-		if err := upgradeV1(payload, &st.System); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
 	}
 	return &st, nil
 }
 
 // Load reads and verifies one checkpoint file. Truncated, corrupt,
-// wrong-magic, and future-version files fail with the corresponding
-// typed durable error; a version-1 file whose recognizer state no
-// system runs fails with core.ErrTopologyMismatch.
+// wrong-magic and future-version files fail with the corresponding
+// typed durable error, and a retired-version file with
+// ErrRetiredVersion.
 func Load(path string) (*State, error) {
 	payload, version, err := fileSpec.ReadFile(path)
 	if err != nil {
@@ -129,10 +157,22 @@ func Load(path string) (*State, error) {
 // what was skipped). A nil State means cold start: no checkpoint could
 // be restored — err is nil when the directory held none at all, and
 // carries the rejection reasons when every candidate was invalid.
-func (m *Manager) RestoreNewest() (*State, error) {
+func (m *Manager) RestoreNewest() (*State, error) { return m.RestoreNewestWhere(nil) }
+
+// RestoreNewestWhere is RestoreNewest with a refusal hook: refuse, when
+// not nil, is asked about every candidate that decodes, newest first,
+// and one it returns an error for is skipped like an invalid file —
+// counted rejected, its reason joined into err.
+func (m *Manager) RestoreNewestWhere(refuse func(*State) error) (*State, error) {
 	var st *State
-	_, err := m.store.Restore(func(_ uint64, payload []byte, version uint16) (err error) {
-		st, err = decode(payload, version)
+	_, err := m.store.Restore(func(_ uint64, payload []byte, version uint16) error {
+		cand, err := decode(payload, version)
+		if err == nil && refuse != nil {
+			err = refuse(cand)
+		}
+		if err == nil {
+			st = cand
+		}
 		return err
 	})
 	return st, err
@@ -163,6 +203,17 @@ func (m *Manager) Dir() string { return m.store.Dir }
 // LastSeq returns the sequence number of the newest saved checkpoint
 // (0 before any save).
 func (m *Manager) LastSeq() uint64 { return m.store.Seq() }
+
+// LastSave returns when the newest checkpoint was written (zero before
+// any save this session).
+func (m *Manager) LastSave() time.Time {
+	last, _ := m.store.LastSave()
+	return last
+}
+
+// Stats returns the store's save/retry/failure and restore/rejection
+// counters.
+func (m *Manager) Stats() durable.StoreStats { return m.store.Stats() }
 
 // NoteReplaySkipped feeds the replay-dedupe counter: how many
 // already-processed fixes the resume path discarded after a restore.
@@ -209,7 +260,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 			"Already-processed fixes discarded during post-restore replay.", nil),
 	}
 	counter := func(name, help string, get func(durable.StoreStats) uint64) {
-		r.CounterFunc(name, help, nil, func() float64 { return float64(get(m.store.Stats())) })
+		r.CounterFunc(name, help, nil, func() float64 { return float64(get(m.Stats())) })
 	}
 	counter("maritime_checkpoint_saves_total",
 		"Checkpoints successfully written.",
@@ -235,7 +286,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("maritime_checkpoint_age_seconds",
 		"Age of the newest checkpoint; rises between saves.", nil,
 		func() float64 {
-			last, _ := m.store.LastSave()
+			last := m.LastSave()
 			if last.IsZero() {
 				return 0
 			}

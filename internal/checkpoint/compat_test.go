@@ -3,9 +3,7 @@ package checkpoint
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -14,24 +12,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
-	"repro/internal/obs"
 	"repro/internal/rtec"
 	"repro/internal/stream"
 	"repro/internal/tracker"
 )
 
-// Checkpoints written by an earlier build, when core.System could still
-// split recognition into longitude bands (commit 5c21031, with the
-// world, configuration and slide below):
-//
-//   - testdata/one-recognizer.ckpt: the state after compatSlides slides
-//     of a one-recognizer system, the configuration every driver ran;
-//   - testdata/two-bands.ckpt: the same slides through a system that
-//     split recognition into two bands, so its snapshot carries two
-//     recognizer states.
-//
-// parentContinuation is compatDigest of the slides after the checkpoint,
-// run by that build from the one-recognizer checkpoint.
+// testdata/one-recognizer.ckpt is a checkpoint an earlier build wrote
+// when core.System could still split recognition into longitude bands
+// (commit 5c21031, with the world, configuration and slide below): the
+// state after compatSlides slides of a one-recognizer system, the
+// configuration every driver ran. Commit f5761a0 read it through its
+// version-1 upgrade and saved it again at format version 2, the one
+// before this binary's. parentContinuation is compatDigest of the
+// slides after the checkpoint, run by the earlier build from it.
 const (
 	compatSlides       = 15
 	compatWindow       = 2 * time.Hour
@@ -143,13 +136,12 @@ func sameState(t *testing.T, got, want *core.System) {
 	}
 }
 
-// TestRestoresEarlierOneRecognizerCheckpoint restores a checkpoint the
-// earlier build took from a one-recognizer system and continues the
-// stream: the output must be byte-identical to what that build produced
-// from the same checkpoint, and to an uninterrupted run.
-func TestRestoresEarlierOneRecognizerCheckpoint(t *testing.T) {
-	sim, batches := compatWorld(t)
-	st := loadCompat(t, batches)
+// continuation restores st, a checkpoint cut after compatSlides slides
+// of the world, into a fresh system and runs the rest of the stream:
+// the output and the final state must be the uninterrupted run's. It
+// returns the continuation's digest and its alerts by CE.
+func continuation(t *testing.T, sim *fleetsim.Simulator, batches []stream.Batch, st *State) (string, map[string]int) {
+	t.Helper()
 	vessels, areas, ports := core.AdaptWorld(sim)
 	restored := core.NewSystem(compatConfig(), vessels, areas, ports)
 	defer restored.Close()
@@ -157,6 +149,22 @@ func TestRestoresEarlierOneRecognizerCheckpoint(t *testing.T) {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
 	got, alerts := compatDigest(restored, areas, batches[compatSlides:])
+	ref := undisturbed(sim, batches, compatSlides)
+	defer ref.Close()
+	if want, _ := compatDigest(ref, areas, batches[compatSlides:]); got != want {
+		t.Errorf("continuation digest %s, the uninterrupted run gives %s", got, want)
+	}
+	sameState(t, restored, ref)
+	return got, alerts
+}
+
+// TestRestoresEarlierOneRecognizerCheckpoint restores a checkpoint the
+// earlier build took from a one-recognizer system and continues the
+// stream: the output must be byte-identical to what that build produced
+// from the same checkpoint, and to an uninterrupted run.
+func TestRestoresEarlierOneRecognizerCheckpoint(t *testing.T) {
+	sim, batches := compatWorld(t)
+	got, alerts := continuation(t, sim, batches, loadCompat(t, batches))
 	for _, ce := range []string{maritime.CEIllegalShipping, maritime.CEDangerousShipping, maritime.CESuspicious, maritime.CEIllegalFishing} {
 		if alerts[ce] == 0 {
 			t.Errorf("no %s after the cut: the continuation does not exercise it (%v)", ce, alerts)
@@ -164,65 +172,5 @@ func TestRestoresEarlierOneRecognizerCheckpoint(t *testing.T) {
 	}
 	if got != parentContinuation {
 		t.Errorf("continuation digest %s, the earlier build gave %s", got, parentContinuation)
-	}
-	ref := undisturbed(sim, batches, compatSlides)
-	defer ref.Close()
-	if want, _ := compatDigest(ref, areas, batches[compatSlides:]); got != want {
-		t.Errorf("continuation digest %s, the uninterrupted run gives %s", got, want)
-	}
-	sameState(t, restored, ref)
-}
-
-// TestRefusesTwoBandCheckpoint reads the earlier build's two-band
-// checkpoint: its two recognizer states fit no system, so Load refuses
-// it with ErrTopologyMismatch, and RestoreNewest skips it, counts it
-// rejected and restores the valid checkpoint below it. A snapshot whose
-// recognition does not match the system's is refused by RestoreSnapshot
-// before it touches any state, so the system goes on exactly as if it
-// had never been asked.
-func TestRefusesTwoBandCheckpoint(t *testing.T) {
-	if _, err := Load("testdata/two-bands.ckpt"); !errors.Is(err, core.ErrTopologyMismatch) {
-		t.Fatalf("Load of a two-band checkpoint: err=%v, want ErrTopologyMismatch", err)
-	}
-
-	dir := t.TempDir()
-	for seq, name := range map[uint64]string{1: "one-recognizer.ckpt", 2: "two-bands.ckpt"} {
-		b, err := os.ReadFile("testdata/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(PathFor(dir, seq), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mgr := newTestManager(t, Options{Dir: dir})
-	reg := obs.NewRegistry()
-	mgr.RegisterMetrics(reg)
-	st, err := mgr.RestoreNewest()
-	if st == nil || st.Slides != compatSlides || st.System.Recognizer == nil {
-		t.Fatalf("RestoreNewest = (%+v, %v), want the one-recognizer checkpoint below the two-band one", st, err)
-	}
-	if !errors.Is(err, core.ErrTopologyMismatch) {
-		t.Errorf("skip reason %v, want ErrTopologyMismatch", err)
-	}
-	if got := metricValue(t, reg, "maritime_checkpoint_rejected_total"); got != 1 {
-		t.Errorf("maritime_checkpoint_rejected_total = %v, want 1", got)
-	}
-
-	sim, batches := compatWorld(t)
-	const done = 4
-	sys := undisturbed(sim, batches, done)
-	defer sys.Close()
-	st.System.Recognizer = nil
-	if err := sys.RestoreSnapshot(st.System); !errors.Is(err, core.ErrTopologyMismatch) {
-		t.Fatalf("RestoreSnapshot of a snapshot without recognition: err=%v, want ErrTopologyMismatch", err)
-	}
-	ref := undisturbed(sim, batches, done)
-	defer ref.Close()
-	sameState(t, sys, ref)
-	_, areas, _ := core.AdaptWorld(sim)
-	got, _ := compatDigest(sys, areas, batches[done:])
-	if want, _ := compatDigest(ref, areas, batches[done:]); got != want {
-		t.Errorf("after the refused restore the run diverged: digest %s, undisturbed %s", got, want)
 	}
 }

@@ -3,18 +3,31 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"io"
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/feed"
+	"repro/internal/fleetsim"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/stream"
-	"repro/internal/tracker"
 )
+
+// stateV2 is the layout version 2 checkpoints were written in, before
+// State carried a cluster manifest's worker cut.
+type stateV2 struct {
+	Query  time.Time
+	System core.Snapshot
+	Cursor feed.Cursor
+	Hub    *serve.HubSnapshot
+	Slides int
+}
 
 // sameCheckpoint compares a checkpoint read back with the one saved.
 // The store's bytes are compared apart: a store snapshot gob-encodes
@@ -50,10 +63,27 @@ func frameVersion(t *testing.T, path string) uint16 {
 	return version
 }
 
-// TestVersion2CheckpointRoundTrip saves a checkpoint of a system with
-// recognition, the analytics tier and a gateway, and reads it back
-// through every read path: each must return what was saved.
-func TestVersion2CheckpointRoundTrip(t *testing.T) {
+// writeAt writes v, gob-encoded, as checkpoint seq in dir, framed at
+// the given format version.
+func writeAt(t *testing.T, dir string, seq uint64, version uint16, v any) {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	err := durable.WriteFileAtomic(PathFor(dir, seq), func(w io.Writer) error {
+		return durable.WriteFrame(w, fileSpec.Magic, version, payload.Bytes())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// versionState is a checkpoint of a system with recognition, the
+// analytics tier and a gateway after compatSlides slides of the world
+// it returns.
+func versionState(t *testing.T) (*State, *fleetsim.Simulator, []stream.Batch) {
+	t.Helper()
 	sim, batches := compatWorld(t)
 	sys := undisturbed(sim, batches, compatSlides)
 	defer sys.Close()
@@ -64,26 +94,26 @@ func TestVersion2CheckpointRoundTrip(t *testing.T) {
 	if snap.Recognizer == nil || snap.Analytics == nil || len(snap.Analytics.Vessels) == 0 || len(snap.Tracker.Vessels) == 0 {
 		t.Fatal("the snapshot leaves a tier empty: the round trip would not exercise it")
 	}
-	want := &State{
+	return &State{
 		Query:  batches[compatSlides-1].Query,
 		System: snap,
 		Cursor: feed.Cursor{Sec: batches[compatSlides-1].Query.Unix(), SeenAtSec: map[uint32]int{7: 2}},
 		Hub:    &serve.HubSnapshot{Seq: 40, Published: 41, LogSeq: 39},
 		Slides: compatSlides,
-	}
-	mgr := newTestManager(t, Options{})
-	mustSave(t, mgr, testState(1))
-	mustSave(t, mgr, want)
-	path := PathFor(mgr.Dir(), 2)
-	if v := frameVersion(t, path); v != 2 {
-		t.Fatalf("checkpoint written at version %d, want 2", v)
-	}
-	got, err := Load(path)
+	}, sim, batches
+}
+
+// readsBack reads checkpoint seq of mgr back through every read path —
+// Load, LoadAt and RestoreNewest — holds each to want, and returns what
+// RestoreNewest restored.
+func readsBack(t *testing.T, mgr *Manager, seq uint64, want *State) *State {
+	t.Helper()
+	got, err := Load(PathFor(mgr.Dir(), seq))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCheckpoint(t, "Load", got, want)
-	if got, err = mgr.LoadAt(2); err != nil {
+	if got, err = mgr.LoadAt(seq); err != nil {
 		t.Fatal(err)
 	}
 	sameCheckpoint(t, "LoadAt", got, want)
@@ -91,67 +121,115 @@ func TestVersion2CheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCheckpoint(t, "RestoreNewest", got, want)
+	return got
 }
 
-// writeV1 writes st as checkpoint seq in dir, framed at format version
-// 1.
-func writeV1(t *testing.T, dir string, seq uint64, st *State) {
-	t.Helper()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		t.Fatal(err)
+// TestVersion3CheckpointRoundTrip saves a checkpoint of a system with
+// recognition, the analytics tier and a gateway: it is written at
+// version 3, and every read path returns what was saved.
+func TestVersion3CheckpointRoundTrip(t *testing.T) {
+	want, _, _ := versionState(t)
+	mgr := newTestManager(t, Options{})
+	mustSave(t, mgr, testState(1))
+	mustSave(t, mgr, want)
+	if v := frameVersion(t, PathFor(mgr.Dir(), 2)); v != 3 {
+		t.Fatalf("checkpoint written at version %d, want 3", v)
 	}
-	err := durable.WriteFileAtomic(PathFor(dir, seq), func(w io.Writer) error {
-		return durable.WriteFrame(w, fileSpec.Magic, 1, payload.Bytes())
+	readsBack(t, mgr, 2, want)
+}
+
+// TestVersion2CheckpointRoundTrip reads a version-2 checkpoint, framed
+// and laid out as the previous build saved it, through every read path:
+// each returns what was saved, the worker cut zero, with no upgrade
+// step, and the restored system continues as the uninterrupted run.
+// The earlier build's own version-2 file, testdata/one-recognizer.ckpt,
+// reads the same through LoadAt and RestoreNewest as through Load.
+func TestVersion2CheckpointRoundTrip(t *testing.T) {
+	want, sim, batches := versionState(t)
+	mgr := newTestManager(t, Options{})
+	mustSave(t, mgr, testState(1))
+	writeAt(t, mgr.Dir(), 2, 2, stateV2{
+		Query: want.Query, System: want.System, Cursor: want.Cursor, Hub: want.Hub, Slides: want.Slides,
 	})
+	continuation(t, sim, batches, readsBack(t, mgr, 2, want))
+
+	const fixture = "testdata/one-recognizer.ckpt"
+	if v := frameVersion(t, fixture); v != 2 {
+		t.Fatalf("%s is at version %d, want 2", fixture, v)
+	}
+	loaded, err := Load(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(PathFor(dir, 1), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readsBack(t, newTestManager(t, Options{Dir: dir}), 1, loaded)
 }
 
-// TestVersion1EdgeCases reads version-1 checkpoints whose layout gives
-// the upgrade's overlays little to match: a system with recognition off
-// and no analytics tier, and an analytics tier with no collision
-// section. Both must decode, upgrade to what was written and restore.
-func TestVersion1EdgeCases(t *testing.T) {
+// TestRefusesVersion1Checkpoint writes a version-1 checkpoint — in the
+// current layout, which gob would decode field by field — above the
+// earlier build's version-2 one: Load, LoadAt and a pinned restore
+// refuse it with ErrRetiredVersion, and RestoreNewest skips it, counts
+// it rejected and restores the checkpoint below it. A snapshot whose
+// recognition does not match the system's is refused by RestoreSnapshot
+// before it touches any state, so the system goes on exactly as if it
+// had never been asked.
+func TestRefusesVersion1Checkpoint(t *testing.T) {
 	sim, batches := compatWorld(t)
-	vessels, areas, ports := core.AdaptWorld(sim)
-	off := core.Config{
-		Window:             stream.WindowSpec{Range: compatWindow, Slide: testSlide},
-		Tracker:            tracker.DefaultParams(),
-		DisableRecognition: true,
+	older := loadCompat(t, batches)
+	b, err := os.ReadFile("testdata/one-recognizer.ckpt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"recognition off, no analytics", off},
-		{"analytics without a collision section", compatConfig()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sys := core.NewSystem(tc.cfg, vessels, areas, ports)
-			defer sys.Close()
-			for _, b := range batches[:compatSlides] {
-				sys.ProcessBatch(b)
-			}
-			snap, err := sys.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := &State{Query: batches[compatSlides-1].Query, System: snap, Slides: compatSlides}
-			dir := t.TempDir()
-			writeV1(t, dir, 1, want)
-			got, err := Load(PathFor(dir, 1))
-			if err != nil {
-				t.Fatalf("Load: %v", err)
-			}
-			sameCheckpoint(t, "Load", got, want)
-			restored := core.NewSystem(tc.cfg, vessels, areas, ports)
-			defer restored.Close()
-			if err := restored.RestoreSnapshot(got.System); err != nil {
-				t.Fatalf("RestoreSnapshot: %v", err)
-			}
-			sameState(t, restored, sys)
-		})
+	dir := t.TempDir()
+	if err := os.WriteFile(PathFor(dir, 1), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeAt(t, dir, 2, 1, older)
+	if _, err := Load(PathFor(dir, 2)); !errors.Is(err, ErrRetiredVersion) {
+		t.Fatalf("Load of a version-1 checkpoint: err=%v, want ErrRetiredVersion", err)
+	}
+	mgr := newTestManager(t, Options{Dir: dir})
+	if _, err := mgr.LoadAt(2); !errors.Is(err, ErrRetiredVersion) {
+		t.Fatalf("LoadAt of a version-1 checkpoint: err=%v, want ErrRetiredVersion", err)
+	}
+	pinned := undisturbed(sim, batches, 0)
+	defer pinned.Close()
+	if _, err := Restore(RunConfig{System: pinned, Checkpoints: mgr, PinSeq: 2, Slide: testSlide}); !errors.Is(err, ErrRetiredVersion) {
+		t.Fatalf("pinned restore of a version-1 checkpoint: err=%v, want ErrRetiredVersion", err)
+	}
+	reg := obs.NewRegistry()
+	mgr.RegisterMetrics(reg)
+	st, err := mgr.RestoreNewest()
+	if st == nil || st.Slides != compatSlides || st.System.Recognizer == nil {
+		t.Fatalf("RestoreNewest = (%+v, %v), want the version-2 checkpoint below the version-1 one", st, err)
+	}
+	if !errors.Is(err, ErrRetiredVersion) {
+		t.Errorf("skip reason %v, want ErrRetiredVersion", err)
+	}
+	if got := metricValue(t, reg, "maritime_checkpoint_rejected_total"); got != 1 {
+		t.Errorf("maritime_checkpoint_rejected_total = %v, want 1", got)
+	}
+
+	const done = 4
+	sys := undisturbed(sim, batches, done)
+	defer sys.Close()
+	st.System.Recognizer = nil
+	if err := sys.RestoreSnapshot(st.System); !errors.Is(err, core.ErrTopologyMismatch) {
+		t.Fatalf("RestoreSnapshot of a snapshot without recognition: err=%v, want ErrTopologyMismatch", err)
+	}
+	ref := undisturbed(sim, batches, done)
+	defer ref.Close()
+	sameState(t, sys, ref)
+	_, areas, _ := core.AdaptWorld(sim)
+	got, _ := compatDigest(sys, areas, batches[done:])
+	if want, _ := compatDigest(ref, areas, batches[done:]); got != want {
+		t.Errorf("after the refused restore the run diverged: digest %s, undisturbed %s", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ais"
 	"repro/internal/analytics"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/fleetsim"
 	"repro/internal/maritime"
@@ -102,7 +103,7 @@ func TestClusterManifestRestoreWithAnalytics(t *testing.T) {
 	}
 
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	store, err := NewManifestStore(t.TempDir(), 3)
+	store, err := checkpoint.NewManifestManager(checkpoint.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("manifest store: %v", err)
 	}

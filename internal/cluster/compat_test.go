@@ -5,11 +5,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"os"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/feed"
 	"repro/internal/fleetsim"
@@ -24,8 +26,10 @@ import (
 // wrote (commit 5c21031, when core.System could still split recognition
 // into longitude bands; the coordinator ran one recognizer): a
 // one-worker cluster over the world below, cut after compatSlides
-// slides. parentContinuation is the digest of what that build's
-// coordinator, restored from it, merged for the rest of the stream.
+// slides. Commit f5761a0 read it through its version-1 upgrade and
+// saved it again at format version 2, the one before this binary's.
+// parentContinuation is the digest of what that build's coordinator,
+// restored from it, merged for the rest of the stream.
 const (
 	compatSlides       = 15
 	compatWindow       = 2 * time.Hour
@@ -36,7 +40,7 @@ const (
 // restored from m when it is not nil, and a digest of every slide it
 // merges: the alerts (pairwise ones with both vessels) and the maximal
 // intervals of both durative CEs for every area after the slide.
-func compatCoordinator(t *testing.T, world compatWorld, m *Manifest, manifests *ManifestStore) (*Coordinator, hash.Hash) {
+func compatCoordinator(t *testing.T, world compatWorld, m *checkpoint.State, manifests *checkpoint.Manager) (*Coordinator, hash.Hash) {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers: 1,
@@ -122,15 +126,55 @@ func newCompatWorld(t *testing.T) compatWorld {
 	return w
 }
 
-// TestRestoresEarlierManifest restores the coordinator from a manifest
-// the earlier build wrote and merges the rest of the stream: the output
-// must be byte-identical to what that build merged from the same
-// manifest, and to a coordinator that was never restarted.
-func TestRestoresEarlierManifest(t *testing.T) {
-	world := newCompatWorld(t)
-	m, err := LoadManifest("testdata/coordinator.mft")
+// fixtureCluster puts testdata/coordinator.mft into a manifest
+// directory as its one generation and gives the cluster's one worker a
+// checkpoint at the sequence the manifest records, so RestoreCluster
+// finds the generation whole.
+func fixtureCluster(t *testing.T) (*checkpoint.Manager, []string) {
+	t.Helper()
+	b, err := os.ReadFile("testdata/coordinator.mft")
 	if err != nil {
 		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(manifestPath(dir, 1), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.NewManifestManager(checkpoint.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := store.LoadAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Workers != 1 || len(m.WorkerSeqs) != 1 {
+		t.Fatalf("fixture binds %d workers (%v), want one", m.Workers, m.WorkerSeqs)
+	}
+	worker := t.TempDir()
+	mgr, err := checkpoint.NewManager(checkpoint.Options{Dir: worker, Keep: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mgr.LastSeq() < m.WorkerSeqs[0] {
+		if err := mgr.Save(&checkpoint.State{Query: m.Query, Cursor: m.Cursor, Slides: m.Slides}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store, []string{worker}
+}
+
+// TestRestoresEarlierManifest restores the whole cluster from the
+// manifest the earlier build wrote, the coordinator from it, and merges
+// the rest of the stream: the output must be byte-identical to what
+// that build merged from the same manifest, and to a coordinator that
+// was never restarted.
+func TestRestoresEarlierManifest(t *testing.T) {
+	world := newCompatWorld(t)
+	store, dirs := fixtureCluster(t)
+	m, err := RestoreCluster(store, dirs)
+	if err != nil || m == nil {
+		t.Fatalf("RestoreCluster = (%v, %v), want the fixture's generation", m, err)
 	}
 	if m.Slides != compatSlides || !m.Query.Equal(world.slides[compatSlides-1].Query) {
 		t.Fatalf("manifest after %d slides at %s, want %d at %s", m.Slides, m.Query, compatSlides, world.slides[compatSlides-1].Query)
@@ -138,6 +182,17 @@ func TestRestoresEarlierManifest(t *testing.T) {
 	if m.System.Recognizer == nil {
 		t.Fatal("manifest carries no recognizer state")
 	}
+	if g := continuation(t, world, m); g != parentContinuation {
+		t.Errorf("continuation digest %s, the earlier build gave %s", g, parentContinuation)
+	}
+}
+
+// continuation restores a one-worker coordinator from m, a manifest cut
+// after compatSlides slides of the world, and merges the rest of the
+// stream: the output must be byte-identical to a coordinator's that was
+// never restarted. It returns the continuation's digest.
+func continuation(t *testing.T, world compatWorld, m *checkpoint.State) string {
+	t.Helper()
 	restored, got := compatCoordinator(t, world, m, nil)
 	ref, want := compatCoordinator(t, world, nil, nil)
 	for i, s := range world.slides {
@@ -154,10 +209,8 @@ func TestRestoresEarlierManifest(t *testing.T) {
 			st.SlidesMerged, st.Alerts, len(world.slides)-compatSlides)
 	}
 	g, w := hex.EncodeToString(got.Sum(nil)), hex.EncodeToString(want.Sum(nil))
-	if g != parentContinuation {
-		t.Errorf("continuation digest %s, the earlier build gave %s", g, parentContinuation)
-	}
 	if g != w {
 		t.Errorf("continuation digest %s, the coordinator that was never restarted gives %s", g, w)
 	}
+	return g
 }

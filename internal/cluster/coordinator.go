@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/feed"
@@ -47,12 +48,15 @@ type CoordinatorConfig struct {
 	// Hub, when set, receives every merged slide's alerts.
 	Hub *serve.Hub
 	// Manifests, when set, records a cluster manifest every time a
-	// checkpoint query time has been fully reported and merged.
-	Manifests *ManifestStore
-	// Restore seeds the coordinator from a cluster manifest: the system
-	// snapshot, hub state, and the merge frontier. The workers must be
-	// restored to the same generation (Worker.PinSeq).
-	Restore *Manifest
+	// checkpoint query time has been fully reported and merged: the
+	// coordinator's own checkpoint, with the worker cut filled in
+	// (checkpoint.NewManifestManager).
+	Manifests *checkpoint.Manager
+	// Restore seeds the coordinator from a cluster manifest (see
+	// RestoreCluster): the system snapshot, hub state, and the merge
+	// frontier. The workers must be restored to the same generation
+	// (Worker.PinSeq).
+	Restore *checkpoint.State
 	// Logf receives lifecycle messages; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -480,13 +484,13 @@ func (c *Coordinator) writeManifestLocked(q time.Time, seqs []uint64, curs []*fe
 		c.logf("coordinator: manifest at %s skipped: %v", q.Format(time.RFC3339), err)
 		return
 	}
-	m := &Manifest{
+	m := &checkpoint.State{
 		Query:      q,
+		System:     snap,
+		Cursor:     mergeCursors(curs),
+		Slides:     c.slides,
 		Workers:    c.cfg.Workers,
 		WorkerSeqs: seqs,
-		Cursor:     mergeCursors(curs),
-		System:     snap,
-		Slides:     c.slides,
 	}
 	if c.cfg.Hub != nil {
 		hub := c.cfg.Hub.Snapshot()
@@ -499,6 +503,55 @@ func (c *Coordinator) writeManifestLocked(q time.Time, seqs []uint64, curs []*fe
 		return
 	}
 	c.stats.Manifests++
+}
+
+// RestoreCluster finds the newest manifest whose entire generation is
+// restorable: the manifest itself loads, it matches the cluster width,
+// and EVERY worker's recorded checkpoint sequence loads from that
+// worker's directory. A generation with any unreadable member is
+// skipped whole — the cluster never restores a mixed cut where one
+// worker is on a different generation than the rest. Returns nil with
+// a nil error when the directory holds no manifests at all (cold
+// start); when every candidate was rejected, the joined rejection
+// reasons come back with the nil manifest.
+func RestoreCluster(manifests *checkpoint.Manager, workerDirs []string) (*checkpoint.State, error) {
+	return manifests.RestoreNewestWhere(func(m *checkpoint.State) error {
+		if m.Workers != len(workerDirs) || len(m.WorkerSeqs) != m.Workers {
+			return fmt.Errorf("cluster: manifest for %d workers, cluster has %d", m.Workers, len(workerDirs))
+		}
+		for w, seq := range m.WorkerSeqs {
+			if _, err := checkpoint.Load(checkpoint.PathFor(workerDirs[w], seq)); err != nil {
+				return fmt.Errorf("cluster: generation %d: worker %d: %w", m.Slides, w, err)
+			}
+		}
+		return nil
+	})
+}
+
+// mergeCursors folds per-worker checkpoint cursors into the cluster
+// cursor: the frontier second is the max across workers, and the
+// per-vessel same-second counts are the union of the workers at that
+// second — vessel slices are disjoint, so the union is a disjoint
+// merge.
+func mergeCursors(curs []*feed.Cursor) feed.Cursor {
+	var out feed.Cursor
+	for _, c := range curs {
+		if c != nil && c.Sec > out.Sec {
+			out.Sec = c.Sec
+		}
+	}
+	for _, c := range curs {
+		if c == nil || c.Sec != out.Sec {
+			continue
+		}
+		for mmsi, n := range c.SeenAtSec {
+			if out.SeenAtSec == nil {
+				out.SeenAtSec = make(map[uint32]int)
+			}
+			out.SeenAtSec[mmsi] += n
+		}
+	}
+	return out
 }
 
 // maybeFinishLocked closes Done once every worker reached EOS with

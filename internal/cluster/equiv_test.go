@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/ais"
 	"repro/internal/analytics"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/feed"
 	"repro/internal/fleetsim"
@@ -186,9 +187,9 @@ type clusterOpts struct {
 
 	ckptDirs  []string // per-worker; enables checkpointing when set
 	ckptEvery int
-	manifests *ManifestStore
-	restore   *Manifest // coordinator manifest restore
-	pinSeqs   []uint64  // per-worker pinned checkpoint generations
+	manifests *checkpoint.Manager
+	restore   *checkpoint.State // coordinator manifest restore
+	pinSeqs   []uint64          // per-worker pinned checkpoint generations
 
 	// killSlide > 0: pause dispatch after slide killSlide is merged,
 	// SIGKILL worker killWorker (cancel its context), restart it from
@@ -526,7 +527,7 @@ func TestClusterManifestRestore(t *testing.T) {
 
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	manifestDir := t.TempDir()
-	store, err := NewManifestStore(manifestDir, 3)
+	store, err := checkpoint.NewManifestManager(checkpoint.Options{Dir: manifestDir})
 	if err != nil {
 		t.Fatalf("manifest store: %v", err)
 	}

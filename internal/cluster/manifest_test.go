@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -33,10 +35,15 @@ func coordinatorSystem() core.Config {
 	}
 }
 
+// manifestPath is the path of manifest seq in dir.
+func manifestPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("manifest-%012d.mft", seq))
+}
+
 // seedGenerations writes two complete cluster generations — every
 // worker checkpointed at seq 1 and 2, one manifest binding each — and
 // returns the manifest store and worker directories.
-func seedGenerations(t *testing.T, workers int) (*ManifestStore, []string) {
+func seedGenerations(t *testing.T, workers int) (*checkpoint.Manager, []string) {
 	t.Helper()
 	dirs := make([]string, workers)
 	base := time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -57,7 +64,7 @@ func seedGenerations(t *testing.T, workers int) (*ManifestStore, []string) {
 			}
 		}
 	}
-	store, err := NewManifestStore(t.TempDir(), 3)
+	store, err := checkpoint.NewManifestManager(checkpoint.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("manifest store: %v", err)
 	}
@@ -74,12 +81,12 @@ func seedGenerations(t *testing.T, workers int) (*ManifestStore, []string) {
 		for w := range seqs {
 			seqs[w] = uint64(gen)
 		}
-		m := &Manifest{
+		m := &checkpoint.State{
 			Query:      base.Add(time.Duration(gen) * 40 * time.Minute),
-			Workers:    workers,
-			WorkerSeqs: seqs,
 			System:     snap,
 			Slides:     gen * 4,
+			Workers:    workers,
+			WorkerSeqs: seqs,
 		}
 		if err := store.Save(m); err != nil {
 			t.Fatalf("manifest gen %d: %v", gen, err)
@@ -114,10 +121,10 @@ func TestRestoreClusterPicksNewestGeneration(t *testing.T) {
 // A corrupt newest manifest falls back to the previous generation.
 func TestRestoreClusterFallsBackPastCorruptManifest(t *testing.T) {
 	store, dirs := seedGenerations(t, 3)
-	if store.Seq() != 2 {
-		t.Fatalf("want 2 manifests, got %d", store.Seq())
+	if store.LastSeq() != 2 {
+		t.Fatalf("want 2 manifests, got %d", store.LastSeq())
 	}
-	corrupt(t, store.store.Path(2))
+	corrupt(t, manifestPath(store.Dir(), 2))
 	m, err := RestoreCluster(store, dirs)
 	if m == nil || m.Slides != 4 {
 		t.Fatalf("want fallback to generation 1 (4 slides), got %+v (err=%v)", m, err)
@@ -163,7 +170,7 @@ func TestRestoreClusterAllGenerationsBroken(t *testing.T) {
 
 // An empty manifest directory is a cold start, not an error.
 func TestRestoreClusterColdStart(t *testing.T) {
-	store, err := NewManifestStore(t.TempDir(), 3)
+	store, err := checkpoint.NewManifestManager(checkpoint.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("manifest store: %v", err)
 	}
@@ -189,21 +196,27 @@ func TestRestoreClusterRejectsWidthMismatch(t *testing.T) {
 // A transient write failure (the ENOSPC/EIO stand-in) is retried, so
 // the manifest generation still lands on disk and restores.
 func TestManifestSaveRetriesTransientWriteFailure(t *testing.T) {
-	store, dirs := seedGenerations(t, 2)
+	seeded, dirs := seedGenerations(t, 2)
 	attempts := 0
-	store.store.RetryBackoff = time.Millisecond
-	store.store.WrapWriter = func(w io.Writer) io.Writer {
-		attempts++
-		if attempts == 1 {
-			return faults.NewCrashWriter(w, 10)
-		}
-		return w
+	store, err := checkpoint.NewManifestManager(checkpoint.Options{
+		Dir:          seeded.Dir(),
+		RetryBackoff: time.Millisecond,
+		WrapWriter: func(w io.Writer) io.Writer {
+			attempts++
+			if attempts == 1 {
+				return faults.NewCrashWriter(w, 10)
+			}
+			return w
+		},
+	})
+	if err != nil {
+		t.Fatalf("manifest store: %v", err)
 	}
-	m := &Manifest{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), Workers: 2, WorkerSeqs: []uint64{2, 2}, System: core.Snapshot{Store: []byte{0}}, Slides: 12}
+	m := &checkpoint.State{Query: time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC), System: core.Snapshot{Store: []byte{0}}, Slides: 12, Workers: 2, WorkerSeqs: []uint64{2, 2}}
 	if err := store.Save(m); err != nil {
 		t.Fatalf("Save with one transient failure: %v", err)
 	}
-	if _, err := LoadManifest(store.store.Path(3)); err != nil {
+	if _, err := store.LoadAt(3); err != nil {
 		t.Fatalf("manifest-…3.mft does not load: %v", err)
 	}
 	got, err := RestoreCluster(store, dirs)
@@ -217,7 +230,8 @@ func TestManifestSaveRetriesTransientWriteFailure(t *testing.T) {
 
 // legacyManifest is the manifest layout from before the coordinator ran
 // a core.System: the recognizer's working memory and the analytics
-// tier's state in fields of their own, no system snapshot.
+// tier's state in fields of their own, no system snapshot. Only
+// version-1 manifests hold it.
 type legacyManifest struct {
 	Query      time.Time
 	Workers    int
@@ -229,29 +243,29 @@ type legacyManifest struct {
 	Analytics  *analytics.Snapshot
 }
 
-// writeV1Manifest writes v as manifest seq of store, framed at format
+// writeV1Manifest writes v as manifest seq in dir, framed at format
 // version 1.
-func writeV1Manifest(t *testing.T, store *ManifestStore, seq uint64, v any) {
+func writeV1Manifest(t *testing.T, dir string, seq uint64, v any) {
 	t.Helper()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		t.Fatal(err)
 	}
-	err := durable.WriteFileAtomic(store.store.Path(seq), func(w io.Writer) error {
-		return durable.WriteFrame(w, manifestSpec.Magic, 1, payload.Bytes())
+	err := durable.WriteFileAtomic(manifestPath(dir, seq), func(w io.Writer) error {
+		return durable.WriteFrame(w, "MARMANI", 1, payload.Bytes())
 	})
 	if err != nil {
 		t.Fatalf("writing the version-1 manifest: %v", err)
 	}
 }
 
-// A version-1 manifest in the older layout is refused at load, and
-// skipped by RestoreCluster with the reason and counted as rejected —
-// restoring it would resume recognition from an empty working memory
-// mid-stream. Behind it the newest current generation restores; alone,
+// A version-1 manifest is refused with ErrRetiredVersion before its
+// payload is decoded — in the oldest layout, which holds no system
+// snapshot, and in the current one, which would decode field by field
+// — and RestoreCluster skips it with the reason and counts it as
+// rejected. Behind it the newest current generation restores; alone,
 // it is a cold start.
-func TestRestoreClusterSkipsManifestWithoutSystemSnapshot(t *testing.T) {
-	store, dirs := seedGenerations(t, 3)
+func TestRestoreClusterSkipsVersion1Manifest(t *testing.T) {
 	legacy := legacyManifest{
 		Query:      time.Date(2009, 6, 1, 2, 0, 0, 0, time.UTC),
 		Workers:    3,
@@ -260,38 +274,47 @@ func TestRestoreClusterSkipsManifestWithoutSystemSnapshot(t *testing.T) {
 		Slides:     12,
 		Analytics:  &analytics.Snapshot{},
 	}
-	writeV1Manifest(t, store, 3, legacy)
-	if _, err := LoadManifest(store.store.Path(3)); !errors.Is(err, errNoSystemSnapshot) {
-		t.Fatalf("LoadManifest of the older-layout manifest: err=%v, want %v", err, errNoSystemSnapshot)
-	}
+	current := checkpoint.State{Query: legacy.Query, Slides: 12, Workers: 3, WorkerSeqs: legacy.WorkerSeqs}
+	for _, tc := range []struct {
+		name string
+		v    any
+	}{{"oldest layout", legacy}, {"current layout", current}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, dirs := seedGenerations(t, 3)
+			writeV1Manifest(t, store.Dir(), 3, tc.v)
+			if _, err := store.LoadAt(3); !errors.Is(err, checkpoint.ErrRetiredVersion) {
+				t.Fatalf("LoadAt of the version-1 manifest: err=%v, want %v", err, checkpoint.ErrRetiredVersion)
+			}
 
-	m, err := RestoreCluster(store, dirs)
-	if m == nil || m.Slides != 8 {
-		t.Fatalf("want the newest current generation (8 slides), got %+v (err=%v)", m, err)
-	}
-	if !errors.Is(err, errNoSystemSnapshot) {
-		t.Errorf("skip reason %v, want %v", err, errNoSystemSnapshot)
-	}
-	reg := obs.NewRegistry()
-	coord, err := NewCoordinator(CoordinatorConfig{Workers: 3, System: coordinatorSystem(), Manifests: store})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	coord.RegisterMetrics(reg)
-	var text strings.Builder
-	if err := reg.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "maritime_cluster_manifest_rejected_total 1\n") {
-		t.Errorf("the skipped manifest is not counted:\n%s", text.String())
-	}
+			m, err := RestoreCluster(store, dirs)
+			if m == nil || m.Slides != 8 {
+				t.Fatalf("want the newest current generation (8 slides), got %+v (err=%v)", m, err)
+			}
+			if !errors.Is(err, checkpoint.ErrRetiredVersion) {
+				t.Errorf("skip reason %v, want %v", err, checkpoint.ErrRetiredVersion)
+			}
+			reg := obs.NewRegistry()
+			coord, err := NewCoordinator(CoordinatorConfig{Workers: 3, System: coordinatorSystem(), Manifests: store})
+			if err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			coord.RegisterMetrics(reg)
+			var text strings.Builder
+			if err := reg.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(text.String(), "maritime_cluster_manifest_rejected_total 1\n") {
+				t.Errorf("the skipped manifest is not counted:\n%s", text.String())
+			}
 
-	alone, err := NewManifestStore(t.TempDir(), 3)
-	if err != nil {
-		t.Fatalf("manifest store: %v", err)
-	}
-	writeV1Manifest(t, alone, 1, legacy)
-	if m, err := RestoreCluster(alone, dirs); m != nil || !errors.Is(err, errNoSystemSnapshot) {
-		t.Errorf("older-layout manifest alone: got %+v / %v, want a cold start with the skip reason", m, err)
+			alone, err := checkpoint.NewManifestManager(checkpoint.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("manifest store: %v", err)
+			}
+			writeV1Manifest(t, alone.Dir(), 1, tc.v)
+			if m, err := RestoreCluster(alone, dirs); m != nil || !errors.Is(err, checkpoint.ErrRetiredVersion) {
+				t.Errorf("version-1 manifest alone: got %+v / %v, want a cold start with the skip reason", m, err)
+			}
+		})
 	}
 }

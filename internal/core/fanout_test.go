@@ -134,14 +134,14 @@ func TestFanOutMatchesSerialComposition(t *testing.T) {
 	}
 }
 
-// TestSelfHealFaultsDuringOverlap fires the fault hooks while the
+// TestQuarantineFaultsDuringOverlap fires the fault hooks while the
 // slide's consumers run side by side — the recognizer stalls past the
 // watchdog while archival runs, the store panics while the recognizer
 // runs, and both in one slide — and checks that the quarantine, the
 // rewind and the replay end where the undisturbed run ends: the same
 // alerts, and identical recognizer, store, tracker and analytics
 // snapshots.
-func TestSelfHealFaultsDuringOverlap(t *testing.T) {
+func TestQuarantineFaultsDuringOverlap(t *testing.T) {
 	simCfg := simConfig(120, 5)
 	simCfg.RendezvousPairs = 2
 	cfg := defaultSystemConfig()

@@ -9,13 +9,13 @@ import (
 	"repro/internal/tracker"
 )
 
-// TestSelfHealLostEventsCountOnlyUnrecoverable panics the recognizer
-// with rewinds armed ("heal") and without ("abandon"). Events are lost
+// TestQuarantineLostEventsCountOnlyUnrecoverable panics the recognizer
+// with rewinds armed ("rewind") and without ("abandon"). Events are lost
 // only when no replay brings them back: a rewound run reports no
 // watchdog drops (and the alerts of the run nothing happened to); a run
 // that cannot rewind keeps the recognizer down and counts exactly the
 // events of the faulted slide and of every slide after it.
-func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
+func TestQuarantineLostEventsCountOnlyUnrecoverable(t *testing.T) {
 	cfg := defaultSystemConfig()
 	batches, vessels, areas, sim := slideBatches(t, simConfig(150, 5), cfg.Window.Slide)
 	_, _, ports := AdaptWorld(sim)
@@ -28,10 +28,10 @@ func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 		goldenReports = append(goldenReports, golden.ProcessBatch(b))
 	}
 
-	for _, heal := range []bool{true, false} {
+	for _, rewind := range []bool{true, false} {
 		name := "abandon"
-		if heal {
-			name = "heal"
+		if rewind {
+			name = "rewind"
 		}
 		t.Run(name, func(t *testing.T) {
 			sys := NewSystem(cfg, vessels, areas, ports)
@@ -51,7 +51,7 @@ func TestSelfHealLostEventsCountOnlyUnrecoverable(t *testing.T) {
 			})
 			defer SetRecognizerFaultHook(nil)
 
-			if !heal {
+			if !rewind {
 				for i, b := range batches {
 					slide = i
 					sys.ProcessBatch(b)

@@ -19,13 +19,13 @@ func shortWindowConfig() Config {
 	return cfg
 }
 
-// TestSelfHealStorePanicAtEverySlide panics the archival path at every
+// TestQuarantineStorePanicAtEverySlide panics the archival path at every
 // slide index of a run and rewinds to a snapshot taken one slide or
-// more than a cadence of slides before the fault ("heal+M": the rewind
+// more than a cadence of slides before the fault ("replay+M": the rewind
 // replays M slides), with recognition off and with the recognizer
 // running beside archival on its own goroutine. Each run must end with
 // the trips, staging area and origins of the run nothing happened to.
-func TestSelfHealStorePanicAtEverySlide(t *testing.T) {
+func TestQuarantineStorePanicAtEverySlide(t *testing.T) {
 	const cadence = 4
 	for _, recognition := range []bool{false, true} {
 		cfg := shortWindowConfig()
@@ -38,8 +38,8 @@ func TestSelfHealStorePanicAtEverySlide(t *testing.T) {
 		last := batches[len(batches)-1].Query
 
 		for panicSlide := cadence; panicSlide < 3*cadence+2; panicSlide++ {
-			for _, healAfter := range []int{1, cadence + 1} {
-				t.Run(fmt.Sprintf("recognition=%v/panic@%d/heal+%d", recognition, panicSlide, healAfter), func(t *testing.T) {
+			for _, replayed := range []int{1, cadence + 1} {
+				t.Run(fmt.Sprintf("recognition=%v/panic@%d/replay+%d", recognition, panicSlide, replayed), func(t *testing.T) {
 					golden := NewSystem(cfg, vessels, areas, ports)
 					defer golden.Close()
 					sys := NewSystem(cfg, vessels, areas, ports)
@@ -69,10 +69,10 @@ func TestSelfHealStorePanicAtEverySlide(t *testing.T) {
 							if err := sys.RestoreSnapshot(snap); err != nil {
 								t.Fatal(err)
 							}
-							i = panicSlide - healAfter
+							i = panicSlide - replayed
 							continue
 						}
-						if i == panicSlide-healAfter {
+						if i == panicSlide-replayed {
 							if snap, err = sys.Snapshot(); err != nil {
 								t.Fatal(err)
 							}

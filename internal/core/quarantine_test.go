@@ -107,13 +107,13 @@ func sameReports(t *testing.T, want, got []SlideReport) {
 	}
 }
 
-// TestSelfHealRecognizerPanicQuarantineHeal injects a panic into the
+// TestQuarantineRecognizerPanicRewind injects a panic into the
 // recognizer mid-run: the process must survive, the recognizer must be
 // quarantined with the panic captured, the slide must ask for a rewind
 // without reaching the sinks, Snapshot must refuse with ErrWedged, and
 // after the restore and replay every delivered slide must match the
 // fault-free golden run.
-func TestSelfHealRecognizerPanicQuarantineHeal(t *testing.T) {
+func TestQuarantineRecognizerPanicRewind(t *testing.T) {
 	simCfg := simConfig(150, 5)
 	cfg := defaultSystemConfig()
 	batches, vessels, areas, sim := slideBatches(t, simCfg, cfg.Window.Slide)
@@ -180,11 +180,11 @@ func (c *countingSink) Consume(rep SlideReport) {
 	}
 }
 
-// TestSelfHealSupervisorRestoresStalledRecognizer wedges the single
+// TestQuarantineStalledRecognizerRewind wedges the single
 // recognizer via the watchdog: the rewind replaces it with a fresh one
 // while the wedged goroutine still runs, ErrWedged is transient, and
 // every delivered slide matches the golden run.
-func TestSelfHealSupervisorRestoresStalledRecognizer(t *testing.T) {
+func TestQuarantineStalledRecognizerRewind(t *testing.T) {
 	simCfg := simConfig(120, 4)
 	cfg := defaultSystemConfig()
 	cfg.WatchdogTimeout = 100 * time.Millisecond
@@ -231,10 +231,10 @@ func TestSelfHealSupervisorRestoresStalledRecognizer(t *testing.T) {
 	sameReports(t, goldenReports, reports)
 }
 
-// TestSelfHealStorePanicQuarantineHeal panics the archival path: the
+// TestQuarantineStorePanicRewind panics the archival path: the
 // store is quarantined, the rewind replaces it, and the final store
 // contents equal the fault-free run's.
-func TestSelfHealStorePanicQuarantineHeal(t *testing.T) {
+func TestQuarantineStorePanicRewind(t *testing.T) {
 	simCfg := simConfig(120, 4)
 	cfg := defaultSystemConfig()
 	cfg.DisableRecognition = true
@@ -274,7 +274,7 @@ func TestSelfHealStorePanicQuarantineHeal(t *testing.T) {
 	sys.Drain(batches[len(batches)-1].Query)
 	want, got := golden.Store().Table4Stats(), sys.Store().Table4Stats()
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("store contents diverged after the rewind:\ngolden: %+v\nhealed: %+v", want, got)
+		t.Errorf("store contents diverged after the rewind:\ngolden: %+v\nrewound: %+v", want, got)
 	}
 	if h := sys.Health(); h.PanicsRecovered != 1 || h.Restores != 1 {
 		t.Errorf("health %s, want 1 panic / 1 restore", h)

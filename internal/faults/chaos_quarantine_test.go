@@ -184,13 +184,13 @@ func TestChaosShardKill100Equivalence(t *testing.T) {
 	}
 }
 
-// TestChaosShardQuarantineSupervisorRestores escalates past one
+// TestChaosShardFencedUntilRestart escalates past one
 // rewind: a shard dies on every attempt at one slide, so the replay
 // hits the fault again and the shard is fenced — its fixes dropped and
 // accounted, State wedged. A restart from the newest checkpoint (a
 // fresh process, as an operator or supervisor would start it), which
 // predates the fault, restores it, and its output is golden's.
-func TestChaosShardQuarantineSupervisorRestores(t *testing.T) {
+func TestChaosShardFencedUntilRestart(t *testing.T) {
 	const slide = 10 * time.Minute
 	batches, vessels, areas, ports := chaosWorld(t, 150, 6, slide)
 	cfg := core.Config{

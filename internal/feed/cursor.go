@@ -88,6 +88,7 @@ func (c *ReconnectingClient) SeedCursor(cur Cursor) {
 	}
 	c.interrupted.Store(false)
 	c.curSec = cur.Sec
+	c.skip = resumeSkip{} // connect arms a skip at the new cursor
 	c.seenAtSec = c.seenAtSec[:0]
 	for mmsi, n := range cur.SeenAtSec {
 		for range n {
@@ -119,30 +120,58 @@ type FixSource interface {
 	Fix() ais.Fix
 }
 
+// resumeSkip is the one rule by which a resume discards the fixes a
+// cursor already covers: everything before the cursor second is
+// dropped; at the cursor second, each vessel's first N fixes are
+// dropped where N is its count in the cursor. The first fix past the
+// cursor second ends the skip. The reconnecting client arms one at
+// every resume; ResumeFilter applies one to a replayed source.
+type resumeSkip struct {
+	sec    int64
+	counts map[uint32]int
+	active bool
+}
+
+// drop reports whether f is covered by the cursor and must be
+// discarded. Fixes must arrive in non-decreasing timestamp order.
+func (s *resumeSkip) drop(f ais.Fix) bool {
+	if !s.active {
+		return false
+	}
+	u := f.Time.Unix()
+	switch {
+	case u < s.sec:
+		return true // replayed history (e.g. a server that ignored the handshake)
+	case u == s.sec:
+		if s.counts[f.MMSI] > 0 {
+			s.counts[f.MMSI]--
+			return true
+		}
+		return false // a same-second sibling not seen yet
+	default:
+		s.active = false // past the cursor: caught up
+		return false
+	}
+}
+
 // ResumeFilter discards the prefix of a fix source a restored cursor
-// already covers, with the same semantics as the reconnecting client's
-// resume skip: everything before the cursor second is dropped; at the
-// cursor second, each vessel's first N fixes are dropped where N is its
-// count in the cursor. File and simulator replays use it so a
-// checkpointed offline run resumes exactly-once, like the live path.
-// The source must deliver fixes in non-decreasing timestamp order.
+// already covers, by the reconnecting client's resume rule (resumeSkip).
+// File and simulator replays use it so a checkpointed offline run
+// resumes exactly-once, like the live path. The source must deliver
+// fixes in non-decreasing timestamp order.
 type ResumeFilter struct {
-	src      FixSource
-	sec      int64
-	skip     map[uint32]int
-	resuming bool
-	skipped  int
-	fix      ais.Fix
+	src     FixSource
+	skip    resumeSkip
+	skipped int
+	fix     ais.Fix
 }
 
 // NewResumeFilter wraps src, skipping what cur covers. A zero cursor
 // passes everything through.
 func NewResumeFilter(src FixSource, cur Cursor) *ResumeFilter {
 	return &ResumeFilter{
-		src:      src,
-		sec:      cur.Sec,
-		skip:     maps.Clone(cur.SeenAtSec),
-		resuming: cur.Sec > 0,
+		src:  src,
+		skip: resumeSkip{sec: cur.Sec, counts: maps.Clone(cur.SeenAtSec), active: cur.Sec > 0},
 	}
 }
 
@@ -150,21 +179,9 @@ func NewResumeFilter(src FixSource, cur Cursor) *ResumeFilter {
 func (r *ResumeFilter) Scan() bool {
 	for r.src.Scan() {
 		f := r.src.Fix()
-		if r.resuming {
-			u := f.Time.Unix()
-			switch {
-			case u < r.sec:
-				r.skipped++
-				continue
-			case u == r.sec:
-				if r.skip[f.MMSI] > 0 {
-					r.skip[f.MMSI]--
-					r.skipped++
-					continue
-				}
-			default:
-				r.resuming = false
-			}
+		if r.skip.drop(f) {
+			r.skipped++
+			continue
 		}
 		r.fix = f
 		return true

@@ -118,11 +118,10 @@ type ReconnectingClient struct {
 	// Resume cursor: the newest fix second seen, the vessel of every
 	// fix seen at that second (one entry per fix, so a vessel's count
 	// is its multiplicity; the counts are built only at a reconnect),
-	// and the dedupe budget armed at the last reconnect.
+	// and the skip armed at the last reconnect.
 	curSec    int64
 	seenAtSec []uint32
-	skipAtSec map[uint32]int
-	resuming  bool
+	skip      resumeSkip
 
 	rng        *rand.Rand
 	backoff    time.Duration
@@ -185,7 +184,7 @@ func (c *ReconnectingClient) Scan() bool {
 		}
 		if c.scanner.Scan() {
 			f := c.scanner.Fix()
-			if c.resumeSkip(f) {
+			if c.skip.drop(f) {
 				c.count(func(n *NetStats) { n.ResumeSkipped++ })
 				continue
 			}
@@ -264,11 +263,11 @@ func (c *ReconnectingClient) connect(reconnected bool) bool {
 			fmt.Fprintf(conn, "RESUME %d\n", cursor)
 			if c.curSec > 0 {
 				c.count(func(n *NetStats) { n.Resumes++ })
-				c.skipAtSec = make(map[uint32]int, len(c.seenAtSec))
+				counts := make(map[uint32]int, len(c.seenAtSec))
 				for _, mmsi := range c.seenAtSec {
-					c.skipAtSec[mmsi]++
+					counts[mmsi]++
 				}
-				c.resuming = true
+				c.skip = resumeSkip{sec: c.curSec, counts: counts, active: true}
 				c.logf("reconnected, resuming after %d", cursor)
 			}
 			return true
@@ -336,28 +335,6 @@ func (c *ReconnectingClient) sleep(d time.Duration) bool {
 	case <-t.C:
 		return true
 	case <-c.closeCh:
-		return false
-	}
-}
-
-// resumeSkip reports whether f is a duplicate replayed around the
-// resume cursor and must be discarded.
-func (c *ReconnectingClient) resumeSkip(f ais.Fix) bool {
-	if !c.resuming {
-		return false
-	}
-	u := f.Time.Unix()
-	switch {
-	case u < c.curSec:
-		return true // replayed history (server ignored the handshake)
-	case u == c.curSec:
-		if c.skipAtSec[f.MMSI] > 0 {
-			c.skipAtSec[f.MMSI]--
-			return true
-		}
-		return false // a same-second sibling we had not seen yet
-	default:
-		c.resuming = false // past the cursor: caught up
 		return false
 	}
 }

@@ -17,12 +17,12 @@ import (
 // before the slide and sliding it again — what the pipeline's driver
 // does from its newest checkpoint — yields the fault-free output.
 
-// TestSelfHealPanicEquivalence is the tier-level chaos golden test: a
+// TestQuarantineShardPanicEquivalence is the tier-level chaos golden test: a
 // shard worker panics on every single slide, the tier quarantines it
 // and reports the fault, and restoring the slide's starting snapshot
 // and sliding it again must give output byte-identical to the serial
 // tracker's.
-func TestSelfHealPanicEquivalence(t *testing.T) {
+func TestQuarantineShardPanicEquivalence(t *testing.T) {
 	batches := simBatches(t, 120, 2)
 	params := DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
@@ -70,13 +70,13 @@ func TestSelfHealPanicEquivalence(t *testing.T) {
 	}
 }
 
-// TestSelfHealStallQuarantineRepair wedges one shard mid-run: the
+// TestQuarantineShardStallRewind wedges one shard mid-run: the
 // watchdog must quarantine it within the slide and report it, the tier
 // must keep sliding with the remaining shards (dropping and counting
 // the wedged shard's fixes), and restoring the snapshot taken before
 // the stall and replaying the slides since must bring the tier state —
 // and all subsequent output — back to the golden run.
-func TestSelfHealStallQuarantineRepair(t *testing.T) {
+func TestQuarantineShardStallRewind(t *testing.T) {
 	batches := simBatches(t, 120, 2)
 	params := DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
@@ -148,11 +148,11 @@ func TestSelfHealStallQuarantineRepair(t *testing.T) {
 	}
 }
 
-// TestSelfHealRepairErrors covers the failure path: a panic leaves a
+// TestQuarantineFenceAndReadmit covers the failure path: a panic leaves a
 // complete quarantine record, Fence moves the shard to failed for good,
 // a failed shard stays out of service without faulting again, and a
 // snapshot restore re-admits it.
-func TestSelfHealRepairErrors(t *testing.T) {
+func TestQuarantineFenceAndReadmit(t *testing.T) {
 	params := DefaultParams()
 	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
 	sharded := NewSharded(params, window, 2)
